@@ -60,7 +60,6 @@ from .pwer import (
     pwer_value,
     solve_critical_values,
     test_statistics,
-    true_pwer,
 )
 from .sim import (
     SimResult,

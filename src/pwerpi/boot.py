@@ -16,6 +16,9 @@ from . import pwer
 from .design import CONTROL, Design, PrevalenceVector
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
+# redraw rounds for resamples with an empty population arm before giving up
+_MAX_REDRAW_ROUNDS = 1000
+
 
 @dataclass(frozen=True)
 class EmpiricalNull:
@@ -231,7 +234,6 @@ def bootstrap_null_E(
     pooled_variance: float,
     B: int,
     rng: np.random.Generator,
-    max_redraw_rounds: int = 1000,
 ) -> EmpiricalNull:
     """Projection bootstrap for qualitative effect heterogeneity (two populations).
 
@@ -260,7 +262,7 @@ def bootstrap_null_E(
     B = int(B)
     counts = rng.multinomial(design.N, weights, size=B)
     rejected = 0
-    for _ in range(max_redraw_rounds):
+    for _ in range(_MAX_REDRAW_ROUNDS):
         cell_n = counts[:, stratum_of_cell] // k_of_stratum[stratum_of_cell] + (
             slot_of_cell < counts[:, stratum_of_cell] % k_of_stratum[stratum_of_cell]
         )

@@ -252,14 +252,13 @@ def build_design(
     counts: Sequence[int] | Mapping[frozenset[int], int],
     variances: float | Mapping[tuple[frozenset[int], str], float],
     variance_mode: str,
-    arm_sizes: Mapping[tuple[frozenset[int], str], int] | None = None,
 ) -> Design:
     """Assemble a Design from strata counts.
 
     `counts` is either a sequence aligned with the canonical strata order or a
     mapping keyed by stratum. `variances` is a scalar (shared by every cell)
-    or a mapping (stratum, arm) -> sigma^2. Arm sizes default to the even
-    split of `allocate_arms` but can be given explicitly.
+    or a mapping (stratum, arm) -> sigma^2. Arm sizes are the even split of
+    `allocate_arms`.
     """
     strata = enumerate_strata(m)
     treatments = treatment_labels(m, treatment_scheme)
@@ -277,15 +276,7 @@ def build_design(
     if N <= 0:
         raise InfeasibleDesignError("design has no patients")
 
-    if arm_sizes is None:
-        cell_map = allocate_arms(count_arr, strata, treatments)
-    else:
-        cell_map = {}
-        for j, stratum in enumerate(strata):
-            for arm in _arm_order(treatments[i - 1] for i in stratum):
-                cell_map[(j, arm)] = int(arm_sizes.get((stratum, arm), 0))
-            if sum(cell_map[(j, a)] for a in _arm_order(treatments[i - 1] for i in stratum)) != count_arr[j]:
-                raise ConfigError(f"arm sizes of stratum {stratum_label(stratum)} do not sum to its count")
+    cell_map = allocate_arms(count_arr, strata, treatments)
 
     cells = tuple(sorted(cell_map, key=lambda key: (key[0], (len(key[1]), key[1]))))
     sizes = np.array([cell_map[c] for c in cells], dtype=np.int64)

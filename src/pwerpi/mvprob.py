@@ -4,9 +4,8 @@ Low dimensions use deterministic quadrature: the Drezner-Wesolowsky /
 Gauss-Legendre bivariate normal, a conditioned one-dimensional reduction for
 the trivariate normal, and chi-scale mixtures of those for the t cases.
 Higher dimensions integrate the separation-of-variables transform with
-randomized quasi-Monte Carlo (randomly shifted Fibonacci lattices in two
-integrand dimensions, scrambled Sobol streams beyond), where the spread
-across randomizations yields the error estimate.
+randomized quasi-Monte Carlo over scrambled Sobol streams, where the spread
+across scramblings yields the error estimate.
 """
 
 from __future__ import annotations
@@ -233,9 +232,12 @@ def _tvn_quad(upper: np.ndarray, corr: np.ndarray, n_nodes: int) -> np.ndarray:
     return (inner * phi * wt).sum(axis=1)
 
 
-def _tvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
-    """Deterministic trivariate normal, or None when conditioning degenerates."""
-    # pivot on the variable least correlated with the others
+def _pivoted(upper: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Limits and correlation reordered so the conditioning variable is first.
+
+    The pivot is the variable least correlated with the other two; None when
+    even that correlation makes the conditioning degenerate.
+    """
     best, best_score = None, np.inf
     for pivot in range(3):
         others = [i for i in range(3) if i != pivot]
@@ -245,8 +247,15 @@ def _tvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
     if best_score > _COND_RHO_MAX:
         return None
     order = [best] + [i for i in range(3) if i != best]
-    perm = corr[np.ix_(order, order)]
-    up = upper[order]
+    return upper[order], corr[np.ix_(order, order)]
+
+
+def _tvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
+    """Deterministic trivariate normal, or None when conditioning degenerates."""
+    pivoted = _pivoted(upper, corr)
+    if pivoted is None:
+        return None
+    up, perm = pivoted
     coarse = float(_tvn_quad(up, perm, 48)[0])
     fine = float(_tvn_quad(up, perm, 96)[0])
     err = max(3.0 * abs(fine - coarse), 1e-10)
@@ -280,30 +289,19 @@ def _bvt_det(upper: np.ndarray, rho: float, df: float) -> ProbResult:
     return ProbResult(min(1.0, max(0.0, values[1])), err, 96)
 
 
-def _tvt_det(upper: np.ndarray, corr: np.ndarray) -> Callable[[float], ProbResult] | None:
-    """Deterministic trivariate t factory, or None when conditioning degenerates."""
-    best, best_score = None, np.inf
-    for pivot in range(3):
-        others = [i for i in range(3) if i != pivot]
-        score = max(abs(corr[pivot, others[0]]), abs(corr[pivot, others[1]]))
-        if score < best_score:
-            best, best_score = pivot, score
-    if best_score > _COND_RHO_MAX:
+def _tvt_det(upper: np.ndarray, corr: np.ndarray, df: float) -> ProbResult | None:
+    """Deterministic trivariate t, or None when conditioning degenerates."""
+    pivoted = _pivoted(upper, corr)
+    if pivoted is None:
         return None
-    order = [best] + [i for i in range(3) if i != best]
-    perm = corr[np.ix_(order, order)]
-    up = upper[order]
-
-    def compute(df: float) -> ProbResult:
-        values = []
-        for n_chi, n_y in ((32, 48), (64, 96)):
-            s, w = _chi_scale_nodes(df, n_chi)
-            inner = _tvn_quad(s[:, None] * up[None, :], perm, n_y)
-            values.append(float(np.sum(w * inner)))
-        err = max(3.0 * abs(values[1] - values[0]), 1e-9)
-        return ProbResult(min(1.0, max(0.0, values[1])), err, 96 * 144)
-
-    return compute
+    up, perm = pivoted
+    values = []
+    for n_chi, n_y in ((32, 48), (64, 96)):
+        s, w = _chi_scale_nodes(df, n_chi)
+        inner = _tvn_quad(s[:, None] * up[None, :], perm, n_y)
+        values.append(float(np.sum(w * inner)))
+    err = max(3.0 * abs(values[1] - values[0]), 1e-9)
+    return ProbResult(min(1.0, max(0.0, values[1])), err, 96 * 144)
 
 
 # ---------------------------------------------------------------------------
@@ -332,87 +330,19 @@ def _sov_product(chol: np.ndarray, upper_rows: np.ndarray, w: np.ndarray) -> np.
     return prod
 
 
-# Fibonacci numbers used as lattice sizes for two-dimensional integrands.
-_FIB = [987, 1597, 2584, 4181, 6765, 10946, 17711, 28657, 46368, 75025,
-        121393, 196418, 317811, 514229, 832040, 1346269, 2178309, 3524578,
-        5702887, 9227465]
+# Randomized QMC: independent scramblings per integral, the first block size
+# (a power of two, so every cumulative count is one too) and the point budget
+# beyond which an unconverged integral is an error.
+_N_SHIFTS = 12
+_N_START = 128
+_MAX_POINTS = 1 << 26
 
 
-def _qmc_fibonacci(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    rng: np.random.Generator,
-    n_shifts: int,
-    max_points: int,
-    fixed_n: int | None,
-) -> ProbResult:
-    """Randomly shifted Fibonacci lattice rule on [0,1]^2 with baker transform."""
-    shifts = rng.random((n_shifts, 2))
-    if fixed_n is None:
-        idx = 0
-    else:
-        idx = next((i for i, n in enumerate(_FIB) if n >= fixed_n), len(_FIB) - 1)
-    points_used = 0
-    while True:
-        n = _FIB[idx]
-        gen = np.array([1.0, _FIB[idx - 1] if idx > 0 else 610.0]) / n
-        base = np.arange(n)[:, None] * gen[None, :]
-        base -= np.floor(base)
-        x = base[None, :, :] + shifts[:, None, :]
-        x -= np.floor(x)
-        np.abs(2.0 * x - 1.0, out=x)
-        means = integrand(x.reshape(-1, 2)).reshape(n_shifts, n).mean(axis=1)
-        points_used += n * n_shifts
-        estimate = float(means.mean())
-        error = float(3.0 * means.std(ddof=1) / math.sqrt(n_shifts))
-        if fixed_n is not None or error <= tol:
-            return ProbResult(min(1.0, max(0.0, estimate)), error, points_used)
-        if points_used >= max_points or idx + 1 >= len(_FIB):
-            raise NumericalError(
-                f"QMC budget exhausted at error {error:.2e} > tol {tol:.2e}"
-            )
-        idx = min(idx + 2, len(_FIB) - 1)
-
-
-class _SobolBlocks:
-    """Owen-scrambled Sobol point streams, cached per (dim, seed).
-
-    Per-seed caching makes repeated calls with a frozen stream (as the
-    critical-value solver issues) reuse their point sets instead of paying the
-    engine construction cost every call.
-    """
-
-    def __init__(self, max_entries: int = 8):
-        self._cache: dict[tuple[int, int], tuple[qmc.Sobol, np.ndarray]] = {}
-        self._max_entries = max_entries
-
-    def take(self, dim: int, seed: int, stop: int) -> np.ndarray:
-        key = (dim, int(seed))
-        if key not in self._cache:
-            if len(self._cache) >= self._max_entries:
-                self._cache.pop(next(iter(self._cache)))
-            engine = qmc.Sobol(dim, scramble=True, seed=int(seed))
-            self._cache[key] = (engine, np.empty((0, dim)))
-        engine, points = self._cache[key]
-        while points.shape[0] < stop:
-            grown = max(stop - points.shape[0], points.shape[0] or stop)
-            points = np.vstack([points, engine.random(int(grown))])
-            self._cache[key] = (engine, points)
-        return points[:stop]
-
-
-_SOBOL_BLOCKS = _SobolBlocks()
-
-
-def _qmc_sobol(
+def _randomized_qmc(
     dim: int,
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: float,
     rng: np.random.Generator,
-    n_shifts: int,
-    n_start: int,
-    max_points: int,
-    fixed_n: int | None,
 ) -> ProbResult:
     """Scrambled-Sobol integration on [0,1]^dim.
 
@@ -421,47 +351,25 @@ def _qmc_sobol(
     Refinement extends each scrambled stream, so cumulative counts stay powers
     of two and every prefix remains a digital net.
     """
-    seeds = rng.integers(0, 2**63 - 1, size=n_shifts)
-    totals = np.zeros(n_shifts)
+    seeds = rng.integers(0, 2**63 - 1, size=_N_SHIFTS)
+    engines = [qmc.Sobol(dim, scramble=True, seed=int(seed)) for seed in seeds]
+    totals = np.zeros(_N_SHIFTS)
     count = 0
-    n_next = fixed_n if fixed_n is not None else n_start
-    n_next = 1 << max(4, (int(n_next) - 1).bit_length())
+    n_next = _N_START
     while True:
-        for s, seed in enumerate(seeds):
-            block = _SOBOL_BLOCKS.take(dim, seed, count + n_next)[count:]
-            totals[s] += integrand(block).sum()
+        for s, engine in enumerate(engines):
+            totals[s] += integrand(engine.random(n_next)).sum()
         count += n_next
         means = totals / count
         estimate = float(means.mean())
-        error = float(3.0 * means.std(ddof=1) / math.sqrt(n_shifts))
-        if fixed_n is not None or error <= tol:
-            return ProbResult(min(1.0, max(0.0, estimate)), error, count * n_shifts)
-        if count * n_shifts >= max_points:
+        error = float(3.0 * means.std(ddof=1) / math.sqrt(_N_SHIFTS))
+        if error <= tol:
+            return ProbResult(min(1.0, max(0.0, estimate)), error, count * _N_SHIFTS)
+        if count * _N_SHIFTS >= _MAX_POINTS:
             raise NumericalError(
-                f"QMC budget of {max_points} points exhausted at error {error:.2e} > tol {tol:.2e}"
+                f"QMC budget of {_MAX_POINTS} points exhausted at error {error:.2e} > tol {tol:.2e}"
             )
         n_next = count
-
-
-def _randomized_qmc(
-    dim: int,
-    integrand: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    rng: np.random.Generator,
-    n_shifts: int,
-    n_start: int,
-    max_points: int,
-    fixed_n: int | None,
-) -> ProbResult:
-    if dim <= 2:
-        if dim == 1:
-            inner = integrand
-
-            def integrand(w, _inner=inner):  # noqa: F811 - lift to a dummy dim
-                return _inner(w[:, :1])
-
-        return _qmc_fibonacci(integrand, tol, rng, n_shifts, max_points, fixed_n)
-    return _qmc_sobol(dim, integrand, tol, rng, n_shifts, n_start, max_points, fixed_n)
 
 
 def _check_tol(tol: float) -> None:
@@ -484,18 +392,14 @@ def mvn_cdf(
     tol: float = 1e-6,
     rng: np.random.Generator | None = None,
     *,
-    n_shifts: int = 12,
-    n_start: int = 128,
-    max_points: int = 1 << 26,
-    fixed_n: int | None = None,
     method: str = "auto",
 ) -> ProbResult:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
     Dimensions up to three are deterministic under method="auto"; larger
-    dimensions (or method="qmc") use randomized QMC driven by `rng` (a seed-0
-    stream when omitted), so identical inputs and stream state give
-    bit-identical results.
+    dimensions, trivariate inputs with no usable conditioning pivot, and
+    method="qmc" use randomized QMC driven by `rng` (a seed-0 stream when
+    omitted), so identical inputs and stream state give bit-identical results.
     """
     _check_tol(tol)
     upper = _check_upper(upper, corr)
@@ -517,7 +421,7 @@ def mvn_cdf(
         rows = np.broadcast_to(upper, (w.shape[0], d))
         return _sov_product(chol, rows, w)
 
-    return _randomized_qmc(d - 1, integrand, tol, rng, n_shifts, n_start, max_points, fixed_n)
+    return _randomized_qmc(d - 1, integrand, tol, rng)
 
 
 def mvt_cdf(
@@ -527,16 +431,12 @@ def mvt_cdf(
     tol: float = 1e-6,
     rng: np.random.Generator | None = None,
     *,
-    n_shifts: int = 12,
-    n_start: int = 128,
-    max_points: int = 1 << 26,
-    fixed_n: int | None = None,
     method: str = "auto",
 ) -> ProbResult:
     """P(T <= upper componentwise) for multivariate t with scale `corr`.
 
     df may be any real >= 1 (Satterthwaite produces non-integral values).
-    Converges to mvn_cdf as df grows.
+    Converges to mvn_cdf as df grows. `method` and `rng` act as in mvn_cdf.
     """
     _check_tol(tol)
     if df < 1.0:
@@ -555,9 +455,9 @@ def mvt_cdf(
         if method == "auto":
             return _bvt_det(upper, rho, df)
     if d == 3 and method == "auto":
-        compute = _tvt_det(upper, corr.values)
-        if compute is not None:
-            return compute(df)
+        result = _tvt_det(upper, corr.values, df)
+        if result is not None:
+            return result
     if rng is None:
         rng = np.random.default_rng(0)
     chol = corr.cholesky()
@@ -570,4 +470,4 @@ def mvt_cdf(
         rows = scale[:, None] * upper[None, :]
         return _sov_product(chol, rows, w[:, 1:])
 
-    return _randomized_qmc(d, integrand, tol, rng, n_shifts, n_start, max_points, fixed_n)
+    return _randomized_qmc(d, integrand, tol, rng)

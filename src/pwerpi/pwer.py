@@ -23,6 +23,10 @@ DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_CDF_TOL = 1e-6
 DEFAULT_VERIFY_TOL = 1e-7
 
+# Illinois iteration: bracket width at which it stops, and its step limit.
+_SOLVER_XTOL = 1e-12
+_SOLVER_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class TestModel:
@@ -53,8 +57,6 @@ class TestModel:
         c: np.ndarray,
         tol: float,
         rng: np.random.Generator | None,
-        fixed_n: int | None = None,
-        method: str = "auto",
     ) -> mvprob.ProbResult:
         """F_J(c_J) for one stratum: the no-rejection probability at c."""
         members = sorted(self.strata[stratum_index])
@@ -65,8 +67,8 @@ class TestModel:
                 f"stratum {members} involves a population with an empty arm"
             )
         if self.kind == "t":
-            return mvprob.mvt_cdf(upper, corr, self.df, tol, rng, fixed_n=fixed_n, method=method)
-        return mvprob.mvn_cdf(upper, corr, tol, rng, fixed_n=fixed_n, method=method)
+            return mvprob.mvt_cdf(upper, corr, self.df, tol, rng)
+        return mvprob.mvn_cdf(upper, corr, tol, rng)
 
     def tail_quantile(self, p: float) -> float:
         """c with P(single statistic > c) = p under the marginal law."""
@@ -258,8 +260,6 @@ def stratum_cdf_values(
     tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
-    fixed_n: int | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """F_J(c_J) for every stratum (masked or undefined entries return NaN).
 
@@ -275,7 +275,7 @@ def stratum_cdf_values(
                 continue
         elif not mask[j]:
             continue
-        out[j] = model.stratum_cdf(j, c_vec, tol, rng, fixed_n=fixed_n, method=method).value
+        out[j] = model.stratum_cdf(j, c_vec, tol, rng).value
     return out
 
 
@@ -285,14 +285,13 @@ def pwer_value(
     model: TestModel,
     tol: float = DEFAULT_CDF_TOL,
     rng: np.random.Generator | None = None,
-    fixed_n: int | None = None,
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
     weights = _weights_of(pi)
     if weights.shape[0] != len(model.strata):
         raise ConfigError("prevalence vector does not match the model's strata")
     mask = weights > 0.0
-    cdf = stratum_cdf_values(c, model, tol, rng, mask=mask, fixed_n=fixed_n)
+    cdf = stratum_cdf_values(c, model, tol, rng, mask=mask)
     return float(np.sum(weights[mask] * (1.0 - cdf[mask])))
 
 
@@ -326,8 +325,6 @@ def solve_critical_values(
     cdf_tol: float = DEFAULT_CDF_TOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> CriticalValues:
     """Find the shared critical value with PWER(c * 1) = alpha.
 
@@ -380,7 +377,7 @@ def solve_critical_values(
     a, b, fa, fb = lo, hi, f_lo, f_hi
     side = 0
     c_star, f_star = a, fa
-    for _ in range(max_iter):
+    for _ in range(_SOLVER_MAX_ITER):
         denom = fb - fa
         x = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
         if not a < x < b:
@@ -400,13 +397,13 @@ def solve_critical_values(
                 fa *= 0.5
             side = 1
         slope = abs(fb - fa) / max(b - a, 1e-300)
-        if b - a <= xtol or (b - a) * slope <= solver_tol:
+        if b - a <= _SOLVER_XTOL or (b - a) * slope <= solver_tol:
             c_star = 0.5 * (a + b)
             f_star = f(c_star)
             break
     else:
         raise NumericalError(
-            f"critical value iteration did not converge within {max_iter} steps "
+            f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
             f"(bracket [{a:.12f}, {b:.12f}])"
         )
     return _finish(c_star, f_star + alpha, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
@@ -527,14 +524,3 @@ def prediction_interval(alpha: float, alpha_prime: float, gamma: float, N: int) 
         alpha_prime=float(alpha_prime),
         N=int(N),
     )
-
-
-def true_pwer(
-    c_hat,
-    pi_true,
-    model: TestModel,
-    tol: float = DEFAULT_CDF_TOL,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """PWER at the calibrated critical values but the true prevalences."""
-    return pwer_value(c_hat, pi_true, model, tol, rng)

@@ -274,12 +274,9 @@ def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> R
             null = boot.bootstrap_null_E(design, pi_hat, effects, pooled, scenario.B, rng_boot)
             rejected = null.rejected_resamples
             cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
-        grad, tp = boot.empirical_gradient_and_true_pwer(
-            null, strata, cv, pi_true_t, transform_factors=factors
-        )
-        grad_true, _ = boot.empirical_gradient_and_true_pwer(
-            null, strata, cv, pi_true_t, transform_factors=factors_true
-        )
+        fwer_grad, tp = boot.empirical_gradient_and_true_pwer(null, strata, cv, pi_true_t)
+        grad = factors * fwer_grad
+        grad_true = factors_true * fwer_grad
 
     gamma = pwer.delta_gamma(pi_hat, grad)
     gamma_true = pwer.delta_gamma(pi_true, grad_true)

@@ -55,10 +55,14 @@ class TestMvnCdf:
         res = mvprob.mvn_cdf([1.0, 1.2, 0.8], corr(0.5 + 0.5 * np.eye(3)), tol=1e-7)
         assert abs(res.value - oracle) <= 3.0 * se + res.error_estimate
 
-    def test_qmc_and_deterministic_agree(self):
-        c3 = corr(0.5 + 0.5 * np.eye(3))
-        det = mvprob.mvn_cdf([1.0, 1.2, 0.8], c3, tol=1e-7)
-        q = mvprob.mvn_cdf([1.0, 1.2, 0.8], c3, tol=1e-7,
+    @pytest.mark.parametrize("upper, mat", [
+        pytest.param([1.0, 1.2, 0.8], 0.5 + 0.5 * np.eye(3), id="d3"),
+        pytest.param([0.7, -0.4], [[1, 0.6], [0.6, 1]], id="d2"),
+    ])
+    def test_qmc_and_deterministic_agree(self, upper, mat):
+        cm = corr(mat)
+        det = mvprob.mvn_cdf(upper, cm, tol=1e-7)
+        q = mvprob.mvn_cdf(upper, cm, tol=1e-7,
                            rng=np.random.default_rng(4), method="qmc")
         # both error estimates are ~3-sigma bounds; allow their sum plus slack
         assert abs(det.value - q.value) <= 2 * q.error_estimate + det.error_estimate + 1e-8
@@ -95,6 +99,21 @@ class TestMvnCdf:
         a = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
         b = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
         assert a == b
+
+    def test_qmc_builds_each_engine_once(self, monkeypatch):
+        # refinement rounds extend the scrambled streams instead of rebuilding them
+        built = []
+        sobol = mvprob.qmc.Sobol
+
+        def counting_sobol(*args, **kwargs):
+            built.append(args)
+            return sobol(*args, **kwargs)
+
+        monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
+        c4 = corr(0.4 + 0.6 * np.eye(4))
+        res = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, tol=1e-6, rng=np.random.default_rng(13))
+        assert res.points_used > 12 * 128  # more than one round
+        assert len(built) == 12
 
     def test_dim4_against_mc_oracle(self):
         rng = np.random.default_rng(21)
@@ -149,6 +168,13 @@ class TestMvtCdf:
     def test_df_domain(self):
         with pytest.raises(ConfigError):
             mvprob.mvt_cdf([0.0, 0.0], corr(np.eye(2)), df=0.5)
+
+    def test_dim2_det_vs_qmc(self):
+        c2 = corr([[1, -0.35], [-0.35, 1]])
+        det = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-7)  # the _bvt_det quadrature
+        q = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-6,
+                           rng=np.random.default_rng(9), method="qmc")
+        assert abs(det.value - q.value) <= q.error_estimate + det.error_estimate + 1e-7
 
     def test_dim3_det_vs_qmc(self):
         c3 = corr([[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]])

@@ -248,7 +248,7 @@ class TestTruePwer:
         model = pwer.build_test_model(equal_cells_design())
         weights = np.full(3, 1 / 3)
         cv = pwer.solve_critical_values(weights, model, ALPHA)
-        assert pwer.true_pwer(cv, weights, model, tol=1e-7) == pytest.approx(ALPHA, abs=1e-7)
+        assert pwer.pwer_value(cv, weights, model, tol=1e-7) == pytest.approx(ALPHA, abs=1e-7)
 
     def test_five_population_smoke(self):
         # exercises the full lattice (31 strata) and the QMC dimensions
@@ -267,7 +267,7 @@ class TestTruePwer:
         pi_hat = np.array([0.4, 0.32, 0.28])
         pi_true = np.full(3, 1 / 3)
         cv = pwer.solve_critical_values(pi_hat, model, ALPHA)
-        value = pwer.true_pwer(cv, pi_true, model, tol=1e-7)
+        value = pwer.pwer_value(cv, pi_true, model, tol=1e-7)
         members = [sorted(s) for s in model.strata]
         oracle, se = pwer_event_mc(cv.c, pi_true, members, model.full_corr, 10_000_000, seed=55)
         assert abs(value - oracle) <= 3.0 * se + 1e-7
