@@ -13,7 +13,6 @@ from .boot import (
     bootstrap_null_D,
     bootstrap_null_E,
     build_satterthwaite_model,
-    empirical_gradient_and_true_pwer,
     fwer_curves,
     generate_setting_E_study,
     project_to_null,
@@ -55,7 +54,6 @@ from .pwer import (
     TestModel,
     build_test_model,
     delta_gamma,
-    gradient_pwer,
     prediction_interval,
     pwer_value,
     solve_critical_values,

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwer
-from .design import CONTROL, Design, PrevalenceVector
+from .design import CONTROL, Design, PrevalenceVector, prevalence_weights
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 # redraw rounds for resamples with an empty population arm before giving up
 _MAX_REDRAW_ROUNDS = 1000
+
+# fewest resamples an empirical null may hold, and fewest expected resamples
+# beyond the calibrated c (B * alpha) the empirical solver needs in the tail
+MIN_RESAMPLES = 1000
+MIN_TAIL_RESAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -30,8 +35,8 @@ class EmpiricalNull:
 
     def __post_init__(self):
         stats = np.asarray(self.statistics, dtype=float)
-        if stats.ndim != 2 or stats.shape[0] < 1000:
-            raise ConfigError("empirical null needs a (B, m) matrix with B >= 1000")
+        if stats.ndim != 2 or stats.shape[0] < MIN_RESAMPLES:
+            raise ConfigError(f"empirical null needs a (B, m) matrix with B >= {MIN_RESAMPLES}")
         if not np.all(np.isfinite(stats)):
             raise NumericalError("empirical null contains non-finite statistics")
         stats.setflags(write=False)
@@ -60,6 +65,11 @@ def fwer_curves(null: EmpiricalNull, strata) -> list[FwerCurve]:
         idx = [i - 1 for i in sorted(stratum)]
         curves.append(FwerCurve(null.statistics[:, idx].max(axis=1)))
     return curves
+
+
+def stratum_fwer(curves: list[FwerCurve], c: float) -> np.ndarray:
+    """FWER_J(c) of every stratum, as CriticalValues.fwer stores it."""
+    return np.array([curve.value(c) for curve in curves])
 
 
 def welch_df(variances: np.ndarray, weights: np.ndarray, cell_dfs: np.ndarray) -> float:
@@ -124,13 +134,6 @@ def bootstrap_null_D(
     return EmpiricalNull(statistics=stats, provenance="parametric_D")
 
 
-def _weights_of(pi, n_strata: int) -> np.ndarray:
-    w = pi.values if isinstance(pi, PrevalenceVector) else np.asarray(pi, dtype=float)
-    if w.shape != (n_strata,):
-        raise ConfigError("prevalence vector does not match the strata list")
-    return w
-
-
 def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) -> pwer.CriticalValues:
     """Smallest shared c with empirical PWER(c) <= alpha.
 
@@ -138,16 +141,17 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     step functions; the root is reported as the midpoint of the bracketing
     order statistics, so the conservative side of the step is guaranteed.
     """
-    weights = _weights_of(pi_hat, len(strata))
+    weights = prevalence_weights(pi_hat, len(strata))
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     curves = fwer_curves(null, strata)
     if alpha >= 1.0:
         c_star = float(null.statistics.min()) - 1.0
         return _empirical_result(c_star, curves, weights, strata, alpha)
-    if null.B * alpha < 20.0:
+    if null.B * alpha < MIN_TAIL_RESAMPLES:
         raise ConfigError(
-            f"B*alpha = {null.B * alpha:.1f} < 20: not enough resamples to resolve the tail"
+            f"B*alpha = {null.B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "
+            "not enough resamples to resolve the tail"
         )
     live = weights > 0.0
     values = np.concatenate([curves[j].sorted_maxima for j in np.flatnonzero(live)])
@@ -169,7 +173,7 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
 
 
 def _empirical_result(c_star, curves, weights, strata, alpha) -> pwer.CriticalValues:
-    fwer = np.array([curve.value(c_star) for curve in curves])
+    fwer = stratum_fwer(curves, c_star)
     achieved = float(np.dot(weights, fwer))
     m = max(max(s) for s in strata)
     return pwer.CriticalValues(
@@ -177,26 +181,9 @@ def _empirical_result(c_star, curves, weights, strata, alpha) -> pwer.CriticalVa
         alpha=alpha,
         achieved=achieved,
         verified=achieved,
-        stratum_cdf=1.0 - fwer,
+        fwer=fwer,
         evaluations=0,
     )
-
-
-def empirical_gradient_and_true_pwer(
-    null: EmpiricalNull,
-    strata,
-    c_hat,
-    pi_true,
-    transform_factors: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Gradient -FWER_J(c) (with transform factors) and the true-weighted PWER."""
-    c = float(c_hat.c[0]) if isinstance(c_hat, pwer.CriticalValues) else float(c_hat)
-    weights = _weights_of(pi_true, len(strata))
-    fwer = np.array([curve.value(c) for curve in fwer_curves(null, strata)])
-    grad = -fwer
-    if transform_factors is not None:
-        grad = np.asarray(transform_factors, float) * grad
-    return grad, float(np.dot(weights, fwer))
 
 
 def project_to_null(effects: np.ndarray, weights: np.ndarray, strata, m: int) -> np.ndarray:
@@ -246,7 +233,7 @@ def bootstrap_null_E(
         raise ConfigError("the projection bootstrap supports exactly two populations")
     if pooled_variance <= 0.0:
         raise ConfigError(f"pooled variance must be positive, got {pooled_variance}")
-    weights = _weights_of(pi_hat, design.n_strata)
+    weights = prevalence_weights(pi_hat, design.n_strata)
     theta = project_to_null(observed_effects, weights, design.strata, design.m)
 
     k_of_stratum, stratum_of_cell, slot_of_cell, is_control = _arm_layout(design)
@@ -308,7 +295,7 @@ def generate_setting_E_study(
         raise ConfigError("setting E studies are defined for exactly two populations")
     if sigma <= 0.0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
-    pi = _weights_of(pi_true, design.n_strata)
+    pi = prevalence_weights(pi_true, design.n_strata)
     if pi[0] <= 0.0 or pi[1] <= 0.0:
         raise ConfigError("both singleton strata need positive true prevalence")
     theta = np.empty(3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .design import (
     TRANSFORMS,
     VARIANCE_MODES,
     TREATMENT_SCHEMES,
+    _arm_order,
     build_design,
     enumerate_strata,
     estimate_prevalences,
@@ -126,11 +128,25 @@ def config_hash(resolved: dict) -> str:
     ).hexdigest()
 
 
+def _number(value, where: str, whole: bool = False) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or whole and not x.is_integer():
+        kind = "a whole number" if whole else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return x
+
+
 def _parse_counts(dz: dict) -> dict:
     raw = dz.get("strata_counts")
     if raw is None:
         raise ConfigError("analyze mode needs design.strata_counts")
-    counts = {parse_stratum_label(label): int(n) for label, n in raw.items()}
+    counts = {
+        parse_stratum_label(label): int(_number(n, f"design.strata_counts[{label!r}]", whole=True))
+        for label, n in raw.items()
+    }
     strata = enumerate_strata(dz["m"])
     extra = set(counts) - set(strata)
     if extra:
@@ -150,15 +166,17 @@ def _parse_variances(dz: dict, strata) -> float | dict:
         raise ConfigError(f"unknown keys in design.variances: {sorted(unknown)}")
     labels = treatment_labels(dz["m"], dz["treatment_scheme"])
     for stratum in strata:
-        arms = sorted({labels[i - 1] for i in stratum}, key=lambda t: (len(t), t)) + ["C"]
-        for arm in arms:
+        for arm in _arm_order(labels[i - 1] for i in stratum):
             key = f"{stratum_label(stratum)}|{arm}"
             if key in cells:
-                out[(stratum, arm)] = float(cells[key])
+                out[(stratum, arm)] = _number(cells[key], f"design.variances.cells[{key!r}]")
             elif default is not None:
-                out[(stratum, arm)] = float(default)
+                out[(stratum, arm)] = _number(default, "design.variances.default")
             else:
                 raise ConfigError(f"missing variance for cell {key!r}")
+    unknown = set(cells) - {f"{stratum_label(stratum)}|{arm}" for stratum, arm in out}
+    if unknown:
+        raise ConfigError(f"design.variances.cells names cells outside the design: {sorted(unknown)}")
     return out
 
 
@@ -180,9 +198,6 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
         # no closed-form joint law: parametric bootstrap of the global null
         null = boot.bootstrap_null_D(design, design.cell_variances, eng["B"], rng)
         cv = boot.solve_critical_empirical(null, strata, pi_used, iv["alpha"])
-        grad, _ = boot.empirical_gradient_and_true_pwer(
-            null, strata, cv, pi_hat, transform_factors=factors
-        )
         engine = "parametric_bootstrap"
     else:
         model = pwer.build_test_model(design, allow_empty_populations=True)
@@ -194,9 +209,9 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
             cdf_tol=eng["cdf_tol"],
             rng=rng,
         )
-        grad = pwer.gradient_pwer(cv, model, transform_factors=factors)
         engine = "exact"
 
+    grad = cv.gradient(factors)
     gamma = pwer.delta_gamma(pi_hat.values, grad)
     interval = pwer.prediction_interval(iv["alpha"], iv["alpha_prime"], gamma, design.N)
     report = {

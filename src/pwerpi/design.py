@@ -119,6 +119,16 @@ class PrevalenceVector:
         return {stratum_label(s): float(v) for s, v in zip(self.strata, self.values)}
 
 
+def prevalence_weights(pi, n_strata: int) -> np.ndarray:
+    """Checked weights of a PrevalenceVector or array (arrays pass through as is)."""
+    w = pi.values if isinstance(pi, PrevalenceVector) else np.asarray(pi, dtype=float)
+    if w.shape != (n_strata,):
+        raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({n_strata},)")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise ConfigError("prevalence weights must be finite and nonnegative")
+    return w
+
+
 @dataclass(frozen=True)
 class Design:
     """A realized multi-population trial layout.
@@ -330,45 +340,45 @@ def shift_values(values: np.ndarray, pi_min: float) -> np.ndarray:
     return (values + pi_min) / (1.0 + values.shape[0] * pi_min)
 
 
-def transform_floor(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
-    values, p = floor_values(pi.values, pi_min)
-    return PrevalenceVector(
-        strata=pi.strata, values=values, kind="transformed_floor", pi_min=pi_min, scale_p=p
-    )
+def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Transformed weights, their chain-rule factors, and the floor's scale p.
 
-
-def transform_shift(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
-    values = shift_values(pi.values, pi_min)
-    return PrevalenceVector(
-        strata=pi.strata, values=values, kind="transformed_shift", pi_min=pi_min, scale_p=1.0
-    )
-
-
-def transform_prevalences(pi: PrevalenceVector, transform: str, pi_min: float) -> PrevalenceVector:
-    if transform not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {transform!r}")
-    if transform == TRANSFORM_NONE or pi_min == 0.0:
-        return pi
-    if transform == TRANSFORM_FLOOR:
-        return transform_floor(pi, pi_min)
-    return transform_shift(pi, pi_min)
-
-
-def transform_gradient_factor(values: np.ndarray, pi_min: float, kind: str) -> np.ndarray:
-    """Componentwise chain-rule factor of a prevalence transformation.
-
-    `values` are the untransformed weights. The floor transform zeroes the
-    components it floors and applies the proportional factor p elsewhere (p is
-    also used at the non-differentiable point values == pi_min, by convention);
-    the shift transform contracts every component by 1/(1 + n_S * pi_min).
+    The one dispatch on the transform name. The floor transform zeroes the
+    factors of the components it floors and applies p elsewhere (also at the
+    non-differentiable point values == pi_min, by convention); the shift
+    transform contracts every component by 1/(1 + n_S * pi_min). "none" and
+    pi_min = 0 return the weights themselves, unit factors and p = 1.
     """
     values = np.asarray(values, dtype=float)
     n_s = values.shape[0]
-    if kind in (TRANSFORM_NONE, "none") or pi_min == 0.0:
-        return np.ones(n_s)
-    if kind in (TRANSFORM_FLOOR, "transformed_floor"):
-        _, p = floor_values(values, pi_min)
-        return np.where(values < pi_min, 0.0, p)
-    if kind in (TRANSFORM_SHIFT, "transformed_shift"):
-        return np.full(n_s, 1.0 / (1.0 + n_s * pi_min))
-    raise ConfigError(f"unknown transform kind {kind!r}")
+    if transform not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {transform!r}")
+    if transform == TRANSFORM_NONE or pi_min == 0.0:
+        return values, np.ones(n_s), 1.0
+    if transform == TRANSFORM_FLOOR:
+        out, p = floor_values(values, pi_min)
+        return out, np.where(values < pi_min, 0.0, p), p
+    return shift_values(values, pi_min), np.full(n_s, 1.0 / (1.0 + n_s * pi_min)), 1.0
+
+
+def transform_prevalences(pi: PrevalenceVector, transform: str, pi_min: float) -> PrevalenceVector:
+    """The transformed prevalence vector; pi itself when the transform is the identity."""
+    values, _, p = transform_weights(pi.values, transform, pi_min)
+    if values is pi.values:
+        return pi
+    return PrevalenceVector(
+        strata=pi.strata, values=values, kind=f"transformed_{transform}", pi_min=pi_min, scale_p=p
+    )
+
+
+def transform_floor(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
+    return transform_prevalences(pi, TRANSFORM_FLOOR, pi_min)
+
+
+def transform_shift(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
+    return transform_prevalences(pi, TRANSFORM_SHIFT, pi_min)
+
+
+def transform_gradient_factor(values: np.ndarray, pi_min: float, kind: str) -> np.ndarray:
+    """Componentwise chain-rule factor of a prevalence transformation (see transform_weights)."""
+    return transform_weights(values, kind, pi_min)[1]

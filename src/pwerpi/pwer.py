@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mvprob
-from .design import CONTROL, Design, PrevalenceVector
+from .design import CONTROL, Design, prevalence_weights
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -99,12 +99,7 @@ def _population_cells(
 
 def population_variances(design: Design, cell_variances: np.ndarray | None = None) -> np.ndarray:
     """V_i: variance of the pooled treatment-control contrast per population."""
-    s2 = design.cell_variances if cell_variances is None else np.asarray(cell_variances, float)
-    sizes = design.cell_sizes.astype(float)
-    v = np.empty(design.m)
-    for i, (t_idx, c_idx, n_t, n_c) in enumerate(_population_cells(design)):
-        v[i] = (sizes[t_idx] * s2[t_idx]).sum() / n_t**2 + (sizes[c_idx] * s2[c_idx]).sum() / n_c**2
-    return v
+    return build_full_correlation(design, cell_variances)[1]
 
 
 def arm_weight_matrix(design: Design) -> np.ndarray:
@@ -234,15 +229,6 @@ def test_statistics(
     return (means @ w.T) / np.sqrt(v)
 
 
-def _weights_of(pi) -> np.ndarray:
-    if isinstance(pi, PrevalenceVector):
-        return pi.values
-    w = np.asarray(pi, dtype=float)
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ConfigError("prevalence weights must be finite and nonnegative")
-    return w
-
-
 def _c_vector(c, m: int) -> np.ndarray:
     if isinstance(c, CriticalValues):
         return c.c
@@ -287,9 +273,7 @@ def pwer_value(
     rng: np.random.Generator | None = None,
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
-    weights = _weights_of(pi)
-    if weights.shape[0] != len(model.strata):
-        raise ConfigError("prevalence vector does not match the model's strata")
+    weights = prevalence_weights(pi, len(model.strata))
     mask = weights > 0.0
     cdf = stratum_cdf_values(c, model, tol, rng, mask=mask)
     return float(np.sum(weights[mask] * (1.0 - cdf[mask])))
@@ -299,22 +283,42 @@ def pwer_value(
 class CriticalValues:
     """Equal critical values calibrated so the estimated PWER hits alpha.
 
-    achieved is the solver's PWER at c (frozen integration stream); verified
-    re-evaluates it at the tighter verification tolerance with an independent
-    stream, and stratum_cdf caches the verification-pass F_J(c_J) for every
-    stratum so gradients and true-PWER evaluations can reuse them.
+    The one result of every calibration engine. achieved is the solver's PWER
+    at c; verified re-evaluates it independently (the exact engine uses a
+    tighter tolerance and a fresh integration stream, the empirical engine
+    repeats achieved). fwer holds the per-stratum rejection probability
+    FWER_J(c) = 1 - F_J(c_J), NaN where a stratum has no defined joint law;
+    gradient and true_pwer are both read off it.
     """
 
     c: np.ndarray
     alpha: float
     achieved: float
     verified: float
-    stratum_cdf: np.ndarray
+    fwer: np.ndarray
     evaluations: int
 
     @property
     def value(self) -> float:
         return float(self.c[0])
+
+    def gradient(self, factors: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the true-PWER map in the weights: factors_J * -FWER_J(c).
+
+        factors are the chain-rule factors of a prevalence transformation
+        (design.transform_weights); without them the map is untransformed.
+        Every component lies in [-1, 0].
+        """
+        if factors is None:
+            return -self.fwer
+        return np.asarray(factors, float) * -self.fwer
+
+    def true_pwer(self, pi) -> float:
+        """PWER at c under the weights pi: sum_J pi_J * FWER_J(c).
+
+        Strata without a defined law (NaN) add 0; callers give them no weight.
+        """
+        return float(np.nansum(prevalence_weights(pi, self.fwer.shape[0]) * self.fwer))
 
 
 def solve_critical_values(
@@ -334,9 +338,7 @@ def solve_critical_values(
     smooth deterministic function of c; a final verification pass at
     verify_tol uses an independent stream.
     """
-    weights = _weights_of(pi)
-    if weights.shape[0] != len(model.strata):
-        raise ConfigError("prevalence vector does not match the model's strata")
+    weights = prevalence_weights(pi, len(model.strata))
     if not 0.0 < alpha < 0.5:
         raise ConfigError(f"alpha must lie in (0, 0.5), got {alpha}")
     if not np.any(weights > 0.0):
@@ -422,9 +424,9 @@ def _finish(
 ) -> CriticalValues:
     c_vec = np.full(model.m, c_star)
     verify_rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
-    cdf = stratum_cdf_values(c_vec, model, verify_tol, verify_rng)
+    fwer = 1.0 - stratum_cdf_values(c_vec, model, verify_tol, verify_rng)
     # strata without a defined law carry NaN and only ever zero weight here
-    verified = float(np.nansum(weights * (1.0 - cdf)))
+    verified = float(np.nansum(weights * fwer))
     threshold = 3.0 * cdf_tol + 30.0 * verify_tol + 10.0 * abs(achieved - alpha)
     if abs(verified - alpha) > threshold:
         raise NumericalError(
@@ -435,32 +437,9 @@ def _finish(
         alpha=alpha,
         achieved=achieved,
         verified=verified,
-        stratum_cdf=cdf,
+        fwer=fwer,
         evaluations=evaluations,
     )
-
-
-def gradient_pwer(
-    c,
-    model: TestModel,
-    transform_factors: np.ndarray | None = None,
-    tol: float = DEFAULT_VERIFY_TOL,
-    rng: np.random.Generator | None = None,
-    stratum_cdf: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the true-PWER map: factor_J * (F_J(c_J) - 1) per stratum.
-
-    Pass stratum_cdf (e.g. CriticalValues.stratum_cdf) to reuse cached CDF
-    values. Every component lies in [-1, 0] since F_J and the transform
-    factors live in [0, 1].
-    """
-    if stratum_cdf is None and isinstance(c, CriticalValues):
-        stratum_cdf = c.stratum_cdf
-    cdf = stratum_cdf if stratum_cdf is not None else stratum_cdf_values(c, model, tol, rng)
-    grad = cdf - 1.0
-    if transform_factors is not None:
-        grad = np.asarray(transform_factors, float) * grad
-    return grad
 
 
 def delta_gamma(pi, gradient: np.ndarray) -> float:
@@ -469,10 +448,8 @@ def delta_gamma(pi, gradient: np.ndarray) -> float:
     The multinomial covariance uses the untransformed prevalence estimate;
     transformations enter through the gradient factors instead.
     """
-    w = _weights_of(pi)
     g = np.asarray(gradient, dtype=float)
-    if w.shape != g.shape:
-        raise ConfigError("gradient and prevalence vector shapes differ")
+    w = prevalence_weights(pi, g.shape[0])
     # zero-weight strata cannot influence the covariance; this also keeps the
     # NaN gradients of strata without a defined law out of the quadratic form
     g = np.where(w > 0.0, g, 0.0)

@@ -19,18 +19,18 @@ import numpy as np
 
 from . import boot, pwer
 from .design import (
+    SIMPLEX_ATOL,
     PrevalenceVector,
     TRANSFORM_NONE,
     TRANSFORMS,
     build_design,
     enumerate_strata,
-    shift_values,
-    floor_values,
-    transform_gradient_factor,
+    transform_weights,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 SETTINGS = ("A", "B", "C", "D_satterthwaite", "D_bootstrap", "E")
+RESAMPLING_SETTINGS = ("D_satterthwaite", "D_bootstrap", "E")
 PREVALENCE_SCHEMES = ("equal", "one_large", "one_small", "random_biomarker", "explicit")
 
 SETTING_E_SIGMA = 0.5
@@ -67,6 +67,17 @@ class SimScenario:
             raise ConfigError("setting E is defined for m = 2 only")
         if self.runs < 1 or self.N < 1:
             raise ConfigError("runs and N must be positive")
+        if not 0.0 < self.alpha < 0.5:
+            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        if not 0.0 < self.alpha_prime < 1.0:
+            raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
+        if self.setting in RESAMPLING_SETTINGS and (
+            self.B < boot.MIN_RESAMPLES or self.B * self.alpha < boot.MIN_TAIL_RESAMPLES
+        ):
+            raise ConfigError(
+                f"setting {self.setting} needs B >= {boot.MIN_RESAMPLES} and "
+                f"B*alpha >= {boot.MIN_TAIL_RESAMPLES}, got B={self.B}, alpha={self.alpha}"
+            )
 
 
 def scheme_prevalences(m: int, scheme: str, explicit: Sequence[float] | None = None) -> np.ndarray:
@@ -93,6 +104,10 @@ def scheme_prevalences(m: int, scheme: str, explicit: Sequence[float] | None = N
         values = np.asarray(explicit, dtype=float)
         if values.shape != (n_s,):
             raise ConfigError(f"explicit prevalences must have length {n_s}")
+        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+            raise ConfigError("explicit prevalences must be finite and nonnegative")
+        if abs(values.sum() - 1.0) > SIMPLEX_ATOL:
+            raise ConfigError(f"explicit prevalences must sum to 1 (got {values.sum()!r})")
         return values
     raise ConfigError(
         f"prevalence scheme {scheme!r} has no fixed vector; draw it per study"
@@ -188,16 +203,12 @@ class SimResult:
         }
 
 
-def _apply_transform(values: np.ndarray, transform: str, pi_min: float) -> np.ndarray:
-    if transform == TRANSFORM_NONE or pi_min == 0.0:
-        return values
-    if transform == "floor":
-        return floor_values(values, pi_min)[0]
-    return shift_values(values, pi_min)
-
-
 def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:
-    """One simulation run; raises PwerError subtypes on failure."""
+    """One simulation run; raises PwerError subtypes on failure.
+
+    The setting only decides how the run's data are drawn and which engine
+    calibrates c*; the interval is then built from the CriticalValues alone.
+    """
     strata = enumerate_strata(scenario.m)
     seed = np.random.SeedSequence((scenario.master_seed, run_index))
     data_ss, boot_ss, solve_ss = seed.spawn(3)
@@ -221,10 +232,14 @@ def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> R
         design = replace(design, cell_variances=per_stratum[strat_of_cell])
 
     pi_hat = counts / scenario.N
-    pi_hat_t = _apply_transform(pi_hat, scenario.transform, scenario.pi_min)
-    pi_true_t = _apply_transform(pi_true, scenario.transform, scenario.pi_min)
-    factors = transform_gradient_factor(pi_hat, scenario.pi_min, scenario.transform)
-    factors_true = transform_gradient_factor(pi_true, scenario.pi_min, scenario.transform)
+    pi_hat_t, factors, _ = transform_weights(pi_hat, scenario.transform, scenario.pi_min)
+    pi_true_t, factors_true, _ = transform_weights(pi_true, scenario.transform, scenario.pi_min)
+
+    def solve_exact(model: pwer.TestModel) -> pwer.CriticalValues:
+        return pwer.solve_critical_values(
+            pi_hat_t, model, scenario.alpha, solver_tol=scenario.solver_tol,
+            cdf_tol=scenario.cdf_tol, rng=np.random.default_rng(solve_ss),
+        )
 
     rejected = 0
     if setting in ("A", "B", "C"):
@@ -233,63 +248,43 @@ def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> R
             raise InfeasibleDesignError(
                 "true prevalence weights a stratum without a defined joint law"
             )
-        cv = pwer.solve_critical_values(
-            pi_hat_t,
-            model,
-            scenario.alpha,
-            solver_tol=scenario.solver_tol,
-            cdf_tol=scenario.cdf_tol,
-            rng=np.random.default_rng(solve_ss),
+        cv = solve_exact(model)
+    elif setting == "E":
+        pv_true = PrevalenceVector(strata=strata, values=pi_true)
+        effects, pooled = boot.generate_setting_E_study(pv_true, design, SETTING_E_SIGMA, rng_data)
+        null = boot.bootstrap_null_E(
+            design, pi_hat, effects, pooled, scenario.B, np.random.default_rng(boot_ss)
         )
-        grad = pwer.gradient_pwer(cv, model, transform_factors=factors)
-        grad_true = factors_true * (cv.stratum_cdf - 1.0)
-        tp = float(np.nansum(pi_true_t * (1.0 - cv.stratum_cdf)))
+        rejected = null.rejected_resamples
+        cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
     else:
-        rng_boot = np.random.default_rng(boot_ss)
-        if setting in ("D_satterthwaite", "D_bootstrap"):
-            sizes = design.cell_sizes.astype(float)
-            true_vars = rng_data.uniform(size=len(design.cells))
-            if np.any((sizes > 0) & (sizes < 2)):
-                raise InfeasibleDesignError("a populated cell has a single patient")
-            chi = rng_data.chisquare(np.maximum(sizes - 1.0, 1.0))
-            s2_obs = np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
-            null = boot.bootstrap_null_D(design, s2_obs, scenario.B, rng_boot)
-            if setting == "D_satterthwaite":
-                model_s = boot.build_satterthwaite_model(design, s2_obs)
-                cv = pwer.solve_critical_values(
-                    pi_hat_t,
-                    model_s,
-                    scenario.alpha,
-                    solver_tol=scenario.solver_tol,
-                    cdf_tol=scenario.cdf_tol,
-                    rng=np.random.default_rng(solve_ss),
-                )
-            else:
-                cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
-        else:  # setting E
-            pv_true = PrevalenceVector(strata=strata, values=pi_true)
-            effects, pooled = boot.generate_setting_E_study(
-                pv_true, design, SETTING_E_SIGMA, rng_data
-            )
-            null = boot.bootstrap_null_E(design, pi_hat, effects, pooled, scenario.B, rng_boot)
-            rejected = null.rejected_resamples
+        sizes = design.cell_sizes.astype(float)
+        true_vars = rng_data.uniform(size=len(design.cells))
+        if np.any((sizes > 0) & (sizes < 2)):
+            raise InfeasibleDesignError("a populated cell has a single patient")
+        chi = rng_data.chisquare(np.maximum(sizes - 1.0, 1.0))
+        s2_obs = np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
+        null = boot.bootstrap_null_D(design, s2_obs, scenario.B, np.random.default_rng(boot_ss))
+        if setting == "D_bootstrap":
             cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
-        fwer_grad, tp = boot.empirical_gradient_and_true_pwer(null, strata, cv, pi_true_t)
-        grad = factors * fwer_grad
-        grad_true = factors_true * fwer_grad
+        else:
+            # c* from the Satterthwaite t model, its FWER from the bootstrap null
+            cv = solve_exact(boot.build_satterthwaite_model(design, s2_obs))
+            cv = replace(cv, fwer=boot.stratum_fwer(boot.fwer_curves(null, strata), cv.value))
 
-    gamma = pwer.delta_gamma(pi_hat, grad)
-    gamma_true = pwer.delta_gamma(pi_true, grad_true)
+    tp = cv.true_pwer(pi_true_t)
+    gamma = pwer.delta_gamma(pi_hat, cv.gradient(factors))
+    gamma_true = pwer.delta_gamma(pi_true, cv.gradient(factors_true))
     interval = pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
     return RunRecord(
-        true_pwer=float(tp),
+        true_pwer=tp,
         lower=float(interval.lower),
         upper=float(interval.upper),
         covered=bool(interval.contains(tp)),
         length=float(interval.length),
         gamma=float(gamma),
         gamma_true=float(gamma_true),
-        c_star=float(cv.c[0]),
+        c_star=cv.value,
         achieved=float(cv.achieved),
         rejected_resamples=int(rejected),
     )

@@ -87,7 +87,7 @@ def solved_true_pwer(weights, pi_ref, model, alpha, cdf_tol=1e-8):
         verify_tol=cdf_tol,
         rng=np.random.default_rng(0),
     )
-    return float(np.nansum(np.asarray(pi_ref) * (1.0 - cv.stratum_cdf)))
+    return float(np.nansum(np.asarray(pi_ref) * cv.fwer))
 
 
 def fd_gradient(pi0, model, alpha, step=1e-4, cdf_tol=1e-8):

@@ -184,7 +184,7 @@ def test_criterion_8_gradient_finite_differences():
             cv = pwer.solve_critical_values(
                 pi0, model, ALPHA, solver_tol=1e-12, cdf_tol=1e-8, verify_tol=1e-8,
             )
-            analytic = pwer.gradient_pwer(cv, model)
+            analytic = cv.gradient()
             numeric = fd_gradient(pi0, model, ALPHA, step=1e-4, cdf_tol=1e-8)
             rel = float(np.max(np.abs(numeric - analytic) / np.abs(analytic)))
             ok = ok and rel <= 1e-3

@@ -134,7 +134,7 @@ class TestEmpiricalGradient:
         null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(2))
         weights = np.full(3, 1 / 3)
         cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
-        grad, tp = boot.empirical_gradient_and_true_pwer(null, d.strata, cv, weights)
+        grad, tp = cv.gradient(), cv.true_pwer(weights)
         assert tp == pytest.approx(cv.achieved, abs=1e-15)
         assert tp <= ALPHA
         assert np.all(grad >= -1.0) and np.all(grad <= 0.0)
@@ -145,7 +145,7 @@ class TestEmpiricalGradient:
         null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(23))
         weights = np.full(3, 1 / 3)
         cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
-        grad, _ = boot.empirical_gradient_and_true_pwer(null, d.strata, cv, weights)
+        grad = cv.gradient()
         model = pwer.build_test_model(d)
         exact = pwer.stratum_cdf_values(cv, model, tol=1e-7) - 1.0
         assert np.max(np.abs(grad - exact)) <= 0.02

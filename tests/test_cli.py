@@ -214,3 +214,37 @@ class TestErrorPaths:
         }
         cfg = write_config(tmp_path, "numfail.json", payload)
         assert cli.main(["--config", cfg]) == 3
+
+    @pytest.mark.parametrize("design,interval,engine", [
+        ({"setting": "A"}, {"alpha": 0.7}, {}),
+        ({"setting": "D_bootstrap", "treatment_scheme": "single"}, {}, {"B": 500}),
+        ({"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]}, {}, {}),
+    ])
+    def test_invalid_scenario_exits_2(self, tmp_path, design, interval, engine):
+        payload = {
+            "mode": "simulate",
+            "design": {"m": 2, "N": 250, **design},
+            "interval": interval,
+            "engine": {"runs": 5, **engine},
+            "output": {"directory": str(tmp_path / "badsim")},
+        }
+        cfg = write_config(tmp_path, "badsim.json", payload)
+        assert cli.main(["--config", cfg]) == 2
+        assert not (tmp_path / "badsim").exists()
+
+    @pytest.mark.parametrize("counts", [
+        {"1": "x", "2": 83, "1,2": 84},  # non-numeric count
+        {"1": 83.9, "2": 83, "1,2": 84},  # fractional count
+    ])
+    def test_bad_strata_counts_exit_2(self, tmp_path, counts):
+        cfg = analyze_config(tmp_path, out="badcounts", counts=counts)
+        assert cli.main(["--config", cfg]) == 2
+
+    @pytest.mark.parametrize("cells", [
+        {"1|T1": "abc"},  # non-numeric variance
+        {"1,2|T9": 0.5},  # no such cell in the design
+    ])
+    def test_bad_variance_cells_exit_2(self, tmp_path, cells):
+        payload = json.loads(open(analyze_config(tmp_path, out="badvar")).read())
+        payload["design"]["variances"] = {"default": 1.0, "cells": cells}
+        assert cli.main(["--config", write_config(tmp_path, "badvar.json", payload)]) == 2

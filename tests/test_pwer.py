@@ -172,13 +172,13 @@ class TestGradient:
     def test_degenerate_component_is_minus_alpha(self):
         model = pwer.build_test_model(equal_cells_design())
         cv = pwer.solve_critical_values(np.array([1.0, 0.0, 0.0]), model, ALPHA)
-        grad = pwer.gradient_pwer(cv, model)
+        grad = cv.gradient()
         assert grad[0] == pytest.approx(-ALPHA, abs=1e-6)
 
     def test_components_in_unit_interval(self):
         model = pwer.build_test_model(equal_cells_design())
         cv = pwer.solve_critical_values(np.full(3, 1 / 3), model, ALPHA)
-        grad = pwer.gradient_pwer(cv, model)
+        grad = cv.gradient()
         assert np.all(grad >= -1.0) and np.all(grad <= 0.0)
 
     def test_weighted_gradient_recovers_alpha(self):
@@ -186,7 +186,7 @@ class TestGradient:
         model = pwer.build_test_model(equal_cells_design())
         weights = np.array([0.5, 0.2, 0.3])
         cv = pwer.solve_critical_values(weights, model, ALPHA)
-        grad = pwer.gradient_pwer(cv, model)
+        grad = cv.gradient()
         assert float(weights @ -grad) == pytest.approx(ALPHA, abs=5e-7)
 
     def test_matches_finite_differences(self):
@@ -194,7 +194,7 @@ class TestGradient:
         pi0 = np.full(3, 1 / 3)
         cv = pwer.solve_critical_values(pi0, model, ALPHA, solver_tol=1e-12,
                                         cdf_tol=1e-8, verify_tol=1e-8)
-        analytic = pwer.gradient_pwer(cv, model)
+        analytic = cv.gradient()
         numeric = fd_gradient(pi0, model, ALPHA)
         assert np.max(np.abs(numeric - analytic) / np.abs(analytic)) <= 1e-3
 

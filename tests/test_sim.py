@@ -21,9 +21,20 @@ class TestSchemePrevalences:
         values3 = sim.scheme_prevalences(3, "one_small")
         assert values3[-1] == pytest.approx(1 / (2**7 - 16))
 
-    def test_explicit_checked(self):
+    @pytest.mark.parametrize("explicit", [
+        pytest.param([0.5, 0.5], id="wrong_length"),
+        pytest.param([0.2, 0.2, 0.2], id="sums_below_one"),
+        pytest.param([0.5, 0.5, 0.5], id="sums_above_one"),
+        pytest.param([1.2, -0.1, -0.1], id="negative"),
+        pytest.param([float("nan"), 0.5, 0.5], id="nan"),
+    ])
+    def test_explicit_checked(self, explicit):
         with pytest.raises(ConfigError):
-            sim.scheme_prevalences(2, "explicit", [0.5, 0.5])
+            sim.scheme_prevalences(2, "explicit", explicit)
+
+    def test_explicit_not_renormalized(self):
+        values = (0.1, 0.2, 0.7)
+        assert sim.scheme_prevalences(2, "explicit", values).tolist() == list(values)
 
 
 class TestRandomStudies:
@@ -82,6 +93,18 @@ class TestRunScenario:
     def test_setting_e_requires_two_populations(self):
         with pytest.raises(ConfigError):
             sim.SimScenario(N=250, m=3, setting="E", runs=10, master_seed=0)
+
+    @pytest.mark.parametrize("setting,fields", [
+        ("A", dict(alpha=0.7)),
+        ("A", dict(alpha=0.0)),
+        ("A", dict(alpha_prime=1.0)),
+        ("D_bootstrap", dict(B=500)),
+        ("D_satterthwaite", dict(B=999)),
+        ("E", dict(B=1000, alpha=0.01)),  # B*alpha = 10 resamples in the tail
+    ])
+    def test_levels_and_resamples_checked_at_construction(self, setting, fields):
+        with pytest.raises(ConfigError):
+            sim.SimScenario(N=250, m=2, setting=setting, runs=5, **fields)
 
     def test_true_pwer_centers_on_alpha(self):
         # N=500, m=2: the realized true PWER averages to alpha
