@@ -72,39 +72,38 @@ def stratum_fwer(curves: list[FwerCurve], c: float) -> np.ndarray:
     return np.array([curve.value(c) for curve in curves])
 
 
-def welch_df(variances: np.ndarray, weights: np.ndarray, cell_dfs: np.ndarray) -> float:
-    """Welch-Satterthwaite effective degrees of freedom of sum_k w_k s_k^2."""
-    num = float(np.dot(weights, variances)) ** 2
-    den = float(np.sum((weights * variances) ** 2 / cell_dfs))
-    return num / den
+def welch_df(
+    variances: np.ndarray, weights: np.ndarray, cell_dfs: np.ndarray
+) -> float | np.ndarray:
+    """Welch-Satterthwaite effective degrees of freedom of sum_k w_k s_k^2.
+
+    A 2-D weights array gives one df per row.
+    """
+    q = weights * variances
+    return q.sum(axis=-1) ** 2 / np.sum(q**2 / cell_dfs, axis=-1)
 
 
 def satterthwaite_df(design: Design, sample_variances: np.ndarray) -> float:
     """Shared t degrees of freedom: the minimum of the per-population Welch dfs.
 
-    Population i combines the cells feeding V_i with weights n_cell/n_arm^2;
-    every contributing cell needs at least two patients.
+    Population i combines the per-cell contributions q = W^2 s^2/n to its V_i
+    (W from pwer.arm_weight_matrix); every contributing cell needs at least
+    two patients.
     """
     s2 = np.asarray(sample_variances, dtype=float)
     sizes = design.cell_sizes.astype(float)
-    dfs = []
-    for i in range(1, design.m + 1):
-        t_idx = design.treatment_cells(i)
-        c_idx = design.control_cells(i)
-        idx = np.concatenate([t_idx, c_idx])
-        idx = idx[sizes[idx] > 0]
-        if np.any(sizes[idx] < 2):
-            raise InfeasibleDesignError(
-                f"population {i} has a cell with fewer than 2 patients; "
-                "sample variances are undefined"
-            )
-        n_t = sizes[t_idx].sum()
-        n_c = sizes[c_idx].sum()
-        weights = np.where(
-            np.isin(idx, t_idx), sizes[idx] / n_t**2, sizes[idx] / n_c**2
+    pooled = (design.treatment_member | design.control_member) & (sizes > 0)
+    small = np.any(pooled & (sizes < 2), axis=1)
+    if small.any():
+        raise InfeasibleDesignError(
+            f"population {int(np.argmax(small)) + 1} has a cell with fewer than 2 patients; "
+            "sample variances are undefined"
         )
-        dfs.append(welch_df(s2[idx], weights, sizes[idx] - 1.0))
-    return float(min(dfs))
+    populated = sizes > 0
+    inv_n = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=populated)
+    weights = pwer.arm_weight_matrix(design) ** 2 * inv_n
+    dfs = welch_df(s2[populated], weights[:, populated], sizes[populated] - 1.0)
+    return float(dfs.min())
 
 
 def build_satterthwaite_model(design: Design, sample_variances: np.ndarray) -> pwer.TestModel:
@@ -197,21 +196,16 @@ def project_to_null(effects: np.ndarray, weights: np.ndarray, strata, m: int) ->
     return theta - np.linalg.pinv(constraint) @ (constraint @ theta)
 
 
-def _arm_layout(design: Design):
-    """Cell metadata: stratum index, arm count, slot in arm order, is-control."""
-    k_of_stratum = np.zeros(design.n_strata, dtype=np.int64)
-    stratum_of_cell = np.zeros(len(design.cells), dtype=np.intp)
+def _arm_layout(design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell: the arm count of its stratum and its slot in the stratum's arm order."""
+    arm_count = np.zeros(design.n_strata, dtype=np.int64)
     slot_of_cell = np.zeros(len(design.cells), dtype=np.int64)
-    is_control = np.zeros(len(design.cells), dtype=bool)
     for j, stratum in enumerate(design.strata):
         arms = design.arms_of(stratum)
-        k_of_stratum[j] = len(arms)
+        arm_count[j] = len(arms)
         for slot, arm in enumerate(arms):
-            k = design._cell_lookup[(j, arm)]
-            stratum_of_cell[k] = j
-            slot_of_cell[k] = slot
-            is_control[k] = arm == CONTROL
-    return k_of_stratum, stratum_of_cell, slot_of_cell, is_control
+            slot_of_cell[design._cell_lookup[(j, arm)]] = slot
+    return arm_count[design.stratum_of_cell], slot_of_cell
 
 
 def bootstrap_null_E(
@@ -236,26 +230,23 @@ def bootstrap_null_E(
     weights = prevalence_weights(pi_hat, design.n_strata)
     theta = project_to_null(observed_effects, weights, design.strata, design.m)
 
-    k_of_stratum, stratum_of_cell, slot_of_cell, is_control = _arm_layout(design)
+    arms_of_cell, slot_of_cell = _arm_layout(design)
+    stratum_of_cell = design.stratum_of_cell
     n_cells = len(design.cells)
-    centers = np.where(is_control, 0.0, theta[stratum_of_cell])
-
-    t_member = np.zeros((design.m, n_cells), dtype=bool)
-    c_member = np.zeros((design.m, n_cells), dtype=bool)
-    for i in range(1, design.m + 1):
-        t_member[i - 1, design.treatment_cells(i)] = True
-        c_member[i - 1, design.control_cells(i)] = True
+    centers = np.where(design.control_member.any(axis=0), 0.0, theta[stratum_of_cell])
+    t_member = design.treatment_member.T.astype(float)
+    c_member = design.control_member.T.astype(float)
 
     B = int(B)
     counts = rng.multinomial(design.N, weights, size=B)
     rejected = 0
     for _ in range(_MAX_REDRAW_ROUNDS):
-        cell_n = counts[:, stratum_of_cell] // k_of_stratum[stratum_of_cell] + (
-            slot_of_cell < counts[:, stratum_of_cell] % k_of_stratum[stratum_of_cell]
+        cell_n = counts[:, stratum_of_cell] // arms_of_cell + (
+            slot_of_cell < counts[:, stratum_of_cell] % arms_of_cell
         )
-        pop_t = cell_n @ t_member.T
-        pop_c = cell_n @ c_member.T
-        bad = ((pop_t == 0) | (pop_c == 0)).any(axis=1)
+        n_t = cell_n @ t_member
+        n_c = cell_n @ c_member
+        bad = ((n_t == 0) | (n_c == 0)).any(axis=1)
         if not bad.any():
             break
         rejected += int(bad.sum())
@@ -268,14 +259,9 @@ def bootstrap_null_E(
     means = centers[None, :] + rng.standard_normal((B, n_cells)) * scale
 
     # pooled contrasts with the redrawn sizes; homogeneous pooled variance
-    z = np.empty((B, design.m))
-    for i in range(design.m):
-        n_t = cell_n[:, t_member[i]].sum(axis=1)
-        n_c = cell_n[:, c_member[i]].sum(axis=1)
-        pooled_t = (means[:, t_member[i]] * cell_n[:, t_member[i]]).sum(axis=1) / n_t
-        pooled_c = (means[:, c_member[i]] * cell_n[:, c_member[i]]).sum(axis=1) / n_c
-        v = pooled_variance * (1.0 / n_t + 1.0 / n_c)
-        z[:, i] = (pooled_t - pooled_c) / np.sqrt(v)
+    totals = means * cell_n
+    contrast = totals @ t_member / n_t - totals @ c_member / n_c
+    z = contrast / np.sqrt(pooled_variance * (1.0 / n_t + 1.0 / n_c))
     return EmpiricalNull(statistics=z, provenance="projection_E", rejected_resamples=rejected)
 
 
@@ -303,7 +289,8 @@ def generate_setting_E_study(
     theta[0] = -pi[2] / pi[0] * theta[2]
     theta[1] = -pi[2] / pi[1] * theta[2]
 
-    _, stratum_of_cell, _, is_control = _arm_layout(design)
+    stratum_of_cell = design.stratum_of_cell
+    is_control = design.control_member.any(axis=0)
     sizes = design.cell_sizes.astype(float)
     centers = np.where(is_control, 0.0, theta[stratum_of_cell])
     scale = np.sqrt(np.divide(sigma**2, sizes, out=np.zeros_like(sizes), where=sizes > 0))

@@ -119,6 +119,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown variance mode {dz['variance_mode']!r}")
     if resolved["interval"]["transform"] not in TRANSFORMS:
         raise ConfigError(f"unknown transform {resolved['interval']['transform']!r}")
+    if dz["setting"] not in sim.SETTINGS:
+        raise ConfigError(f"unknown setting {dz['setting']!r}")
+    if dz["prevalence_scheme"] not in sim.PREVALENCE_SCHEMES:
+        raise ConfigError(f"unknown prevalence scheme {dz['prevalence_scheme']!r}")
     return resolved
 
 
@@ -383,6 +387,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             resolved["output"]["directory"] = args.out
         if args.dry_run:
+            if resolved["mode"] == "simulate":
+                sim.resolve_true_prevalences(_scenario_from_config(resolved))
             print(json.dumps(resolved, indent=2))
             return 0
         out_dir = Path(resolved["output"]["directory"])

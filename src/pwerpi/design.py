@@ -136,6 +136,11 @@ class Design:
     Cells are (stratum, arm) pairs; every stratum carries one arm per distinct
     treatment given in it plus the shared control. Zero-count cells are kept
     so that vectors over cells have a fixed shape.
+
+    The cell layout is computed once, as arrays: stratum_of_cell (cells,)
+    holds each cell's stratum index, and treatment_member/control_member
+    (m, cells) mark the cells that pool into population i's treatment and
+    control arms (row i - 1). No other module decides arm membership.
     """
 
     m: int
@@ -147,7 +152,10 @@ class Design:
     cell_sizes: np.ndarray
     cell_variances: np.ndarray
     variance_mode: str
-    strata_counts: np.ndarray = field(repr=False, default=None)
+    strata_counts: np.ndarray = field(init=False, repr=False)
+    stratum_of_cell: np.ndarray = field(init=False, repr=False)
+    treatment_member: np.ndarray = field(init=False, repr=False)
+    control_member: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = np.asarray(self.cell_sizes, dtype=np.int64)
@@ -160,17 +168,25 @@ class Design:
             raise ConfigError("all cell variances must be strictly positive")
         if self.variance_mode not in VARIANCE_MODES:
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
+        stratum_of_cell = np.array([j for j, _arm in self.cells], dtype=np.intp)
         counts = np.zeros(len(self.strata), dtype=np.int64)
-        for (j, _arm), n in zip(self.cells, sizes):
-            counts[j] += n
+        np.add.at(counts, stratum_of_cell, sizes)
         if counts.sum() != self.N:
             raise ConfigError("cell sizes must sum to the total sample size N")
-        sizes.setflags(write=False)
-        variances.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "cell_sizes", sizes)
-        object.__setattr__(self, "cell_variances", variances)
-        object.__setattr__(self, "strata_counts", counts)
+        arm_of_cell = np.array([arm for _j, arm in self.cells])
+        in_stratum = np.array([[i in s for s in self.strata] for i in range(1, self.m + 1)])
+        member = in_stratum[:, stratum_of_cell]
+        layout = {
+            "cell_sizes": sizes,
+            "cell_variances": variances,
+            "strata_counts": counts,
+            "stratum_of_cell": stratum_of_cell,
+            "treatment_member": member & (arm_of_cell == np.array(self.treatments)[:, None]),
+            "control_member": member & (arm_of_cell == CONTROL),
+        }
+        for name, arr in layout.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_cell_lookup", {cell: k for k, cell in enumerate(self.cells)})
 
     @property
@@ -186,30 +202,9 @@ class Design:
     def cell_size(self, stratum: frozenset[int], arm: str) -> int:
         return int(self.cell_sizes[self.cell_index(stratum, arm)])
 
-    def population_arm_size(self, i: int, arm: str) -> int:
-        total = 0
-        for (j, a), n in zip(self.cells, self.cell_sizes):
-            if a == arm and i in self.strata[j]:
-                total += int(n)
-        return total
-
     def positive_cell_count(self) -> int:
         """Number of (stratum, arm) cells with at least one patient."""
         return int(np.count_nonzero(self.cell_sizes))
-
-    def treatment_cells(self, i: int) -> np.ndarray:
-        """Indices of the cells feeding population i's treatment arm."""
-        arm = self.treatments[i - 1]
-        return np.array(
-            [k for k, (j, a) in enumerate(self.cells) if a == arm and i in self.strata[j]],
-            dtype=np.intp,
-        )
-
-    def control_cells(self, i: int) -> np.ndarray:
-        return np.array(
-            [k for k, (j, a) in enumerate(self.cells) if a == CONTROL and i in self.strata[j]],
-            dtype=np.intp,
-        )
 
 
 def estimate_prevalences(counts: Mapping[frozenset[int], int], N: int) -> PrevalenceVector:
@@ -313,6 +308,22 @@ def build_design(
     )
 
 
+def check_transform(transform: str, pi_min: float, n_strata: int) -> None:
+    """Reject an unknown transform name or a pi_min outside its range.
+
+    The floor needs pi_min in [0, 1/n_strata) (the floored weights must fit
+    on the simplex); the shift needs pi_min >= 0; "none" ignores pi_min.
+    """
+    if transform not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {transform!r}")
+    if transform == TRANSFORM_FLOOR and not 0.0 <= pi_min < 1.0 / n_strata:
+        raise ConfigError(
+            f"pi_min must lie in [0, 1/{n_strata}) for {n_strata} strata, got {pi_min}"
+        )
+    if transform == TRANSFORM_SHIFT and not pi_min >= 0.0:
+        raise ConfigError(f"pi_min must be nonnegative, got {pi_min}")
+
+
 def floor_values(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
     """Raise sub-threshold weights to pi_min, scale the rest proportionally.
 
@@ -321,9 +332,7 @@ def floor_values(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
     below pi_min; only the floored entries are guaranteed to sit at pi_min.
     """
     values = np.asarray(values, dtype=float)
-    n_s = values.shape[0]
-    if not 0.0 <= pi_min < 1.0 / n_s:
-        raise ConfigError(f"pi_min must lie in [0, 1/{n_s}) for {n_s} strata, got {pi_min}")
+    check_transform(TRANSFORM_FLOOR, pi_min, values.shape[0])
     below = values < pi_min
     if not below.any():
         return values.copy(), 1.0
@@ -335,8 +344,7 @@ def floor_values(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
 def shift_values(values: np.ndarray, pi_min: float) -> np.ndarray:
     """Additive shift by pi_min with renormalization over all strata."""
     values = np.asarray(values, dtype=float)
-    if pi_min < 0.0:
-        raise ConfigError(f"pi_min must be nonnegative, got {pi_min}")
+    check_transform(TRANSFORM_SHIFT, pi_min, values.shape[0])
     return (values + pi_min) / (1.0 + values.shape[0] * pi_min)
 
 
@@ -351,8 +359,7 @@ def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray
     """
     values = np.asarray(values, dtype=float)
     n_s = values.shape[0]
-    if transform not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {transform!r}")
+    check_transform(transform, pi_min, n_s)
     if transform == TRANSFORM_NONE or pi_min == 0.0:
         return values, np.ones(n_s), 1.0
     if transform == TRANSFORM_FLOOR:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mvprob
-from .design import CONTROL, Design, prevalence_weights
+from .design import Design, prevalence_weights
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -33,9 +33,11 @@ class TestModel:
     """Joint distribution of the population test statistics.
 
     kind is "normal" or "t" (df = N minus the number of populated cells);
-    full_corr is the m x m correlation matrix and stratum_corr its principal
-    submatrices in stratum order. population_variances holds the V_i used to
-    standardize the statistics.
+    full_corr is the m x m correlation matrix of the pooled contrasts, whose
+    covariance is W diag(s^2/n) W^T (see build_full_correlation), and
+    stratum_corr its principal submatrices in stratum order.
+    population_variances holds its diagonal, the V_i used to standardize the
+    statistics.
     """
 
     kind: str
@@ -77,43 +79,20 @@ class TestModel:
         return mvprob.std_normal_quantile(1.0 - p)
 
 
-def _population_cells(
-    design: Design, allow_empty: bool = False
-) -> list[tuple[np.ndarray, np.ndarray, int, int] | None]:
-    out = []
-    for i in range(1, design.m + 1):
-        t_idx = design.treatment_cells(i)
-        c_idx = design.control_cells(i)
-        n_t = int(design.cell_sizes[t_idx].sum())
-        n_c = int(design.cell_sizes[c_idx].sum())
-        if n_t == 0 or n_c == 0:
-            if allow_empty:
-                out.append(None)
-                continue
-            raise InfeasibleDesignError(
-                f"population {i} has an empty {'treatment' if n_t == 0 else 'control'} arm"
-            )
-        out.append((t_idx, c_idx, n_t, n_c))
-    return out
-
-
-def population_variances(design: Design, cell_variances: np.ndarray | None = None) -> np.ndarray:
-    """V_i: variance of the pooled treatment-control contrast per population."""
-    return build_full_correlation(design, cell_variances)[1]
-
-
 def arm_weight_matrix(design: Design) -> np.ndarray:
-    """Signed pooling weights W with Z = (cell_means @ W.T) / sqrt(V).
+    """Signed pooling weights W: the pooled contrasts are cell_means @ W.T.
 
-    Row i carries n_cell/n_{i,T_i} on population i's treatment cells and
-    -n_cell/n_{i,C} on its control cells.
+    Row i carries n_cell/n_{i,T} on population i's treatment cells and
+    -n_cell/n_{i,C} on its control cells (design.treatment_member and
+    control_member); the row of a population with an empty arm is NaN.
     """
     sizes = design.cell_sizes.astype(float)
-    w = np.zeros((design.m, len(design.cells)))
-    for i, (t_idx, c_idx, n_t, n_c) in enumerate(_population_cells(design)):
-        w[i, t_idx] = sizes[t_idx] / n_t
-        w[i, c_idx] = -sizes[c_idx] / n_c
-    return w
+    treated = design.treatment_member * sizes
+    control = design.control_member * sizes
+    with np.errstate(invalid="ignore"):  # 0/0 on the rows of empty arms
+        treated /= treated.sum(axis=1, keepdims=True)
+        control /= control.sum(axis=1, keepdims=True)
+    return treated - control
 
 
 def build_full_correlation(
@@ -123,39 +102,25 @@ def build_full_correlation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation matrix of the population statistics and the variances V_i.
 
-    With allow_empty_populations, rows/columns of populations with an empty
-    arm hold NaN off-diagonal and NaN variance instead of raising.
+    The cell means are independent with variances s^2/n, so the pooled
+    contrasts have Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty
+    cells carry weight zero). V_i is its diagonal and the correlation its
+    normalisation. A population with an empty arm raises
+    InfeasibleDesignError; with allow_empty_populations its row and column
+    hold NaN off-diagonal and NaN variance instead.
     """
     s2 = design.cell_variances if cell_variances is None else np.asarray(cell_variances, float)
     sizes = design.cell_sizes.astype(float)
-    pop = _population_cells(design, allow_empty=allow_empty_populations)
-    m = design.m
-    v = np.full(m, np.nan)
-    for i, cells in enumerate(pop):
-        if cells is None:
-            continue
-        t_idx, c_idx, n_t, n_c = cells
-        v[i] = (sizes[t_idx] * s2[t_idx]).sum() / n_t**2 + (sizes[c_idx] * s2[c_idx]).sum() / n_c**2
-    corr = np.where(np.isnan(v)[:, None] | np.isnan(v)[None, :], np.nan, np.eye(m))
+    w = arm_weight_matrix(design)
+    empty = np.isnan(w[:, 0])
+    if empty.any() and not allow_empty_populations:
+        i = int(np.argmax(empty))
+        arm = "treatment" if design.treatment_member[i] @ design.cell_sizes == 0 else "control"
+        raise InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
+    cov = (w * np.divide(s2, sizes, out=np.zeros_like(sizes), where=sizes > 0)) @ w.T
+    v = np.diag(cov).copy()
+    corr = cov / np.sqrt(np.outer(v, v))
     np.fill_diagonal(corr, 1.0)
-    lookup = design._cell_lookup
-    for j, stratum in enumerate(design.strata):
-        members = sorted(stratum)
-        if len(members) < 2:
-            continue
-        ctrl = lookup[(j, CONTROL)]
-        for a_pos, i in enumerate(members):
-            for k in members[a_pos + 1:]:
-                if pop[i - 1] is None or pop[k - 1] is None:
-                    continue
-                n_ic, n_kc = pop[i - 1][3], pop[k - 1][3]
-                cov = sizes[ctrl] * s2[ctrl] / (n_ic * n_kc)
-                if design.treatments[i - 1] == design.treatments[k - 1]:
-                    cell = lookup[(j, design.treatments[i - 1])]
-                    n_it, n_kt = pop[i - 1][2], pop[k - 1][2]
-                    cov += sizes[cell] * s2[cell] / (n_it * n_kt)
-                corr[i - 1, k - 1] += cov / np.sqrt(v[i - 1] * v[k - 1])
-                corr[k - 1, i - 1] = corr[i - 1, k - 1]
     return corr, v
 
 
@@ -224,9 +189,8 @@ def test_statistics(
     and preserved. Cells with no patients carry weight zero.
     """
     means = np.asarray(cell_means, dtype=float)
-    w = arm_weight_matrix(design)
-    v = population_variances(design, cell_variances)
-    return (means @ w.T) / np.sqrt(v)
+    v = build_full_correlation(design, cell_variances)[1]
+    return (means @ arm_weight_matrix(design).T) / np.sqrt(v)
 
 
 def _c_vector(c, m: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from .design import (
     SIMPLEX_ATOL,
     PrevalenceVector,
     TRANSFORM_NONE,
-    TRANSFORMS,
     build_design,
+    check_transform,
     enumerate_strata,
     transform_weights,
 )
@@ -61,8 +61,8 @@ class SimScenario:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.prevalence_scheme not in PREVALENCE_SCHEMES:
             raise ConfigError(f"unknown prevalence scheme {self.prevalence_scheme!r}")
-        if self.transform not in TRANSFORMS:
-            raise ConfigError(f"unknown transform {self.transform!r}")
+        # enumerate_strata checks m
+        check_transform(self.transform, self.pi_min, len(enumerate_strata(self.m)))
         if self.setting == "E" and self.m != 2:
             raise ConfigError("setting E is defined for m = 2 only")
         if self.runs < 1 or self.N < 1:
@@ -228,8 +228,7 @@ def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> R
     if setting == "B":
         # one U(0,1) variance per stratum, shared by its arms
         per_stratum = rng_data.uniform(size=len(strata))
-        strat_of_cell = np.array([j for j, _arm in design.cells])
-        design = replace(design, cell_variances=per_stratum[strat_of_cell])
+        design = replace(design, cell_variances=per_stratum[design.stratum_of_cell])
 
     pi_hat = counts / scenario.N
     pi_hat_t, factors, _ = transform_weights(pi_hat, scenario.transform, scenario.pi_min)
@@ -405,6 +404,8 @@ def run_study_distribution(
     covered (the prediction certainly failed), so every study yields a row.
     Mean lengths average over the runs that produced an interval.
     """
+    if studies < 1:
+        raise ConfigError(f"studies must be at least 1, got {studies}")
     rows = []
     for s in range(studies):
         rng_study = np.random.default_rng(np.random.SeedSequence((master_seed, 7001, s)))
@@ -476,7 +477,7 @@ def run_min_prevalence_grid(
     paired draws, and pi_min = 0 reproduces the untransformed scenario
     bit-identically under either transform.
     """
-    rows = []
+    cells = []
     for N in N_list:
         for m in m_list:
             cell_seed = _derived_seed(master_seed, 7100, N, m)
@@ -496,19 +497,23 @@ def run_min_prevalence_grid(
                         transform=transform if pi_min > 0.0 else TRANSFORM_NONE,
                         master_seed=cell_seed,
                     )
-                    result = run_scenario(scenario, threads=threads)
-                    rows.append(
-                        {
-                            "N": N,
-                            "m": m,
-                            "transform": transform,
-                            "pi_min_label": label if isinstance(label, str) else repr(label),
-                            "pi_min": pi_min,
-                            "coverage": result.coverage,
-                            "mean_length_e3": result.mean_length * 1e3,
-                            "failures": result.failures,
-                        }
-                    )
+                    cells.append((transform, label, scenario))
+    # every cell is validated before the first one runs
+    rows = []
+    for transform, label, scenario in cells:
+        result = run_scenario(scenario, threads=threads)
+        rows.append(
+            {
+                "N": scenario.N,
+                "m": scenario.m,
+                "transform": transform,
+                "pi_min_label": label if isinstance(label, str) else repr(label),
+                "pi_min": scenario.pi_min,
+                "coverage": result.coverage,
+                "mean_length_e3": result.mean_length * 1e3,
+                "failures": result.failures,
+            }
+        )
     return rows
 
 

@@ -104,3 +104,49 @@ def fd_gradient(pi0, model, alpha, step=1e-4, cdf_tol=1e-8):
             - solved_true_pwer(down, pi0, model, alpha, cdf_tol)
         ) / (2.0 * step)
     return grad
+
+
+def population_correlation_oracle(design, cell_variances=None):
+    """Correlation of the pooled contrasts and their variances V_i, pair by pair.
+
+    Reference for pwer.build_full_correlation, read off the cell list alone:
+    population i pools its member strata's cells labelled with its treatment
+    (treatment arm) or the control (control arm). Two populations of one
+    stratum share its control cell, and its treatment cell too when their
+    treatment labels agree. A population with an empty arm gets NaN variance
+    and NaN off-diagonal correlations.
+    """
+    from pwerpi.design import CONTROL
+
+    s2 = design.cell_variances if cell_variances is None else np.asarray(cell_variances, float)
+    sizes = design.cell_sizes.astype(float)
+    lookup = {cell: k for k, cell in enumerate(design.cells)}
+    m = design.m
+
+    def arm(i, label):
+        idx = [k for k, (j, a) in enumerate(design.cells) if a == label and i in design.strata[j]]
+        return sizes[idx].sum(), (sizes[idx] * s2[idx]).sum()
+
+    n_t, n_c = np.zeros(m), np.zeros(m)
+    v = np.full(m, np.nan)
+    for i in range(1, m + 1):
+        n_t[i - 1], t_sum = arm(i, design.treatments[i - 1])
+        n_c[i - 1], c_sum = arm(i, CONTROL)
+        if n_t[i - 1] > 0 and n_c[i - 1] > 0:
+            v[i - 1] = t_sum / n_t[i - 1] ** 2 + c_sum / n_c[i - 1] ** 2
+    corr = np.where(np.isnan(v)[:, None] | np.isnan(v)[None, :], np.nan, np.eye(m))
+    np.fill_diagonal(corr, 1.0)
+    for j, stratum in enumerate(design.strata):
+        members = sorted(stratum)
+        ctrl = lookup[(j, CONTROL)]
+        for a_pos, i in enumerate(members):
+            for k in members[a_pos + 1:]:
+                if np.isnan(v[i - 1]) or np.isnan(v[k - 1]):
+                    continue
+                cov = sizes[ctrl] * s2[ctrl] / (n_c[i - 1] * n_c[k - 1])
+                if design.treatments[i - 1] == design.treatments[k - 1]:
+                    cell = lookup[(j, design.treatments[i - 1])]
+                    cov += sizes[cell] * s2[cell] / (n_t[i - 1] * n_t[k - 1])
+                corr[i - 1, k - 1] += cov / np.sqrt(v[i - 1] * v[k - 1])
+                corr[k - 1, i - 1] = corr[i - 1, k - 1]
+    return corr, v

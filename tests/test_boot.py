@@ -42,8 +42,8 @@ class TestWelch:
         dfs = []
         for i in (1, 2):
             cells = []
-            n_t = d.population_arm_size(i, d.treatments[i - 1])
-            n_c = d.population_arm_size(i, dz.CONTROL)
+            n_t = d.treatment_member[i - 1] @ d.cell_sizes
+            n_c = d.control_member[i - 1] @ d.cell_sizes
             for k, (j, arm) in enumerate(d.cells):
                 if i not in d.strata[j] or sizes[k] == 0:
                     continue

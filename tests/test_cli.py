@@ -219,6 +219,8 @@ class TestErrorPaths:
         ({"setting": "A"}, {"alpha": 0.7}, {}),
         ({"setting": "D_bootstrap", "treatment_scheme": "single"}, {}, {"B": 500}),
         ({"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]}, {}, {}),
+        ({}, {"transform": "floor", "pi_min": 0.5}, {}),
+        ({"m": 13}, {}, {}),
     ])
     def test_invalid_scenario_exits_2(self, tmp_path, design, interval, engine):
         payload = {
@@ -248,3 +250,44 @@ class TestErrorPaths:
         payload = json.loads(open(analyze_config(tmp_path, out="badvar")).read())
         payload["design"]["variances"] = {"default": 1.0, "cells": cells}
         assert cli.main(["--config", write_config(tmp_path, "badvar.json", payload)]) == 2
+
+    @pytest.mark.parametrize("studies", [0, -2])
+    def test_no_studies_exits_2(self, tmp_path, studies):
+        payload = {
+            "mode": "study-distribution",
+            "design": {"m": 2, "N": 250, "setting": "A"},
+            "engine": {"studies": studies, "runs_per_study": 10},
+            "output": {"directory": str(tmp_path / "nostudies")},
+        }
+        assert cli.main(["--config", write_config(tmp_path, "nostudies.json", payload)]) == 2
+        assert not (tmp_path / "nostudies").exists()
+
+    def test_minprev_bad_pi_min_exits_2(self, tmp_path):
+        payload = {
+            "mode": "minprev-grid",
+            "design": {"m": 2, "setting": "A"},
+            "engine": {"runs": 5, "N_list": [250], "m_list": [2], "pi_min_list": [0.5]},
+            "output": {"directory": str(tmp_path / "badgrid")},
+        }
+        assert cli.main(["--config", write_config(tmp_path, "badgrid.json", payload)]) == 2
+        assert not (tmp_path / "badgrid").exists()
+
+    @pytest.mark.parametrize("mode,design", [
+        ("simulate", {"setting": "Z"}),
+        ("simulate", {"prevalence_scheme": "bogus"}),
+        ("study-distribution", {"setting": "Z"}),
+        ("simulate", {"setting": "E", "m": 3}),
+        ("simulate", {"m": 13}),
+        ("simulate", {"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]}),
+    ])
+    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, mode, design):
+        payload = {
+            "mode": mode,
+            "design": {"m": 2, "N": 250, **design},
+            "engine": {"runs": 5},
+            "output": {"directory": str(tmp_path / "dry")},
+        }
+        cfg = write_config(tmp_path, "dry.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err

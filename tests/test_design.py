@@ -109,13 +109,14 @@ class TestAllocateArms:
             assert total == d.strata_counts[j]
         # population-level arm sizes aggregate the member strata
         for i in range(1, 4):
-            for arm in (d.treatments[i - 1], dz.CONTROL):
+            arms = ((d.treatments[i - 1], d.treatment_member), (dz.CONTROL, d.control_member))
+            for arm, member in arms:
                 expected = sum(
                     d.cell_size(s, arm)
                     for s in d.strata
                     if i in s and arm in d.arms_of(s)
                 )
-                assert d.population_arm_size(i, arm) == expected
+                assert member[i - 1] @ d.cell_sizes == expected
 
     def test_control_last_gets_remainder_smaller(self):
         d = dz.build_design(2, "pairwise_different", [0, 0, 10], 1.0, "known_homogeneous")

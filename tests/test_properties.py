@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pwerpi import design as dz
 from pwerpi import pwer
 
+from oracles import population_correlation_oracle
+
 ALPHA = 0.025
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
@@ -79,3 +81,39 @@ class TestTransforms:
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert np.all(weights >= 0.0)
         assert np.all((factors >= 0.0) & (factors <= 1.0))
+
+
+class TestCorrelationOracle:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", ["single", "pairwise_different"])
+    @settings(deterministic, max_examples=100)
+    @given(data=st.data())
+    def test_matches_pairwise_formula(self, m, scheme, data):
+        n_s = 2**m - 1
+        counts = data.draw(st.lists(st.integers(0, 12), min_size=n_s, max_size=n_s).filter(any))
+        d = dz.build_design(m, scheme, counts, 1.0, "known_heterogeneous")
+        s2 = np.asarray(data.draw(
+            st.lists(st.floats(0.05, 4.0), min_size=len(d.cells), max_size=len(d.cells))
+        ))
+        corr, v = pwer.build_full_correlation(d, s2, allow_empty_populations=True)
+        ref_corr, ref_v = population_correlation_oracle(d, s2)
+        assert np.array_equal(np.isnan(corr), np.isnan(ref_corr))
+        assert np.array_equal(np.isnan(v), np.isnan(ref_v))
+        np.testing.assert_allclose(corr, ref_corr, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(v, ref_v, rtol=0.0, atol=1e-13)
+
+
+class TestCriticalValueBracket:
+    @pytest.mark.parametrize("m,mode", [
+        (2, "known_homogeneous"),
+        (2, "unknown_homogeneous"),
+        (3, "known_homogeneous"),
+    ])
+    @settings(deterministic, max_examples=20)
+    @given(data=st.data())
+    def test_within_quantile_bracket(self, m, mode, data):
+        # c* lies between the single-test and the Bonferroni-like quantiles
+        model = _model(m, mode, [40] * (2**m - 1))
+        pi = data.draw(simplex_weights(2**m - 1))
+        c_star = pwer.solve_critical_values(pi, model, ALPHA).value
+        assert model.tail_quantile(ALPHA) <= c_star <= model.tail_quantile(ALPHA / 2**m)

@@ -101,10 +101,14 @@ class TestRunScenario:
         ("D_bootstrap", dict(B=500)),
         ("D_satterthwaite", dict(B=999)),
         ("E", dict(B=1000, alpha=0.01)),  # B*alpha = 10 resamples in the tail
+        ("A", dict(transform="floor", pi_min=0.5)),  # floor needs pi_min < 1/3 at m=2
+        ("A", dict(transform="shift", pi_min=-0.1)),
+        ("A", dict(m=13)),
+        ("A", dict(m=1)),
     ])
     def test_levels_and_resamples_checked_at_construction(self, setting, fields):
         with pytest.raises(ConfigError):
-            sim.SimScenario(N=250, m=2, setting=setting, runs=5, **fields)
+            sim.SimScenario(**{"N": 250, "m": 2, "setting": setting, "runs": 5, **fields})
 
     def test_true_pwer_centers_on_alpha(self):
         # N=500, m=2: the realized true PWER averages to alpha
@@ -119,6 +123,12 @@ class TestRunScenario:
 
 
 class TestStudyDistribution:
+    @pytest.mark.parametrize("studies", [0, -2])
+    def test_study_count_checked(self, studies):
+        with pytest.raises(ConfigError):
+            sim.run_study_distribution(m=2, setting="A", N=250, studies=studies,
+                                       runs_per_study=10, master_seed=1)
+
     def test_single_study_is_identity(self):
         dist = sim.run_study_distribution(
             m=2, setting="A", N=250, studies=1, runs_per_study=50, master_seed=77
@@ -168,6 +178,12 @@ class TestMinPrevalenceGrid:
         zero = {r["transform"]: r for r in rows if r["pi_min_label"] == "0"}
         assert zero["floor"]["coverage"] == zero["shift"]["coverage"]
         assert zero["floor"]["mean_length_e3"] == zero["shift"]["mean_length_e3"]
+
+    def test_every_cell_checked_before_any_runs(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_scenario", lambda *a, **k: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError):
+            sim.run_min_prevalence_grid(N_list=[250], m_list=[2], pi_min_list=["0", 0.5],
+                                        transform_list=["floor"], runs=5)
 
     def test_grid_shape(self):
         rows = sim.run_min_prevalence_grid(
