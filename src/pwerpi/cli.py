@@ -297,9 +297,10 @@ def run_simulate(config: dict, out_dir: Path) -> dict:
     return summary
 
 
-def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
+def _study_args(config: dict) -> dict:
+    """study_scenarios keywords; run_study_distribution also takes threads."""
     dz, iv, eng = config["design"], config["interval"], config["engine"]
-    dist = sim.run_study_distribution(
+    return dict(
         m=dz["m"],
         setting=dz["setting"],
         N=dz["N"],
@@ -310,8 +311,11 @@ def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
         alpha=iv["alpha"],
         alpha_prime=iv["alpha_prime"],
         B=eng["B"],
-        threads=eng["threads"],
     )
+
+
+def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
+    dist = sim.run_study_distribution(**_study_args(config), threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_study_csv(dist, out_dir / "studies.csv")
     summary = dist.summary()
@@ -324,9 +328,10 @@ def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
     return summary
 
 
-def run_minprev_grid(config: dict, out_dir: Path) -> dict:
+def _grid_args(config: dict) -> dict:
+    """min_prevalence_grid_cells keywords; run_min_prevalence_grid also takes threads."""
     dz, iv, eng = config["design"], config["interval"], config["engine"]
-    rows = sim.run_min_prevalence_grid(
+    return dict(
         N_list=eng["N_list"] or [dz["N"]],
         m_list=eng["m_list"] or [dz["m"]],
         pi_min_list=eng["pi_min_list"] or list(sim.PI_MIN_LABELS),
@@ -337,8 +342,11 @@ def run_minprev_grid(config: dict, out_dir: Path) -> dict:
         treatment_scheme=dz["treatment_scheme"],
         alpha=iv["alpha"],
         alpha_prime=iv["alpha_prime"],
-        threads=eng["threads"],
     )
+
+
+def run_minprev_grid(config: dict, out_dir: Path) -> dict:
+    rows = sim.run_min_prevalence_grid(**_grid_args(config), threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_grid_csv(rows, out_dir / "coverage.csv", "coverage")
     sim.write_grid_csv(rows, out_dir / "lengths.csv", "mean_length_e3")
@@ -387,8 +395,13 @@ def main(argv=None) -> int:
         if args.out is not None:
             resolved["output"]["directory"] = args.out
         if args.dry_run:
+            # build what the run would run, through the run's own checks
             if resolved["mode"] == "simulate":
                 sim.resolve_true_prevalences(_scenario_from_config(resolved))
+            elif resolved["mode"] == "study-distribution":
+                sim.study_scenarios(**_study_args(resolved))
+            elif resolved["mode"] == "minprev-grid":
+                sim.min_prevalence_grid_cells(**_grid_args(resolved))
             print(json.dumps(resolved, indent=2))
             return 0
         out_dir = Path(resolved["output"]["directory"])

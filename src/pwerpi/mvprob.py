@@ -308,23 +308,23 @@ def _tvt_det(upper: np.ndarray, corr: np.ndarray, df: float) -> ProbResult | Non
 # randomized quasi-Monte Carlo over the separation-of-variables transform
 
 
-def _sov_product(chol: np.ndarray, upper_rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _sov_product(chol: np.ndarray, upper: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Conditional-probability product of the transformed integrand.
 
-    upper_rows has one row of integration limits per point (rows differ only
-    for the t case, where limits are scaled by the chi draw); w holds the
+    upper is one limit vector shared by every point, or one row of limits per
+    point (the t case, where limits are scaled by the chi draw); w holds the
     uniforms driving dimensions 2..d.
     """
-    n, d = upper_rows.shape
-    e = special.ndtr(upper_rows[:, 0] / chol[0, 0])
-    prod = e.copy()
+    n, d = w.shape[0], chol.shape[0]
+    e = special.ndtr(upper[..., 0] / chol[0, 0])
+    prod = np.full(n, e)
     if d == 1:
         return prod
     y = np.empty((n, d - 1))
     for i in range(1, d):
-        z = np.clip(w[:, i - 1] * e, _TINY, _ONE)
+        z = np.minimum(np.maximum(w[:, i - 1] * e, _TINY), _ONE)
         y[:, i - 1] = special.ndtri(z)
-        num = upper_rows[:, i] - y[:, :i] @ chol[i, :i]
+        num = upper[..., i] - y[:, :i] @ chol[i, :i]
         e = special.ndtr(num / chol[i, i])
         prod *= e
     return prod
@@ -343,21 +343,34 @@ def _randomized_qmc(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: float,
     rng: np.random.Generator,
+    engines: dict | None = None,
 ) -> ProbResult:
     """Scrambled-Sobol integration on [0,1]^dim.
 
     Independent scramblings play the role of the random shifts; the estimate
     is their mean and the error three standard errors of their spread.
     Refinement extends each scrambled stream, so cumulative counts stay powers
-    of two and every prefix remains a digital net.
+    of two and every prefix remains a digital net. The scrambling seeds come
+    from `rng`. `engines` keeps the scrambled engines across calls, keyed by
+    dimension and seeds: a later call drawing the same seeds rewinds them
+    instead of scrambling anew, and integrates the same points. Points are
+    generated one scrambling's block at a time and never kept.
     """
     seeds = rng.integers(0, 2**63 - 1, size=_N_SHIFTS)
-    engines = [qmc.Sobol(dim, scramble=True, seed=int(seed)) for seed in seeds]
+    key = (dim, *seeds.tolist())
+    sobol = None if engines is None else engines.get(key)
+    if sobol is None:
+        sobol = [qmc.Sobol(dim, scramble=True, seed=int(seed)) for seed in seeds]
+        if engines is not None:
+            engines[key] = sobol
+    else:
+        for engine in sobol:
+            engine.reset()
     totals = np.zeros(_N_SHIFTS)
     count = 0
     n_next = _N_START
     while True:
-        for s, engine in enumerate(engines):
+        for s, engine in enumerate(sobol):
             totals[s] += integrand(engine.random(n_next)).sum()
         count += n_next
         means = totals / count
@@ -393,6 +406,7 @@ def mvn_cdf(
     rng: np.random.Generator | None = None,
     *,
     method: str = "auto",
+    engines: dict | None = None,
 ) -> ProbResult:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
@@ -400,6 +414,8 @@ def mvn_cdf(
     dimensions, trivariate inputs with no usable conditioning pivot, and
     method="qmc" use randomized QMC driven by `rng` (a seed-0 stream when
     omitted), so identical inputs and stream state give bit-identical results.
+    `engines` is the scrambled-engine store of _randomized_qmc (None builds
+    fresh engines); it changes no result.
     """
     _check_tol(tol)
     upper = _check_upper(upper, corr)
@@ -418,10 +434,9 @@ def mvn_cdf(
     chol = corr.cholesky()
 
     def integrand(w):
-        rows = np.broadcast_to(upper, (w.shape[0], d))
-        return _sov_product(chol, rows, w)
+        return _sov_product(chol, upper, w)
 
-    return _randomized_qmc(d - 1, integrand, tol, rng)
+    return _randomized_qmc(d - 1, integrand, tol, rng, engines)
 
 
 def mvt_cdf(
@@ -432,11 +447,13 @@ def mvt_cdf(
     rng: np.random.Generator | None = None,
     *,
     method: str = "auto",
+    engines: dict | None = None,
 ) -> ProbResult:
     """P(T <= upper componentwise) for multivariate t with scale `corr`.
 
     df may be any real >= 1 (Satterthwaite produces non-integral values).
-    Converges to mvn_cdf as df grows. `method` and `rng` act as in mvn_cdf.
+    Converges to mvn_cdf as df grows. `method`, `rng` and `engines` act as in
+    mvn_cdf.
     """
     _check_tol(tol)
     if df < 1.0:
@@ -465,9 +482,9 @@ def mvt_cdf(
 
     def integrand(w):
         # first coordinate drives the chi scaling, the rest the normal SOV
-        u = np.clip(w[:, 0], _TINY, _ONE)
+        u = np.minimum(np.maximum(w[:, 0], _TINY), _ONE)
         scale = np.sqrt(2.0 * special.gammaincinv(half_df, u) / df)
         rows = scale[:, None] * upper[None, :]
         return _sov_product(chol, rows, w[:, 1:])
 
-    return _randomized_qmc(d, integrand, tol, rng)
+    return _randomized_qmc(d, integrand, tol, rng, engines)

@@ -59,6 +59,7 @@ class TestModel:
         c: np.ndarray,
         tol: float,
         rng: np.random.Generator | None,
+        engines: dict | None = None,
     ) -> mvprob.ProbResult:
         """F_J(c_J) for one stratum: the no-rejection probability at c."""
         members = sorted(self.strata[stratum_index])
@@ -69,8 +70,8 @@ class TestModel:
                 f"stratum {members} involves a population with an empty arm"
             )
         if self.kind == "t":
-            return mvprob.mvt_cdf(upper, corr, self.df, tol, rng)
-        return mvprob.mvn_cdf(upper, corr, tol, rng)
+            return mvprob.mvt_cdf(upper, corr, self.df, tol, rng, engines=engines)
+        return mvprob.mvn_cdf(upper, corr, tol, rng, engines=engines)
 
     def tail_quantile(self, p: float) -> float:
         """c with P(single statistic > c) = p under the marginal law."""
@@ -210,11 +211,13 @@ def stratum_cdf_values(
     tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
+    engines: dict | None = None,
 ) -> np.ndarray:
     """F_J(c_J) for every stratum (masked or undefined entries return NaN).
 
     Without a mask, strata whose joint law is undefined (empty member
     population) are skipped; with a mask, requesting such a stratum raises.
+    `engines` keeps the QMC strata's scrambled engines across calls.
     """
     c_vec = _c_vector(c, model.m)
     ok = model.stratum_ok
@@ -225,7 +228,7 @@ def stratum_cdf_values(
                 continue
         elif not mask[j]:
             continue
-        out[j] = model.stratum_cdf(j, c_vec, tol, rng).value
+        out[j] = model.stratum_cdf(j, c_vec, tol, rng, engines).value
     return out
 
 
@@ -299,8 +302,10 @@ def solve_critical_values(
     Brackets with the single-test and Bonferroni-like quantiles, verifies both
     ends, then runs an Illinois iteration. All PWER evaluations inside one
     solve reuse one frozen integration seed, which makes the objective a
-    smooth deterministic function of c; a final verification pass at
-    verify_tol uses an independent stream.
+    smooth deterministic function of c, and one set of scrambled Sobol
+    engines per QMC stratum, built by the first evaluation and rewound by
+    the later ones. A final verification pass at verify_tol uses an
+    independent stream and fresh engines.
     """
     weights = prevalence_weights(pi, len(model.strata))
     if not 0.0 < alpha < 0.5:
@@ -312,12 +317,14 @@ def solve_critical_values(
     mask = weights > 0.0
     pos_w = weights[mask]
     evaluations = 0
+    engines: dict = {}
 
     def f(c: float) -> float:
         nonlocal evaluations
         evaluations += 1
         cdf = stratum_cdf_values(
-            np.full(model.m, c), model, cdf_tol, np.random.default_rng(seed), mask=mask
+            np.full(model.m, c), model, cdf_tol, np.random.default_rng(seed), mask=mask,
+            engines=engines,
         )
         return float(np.sum(pos_w * (1.0 - cdf[mask]))) - alpha
 

@@ -382,7 +382,7 @@ def _derived_seed(*entropy) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def run_study_distribution(
+def study_scenarios(
     m: int,
     setting: str,
     N: int,
@@ -393,24 +393,19 @@ def run_study_distribution(
     alpha: float = 0.025,
     alpha_prime: float = 0.05,
     B: int = 2000,
-    threads: int = 1,
-) -> StudyDistribution:
-    """Coverage over `studies` random-biomarker prevalence draws.
+) -> list[SimScenario]:
+    """The validated scenario of every random-biomarker study.
 
     Study streams derive only from (master_seed, study index), so different
     settings run against identical prevalence draws and count streams.
-    Extreme draws can leave a population without both arms in most runs; a
-    run whose design cannot support the interval at all counts as not
-    covered (the prediction certainly failed), so every study yields a row.
-    Mean lengths average over the runs that produced an interval.
     """
     if studies < 1:
         raise ConfigError(f"studies must be at least 1, got {studies}")
-    rows = []
+    scenarios = []
     for s in range(studies):
         rng_study = np.random.default_rng(np.random.SeedSequence((master_seed, 7001, s)))
         pv = generate_random_study(m, rng_study)
-        scenario = SimScenario(
+        scenarios.append(SimScenario(
             N=N,
             m=m,
             setting=setting,
@@ -422,16 +417,30 @@ def run_study_distribution(
             runs=runs_per_study,
             B=B,
             master_seed=_derived_seed(master_seed, 7002, s),
-        )
+        ))
+    return scenarios
+
+
+def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistribution:
+    """Coverage over the studies of study_scenarios(*args, **kwargs).
+
+    Extreme draws can leave a population without both arms in most runs; a
+    run whose design cannot support the interval at all counts as not
+    covered (the prediction certainly failed), so every study yields a row.
+    Mean lengths average over the runs that produced an interval.
+    """
+    scenarios = study_scenarios(*args, **kwargs)
+    rows = []
+    for s, scenario in enumerate(scenarios):
         try:
             result = run_scenario(scenario, threads=threads, max_failure_fraction=1.0)
             covered = sum(rec.covered for rec in result.records)
             mean_length, failures = result.mean_length, result.failures
         except NumericalError:  # every run failed: nothing to average
-            covered, mean_length, failures = 0, float("nan"), runs_per_study
+            covered, mean_length, failures = 0, float("nan"), scenario.runs
         rows.append(StudyRow(
             study=s,
-            coverage=covered / runs_per_study,
+            coverage=covered / scenario.runs,
             mean_length=mean_length,
             failures=failures,
         ))
@@ -458,7 +467,7 @@ def resolve_pi_min(label, m: int) -> float:
     return value
 
 
-def run_min_prevalence_grid(
+def min_prevalence_grid_cells(
     N_list: Sequence[int],
     m_list: Sequence[int],
     pi_min_list: Sequence = PI_MIN_LABELS,
@@ -469,9 +478,8 @@ def run_min_prevalence_grid(
     treatment_scheme: str = "pairwise_different",
     alpha: float = 0.025,
     alpha_prime: float = 0.05,
-    threads: int = 1,
-) -> list[dict]:
-    """Coverage and mean-length grid under the one_small truth.
+) -> list[tuple[str, object, SimScenario]]:
+    """(transform, pi_min label, validated scenario) for every grid cell.
 
     Cell seeds depend only on (master_seed, N, m): rows of one (N, m) cell are
     paired draws, and pi_min = 0 reproduces the untransformed scenario
@@ -498,7 +506,16 @@ def run_min_prevalence_grid(
                         master_seed=cell_seed,
                     )
                     cells.append((transform, label, scenario))
-    # every cell is validated before the first one runs
+    return cells
+
+
+def run_min_prevalence_grid(*args, threads: int = 1, **kwargs) -> list[dict]:
+    """Coverage and mean-length grid under the one_small truth.
+
+    Runs the cells of min_prevalence_grid_cells(*args, **kwargs), all of which
+    are validated before the first one runs.
+    """
+    cells = min_prevalence_grid_cells(*args, **kwargs)
     rows = []
     for transform, label, scenario in cells:
         result = run_scenario(scenario, threads=threads)

@@ -259,7 +259,9 @@ class TestErrorPaths:
             "engine": {"studies": studies, "runs_per_study": 10},
             "output": {"directory": str(tmp_path / "nostudies")},
         }
-        assert cli.main(["--config", write_config(tmp_path, "nostudies.json", payload)]) == 2
+        cfg = write_config(tmp_path, "nostudies.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
         assert not (tmp_path / "nostudies").exists()
 
     def test_minprev_bad_pi_min_exits_2(self, tmp_path):
@@ -269,7 +271,9 @@ class TestErrorPaths:
             "engine": {"runs": 5, "N_list": [250], "m_list": [2], "pi_min_list": [0.5]},
             "output": {"directory": str(tmp_path / "badgrid")},
         }
-        assert cli.main(["--config", write_config(tmp_path, "badgrid.json", payload)]) == 2
+        cfg = write_config(tmp_path, "badgrid.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
         assert not (tmp_path / "badgrid").exists()
 
     @pytest.mark.parametrize("mode,design", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from pwerpi import mvprob
 from pwerpi.errors import ConfigError
@@ -9,6 +10,21 @@ from oracles import mvn_orthant_mc, mvt_orthant_mc, random_correlation
 
 def corr(mat):
     return mvprob.CorrelationMatrix(np.asarray(mat, dtype=float))
+
+
+def sov_rows_reference(chol, upper_rows, w):
+    # the separation-of-variables product with one row of limits per point
+    n, d = upper_rows.shape
+    e = special.ndtr(upper_rows[:, 0] / chol[0, 0])
+    prod = e.copy()
+    y = np.empty((n, d - 1))
+    for i in range(1, d):
+        z = np.clip(w[:, i - 1] * e, mvprob._TINY, mvprob._ONE)
+        y[:, i - 1] = special.ndtri(z)
+        num = upper_rows[:, i] - y[:, :i] @ chol[i, :i]
+        e = special.ndtr(num / chol[i, i])
+        prod *= e
+    return prod
 
 
 class TestUnivariate:
@@ -115,6 +131,27 @@ class TestMvnCdf:
         assert res.points_used > 12 * 128  # more than one round
         assert len(built) == 12
 
+    def test_reused_engines_match_fresh_engines(self):
+        c4 = corr(0.4 + 0.6 * np.eye(4))
+        engines = {}
+        for upper in ([1.5, 1.2, 0.9, 1.8], [2.1, 0.3, 1.7, 1.1]):
+            kept = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), engines=engines)
+            fresh = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13))
+            assert kept == fresh
+        assert len(engines) == 1
+
+    def test_sov_product_matches_broadcast_rows(self):
+        rng = np.random.default_rng(4)
+        chol = np.linalg.cholesky(random_correlation(4, rng))
+        w = rng.random((256, 3))
+        w[:3] = [0.0, 1.0, 1e-320]  # exercises both ends of the clip
+        upper = rng.normal(size=4)
+        rows = rng.normal(size=(256, 4))
+        assert np.array_equal(mvprob._sov_product(chol, upper, w),
+                              sov_rows_reference(chol, np.broadcast_to(upper, (256, 4)), w))
+        assert np.array_equal(mvprob._sov_product(chol, rows, w),
+                              sov_rows_reference(chol, rows, w))
+
     def test_dim4_against_mc_oracle(self):
         rng = np.random.default_rng(21)
         mat = random_correlation(4, rng)
@@ -182,6 +219,17 @@ class TestMvtCdf:
         q = mvprob.mvt_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-6,
                            rng=np.random.default_rng(8), method="qmc")
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
+
+    def test_reused_engines_match_fresh_engines(self):
+        c3 = corr([[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]])
+        engines = {}
+        for upper in ([1.8, 2.0, 2.2], [0.9, 1.4, 2.6]):
+            kept = mvprob.mvt_cdf(upper, c3, df=17.5, rng=np.random.default_rng(8),
+                                  method="qmc", engines=engines)
+            fresh = mvprob.mvt_cdf(upper, c3, df=17.5, rng=np.random.default_rng(8),
+                                   method="qmc")
+            assert kept == fresh
+        assert len(engines) == 1
 
     def test_dim3_against_mc_oracle(self):
         rng = np.random.default_rng(33)

@@ -21,6 +21,18 @@ def equal_cells_design(scheme="pairwise_different", per_cell=25):
     return dz.build_design(2, scheme, counts, 1.0, "known_homogeneous")
 
 
+M4_COUNTS = [30, 22, 18, 25, 14, 20, 16, 28, 12, 19, 24, 15, 21, 17, 26]
+
+
+def m4_solve():
+    # setting A at m=4: the 4-dim stratum goes through QMC, the others do not
+    d = dz.build_design(4, "pairwise_different", M4_COUNTS, 1.0, "known_homogeneous")
+    weights = np.asarray(M4_COUNTS, float) / sum(M4_COUNTS)
+    return pwer.solve_critical_values(
+        weights, pwer.build_test_model(d), ALPHA, rng=np.random.default_rng(2026)
+    )
+
+
 class TestBuildTestModel:
     def test_disjoint_populations_zero_correlation(self):
         d = dz.build_design(2, "pairwise_different", [100, 100, 0], 1.0, "known_homogeneous")
@@ -159,6 +171,35 @@ class TestSolveCriticalValues:
         cv = pwer.solve_critical_values(np.full(3, 1 / 3), model, ALPHA)
         assert abs(cv.achieved - ALPHA) <= 1e-8
         assert abs(cv.verified - ALPHA) <= 5e-6
+
+    def test_m4_solve_pinned(self):
+        # exact figures: a change that moves the QMC numbers must update them
+        cv = m4_solve()
+        assert cv.value == 2.249761860995374
+        assert cv.achieved == 0.02499999993565309
+        assert cv.verified == 0.02499999339895302
+        assert cv.evaluations == 9
+        assert cv.fwer.tolist() == [
+            0.012232033129387032, 0.012232033129387032, 0.012232033129387032,
+            0.012232033129387032, 0.023989410015570978, 0.023908987627576317,
+            0.02398326861328115, 0.023832871304455105, 0.024025271349681798,
+            0.02394331030358121, 0.0350872502896411, 0.035337359774624044,
+            0.03518498661326297, 0.03515225218562279, 0.04600065682734489,
+        ]
+
+    def test_engines_built_once_per_solve(self, monkeypatch):
+        # the 4-dim stratum: 12 engines shared by every evaluation, 12 for verify
+        built = []
+        sobol = mvprob.qmc.Sobol
+
+        def counting_sobol(*args, **kwargs):
+            built.append(args)
+            return sobol(*args, **kwargs)
+
+        monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
+        cv = m4_solve()
+        assert cv.evaluations == 9
+        assert len(built) == 24
 
     def test_alpha_domain(self):
         model = pwer.build_test_model(equal_cells_design())
