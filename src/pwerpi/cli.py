@@ -184,17 +184,23 @@ def _parse_variances(dz: dict, strata) -> float | dict:
     return out
 
 
+def _analyze_inputs(config: dict):
+    """The design and prevalences of an analyze run, through every check it makes before calibrating."""
+    dz, iv = config["design"], config["interval"]
+    counts = _parse_counts(dz)
+    variances = _parse_variances(dz, counts)
+    design = build_design(dz["m"], dz["treatment_scheme"], counts, variances, dz["variance_mode"])
+    pi_hat = estimate_prevalences(counts, design.N)
+    pi_min = sim.resolve_pi_min(iv["pi_min"], dz["m"])
+    return design, pi_hat, pi_min, transform_prevalences(pi_hat, iv["transform"], pi_min)
+
+
 def run_analyze(config: dict, out_dir: Path) -> dict:
     """Single-study workflow: estimate, calibrate, and report the interval."""
     dz, iv, eng = config["design"], config["interval"], config["engine"]
     m = dz["m"]
-    counts = _parse_counts(dz)
+    design, pi_hat, pi_min, pi_used = _analyze_inputs(config)
     strata = enumerate_strata(m)
-    variances = _parse_variances(dz, strata)
-    design = build_design(m, dz["treatment_scheme"], counts, variances, dz["variance_mode"])
-    pi_hat = estimate_prevalences(counts, design.N)
-    pi_min = sim.resolve_pi_min(iv["pi_min"], m)
-    pi_used = transform_prevalences(pi_hat, iv["transform"], pi_min)
     factors = transform_gradient_factor(pi_hat.values, pi_min, iv["transform"])
     rng = np.random.default_rng(np.random.SeedSequence((eng["master_seed"], 1)))
 
@@ -396,7 +402,9 @@ def main(argv=None) -> int:
             resolved["output"]["directory"] = args.out
         if args.dry_run:
             # build what the run would run, through the run's own checks
-            if resolved["mode"] == "simulate":
+            if resolved["mode"] == "analyze":
+                _analyze_inputs(resolved)
+            elif resolved["mode"] == "simulate":
                 sim.resolve_true_prevalences(_scenario_from_config(resolved))
             elif resolved["mode"] == "study-distribution":
                 sim.study_scenarios(**_study_args(resolved))

@@ -1,11 +1,12 @@
 """Multivariate normal and t orthant probabilities.
 
-Low dimensions use deterministic quadrature: the Drezner-Wesolowsky /
-Gauss-Legendre bivariate normal, a conditioned one-dimensional reduction for
-the trivariate normal, and chi-scale mixtures of those for the t cases.
-Higher dimensions integrate the separation-of-variables transform with
-randomized quasi-Monte Carlo over scrambled Sobol streams, where the spread
-across scramblings yields the error estimate.
+Dimensions up to four use deterministic quadrature: the Drezner-Wesolowsky /
+Gauss-Legendre bivariate normal, recursive conditioning on one variable at a
+time down to it for the trivariate and four-variate normal, and chi-scale
+mixtures of those for the t cases. Higher dimensions integrate the
+separation-of-variables transform with randomized quasi-Monte Carlo over
+scrambled Sobol streams, where the spread across scramblings yields the error
+estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ TOL_MAX = 1e-3
 
 _EIG_CLIP = -1e-10  # most negative eigenvalue tolerated before hard failure
 
-# conditioning in the trivariate reduction degenerates near |rho| = 1
+# conditioning on a pivot degenerates near |rho| = 1
 _COND_RHO_MAX = 0.999
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -207,59 +208,80 @@ def bvn_cdf(b1: float, b2: float, rho: float) -> float:
     return float(bvn_cdf_many(np.float64(b1), np.float64(b2), rho))
 
 
-def _tvn_quad(upper: np.ndarray, corr: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Trivariate normal CDF by conditioning on the first variable.
+def _conditioning(corr: np.ndarray) -> tuple[list, float] | None:
+    """The layers of recursive conditioning on one variable at a time.
 
-    upper may be a single limit vector or a stack of them (rows); all rows
-    share `corr`. The conditioned pair is a bivariate normal evaluated with
-    the deterministic rule, integrated over Gauss-Legendre nodes in y.
+    Each layer pivots on the variable least correlated with the others (the
+    first one on ties) and keeps its (order, r, s), r and s shaped (d-1, 1, 1):
+    given the pivot X1 = y, the others are normal with limits (u - r y)/s and
+    one conditional correlation matrix for every y, on which the next layer
+    pivots. Returns the layers and the correlation of the last two
+    variables; None when a pivot's largest correlation makes the
+    conditioning degenerate. The matrices are small, so this works on floats.
     """
-    upper = np.atleast_2d(upper)
-    r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
-    s2 = math.sqrt(1.0 - r12 * r12)
-    s3 = math.sqrt(1.0 - r13 * r13)
-    rc = min(max((r23 - r12 * r13) / (s2 * s3), -1.0), 1.0)
+    rows = corr.tolist()
+    layers = []
+    while len(rows) > 2:
+        scores = [max(abs(v) for j, v in enumerate(row) if j != i) for i, row in enumerate(rows)]
+        best = scores.index(min(scores))
+        if scores[best] > _COND_RHO_MAX:
+            return None
+        rest = [i for i in range(len(rows)) if i != best]
+        r = [rows[best][i] for i in rest]
+        s = [math.sqrt(1.0 - x * x) for x in r]
+        layers.append(([best] + rest, np.array(r)[:, None, None], np.array(s)[:, None, None]))
+        rows = [
+            [min(max((rows[i][j] - r[a] * r[b]) / (s[a] * s[b]), -1.0), 1.0) for b, j in enumerate(rest)]
+            for a, i in enumerate(rest)
+        ]
+    return layers, rows[0][1]
+
+
+def _cond_quad(upper: np.ndarray, layers: list, rho: float, nodes: tuple[int, ...]) -> np.ndarray:
+    """Normal orthant probability of each column of limits by recursive conditioning.
+
+    upper is (d, n): n limit vectors that share the correlation whose
+    _conditioning gave `layers` and `rho`. The first layer's pivot is
+    integrated over nodes[0] Gauss-Legendre nodes in y, and the conditioned
+    rest is one stacked call for every (column, y): the next layer with
+    nodes[1:], or the bivariate rule once two variables remain.
+    """
+    (order, r, s), *inner_layers = layers
+    upper = upper[order]
     lo = -8.6
-    hi = np.minimum(upper[:, 0], 8.6)
+    hi = np.minimum(upper[0], 8.6)
     width = np.maximum(hi - lo, 0.0)
-    x, w = _GL_RULES[n_nodes]
+    x, w = _GL_RULES[nodes[0]]
     y = lo + (x[None, :] + 1.0) / 2.0 * width[:, None]
     wt = w[None, :] * width[:, None] / 2.0
-    h = (upper[:, 1][:, None] - r12 * y) / s2
-    k = (upper[:, 2][:, None] - r13 * y) / s3
-    inner = bvn_cdf_many(h, k, rc)
+    lim = (upper[1:, :, None] - r * y) / s
+    if inner_layers:
+        inner = _cond_quad(lim.reshape(r.shape[0], -1), inner_layers, rho, nodes[1:]).reshape(y.shape)
+    else:
+        inner = bvn_cdf_many(lim[0], lim[1], rho)
     phi = np.exp(-0.5 * y * y) / _SQRT_2PI
     return (inner * phi * wt).sum(axis=1)
 
 
-def _pivoted(upper: np.ndarray, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Limits and correlation reordered so the conditioning variable is first.
+# The coarse and the fine rule, whose gap is the error estimate: the
+# Gauss-Legendre node count of each conditioning layer, led for the t law by
+# the chi-scale nodes.
+_NORMAL_RULES = {3: ((48,), (96,)), 4: ((48, 48), (96, 96))}
+_T_RULES = {3: ((32, 48), (64, 96)), 4: ((32, 32, 32), (64, 48, 48))}
+# bivariate evaluations per stacked _cond_quad call of the t mixture, which
+# bounds its temporaries at a few MB
+_QUAD_BLOCK = 1 << 14
 
-    The pivot is the variable least correlated with the other two; None when
-    even that correlation makes the conditioning degenerate.
-    """
-    best, best_score = None, np.inf
-    for pivot in range(3):
-        others = [i for i in range(3) if i != pivot]
-        score = max(abs(corr[pivot, others[0]]), abs(corr[pivot, others[1]]))
-        if score < best_score:
-            best, best_score = pivot, score
-    if best_score > _COND_RHO_MAX:
+
+def _mvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
+    """Deterministic normal orthant probability (d = 3, 4), or None when conditioning degenerates."""
+    plan = _conditioning(corr)
+    if plan is None:
         return None
-    order = [best] + [i for i in range(3) if i != best]
-    return upper[order], corr[np.ix_(order, order)]
-
-
-def _tvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
-    """Deterministic trivariate normal, or None when conditioning degenerates."""
-    pivoted = _pivoted(upper, corr)
-    if pivoted is None:
-        return None
-    up, perm = pivoted
-    coarse = float(_tvn_quad(up, perm, 48)[0])
-    fine = float(_tvn_quad(up, perm, 96)[0])
-    err = max(3.0 * abs(fine - coarse), 1e-10)
-    return ProbResult(min(1.0, max(0.0, fine)), err, 144)
+    rules = _NORMAL_RULES[corr.shape[0]]
+    values = [float(_cond_quad(upper[:, None], *plan, nodes)[0]) for nodes in rules]
+    err = max(3.0 * abs(values[1] - values[0]), 1e-10)
+    return ProbResult(min(1.0, max(0.0, values[1])), err, sum(math.prod(nodes) for nodes in rules))
 
 
 def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,19 +311,24 @@ def _bvt_det(upper: np.ndarray, rho: float, df: float) -> ProbResult:
     return ProbResult(min(1.0, max(0.0, values[1])), err, 96)
 
 
-def _tvt_det(upper: np.ndarray, corr: np.ndarray, df: float) -> ProbResult | None:
-    """Deterministic trivariate t, or None when conditioning degenerates."""
-    pivoted = _pivoted(upper, corr)
-    if pivoted is None:
+def _mvt_det(upper: np.ndarray, corr: np.ndarray, df: float) -> ProbResult | None:
+    """Deterministic t orthant probability (d = 3, 4) as a chi-scale mixture of
+    normal ones, or None when conditioning degenerates."""
+    plan = _conditioning(corr)
+    if plan is None:
         return None
-    up, perm = pivoted
     values = []
-    for n_chi, n_y in ((32, 48), (64, 96)):
+    points = 0
+    for n_chi, *nodes in _T_RULES[corr.shape[0]]:
         s, w = _chi_scale_nodes(df, n_chi)
-        inner = _tvn_quad(s[:, None] * up[None, :], perm, n_y)
+        step = max(1, _QUAD_BLOCK // math.prod(nodes))
+        inner = np.concatenate(
+            [_cond_quad(upper[:, None] * s[i:i + step], *plan, nodes) for i in range(0, n_chi, step)]
+        )
         values.append(float(np.sum(w * inner)))
+        points += n_chi * math.prod(nodes)
     err = max(3.0 * abs(values[1] - values[0]), 1e-9)
-    return ProbResult(min(1.0, max(0.0, values[1])), err, 96 * 144)
+    return ProbResult(min(1.0, max(0.0, values[1])), err, points)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +412,11 @@ def _randomized_qmc(
         n_next = count
 
 
-def _check_tol(tol: float) -> None:
+def _check_options(tol: float, method: str) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    if method not in ("auto", "qmc"):
+        raise ConfigError(f"method must be 'auto' or 'qmc', got {method!r}")
 
 
 def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
@@ -410,14 +439,15 @@ def mvn_cdf(
 ) -> ProbResult:
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
-    Dimensions up to three are deterministic under method="auto"; larger
-    dimensions, trivariate inputs with no usable conditioning pivot, and
-    method="qmc" use randomized QMC driven by `rng` (a seed-0 stream when
-    omitted), so identical inputs and stream state give bit-identical results.
-    `engines` is the scrambled-engine store of _randomized_qmc (None builds
-    fresh engines); it changes no result.
+    Dimensions up to four are deterministic under method="auto". Larger
+    dimensions, method="qmc", inputs with no usable conditioning pivot, and
+    four-dimensional ones whose quadrature error estimate exceeds `tol` use
+    randomized QMC driven by `rng` (a seed-0 stream when omitted), so
+    identical inputs and stream state give bit-identical results. `engines`
+    is the scrambled-engine store of _randomized_qmc (None builds fresh
+    engines); it changes no result.
     """
-    _check_tol(tol)
+    _check_options(tol, method)
     upper = _check_upper(upper, corr)
     d = corr.dim
     if d == 1:
@@ -425,9 +455,9 @@ def mvn_cdf(
     if d == 2 and method == "auto":
         value = bvn_cdf(upper[0], upper[1], corr.values[0, 1])
         return ProbResult(value, 5e-15, 20)
-    if d == 3 and method == "auto":
-        result = _tvn_det(upper, corr.values)
-        if result is not None:
+    if d in _NORMAL_RULES and method == "auto":
+        result = _mvn_det(upper, corr.values)
+        if result is not None and (d == 3 or result.error_estimate <= tol):
             return result
     if rng is None:
         rng = np.random.default_rng(0)
@@ -455,7 +485,7 @@ def mvt_cdf(
     Converges to mvn_cdf as df grows. `method`, `rng` and `engines` act as in
     mvn_cdf.
     """
-    _check_tol(tol)
+    _check_options(tol, method)
     if df < 1.0:
         raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
     upper = _check_upper(upper, corr)
@@ -471,9 +501,9 @@ def mvt_cdf(
             return ProbResult(value, 1e-14, 1)
         if method == "auto":
             return _bvt_det(upper, rho, df)
-    if d == 3 and method == "auto":
-        result = _tvt_det(upper, corr.values, df)
-        if result is not None:
+    if d in _T_RULES and method == "auto":
+        result = _mvt_det(upper, corr.values, df)
+        if result is not None and (d == 3 or result.error_estimate <= tol):
             return result
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 """Brute-force oracles, independent of the package's integration engine."""
 
 import numpy as np
+from scipy import integrate, special, stats
 
 
 def mvn_orthant_mc(upper, corr, n_draws, seed, chunk=1_000_000):
@@ -32,6 +33,32 @@ def mvt_orthant_mc(upper, corr, df, n_draws, seed, chunk=1_000_000):
         remaining -= n
     p = hits / n_draws
     return p, np.sqrt(p * (1.0 - p) / n_draws)
+
+
+def equicorrelated_orthant(upper, rho, df=None):
+    """P(X <= upper) for unit-variance equicorrelation rho >= 0 by adaptive quadrature.
+
+    Z_i = sqrt(rho) W + sqrt(1 - rho) E_i reduces the normal case to
+    int phi(w) prod_i Phi((u_i + sqrt(rho) w) / sqrt(1 - rho)) dw; the t case
+    (T = Z / S, S = chi_df / sqrt(df)) mixes that over the chi density.
+    """
+    upper = np.asarray(upper, float)
+    a, b = np.sqrt(rho), np.sqrt(1.0 - rho)
+
+    def normal(u):
+        def f(w):
+            return np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi) * np.prod(special.ndtr((u + a * w) / b))
+        return integrate.quad(f, -12.0, 12.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    if df is None:
+        return normal(upper)
+    chi = stats.chi(df)
+    log_norm = (df / 2.0 - 1.0) * np.log(2.0) + special.gammaln(df / 2.0)
+
+    def mixture(x):  # chi_df density at x times the normal orthant at x u / sqrt(df)
+        return np.exp((df - 1.0) * np.log(x) - 0.5 * x * x - log_norm) * normal(x / np.sqrt(df) * upper)
+
+    return integrate.quad(mixture, chi.ppf(1e-15), chi.isf(1e-15), epsabs=1e-14, epsrel=1e-12, limit=400)[0]
 
 
 def pwer_event_mc(c, weights, members, full_corr, n_draws, seed, chunk=1_000_000):

@@ -242,6 +242,17 @@ class TestErrorPaths:
         cfg = analyze_config(tmp_path, out="badcounts", counts=counts)
         assert cli.main(["--config", cfg]) == 2
 
+    @pytest.mark.parametrize("counts, interval", [
+        ({"1": 10, "9": 5}, {}),  # a stratum outside the m=2 design
+        (None, {"transform": "floor", "pi_min": 0.5}),  # pi_min beyond the floor's range
+    ])
+    def test_analyze_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, counts, interval):
+        cfg = analyze_config(tmp_path, out="drybad", counts=counts, **interval)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "drybad").exists()
+
     @pytest.mark.parametrize("cells", [
         {"1|T1": "abc"},  # non-numeric variance
         {"1,2|T9": 0.5},  # no such cell in the design

@@ -5,11 +5,37 @@ from scipy import special
 from pwerpi import mvprob
 from pwerpi.errors import ConfigError
 
-from oracles import mvn_orthant_mc, mvt_orthant_mc, random_correlation
+from oracles import equicorrelated_orthant, mvn_orthant_mc, mvt_orthant_mc, random_correlation
 
 
 def corr(mat):
     return mvprob.CorrelationMatrix(np.asarray(mat, dtype=float))
+
+
+# limits and a random_correlation(4) draw on which QMC at tol 1e-7 converges in a fraction of a second
+DIM4_RANDOM = (
+    [-1.6934, 1.1173, 1.9781, 0.8841],
+    [[1.0, -0.55786, 0.540668, 0.472991], [-0.55786, 1.0, -0.032705, -0.881591],
+     [0.540668, -0.032705, 1.0, 0.080858], [0.472991, -0.881591, 0.080858, 1.0]],
+)
+
+
+def equicorr(d, rho):
+    return corr(rho + (1.0 - rho) * np.eye(d))
+
+
+@pytest.fixture
+def no_qmc(monkeypatch):
+    # the call must be answered by the quadrature
+    def fail(*args, **kwargs):
+        raise AssertionError("fell back to QMC")
+
+    monkeypatch.setattr(mvprob, "_randomized_qmc", fail)
+
+
+def qmc_twin(cdf, *args, seed, **kwargs):
+    # the same call forced through QMC: equality shows the call fell back to it
+    return cdf(*args, rng=np.random.default_rng(seed), method="qmc", **kwargs)
 
 
 def sov_rows_reference(chol, upper_rows, w):
@@ -74,6 +100,7 @@ class TestMvnCdf:
     @pytest.mark.parametrize("upper, mat", [
         pytest.param([1.0, 1.2, 0.8], 0.5 + 0.5 * np.eye(3), id="d3"),
         pytest.param([0.7, -0.4], [[1, 0.6], [0.6, 1]], id="d2"),
+        pytest.param(*DIM4_RANDOM, id="d4"),
     ])
     def test_qmc_and_deterministic_agree(self, upper, mat):
         cm = corr(mat)
@@ -112,9 +139,10 @@ class TestMvnCdf:
 
     def test_determinism_bit_identical(self):
         c4 = corr(0.4 + 0.6 * np.eye(4))
-        a = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
-        b = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
-        assert a == b
+        for method in ("auto", "qmc"):
+            a = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13), method=method)
+            b = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13), method=method)
+            assert a == b
 
     def test_qmc_builds_each_engine_once(self, monkeypatch):
         # refinement rounds extend the scrambled streams instead of rebuilding them
@@ -127,7 +155,8 @@ class TestMvnCdf:
 
         monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
         c4 = corr(0.4 + 0.6 * np.eye(4))
-        res = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, tol=1e-6, rng=np.random.default_rng(13))
+        res = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, tol=1e-6, rng=np.random.default_rng(13),
+                             method="qmc")
         assert res.points_used > 12 * 128  # more than one round
         assert len(built) == 12
 
@@ -135,8 +164,9 @@ class TestMvnCdf:
         c4 = corr(0.4 + 0.6 * np.eye(4))
         engines = {}
         for upper in ([1.5, 1.2, 0.9, 1.8], [2.1, 0.3, 1.7, 1.1]):
-            kept = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), engines=engines)
-            fresh = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13))
+            kept = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), method="qmc",
+                                  engines=engines)
+            fresh = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), method="qmc")
             assert kept == fresh
         assert len(engines) == 1
 
@@ -160,11 +190,58 @@ class TestMvnCdf:
         oracle, se = mvn_orthant_mc(upper, mat, 2_000_000, seed=99)
         assert abs(res.value - oracle) <= 3 * np.hypot(se, res.error_estimate / 3) + 1.5e-6
 
+    @pytest.mark.parametrize("upper, rho", [
+        ([1.5, 1.2, 0.9, 1.8], 0.4),
+        ([0.3, -0.2, 0.8, 2.2], 0.75),
+        ([-0.5, 0.1, 1.0, 0.4], 0.1),
+    ])
+    def test_dim4_equicorrelated_closed_form(self, no_qmc, upper, rho):
+        res = mvprob.mvn_cdf(upper, equicorr(4, rho))
+        assert abs(res.value - equicorrelated_orthant(upper, rho)) <= 1e-9
+
+    @pytest.mark.parametrize("a, b, upper", [
+        (0.6, -0.3, [0.8, 1.1, -0.3, 0.5]),
+        (0.95, 0.2, [1.2, 0.4, 1.9, -0.7]),
+        (0.995, 0.2, [0.3, -0.4, 1.1, 0.6]),  # exact only if the strong pair is conditioned last
+    ])
+    def test_dim4_block_diagonal_factorizes(self, no_qmc, a, b, upper):
+        mat = np.zeros((4, 4))
+        mat[:2, :2] = [[1, a], [a, 1]]
+        mat[2:, 2:] = [[1, b], [b, 1]]
+        res = mvprob.mvn_cdf(upper, corr(mat))
+        pair = mvprob.bvn_cdf(upper[0], upper[1], a) * mvprob.bvn_cdf(upper[2], upper[3], b)
+        assert abs(res.value - pair) <= 1e-12
+
+    @pytest.mark.parametrize("mat", [
+        pytest.param(0.9995 * np.ones((4, 4)) + 0.0005 * np.eye(4), id="outer_pivot"),
+        pytest.param([[1, 0.1, 0.1, 0.1], [0.1, 1, 0.9995, 0.9995],
+                      [0.1, 0.9995, 1, 0.9995], [0.1, 0.9995, 0.9995, 1]], id="inner_pivot"),
+    ])
+    def test_dim4_near_singular_falls_back_to_qmc(self, mat):
+        upper = [1.0, 1.1, 1.2, 1.3]
+        res = mvprob.mvn_cdf(upper, corr(mat), tol=1e-4, rng=np.random.default_rng(2))
+        assert res.points_used > 1000
+        assert res == qmc_twin(mvprob.mvn_cdf, upper, corr(mat), tol=1e-4, seed=2)
+
+    def test_dim4_quadrature_error_above_tol_falls_back_to_qmc(self):
+        # nearly comonotone but pivotable: the coarse and fine rules disagree by ~1e-4
+        upper, c4 = [2.0, -1.0, 0.5, 0.3], equicorr(4, 0.99)
+        res = mvprob.mvn_cdf(upper, c4, tol=1e-6, rng=np.random.default_rng(5))
+        assert res == qmc_twin(mvprob.mvn_cdf, upper, c4, tol=1e-6, seed=5)
+        assert res.error_estimate <= 1e-6
+
     def test_tol_domain(self):
         with pytest.raises(ConfigError):
             mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)), tol=1e-2)
         with pytest.raises(ConfigError):
             mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)), tol=1e-9)
+
+    @pytest.mark.parametrize("method", ["det", "QMC", "", None])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ConfigError):
+            mvprob.mvn_cdf([0.0, 0.0, 0.0, 0.0], equicorr(4, 0.3), method=method)
+        with pytest.raises(ConfigError):
+            mvprob.mvt_cdf([0.0, 0.0, 0.0, 0.0], equicorr(4, 0.3), df=5.0, method=method)
 
     def test_dim3_near_singular_falls_back_to_qmc(self):
         # no conditioning pivot exists; the QMC path with ridge repair handles it
@@ -219,6 +296,26 @@ class TestMvtCdf:
         q = mvprob.mvt_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-6,
                            rng=np.random.default_rng(8), method="qmc")
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
+
+    @pytest.mark.parametrize("upper, rho, df", [
+        ([1.5, 1.2, 0.9, 1.8], 0.4, 3.0),
+        ([0.3, -0.2, 0.8, 2.2], 0.75, 20.0),
+    ])
+    def test_dim4_equicorrelated_closed_form(self, no_qmc, upper, rho, df):
+        res = mvprob.mvt_cdf(upper, equicorr(4, rho), df=df)
+        assert abs(res.value - equicorrelated_orthant(upper, rho, df)) <= 1e-9
+
+    def test_dim4_det_vs_qmc(self):
+        upper, c4 = DIM4_RANDOM[0], corr(DIM4_RANDOM[1])
+        det = mvprob.mvt_cdf(upper, c4, df=7.5, tol=1e-7)
+        q = qmc_twin(mvprob.mvt_cdf, upper, c4, df=7.5, tol=1e-6, seed=43)
+        assert abs(det.value - q.value) <= q.error_estimate + 1e-7
+
+    def test_dim4_near_singular_falls_back_to_qmc(self):
+        upper, c4 = [1.0, 1.1, 1.2, 1.3], equicorr(4, 0.9995)
+        res = mvprob.mvt_cdf(upper, c4, df=6.0, tol=1e-4, rng=np.random.default_rng(2))
+        assert res.points_used > 1000
+        assert res == qmc_twin(mvprob.mvt_cdf, upper, c4, df=6.0, tol=1e-4, seed=2)
 
     def test_reused_engines_match_fresh_engines(self):
         c3 = corr([[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]])

@@ -22,15 +22,20 @@ def equal_cells_design(scheme="pairwise_different", per_cell=25):
 
 
 M4_COUNTS = [30, 22, 18, 25, 14, 20, 16, 28, 12, 19, 24, 15, 21, 17, 26]
+M5_COUNTS = M4_COUNTS + [23, 11, 27, 13, 29, 18, 22, 16, 25, 20, 14, 24, 19, 21, 17, 26]
 
 
-def m4_solve():
-    # setting A at m=4: the 4-dim stratum goes through QMC, the others do not
-    d = dz.build_design(4, "pairwise_different", M4_COUNTS, 1.0, "known_homogeneous")
-    weights = np.asarray(M4_COUNTS, float) / sum(M4_COUNTS)
+def setting_a_solve(m, counts):
+    d = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
+    weights = np.asarray(counts, float) / sum(counts)
     return pwer.solve_critical_values(
         weights, pwer.build_test_model(d), ALPHA, rng=np.random.default_rng(2026)
     )
+
+
+def m4_solve():
+    # setting A at m=4: every stratum, the 4-dim one included, is deterministic quadrature
+    return setting_a_solve(4, M4_COUNTS)
 
 
 class TestBuildTestModel:
@@ -173,22 +178,25 @@ class TestSolveCriticalValues:
         assert abs(cv.verified - ALPHA) <= 5e-6
 
     def test_m4_solve_pinned(self):
-        # exact figures: a change that moves the QMC numbers must update them
+        # exact figures: a change that moves the 4-dim quadrature numbers must update them
         cv = m4_solve()
-        assert cv.value == 2.249761860995374
-        assert cv.achieved == 0.02499999993565309
-        assert cv.verified == 0.02499999339895302
+        assert cv.value == 2.249761755282957
+        assert cv.achieved == 0.024999999935652925
+        assert cv.verified == 0.024999999935652925
         assert cv.evaluations == 9
         assert cv.fwer.tolist() == [
-            0.012232033129387032, 0.012232033129387032, 0.012232033129387032,
-            0.012232033129387032, 0.023989410015570978, 0.023908987627576317,
-            0.02398326861328115, 0.023832871304455105, 0.024025271349681798,
-            0.02394331030358121, 0.0350872502896411, 0.035337359774624044,
-            0.03518498661326297, 0.03515225218562279, 0.04600065682734489,
+            0.012232036486460873, 0.012232036486460873, 0.012232036486460873,
+            0.012232036486460873, 0.023989416508374717, 0.023908994088898905,
+            0.02398327510365106, 0.02383287773668541, 0.024025277856804084,
+            0.02394331677823902, 0.03508725963536852, 0.035337369215475256,
+            0.035184995995541035, 0.03515226155629336, 0.04600066684378157,
         ]
+        # the value pinned when the 4-dim stratum went through QMC
+        assert abs(cv.value - 2.249761860995374) <= 1e-6
 
     def test_engines_built_once_per_solve(self, monkeypatch):
-        # the 4-dim stratum: 12 engines shared by every evaluation, 12 for verify
+        # m=5: the 5-dim stratum's 12 engines are shared by every evaluation,
+        # and the verify pass builds 12; m=4 reaches no QMC at all
         built = []
         sobol = mvprob.qmc.Sobol
 
@@ -197,9 +205,12 @@ class TestSolveCriticalValues:
             return sobol(*args, **kwargs)
 
         monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
-        cv = m4_solve()
+        cv = setting_a_solve(5, M5_COUNTS)
         assert cv.evaluations == 9
         assert len(built) == 24
+        built.clear()
+        m4_solve()
+        assert built == []
 
     def test_alpha_domain(self):
         model = pwer.build_test_model(equal_cells_design())
