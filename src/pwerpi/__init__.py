@@ -28,12 +28,7 @@ from .design import (
     build_design,
     enumerate_strata,
     estimate_prevalences,
-    sample_strata_counts,
     stratum_label,
-    transform_floor,
-    transform_gradient_factor,
-    transform_prevalences,
-    transform_shift,
     treatment_labels,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwer
-from .design import CONTROL, Design, PrevalenceVector, prevalence_weights
+from .design import CONTROL, Design, prevalence_weights
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 # redraw rounds for resamples with an empty population arm before giving up
@@ -204,7 +204,7 @@ def _arm_layout(design: Design) -> tuple[np.ndarray, np.ndarray]:
         arms = design.arms_of(stratum)
         arm_count[j] = len(arms)
         for slot, arm in enumerate(arms):
-            slot_of_cell[design._cell_lookup[(j, arm)]] = slot
+            slot_of_cell[design.cells.index((j, arm))] = slot
     return arm_count[design.stratum_of_cell], slot_of_cell
 
 
@@ -266,7 +266,7 @@ def bootstrap_null_E(
 
 
 def generate_setting_E_study(
-    pi_true: PrevalenceVector,
+    pi_true,
     design: Design,
     sigma: float,
     rng: np.random.Generator,
@@ -304,7 +304,7 @@ def generate_setting_E_study(
             k for k in range(len(design.cells))
             if stratum_of_cell[k] == j and not is_control[k] and sizes[k] > 0
         ]
-        c_cell = design._cell_lookup[(j, CONTROL)]
+        c_cell = design.cells.index((j, CONTROL))
         if not t_cells or sizes[c_cell] == 0:
             raise InfeasibleDesignError(
                 f"stratum {sorted(stratum)} has patients but an empty arm"

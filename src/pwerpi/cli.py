@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, boot, pwer, sim
+from . import __version__, sim
 from .design import (
     TRANSFORMS,
     VARIANCE_MODES,
@@ -25,11 +25,8 @@ from .design import (
     _arm_order,
     build_design,
     enumerate_strata,
-    estimate_prevalences,
     parse_stratum_label,
     stratum_label,
-    transform_gradient_factor,
-    transform_prevalences,
     treatment_labels,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
@@ -184,64 +181,44 @@ def _parse_variances(dz: dict, strata) -> float | dict:
     return out
 
 
-def _analyze_inputs(config: dict):
-    """The design and prevalences of an analyze run, through every check it makes before calibrating."""
-    dz, iv = config["design"], config["interval"]
+def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
+    """The scenario and study of an analyze run, through every check it makes before calibrating."""
+    dz = config["design"]
     counts = _parse_counts(dz)
     variances = _parse_variances(dz, counts)
     design = build_design(dz["m"], dz["treatment_scheme"], counts, variances, dz["variance_mode"])
-    pi_hat = estimate_prevalences(counts, design.N)
-    pi_min = sim.resolve_pi_min(iv["pi_min"], dz["m"])
-    return design, pi_hat, pi_min, transform_prevalences(pi_hat, iv["transform"], pi_min)
+    scenario = _scenario_from_config(
+        config, N=design.N, setting=sim.ANALYSIS_SETTINGS[dz["variance_mode"]], runs=1
+    )
+    return scenario, sim.Study(design)
 
 
 def run_analyze(config: dict, out_dir: Path) -> dict:
-    """Single-study workflow: estimate, calibrate, and report the interval."""
-    dz, iv, eng = config["design"], config["interval"], config["engine"]
-    m = dz["m"]
-    design, pi_hat, pi_min, pi_used = _analyze_inputs(config)
-    strata = enumerate_strata(m)
-    factors = transform_gradient_factor(pi_hat.values, pi_min, iv["transform"])
-    rng = np.random.default_rng(np.random.SeedSequence((eng["master_seed"], 1)))
-
-    if dz["variance_mode"] == "unknown_heterogeneous":
-        # no closed-form joint law: parametric bootstrap of the global null
-        null = boot.bootstrap_null_D(design, design.cell_variances, eng["B"], rng)
-        cv = boot.solve_critical_empirical(null, strata, pi_used, iv["alpha"])
-        engine = "parametric_bootstrap"
-    else:
-        model = pwer.build_test_model(design, allow_empty_populations=True)
-        cv = pwer.solve_critical_values(
-            pi_used,
-            model,
-            iv["alpha"],
-            solver_tol=eng["solver_tol"],
-            cdf_tol=eng["cdf_tol"],
-            rng=rng,
-        )
-        engine = "exact"
-
-    grad = cv.gradient(factors)
-    gamma = pwer.delta_gamma(pi_hat.values, grad)
-    interval = pwer.prediction_interval(iv["alpha"], iv["alpha_prime"], gamma, design.N)
+    """Single-study workflow: calibrate on the observed counts and report the interval."""
+    scenario, study = _analyze_study(config)
+    seed = np.random.SeedSequence((scenario.master_seed, 1))
+    cal = sim.calibrate(scenario, study, seed, seed)
+    interval = sim.interval(scenario, cal)
+    cv, engine = cal.cv, sim.SETTINGS_TABLE[scenario.setting].engine
+    labels = [stratum_label(s) for s in study.design.strata]
     report = {
         "engine": engine,
-        "N": design.N,
-        "m": m,
-        "prevalence_estimate": pi_hat.as_dict(),
-        "prevalence_used": pi_used.as_dict(),
-        "transform": iv["transform"],
-        "pi_min": pi_min,
+        "N": scenario.N,
+        "m": scenario.m,
+        "prevalence_estimate": dict(zip(labels, cal.weights.tolist())),
+        "prevalence_used": dict(zip(labels, cal.used.tolist())),
+        "transform": scenario.transform,
+        "pi_min": scenario.pi_min,
         "critical_value": cv.value,
         "achieved_pwer": cv.achieved,
         # None marks strata whose joint law is undefined (empty population arm)
         "gradient": {
-            stratum_label(s): (None if np.isnan(g) else g)
-            for s, g in zip(strata, grad.tolist())
+            label: (None if np.isnan(g) else g)
+            for label, g in zip(labels, cv.gradient(cal.factors).tolist())
         },
-        "gamma": gamma,
-        "alpha": iv["alpha"],
-        "alpha_prime": iv["alpha_prime"],
+        "gamma": interval.gamma,
+        "alpha": scenario.alpha,
+        "alpha_prime": scenario.alpha_prime,
         "interval_lower": interval.lower,
         "interval_upper": interval.upper,
         "interval_length": interval.length,
@@ -251,10 +228,10 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
         json.dump(report, fh, indent=2)
     lines = [
         f"PWER analysis ({engine} engine)",
-        f"  N = {design.N}, m = {m}, alpha = {iv['alpha']}",
+        f"  N = {scenario.N}, m = {scenario.m}, alpha = {scenario.alpha}",
         f"  critical value c* = {cv.value:.6f} (achieved PWER {cv.achieved:.8f})",
-        f"  gamma = {gamma:.6g}",
-        f"  {100 * (1 - iv['alpha_prime']):.0f}% prediction interval for the true PWER: "
+        f"  gamma = {interval.gamma:.6g}",
+        f"  {100 * (1 - scenario.alpha_prime):.0f}% prediction interval for the true PWER: "
         f"[{interval.lower:.6f}, {interval.upper:.6f}] (length {interval.length:.3e})",
     ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
@@ -262,25 +239,27 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
     return report
 
 
-def _scenario_from_config(config: dict) -> sim.SimScenario:
+def _scenario_from_config(config: dict, **fields) -> sim.SimScenario:
+    """The config's scenario; `fields` replace the ones analyze takes from its study."""
     dz, iv, eng = config["design"], config["interval"], config["engine"]
-    return sim.SimScenario(
-        N=dz["N"],
-        m=dz["m"],
-        setting=dz["setting"],
-        prevalence_scheme=dz["prevalence_scheme"],
-        explicit_prevalences=tuple(dz["explicit_prevalences"]) if dz["explicit_prevalences"] else None,
-        treatment_scheme=dz["treatment_scheme"],
-        alpha=iv["alpha"],
-        alpha_prime=iv["alpha_prime"],
-        runs=eng["runs"],
-        B=eng["B"],
-        pi_min=sim.resolve_pi_min(iv["pi_min"], dz["m"]),
-        transform=iv["transform"],
-        master_seed=eng["master_seed"],
-        cdf_tol=eng["cdf_tol"],
-        solver_tol=eng["solver_tol"],
-    )
+    return sim.SimScenario(**{
+        "N": dz["N"],
+        "m": dz["m"],
+        "setting": dz["setting"],
+        "prevalence_scheme": dz["prevalence_scheme"],
+        "explicit_prevalences": tuple(dz["explicit_prevalences"]) if dz["explicit_prevalences"] else None,
+        "treatment_scheme": dz["treatment_scheme"],
+        "alpha": iv["alpha"],
+        "alpha_prime": iv["alpha_prime"],
+        "runs": eng["runs"],
+        "B": eng["B"],
+        "pi_min": sim.resolve_pi_min(iv["pi_min"], dz["m"]),
+        "transform": iv["transform"],
+        "master_seed": eng["master_seed"],
+        "cdf_tol": eng["cdf_tol"],
+        "solver_tol": eng["solver_tol"],
+        **fields,
+    })
 
 
 def run_simulate(config: dict, out_dir: Path) -> dict:
@@ -400,10 +379,12 @@ def main(argv=None) -> int:
             resolved["engine"]["threads"] = args.threads
         if args.out is not None:
             resolved["output"]["directory"] = args.out
+        if resolved["engine"]["threads"] < 1:
+            raise ConfigError(f"threads must be at least 1, got {resolved['engine']['threads']}")
         if args.dry_run:
             # build what the run would run, through the run's own checks
             if resolved["mode"] == "analyze":
-                _analyze_inputs(resolved)
+                _analyze_study(resolved)
             elif resolved["mode"] == "simulate":
                 sim.resolve_true_prevalences(_scenario_from_config(resolved))
             elif resolved["mode"] == "study-distribution":

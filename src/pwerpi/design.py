@@ -1,10 +1,11 @@
 """Trial designs over overlapping populations.
 
 Populations 1..m define 2^m - 1 disjoint strata (one per nonempty subset of
-populations). This module enumerates strata, estimates and samples prevalence
-vectors, allocates patients to treatment/control arms within strata, and
-applies the two minimal-prevalence transformations together with the gradient
-factors they induce.
+populations). This module enumerates strata, estimates prevalence vectors
+from strata counts, allocates patients to treatment/control arms within
+strata, and applies the two minimal-prevalence transformations together with
+the gradient factors they induce (`transform_weights`). Drawing the counts of
+a simulated study is `sim`'s job.
 """
 
 from __future__ import annotations
@@ -82,18 +83,10 @@ def _arm_order(labels: Iterable[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class PrevalenceVector:
-    """Weights over the strata of a design, summing to one.
-
-    kind is one of "true", "estimated", "transformed_floor",
-    "transformed_shift". pi_min and scale_p record the transformation that
-    produced the vector (0 and 1 when untransformed).
-    """
+    """Weights over the strata of a design, summing to one."""
 
     strata: tuple[frozenset[int], ...]
     values: np.ndarray
-    kind: str = "true"
-    pi_min: float = 0.0
-    scale_p: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -111,9 +104,6 @@ class PrevalenceVector:
     @property
     def n_strata(self) -> int:
         return len(self.strata)
-
-    def weight(self, stratum: frozenset[int]) -> float:
-        return float(self.values[self.strata.index(stratum)])
 
     def as_dict(self) -> dict[str, float]:
         return {stratum_label(s): float(v) for s, v in zip(self.strata, self.values)}
@@ -187,7 +177,6 @@ class Design:
         for name, arr in layout.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_cell_lookup", {cell: k for k, cell in enumerate(self.cells)})
 
     @property
     def n_strata(self) -> int:
@@ -195,12 +184,6 @@ class Design:
 
     def arms_of(self, stratum: frozenset[int]) -> list[str]:
         return _arm_order(self.treatments[i - 1] for i in stratum)
-
-    def cell_index(self, stratum: frozenset[int], arm: str) -> int:
-        return self._cell_lookup[(self.strata.index(stratum), arm)]
-
-    def cell_size(self, stratum: frozenset[int], arm: str) -> int:
-        return int(self.cell_sizes[self.cell_index(stratum, arm)])
 
     def positive_cell_count(self) -> int:
         """Number of (stratum, arm) cells with at least one patient."""
@@ -217,14 +200,7 @@ def estimate_prevalences(counts: Mapping[frozenset[int], int], N: int) -> Preval
         raise ConfigError("strata counts must be nonnegative")
     if int(values.sum()) != N:
         raise ConfigError(f"strata counts sum to {int(values.sum())}, expected N={N}")
-    return PrevalenceVector(strata=strata, values=values / N, kind="estimated")
-
-
-def sample_strata_counts(pi: PrevalenceVector, N: int, rng: np.random.Generator) -> np.ndarray:
-    """One multinomial(N, pi) draw of strata sample sizes, aligned with pi.strata."""
-    if N < 1:
-        raise ConfigError(f"sample size must be >= 1, got {N}")
-    return rng.multinomial(N, pi.values)
+    return PrevalenceVector(strata=strata, values=values / N)
 
 
 def split_evenly(total: int, arms: int) -> list[int]:
@@ -348,44 +324,22 @@ def shift_values(values: np.ndarray, pi_min: float) -> np.ndarray:
     return (values + pi_min) / (1.0 + values.shape[0] * pi_min)
 
 
-def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transformed weights, their chain-rule factors, and the floor's scale p.
+def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed weights and their chain-rule factors.
 
     The one dispatch on the transform name. The floor transform zeroes the
-    factors of the components it floors and applies p elsewhere (also at the
-    non-differentiable point values == pi_min, by convention); the shift
-    transform contracts every component by 1/(1 + n_S * pi_min). "none" and
-    pi_min = 0 return the weights themselves, unit factors and p = 1.
+    factors of the components it floors and applies its scale p
+    (floor_values) elsewhere, also at the non-differentiable point
+    values == pi_min, by convention; the shift transform contracts every
+    component by 1/(1 + n_S * pi_min). "none" and pi_min = 0 return the
+    weights themselves and unit factors.
     """
     values = np.asarray(values, dtype=float)
     n_s = values.shape[0]
     check_transform(transform, pi_min, n_s)
     if transform == TRANSFORM_NONE or pi_min == 0.0:
-        return values, np.ones(n_s), 1.0
+        return values, np.ones(n_s)
     if transform == TRANSFORM_FLOOR:
         out, p = floor_values(values, pi_min)
-        return out, np.where(values < pi_min, 0.0, p), p
-    return shift_values(values, pi_min), np.full(n_s, 1.0 / (1.0 + n_s * pi_min)), 1.0
-
-
-def transform_prevalences(pi: PrevalenceVector, transform: str, pi_min: float) -> PrevalenceVector:
-    """The transformed prevalence vector; pi itself when the transform is the identity."""
-    values, _, p = transform_weights(pi.values, transform, pi_min)
-    if values is pi.values:
-        return pi
-    return PrevalenceVector(
-        strata=pi.strata, values=values, kind=f"transformed_{transform}", pi_min=pi_min, scale_p=p
-    )
-
-
-def transform_floor(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
-    return transform_prevalences(pi, TRANSFORM_FLOOR, pi_min)
-
-
-def transform_shift(pi: PrevalenceVector, pi_min: float) -> PrevalenceVector:
-    return transform_prevalences(pi, TRANSFORM_SHIFT, pi_min)
-
-
-def transform_gradient_factor(values: np.ndarray, pi_min: float, kind: str) -> np.ndarray:
-    """Componentwise chain-rule factor of a prevalence transformation (see transform_weights)."""
-    return transform_weights(values, kind, pi_min)[1]
+        return out, np.where(values < pi_min, 0.0, p)
+    return shift_values(values, pi_min), np.full(n_s, 1.0 / (1.0 + n_s * pi_min))

@@ -441,8 +441,8 @@ def mvn_cdf(
 
     Dimensions up to four are deterministic under method="auto". Larger
     dimensions, method="qmc", inputs with no usable conditioning pivot, and
-    four-dimensional ones whose quadrature error estimate exceeds `tol` use
-    randomized QMC driven by `rng` (a seed-0 stream when omitted), so
+    three- or four-dimensional ones whose quadrature error estimate exceeds
+    `tol` use randomized QMC driven by `rng` (a seed-0 stream when omitted), so
     identical inputs and stream state give bit-identical results. `engines`
     is the scrambled-engine store of _randomized_qmc (None builds fresh
     engines); it changes no result.
@@ -457,7 +457,7 @@ def mvn_cdf(
         return ProbResult(value, 5e-15, 20)
     if d in _NORMAL_RULES and method == "auto":
         result = _mvn_det(upper, corr.values)
-        if result is not None and (d == 3 or result.error_estimate <= tol):
+        if result is not None and result.error_estimate <= tol:
             return result
     if rng is None:
         rng = np.random.default_rng(0)
@@ -503,7 +503,7 @@ def mvt_cdf(
             return _bvt_det(upper, rho, df)
     if d in _T_RULES and method == "auto":
         result = _mvt_det(upper, corr.values, df)
-        if result is not None and (d == 3 or result.error_estimate <= tol):
+        if result is not None and result.error_estimate <= tol:
             return result
     if rng is None:
         rng = np.random.default_rng(0)

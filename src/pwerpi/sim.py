@@ -1,10 +1,13 @@
 """Coverage simulations for the true-PWER prediction interval.
 
 A scenario fixes true prevalences, a treatment scheme, and a distributional
-setting; each run draws strata counts, calibrates critical values on the
-estimated prevalences, builds the interval, and checks whether the realized
-true PWER is covered. Aggregations reproduce the coverage/length tables and
-the per-study distribution data.
+setting; SETTINGS_TABLE gives each setting's design variance mode and
+calibrating engine. Each run draws a study (the strata counts and the
+setting's own data), calibrates critical values on the estimated prevalences
+(`calibrate`), builds the interval (`interval`), and checks whether the
+realized true PWER is covered. The CLI's analyze mode runs an observed study
+through the same two steps. Aggregations reproduce the coverage/length tables
+and the per-study distribution data.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from . import boot, pwer
 from .design import (
     SIMPLEX_ATOL,
+    Design,
     PrevalenceVector,
     TRANSFORM_NONE,
     build_design,
@@ -29,8 +33,29 @@ from .design import (
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
-SETTINGS = ("A", "B", "C", "D_satterthwaite", "D_bootstrap", "E")
-RESAMPLING_SETTINGS = ("D_satterthwaite", "D_bootstrap", "E")
+
+class Setting(NamedTuple):
+    """A setting's design variance mode and the engine `calibrate` runs for it."""
+
+    variance_mode: str
+    engine: str
+
+
+SETTINGS_TABLE = {
+    "A": Setting("known_homogeneous", "exact"),
+    "B": Setting("known_heterogeneous", "exact"),
+    "C": Setting("unknown_homogeneous", "exact"),
+    "D_satterthwaite": Setting("unknown_heterogeneous", "satterthwaite"),
+    "D_bootstrap": Setting("unknown_heterogeneous", "parametric_bootstrap"),
+    "E": Setting("unknown_homogeneous", "projection_bootstrap"),
+}
+SETTINGS = tuple(SETTINGS_TABLE)
+# analyze runs an observed study as the setting whose engine reads nothing but
+# the design: the exact one of its variance mode, else the parametric bootstrap
+ANALYSIS_SETTINGS = {
+    spec.variance_mode: setting for setting, spec in SETTINGS_TABLE.items()
+    if spec.engine in ("exact", "parametric_bootstrap")
+}
 PREVALENCE_SCHEMES = ("equal", "one_large", "one_small", "random_biomarker", "explicit")
 
 SETTING_E_SIGMA = 0.5
@@ -71,7 +96,7 @@ class SimScenario:
             raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if not 0.0 < self.alpha_prime < 1.0:
             raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
-        if self.setting in RESAMPLING_SETTINGS and (
+        if SETTINGS_TABLE[self.setting].engine != "exact" and (
             self.B < boot.MIN_RESAMPLES or self.B * self.alpha < boot.MIN_TAIL_RESAMPLES
         ):
             raise ConfigError(
@@ -203,89 +228,125 @@ class SimResult:
         }
 
 
-def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:
-    """One simulation run; raises PwerError subtypes on failure.
+class Study(NamedTuple):
+    """One study: its design, with the cell variances its engine uses (observed
+    ones for D), and setting E's observed effects and pooled variance."""
 
-    The setting only decides how the run's data are drawn and which engine
-    calibrates c*; the interval is then built from the CriticalValues alone.
-    """
-    strata = enumerate_strata(scenario.m)
-    seed = np.random.SeedSequence((scenario.master_seed, run_index))
-    data_ss, boot_ss, solve_ss = seed.spawn(3)
-    rng_data = np.random.default_rng(data_ss)
+    design: Design
+    effects: np.ndarray | None = None
+    pooled_variance: float = 0.0
 
-    counts = rng_data.multinomial(scenario.N, pi_true)
 
-    setting = scenario.setting
-    if setting in ("A", "B"):
-        mode = "known_homogeneous" if setting == "A" else "known_heterogeneous"
-    elif setting in ("C", "E"):
-        mode = "unknown_homogeneous"
-    else:
-        mode = "unknown_heterogeneous"
+class Calibration(NamedTuple):
+    """c* of one study; weights = counts / N, used and factors = their transform."""
 
-    design = build_design(scenario.m, scenario.treatment_scheme, counts, 1.0, mode)
-    if setting == "B":
+    weights: np.ndarray
+    used: np.ndarray
+    factors: np.ndarray
+    cv: pwer.CriticalValues
+    rejected_resamples: int
+
+
+def _draw(scenario: SimScenario, pi_true: np.ndarray, rng: np.random.Generator) -> Study:
+    """The strata counts of one run, then its setting's own data."""
+    counts = rng.multinomial(scenario.N, pi_true)
+    design = build_design(
+        scenario.m, scenario.treatment_scheme, counts, 1.0,
+        SETTINGS_TABLE[scenario.setting].variance_mode,
+    )
+    if scenario.setting == "B":
         # one U(0,1) variance per stratum, shared by its arms
-        per_stratum = rng_data.uniform(size=len(strata))
-        design = replace(design, cell_variances=per_stratum[design.stratum_of_cell])
+        per_stratum = rng.uniform(size=design.n_strata)
+        return Study(replace(design, cell_variances=per_stratum[design.stratum_of_cell]))
+    if scenario.setting == "E":
+        return Study(design, *boot.generate_setting_E_study(pi_true, design, SETTING_E_SIGMA, rng))
+    if scenario.setting in ("D_satterthwaite", "D_bootstrap"):
+        # observed variances: s^2 ~ sigma^2 chi^2_{n-1} / (n-1), sigma^2 ~ U(0,1)
+        sizes = design.cell_sizes.astype(float)
+        true_vars = rng.uniform(size=len(design.cells))
+        if np.any((sizes > 0) & (sizes < 2)):
+            raise InfeasibleDesignError("a populated cell has a single patient")
+        chi = rng.chisquare(np.maximum(sizes - 1.0, 1.0))
+        s2_obs = np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
+        return Study(replace(design, cell_variances=s2_obs))
+    return Study(design)
 
-    pi_hat = counts / scenario.N
-    pi_hat_t, factors, _ = transform_weights(pi_hat, scenario.transform, scenario.pi_min)
-    pi_true_t, factors_true, _ = transform_weights(pi_true, scenario.transform, scenario.pi_min)
+
+def calibrate(
+    scenario: SimScenario,
+    study: Study,
+    boot_seed: np.random.SeedSequence,
+    solve_seed: np.random.SeedSequence,
+    truth: np.ndarray | None = None,
+) -> Calibration:
+    """Calibrate c* on the study's transformed prevalence estimates by its setting's engine.
+
+    truth, when given, is the transformed true prevalence vector; the exact
+    engine refuses one that weighs a stratum without a defined joint law.
+    """
+    design = study.design
+    weights = design.strata_counts / design.N
+    used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
+    engine = SETTINGS_TABLE[scenario.setting].engine
 
     def solve_exact(model: pwer.TestModel) -> pwer.CriticalValues:
         return pwer.solve_critical_values(
-            pi_hat_t, model, scenario.alpha, solver_tol=scenario.solver_tol,
-            cdf_tol=scenario.cdf_tol, rng=np.random.default_rng(solve_ss),
+            used, model, scenario.alpha, solver_tol=scenario.solver_tol,
+            cdf_tol=scenario.cdf_tol, rng=np.random.default_rng(solve_seed),
         )
 
     rejected = 0
-    if setting in ("A", "B", "C"):
+    if engine == "exact":
         model = pwer.build_test_model(design, allow_empty_populations=True)
-        if np.any(~model.stratum_ok & (pi_true_t > 0)):
+        if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
             raise InfeasibleDesignError(
                 "true prevalence weights a stratum without a defined joint law"
             )
         cv = solve_exact(model)
-    elif setting == "E":
-        pv_true = PrevalenceVector(strata=strata, values=pi_true)
-        effects, pooled = boot.generate_setting_E_study(pv_true, design, SETTING_E_SIGMA, rng_data)
+    elif engine == "projection_bootstrap":
         null = boot.bootstrap_null_E(
-            design, pi_hat, effects, pooled, scenario.B, np.random.default_rng(boot_ss)
+            design, weights, study.effects, study.pooled_variance, scenario.B,
+            np.random.default_rng(boot_seed),
         )
         rejected = null.rejected_resamples
-        cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
+        cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
     else:
-        sizes = design.cell_sizes.astype(float)
-        true_vars = rng_data.uniform(size=len(design.cells))
-        if np.any((sizes > 0) & (sizes < 2)):
-            raise InfeasibleDesignError("a populated cell has a single patient")
-        chi = rng_data.chisquare(np.maximum(sizes - 1.0, 1.0))
-        s2_obs = np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
-        null = boot.bootstrap_null_D(design, s2_obs, scenario.B, np.random.default_rng(boot_ss))
-        if setting == "D_bootstrap":
-            cv = boot.solve_critical_empirical(null, strata, pi_hat_t, scenario.alpha)
+        s2 = design.cell_variances  # observed
+        null = boot.bootstrap_null_D(design, s2, scenario.B, np.random.default_rng(boot_seed))
+        if engine == "parametric_bootstrap":
+            cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
         else:
             # c* from the Satterthwaite t model, its FWER from the bootstrap null
-            cv = solve_exact(boot.build_satterthwaite_model(design, s2_obs))
-            cv = replace(cv, fwer=boot.stratum_fwer(boot.fwer_curves(null, strata), cv.value))
+            cv = solve_exact(boot.build_satterthwaite_model(design, s2))
+            cv = replace(cv, fwer=boot.stratum_fwer(boot.fwer_curves(null, design.strata), cv.value))
+    return Calibration(weights, used, factors, cv, rejected)
 
-    tp = cv.true_pwer(pi_true_t)
-    gamma = pwer.delta_gamma(pi_hat, cv.gradient(factors))
-    gamma_true = pwer.delta_gamma(pi_true, cv.gradient(factors_true))
-    interval = pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
+
+def interval(scenario: SimScenario, cal: Calibration) -> pwer.PredictionInterval:
+    """The delta-method prediction interval alpha +- z * gamma / sqrt(N) of a calibrated study."""
+    gamma = pwer.delta_gamma(cal.weights, cal.cv.gradient(cal.factors))
+    return pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
+
+
+def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:
+    """One simulation run: draw, calibrate, interval; raises PwerError subtypes on failure."""
+    data_ss, boot_ss, solve_ss = np.random.SeedSequence((scenario.master_seed, run_index)).spawn(3)
+    study = _draw(scenario, pi_true, np.random.default_rng(data_ss))
+    truth, factors_true = transform_weights(pi_true, scenario.transform, scenario.pi_min)
+    cal = calibrate(scenario, study, boot_ss, solve_ss, truth)
+    iv = interval(scenario, cal)
+    tp = cal.cv.true_pwer(truth)
     return RunRecord(
         true_pwer=tp,
-        lower=float(interval.lower),
-        upper=float(interval.upper),
-        covered=bool(interval.contains(tp)),
-        length=float(interval.length),
-        gamma=float(gamma),
-        gamma_true=float(gamma_true),
-        c_star=cv.value,
-        achieved=float(cv.achieved),
-        rejected_resamples=int(rejected),
+        lower=float(iv.lower),
+        upper=float(iv.upper),
+        covered=bool(iv.contains(tp)),
+        length=float(iv.length),
+        gamma=iv.gamma,
+        gamma_true=float(pwer.delta_gamma(pi_true, cal.cv.gradient(factors_true))),
+        c_star=cal.cv.value,
+        achieved=float(cal.cv.achieved),
+        rejected_resamples=cal.rejected_resamples,
     )
 
 
@@ -316,17 +377,20 @@ def run_scenario(
     """Execute all runs of a scenario; deterministic for a given master seed.
 
     Per-run streams derive from (master_seed, run_index), so results do not
-    depend on the worker count. Runs that fail calibration are excluded and
-    counted; more than max_failure_fraction failures (default 1%) fails the
-    whole scenario.
+    depend on the worker count; there are at most `runs` workers. Runs that
+    fail calibration are excluded and counted; more than
+    max_failure_fraction failures (default 1%) fails the whole scenario.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     pi_true = resolve_true_prevalences(scenario)
     indices = list(range(scenario.runs))
-    if threads <= 1:
+    workers = min(threads, scenario.runs)
+    if workers == 1:
         blocks = [_run_block(scenario, pi_true, indices)]
     else:
-        chunks = np.array_split(np.asarray(indices), threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunks = np.array_split(np.asarray(indices), workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(
                 pool.map(_run_block, *zip(*[(scenario, pi_true, chunk.tolist()) for chunk in chunks]))
             )

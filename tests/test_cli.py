@@ -1,8 +1,26 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pwerpi import cli
+from pwerpi import cli, sim
+from pwerpi.design import enumerate_strata, stratum_label
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# report.json of configs/analyze.json
+SHIPPED_REPORT = {
+    "engine": "exact", "N": 250, "m": 2,
+    "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+    "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+    "transform": "none", "pi_min": 0.0,
+    "critical_value": 2.075493213039483, "achieved_pwer": 0.02499999195762618,
+    "gradient": {"1": -0.018970423614861676, "2": -0.018970423614861676, "1,2": -0.03691556749213698},
+    "gamma": 0.008476188826867034, "alpha": 0.025, "alpha_prime": 0.05,
+    "interval_lower": 0.02394930005444648, "interval_upper": 0.026050699945553524,
+    "interval_length": 0.002101399891107047,
+}
 
 
 def write_config(tmp_path, name, payload):
@@ -11,7 +29,7 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def analyze_config(tmp_path, out="out", counts=None, **interval):
+def analyze_config(tmp_path, out="out", counts=None, design=None, engine=None, **interval):
     payload = {
         "mode": "analyze",
         "design": {
@@ -20,8 +38,10 @@ def analyze_config(tmp_path, out="out", counts=None, **interval):
             "treatment_scheme": "pairwise_different",
             "variances": 1.0,
             "variance_mode": "known_homogeneous",
+            **(design or {}),
         },
         "interval": {"alpha": 0.025, "alpha_prime": 0.05, **interval},
+        "engine": engine or {},
         "output": {"directory": str(tmp_path / out)},
     }
     return write_config(tmp_path, f"analyze_{out}.json", payload)
@@ -37,6 +57,32 @@ class TestAnalyze:
         assert report["interval_length"] == pytest.approx(2.10e-3, rel=0.20)
         assert (tmp_path / "out" / "report.txt").exists()
         assert "prediction interval" in capsys.readouterr().out
+
+    def test_shipped_config_report_pinned(self, tmp_path):
+        cfg = str(CONFIGS / "analyze.json")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
+        assert json.loads((tmp_path / "shipped" / "report.json").read_text()) == SHIPPED_REPORT
+
+    @pytest.mark.parametrize("m, scheme", [(2, "equal"), (3, "equal"), (2, "one_small"), (3, "one_small")])
+    def test_matches_simulate_records(self, tmp_path, m, scheme):
+        # analyze on the counts a simulation run drew reports that run's numbers
+        scenario = sim.SimScenario(N=250, m=m, setting="A", prevalence_scheme=scheme,
+                                   runs=6, master_seed=11)
+        pi_true = sim.resolve_true_prevalences(scenario)
+        records = sim.run_scenario(scenario).records
+        labels = [stratum_label(s) for s in enumerate_strata(m)]
+        for k, rec in enumerate(records):
+            # run k's counts come first from its data stream
+            data_ss = np.random.SeedSequence((11, k)).spawn(3)[0]
+            counts = np.random.default_rng(data_ss).multinomial(250, pi_true)
+            payload = json.loads(open(analyze_config(tmp_path, out=f"run{k}")).read())
+            payload["design"].update(m=m, strata_counts=dict(zip(labels, counts.tolist())))
+            assert cli.main(["--config", write_config(tmp_path, f"run{k}.json", payload)]) == 0
+            report = json.loads((tmp_path / f"run{k}" / "report.json").read_text())
+            assert report["critical_value"] == rec.c_star
+            assert report["gamma"] == rec.gamma
+            assert report["interval_lower"] == rec.lower
+            assert report["interval_upper"] == rec.upper
 
     def test_degenerate_counts_zero_width(self, tmp_path):
         cfg = analyze_config(tmp_path, out="deg", counts={"1": 250, "2": 0, "1,2": 0})
@@ -83,6 +129,17 @@ class TestAnalyze:
         report = json.loads((tmp_path / "boot_out" / "report.json").read_text())
         assert report["engine"] == "parametric_bootstrap"
         assert report["achieved_pwer"] <= 0.025
+        assert report == {
+            "engine": "parametric_bootstrap", "N": 250, "m": 2,
+            "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+            "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+            "transform": "none", "pi_min": 0.0,
+            "critical_value": 2.1232437960570594, "achieved_pwer": 0.02496,
+            "gradient": {"1": -0.01825, "2": -0.02075, "1,2": -0.03575},
+            "gamma": 0.0077427966523730945, "alpha": 0.025, "alpha_prime": 0.05,
+            "interval_lower": 0.024040210619742954, "interval_upper": 0.02595978938025705,
+            "interval_length": 0.0019195787605140932,
+        }
 
 
 class TestSimulate:
@@ -242,16 +299,41 @@ class TestErrorPaths:
         cfg = analyze_config(tmp_path, out="badcounts", counts=counts)
         assert cli.main(["--config", cfg]) == 2
 
-    @pytest.mark.parametrize("counts, interval", [
-        ({"1": 10, "9": 5}, {}),  # a stratum outside the m=2 design
-        (None, {"transform": "floor", "pi_min": 0.5}),  # pi_min beyond the floor's range
+    @pytest.mark.parametrize("counts, design, interval, engine", [
+        pytest.param({"1": 10, "9": 5}, {}, {}, {}, id="stratum_outside_design"),
+        pytest.param(None, {}, {"transform": "floor", "pi_min": 0.5}, {}, id="floor_pi_min_out_of_range"),
+        pytest.param(None, {}, {"alpha": 0.7}, {}, id="alpha"),
+        pytest.param(None, {}, {"alpha_prime": 1.5}, {}, id="alpha_prime"),
+        pytest.param(None, {"variance_mode": "unknown_heterogeneous"}, {}, {"B": 500},
+                     id="too_few_resamples"),
+        pytest.param(None, {"variance_mode": "unknown_heterogeneous"}, {"alpha": 0.01}, {"B": 1500},
+                     id="too_few_tail_resamples"),  # B * alpha = 15 < 20
     ])
-    def test_analyze_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, counts, interval):
-        cfg = analyze_config(tmp_path, out="drybad", counts=counts, **interval)
+    def test_analyze_dry_run_rejects_what_the_run_rejects(
+        self, tmp_path, capsys, counts, design, interval, engine
+    ):
+        cfg = analyze_config(tmp_path, out="drybad", counts=counts, design=design, engine=engine,
+                             **interval)
         assert cli.main(["--config", cfg, "--dry-run"]) == 2
         assert cli.main(["--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "drybad").exists()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        payload = {
+            "mode": "simulate",
+            "design": {"m": 2, "N": 250, "setting": "A"},
+            "engine": {"runs": 5},
+            "output": {"directory": str(tmp_path / "nothreads")},
+        }
+        cfg = write_config(tmp_path, "nothreads.json", payload)
+        assert cli.main(["--config", cfg, "--threads", str(threads), "--dry-run"]) == 2
+        assert cli.main(["--config", cfg, "--threads", str(threads)]) == 2
+        payload["engine"]["threads"] = threads
+        assert cli.main(["--config", write_config(tmp_path, "nothreads.json", payload)]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "nothreads").exists()
 
     @pytest.mark.parametrize("cells", [
         {"1|T1": "abc"},  # non-numeric variance

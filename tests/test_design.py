@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pwerpi import design as dz
+from pwerpi import sim
 from pwerpi.errors import ConfigError
+
+
+def cell_size(d, stratum, arm):
+    return int(d.cell_sizes[d.cells.index((d.strata.index(stratum), arm))])
 
 
 class TestEnumerateStrata:
@@ -44,7 +49,7 @@ class TestEstimatePrevalences:
     def test_basic(self):
         pv = dz.estimate_prevalences(self.counts(100, 100, 50), 250)
         assert pv.values == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
-        assert pv.kind == "estimated"
+        assert pv.strata == dz.enumerate_strata(2)
 
     def test_degenerate(self):
         pv = dz.estimate_prevalences(self.counts(250, 0, 0), 250)
@@ -64,28 +69,28 @@ class TestEstimatePrevalences:
 
 
 class TestSampleStrataCounts:
+    # the strata counts of a simulated study, drawn as a simulation run draws them
+    def draw(self, N, pi, seed):
+        scenario = sim.SimScenario(N=N, m=2, setting="A")
+        design = sim._draw(scenario, np.asarray(pi, float), np.random.default_rng(seed)).design
+        return design.strata_counts
+
     def test_degenerate(self):
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), np.array([1.0, 0.0, 0.0]))
-        counts = dz.sample_strata_counts(pv, 77, np.random.default_rng(0))
-        assert list(counts) == [77, 0, 0]
+        assert list(self.draw(77, [1.0, 0.0, 0.0], 0)) == [77, 0, 0]
 
     def test_law_of_large_numbers(self):
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), np.array([0.5, 0.5, 0.0]))
-        counts = dz.sample_strata_counts(pv, 10**6, np.random.default_rng(7))
+        counts = self.draw(10**6, [0.5, 0.5, 0.0], 7)
         assert counts[0] / 10**6 == pytest.approx(0.5, abs=0.002)
 
     def test_golden_draw(self):
         # pinned output of the chosen generator at seed 12345
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), np.full(3, 1 / 3))
-        counts = dz.sample_strata_counts(pv, 250, np.random.default_rng(12345))
-        assert list(counts) == [85, 87, 78]
+        assert list(self.draw(250, np.full(3, 1 / 3), 12345)) == [85, 87, 78]
 
     def test_marginal_means(self):
         values = np.array([0.2, 0.5, 0.3])
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), values)
         n, draws = 200, 10_000
         rng = np.random.default_rng(11)
-        sample = rng.multinomial(n, pv.values, size=draws) / n
+        sample = rng.multinomial(n, values, size=draws) / n
         tol = 4.0 * np.sqrt(values * (1 - values) / (n * draws))
         assert np.all(np.abs(sample.mean(axis=0) - values) <= tol)
 
@@ -105,14 +110,14 @@ class TestAllocateArms:
                             "known_homogeneous")
         # arm sizes sum back to strata counts
         for j, stratum in enumerate(d.strata):
-            total = sum(d.cell_size(stratum, a) for a in d.arms_of(stratum))
+            total = sum(cell_size(d, stratum, a) for a in d.arms_of(stratum))
             assert total == d.strata_counts[j]
         # population-level arm sizes aggregate the member strata
         for i in range(1, 4):
             arms = ((d.treatments[i - 1], d.treatment_member), (dz.CONTROL, d.control_member))
             for arm, member in arms:
                 expected = sum(
-                    d.cell_size(s, arm)
+                    cell_size(d, s, arm)
                     for s in d.strata
                     if i in s and arm in d.arms_of(s)
                 )
@@ -121,7 +126,7 @@ class TestAllocateArms:
     def test_control_last_gets_remainder_smaller(self):
         d = dz.build_design(2, "pairwise_different", [0, 0, 10], 1.0, "known_homogeneous")
         s12 = frozenset({1, 2})
-        assert [d.cell_size(s12, a) for a in d.arms_of(s12)] == [4, 3, 3]
+        assert [cell_size(d, s12, a) for a in d.arms_of(s12)] == [4, 3, 3]
 
 
 class TestTransforms:
@@ -155,15 +160,12 @@ class TestTransforms:
         assert dz.shift_values(np.array([0.2, 0.8]), 0.0) == pytest.approx([0.2, 0.8], abs=0)
 
     def test_prevalence_vector_transforms(self):
-        strata = dz.enumerate_strata(2)
-        pv = dz.PrevalenceVector(strata, np.array([0.1, 0.4, 0.5]))
-        floored = dz.transform_floor(pv, 0.2)
-        assert floored.kind == "transformed_floor"
-        assert floored.scale_p == pytest.approx(8 / 9)
-        assert floored.values.min() == pytest.approx(0.2)
-        shifted = dz.transform_shift(pv, 0.1)
-        assert shifted.kind == "transformed_shift"
-        assert shifted.values == pytest.approx((pv.values + 0.1) / 1.3)
+        values = np.array([0.1, 0.4, 0.5])
+        floored, _ = dz.transform_weights(values, "floor", 0.2)
+        assert np.array_equal(floored, dz.floor_values(values, 0.2)[0])
+        assert floored.min() == pytest.approx(0.2)
+        shifted, _ = dz.transform_weights(values, "shift", 0.1)
+        assert shifted == pytest.approx((values + 0.1) / 1.3)
 
     def test_transform_sums_to_one_random(self):
         rng = np.random.default_rng(3)
@@ -203,30 +205,35 @@ class TestTransforms:
 
 
 class TestGradientFactors:
+    def factors(self, values, pi_min, transform):
+        return dz.transform_weights(np.asarray(values, float), transform, pi_min)[1]
+
     def test_floor(self):
-        factors = dz.transform_gradient_factor(np.array([0.1, 0.4, 0.5]), 0.2, "floor")
+        factors = self.factors([0.1, 0.4, 0.5], 0.2, "floor")
         assert factors == pytest.approx([0.0, 8 / 9, 8 / 9])
 
     def test_floor_at_boundary_uses_p(self):
-        factors = dz.transform_gradient_factor(np.array([0.2, 0.3, 0.5]), 0.2, "floor")
+        factors = self.factors([0.2, 0.3, 0.5], 0.2, "floor")
         assert factors[0] == pytest.approx(1.0)  # nothing floored, p = 1
 
     def test_shift(self):
-        factors = dz.transform_gradient_factor(np.full(3, 1 / 3), 0.1, "shift")
+        factors = self.factors(np.full(3, 1 / 3), 0.1, "shift")
         assert factors == pytest.approx([1 / 1.3] * 3)
 
     def test_none(self):
-        assert dz.transform_gradient_factor(np.array([0.2, 0.8]), 0.3, "none") == pytest.approx([1, 1])
+        assert self.factors([0.2, 0.8], 0.3, "none") == pytest.approx([1, 1])
 
 
 class TestTransformDispatch:
     def test_known_names_and_identity(self):
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), np.array([0.2, 0.3, 0.5]))
-        assert dz.transform_prevalences(pv, "none", 0.1) is pv
-        assert dz.transform_prevalences(pv, "floor", 0.0) is pv
-        assert dz.transform_prevalences(pv, "shift", 0.05).kind == "transformed_shift"
+        values = np.array([0.2, 0.3, 0.5])
+        assert dz.transform_weights(values, "none", 0.1)[0] is values
+        assert dz.transform_weights(values, "floor", 0.0)[0] is values
+        shifted, factors = dz.transform_weights(values, "shift", 0.05)
+        assert shifted == pytest.approx((values + 0.05) / 1.15)
+        assert factors == pytest.approx(np.full(3, 1 / 1.15))
         with pytest.raises(ConfigError):
-            dz.transform_prevalences(pv, "clip", 0.1)
+            dz.transform_weights(values, "clip", 0.1)
 
 
 class TestPrevalenceVector:

@@ -230,6 +230,14 @@ class TestMvnCdf:
         assert res == qmc_twin(mvprob.mvn_cdf, upper, c4, tol=1e-6, seed=5)
         assert res.error_estimate <= 1e-6
 
+    def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
+        # the quadrature's own error estimate here is ~9e-3, its error ~4e-4
+        upper = [2.0, -1.0, 0.5]
+        res = mvprob.mvn_cdf(upper, equicorr(3, 0.998), tol=1e-6, rng=np.random.default_rng(5))
+        assert res == qmc_twin(mvprob.mvn_cdf, upper, equicorr(3, 0.998), tol=1e-6, seed=5)
+        assert res.error_estimate <= 1e-6
+        assert abs(res.value - equicorrelated_orthant(upper, 0.998)) <= 3.0 * res.error_estimate
+
     def test_tol_domain(self):
         with pytest.raises(ConfigError):
             mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)), tol=1e-2)
@@ -296,6 +304,14 @@ class TestMvtCdf:
         q = mvprob.mvt_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-6,
                            rng=np.random.default_rng(8), method="qmc")
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
+
+    def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
+        # the quadrature's own error estimate here is ~9e-5
+        upper = [2.0, -1.0, 0.5]
+        res = mvprob.mvt_cdf(upper, equicorr(3, 0.998), df=5.0, tol=1e-5,
+                             rng=np.random.default_rng(5))
+        assert res.error_estimate <= 1e-5
+        assert abs(res.value - equicorrelated_orthant(upper, 0.998, 5.0)) <= 3.0 * res.error_estimate
 
     @pytest.mark.parametrize("upper, rho, df", [
         ([1.5, 1.2, 0.9, 1.8], 0.4, 3.0),

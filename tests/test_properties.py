@@ -77,7 +77,7 @@ class TestTransforms:
     @given(data=st.data(), n_s=st.integers(2, 15), frac=st.floats(0.0, 1.0, exclude_max=True))
     def test_simplex_and_unit_factors(self, transform, data, n_s, frac):
         values = data.draw(simplex_weights(n_s))
-        weights, factors, _ = dz.transform_weights(values, transform, frac / n_s)
+        weights, factors = dz.transform_weights(values, transform, frac / n_s)
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert np.all(weights >= 0.0)
         assert np.all((factors >= 0.0) & (factors <= 1.0))

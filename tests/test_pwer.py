@@ -96,7 +96,7 @@ class TestTestStatistics:
     def test_two_sample_z(self):
         d = dz.build_design(2, "pairwise_different", [100, 100, 0], 1.0, "known_homogeneous")
         means = np.zeros(len(d.cells))
-        means[d.cell_index(frozenset({1}), "T1")] = 0.5
+        means[d.cells.index((0, "T1"))] = 0.5  # stratum {1}, treatment arm
         z = pwer.test_statistics(d, means)
         assert z[0] == pytest.approx(0.5 / np.sqrt(1 / 50 + 1 / 50), abs=1e-12)
         assert z[1] == 0.0

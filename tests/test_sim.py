@@ -72,6 +72,37 @@ class TestRunScenario:
         assert sim.run_scenario(scenario, threads=1).records == \
             sim.run_scenario(scenario, threads=3).records
 
+    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
+        pools = []
+
+        class FakePool:  # runs the blocks in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=3, master_seed=11)
+        serial = sim.run_scenario(scenario).records
+        assert sim.run_scenario(scenario, threads=8).records == serial
+        assert sim.run_scenario(scenario, threads=2).records == serial
+        single = sim.SimScenario(N=250, m=2, setting="A", runs=1, master_seed=11)
+        assert sim.run_scenario(single, threads=4).records == serial[:1]
+        assert pools == [3, 2]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=3, master_seed=11)
+        with pytest.raises(ConfigError):
+            sim.run_scenario(scenario, threads=threads)
+
     def test_transforms_with_zero_pi_min_are_identity(self):
         base = sim.SimScenario(N=250, m=2, setting="A", prevalence_scheme="one_small",
                                runs=40, master_seed=5)
