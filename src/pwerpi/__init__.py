@@ -23,11 +23,9 @@ from .boot import (
 from .design import (
     CONTROL,
     Design,
-    PrevalenceVector,
-    allocate_arms,
     build_design,
+    cell_layout,
     enumerate_strata,
-    estimate_prevalences,
     stratum_label,
     treatment_labels,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwer
-from .design import CONTROL, Design, prevalence_weights
+from .design import Design, prevalence_weights
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 # redraw rounds for resamples with an empty population arm before giving up
@@ -83,14 +83,13 @@ def welch_df(
     return q.sum(axis=-1) ** 2 / np.sum(q**2 / cell_dfs, axis=-1)
 
 
-def satterthwaite_df(design: Design, sample_variances: np.ndarray) -> float:
+def satterthwaite_df(design: Design) -> float:
     """Shared t degrees of freedom: the minimum of the per-population Welch dfs.
 
     Population i combines the per-cell contributions q = W^2 s^2/n to its V_i
-    (W from pwer.arm_weight_matrix); every contributing cell needs at least
-    two patients.
+    (W from pwer.arm_weight_matrix, s^2 the design's sample variances); every
+    contributing cell needs at least two patients.
     """
-    s2 = np.asarray(sample_variances, dtype=float)
     sizes = design.cell_sizes.astype(float)
     pooled = (design.treatment_member | design.control_member) & (sizes > 0)
     small = np.any(pooled & (sizes < 2), axis=1)
@@ -102,34 +101,25 @@ def satterthwaite_df(design: Design, sample_variances: np.ndarray) -> float:
     populated = sizes > 0
     inv_n = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=populated)
     weights = pwer.arm_weight_matrix(design) ** 2 * inv_n
-    dfs = welch_df(s2[populated], weights[:, populated], sizes[populated] - 1.0)
+    dfs = welch_df(design.cell_variances[populated], weights[:, populated], sizes[populated] - 1.0)
     return float(dfs.min())
 
 
-def build_satterthwaite_model(design: Design, sample_variances: np.ndarray) -> pwer.TestModel:
-    """Multivariate t model with observed variances and the shared Welch df."""
-    df = satterthwaite_df(design, sample_variances)
-    return pwer.build_test_model(
-        design, cell_variances=np.asarray(sample_variances, float), kind="t", df=max(df, 1.0)
-    )
+def build_satterthwaite_model(design: Design) -> pwer.TestModel:
+    """Multivariate t model with the design's observed variances and the shared Welch df."""
+    return pwer.build_test_model(design, df=max(satterthwaite_df(design), 1.0))
 
 
-def bootstrap_null_D(
-    design: Design,
-    observed_cell_variances: np.ndarray,
-    B: int,
-    rng: np.random.Generator,
-) -> EmpiricalNull:
-    """Parametric bootstrap of the global null with observed cell variances.
+def bootstrap_null_D(design: Design, B: int, rng: np.random.Generator) -> EmpiricalNull:
+    """Parametric bootstrap of the global null with the design's observed cell variances.
 
     Each resample draws every populated cell mean from N(0, s^2/n) and
     studentizes with the V_i built from the same observed variances.
     """
-    s2 = np.asarray(observed_cell_variances, dtype=float)
     sizes = design.cell_sizes.astype(float)
-    scale = np.where(sizes > 0, np.sqrt(s2 / np.maximum(sizes, 1.0)), 0.0)
+    scale = np.where(sizes > 0, np.sqrt(design.cell_variances / np.maximum(sizes, 1.0)), 0.0)
     means = rng.standard_normal((int(B), len(design.cells))) * scale[None, :]
-    stats = pwer.test_statistics(design, means, cell_variances=s2)
+    stats = pwer.test_statistics(design, means)
     return EmpiricalNull(statistics=stats, provenance="parametric_D")
 
 
@@ -196,18 +186,6 @@ def project_to_null(effects: np.ndarray, weights: np.ndarray, strata, m: int) ->
     return theta - np.linalg.pinv(constraint) @ (constraint @ theta)
 
 
-def _arm_layout(design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell: the arm count of its stratum and its slot in the stratum's arm order."""
-    arm_count = np.zeros(design.n_strata, dtype=np.int64)
-    slot_of_cell = np.zeros(len(design.cells), dtype=np.int64)
-    for j, stratum in enumerate(design.strata):
-        arms = design.arms_of(stratum)
-        arm_count[j] = len(arms)
-        for slot, arm in enumerate(arms):
-            slot_of_cell[design.cells.index((j, arm))] = slot
-    return arm_count[design.stratum_of_cell], slot_of_cell
-
-
 def bootstrap_null_E(
     design: Design,
     pi_hat,
@@ -230,10 +208,8 @@ def bootstrap_null_E(
     weights = prevalence_weights(pi_hat, design.n_strata)
     theta = project_to_null(observed_effects, weights, design.strata, design.m)
 
-    arms_of_cell, slot_of_cell = _arm_layout(design)
-    stratum_of_cell = design.stratum_of_cell
     n_cells = len(design.cells)
-    centers = np.where(design.control_member.any(axis=0), 0.0, theta[stratum_of_cell])
+    centers = np.where(design.control_member.any(axis=0), 0.0, theta[design.stratum_of_cell])
     t_member = design.treatment_member.T.astype(float)
     c_member = design.control_member.T.astype(float)
 
@@ -241,9 +217,7 @@ def bootstrap_null_E(
     counts = rng.multinomial(design.N, weights, size=B)
     rejected = 0
     for _ in range(_MAX_REDRAW_ROUNDS):
-        cell_n = counts[:, stratum_of_cell] // arms_of_cell + (
-            slot_of_cell < counts[:, stratum_of_cell] % arms_of_cell
-        )
+        cell_n = design.split_counts(counts)
         n_t = cell_n @ t_member
         n_c = cell_n @ c_member
         bad = ((n_t == 0) | (n_c == 0)).any(axis=1)
@@ -300,12 +274,10 @@ def generate_setting_E_study(
     for j, stratum in enumerate(design.strata):
         if design.strata_counts[j] == 0:
             continue
-        t_cells = [
-            k for k in range(len(design.cells))
-            if stratum_of_cell[k] == j and not is_control[k] and sizes[k] > 0
-        ]
-        c_cell = design.cells.index((j, CONTROL))
-        if not t_cells or sizes[c_cell] == 0:
+        in_stratum = stratum_of_cell == j
+        t_cells = np.flatnonzero(in_stratum & ~is_control & (sizes > 0))
+        c_cell = np.flatnonzero(in_stratum & is_control)[0]
+        if not t_cells.size or sizes[c_cell] == 0:
             raise InfeasibleDesignError(
                 f"stratum {sorted(stratum)} has patients but an empty arm"
             )

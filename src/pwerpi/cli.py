@@ -22,12 +22,11 @@ from .design import (
     TRANSFORMS,
     VARIANCE_MODES,
     TREATMENT_SCHEMES,
-    _arm_order,
     build_design,
+    cell_layout,
     enumerate_strata,
     parse_stratum_label,
     stratum_label,
-    treatment_labels,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
@@ -54,8 +53,6 @@ _SCHEMA = {
         "transform": (str, "none"),
     },
     "engine": {
-        "cdf_tol": (float, 1e-6),
-        "solver_tol": (float, 1e-8),
         "B": (int, 2000),
         "runs": (int, 2000),
         "studies": (int, 100),
@@ -131,7 +128,7 @@ def config_hash(resolved: dict) -> str:
 
 def _number(value, where: str, whole: bool = False) -> float:
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or whole and not x.is_integer():
@@ -155,7 +152,7 @@ def _parse_counts(dz: dict) -> dict:
     return {s: counts.get(s, 0) for s in strata}
 
 
-def _parse_variances(dz: dict, strata) -> float | dict:
+def _parse_variances(dz: dict) -> float | dict:
     raw = dz["variances"]
     if isinstance(raw, (int, float)):
         return float(raw)
@@ -165,16 +162,16 @@ def _parse_variances(dz: dict, strata) -> float | dict:
     unknown = set(raw) - {"default", "cells"}
     if unknown:
         raise ConfigError(f"unknown keys in design.variances: {sorted(unknown)}")
-    labels = treatment_labels(dz["m"], dz["treatment_scheme"])
-    for stratum in strata:
-        for arm in _arm_order(labels[i - 1] for i in stratum):
-            key = f"{stratum_label(stratum)}|{arm}"
-            if key in cells:
-                out[(stratum, arm)] = _number(cells[key], f"design.variances.cells[{key!r}]")
-            elif default is not None:
-                out[(stratum, arm)] = _number(default, "design.variances.default")
-            else:
-                raise ConfigError(f"missing variance for cell {key!r}")
+    layout = cell_layout(dz["m"], dz["treatment_scheme"])
+    for j, arm in layout.cells:
+        stratum = layout.strata[j]
+        key = f"{stratum_label(stratum)}|{arm}"
+        if key in cells:
+            out[(stratum, arm)] = _number(cells[key], f"design.variances.cells[{key!r}]")
+        elif default is not None:
+            out[(stratum, arm)] = _number(default, "design.variances.default")
+        else:
+            raise ConfigError(f"missing variance for cell {key!r}")
     unknown = set(cells) - {f"{stratum_label(stratum)}|{arm}" for stratum, arm in out}
     if unknown:
         raise ConfigError(f"design.variances.cells names cells outside the design: {sorted(unknown)}")
@@ -185,7 +182,7 @@ def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
     """The scenario and study of an analyze run, through every check it makes before calibrating."""
     dz = config["design"]
     counts = _parse_counts(dz)
-    variances = _parse_variances(dz, counts)
+    variances = _parse_variances(dz)
     design = build_design(dz["m"], dz["treatment_scheme"], counts, variances, dz["variance_mode"])
     scenario = _scenario_from_config(
         config, N=design.N, setting=sim.ANALYSIS_SETTINGS[dz["variance_mode"]], runs=1
@@ -256,8 +253,6 @@ def _scenario_from_config(config: dict, **fields) -> sim.SimScenario:
         "pi_min": sim.resolve_pi_min(iv["pi_min"], dz["m"]),
         "transform": iv["transform"],
         "master_seed": eng["master_seed"],
-        "cdf_tol": eng["cdf_tol"],
-        "solver_tol": eng["solver_tol"],
         **fields,
     })
 

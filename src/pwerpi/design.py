@@ -1,18 +1,22 @@
 """Trial designs over overlapping populations.
 
 Populations 1..m define 2^m - 1 disjoint strata (one per nonempty subset of
-populations). This module enumerates strata, estimates prevalence vectors
-from strata counts, allocates patients to treatment/control arms within
-strata, and applies the two minimal-prevalence transformations together with
-the gradient factors they induce (`transform_weights`). Drawing the counts of
-a simulated study is `sim`'s job.
+populations), each split into one arm per distinct treatment given in it plus
+the shared control. This module enumerates the strata, builds that cell
+layout once per (m, treatment scheme) (`cell_layout`), holds a study's strata
+counts, arm sizes and cell variances (`Design`, the one place every engine
+reads them from), and applies the two minimal-prevalence transformations
+together with the gradient factors they induce (`transform_weights`). The
+prevalence estimate is strata_counts / N. Drawing the counts of a simulated
+study is `sim`'s job.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,14 +41,19 @@ VARIANCE_MODES = (
 TREATMENT_SCHEMES = ("single", "pairwise_different")
 
 
+def _population_count(m) -> int:
+    if not isinstance(m, (int, np.integer)) or not 2 <= m <= 12:
+        raise ConfigError(f"population count m must be an integer in [2, 12], got {m!r}")
+    return int(m)
+
+
 def enumerate_strata(m: int) -> tuple[frozenset[int], ...]:
     """Canonically ordered nonempty subsets of {1..m}.
 
     Order: by subset size, then lexicographically, so vectors indexed over
     strata are stable across the package.
     """
-    if not isinstance(m, (int, np.integer)) or not 2 <= m <= 12:
-        raise ConfigError(f"population count m must be an integer in [2, 12], got {m!r}")
+    m = _population_count(m)
     strata = []
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(1, m + 1), size):
@@ -76,42 +85,68 @@ def treatment_labels(m: int, scheme: str) -> tuple[str, ...]:
     raise ConfigError(f"unknown treatment scheme {scheme!r}")
 
 
-def _arm_order(labels: Iterable[str]) -> list[str]:
-    # treatments in label order (numeric-aware for T1..T12), control last
-    return sorted(set(labels), key=lambda t: (len(t), t)) + [CONTROL]
+class CellLayout(NamedTuple):
+    """The (stratum, arm) cells shared by every design of one (m, treatment scheme).
 
-
-@dataclass(frozen=True)
-class PrevalenceVector:
-    """Weights over the strata of a design, summing to one."""
+    Cells run stratum by stratum: the control first, then the stratum's
+    distinct treatments in label order (numeric-aware for T1..T12).
+    stratum_of_cell (cells,) holds each cell's stratum index, and
+    treatment_member/control_member (m, cells) mark the cells that pool into
+    population i's treatment and control arms (row i - 1). A stratum's
+    patients split evenly over its arm_count arms in arm_slot order
+    (treatments by label, control last); the remainder fills the earliest
+    slots. The arrays are read-only.
+    """
 
     strata: tuple[frozenset[int], ...]
-    values: np.ndarray
+    treatments: tuple[str, ...]
+    cells: tuple[tuple[int, str], ...]
+    stratum_of_cell: np.ndarray
+    treatment_member: np.ndarray
+    control_member: np.ndarray
+    arm_count: np.ndarray
+    arm_slot: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] != len(self.strata):
-            raise ConfigError("prevalence vector length must match the strata list")
-        if np.any(values < -SIMPLEX_ATOL) or not np.all(np.isfinite(values)):
-            raise ConfigError("prevalences must be finite and nonnegative")
-        total = values.sum()
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ConfigError(f"prevalences must sum to 1 (got {total!r})")
-        values = np.clip(values, 0.0, None) / total
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
-    @property
-    def n_strata(self) -> int:
-        return len(self.strata)
+def cell_layout(m: int, treatment_scheme: str) -> CellLayout:
+    """The cell layout of (m, treatment_scheme), built once per process.
 
-    def as_dict(self) -> dict[str, float]:
-        return {stratum_label(s): float(v) for s, v in zip(self.strata, self.values)}
+    m is checked before the cache lookup (an integral float would otherwise
+    hit the entry of its int) and an unknown scheme raises before anything is
+    cached, so the cache holds at most 22 entries: m in [2, 12], two schemes.
+    """
+    return _cell_layout(_population_count(m), treatment_scheme)
+
+
+@functools.cache
+def _cell_layout(m: int, treatment_scheme: str) -> CellLayout:
+    strata = enumerate_strata(m)
+    treatments = treatment_labels(m, treatment_scheme)
+    cells, arm_count, arm_slot = [], [], []
+    for j, stratum in enumerate(strata):
+        arms = sorted({treatments[i - 1] for i in stratum}, key=lambda t: (len(t), t))
+        cells += [(j, CONTROL)] + [(j, arm) for arm in arms]
+        arm_count += [len(arms) + 1] * (len(arms) + 1)
+        arm_slot += [len(arms)] + list(range(len(arms)))
+    stratum_of_cell = np.array([j for j, _arm in cells], dtype=np.intp)
+    arm_of_cell = np.array([arm for _j, arm in cells])
+    in_stratum = np.array([[i in s for s in strata] for i in range(1, m + 1)])
+    member = in_stratum[:, stratum_of_cell]
+    arrays = (
+        stratum_of_cell,
+        member & (arm_of_cell == np.array(treatments)[:, None]),
+        member & (arm_of_cell == CONTROL),
+        np.array(arm_count, dtype=np.int64),
+        np.array(arm_slot, dtype=np.int64),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return CellLayout(strata, treatments, tuple(cells), *arrays)
 
 
 def prevalence_weights(pi, n_strata: int) -> np.ndarray:
-    """Checked weights of a PrevalenceVector or array (arrays pass through as is)."""
-    w = pi.values if isinstance(pi, PrevalenceVector) else np.asarray(pi, dtype=float)
+    """Checked prevalence weights over the strata (arrays pass through as is)."""
+    w = np.asarray(pi, dtype=float)
     if w.shape != (n_strata,):
         raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({n_strata},)")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
@@ -121,110 +156,72 @@ def prevalence_weights(pi, n_strata: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Design:
-    """A realized multi-population trial layout.
+    """A realized multi-population trial: strata counts and cell variances.
 
-    Cells are (stratum, arm) pairs; every stratum carries one arm per distinct
-    treatment given in it plus the shared control. Zero-count cells are kept
-    so that vectors over cells have a fixed shape.
-
-    The cell layout is computed once, as arrays: stratum_of_cell (cells,)
-    holds each cell's stratum index, and treatment_member/control_member
-    (m, cells) mark the cells that pool into population i's treatment and
-    control arms (row i - 1). No other module decides arm membership.
+    m and treatment_scheme fix the cell layout (cell_layout), from which
+    strata, treatments, cells, stratum_of_cell and the masks
+    treatment_member/control_member are read. Cells are (stratum, arm)
+    pairs; zero-count cells are kept so that vectors over cells have a fixed
+    shape. The design is the one holder of the arm sizes and the variances:
+    N and cell_sizes (the even split of strata_counts, split_counts) are
+    derived, and cell_variances holds each cell's variance, known or observed
+    as variance_mode says. Every engine reads them from here.
     """
 
     m: int
     treatment_scheme: str
-    N: int
-    strata: tuple[frozenset[int], ...]
-    treatments: tuple[str, ...]
-    cells: tuple[tuple[int, str], ...]  # (stratum index, arm label)
-    cell_sizes: np.ndarray
+    strata_counts: np.ndarray
     cell_variances: np.ndarray
     variance_mode: str
-    strata_counts: np.ndarray = field(init=False, repr=False)
+    strata: tuple[frozenset[int], ...] = field(init=False, repr=False)
+    treatments: tuple[str, ...] = field(init=False, repr=False)
+    cells: tuple[tuple[int, str], ...] = field(init=False, repr=False)
     stratum_of_cell: np.ndarray = field(init=False, repr=False)
     treatment_member: np.ndarray = field(init=False, repr=False)
     control_member: np.ndarray = field(init=False, repr=False)
+    N: int = field(init=False)
+    cell_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = np.asarray(self.cell_sizes, dtype=np.int64)
+        layout = cell_layout(self.m, self.treatment_scheme)
+        counts = np.asarray(self.strata_counts, dtype=np.int64)
+        if counts.shape != (len(layout.strata),):
+            raise ConfigError(
+                f"expected {len(layout.strata)} strata counts for m={self.m}, got {counts.size}"
+            )
+        if np.any(counts < 0):
+            raise ConfigError("strata counts must be nonnegative")
+        N = int(counts.sum())
+        if N <= 0:
+            raise InfeasibleDesignError("design has no patients")
         variances = np.asarray(self.cell_variances, dtype=float)
-        if sizes.shape != (len(self.cells),) or variances.shape != sizes.shape:
+        if variances.shape != (len(layout.cells),):
             raise ConfigError("cell arrays must align with the cell list")
-        if np.any(sizes < 0):
-            raise ConfigError("negative cell size")
         if np.any(variances <= 0.0):
             raise ConfigError("all cell variances must be strictly positive")
         if self.variance_mode not in VARIANCE_MODES:
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
-        stratum_of_cell = np.array([j for j, _arm in self.cells], dtype=np.intp)
-        counts = np.zeros(len(self.strata), dtype=np.int64)
-        np.add.at(counts, stratum_of_cell, sizes)
-        if counts.sum() != self.N:
-            raise ConfigError("cell sizes must sum to the total sample size N")
-        arm_of_cell = np.array([arm for _j, arm in self.cells])
-        in_stratum = np.array([[i in s for s in self.strata] for i in range(1, self.m + 1)])
-        member = in_stratum[:, stratum_of_cell]
-        layout = {
-            "cell_sizes": sizes,
-            "cell_variances": variances,
-            "strata_counts": counts,
-            "stratum_of_cell": stratum_of_cell,
-            "treatment_member": member & (arm_of_cell == np.array(self.treatments)[:, None]),
-            "control_member": member & (arm_of_cell == CONTROL),
-        }
-        for name, arr in layout.items():
+        sizes = self.split_counts(counts)
+        for arr in (counts, variances, sizes):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        derived = dict(zip(CellLayout._fields[:6], layout), N=N,
+                       strata_counts=counts, cell_variances=variances, cell_sizes=sizes)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_strata(self) -> int:
         return len(self.strata)
 
-    def arms_of(self, stratum: frozenset[int]) -> list[str]:
-        return _arm_order(self.treatments[i - 1] for i in stratum)
+    def split_counts(self, counts) -> np.ndarray:
+        """Cell sizes of (strata,) or (B, strata) counts: each stratum split evenly over its arms."""
+        layout = cell_layout(self.m, self.treatment_scheme)
+        n = np.asarray(counts)[..., layout.stratum_of_cell]
+        return n // layout.arm_count + (layout.arm_slot < n % layout.arm_count)
 
     def positive_cell_count(self) -> int:
         """Number of (stratum, arm) cells with at least one patient."""
         return int(np.count_nonzero(self.cell_sizes))
-
-
-def estimate_prevalences(counts: Mapping[frozenset[int], int], N: int) -> PrevalenceVector:
-    """Maximum-likelihood strata prevalences n_J / N from observed counts."""
-    if N <= 0:
-        raise ConfigError(f"total sample size must be positive, got {N}")
-    strata = tuple(sorted(counts, key=lambda s: (len(s), tuple(sorted(s)))))
-    values = np.array([counts[s] for s in strata], dtype=float)
-    if np.any(values < 0):
-        raise ConfigError("strata counts must be nonnegative")
-    if int(values.sum()) != N:
-        raise ConfigError(f"strata counts sum to {int(values.sum())}, expected N={N}")
-    return PrevalenceVector(strata=strata, values=values / N)
-
-
-def split_evenly(total: int, arms: int) -> list[int]:
-    """Split `total` patients over `arms` arms; remainders go to the earliest arms."""
-    base, extra = divmod(int(total), arms)
-    return [base + (1 if k < extra else 0) for k in range(arms)]
-
-
-def allocate_arms(
-    counts: Sequence[int],
-    strata: Sequence[frozenset[int]],
-    treatments: Sequence[str],
-) -> dict[tuple[int, str], int]:
-    """Deterministic even within-stratum split over the stratum's arms.
-
-    Arm order is treatments by label, control last; remainders fill the
-    earliest arms in that order.
-    """
-    sizes: dict[tuple[int, str], int] = {}
-    for j, stratum in enumerate(strata):
-        arms = _arm_order(treatments[i - 1] for i in stratum)
-        for arm, n in zip(arms, split_evenly(counts[j], len(arms))):
-            sizes[(j, arm)] = n
-    return sizes
 
 
 def build_design(
@@ -238,50 +235,21 @@ def build_design(
 
     `counts` is either a sequence aligned with the canonical strata order or a
     mapping keyed by stratum. `variances` is a scalar (shared by every cell)
-    or a mapping (stratum, arm) -> sigma^2. Arm sizes are the even split of
-    `allocate_arms`.
+    or a mapping (stratum, arm) -> sigma^2.
     """
-    strata = enumerate_strata(m)
-    treatments = treatment_labels(m, treatment_scheme)
+    layout = cell_layout(m, treatment_scheme)
     if isinstance(counts, Mapping):
-        count_arr = np.array([int(counts.get(s, 0)) for s in strata], dtype=np.int64)
-    else:
-        count_arr = np.asarray(counts, dtype=np.int64)
-        if count_arr.shape != (len(strata),):
-            raise ConfigError(
-                f"expected {len(strata)} strata counts for m={m}, got {count_arr.shape[0]}"
-            )
-    if np.any(count_arr < 0):
-        raise ConfigError("strata counts must be nonnegative")
-    N = int(count_arr.sum())
-    if N <= 0:
-        raise InfeasibleDesignError("design has no patients")
-
-    cell_map = allocate_arms(count_arr, strata, treatments)
-
-    cells = tuple(sorted(cell_map, key=lambda key: (key[0], (len(key[1]), key[1]))))
-    sizes = np.array([cell_map[c] for c in cells], dtype=np.int64)
+        counts = [int(counts.get(s, 0)) for s in layout.strata]
     if isinstance(variances, Mapping):
-        var_arr = np.empty(len(cells))
-        for k, (j, arm) in enumerate(cells):
-            key = (strata[j], arm)
+        var_arr = np.empty(len(layout.cells))
+        for k, (j, arm) in enumerate(layout.cells):
+            key = (layout.strata[j], arm)
             if key not in variances:
-                raise ConfigError(f"missing variance for cell ({stratum_label(strata[j])}, {arm})")
+                raise ConfigError(f"missing variance for cell ({stratum_label(key[0])}, {arm})")
             var_arr[k] = float(variances[key])
     else:
-        var_arr = np.full(len(cells), float(variances))
-
-    return Design(
-        m=m,
-        treatment_scheme=treatment_scheme,
-        N=N,
-        strata=strata,
-        treatments=treatments,
-        cells=cells,
-        cell_sizes=sizes,
-        cell_variances=var_arr,
-        variance_mode=variance_mode,
-    )
+        var_arr = np.full(len(layout.cells), float(variances))
+    return Design(m, treatment_scheme, counts, var_arr, variance_mode)
 
 
 def check_transform(transform: str, pi_min: float, n_strata: int) -> None:

@@ -32,7 +32,7 @@ _SOLVER_MAX_ITER = 200
 class TestModel:
     """Joint distribution of the population test statistics.
 
-    kind is "normal" or "t" (df = N minus the number of populated cells);
+    kind is "normal" or "t" (df from build_test_model);
     full_corr is the m x m correlation matrix of the pooled contrasts, whose
     covariance is W diag(s^2/n) W^T (see build_full_correlation), and
     stratum_corr its principal submatrices in stratum order.
@@ -97,20 +97,18 @@ def arm_weight_matrix(design: Design) -> np.ndarray:
 
 
 def build_full_correlation(
-    design: Design,
-    cell_variances: np.ndarray | None = None,
-    allow_empty_populations: bool = False,
+    design: Design, allow_empty_populations: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation matrix of the population statistics and the variances V_i.
 
-    The cell means are independent with variances s^2/n, so the pooled
-    contrasts have Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty
-    cells carry weight zero). V_i is its diagonal and the correlation its
+    The cell means are independent with variances s^2/n (s^2 =
+    design.cell_variances), so the pooled contrasts have
+    Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty cells carry
+    weight zero). V_i is its diagonal and the correlation its
     normalisation. A population with an empty arm raises
     InfeasibleDesignError; with allow_empty_populations its row and column
     hold NaN off-diagonal and NaN variance instead.
     """
-    s2 = design.cell_variances if cell_variances is None else np.asarray(cell_variances, float)
     sizes = design.cell_sizes.astype(float)
     w = arm_weight_matrix(design)
     empty = np.isnan(w[:, 0])
@@ -118,7 +116,8 @@ def build_full_correlation(
         i = int(np.argmax(empty))
         arm = "treatment" if design.treatment_member[i] @ design.cell_sizes == 0 else "control"
         raise InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
-    cov = (w * np.divide(s2, sizes, out=np.zeros_like(sizes), where=sizes > 0)) @ w.T
+    s2_over_n = np.divide(design.cell_variances, sizes, out=np.zeros_like(sizes), where=sizes > 0)
+    cov = (w * s2_over_n) @ w.T
     v = np.diag(cov).copy()
     corr = cov / np.sqrt(np.outer(v, v))
     np.fill_diagonal(corr, 1.0)
@@ -126,40 +125,36 @@ def build_full_correlation(
 
 
 def build_test_model(
-    design: Design,
-    *,
-    cell_variances: np.ndarray | None = None,
-    kind: str | None = None,
-    df: float | None = None,
-    allow_empty_populations: bool = False,
+    design: Design, *, df: float | None = None, allow_empty_populations: bool = False
 ) -> TestModel:
-    """Assemble the TestModel implied by the design's variance mode.
+    """Assemble the TestModel of the design's variances and variance mode.
 
-    The keyword overrides let approximation engines (e.g. Satterthwaite)
-    substitute observed variances and their own reference distribution. With
+    Known variances give a normal law; unknown homogeneous ones a t law with
+    df = N minus the populated cells. Unknown heterogeneous variances have a
+    t law only by approximation: df is that approximation's reference df
+    (boot.build_satterthwaite_model), and no other mode takes one. With
     allow_empty_populations, strata touching a population with an empty arm
     get no joint law (stratum_corr entry None) instead of raising; they can
     only ever be evaluated with zero weight.
     """
-    if kind is None:
-        mode = design.variance_mode
-        if mode in ("known_homogeneous", "known_heterogeneous"):
-            kind = "normal"
-        elif mode == "unknown_homogeneous":
-            kind = "t"
+    mode = design.variance_mode
+    if df is not None and mode != "unknown_heterogeneous":
+        raise ConfigError(f"a reference df applies to unknown heterogeneous variances, not {mode}")
+    if mode in ("known_homogeneous", "known_heterogeneous"):
+        kind = "normal"
+    else:
+        kind = "t"
+        if mode == "unknown_homogeneous":
             df = float(design.N - design.positive_cell_count())
-        else:
+        elif df is None:
             raise ConfigError(
                 "unknown heterogeneous variances have no closed-form joint law; "
                 "use the bootstrap engine"
             )
-    if kind == "t":
-        if df is None or df < 1.0:
+        if df < 1.0:
             raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
-    elif kind != "normal":
-        raise ConfigError(f"unknown model kind {kind!r}")
 
-    corr, v = build_full_correlation(design, cell_variances, allow_empty_populations)
+    corr, v = build_full_correlation(design, allow_empty_populations)
     ok = ~np.isnan(v)
     subs = []
     for stratum in design.strata:
@@ -170,7 +165,7 @@ def build_test_model(
         subs.append(mvprob.CorrelationMatrix(corr[np.ix_(idx, idx)]))
     return TestModel(
         kind=kind,
-        df=df if kind == "t" else None,
+        df=df,
         m=design.m,
         strata=design.strata,
         full_corr=corr,
@@ -179,18 +174,14 @@ def build_test_model(
     )
 
 
-def test_statistics(
-    design: Design,
-    cell_means: np.ndarray,
-    cell_variances: np.ndarray | None = None,
-) -> np.ndarray:
+def test_statistics(design: Design, cell_means: np.ndarray) -> np.ndarray:
     """Standardized pooled treatment-control contrasts per population.
 
     cell_means is aligned with design.cells; a leading batch axis is allowed
     and preserved. Cells with no patients carry weight zero.
     """
     means = np.asarray(cell_means, dtype=float)
-    v = build_full_correlation(design, cell_variances)[1]
+    v = build_full_correlation(design)[1]
     return (means @ arm_weight_matrix(design).T) / np.sqrt(v)
 
 

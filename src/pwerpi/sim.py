@@ -24,7 +24,6 @@ from . import boot, pwer
 from .design import (
     SIMPLEX_ATOL,
     Design,
-    PrevalenceVector,
     TRANSFORM_NONE,
     build_design,
     check_transform,
@@ -78,8 +77,6 @@ class SimScenario:
     pi_min: float = 0.0
     transform: str = TRANSFORM_NONE
     master_seed: int = 0
-    cdf_tol: float = 1e-6
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -154,14 +151,14 @@ def prevalences_from_biomarkers(p: Sequence[float]) -> np.ndarray:
     return raw / total
 
 
-def generate_random_study(m: int, rng: np.random.Generator) -> PrevalenceVector:
+def generate_random_study(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random-biomarker prevalences: expression probabilities ~ U(0,1)."""
     for _ in range(100):
         p = rng.uniform(size=m)
         if np.any(p > 0.0):
-            return PrevalenceVector(
-                strata=enumerate_strata(m), values=prevalences_from_biomarkers(p)
-            )
+            values = prevalences_from_biomarkers(p)
+            # normalised a second time: the recorded studies rest on this rounding
+            return values / values.sum()
     raise NumericalError("random biomarker draw kept returning zeros")
 
 
@@ -291,8 +288,7 @@ def calibrate(
 
     def solve_exact(model: pwer.TestModel) -> pwer.CriticalValues:
         return pwer.solve_critical_values(
-            used, model, scenario.alpha, solver_tol=scenario.solver_tol,
-            cdf_tol=scenario.cdf_tol, rng=np.random.default_rng(solve_seed),
+            used, model, scenario.alpha, rng=np.random.default_rng(solve_seed)
         )
 
     rejected = 0
@@ -311,13 +307,12 @@ def calibrate(
         rejected = null.rejected_resamples
         cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
     else:
-        s2 = design.cell_variances  # observed
-        null = boot.bootstrap_null_D(design, s2, scenario.B, np.random.default_rng(boot_seed))
+        null = boot.bootstrap_null_D(design, scenario.B, np.random.default_rng(boot_seed))
         if engine == "parametric_bootstrap":
             cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
         else:
             # c* from the Satterthwaite t model, its FWER from the bootstrap null
-            cv = solve_exact(boot.build_satterthwaite_model(design, s2))
+            cv = solve_exact(boot.build_satterthwaite_model(design))
             cv = replace(cv, fwer=boot.stratum_fwer(boot.fwer_curves(null, design.strata), cv.value))
     return Calibration(weights, used, factors, cv, rejected)
 
@@ -468,13 +463,12 @@ def study_scenarios(
     scenarios = []
     for s in range(studies):
         rng_study = np.random.default_rng(np.random.SeedSequence((master_seed, 7001, s)))
-        pv = generate_random_study(m, rng_study)
         scenarios.append(SimScenario(
             N=N,
             m=m,
             setting=setting,
             prevalence_scheme="explicit",
-            explicit_prevalences=tuple(pv.values),
+            explicit_prevalences=tuple(generate_random_study(m, rng_study)),
             treatment_scheme=treatment_scheme,
             alpha=alpha,
             alpha_prime=alpha_prime,

@@ -161,12 +161,8 @@ def _fd_fixture(setting, m):
     counts = [83] * 3 if m == 2 else [36] * 7
     if setting == "B":
         per_stratum = np.random.default_rng(SEED + m).uniform(size=n_s)
-        strata = dz.enumerate_strata(m)
-        labels = dz.treatment_labels(m, "pairwise_different")
-        variances = {}
-        for j, stratum in enumerate(strata):
-            for arm in sorted({labels[i - 1] for i in stratum}, key=lambda t: (len(t), t)) + ["C"]:
-                variances[(stratum, arm)] = per_stratum[j]
+        layout = dz.cell_layout(m, "pairwise_different")
+        variances = {(layout.strata[j], arm): per_stratum[j] for j, arm in layout.cells}
         mode = "known_heterogeneous"
     else:
         variances = 1.0

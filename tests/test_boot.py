@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,14 +31,14 @@ class TestWelch:
 
     def test_satterthwaite_disjoint_symmetric(self):
         d = dz.build_design(2, "pairwise_different", [80, 80, 0], 1.0, "unknown_heterogeneous")
-        s2 = np.ones(len(d.cells))
         # each population pools two cells of 40 with equal variances
-        assert boot.satterthwaite_df(d, s2) == pytest.approx(2 * 39.0)
+        assert boot.satterthwaite_df(d) == pytest.approx(2 * 39.0)
 
     def test_satterthwaite_against_reimplementation(self):
         d = single_scheme_design()
         rng = np.random.default_rng(31)
         s2 = rng.uniform(0.1, 1.0, size=len(d.cells))
+        d = dataclasses.replace(d, cell_variances=s2)
         # independent re-implementation straight from the formula
         sizes = d.cell_sizes.astype(float)
         dfs = []
@@ -52,43 +54,43 @@ class TestWelch:
             num = sum(w * v for w, v, _ in cells) ** 2
             den = sum((w * v) ** 2 / df for w, v, df in cells)
             dfs.append(num / den)
-        assert boot.satterthwaite_df(d, s2) == pytest.approx(min(dfs), rel=1e-12)
+        assert boot.satterthwaite_df(d) == pytest.approx(min(dfs), rel=1e-12)
 
     def test_small_cell_rejected(self):
         d = dz.build_design(2, "pairwise_different", [3, 80, 0], 1.0, "unknown_heterogeneous")
         with pytest.raises(InfeasibleDesignError):
-            boot.satterthwaite_df(d, np.ones(len(d.cells)))
+            boot.satterthwaite_df(d)
 
 
 class TestBootstrapNullD:
     def test_studentization(self):
         d = single_scheme_design()
         s2 = np.random.default_rng(3).uniform(0.2, 1.0, size=len(d.cells))
-        null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(5))
+        d = dataclasses.replace(d, cell_variances=s2)
+        null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(5))
         assert null.statistics.shape == (10_000, 2)
         assert null.statistics.var(axis=0) == pytest.approx([1.0, 1.0], abs=0.05)
 
     def test_homogeneous_matches_exact_correlation(self):
         d = single_scheme_design()
-        s2 = np.full(len(d.cells), 0.7)
-        null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(8))
-        corr, _ = pwer.build_full_correlation(d, s2)
+        d = dataclasses.replace(d, cell_variances=np.full(len(d.cells), 0.7))
+        null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(8))
+        corr, _ = pwer.build_full_correlation(d)
         emp = np.corrcoef(null.statistics.T)[0, 1]
         assert emp == pytest.approx(corr[0, 1], abs=0.03)
 
     def test_deterministic(self):
         d = single_scheme_design()
-        s2 = np.full(len(d.cells), 0.5)
-        a = boot.bootstrap_null_D(d, s2, 2000, np.random.default_rng(11))
-        b = boot.bootstrap_null_D(d, s2, 2000, np.random.default_rng(11))
+        d = dataclasses.replace(d, cell_variances=np.full(len(d.cells), 0.5))
+        a = boot.bootstrap_null_D(d, 2000, np.random.default_rng(11))
+        b = boot.bootstrap_null_D(d, 2000, np.random.default_rng(11))
         assert np.array_equal(a.statistics, b.statistics)
 
 
 class TestSolveCriticalEmpirical:
     def build_null(self, B=10_000, seed=5):
         d = setting_c_fixture()
-        s2 = np.ones(len(d.cells))
-        return d, boot.bootstrap_null_D(d, s2, B, np.random.default_rng(seed))
+        return d, boot.bootstrap_null_D(d, B, np.random.default_rng(seed))
 
     def test_concentrated_on_one_stratum(self):
         d, null = self.build_null()
@@ -130,8 +132,7 @@ class TestSolveCriticalEmpirical:
 class TestEmpiricalGradient:
     def test_calibration_identity_and_range(self):
         d = setting_c_fixture()
-        s2 = np.ones(len(d.cells))
-        null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(2))
+        null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(2))
         weights = np.full(3, 1 / 3)
         cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
         grad, tp = cv.gradient(), cv.true_pwer(weights)
@@ -141,8 +142,7 @@ class TestEmpiricalGradient:
 
     def test_matches_exact_stratum_cdfs(self):
         d = setting_c_fixture()
-        s2 = np.ones(len(d.cells))
-        null = boot.bootstrap_null_D(d, s2, 10_000, np.random.default_rng(23))
+        null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(23))
         weights = np.full(3, 1 / 3)
         cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
         grad = cv.gradient()
@@ -178,7 +178,7 @@ class TestSettingE:
     def test_effect_solving_equal_prevalences(self):
         # vanishing noise exposes the constructed effects: theta_i = -theta_12
         d = dz.build_design(2, "single", [84, 84, 82], 1.0, "unknown_homogeneous")
-        pv = dz.PrevalenceVector(d.strata, np.full(3, 1 / 3))
+        pv = np.full(3, 1 / 3)
         effects, pooled = boot.generate_setting_E_study(pv, d, 1e-9, np.random.default_rng(0))
         assert pooled > 0
         assert effects[0] == pytest.approx(-effects[2], abs=1e-8)
@@ -187,42 +187,41 @@ class TestSettingE:
     def test_prevalence_ratio_two(self):
         # pi_12 = 0.5, singletons 0.25: theta_i = -2 theta_12
         d = dz.build_design(2, "single", [62, 62, 126], 1.0, "unknown_homogeneous")
-        pv = dz.PrevalenceVector(d.strata, np.array([0.25, 0.25, 0.5]))
+        pv = np.array([0.25, 0.25, 0.5])
         effects, _ = boot.generate_setting_E_study(pv, d, 1e-9, np.random.default_rng(4))
         assert effects[0] == pytest.approx(-2 * effects[2], abs=1e-7)
         assert effects[1] == pytest.approx(-2 * effects[2], abs=1e-7)
         # the construction lies in the null space: projection is the identity
         theta = np.array([-2 * 0.4, -2 * 0.4, 0.4])
-        assert boot.project_to_null(theta, pv.values, d.strata, 2) == pytest.approx(theta, abs=1e-12)
+        assert boot.project_to_null(theta, pv, d.strata, 2) == pytest.approx(theta, abs=1e-12)
 
     def test_pooled_variance_mean(self):
         d = dz.build_design(2, "single", [84, 84, 82], 1.0, "unknown_homogeneous")
-        pv = dz.PrevalenceVector(d.strata, np.full(3, 1 / 3))
+        pv = np.full(3, 1 / 3)
         rng = np.random.default_rng(12)
         draws = [boot.generate_setting_E_study(pv, d, 0.5, rng)[1] for _ in range(10_000)]
         assert np.mean(draws) == pytest.approx(0.25, rel=0.02)
 
     def test_bootstrap_null_E_deterministic_and_shapes(self):
         d = dz.build_design(2, "single", [84, 84, 82], 1.0, "unknown_homogeneous")
-        pv = dz.PrevalenceVector(d.strata, np.full(3, 1 / 3))
+        pv = np.full(3, 1 / 3)
         effects, pooled = boot.generate_setting_E_study(pv, d, 0.5, np.random.default_rng(3))
-        a = boot.bootstrap_null_E(d, pv.values, effects, pooled, 2000, np.random.default_rng(9))
-        b = boot.bootstrap_null_E(d, pv.values, effects, pooled, 2000, np.random.default_rng(9))
+        a = boot.bootstrap_null_E(d, pv, effects, pooled, 2000, np.random.default_rng(9))
+        b = boot.bootstrap_null_E(d, pv, effects, pooled, 2000, np.random.default_rng(9))
         assert np.array_equal(a.statistics, b.statistics)
         assert a.statistics.shape == (2000, 2)
         assert a.provenance == "projection_E"
 
     def test_m3_rejected(self):
         d3 = dz.build_design(3, "single", [30] * 7, 1.0, "unknown_homogeneous")
-        pv = dz.PrevalenceVector(d3.strata, np.full(7, 1 / 7))
         with pytest.raises(ConfigError):
-            boot.bootstrap_null_E(d3, pv.values, np.zeros(7), 1.0, 2000, np.random.default_rng(0))
+            boot.bootstrap_null_E(d3, np.full(7, 1 / 7), np.zeros(7), 1.0, 2000, np.random.default_rng(0))
 
 
 class TestFwerCurves:
     def test_monotone_and_nested(self):
         d = setting_c_fixture()
-        null = boot.bootstrap_null_D(d, np.ones(len(d.cells)), 5000, np.random.default_rng(1))
+        null = boot.bootstrap_null_D(d, 5000, np.random.default_rng(1))
         curves = boot.fwer_curves(null, d.strata)
         grid = np.linspace(0.5, 3.5, 13)
         for curve in curves:

@@ -84,6 +84,23 @@ class TestAnalyze:
             assert report["interval_lower"] == rec.lower
             assert report["interval_upper"] == rec.upper
 
+    def test_matches_library_quick_start(self, tmp_path, capsys):
+        # the README library quick start, run on m=3 counts, reports analyze's c* and gamma
+        counts = [30, 44, 46, 23, 37, 44, 26]
+        readme = (CONFIGS.parent / "README.md").read_text()
+        code = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        for old, new in (("m=2", "m=3"), ("counts=[83, 83, 84]", f"counts={counts}")):
+            assert code.count(old) == 1
+            code = code.replace(old, new)
+        quick_start = {}
+        exec(compile(code, "README.md quick start", "exec"), quick_start)
+        labels = [stratum_label(s) for s in enumerate_strata(3)]
+        cfg = analyze_config(tmp_path, out="qs", counts=dict(zip(labels, counts)), design={"m": 3})
+        assert cli.main(["--config", cfg]) == 0
+        report = json.loads((tmp_path / "qs" / "report.json").read_text())
+        assert report["critical_value"] == quick_start["cv"].value
+        assert report["gamma"] == quick_start["gamma"]
+
     def test_degenerate_counts_zero_width(self, tmp_path):
         cfg = analyze_config(tmp_path, out="deg", counts={"1": 250, "2": 0, "1,2": 0})
         assert cli.main(["--config", cfg]) == 0
@@ -294,6 +311,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("counts", [
         {"1": "x", "2": 83, "1,2": 84},  # non-numeric count
         {"1": 83.9, "2": 83, "1,2": 84},  # fractional count
+        {"1": True, "2": 83, "1,2": 84},  # a JSON boolean is no count
     ])
     def test_bad_strata_counts_exit_2(self, tmp_path, counts):
         cfg = analyze_config(tmp_path, out="badcounts", counts=counts)
@@ -335,14 +353,30 @@ class TestErrorPaths:
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "nothreads").exists()
 
-    @pytest.mark.parametrize("cells", [
-        {"1|T1": "abc"},  # non-numeric variance
-        {"1,2|T9": 0.5},  # no such cell in the design
-    ])
-    def test_bad_variance_cells_exit_2(self, tmp_path, cells):
+    @pytest.mark.parametrize("cells, default", [
+        ({"1|T1": "abc"}, 1.0),  # non-numeric variance
+        ({"1,2|T9": 0.5}, 1.0),  # no such cell in the design
+        ({}, True),  # a JSON boolean is no variance
+    ], ids=["cells0", "cells1", "default_true"])
+    def test_bad_variance_cells_exit_2(self, tmp_path, cells, default):
         payload = json.loads(open(analyze_config(tmp_path, out="badvar")).read())
-        payload["design"]["variances"] = {"default": 1.0, "cells": cells}
+        payload["design"]["variances"] = {"default": default, "cells": cells}
         assert cli.main(["--config", write_config(tmp_path, "badvar.json", payload)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("cdf_tol", 0.01), ("solver_tol", 0.3)])
+    def test_tolerance_keys_rejected(self, tmp_path, capsys, key, value):
+        # the calibration runs at the package tolerances; the config cannot set them
+        payload = {
+            "mode": "simulate",
+            "design": {"m": 2, "N": 250, "setting": "A"},
+            "engine": {"runs": 5, key: value},
+            "output": {"directory": str(tmp_path / "tol")},
+        }
+        cfg = write_config(tmp_path, "tol.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert f"unknown keys in 'engine': ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "tol").exists()
 
     @pytest.mark.parametrize("studies", [0, -2])
     def test_no_studies_exits_2(self, tmp_path, studies):

@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pwerpi import design as dz
 from pwerpi import sim
-from pwerpi.errors import ConfigError
+from pwerpi.errors import ConfigError, InfeasibleDesignError
 
 
 def cell_size(d, stratum, arm):
     return int(d.cell_sizes[d.cells.index((d.strata.index(stratum), arm))])
+
+
+def arms_of(d, j):
+    """Stratum j's arms in split order: treatments by label, control last."""
+    arms = [arm for k, arm in d.cells if k == j]
+    return arms[1:] + arms[:1]
 
 
 class TestEnumerateStrata:
@@ -39,33 +47,23 @@ class TestEnumerateStrata:
 
 
 class TestEstimatePrevalences:
-    def strata(self):
-        return dz.enumerate_strata(2)
-
-    def counts(self, n1, n2, n12):
-        s = self.strata()
-        return {s[0]: n1, s[1]: n2, s[2]: n12}
+    # the prevalence estimate is the design's strata_counts / N
+    def estimate(self, n1, n2, n12):
+        d = dz.build_design(2, "pairwise_different", [n1, n2, n12], 1.0, "known_homogeneous")
+        return d.strata_counts / d.N
 
     def test_basic(self):
-        pv = dz.estimate_prevalences(self.counts(100, 100, 50), 250)
-        assert pv.values == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
-        assert pv.strata == dz.enumerate_strata(2)
+        assert self.estimate(100, 100, 50) == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
 
     def test_degenerate(self):
-        pv = dz.estimate_prevalences(self.counts(250, 0, 0), 250)
-        assert pv.values == pytest.approx([1.0, 0.0, 0.0], abs=0)
+        assert self.estimate(250, 0, 0) == pytest.approx([1.0, 0.0, 0.0], abs=0)
 
     def test_other_split(self):
-        pv = dz.estimate_prevalences(self.counts(125, 75, 50), 250)
-        assert pv.values == pytest.approx([0.5, 0.3, 0.2], abs=1e-15)
+        assert self.estimate(125, 75, 50) == pytest.approx([0.5, 0.3, 0.2], abs=1e-15)
 
     def test_zero_total(self):
-        with pytest.raises(ConfigError):
-            dz.estimate_prevalences(self.counts(0, 0, 0), 0)
-
-    def test_inconsistent_total(self):
-        with pytest.raises(ConfigError):
-            dz.estimate_prevalences(self.counts(100, 100, 49), 250)
+        with pytest.raises(InfeasibleDesignError):
+            self.estimate(0, 0, 0)
 
 
 class TestSampleStrataCounts:
@@ -96,21 +94,28 @@ class TestSampleStrataCounts:
 
 
 class TestAllocateArms:
+    def split(self, total, treatments):
+        # one stratum's split: the overlap stratum {1, 2} of a design whose
+        # scheme gives it `treatments` treatment arms besides the control
+        scheme = {1: "single", 2: "pairwise_different"}[treatments]
+        d = dz.build_design(2, scheme, [0, 0, total], 1.0, "known_homogeneous")
+        return [cell_size(d, frozenset({1, 2}), arm) for arm in arms_of(d, 2)]
+
     def test_even_split_two_arms(self):
-        assert dz.split_evenly(10, 2) == [5, 5]
+        assert self.split(10, 1) == [5, 5]
 
     def test_remainder_three_arms(self):
-        assert dz.split_evenly(10, 3) == [4, 3, 3]
+        assert self.split(10, 2) == [4, 3, 3]
 
     def test_single_patient(self):
-        assert dz.split_evenly(1, 2) == [1, 0]
+        assert self.split(1, 1) == [1, 0]
 
     def test_conservation_and_population_identity(self):
         d = dz.build_design(3, "pairwise_different", [11, 7, 5, 9, 3, 8, 13], 1.0,
                             "known_homogeneous")
         # arm sizes sum back to strata counts
         for j, stratum in enumerate(d.strata):
-            total = sum(cell_size(d, stratum, a) for a in d.arms_of(stratum))
+            total = sum(cell_size(d, stratum, a) for a in arms_of(d, j))
             assert total == d.strata_counts[j]
         # population-level arm sizes aggregate the member strata
         for i in range(1, 4):
@@ -118,15 +123,62 @@ class TestAllocateArms:
             for arm, member in arms:
                 expected = sum(
                     cell_size(d, s, arm)
-                    for s in d.strata
-                    if i in s and arm in d.arms_of(s)
+                    for j, s in enumerate(d.strata)
+                    if i in s and arm in arms_of(d, j)
                 )
                 assert member[i - 1] @ d.cell_sizes == expected
 
     def test_control_last_gets_remainder_smaller(self):
         d = dz.build_design(2, "pairwise_different", [0, 0, 10], 1.0, "known_homogeneous")
         s12 = frozenset({1, 2})
-        assert [cell_size(d, s12, a) for a in d.arms_of(s12)] == [4, 3, 3]
+        assert [cell_size(d, s12, a) for a in arms_of(d, 2)] == [4, 3, 3]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("scheme", ["single", "pairwise_different"])
+    def test_batched_split_is_the_per_stratum_split(self, m, scheme):
+        # a (B, strata) count array splits row by row, stratum by stratum
+        counts = np.random.default_rng(m).integers(0, 40, size=(20, 2**m - 1))
+        d = dz.build_design(m, scheme, counts[0] + 1, 1.0, "known_homogeneous")
+        for row, sizes in zip(counts, d.split_counts(counts)):
+            for j in range(len(d.strata)):
+                arms = arms_of(d, j)
+                base, extra = divmod(int(row[j]), len(arms))
+                for k, arm in enumerate(arms):
+                    assert sizes[d.cells.index((j, arm))] == base + (k < extra)
+
+
+class TestCellLayout:
+    def test_order_and_slots(self):
+        layout = dz.cell_layout(2, "pairwise_different")
+        # per stratum: control first, then the treatments in label order
+        assert layout.cells == ((0, "C"), (0, "T1"), (1, "C"), (1, "T2"),
+                                (2, "C"), (2, "T1"), (2, "T2"))
+        # split order: treatments by label, control last
+        assert layout.arm_slot.tolist() == [1, 0, 1, 0, 2, 0, 1]
+        assert layout.arm_count.tolist() == [2, 2, 2, 2, 3, 3, 3]
+        assert not layout.treatment_member.flags.writeable
+
+    def test_built_once_per_m_and_scheme(self):
+        dz._cell_layout.cache_clear()
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            d = dz.build_design(3, "single", rng.integers(1, 30, size=7), 1.0,
+                                "known_heterogeneous")
+            d = dataclasses.replace(d, cell_variances=rng.uniform(0.5, 1.0, len(d.cells)))
+            assert d.cells is dz.cell_layout(3, "single").cells
+        info = dz._cell_layout.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    @pytest.mark.parametrize("m, scheme", [(1, "single"), (13, "single"), (3.0, "single"),
+                                           (True, "single"), (3, "bogus")])
+    def test_invalid_domain_raises_and_is_not_cached(self, m, scheme):
+        dz.cell_layout(3, "single")
+        before = dz._cell_layout.cache_info().currsize
+        with pytest.raises(ConfigError):
+            dz.cell_layout(m, scheme)
+        with pytest.raises(ConfigError):
+            dz.build_design(m, scheme, [10] * 7, 1.0, "known_homogeneous")
+        assert dz._cell_layout.cache_info().currsize == before
 
 
 class TestTransforms:
@@ -236,20 +288,7 @@ class TestTransformDispatch:
             dz.transform_weights(values, "clip", 0.1)
 
 
-class TestPrevalenceVector:
+class TestPrevalenceWeights:
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
-            dz.PrevalenceVector(dz.enumerate_strata(2), np.array([-0.1, 0.6, 0.5]))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ConfigError):
-            dz.PrevalenceVector(dz.enumerate_strata(2), np.array([0.5, 0.5, 0.1]))
-
-    def test_renormalizes_within_tolerance(self):
-        values = np.array([0.5, 0.5, 1e-13])
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), values / values.sum())
-        assert pv.values.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_as_dict_labels(self):
-        pv = dz.PrevalenceVector(dz.enumerate_strata(2), np.array([0.2, 0.3, 0.5]))
-        assert pv.as_dict() == {"1": 0.2, "2": 0.3, "1,2": 0.5}
+            dz.prevalence_weights(np.array([-0.1, 0.6, 0.5]), 3)

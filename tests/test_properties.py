@@ -1,5 +1,7 @@
 """Property tests of cross-layer invariants (deterministic hypothesis runs)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,9 @@ class TestCorrelationOracle:
         s2 = np.asarray(data.draw(
             st.lists(st.floats(0.05, 4.0), min_size=len(d.cells), max_size=len(d.cells))
         ))
-        corr, v = pwer.build_full_correlation(d, s2, allow_empty_populations=True)
+        corr, v = pwer.build_full_correlation(
+            dataclasses.replace(d, cell_variances=s2), allow_empty_populations=True
+        )
         ref_corr, ref_v = population_correlation_oracle(d, s2)
         assert np.array_equal(np.isnan(corr), np.isnan(ref_corr))
         assert np.array_equal(np.isnan(v), np.isnan(ref_v))

@@ -78,6 +78,17 @@ class TestBuildTestModel:
         with pytest.raises(ConfigError):
             pwer.build_test_model(d_h)
 
+    def test_reference_df_only_for_unknown_heterogeneous(self):
+        d = equal_cells_design()
+        d_h = dataclasses.replace(d, variance_mode="unknown_heterogeneous")
+        model = pwer.build_test_model(d_h, df=12.5)
+        assert (model.kind, model.df) == ("t", 12.5)
+        with pytest.raises(InfeasibleDesignError):
+            pwer.build_test_model(d_h, df=0.5)
+        for mode in ("known_homogeneous", "known_heterogeneous", "unknown_homogeneous"):
+            with pytest.raises(ConfigError):
+                pwer.build_test_model(dataclasses.replace(d, variance_mode=mode), df=12.5)
+
     def test_empty_population_arm_raises(self):
         # a single patient lands in the treatment arm, leaving control empty
         d = dz.build_design(2, "pairwise_different", [100, 1, 0], 1.0, "known_homogeneous")

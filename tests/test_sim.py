@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,8 @@ class TestRandomStudies:
     def test_normalization(self):
         rng = np.random.default_rng(10)
         for _ in range(1000):
-            pv = sim.generate_random_study(3, rng)
-            assert abs(pv.values.sum() - 1.0) <= 1e-12
+            values = sim.generate_random_study(3, rng)
+            assert abs(values.sum() - 1.0) <= 1e-12
 
 
 class TestRunScenario:
@@ -242,7 +244,40 @@ class TestOtherExactSettings:
 class TestFourPopulations:
     def test_m4_mean_length(self):
         # the four-population equal-prevalence mean interval length
-        scenario = sim.SimScenario(N=250, m=4, setting="A", runs=60,
-                                   master_seed=404, cdf_tol=2e-6)
+        scenario = sim.SimScenario(N=250, m=4, setting="A", runs=60, master_seed=404)
         result = sim.run_scenario(scenario)
         assert result.mean_length * 1e3 == pytest.approx(2.46, rel=0.05)
+
+
+@pytest.mark.parametrize("fields, digest", [
+    pytest.param(dict(m=2, setting="A"),
+                 "510e4f613bc50c0b7be6742ca94d965aeb5033619eafce3a681da1408f05c592",
+                 id="A_m2"),
+    pytest.param(dict(m=2, setting="B"),
+                 "cfdc71c5d7d5c433aca3edef45ddc9b74b8f2e40480c49d897c30e50f3ee4380",
+                 id="B_m2"),
+    pytest.param(dict(m=2, setting="C"),
+                 "853734966b4ced21fafee51f6edd57a34583f4661b99234adbafc057d81ef91e",
+                 id="C_m2"),
+    pytest.param(dict(m=2, setting="D_satterthwaite"),
+                 "787b3ad758427f627e323163c2db049df12493024e8bc1ed163aab5b6966f574",
+                 id="D_satterthwaite_m2"),
+    pytest.param(dict(m=2, setting="D_bootstrap"),
+                 "f46f4fe87209426925cbb4b57de350bbcd8b5c98d40c21b8389808c878e47c55",
+                 id="D_bootstrap_m2"),
+    pytest.param(dict(m=2, setting="E"),
+                 "257f1524fc82b29dcde6ddc60d05042362de6e9bd38989ac6e1d7b87ba4655b3",
+                 id="E_m2"),
+    pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
+                      pi_min=1 / 28),
+                 "8dcb1ca7fff8573356196f03c59bc9df9f84adb6e66e2b2317aea925a00b676a",
+                 id="A_m3_floor"),
+    pytest.param(dict(m=3, setting="C"),
+                 "6269e126026eab550092f67b9933c5f23e0d6ffa7a09235d99d16dd9c335f676",
+                 id="C_m3"),
+])
+def test_records_pinned(tmp_path, fields, digest):
+    # records.csv, byte for byte, of N=250, 6 runs, master seed 11
+    scenario = sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields})
+    sim.write_records_csv(sim.run_scenario(scenario), tmp_path / "records.csv")
+    assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
