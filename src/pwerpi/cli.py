@@ -193,8 +193,8 @@ def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
 def run_analyze(config: dict, out_dir: Path) -> dict:
     """Single-study workflow: calibrate on the observed counts and report the interval."""
     scenario, study = _analyze_study(config)
-    seed = np.random.SeedSequence((scenario.master_seed, 1))
-    cal = sim.calibrate(scenario, study, seed, seed)
+    _, boot_seed, solve_seed = sim.run_streams(scenario.master_seed, 0)
+    cal = sim.calibrate(scenario, study, boot_seed, solve_seed)
     interval = sim.interval(scenario, cal)
     cv, engine = cal.cv, sim.SETTINGS_TABLE[scenario.setting].engine
     labels = [stratum_label(s) for s in study.design.strata]

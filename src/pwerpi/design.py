@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -184,17 +185,15 @@ class Design:
 
     def __post_init__(self):
         layout = cell_layout(self.m, self.treatment_scheme)
-        counts = np.asarray(self.strata_counts, dtype=np.int64)
+        counts = _checked_counts(self.strata_counts)
         if counts.shape != (len(layout.strata),):
             raise ConfigError(
                 f"expected {len(layout.strata)} strata counts for m={self.m}, got {counts.size}"
             )
-        if np.any(counts < 0):
-            raise ConfigError("strata counts must be nonnegative")
         N = int(counts.sum())
         if N <= 0:
             raise InfeasibleDesignError("design has no patients")
-        variances = np.asarray(self.cell_variances, dtype=float)
+        variances = np.array(self.cell_variances, dtype=float)  # a copy: frozen below
         if variances.shape != (len(layout.cells),):
             raise ConfigError("cell arrays must align with the cell list")
         if np.any(variances <= 0.0):
@@ -224,6 +223,24 @@ class Design:
         return int(np.count_nonzero(self.cell_sizes))
 
 
+def _checked_counts(counts) -> np.ndarray:
+    """The strata counts as int64, once each is a finite, nonnegative whole number.
+
+    Booleans and strings are refused too: numpy would read True as a count
+    of one and "83" as 83.
+    """
+    if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
+        for v in np.ravel(np.asarray(counts, dtype=object)):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"strata counts must be numbers, got {v!r}")
+        counts = np.asarray(counts, dtype=float)
+        if not np.all(np.isfinite(counts)) or np.any(counts != np.trunc(counts)):
+            raise ConfigError("strata counts must be finite whole numbers")
+    if np.any(counts < 0):
+        raise ConfigError("strata counts must be nonnegative")
+    return np.array(counts, dtype=np.int64)  # a copy: the design freezes it
+
+
 def build_design(
     m: int,
     treatment_scheme: str,
@@ -239,7 +256,7 @@ def build_design(
     """
     layout = cell_layout(m, treatment_scheme)
     if isinstance(counts, Mapping):
-        counts = [int(counts.get(s, 0)) for s in layout.strata]
+        counts = [counts.get(s, 0) for s in layout.strata]
     if isinstance(variances, Mapping):
         var_arr = np.empty(len(layout.cells))
         for k, (j, arm) in enumerate(layout.cells):

@@ -23,7 +23,7 @@ DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_CDF_TOL = 1e-6
 DEFAULT_VERIFY_TOL = 1e-7
 
-# Illinois iteration: bracket width at which it stops, and its step limit.
+# Safeguarded secant: bracket width at which it stops, and its step limit.
 _SOLVER_XTOL = 1e-12
 _SOLVER_MAX_ITER = 200
 
@@ -290,13 +290,18 @@ def solve_critical_values(
 ) -> CriticalValues:
     """Find the shared critical value with PWER(c * 1) = alpha.
 
-    Brackets with the single-test and Bonferroni-like quantiles, verifies both
-    ends, then runs an Illinois iteration. All PWER evaluations inside one
-    solve reuse one frozen integration seed, which makes the objective a
-    smooth deterministic function of c, and one set of scrambled Sobol
-    engines per QMC stratum, built by the first evaluation and rewound by
-    the later ones. A final verification pass at verify_tol uses an
-    independent stream and fresh engines.
+    Brackets with the single-test and Bonferroni-like quantiles and runs a
+    safeguarded secant on the quantile scale, z(c) = Q(PWER(c)) - Q(alpha)
+    with Q the marginal upper-tail quantile: z is nearly c - c* (exactly for
+    disjoint populations), so the first step from the lower end takes slope
+    one and the later ones the secant of the last two iterates. A step that
+    leaves the bracket, or two steps that fail to halve it, bisect instead.
+    The upper end is evaluated, and checked, only once a bisection or an
+    exit needs it. All PWER evaluations inside one solve reuse one frozen
+    integration seed, which makes the objective a deterministic function of
+    c, and one set of scrambled Sobol engines per QMC stratum, built by the
+    first evaluation and rewound by the later ones. A final verification
+    pass at verify_tol uses an independent stream and fresh engines.
     """
     weights = prevalence_weights(pi, len(model.strata))
     if not 0.0 < alpha < 0.5:
@@ -310,67 +315,83 @@ def solve_critical_values(
     evaluations = 0
     engines: dict = {}
 
-    def f(c: float) -> float:
+    def pwer_at(c: float) -> float:
         nonlocal evaluations
         evaluations += 1
         cdf = stratum_cdf_values(
             np.full(model.m, c), model, cdf_tol, np.random.default_rng(seed), mask=mask,
             engines=engines,
         )
-        return float(np.sum(pos_w * (1.0 - cdf[mask]))) - alpha
+        return float(np.sum(pos_w * (1.0 - cdf[mask])))
+
+    q_alpha = _upper_quantile(model, alpha)
+
+    def z(p: float) -> float:
+        return _upper_quantile(model, p) - q_alpha
+
+    def finish(c: float, p: float) -> CriticalValues:
+        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
 
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
-    f_lo = f(lo)
-    if f_lo < -slack:
+    p_lo = pwer_at(lo)
+    if p_lo - alpha < -slack:
         raise NumericalError(
-            f"bracket failure: PWER({lo:.6f}) = {f_lo + alpha:.3e} already below alpha={alpha}"
+            f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
         )
-    if f_lo <= solver_tol:
+    if p_lo - alpha <= solver_tol:
         # the single-test bound is already exhausted (disjoint-population case)
-        return _finish(lo, f_lo + alpha, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
-    f_hi = f(hi)
-    if f_hi > slack:
-        raise NumericalError(
-            f"bracket failure: PWER({hi:.6f}) = {f_hi + alpha:.3e} still above alpha={alpha}"
-        )
-    if f_hi >= -solver_tol:
-        return _finish(hi, f_hi + alpha, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
+        return finish(lo, p_lo)
 
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    side = 0
-    c_star, f_star = a, fa
+    # [a, b] holds the root: PWER(a) > alpha, and PWER(b) < alpha once b is
+    # evaluated; until then b = hi rests on the bracket's quantile bound
+    a, p_a, b, p_b = lo, p_lo, hi, math.nan
+    x_prev, z_prev = lo, z(p_lo)
+    x = lo - z_prev
+    widths = [b - a]
     for _ in range(_SOLVER_MAX_ITER):
-        denom = fb - fa
-        x = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not a < x < b:
+        # bisect after a step out of the bracket or two steps that did not halve it
+        if not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            if math.isnan(p_b):
+                p_b = pwer_at(hi)
+                if p_b - alpha > slack:
+                    raise NumericalError(
+                        f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
+                    )
+                if p_b - alpha >= -solver_tol:
+                    return finish(hi, p_b)
             x = 0.5 * (a + b)
-        fx = f(x)
-        if abs(fx) <= solver_tol:
-            c_star, f_star = x, fx
-            break
-        if fx > 0.0:
-            a, fa = x, fx
-            if side == -1:
-                fb *= 0.5
-            side = -1
+        p = pwer_at(x)
+        if abs(p - alpha) <= solver_tol:
+            return finish(x, p)
+        if p > alpha:
+            a, p_a = x, p
         else:
-            b, fb = x, fx
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        slope = abs(fb - fa) / max(b - a, 1e-300)
-        if b - a <= _SOLVER_XTOL or (b - a) * slope <= solver_tol:
-            c_star = 0.5 * (a + b)
-            f_star = f(c_star)
-            break
-    else:
-        raise NumericalError(
-            f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
-            f"(bracket [{a:.12f}, {b:.12f}])"
-        )
-    return _finish(c_star, f_star + alpha, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
+            b, p_b = x, p
+        widths.append(b - a)
+        if b - a <= _SOLVER_XTOL and not math.isnan(p_b):
+            return finish(*min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha)))
+        z_x = z(p)
+        # a flat secant has no root; its infinite step leaves the bracket
+        step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
+        x_prev, z_prev, x = x, z_x, x - step
+    raise NumericalError(
+        f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
+        f"(bracket [{a:.12f}, {b:.12f}])"
+    )
+
+
+def _upper_quantile(model: TestModel, p: float) -> float:
+    """Upper-tail quantile of p, finite for any p: the negated lower quantile, never 1 - p.
+
+    p is clamped into [1e-100, 1 - 2^-53]; below 1e-100 the t quantile of
+    small df can overflow to inf.
+    """
+    p = min(max(p, 1e-100), 1.0 - 2.0**-53)
+    if model.kind == "t":
+        return -mvprob.t_quantile(p, model.df)
+    return -mvprob.std_normal_quantile(p)
 
 
 def _finish(

@@ -323,9 +323,14 @@ def interval(scenario: SimScenario, cal: Calibration) -> pwer.PredictionInterval
     return pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
 
 
+def run_streams(master_seed: int, run_index: int) -> list[np.random.SeedSequence]:
+    """The (data, boot, solve) seed sequences of one run; an analyzed study is run 0."""
+    return np.random.SeedSequence((master_seed, run_index)).spawn(3)
+
+
 def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:
     """One simulation run: draw, calibrate, interval; raises PwerError subtypes on failure."""
-    data_ss, boot_ss, solve_ss = np.random.SeedSequence((scenario.master_seed, run_index)).spawn(3)
+    data_ss, boot_ss, solve_ss = run_streams(scenario.master_seed, run_index)
     study = _draw(scenario, pi_true, np.random.default_rng(data_ss))
     truth, factors_true = transform_weights(pi_true, scenario.transform, scenario.pi_min)
     cal = calibrate(scenario, study, boot_ss, solve_ss, truth)

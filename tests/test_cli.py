@@ -15,12 +15,14 @@ SHIPPED_REPORT = {
     "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
     "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
     "transform": "none", "pi_min": 0.0,
-    "critical_value": 2.075493213039483, "achieved_pwer": 0.02499999195762618,
-    "gradient": {"1": -0.018970423614861676, "2": -0.018970423614861676, "1,2": -0.03691556749213698},
-    "gamma": 0.008476188826867034, "alpha": 0.025, "alpha_prime": 0.05,
-    "interval_lower": 0.02394930005444648, "interval_upper": 0.026050699945553524,
-    "interval_length": 0.002101399891107047,
+    "critical_value": 2.0754930798999234, "achieved_pwer": 0.025000000002166088,
+    "gradient": {"1": -0.01897042977823027, "2": -0.01897042977823027, "1,2": -0.036915579254229725},
+    "gamma": 0.008476191471362015, "alpha": 0.025, "alpha_prime": 0.05,
+    "interval_lower": 0.023949299726637507, "interval_upper": 0.026050700273362495,
+    "interval_length": 0.0021014005467249876,
 }
+# its c* before the calibration became a secant on the quantile scale
+SHIPPED_PARENT_C_STAR = 2.075493213039483
 
 
 def write_config(tmp_path, name, payload):
@@ -61,21 +63,29 @@ class TestAnalyze:
     def test_shipped_config_report_pinned(self, tmp_path):
         cfg = str(CONFIGS / "analyze.json")
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
-        assert json.loads((tmp_path / "shipped" / "report.json").read_text()) == SHIPPED_REPORT
+        report = json.loads((tmp_path / "shipped" / "report.json").read_text())
+        assert report == SHIPPED_REPORT
+        assert abs(report["critical_value"] - SHIPPED_PARENT_C_STAR) <= 2e-7
 
-    @pytest.mark.parametrize("m, scheme", [(2, "equal"), (3, "equal"), (2, "one_small"), (3, "one_small")])
-    def test_matches_simulate_records(self, tmp_path, m, scheme):
-        # analyze on the counts a simulation run drew reports that run's numbers
+    @pytest.mark.parametrize("m, scheme, runs", [
+        pytest.param(m, scheme, runs, id=f"{m}-{scheme}")
+        for m, scheme, runs in [(2, "equal", 6), (3, "equal", 6), (2, "one_small", 6),
+                                (3, "one_small", 6), (5, "equal", 1)]
+    ])
+    def test_matches_simulate_records(self, tmp_path, m, scheme, runs):
+        # analyze on the counts a simulation run drew reports that run's numbers; at
+        # m=5 the 5-dim stratum goes through QMC, whose stream analyze takes from run 0
         scenario = sim.SimScenario(N=250, m=m, setting="A", prevalence_scheme=scheme,
-                                   runs=6, master_seed=11)
+                                   runs=runs, master_seed=11)
         pi_true = sim.resolve_true_prevalences(scenario)
         records = sim.run_scenario(scenario).records
         labels = [stratum_label(s) for s in enumerate_strata(m)]
         for k, rec in enumerate(records):
             # run k's counts come first from its data stream
-            data_ss = np.random.SeedSequence((11, k)).spawn(3)[0]
+            data_ss = sim.run_streams(11, k)[0]
             counts = np.random.default_rng(data_ss).multinomial(250, pi_true)
-            payload = json.loads(open(analyze_config(tmp_path, out=f"run{k}")).read())
+            payload = json.loads(open(analyze_config(
+                tmp_path, out=f"run{k}", engine={"master_seed": 11})).read())
             payload["design"].update(m=m, strata_counts=dict(zip(labels, counts.tolist())))
             assert cli.main(["--config", write_config(tmp_path, f"run{k}.json", payload)]) == 0
             report = json.loads((tmp_path / f"run{k}" / "report.json").read_text())
@@ -146,16 +156,17 @@ class TestAnalyze:
         report = json.loads((tmp_path / "boot_out" / "report.json").read_text())
         assert report["engine"] == "parametric_bootstrap"
         assert report["achieved_pwer"] <= 0.025
+        # the null draws the boot stream of run 0 of master seed 3 (sim.run_streams)
         assert report == {
             "engine": "parametric_bootstrap", "N": 250, "m": 2,
             "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
             "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
             "transform": "none", "pi_min": 0.0,
-            "critical_value": 2.1232437960570594, "achieved_pwer": 0.02496,
-            "gradient": {"1": -0.01825, "2": -0.02075, "1,2": -0.03575},
-            "gamma": 0.0077427966523730945, "alpha": 0.025, "alpha_prime": 0.05,
-            "interval_lower": 0.024040210619742954, "interval_upper": 0.02595978938025705,
-            "interval_length": 0.0019195787605140932,
+            "critical_value": 2.0310460908709835, "achieved_pwer": 0.024876000000000002,
+            "gradient": {"1": -0.018, "2": -0.021, "1,2": -0.0355},
+            "gamma": 0.007655626950158943, "alpha": 0.025, "alpha_prime": 0.05,
+            "interval_lower": 0.024051016089422915, "interval_upper": 0.025948983910577088,
+            "interval_length": 0.001897967821154174,
         }
 
 

@@ -66,6 +66,35 @@ class TestEstimatePrevalences:
             self.estimate(0, 0, 0)
 
 
+class TestDesignCounts:
+    def build(self, counts):
+        return dz.build_design(2, "single", counts, 1.0, "known_homogeneous")
+
+    @pytest.mark.parametrize("counts", [
+        [83.9, 83, -0.5], [83.5, 83, 84], [np.nan, 83, 84], [np.inf, 83, 84], [83, 83, -1],
+        [True, 83, 84], np.array([True, False, True]), {frozenset({1}): 83.9}, ["83", 83, 84],
+        ["a", 83, 84],
+    ], ids=["fractional_and_negative", "fractional", "nan", "inf", "negative", "bool",
+            "bool_array", "fractional_mapping", "string", "non_numeric"])
+    def test_rejects_counts_that_are_not_whole_numbers(self, counts):
+        # a plain int64 cast would take these silently: [83.9, 83, -0.5] as [83, 83, 0]
+        with pytest.raises(ConfigError):
+            self.build(counts)
+
+    @pytest.mark.parametrize("counts", [[83, 83, 84], [83.0, 83.0, 84.0], np.array([83, 83, 84]),
+                                        np.array([83.0, 83.0, 84.0]), np.array([83, 83, 84], np.uint8)])
+    def test_whole_numbers_of_any_type(self, counts):
+        d = self.build(counts)
+        assert d.strata_counts.dtype == np.int64
+        assert d.strata_counts.tolist() == [83, 83, 84] and d.N == 250
+
+    def test_callers_arrays_stay_writeable(self):
+        counts, variances = np.array([83, 83, 84]), np.ones(6)
+        d = dz.Design(2, "single", counts, variances, "known_homogeneous")
+        assert counts.flags.writeable and variances.flags.writeable
+        assert not (d.strata_counts.flags.writeable or d.cell_variances.flags.writeable)
+
+
 class TestSampleStrataCounts:
     # the strata counts of a simulated study, drawn as a simulation run draws them
     def draw(self, N, pi, seed):

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pwerpi import design as dz
-from pwerpi import mvprob, pwer
-from pwerpi.errors import ConfigError, InfeasibleDesignError
+from pwerpi import mvprob, pwer, sim
+from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
 from oracles import fd_gradient, pwer_event_mc
 
@@ -191,17 +192,19 @@ class TestSolveCriticalValues:
     def test_m4_solve_pinned(self):
         # exact figures: a change that moves the 4-dim quadrature numbers must update them
         cv = m4_solve()
-        assert cv.value == 2.249761755282957
-        assert cv.achieved == 0.024999999935652925
-        assert cv.verified == 0.024999999935652925
-        assert cv.evaluations == 9
+        assert cv.value == 2.249761723205715
+        assert cv.achieved == 0.0250000019728125
+        assert cv.verified == 0.0250000019728125
+        assert cv.evaluations == 4
         assert cv.fwer.tolist() == [
-            0.012232036486460873, 0.012232036486460873, 0.012232036486460873,
-            0.012232036486460873, 0.023989416508374717, 0.023908994088898905,
-            0.02398327510365106, 0.02383287773668541, 0.024025277856804084,
-            0.02394331677823902, 0.03508725963536852, 0.035337369215475256,
-            0.035184995995541035, 0.03515226155629336, 0.04600066684378157,
+            0.012232037505127247, 0.012232037505127247, 0.012232037505127247,
+            0.012232037505127247, 0.02398941847854319, 0.023908996049514797,
+            0.02398327707308101, 0.023832879688473474, 0.024025279831317303,
+            0.023943318742901343, 0.035087262471224845, 0.03533737208019572,
+            0.03518499884248816, 0.03515226439971819, 0.04600067051689116,
         ]
+        # the value pinned before the solver became a secant on the quantile scale
+        assert abs(cv.value - 2.249761755282957) <= 1e-7
         # the value pinned when the 4-dim stratum went through QMC
         assert abs(cv.value - 2.249761860995374) <= 1e-6
 
@@ -217,7 +220,7 @@ class TestSolveCriticalValues:
 
         monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
         cv = setting_a_solve(5, M5_COUNTS)
-        assert cv.evaluations == 9
+        assert cv.evaluations == 5
         assert len(built) == 24
         built.clear()
         m4_solve()
@@ -229,6 +232,103 @@ class TestSolveCriticalValues:
             pwer.solve_critical_values(np.full(3, 1 / 3), model, 0.6)
         with pytest.raises(ConfigError):
             pwer.solve_critical_values(np.zeros(3), model, ALPHA)
+
+
+class TestSolverEdges:
+    """The secant's bracket checks and exits, on objectives set by hand.
+
+    Every stratum's CDF is replaced by one function F of the shared c, so
+    PWER(c) = 1 - F(c) whatever the weights.
+    """
+
+    LO = mvprob.std_normal_quantile(1 - ALPHA)
+    HI = mvprob.std_normal_quantile(1 - ALPHA / 4)
+
+    def solve(self, monkeypatch, pwer_of_c):
+        calls = []
+
+        def fake_cdf_values(c, model, tol=None, rng=None, mask=None, engines=None):
+            c0 = float(np.asarray(c).reshape(-1)[0])
+            calls.append(c0)
+            return np.full(len(model.strata), 1.0 - pwer_of_c(c0))
+
+        monkeypatch.setattr(pwer, "stratum_cdf_values", fake_cdf_values)
+        model = pwer.build_test_model(equal_cells_design())
+        return calls, lambda: pwer.solve_critical_values(np.full(3, 1 / 3), model, ALPHA)
+
+    @staticmethod
+    def shifted_tail(shift):
+        # the normal tail moved right by `shift`: its root is LO + shift
+        return lambda c: 1.0 - mvprob.std_normal_cdf(c - shift)
+
+    def test_bracket_failure_at_lo(self, monkeypatch):
+        calls, solve = self.solve(monkeypatch, lambda c: 0.5 * ALPHA)
+        with pytest.raises(NumericalError, match="bracket failure: .* already below alpha"):
+            solve()
+        assert calls == [self.LO]
+
+    def test_bracket_failure_at_lazy_hi(self, monkeypatch):
+        # the root lies beyond hi: the first step leaves the bracket, so hi is evaluated
+        calls, solve = self.solve(monkeypatch, self.shifted_tail(1.0))
+        with pytest.raises(NumericalError, match="bracket failure: .* still above alpha"):
+            solve()
+        assert calls == [self.LO, self.HI]
+
+    def test_early_return_at_hi(self, monkeypatch):
+        # the root lies just beyond hi: PWER(hi) exceeds alpha by less than the
+        # bracket's slack, so hi itself is the critical value
+        shift = self.HI - self.LO + 5e-8
+        calls, solve = self.solve(monkeypatch, self.shifted_tail(shift))
+        cv = solve()
+        assert 0.0 < cv.achieved - ALPHA <= 10 * pwer.DEFAULT_SOLVER_TOL
+        assert (cv.value, cv.evaluations) == (self.HI, 2)
+        assert calls[:2] == [self.LO, self.HI]
+
+    def test_hi_never_evaluated_on_smooth_objective(self, monkeypatch):
+        calls, solve = self.solve(monkeypatch, self.shifted_tail(0.1))
+        cv = solve()
+        assert abs(cv.achieved - ALPHA) <= pwer.DEFAULT_SOLVER_TOL
+        assert cv.evaluations <= 3 and self.HI not in calls
+
+    @pytest.mark.parametrize("pwer_of_c", [
+        # a staircase: no c meets solver_tol, so the bracket must close to _SOLVER_XTOL
+        lambda c: 1.0 - mvprob.std_normal_cdf(1e-3 * math.floor(c / 1e-3) - 0.1),
+        # a smooth tail with 1e-6 jumps every 1e-4, as a frozen-seed QMC point count makes
+        lambda c: 1.0 - mvprob.std_normal_cdf(c - 0.1) - 1e-6 * math.floor(c / 1e-4) + 0.03,
+    ], ids=["staircase", "jumps"])
+    def test_terminates_on_step_discontinuous_objective(self, monkeypatch, pwer_of_c):
+        calls, solve = self.solve(monkeypatch, pwer_of_c)
+        cv = solve()
+        assert cv.evaluations < pwer._SOLVER_MAX_ITER
+        # either |f| met solver_tol, or c* sits on the sign change within _SOLVER_XTOL
+        if abs(cv.achieved - ALPHA) > pwer.DEFAULT_SOLVER_TOL:
+            sides = [pwer_of_c(cv.value + d) - ALPHA for d in (-pwer._SOLVER_XTOL, pwer._SOLVER_XTOL)]
+            assert sides[0] > 0.0 > sides[1]
+        assert self.LO < cv.value < self.HI
+
+
+@pytest.mark.parametrize("kind, df", [("normal", None), ("t", 1.0), ("t", 3.0), ("t", 5.5), ("t", 200.0)])
+def test_upper_quantile_finite_and_monotone(kind, df):
+    # the secant's z scale must stay finite for every PWER in (0, 1], and for noise beyond it
+    model = dataclasses.replace(pwer.build_test_model(equal_cells_design()), kind=kind, df=df)
+    ps = [-1e-9, 0.0, 1e-320, 1e-300, 1e-120, 1e-30, 1e-6, ALPHA, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]
+    qs = [pwer._upper_quantile(model, p) for p in ps]
+    assert all(math.isfinite(q) for q in qs)
+    assert all(q0 >= q1 for q0, q1 in zip(qs, qs[1:]))
+    for p in (1e-6, ALPHA, 0.3):
+        # tail_quantile forms 1 - p, which rounds; the two agree to that rounding
+        assert pwer._upper_quantile(model, p) == pytest.approx(model.tail_quantile(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("setting, m", [
+    (setting, m) for setting in ("A", "B", "C") for m in (2, 3, 4)
+] + [("D_satterthwaite", 2)])
+def test_evaluation_budget(setting, m):
+    # run 0 of each cell calibrates in at most four PWER evaluations
+    scenario = sim.SimScenario(N=250, m=m, setting=setting, runs=1, master_seed=11)
+    data_ss, boot_ss, solve_ss = sim.run_streams(scenario.master_seed, 0)
+    study = sim._draw(scenario, sim.resolve_true_prevalences(scenario), np.random.default_rng(data_ss))
+    assert sim.calibrate(scenario, study, boot_ss, solve_ss).cv.evaluations <= 4
 
 
 class TestGradient:

@@ -249,18 +249,48 @@ class TestFourPopulations:
         assert result.mean_length * 1e3 == pytest.approx(2.46, rel=0.05)
 
 
+# c* of each pinned run before the calibration became a secant on the quantile
+# scale, and how far the secant may move it: it stops closer to the root
+PARENT_C_STAR = {
+    "A_m2": (
+        2.0877298268183893, 2.06512888177679, 2.072093704015061,
+        2.0811723932927486, 2.069819110796716, 2.067506107102698,
+    ),
+    "B_m2": (
+        2.0916973252412805, 2.0655504692407956, 2.0722273776584124,
+        2.0781156059312953, 2.0709264366839575, 2.070102085072214,
+    ),
+    "C_m2": (
+        2.0990944476119133, 2.0762136455064, 2.083264249969084,
+        2.0924558769263975, 2.0809620829793527, 2.0786207403827333,
+    ),
+    "D_satterthwaite_m2": (
+        2.1225171858761773, 2.101175701874424, 2.0953693796564714,
+        2.111431463093042, 2.0956754239443165, 2.101972986034511,
+    ),
+    "A_m3_floor": (
+        2.1388699189856344, 2.138381805253658, 2.1208223617768085,
+        2.136507893952463, 2.138476339306703, 2.13361523124134,
+    ),
+    "C_m3": (
+        2.1848550831527107, 2.1830023288516798, 2.164983555201313,
+        2.1829667944648983, 2.188088016070128, 2.1750016662765272,
+    ),
+}
+
+
 @pytest.mark.parametrize("fields, digest", [
     pytest.param(dict(m=2, setting="A"),
-                 "510e4f613bc50c0b7be6742ca94d965aeb5033619eafce3a681da1408f05c592",
+                 "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
                  id="A_m2"),
     pytest.param(dict(m=2, setting="B"),
-                 "cfdc71c5d7d5c433aca3edef45ddc9b74b8f2e40480c49d897c30e50f3ee4380",
+                 "f630935cab0f79bf0b9753598547a282190336d208903f65aae0173227b733c0",
                  id="B_m2"),
     pytest.param(dict(m=2, setting="C"),
-                 "853734966b4ced21fafee51f6edd57a34583f4661b99234adbafc057d81ef91e",
+                 "7b41e652062bdced2aeda6e338ad44f484f2ee72ecf985948ab105dfa490eaa6",
                  id="C_m2"),
     pytest.param(dict(m=2, setting="D_satterthwaite"),
-                 "787b3ad758427f627e323163c2db049df12493024e8bc1ed163aab5b6966f574",
+                 "9cc0b347adf7bb20d2e4ebfa5919b58e4e0efc51df06365f202b8ed7f4ce704a",
                  id="D_satterthwaite_m2"),
     pytest.param(dict(m=2, setting="D_bootstrap"),
                  "f46f4fe87209426925cbb4b57de350bbcd8b5c98d40c21b8389808c878e47c55",
@@ -270,14 +300,19 @@ class TestFourPopulations:
                  id="E_m2"),
     pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
                       pi_min=1 / 28),
-                 "8dcb1ca7fff8573356196f03c59bc9df9f84adb6e66e2b2317aea925a00b676a",
+                 "c36c941c33fe22a2a8fdfbd6a634b898da4a773303ed2a5e76b6d2f5be5c4ddf",
                  id="A_m3_floor"),
     pytest.param(dict(m=3, setting="C"),
-                 "6269e126026eab550092f67b9933c5f23e0d6ffa7a09235d99d16dd9c335f676",
+                 "2921fe1642f1b0a8b5c8edf8372dcf1e15ce40f06141747f62761dccb54ed4ef",
                  id="C_m3"),
 ])
-def test_records_pinned(tmp_path, fields, digest):
+def test_records_pinned(request, tmp_path, fields, digest):
     # records.csv, byte for byte, of N=250, 6 runs, master seed 11
     scenario = sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields})
-    sim.write_records_csv(sim.run_scenario(scenario), tmp_path / "records.csv")
+    result = sim.run_scenario(scenario)
+    sim.write_records_csv(result, tmp_path / "records.csv")
     assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
+    parent = PARENT_C_STAR.get(request.node.callspec.id)
+    if parent is not None:
+        bound = 2e-7 if scenario.m == 2 else 1e-8
+        assert np.abs(np.array([r.c_star for r in result.records]) - parent).max() <= bound
