@@ -3,10 +3,15 @@
 Dimensions up to four use deterministic quadrature: the Drezner-Wesolowsky /
 Gauss-Legendre bivariate normal, recursive conditioning on one variable at a
 time down to it for the trivariate and four-variate normal, and chi-scale
-mixtures of those for the t cases. Higher dimensions integrate the
-separation-of-variables transform with randomized quasi-Monte Carlo over
-scrambled Sobol streams, where the spread across scramblings yields the error
-estimate.
+mixtures of those for the t cases. Each quadrature climbs a ladder of ever
+finer rules and stops at the first two adjacent rungs that agree within
+TOL_MIN, a fixed constant, so its result never depends on the caller's `tol`;
+three times that last gap is the error estimate. A CorrelationMatrix is
+validated once and keeps its Cholesky factor and conditioning plan, and its
+principal submatrices need no validation of their own. Higher dimensions
+integrate the separation-of-variables transform with randomized quasi-Monte
+Carlo over scrambled Sobol streams, where the spread across scramblings yields
+the error estimate.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ def t_quantile(q: float, df: float) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """A validated correlation matrix with a cached Cholesky factor.
+    """A validated correlation matrix with a cached Cholesky factor and conditioning plan.
 
     Symmetry is required within 1e-12 (then symmetrized exactly), the diagonal
     must be 1 within 1e-12, and eigenvalues in [-1e-10, 0) are clipped to zero;
@@ -122,11 +127,31 @@ class CorrelationMatrix:
         object.__setattr__(self, "_chol", chol)
         return chol
 
+    def conditioning(self) -> tuple[list, float] | None:
+        """The recursive-conditioning plan of _conditioning, computed once."""
+        if "_plan" not in self.__dict__:
+            object.__setattr__(self, "_plan", _conditioning(self.values))
+        return self.__dict__["_plan"]
+
+    def principal(self, idx) -> CorrelationMatrix:
+        """The principal submatrix on the indices idx.
+
+        It equals CorrelationMatrix(values[idx, idx]) exactly and needs no
+        validation of its own: every check is entrywise except the eigenvalue
+        bound, and by Cauchy interlacing a principal submatrix's smallest
+        eigenvalue is no smaller than the whole matrix's.
+        """
+        sub = object.__new__(CorrelationMatrix)
+        values = self.values[np.ix_(idx, idx)]
+        values.setflags(write=False)
+        object.__setattr__(sub, "values", values)
+        return sub
+
 
 # ---------------------------------------------------------------------------
 # deterministic quadratures
 
-_GL_RULES = {n: leggauss(n) for n in (6, 12, 20, 32, 48, 64, 96)}
+_GL_RULES = {n: leggauss(n) for n in (6, 12, 20, 24, 32, 48, 64, 96)}
 
 
 def _gl_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,25 +288,46 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: float, nodes: tuple[int, ..
     return (inner * phi * wt).sum(axis=1)
 
 
-# The coarse and the fine rule, whose gap is the error estimate: the
-# Gauss-Legendre node count of each conditioning layer, led for the t law by
-# the chi-scale nodes.
-_NORMAL_RULES = {3: ((48,), (96,)), 4: ((48, 48), (96, 96))}
+# The rule ladders, coarse to fine: the Gauss-Legendre node count of each
+# conditioning layer, led for the t law by the chi-scale nodes. The normal
+# ladder usually stops at its middle rung. The t ladders have two rungs: at 24
+# chi-scale nodes the mixture is only accurate to ~2e-7, so a coarser t rung
+# would never agree with the next within TOL_MIN.
+_NORMAL_RULES = {d: tuple((n,) * (d - 2) for n in (24, 48, 96)) for d in (3, 4)}
 _T_RULES = {3: ((32, 48), (64, 96)), 4: ((32, 32, 32), (64, 48, 48))}
 # bivariate evaluations per stacked _cond_quad call of the t mixture, which
 # bounds its temporaries at a few MB
 _QUAD_BLOCK = 1 << 14
 
 
-def _mvn_det(upper: np.ndarray, corr: np.ndarray) -> ProbResult | None:
+def _ladder(rules, evaluate: Callable, floor: float) -> ProbResult:
+    """Evaluate the rules in turn until two adjacent ones agree within TOL_MIN.
+
+    evaluate(rule) returns (value, points). The result is the last rule's
+    value with three times its gap to the one before as the error estimate
+    (at least `floor`); points_used sums the rules evaluated.
+    """
+    prev, points = evaluate(rules[0])
+    for rule in rules[1:]:
+        value, n = evaluate(rule)
+        points += n
+        err = 3.0 * abs(value - prev)
+        if err <= TOL_MIN:
+            break
+        prev = value
+    return ProbResult(min(1.0, max(0.0, value)), max(err, floor), points)
+
+
+def _mvn_det(upper: np.ndarray, corr: CorrelationMatrix) -> ProbResult | None:
     """Deterministic normal orthant probability (d = 3, 4), or None when conditioning degenerates."""
-    plan = _conditioning(corr)
+    plan = corr.conditioning()
     if plan is None:
         return None
-    rules = _NORMAL_RULES[corr.shape[0]]
-    values = [float(_cond_quad(upper[:, None], *plan, nodes)[0]) for nodes in rules]
-    err = max(3.0 * abs(values[1] - values[0]), 1e-10)
-    return ProbResult(min(1.0, max(0.0, values[1])), err, sum(math.prod(nodes) for nodes in rules))
+
+    def evaluate(nodes):
+        return float(_cond_quad(upper[:, None], *plan, nodes)[0]), math.prod(nodes)
+
+    return _ladder(_NORMAL_RULES[corr.dim], evaluate, 1e-10)
 
 
 def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,33 +348,31 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bvt_det(upper: np.ndarray, rho: float, df: float) -> ProbResult:
     """Bivariate t as a chi-scale mixture of deterministic bivariate normals."""
-    values = []
-    for n in (32, 64):
+
+    def evaluate(n):
         s, w = _chi_scale_nodes(df, n)
-        inner = bvn_cdf_many(s * upper[0], s * upper[1], rho)
-        values.append(float(np.sum(w * inner)))
-    err = max(3.0 * abs(values[1] - values[0]), 1e-10)
-    return ProbResult(min(1.0, max(0.0, values[1])), err, 96)
+        return float(np.sum(w * bvn_cdf_many(s * upper[0], s * upper[1], rho))), n
+
+    return _ladder((32, 64), evaluate, 1e-10)
 
 
-def _mvt_det(upper: np.ndarray, corr: np.ndarray, df: float) -> ProbResult | None:
+def _mvt_det(upper: np.ndarray, corr: CorrelationMatrix, df: float) -> ProbResult | None:
     """Deterministic t orthant probability (d = 3, 4) as a chi-scale mixture of
     normal ones, or None when conditioning degenerates."""
-    plan = _conditioning(corr)
+    plan = corr.conditioning()
     if plan is None:
         return None
-    values = []
-    points = 0
-    for n_chi, *nodes in _T_RULES[corr.shape[0]]:
+
+    def evaluate(rule):
+        n_chi, *nodes = rule
         s, w = _chi_scale_nodes(df, n_chi)
         step = max(1, _QUAD_BLOCK // math.prod(nodes))
         inner = np.concatenate(
             [_cond_quad(upper[:, None] * s[i:i + step], *plan, nodes) for i in range(0, n_chi, step)]
         )
-        values.append(float(np.sum(w * inner)))
-        points += n_chi * math.prod(nodes)
-    err = max(3.0 * abs(values[1] - values[0]), 1e-9)
-    return ProbResult(min(1.0, max(0.0, values[1])), err, points)
+        return float(np.sum(w * inner)), math.prod(rule)
+
+    return _ladder(_T_RULES[corr.dim], evaluate, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +500,7 @@ def mvn_cdf(
         value = bvn_cdf(upper[0], upper[1], corr.values[0, 1])
         return ProbResult(value, 5e-15, 20)
     if d in _NORMAL_RULES and method == "auto":
-        result = _mvn_det(upper, corr.values)
+        result = _mvn_det(upper, corr)
         if result is not None and result.error_estimate <= tol:
             return result
     if rng is None:
@@ -502,7 +546,7 @@ def mvt_cdf(
         if method == "auto":
             return _bvt_det(upper, rho, df)
     if d in _T_RULES and method == "auto":
-        result = _mvt_det(upper, corr.values, df)
+        result = _mvt_det(upper, corr, df)
         if result is not None and result.error_estimate <= tol:
             return result
     if rng is None:

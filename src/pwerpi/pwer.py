@@ -23,6 +23,11 @@ DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_CDF_TOL = 1e-6
 DEFAULT_VERIFY_TOL = 1e-7
 
+# The smallest alpha the calibration resolves: below it 1 - F_J(c) carries too
+# few significant digits of alpha (at 1e-12 the achieved PWER is off by 6e-5
+# relative).
+ALPHA_MIN = 1e-10
+
 # Safeguarded secant: bracket width at which it stops, and its step limit.
 _SOLVER_XTOL = 1e-12
 _SOLVER_MAX_ITER = 200
@@ -155,14 +160,17 @@ def build_test_model(
             raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
 
     corr, v = build_full_correlation(design, allow_empty_populations)
-    ok = ~np.isnan(v)
+    # validate the populated block once; each stratum's matrix is a principal
+    # submatrix of it, indexed by its members' positions in the block
+    populated = np.flatnonzero(~np.isnan(v))
+    block = mvprob.CorrelationMatrix(corr[np.ix_(populated, populated)]) if populated.size else None
+    position = {int(i) + 1: k for k, i in enumerate(populated)}
     subs = []
     for stratum in design.strata:
-        idx = [i - 1 for i in sorted(stratum)]
-        if not ok[idx].all():
+        if stratum.issubset(position):
+            subs.append(block.principal([position[i] for i in sorted(stratum)]))
+        else:
             subs.append(None)
-            continue
-        subs.append(mvprob.CorrelationMatrix(corr[np.ix_(idx, idx)]))
     return TestModel(
         kind=kind,
         df=df,
@@ -279,6 +287,12 @@ class CriticalValues:
         return float(np.nansum(prevalence_weights(pi, self.fwer.shape[0]) * self.fwer))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a familywise level outside [ALPHA_MIN, 0.5)."""
+    if not ALPHA_MIN <= alpha < 0.5:
+        raise ConfigError(f"alpha must lie in [{ALPHA_MIN:g}, 0.5), got {alpha}")
+
+
 def solve_critical_values(
     pi,
     model: TestModel,
@@ -302,10 +316,12 @@ def solve_critical_values(
     c, and one set of scrambled Sobol engines per QMC stratum, built by the
     first evaluation and rewound by the later ones. A final verification
     pass at verify_tol uses an independent stream and fresh engines.
+
+    The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
+    a small alpha is met to a relative precision too.
     """
     weights = prevalence_weights(pi, len(model.strata))
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError(f"alpha must lie in (0, 0.5), got {alpha}")
+    check_alpha(alpha)
     if not np.any(weights > 0.0):
         raise ConfigError("prevalence vector has no positive component")
 
@@ -335,12 +351,13 @@ def solve_critical_values(
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
+    f_tol = min(solver_tol, 1e-3 * alpha)
     p_lo = pwer_at(lo)
     if p_lo - alpha < -slack:
         raise NumericalError(
             f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
         )
-    if p_lo - alpha <= solver_tol:
+    if p_lo - alpha <= f_tol:
         # the single-test bound is already exhausted (disjoint-population case)
         return finish(lo, p_lo)
 
@@ -359,11 +376,11 @@ def solve_critical_values(
                     raise NumericalError(
                         f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
                     )
-                if p_b - alpha >= -solver_tol:
+                if p_b - alpha >= -f_tol:
                     return finish(hi, p_b)
             x = 0.5 * (a + b)
         p = pwer_at(x)
-        if abs(p - alpha) <= solver_tol:
+        if abs(p - alpha) <= f_tol:
             return finish(x, p)
         if p > alpha:
             a, p_a = x, p

@@ -89,8 +89,7 @@ class SimScenario:
             raise ConfigError("setting E is defined for m = 2 only")
         if self.runs < 1 or self.N < 1:
             raise ConfigError("runs and N must be positive")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        pwer.check_alpha(self.alpha)
         if not 0.0 < self.alpha_prime < 1.0:
             raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
         if SETTINGS_TABLE[self.setting].engine != "exact" and (

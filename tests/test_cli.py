@@ -332,6 +332,7 @@ class TestErrorPaths:
         pytest.param({"1": 10, "9": 5}, {}, {}, {}, id="stratum_outside_design"),
         pytest.param(None, {}, {"transform": "floor", "pi_min": 0.5}, {}, id="floor_pi_min_out_of_range"),
         pytest.param(None, {}, {"alpha": 0.7}, {}, id="alpha"),
+        pytest.param(None, {}, {"alpha": 1e-12}, {}, id="alpha_below_floor"),
         pytest.param(None, {}, {"alpha_prime": 1.5}, {}, id="alpha_prime"),
         pytest.param(None, {"variance_mode": "unknown_heterogeneous"}, {}, {"B": 500},
                      id="too_few_resamples"),
@@ -347,6 +348,17 @@ class TestErrorPaths:
         assert cli.main(["--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "drybad").exists()
+
+    def test_simulate_dry_run_states_the_alpha_range(self, tmp_path, capsys):
+        payload = {
+            "mode": "simulate",
+            "design": {"m": 2, "N": 250, "setting": "A"},
+            "interval": {"alpha": 1e-12},
+            "engine": {"runs": 5},
+        }
+        cfg = write_config(tmp_path, "tinyalpha.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert "alpha must lie in [1e-10, 0.5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -262,6 +262,55 @@ class TestMvnCdf:
         assert res.points_used > 1000
 
 
+class TestNodeLadder:
+    """The normal quadrature climbs 24 -> 48 -> 96 nodes per layer until two rungs agree."""
+
+    @staticmethod
+    def rung(upper, cm, n):
+        return float(mvprob._cond_quad(np.asarray(upper, float)[:, None], *cm.conditioning(),
+                                       (n,) * (cm.dim - 2))[0])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_unsettled_input_returns_the_old_fine_pair(self, no_qmc, d):
+        # 24 and 48 nodes disagree by ~8e-8 here, so the 96 rung decides
+        upper, cm = [1.0, 1.2, 0.8, 1.5][:d], equicorr(d, 0.95)
+        coarse, fine = self.rung(upper, cm, 48), self.rung(upper, cm, 96)
+        assert 3.0 * abs(coarse - self.rung(upper, cm, 24)) > mvprob.TOL_MIN
+        res = mvprob.mvn_cdf(upper, cm)
+        assert res.value == fine
+        assert res.error_estimate == max(3.0 * abs(fine - coarse), 1e-10)
+        assert res.points_used == sum(n ** (d - 2) for n in (24, 48, 96))
+
+    def test_settled_inputs_match_the_finest_rung(self):
+        rng = np.random.default_rng(10)
+        settled = 0
+        for d in (3, 4):
+            for _ in range(50):
+                cm = corr(random_correlation(d, rng))
+                upper = rng.normal(size=d) * 1.5
+                res = mvprob.mvn_cdf(upper, cm)
+                if res.points_used == 24 ** (d - 2) + 48 ** (d - 2):
+                    settled += 1
+                    assert res.value == self.rung(upper, cm, 48)
+                    assert abs(res.value - self.rung(upper, cm, 96)) <= 1e-13
+                    assert res.error_estimate <= mvprob.TOL_MIN
+        assert settled >= 90
+
+    @pytest.mark.parametrize("upper, mat", [
+        pytest.param([1.0, 1.2, 0.8], 0.5 + 0.5 * np.eye(3), id="d3_settled"),
+        pytest.param(*DIM4_RANDOM, id="d4_random"),
+        pytest.param([1.0, 1.2, 0.8, 1.5], 0.95 + 0.05 * np.eye(4), id="d4_unsettled"),
+    ])
+    def test_result_independent_of_tol(self, no_qmc, upper, mat):
+        assert mvprob.mvn_cdf(upper, corr(mat), tol=1e-6) == mvprob.mvn_cdf(upper, corr(mat), tol=1e-7)
+
+    def test_conditioning_plan_cached(self):
+        cm = equicorr(4, 0.4)
+        assert cm.conditioning() is cm.conditioning()
+        singular = equicorr(3, 0.9995)
+        assert singular.conditioning() is None and "_plan" in singular.__dict__
+
+
 class TestMvtCdf:
     def test_dim1_t_quantile(self):
         res = mvprob.mvt_cdf([2.015048], corr([[1.0]]), df=5)

@@ -99,6 +99,49 @@ class TestBuildTestModel:
         assert list(model.stratum_ok) == [True, False, False]
 
 
+    @pytest.mark.parametrize("m, counts", [
+        (2, [100, 1, 0]),  # population 2 has an empty control arm
+        (2, [1, 1, 0]),  # no population is populated
+        (3, [30, 1, 25, 20, 0, 18, 22]),
+        (4, M4_COUNTS),
+    ])
+    def test_stratum_matrices_equal_fresh_validation(self, m, counts):
+        d = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
+        model = pwer.build_test_model(d, allow_empty_populations=True)
+        populated = ~np.isnan(model.population_variances)
+        for stratum, cm in zip(model.strata, model.stratum_corr):
+            idx = [i - 1 for i in sorted(stratum)]
+            if not populated[idx].all():
+                assert cm is None
+                continue
+            fresh = mvprob.CorrelationMatrix(model.full_corr[np.ix_(idx, idx)])
+            assert np.array_equal(cm.values, fresh.values)
+            assert not cm.values.flags.writeable
+
+    def test_indefinite_populated_block_rejected(self, monkeypatch):
+        # every pair is a valid correlation, but the three together are not
+        mat = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.9], [0.5, 0.9, 1.0]])
+        monkeypatch.setattr(pwer, "build_full_correlation", lambda design, allow: (mat, np.ones(3)))
+        d = dz.build_design(3, "pairwise_different", [10] * 7, 1.0, "known_homogeneous")
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            pwer.build_test_model(d)
+
+    def test_conditioning_planned_once_per_matrix_in_a_solve(self, monkeypatch):
+        planned = []
+        conditioning = mvprob._conditioning
+
+        def counting(corr):
+            planned.append(id(corr))
+            return conditioning(corr)
+
+        monkeypatch.setattr(mvprob, "_conditioning", counting)
+        cv = m4_solve()
+        # four 3-dim strata and the 4-dim one, each planned once across four
+        # evaluations and the verify pass
+        assert cv.evaluations == 4
+        assert len(planned) == len(set(planned)) == 5
+
+
 class TestTestStatistics:
     def test_zero_means(self):
         d = equal_cells_design()
@@ -192,17 +235,20 @@ class TestSolveCriticalValues:
     def test_m4_solve_pinned(self):
         # exact figures: a change that moves the 4-dim quadrature numbers must update them
         cv = m4_solve()
-        assert cv.value == 2.249761723205715
-        assert cv.achieved == 0.0250000019728125
-        assert cv.verified == 0.0250000019728125
+        assert cv.value == 2.2497617232057587
+        assert cv.achieved == 0.02500000197281236
+        assert cv.verified == 0.02500000197281236
         assert cv.evaluations == 4
         assert cv.fwer.tolist() == [
-            0.012232037505127247, 0.012232037505127247, 0.012232037505127247,
-            0.012232037505127247, 0.02398941847854319, 0.023908996049514797,
-            0.02398327707308101, 0.023832879688473474, 0.024025279831317303,
-            0.023943318742901343, 0.035087262471224845, 0.03533737208019572,
-            0.03518499884248816, 0.03515226439971819, 0.04600067051689116,
+            0.012232037505125914, 0.012232037505125914, 0.012232037505125914,
+            0.012232037505125914, 0.023989418478540525, 0.023908996049512132,
+            0.023983277073078346, 0.02383287968847092, 0.02402527983131464,
+            0.023943318742898678, 0.035087262471227176, 0.03533737208019794,
+            0.03518499884249038, 0.035152264399720634, 0.0460006705168986,
         ]
+        # the figures pinned before the quadrature climbed a node ladder
+        assert abs(cv.value - 2.249761723205715) <= 1e-12
+        assert abs(cv.achieved - 0.0250000019728125) <= 1e-12
         # the value pinned before the solver became a secant on the quantile scale
         assert abs(cv.value - 2.249761755282957) <= 1e-7
         # the value pinned when the 4-dim stratum went through QMC
@@ -230,8 +276,22 @@ class TestSolveCriticalValues:
         model = pwer.build_test_model(equal_cells_design())
         with pytest.raises(ConfigError):
             pwer.solve_critical_values(np.full(3, 1 / 3), model, 0.6)
+        for alpha in (0.0, 1e-12, 1e-16):
+            with pytest.raises(ConfigError, match=r"alpha must lie in \[1e-10, 0.5\)"):
+                pwer.solve_critical_values(np.full(3, 1 / 3), model, alpha)
         with pytest.raises(ConfigError):
             pwer.solve_critical_values(np.zeros(3), model, ALPHA)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-9, 1e-10])
+def test_small_alpha_calibrated_to_relative_precision(alpha):
+    # an absolute solver_tol alone would stop at the single-test quantile here
+    model = pwer.build_test_model(equal_cells_design())
+    cv = pwer.solve_critical_values(np.full(3, 1 / 3), model, alpha)
+    assert abs(cv.achieved - alpha) <= 1e-3 * alpha
+    assert abs(cv.verified - alpha) <= 1e-3 * alpha
+    assert cv.value > model.tail_quantile(alpha) + 0.01
+    assert cv.evaluations <= 4
 
 
 class TestSolverEdges:
