@@ -6,7 +6,9 @@ time down to it for the trivariate and four-variate normal, and chi-scale
 mixtures of those for the t cases. Each quadrature climbs a ladder of ever
 finer rules and stops at the first two adjacent rungs that agree within
 TOL_MIN, a fixed constant, so its result never depends on the caller's `tol`;
-three times that last gap is the error estimate. A CorrelationMatrix is
+three times that last gap is the error estimate. Many 1- and 2-dim laws
+evaluate in one stacked call (univariate_cdf_many, bivariate_cdf_many) whose
+entries equal their own calls bit for bit. A CorrelationMatrix is
 validated once and keeps its Cholesky factor and conditioning plan, and its
 principal submatrices need no validation of their own. Higher dimensions
 integrate the separation-of-variables transform with randomized quasi-Monte
@@ -42,11 +44,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class ProbResult(NamedTuple):
-    """A probability with its estimated absolute error and work counter."""
+    """A probability with its estimated absolute error and work counter.
+
+    qmc marks a randomized-QMC estimate; every other result is deterministic
+    quadrature and does not depend on the call's tol or stream.
+    """
 
     value: float
     error_estimate: float
     points_used: int
+    qmc: bool = False
 
 
 def std_normal_cdf(x: float) -> float:
@@ -160,36 +167,42 @@ def _gl_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _bvn_upper(h, k, r: float) -> np.ndarray:
-    """P(X > h, Y > k) elementwise for standard bivariate normal, scalar r.
+def _bvn_upper(h, k, r, lead: float) -> np.ndarray:
+    """P(X > h, Y > k) elementwise for standard bivariate normal.
 
     Drezner-Wesolowsky quadrature with Genz's near-singular expansion for
-    |r| >= 0.925; |r| must be < 1.
+    |r| >= 0.925; every |r| must be < 1. r is one correlation, or an array of
+    them that broadcasts against h and k; an array's entries share the node
+    band, the branch and, in the near-singular branch, the sign of `lead`.
+    Each entry of h reduces its own nodes, so a stacked call returns the
+    entries of separate calls bit for bit.
     """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    if abs(r) < 0.3:
+    if abs(lead) < 0.3:
         x, w = _GL_RULES[6]
-    elif abs(r) < 0.75:
+    elif abs(lead) < 0.75:
         x, w = _GL_RULES[12]
     else:
         x, w = _GL_RULES[20]
 
+    stacked = isinstance(r, np.ndarray)
     hk = h * k
-    if abs(r) < 0.925:
+    if abs(lead) < 0.925:
         hs = (h * h + k * k) / 2.0
-        asr = math.asin(r)
-        sn = np.sin(asr * (x + 1.0) / 2.0)
+        # math.asin, not np.arcsin: the two differ in the last bit
+        asr = np.array([math.asin(v) for v in r.flat]).reshape(r.shape) if stacked else math.asin(r)
+        sn = np.sin((asr[..., None] if stacked else asr) * (x + 1.0) / 2.0)
         expo = (hk[..., None] * sn - hs[..., None]) / (1.0 - sn * sn)
         bvn = np.exp(expo) @ w
         return bvn * asr / (4.0 * math.pi) + special.ndtr(-h) * special.ndtr(-k)
 
     # integrate the difference from the perfectly dependent case
-    if r < 0.0:
+    if lead < 0.0:
         k = -k
         hk = -hk
     a_sq = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a_sq)
+    a = np.sqrt(a_sq)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -205,7 +218,7 @@ def _bvn_upper(h, k, r: float) -> np.ndarray:
     tail = np.exp(np.maximum(-hk / 2.0, -700.0)) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
     bvn = bvn - np.where(-hk < 100.0, tail, 0.0)
     half = a / 2.0
-    xs = (half * (x + 1.0)) ** 2
+    xs = ((half[..., None] if stacked else half) * (x + 1.0)) ** 2
     rs = np.sqrt(1.0 - xs)
     asr_v = -(bs[..., None] / xs + hk[..., None]) / 2.0
     sp_v = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
@@ -213,20 +226,59 @@ def _bvn_upper(h, k, r: float) -> np.ndarray:
     contrib = np.where(asr_v > -100.0, np.exp(np.maximum(asr_v, -700.0)) * (ep_v - sp_v), 0.0)
     bvn = bvn + half * (contrib @ w)
     bvn = -bvn / (2.0 * math.pi)
-    if r > 0.0:
+    if lead > 0.0:
         return bvn + special.ndtr(-np.maximum(h, k))
     return -bvn + np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0)
 
 
-def bvn_cdf_many(b1, b2, rho: float) -> np.ndarray:
-    """P(X <= b1, Y <= b2) elementwise, standard bivariate normal, scalar rho."""
+def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, lead: float) -> np.ndarray:
+    """P(X <= b1, Y <= b2) for correlations that share `lead`'s edge or band (see _bvn_upper)."""
+    if lead >= 1.0 - 1e-13:
+        return special.ndtr(np.minimum(b1, b2))
+    if lead <= -1.0 + 1e-13:
+        return np.maximum(0.0, special.ndtr(b1) + special.ndtr(b2) - 1.0)
+    return np.clip(_bvn_upper(-b1, -b2, r, lead), 0.0, 1.0)
+
+
+def _bvn_rule(r: float) -> int:
+    """The rule r takes: 0-2 the 6/12/20-node bands, 3 and 4 the near-singular
+    branch for r > 0 and r < 0, 5 and 6 the edges within 1e-13 of +1 and -1."""
+    if r >= 1.0 - 1e-13:
+        return 5
+    if r <= -1.0 + 1e-13:
+        return 6
+    a = abs(r)
+    return 0 if a < 0.3 else 1 if a < 0.75 else 2 if a < 0.925 else 3 + (r < 0.0)
+
+
+def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
+    """P(X <= b1, Y <= b2) elementwise, standard bivariate normal.
+
+    rho is one correlation, or a 1-dim array of them, one per entry of the
+    leading axis of b1 and b2, which then share one shape. The entries are
+    evaluated in groups that share a rule (_bvn_rule), one stacked
+    quadrature per group, and each equals, bit for bit, the call with its
+    own rho alone.
+    """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    if rho >= 1.0 - 1e-13:
-        return special.ndtr(np.minimum(b1, b2))
-    if rho <= -1.0 + 1e-13:
-        return np.maximum(0.0, special.ndtr(b1) + special.ndtr(b2) - 1.0)
-    return np.clip(_bvn_upper(-b1, -b2, rho), 0.0, 1.0)
+    if np.ndim(rho) == 0:
+        return _bvn_lower(b1, b2, float(rho), float(rho))
+    rho = np.asarray(rho, dtype=float)
+    groups: dict[int, list[int]] = {}
+    for j, v in enumerate(rho.tolist()):
+        groups.setdefault(_bvn_rule(v), []).append(j)
+    out = np.empty(b1.shape)
+    for idx in groups.values():
+        lead = rho[idx[0]]
+        if len(idx) == 1:
+            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead)
+            continue
+        # one row per entry, so each entry's nodes reduce as in its own call
+        rows = (len(idx), -1)
+        values = _bvn_lower(b1[idx].reshape(rows), b2[idx].reshape(rows), rho[idx][:, None], lead)
+        out[idx] = values.reshape(out[idx].shape)
+    return out
 
 
 def bvn_cdf(b1: float, b2: float, rho: float) -> float:
@@ -295,6 +347,7 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: float, nodes: tuple[int, ..
 # would never agree with the next within TOL_MIN.
 _NORMAL_RULES = {d: tuple((n,) * (d - 2) for n in (24, 48, 96)) for d in (3, 4)}
 _T_RULES = {3: ((32, 48), (64, 96)), 4: ((32, 32, 32), (64, 48, 48))}
+_BVT_RULES = (32, 64)
 # bivariate evaluations per stacked _cond_quad call of the t mixture, which
 # bounds its temporaries at a few MB
 _QUAD_BLOCK = 1 << 14
@@ -346,14 +399,18 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, wt * np.exp(log_pdf)
 
 
-def _bvt_det(upper: np.ndarray, rho: float, df: float) -> ProbResult:
-    """Bivariate t as a chi-scale mixture of deterministic bivariate normals."""
+def _bvt_det(upper: np.ndarray, rho: np.ndarray, df: float) -> list[ProbResult]:
+    """Bivariate t of each row of upper (S x 2) with correlation rho (S,), as
+    chi-scale mixtures of deterministic bivariate normals.
 
-    def evaluate(n):
+    Each rung is one bvn_cdf_many call over every row and chi-scale node; the
+    ladder then runs per row on its rung values.
+    """
+    rungs = {}
+    for n in _BVT_RULES:
         s, w = _chi_scale_nodes(df, n)
-        return float(np.sum(w * bvn_cdf_many(s * upper[0], s * upper[1], rho))), n
-
-    return _ladder((32, 64), evaluate, 1e-10)
+        rungs[n] = np.sum(w * bvn_cdf_many(upper[:, :1] * s, upper[:, 1:] * s, rho), axis=1).tolist()
+    return [_ladder(_BVT_RULES, lambda n: (rungs[n][j], n), 1e-10) for j in range(len(rho))]
 
 
 def _mvt_det(upper: np.ndarray, corr: CorrelationMatrix, df: float) -> ProbResult | None:
@@ -448,7 +505,7 @@ def _randomized_qmc(
         estimate = float(means.mean())
         error = float(3.0 * means.std(ddof=1) / math.sqrt(_N_SHIFTS))
         if error <= tol:
-            return ProbResult(min(1.0, max(0.0, estimate)), error, count * _N_SHIFTS)
+            return ProbResult(min(1.0, max(0.0, estimate)), error, count * _N_SHIFTS, qmc=True)
         if count * _N_SHIFTS >= _MAX_POINTS:
             raise NumericalError(
                 f"QMC budget of {_MAX_POINTS} points exhausted at error {error:.2e} > tol {tol:.2e}"
@@ -456,20 +513,60 @@ def _randomized_qmc(
         n_next = count
 
 
-def _check_options(tol: float, method: str) -> None:
+def check_tol(tol: float) -> None:
+    """Reject a requested accuracy outside [TOL_MIN, TOL_MAX]."""
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+
+
+def _check_options(tol: float, method: str) -> None:
+    check_tol(tol)
     if method not in ("auto", "qmc"):
         raise ConfigError(f"method must be 'auto' or 'qmc', got {method!r}")
+
+
+def check_limits(upper: np.ndarray) -> None:
+    """Reject integration limits that are not all finite."""
+    if not np.isfinite(upper).all():
+        raise ConfigError("integration limits must be finite")
 
 
 def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
     upper = np.asarray(upper, dtype=float).reshape(-1)
     if upper.shape[0] != corr.dim:
         raise ConfigError(f"limit vector has length {upper.shape[0]}, matrix dimension is {corr.dim}")
-    if not np.all(np.isfinite(upper)):
-        raise ConfigError("integration limits must be finite")
+    check_limits(upper)
     return upper
+
+
+def univariate_cdf_many(x: np.ndarray, df: float | None = None) -> list[ProbResult]:
+    """P(X <= x_j) for each entry of x: standard normal, or Student t when df is given."""
+    if df is None:
+        return [ProbResult(v, 1e-16, 1) for v in special.ndtr(x).tolist()]
+    return [ProbResult(v, 1e-14, 1) for v in special.stdtr(df, x).tolist()]
+
+
+def bivariate_cdf_many(upper: np.ndarray, rho: np.ndarray, df: float | None = None) -> list[ProbResult]:
+    """P(X <= upper_j) for each row of upper (S x 2), X standard bivariate normal
+    with correlation rho_j, or bivariate t when df is given.
+
+    Deterministic, in one stacked evaluation; each row equals its own call
+    bit for bit. Correlations within 1e-13 of +-1 take the degenerate laws.
+    """
+    if df is None:
+        values = bvn_cdf_many(upper[:, 0], upper[:, 1], rho)
+        return [ProbResult(v, 5e-15, 20) for v in values.tolist()]
+    results = [None] * len(rho)
+    for j in np.flatnonzero(np.abs(rho) >= 1.0 - 1e-13).tolist():
+        t = special.stdtr(df, upper[j])
+        if rho[j] > 0.0:
+            results[j] = ProbResult(float(min(t)), 1e-14, 1)
+        else:
+            results[j] = ProbResult(max(0.0, float(t[0] + t[1] - 1.0)), 1e-14, 1)
+    rows = [j for j, r in enumerate(results) if r is None]
+    for j, r in zip(rows, _bvt_det(upper[rows], rho[rows], df) if rows else ()):
+        results[j] = r
+    return results
 
 
 def mvn_cdf(
@@ -495,10 +592,9 @@ def mvn_cdf(
     upper = _check_upper(upper, corr)
     d = corr.dim
     if d == 1:
-        return ProbResult(float(special.ndtr(upper[0])), 1e-16, 1)
+        return univariate_cdf_many(upper)[0]
     if d == 2 and method == "auto":
-        value = bvn_cdf(upper[0], upper[1], corr.values[0, 1])
-        return ProbResult(value, 5e-15, 20)
+        return bivariate_cdf_many(upper[None], corr.values[:1, 1])[0]
     if d in _NORMAL_RULES and method == "auto":
         result = _mvn_det(upper, corr)
         if result is not None and result.error_estimate <= tol:
@@ -535,16 +631,10 @@ def mvt_cdf(
     upper = _check_upper(upper, corr)
     d = corr.dim
     if d == 1:
-        return ProbResult(float(special.stdtr(df, upper[0])), 1e-14, 1)
-    if d == 2:
-        rho = corr.values[0, 1]
-        if rho >= 1.0 - 1e-13:
-            return ProbResult(float(special.stdtr(df, min(upper))), 1e-14, 1)
-        if rho <= -1.0 + 1e-13:
-            value = max(0.0, float(special.stdtr(df, upper[0]) + special.stdtr(df, upper[1]) - 1.0))
-            return ProbResult(value, 1e-14, 1)
-        if method == "auto":
-            return _bvt_det(upper, rho, df)
+        return univariate_cdf_many(upper, df)[0]
+    # the degenerate bivariate laws are exact whatever the method
+    if d == 2 and (method == "auto" or abs(corr.values[0, 1]) >= 1.0 - 1e-13):
+        return bivariate_cdf_many(upper[None], corr.values[:1, 1], df)[0]
     if d in _T_RULES and method == "auto":
         result = _mvt_det(upper, corr, df)
         if result is not None and result.error_estimate <= tol:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,25 +59,10 @@ class TestModel:
         """Strata whose joint law is defined (all member populations populated)."""
         return np.array([corr is not None for corr in self.stratum_corr])
 
-    def stratum_cdf(
-        self,
-        stratum_index: int,
-        c: np.ndarray,
-        tol: float,
-        rng: np.random.Generator | None,
-        engines: dict | None = None,
-    ) -> mvprob.ProbResult:
-        """F_J(c_J) for one stratum: the no-rejection probability at c."""
-        members = sorted(self.strata[stratum_index])
-        upper = c[[i - 1 for i in members]]
-        corr = self.stratum_corr[stratum_index]
-        if corr is None:
-            raise InfeasibleDesignError(
-                f"stratum {members} involves a population with an empty arm"
-            )
-        if self.kind == "t":
-            return mvprob.mvt_cdf(upper, corr, self.df, tol, rng, engines=engines)
-        return mvprob.mvn_cdf(upper, corr, tol, rng, engines=engines)
+    @cached_property
+    def _members(self) -> list[list[int]]:
+        """Each stratum's member populations as sorted 0-based indices."""
+        return [[i - 1 for i in sorted(stratum)] for stratum in self.strata]
 
     def tail_quantile(self, p: float) -> float:
         """c with P(single statistic > c) = p under the marginal law."""
@@ -204,6 +190,71 @@ def _c_vector(c, m: int) -> np.ndarray:
     return arr
 
 
+def evaluate_strata(
+    c,
+    model: TestModel,
+    tol: float = DEFAULT_VERIFY_TOL,
+    rng: np.random.Generator | None = None,
+    which: np.ndarray | None = None,
+    engines: dict | None = None,
+) -> list[mvprob.ProbResult | None]:
+    """F_J(c_J), the no-rejection probability, of every stratum in one batched call.
+
+    which selects the strata (default: every one with a defined joint law);
+    requesting a stratum without one raises, and unselected strata return
+    None. The limits and tol are checked once. The 1-dim strata take one
+    vectorized marginal CDF and the 2-dim ones one stacked bivariate call;
+    each larger stratum goes through mvn_cdf/mvt_cdf in stratum order, so its
+    QMC streams come off rng in that order, and `engines` keeps their
+    scrambled engines across calls. Every result equals the stratum's own
+    mvn_cdf/mvt_cdf call.
+    """
+    c_vec = _c_vector(c, model.m)
+    mvprob.check_limits(c_vec)
+    mvprob.check_tol(tol)
+    if which is None:
+        picked = [j for j, corr in enumerate(model.stratum_corr) if corr is not None]
+    else:
+        picked = np.flatnonzero(which).tolist()
+        for j in picked:
+            if model.stratum_corr[j] is None:
+                raise InfeasibleDesignError(
+                    f"stratum {sorted(model.strata[j])} involves a population with an empty arm"
+                )
+    df = model.df if model.kind == "t" else None
+    members = model._members
+    results: list[mvprob.ProbResult | None] = [None] * len(members)
+    ones = [j for j in picked if len(members[j]) == 1]
+    if ones:
+        upper = c_vec[[members[j][0] for j in ones]]
+        for j, r in zip(ones, mvprob.univariate_cdf_many(upper, df)):
+            results[j] = r
+    twos = [j for j in picked if len(members[j]) == 2]
+    if twos:
+        upper = c_vec[[members[j] for j in twos]]
+        rho = np.array([model.stratum_corr[j].values[0, 1] for j in twos])
+        for j, r in zip(twos, mvprob.bivariate_cdf_many(upper, rho, df)):
+            results[j] = r
+    for j in picked:
+        if len(members[j]) > 2:
+            corr = model.stratum_corr[j]
+            if df is None:
+                results[j] = mvprob.mvn_cdf(c_vec[members[j]], corr, tol, rng, engines=engines)
+            else:
+                results[j] = mvprob.mvt_cdf(c_vec[members[j]], corr, df, tol, rng, engines=engines)
+    return results
+
+
+def _values(results: list[mvprob.ProbResult | None]) -> np.ndarray:
+    return np.array([math.nan if r is None else r.value for r in results])
+
+
+def _pwer(weights: np.ndarray, results: list[mvprob.ProbResult | None]) -> float:
+    """sum_J pi_J * (1 - F_J) over the positive weights."""
+    mask = weights > 0.0
+    return float(np.sum(weights[mask] * (1.0 - _values(results)[mask])))
+
+
 def stratum_cdf_values(
     c,
     model: TestModel,
@@ -212,23 +263,8 @@ def stratum_cdf_values(
     mask: np.ndarray | None = None,
     engines: dict | None = None,
 ) -> np.ndarray:
-    """F_J(c_J) for every stratum (masked or undefined entries return NaN).
-
-    Without a mask, strata whose joint law is undefined (empty member
-    population) are skipped; with a mask, requesting such a stratum raises.
-    `engines` keeps the QMC strata's scrambled engines across calls.
-    """
-    c_vec = _c_vector(c, model.m)
-    ok = model.stratum_ok
-    out = np.full(len(model.strata), np.nan)
-    for j in range(len(model.strata)):
-        if mask is None:
-            if not ok[j]:
-                continue
-        elif not mask[j]:
-            continue
-        out[j] = model.stratum_cdf(j, c_vec, tol, rng, engines).value
-    return out
+    """F_J(c_J) for every stratum, NaN where not evaluated (see evaluate_strata)."""
+    return _values(evaluate_strata(c, model, tol, rng, mask, engines))
 
 
 def pwer_value(
@@ -240,9 +276,7 @@ def pwer_value(
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
     weights = prevalence_weights(pi, len(model.strata))
-    mask = weights > 0.0
-    cdf = stratum_cdf_values(c, model, tol, rng, mask=mask)
-    return float(np.sum(weights[mask] * (1.0 - cdf[mask])))
+    return _pwer(weights, evaluate_strata(c, model, tol, rng, weights > 0.0))
 
 
 @dataclass(frozen=True)
@@ -250,11 +284,13 @@ class CriticalValues:
     """Equal critical values calibrated so the estimated PWER hits alpha.
 
     The one result of every calibration engine. achieved is the solver's PWER
-    at c; verified re-evaluates it independently (the exact engine uses a
-    tighter tolerance and a fresh integration stream, the empirical engine
-    repeats achieved). fwer holds the per-stratum rejection probability
-    FWER_J(c) = 1 - F_J(c_J), NaN where a stratum has no defined joint law;
-    gradient and true_pwer are both read off it.
+    at c and verified the verify pass's. The exact engine's verify pass keeps
+    the solver's deterministic strata that meet verify_tol (quadrature does
+    not depend on tol or stream, so evaluating them again would give the same
+    numbers) and recomputes the others at verify_tol on a fresh integration
+    stream; the empirical engine repeats achieved. fwer holds the per-stratum
+    rejection probability FWER_J(c) = 1 - F_J(c_J), NaN where a stratum has no
+    defined joint law; gradient and true_pwer are both read off it.
     """
 
     c: np.ndarray
@@ -314,8 +350,12 @@ def solve_critical_values(
     exit needs it. All PWER evaluations inside one solve reuse one frozen
     integration seed, which makes the objective a deterministic function of
     c, and one set of scrambled Sobol engines per QMC stratum, built by the
-    first evaluation and rewound by the later ones. A final verification
-    pass at verify_tol uses an independent stream and fresh engines.
+    first evaluation and rewound by the later ones. Each evaluation is one
+    batched evaluate_strata call, and the solver keeps its per-stratum
+    results for every c it evaluated. The verify pass (_finish) reuses the
+    deterministic ones at the returned c and recomputes only the QMC strata,
+    the deterministic ones looser than verify_tol and the zero-weight strata,
+    at verify_tol on an independent stream with fresh engines.
 
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
     a small alpha is met to a relative precision too.
@@ -327,18 +367,19 @@ def solve_critical_values(
 
     seed = int((rng or np.random.default_rng(0)).integers(0, 2**63 - 1))
     mask = weights > 0.0
-    pos_w = weights[mask]
     evaluations = 0
+    stream = np.random.default_rng(seed)
+    start = stream.bit_generator.state
     engines: dict = {}
+    # the per-stratum results at every c evaluated, for the verify pass
+    solved: dict[float, list[mvprob.ProbResult | None]] = {}
 
     def pwer_at(c: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        cdf = stratum_cdf_values(
-            np.full(model.m, c), model, cdf_tol, np.random.default_rng(seed), mask=mask,
-            engines=engines,
-        )
-        return float(np.sum(pos_w * (1.0 - cdf[mask])))
+        stream.bit_generator.state = start  # every evaluation replays the same seeds
+        solved[c] = evaluate_strata(np.full(model.m, c), model, cdf_tol, stream, mask, engines)
+        return _pwer(weights, solved[c])
 
     q_alpha = _upper_quantile(model, alpha)
 
@@ -346,7 +387,7 @@ def solve_critical_values(
         return _upper_quantile(model, p) - q_alpha
 
     def finish(c: float, p: float) -> CriticalValues:
-        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations)
+        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations, solved[c])
 
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
@@ -421,10 +462,27 @@ def _finish(
     cdf_tol: float,
     seed: int,
     evaluations: int,
+    solved: list[mvprob.ProbResult | None],
 ) -> CriticalValues:
+    """Verify the solver's PWER at c_star and fill in every stratum's FWER.
+
+    solved holds the solver's per-stratum results at c_star. A deterministic
+    one within verify_tol is what the verify pass would compute, since
+    quadrature does not depend on tol or stream, and is kept. The rest are
+    computed at verify_tol on an independent stream with fresh engines: the
+    QMC strata, deterministic ones whose error estimate exceeds verify_tol
+    (verify_tol sends them to QMC), and the zero-weight strata with a defined
+    law, which true_pwer weighs.
+    """
     c_vec = np.full(model.m, c_star)
-    verify_rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
-    fwer = 1.0 - stratum_cdf_values(c_vec, model, verify_tol, verify_rng)
+    redo = model.stratum_ok & np.array(
+        [r is None or r.qmc or r.error_estimate > verify_tol for r in solved]
+    )
+    if redo.any():
+        verify_rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
+        fresh = evaluate_strata(c_vec, model, verify_tol, verify_rng, redo)
+        solved = [f if again else r for f, r, again in zip(fresh, solved, redo)]
+    fwer = 1.0 - _values(solved)
     # strata without a defined law carry NaN and only ever zero weight here
     verified = float(np.nansum(weights * fwer))
     threshold = 3.0 * cdf_tol + 30.0 * verify_tol + 10.0 * abs(achieved - alpha)

@@ -196,14 +196,14 @@ class SimResult:
 
     @property
     def sd_length(self) -> float:
+        """Sample standard deviation of the interval lengths; 0.0 for a single run."""
+        if len(self.records) < 2:
+            return 0.0
         return float(np.std([r.length for r in self.records], ddof=1))
 
     @property
     def mean_true_pwer(self) -> float:
         return float(np.mean([r.true_pwer for r in self.records]))
-
-    def length_quantiles(self, qs=(0.25, 0.5, 0.75)) -> list[float]:
-        return [float(v) for v in np.quantile([r.length for r in self.records], qs)]
 
     def aggregate_row(self) -> dict:
         sc = self.scenario

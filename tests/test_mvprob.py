@@ -78,6 +78,61 @@ class TestUnivariate:
         assert mvprob.t_quantile(0.95, 5) == pytest.approx(2.015048, abs=1e-5)
 
 
+# correlations covering every rule of bvn_cdf_many: the 6/12/20-node bands, the
+# near-singular branch of either sign and the edges within 1e-13 of +-1, each
+# with a lone entry and with several
+RULE_RHOS = [
+    0.1, -0.25, 0.0, 0.5, -0.6, 0.74, 0.8, -0.9, 0.93, 0.9999, -0.95, -0.999,
+    1.0 - 5e-14, 1.0, -1.0 + 2e-14, 0.3, 0.75, 0.925, -0.925, 0.2999999, 0.7499999,
+]
+
+
+class TestBivariateMany:
+    """One call over many correlations against the calls with one correlation each."""
+
+    @pytest.mark.parametrize("size", [1, 3, len(RULE_RHOS)])
+    @pytest.mark.parametrize("row", [(), (32,)], ids=["scalar_rows", "vector_rows"])
+    def test_rho_array_equals_single_calls_bit_for_bit(self, size, row):
+        rng = np.random.default_rng(size + len(row))
+        rho = rng.permutation(RULE_RHOS)[:size]
+        b1 = rng.normal(scale=2.0, size=(size, *row))
+        b2 = rng.normal(scale=2.0, size=(size, *row))
+        many = mvprob.bvn_cdf_many(b1, b2, rho)
+        assert many.shape == b1.shape
+        for j in range(size):
+            assert np.array_equal(many[j], mvprob.bvn_cdf_many(b1[j], b2[j], float(rho[j])))
+
+    @pytest.mark.parametrize("df", [3.0, 12.5, 480.0])
+    def test_t_rows_equal_chi_mixture_of_single_calls(self, df):
+        rng = np.random.default_rng(int(df))
+        rho = np.array([r for r in RULE_RHOS if abs(r) < 1.0 - 1e-13])
+        upper = rng.normal(scale=1.5, size=(rho.size, 2))
+        for j, got in enumerate(mvprob.bivariate_cdf_many(upper, rho, df)):
+            rungs = []
+            for n in (32, 64):
+                s, w = mvprob._chi_scale_nodes(df, n)
+                rungs.append(float(np.sum(w * mvprob.bvn_cdf_many(s * upper[j, 0], s * upper[j, 1], rho[j]))))
+            want = (min(1.0, max(0.0, rungs[1])), max(3.0 * abs(rungs[1] - rungs[0]), 1e-10), 96, False)
+            assert tuple(got) == want
+
+    @pytest.mark.parametrize("df", [None, 7.0])
+    def test_rows_equal_mvn_mvt_calls(self, df):
+        rng = np.random.default_rng(5)
+        rho = np.array(RULE_RHOS)
+        upper = rng.normal(scale=1.5, size=(rho.size, 2))
+        many = mvprob.bivariate_cdf_many(upper, rho, df)
+        for j, r in enumerate(rho):
+            cm = corr([[1.0, r], [r, 1.0]])
+            one = mvprob.mvn_cdf(upper[j], cm) if df is None else mvprob.mvt_cdf(upper[j], cm, df)
+            assert many[j] == one
+        # the univariate laws likewise
+        many = mvprob.univariate_cdf_many(upper[:, 0], df)
+        for j in range(rho.size):
+            one = mvprob.mvn_cdf(upper[j, :1], corr([[1.0]])) if df is None else mvprob.mvt_cdf(
+                upper[j, :1], corr([[1.0]]), df)
+            assert many[j] == one
+
+
 class TestMvnCdf:
     def test_dim2_independent_origin(self):
         res = mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)))
@@ -90,6 +145,13 @@ class TestMvnCdf:
     def test_dim1_delegates(self):
         res = mvprob.mvn_cdf([0.0], corr([[1.0]]))
         assert res.value == 0.5 and res.points_used == 1
+
+    def test_qmc_flag_marks_qmc_results_only(self):
+        c3 = corr(0.5 + 0.5 * np.eye(3))
+        assert not mvprob.mvn_cdf([1.0, 1.2, 0.8], c3).qmc
+        assert not mvprob.mvt_cdf([1.0, 1.2], corr(np.eye(2)), df=4.0).qmc
+        res = mvprob.mvn_cdf([1.0, 1.2, 0.8], c3, rng=np.random.default_rng(1), method="qmc")
+        assert res.qmc
 
     def test_dim3_against_mc_oracle(self):
         # frozen plain-MC oracle: 1e7 draws, seed 20250810

@@ -199,6 +199,118 @@ class TestPwerValue:
         assert fwer.min() - 1e-9 <= value <= fwer.max() + 1e-9
 
 
+def random_model(rng, m, scheme, kind, df=None, empty=False, zero=False):
+    """A model of random counts and cell variances; optionally one population
+    with a single patient (an empty arm) and some strata without patients."""
+    layout = dz.cell_layout(m, scheme)
+    counts = rng.integers(5, 60, size=len(layout.strata))
+    if zero:
+        counts[rng.choice(len(counts), size=2, replace=False)] = 0
+    if empty:
+        k = int(rng.integers(1, m + 1))
+        counts[[k in s for s in layout.strata]] = 0
+        counts[layout.strata.index(frozenset({k}))] = 1
+    variances = {(layout.strata[j], arm): float(rng.uniform(0.5, 2.0)) for j, arm in layout.cells}
+    d = dz.build_design(m, scheme, counts, variances, "known_heterogeneous")
+    model = pwer.build_test_model(d, allow_empty_populations=True)
+    if kind == "t":
+        model = dataclasses.replace(model, kind="t", df=df)
+    return model, counts / counts.sum()
+
+
+def per_stratum(c, model, tol, which):
+    """The reference: each selected stratum's own mvn_cdf/mvt_cdf call."""
+    out = []
+    for stratum, corr, selected in zip(model.strata, model.stratum_corr, which):
+        upper = c[[i - 1 for i in sorted(stratum)]]
+        if not selected:
+            out.append(None)
+        elif model.kind == "t":
+            out.append(mvprob.mvt_cdf(upper, corr, model.df, tol))
+        else:
+            out.append(mvprob.mvn_cdf(upper, corr, tol))
+    return out
+
+
+def with_bivariate_rhos(model, rhos):
+    # give the 2-dim strata the correlations rhos, in stratum order
+    rhos = iter(rhos)
+    corrs = []
+    for cm in model.stratum_corr:
+        if cm.dim == 2:
+            r = next(rhos)
+            cm = mvprob.CorrelationMatrix(np.array([[1.0, r], [r, 1.0]]))
+        corrs.append(cm)
+    return dataclasses.replace(model, stratum_corr=tuple(corrs))
+
+
+class TestEvaluateStrata:
+    """The batched evaluation against one mvn_cdf/mvt_cdf call per stratum."""
+
+    CASES = [
+        (m, scheme, kind, df, empty, zero)
+        for m in (2, 3, 4)
+        for scheme in ("pairwise_different", "single")
+        for kind, df in (("normal", None), ("t", 3.0), ("t", 17.5), ("t", 480.0))
+        for empty, zero in ((False, False), (True, False), (False, True))
+        if m < 4 or kind == "normal" or df == 480.0
+    ]
+
+    @staticmethod
+    def assert_agree(batched, reference):
+        assert [r is None for r in batched] == [r is None for r in reference]
+        for got, want in zip(batched, reference):
+            if want is not None:
+                assert abs(got.value - want.value) <= 1e-15
+                assert abs(got.error_estimate - want.error_estimate) <= 1e-15
+                assert (got.points_used, got.qmc) == (want.points_used, want.qmc)
+
+    @pytest.mark.parametrize("m, scheme, kind, df, empty, zero", CASES)
+    def test_matches_per_stratum_calls(self, m, scheme, kind, df, empty, zero):
+        rng = np.random.default_rng([m, len(scheme), int(df or 0), empty, zero])
+        model, weights = random_model(rng, m, scheme, kind, df, empty, zero)
+        for c in (np.full(m, rng.uniform(1.5, 3.0)), rng.uniform(0.5, 3.0, size=m)):
+            for which in (None, (weights > 0.0) & model.stratum_ok):
+                expected = model.stratum_ok if which is None else which
+                batched = pwer.evaluate_strata(c, model, 1e-6, None, which)
+                self.assert_agree(batched, per_stratum(c, model, 1e-6, expected))
+            values = pwer.stratum_cdf_values(c, model)
+            assert np.array_equal(np.isnan(values), ~model.stratum_ok)
+
+    @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 3.0), ("t", 46.0)])
+    @pytest.mark.parametrize("rhos", [
+        # the near-singular branch, two of each sign
+        [0.95, 0.999999, -0.93, -0.999999, 0.97, -0.97],
+        # within 1e-13 of +-1: the degenerate laws
+        [1.0 - 5e-14, 1.0 - 2e-14, -1.0 + 5e-14, -1.0 + 3e-14, 0.5, 0.55],
+        # one of every rule: the 6/12/20-node bands, both near-singular signs, an edge
+        [0.1, 0.6, 0.8, 0.93, -0.93, -1.0 + 1e-14],
+        # two of every node band
+        [0.1, -0.2, 0.4, -0.5, 0.8, -0.85],
+    ], ids=["near_singular", "edges", "every_rule", "bands"])
+    def test_extreme_correlations(self, kind, df, rhos):
+        # the 2-dim strata of an m = 4 model, with the correlations set by hand
+        rng = np.random.default_rng(len(rhos))
+        model, _ = random_model(rng, 4, "pairwise_different", kind, df)
+        model = with_bivariate_rhos(model, rhos)
+        c = rng.uniform(0.5, 3.0, size=4)
+        twos = [j for j, s in enumerate(model.strata) if len(s) == 2]
+        which = np.isin(np.arange(len(model.strata)), twos)
+        batched = pwer.evaluate_strata(c, model, 1e-6, None, which)
+        self.assert_agree(batched, per_stratum(c, model, 1e-6, which))
+
+    def test_rejects_bad_limits_tol_and_undefined_strata(self):
+        model = pwer.build_test_model(equal_cells_design())
+        with pytest.raises(ConfigError, match="integration limits must be finite"):
+            pwer.evaluate_strata([np.inf, 2.0], model)
+        with pytest.raises(ConfigError, match="tol must lie"):
+            pwer.evaluate_strata(2.0, model, tol=1e-2)
+        d = dz.build_design(2, "pairwise_different", [100, 1, 0], 1.0, "known_homogeneous")
+        model = pwer.build_test_model(d, allow_empty_populations=True)
+        with pytest.raises(InfeasibleDesignError, match=r"stratum \[2\] involves"):
+            pwer.evaluate_strata(2.0, model, which=np.ones(3, bool))
+
+
 class TestSolveCriticalValues:
     def test_disjoint_needs_no_adjustment(self):
         model = pwer.build_test_model(equal_cells_design())
@@ -307,12 +419,12 @@ class TestSolverEdges:
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
 
-        def fake_cdf_values(c, model, tol=None, rng=None, mask=None, engines=None):
+        def fake_evaluate_strata(c, model, tol=None, rng=None, which=None, engines=None):
             c0 = float(np.asarray(c).reshape(-1)[0])
             calls.append(c0)
-            return np.full(len(model.strata), 1.0 - pwer_of_c(c0))
+            return [mvprob.ProbResult(1.0 - pwer_of_c(c0), 0.0, 1)] * len(model.strata)
 
-        monkeypatch.setattr(pwer, "stratum_cdf_values", fake_cdf_values)
+        monkeypatch.setattr(pwer, "evaluate_strata", fake_evaluate_strata)
         model = pwer.build_test_model(equal_cells_design())
         return calls, lambda: pwer.solve_critical_values(np.full(3, 1 / 3), model, ALPHA)
 
@@ -350,6 +462,16 @@ class TestSolverEdges:
         assert abs(cv.achieved - ALPHA) <= pwer.DEFAULT_SOLVER_TOL
         assert cv.evaluations <= 3 and self.HI not in calls
 
+    @pytest.mark.parametrize("shift", [0.1, HI - LO + 5e-8], ids=["secant", "hi"])
+    def test_verify_pass_reads_the_results_at_the_returned_c(self, monkeypatch, shift):
+        # the fake's results are deterministic and exact, so the verify pass
+        # keeps the solver's own results at c*, and not those of another c
+        pwer_of_c = self.shifted_tail(shift)
+        calls, solve = self.solve(monkeypatch, pwer_of_c)
+        cv = solve()
+        assert cv.fwer.tolist() == [1.0 - (1.0 - pwer_of_c(cv.value))] * 3
+        assert cv.verified == cv.achieved
+
     @pytest.mark.parametrize("pwer_of_c", [
         # a staircase: no c meets solver_tol, so the bracket must close to _SOLVER_XTOL
         lambda c: 1.0 - mvprob.std_normal_cdf(1e-3 * math.floor(c / 1e-3) - 0.1),
@@ -365,6 +487,101 @@ class TestSolverEdges:
             sides = [pwer_of_c(cv.value + d) - ALPHA for d in (-pwer._SOLVER_XTOL, pwer._SOLVER_XTOL)]
             assert sides[0] > 0.0 > sides[1]
         assert self.LO < cv.value < self.HI
+
+
+M3_COUNTS = [30, 22, 18, 25, 14, 20, 16]
+
+
+class TestVerifyReuse:
+    """The verify pass keeps the solver's deterministic strata at c* and computes the rest."""
+
+    @staticmethod
+    def law_calls(monkeypatch, shift=0.0):
+        # every mvn_cdf/mvt_cdf call as (dimension, from the verify pass); the
+        # verify pass alone passes no engine store. shift moves its results.
+        calls = []
+        for name in ("mvn_cdf", "mvt_cdf"):
+            def counting(upper, corr, *args, _law=getattr(mvprob, name), **kwargs):
+                verify = kwargs.get("engines") is None
+                calls.append((corr.dim, verify))
+                result = _law(upper, corr, *args, **kwargs)
+                return result._replace(value=result.value + shift) if verify else result
+            monkeypatch.setattr(mvprob, name, counting)
+        return calls
+
+    @staticmethod
+    def solve(m, counts, kind="normal"):
+        d = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
+        model = pwer.build_test_model(d)
+        if kind == "t":
+            model = dataclasses.replace(model, kind="t", df=float(sum(counts)))
+        weights = np.asarray(counts, float) / sum(counts)
+        return pwer.solve_critical_values(weights, model, ALPHA, rng=np.random.default_rng(2026))
+
+    @pytest.mark.parametrize("m, counts, kind", [
+        (3, M3_COUNTS, "normal"), (3, M3_COUNTS, "t"), (4, M4_COUNTS, "normal"),
+    ])
+    def test_no_verify_call_when_every_stratum_weighs(self, monkeypatch, m, counts, kind):
+        calls = self.law_calls(monkeypatch)
+        cv = self.solve(m, counts, kind)
+        dims = [len(s) for s in dz.enumerate_strata(m) if len(s) > 2]
+        assert calls == [(d, False) for _ in range(cv.evaluations) for d in dims]
+        assert cv.verified == cv.achieved
+
+    @pytest.mark.parametrize("m, counts, zeroed", [
+        (3, M3_COUNTS, [6]),  # the 3-dim stratum
+        (3, M3_COUNTS, [3, 6]),  # and a 2-dim one
+        (4, M4_COUNTS, [10, 14]),  # a 3-dim stratum and the 4-dim one
+    ])
+    def test_zero_weight_strata_with_a_law_are_computed(self, monkeypatch, m, counts, zeroed):
+        counts = list(counts)
+        for j in zeroed:
+            counts[j] = 0
+        calls = self.law_calls(monkeypatch)
+        cv = self.solve(m, counts)
+        strata = dz.enumerate_strata(m)
+        assert [c for c in calls if c[1]] == [(len(strata[j]), True) for j in zeroed if len(strata[j]) > 2]
+        assert np.all(np.isfinite(cv.fwer))
+
+    @staticmethod
+    def loosen_solver_error(monkeypatch, j, error=5e-7, qmc=False):
+        # the solver's result for stratum j gets an error estimate in
+        # (verify_tol, cdf_tol], or is marked as QMC
+        evaluate = pwer.evaluate_strata
+        verify_selections = []
+
+        def patched(c, model, tol, rng=None, which=None, engines=None):
+            results = evaluate(c, model, tol, rng, which, engines)
+            if tol == pwer.DEFAULT_CDF_TOL:
+                results[j] = results[j]._replace(error_estimate=error, qmc=qmc)
+            else:
+                verify_selections.append(np.flatnonzero(which).tolist())
+            return results
+
+        monkeypatch.setattr(pwer, "evaluate_strata", patched)
+        return verify_selections
+
+    @pytest.mark.parametrize("j", [0, 3, 6], ids=["dim1", "dim2", "dim3"])
+    def test_loose_deterministic_stratum_recomputed(self, monkeypatch, j):
+        reference = self.solve(3, M3_COUNTS)
+        selections = self.loosen_solver_error(monkeypatch, j)
+        cv = self.solve(3, M3_COUNTS)
+        assert selections == [[j]]
+        # the recomputed quadrature is the same number
+        assert cv.fwer.tolist() == reference.fwer.tolist()
+        assert (cv.value, cv.verified) == (reference.value, reference.verified)
+
+    def test_qmc_stratum_recomputed_even_within_verify_tol(self, monkeypatch):
+        # a QMC estimate depends on its stream, however small its error estimate
+        selections = self.loosen_solver_error(monkeypatch, 6, error=1e-9, qmc=True)
+        self.solve(3, M3_COUNTS)
+        assert selections == [[6]]
+
+    def test_disagreeing_recomputed_stratum_raises(self, monkeypatch):
+        self.loosen_solver_error(monkeypatch, 6)
+        self.law_calls(monkeypatch, shift=-0.05)
+        with pytest.raises(NumericalError, match="verification pass disagrees"):
+            self.solve(3, M3_COUNTS)
 
 
 @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 1.0), ("t", 3.0), ("t", 5.5), ("t", 200.0)])

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,17 @@ class TestRunScenario:
         scenario = sim.SimScenario(N=250, m=2, setting="B", runs=30, master_seed=9)
         for rec in sim.run_scenario(scenario).records:
             assert (rec.lower + rec.upper) / 2 == pytest.approx(0.025, abs=1e-15)
+
+    def test_single_run_aggregate_has_zero_sd_and_no_warning(self, tmp_path):
+        # like StudyDistribution.summary for one study: the spread of one value is 0
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=1, master_seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sim.run_scenario(scenario)
+            assert result.sd_length == 0.0
+            sim.write_aggregate_csv([result], tmp_path / "aggregate.csv")
+        row = next(csv.DictReader(open(tmp_path / "aggregate.csv")))
+        assert row["sd_length_e3"] == "0.0"
 
 
 class TestStudyDistribution:
