@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -146,13 +147,20 @@ class CorrelationMatrix:
         It equals CorrelationMatrix(values[idx, idx]) exactly and needs no
         validation of its own: every check is entrywise except the eigenvalue
         bound, and by Cauchy interlacing a principal submatrix's smallest
-        eigenvalue is no smaller than the whole matrix's.
+        eigenvalue is no smaller than the whole matrix's. Every 1-dim
+        submatrix is the one shared _UNIT_CORRELATION.
         """
+        if len(idx) == 1:
+            return _UNIT_CORRELATION
         sub = object.__new__(CorrelationMatrix)
         values = self.values[np.ix_(idx, idx)]
         values.setflags(write=False)
         object.__setattr__(sub, "values", values)
         return sub
+
+
+# the [[1.0]] of every 1-dim stratum; its diagonal is exact, as in any CorrelationMatrix
+_UNIT_CORRELATION = CorrelationMatrix(np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +391,13 @@ def _mvn_det(upper: np.ndarray, corr: CorrelationMatrix) -> ProbResult | None:
     return _ladder(_NORMAL_RULES[corr.dim], evaluate, 1e-10)
 
 
+@lru_cache(maxsize=64)
 def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in s = chi_df / sqrt(df), weighted by its density."""
+    """Gauss-Legendre nodes in s = chi_df / sqrt(df), weighted by its density.
+
+    Read-only and cached per (df, n): every PWER evaluation of a solve, and
+    every run that shares its df, integrates on the same rule.
+    """
     lo = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1e-16) / df)
     hi = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1.0 - 1e-16) / df)
     s, wt = _gl_on(lo, hi, n)
@@ -396,7 +409,10 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         - special.gammaln(df / 2.0)
         + 0.5 * math.log(df)
     )
-    return s, wt * np.exp(log_pdf)
+    w = wt * np.exp(log_pdf)
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
 
 
 def _bvt_det(upper: np.ndarray, rho: np.ndarray, df: float) -> list[ProbResult]:

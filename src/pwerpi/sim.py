@@ -13,6 +13,7 @@ and the per-study distribution data.
 from __future__ import annotations
 
 import csv
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -370,45 +371,81 @@ def resolve_true_prevalences(scenario: SimScenario) -> np.ndarray:
     )
 
 
+def _chunks(runs: int, workers: int) -> list[range]:
+    """A scenario's run indices in order, in about 4 chunks per worker.
+
+    Small chunks let the workers of a shared pool take up the next scenario's
+    runs while a slow one finishes.
+    """
+    size = -(-runs // (4 * workers))
+    return [range(start, min(start + size, runs)) for start in range(0, runs, size)]
+
+
+def _run_scenarios(
+    scenarios: Sequence[SimScenario], threads: int, max_failure_fraction: float
+) -> list[tuple[list[RunRecord], int]]:
+    """(records in run order, failure count) of every scenario, from one map.
+
+    Every scenario is checked before any run starts. The ordered chunks of all
+    scenarios go through one ProcessPoolExecutor with min(threads, total runs)
+    workers, shut down before this returns; with one worker they run in this
+    process through the builtin map. Records depend only on (master_seed,
+    run_index), so they do not depend on the worker count. A scenario with more
+    than max_failure_fraction of its runs failed raises NumericalError as soon
+    as its chunks are in, and chunks not yet started are cancelled.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    truths = [resolve_true_prevalences(scenario) for scenario in scenarios]
+    workers = min(threads, sum(scenario.runs for scenario in scenarios))
+    chunks = [_chunks(scenario.runs, workers) for scenario in scenarios]
+    # _run_block's three argument columns, one entry per chunk
+    columns = (
+        [scenario for scenario, own in zip(scenarios, chunks) for _ in own],
+        [pi_true for pi_true, own in zip(truths, chunks) for _ in own],
+        [chunk for own in chunks for chunk in own],
+    )
+
+    def collect(blocks):
+        out = []
+        for scenario, own in zip(scenarios, chunks):
+            records, failures = [], []
+            for block in itertools.islice(blocks, len(own)):
+                for run_index, payload in block:
+                    if isinstance(payload, RunRecord):
+                        records.append(payload)
+                    else:
+                        failures.append((run_index, payload))
+            if len(failures) > max_failure_fraction * scenario.runs:
+                raise NumericalError(
+                    f"{len(failures)}/{scenario.runs} runs failed; first: {failures[0]}"
+                )
+            out.append((records, len(failures)))
+        return out
+
+    if workers <= 1:
+        return collect(map(_run_block, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            return collect(pool.map(_run_block, *columns))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_scenario(
     scenario: SimScenario, threads: int = 1, max_failure_fraction: float = 0.01
 ) -> SimResult:
     """Execute all runs of a scenario; deterministic for a given master seed.
 
     Per-run streams derive from (master_seed, run_index), so results do not
-    depend on the worker count; there are at most `runs` workers. Runs that
-    fail calibration are excluded and counted; more than
-    max_failure_fraction failures (default 1%) fails the whole scenario.
+    depend on the worker count; with threads > 1 one pool of at most `runs`
+    workers serves the call. Runs that fail calibration are excluded and
+    counted; more than max_failure_fraction failures (default 1%) fails the
+    whole scenario.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    pi_true = resolve_true_prevalences(scenario)
-    indices = list(range(scenario.runs))
-    workers = min(threads, scenario.runs)
-    if workers == 1:
-        blocks = [_run_block(scenario, pi_true, indices)]
-    else:
-        chunks = np.array_split(np.asarray(indices), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(_run_block, *zip(*[(scenario, pi_true, chunk.tolist()) for chunk in chunks]))
-            )
-    collected: dict[int, RunRecord | str] = {}
-    for block in blocks:
-        for run_index, payload in block:
-            collected[run_index] = payload
-    records, failures = [], []
-    for run_index in indices:
-        payload = collected[run_index]
-        if isinstance(payload, RunRecord):
-            records.append(payload)
-        else:
-            failures.append((run_index, payload))
-    if len(failures) > max_failure_fraction * scenario.runs:
-        raise NumericalError(
-            f"{len(failures)}/{scenario.runs} runs failed; first: {failures[0]}"
-        )
-    return SimResult(scenario=scenario, records=records, failures=len(failures))
+    [(records, failures)] = _run_scenarios([scenario], threads, max_failure_fraction)
+    return SimResult(scenario=scenario, records=records, failures=failures)
 
 
 @dataclass
@@ -486,20 +523,21 @@ def study_scenarios(
 def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistribution:
     """Coverage over the studies of study_scenarios(*args, **kwargs).
 
-    Extreme draws can leave a population without both arms in most runs; a
-    run whose design cannot support the interval at all counts as not
-    covered (the prediction certainly failed), so every study yields a row.
-    Mean lengths average over the runs that produced an interval.
+    All studies share one pool of `threads` workers (see run_scenario). Extreme
+    draws can leave a population without both arms in most runs; a run whose
+    design cannot support the interval at all counts as not covered (the
+    prediction certainly failed), so every study yields a row. Mean lengths
+    average over the runs that produced an interval.
     """
     scenarios = study_scenarios(*args, **kwargs)
+    outcomes = _run_scenarios(scenarios, threads, max_failure_fraction=1.0)
     rows = []
-    for s, scenario in enumerate(scenarios):
-        try:
-            result = run_scenario(scenario, threads=threads, max_failure_fraction=1.0)
-            covered = sum(rec.covered for rec in result.records)
-            mean_length, failures = result.mean_length, result.failures
-        except NumericalError:  # every run failed: nothing to average
-            covered, mean_length, failures = 0, float("nan"), scenario.runs
+    for s, (scenario, (records, failures)) in enumerate(zip(scenarios, outcomes)):
+        if records:
+            covered = sum(rec.covered for rec in records)
+            mean_length = SimResult(scenario, records, failures).mean_length
+        else:  # every run failed: nothing to average
+            covered, mean_length = 0, float("nan")
         rows.append(StudyRow(
             study=s,
             coverage=covered / scenario.runs,
@@ -575,12 +613,15 @@ def run_min_prevalence_grid(*args, threads: int = 1, **kwargs) -> list[dict]:
     """Coverage and mean-length grid under the one_small truth.
 
     Runs the cells of min_prevalence_grid_cells(*args, **kwargs), all of which
-    are validated before the first one runs.
+    are validated before the first one runs, through one pool of `threads`
+    workers. A cell with more than 1% of its runs failed raises, as in
+    run_scenario; the first such cell in grid order names the error.
     """
     cells = min_prevalence_grid_cells(*args, **kwargs)
+    outcomes = _run_scenarios([sc for *_, sc in cells], threads, max_failure_fraction=0.01)
     rows = []
-    for transform, label, scenario in cells:
-        result = run_scenario(scenario, threads=threads)
+    for (transform, label, scenario), (records, failures) in zip(cells, outcomes):
+        result = SimResult(scenario=scenario, records=records, failures=failures)
         rows.append(
             {
                 "N": scenario.N,

@@ -398,6 +398,15 @@ class TestMvtCdf:
         res = mvprob.mvt_cdf([1.3, 0.9], corr([[1, 1], [1, 1]]), df=7)
         assert res.value == pytest.approx(mvprob.t_cdf(0.9, 7), abs=1e-12)
 
+    def test_chi_scale_rule_cached_read_only(self):
+        rule = mvprob._chi_scale_nodes
+        assert rule.cache_info().maxsize is not None  # bounded
+        fresh = rule.__wrapped__(37.0, 32)
+        first, second = rule(37.0, 32), rule(37.0, 32)
+        for a, b, c in zip(first, second, fresh):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert not a.flags.writeable
+
     def test_df_domain(self):
         with pytest.raises(ConfigError):
             mvprob.mvt_cdf([0.0, 0.0], corr(np.eye(2)), df=0.5)
@@ -479,6 +488,13 @@ class TestCorrelationMatrix:
     def test_asymmetric_rejected(self):
         with pytest.raises(ConfigError):
             corr([[1.0, 0.2], [0.3, 1.0]])
+
+    def test_one_dim_principal_is_shared_unit(self):
+        whole = corr(0.5 + 0.5 * np.eye(3))
+        subs = [whole.principal([i]) for i in range(3)]
+        assert all(sub is subs[0] for sub in subs)
+        assert np.array_equal(subs[0].values, corr([[1.0]]).values)
+        assert not subs[0].values.flags.writeable
 
     def test_bad_diagonal_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,7 +229,7 @@ class TestMinPrevalenceGrid:
         assert zero["floor"]["mean_length_e3"] == zero["shift"]["mean_length_e3"]
 
     def test_every_cell_checked_before_any_runs(self, monkeypatch):
-        monkeypatch.setattr(sim, "run_scenario", lambda *a, **k: pytest.fail("a cell ran"))
+        monkeypatch.setattr(sim, "_run_block", lambda *a, **k: pytest.fail("a cell ran"))
         with pytest.raises(ConfigError):
             sim.run_min_prevalence_grid(N_list=[250], m_list=[2], pi_min_list=["0", 0.5],
                                         transform_list=["floor"], runs=5)
@@ -239,6 +241,114 @@ class TestMinPrevalenceGrid:
         )
         assert len(rows) == 1
         assert set(rows[0]) >= {"N", "m", "transform", "pi_min", "coverage", "mean_length_e3"}
+
+
+GRID = dict(N_list=[250], m_list=[2], pi_min_list=["0", "1/(2^(m+1)-2)"],
+            transform_list=["floor", "shift"], runs=10, master_seed=13)
+# 4 random-biomarker studies of A at m=3, N=250: 0, 5, 3 and 0 of 10 runs fail
+STUDIES = dict(m=3, setting="A", N=250, studies=4, runs_per_study=10, master_seed=2)
+
+
+def study_rows(dist):
+    return [repr(dataclasses.astuple(row)) for row in dist.rows]  # repr: nan == nan
+
+
+class TestSharedPool:
+    """Every public sim call runs all of its scenarios through one pool."""
+
+    def test_studies_identical_at_any_thread_count(self):
+        dists = [sim.run_study_distribution(**STUDIES, threads=t) for t in (1, 2, 3)]
+        assert study_rows(dists[0]) == study_rows(dists[1]) == study_rows(dists[2])
+        assert [row.failures for row in dists[0].rows] == [0, 5, 3, 0]
+
+    def test_grid_identical_at_any_thread_count(self):
+        rows = [sim.run_min_prevalence_grid(**GRID, threads=t) for t in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+        assert len(rows[0]) == 4
+
+    def test_one_executor_per_public_call(self, monkeypatch):
+        pools = []
+
+        class FakePool:  # runs the chunks in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        serial_studies = study_rows(sim.run_study_distribution(**STUDIES))
+        serial_grid = sim.run_min_prevalence_grid(**GRID)
+        assert pools == []
+        assert study_rows(sim.run_study_distribution(**STUDIES, threads=2)) == serial_studies
+        assert sim.run_min_prevalence_grid(**GRID, threads=3) == serial_grid
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=12, master_seed=11)
+        sim.run_scenario(scenario, threads=2)
+        assert pools == [2, 3, 2]
+
+    def test_chunks_cover_the_runs_in_order(self):
+        for runs in (1, 3, 10, 20, 1001):
+            for workers in (1, 2, 3, 8):
+                chunks = sim._chunks(runs, workers)
+                assert [i for chunk in chunks for i in chunk] == list(range(runs))
+                assert len(chunks) <= 4 * workers
+
+    def test_pool_is_shut_down_before_the_call_returns(self, monkeypatch):
+        events = []
+
+        class RecordingPool(ProcessPoolExecutor):  # a real pool that logs its lifetime
+            def __init__(self, max_workers):
+                events.append(("open", max_workers))
+                super().__init__(max_workers=max_workers)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                events.append(("shutdown", kwargs.get("cancel_futures", False)))
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        sim.run_study_distribution(**dict(STUDIES, runs_per_study=3), threads=2)
+        assert events == [("open", 2), ("shutdown", False)]
+        events.clear()
+        with pytest.raises(NumericalError):
+            sim.run_min_prevalence_grid(
+                N_list=[30, 10], m_list=[2], pi_min_list=["0"], transform_list=["floor"],
+                runs=20, master_seed=4, threads=2,
+            )
+        # a failed cell cancels the chunks not yet started, then the pool closes
+        assert events[:2] == [("open", 2), ("shutdown", True)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("N_list, first", [
+        # each N is its own cell seed; N=30 never fails, N=9 and N=10 fail one run
+        ([30, 10, 9], 13),
+        ([30, 9, 10], 12),
+    ])
+    def test_first_failing_grid_cell_names_the_error(self, threads, N_list, first):
+        message = (
+            f"1/20 runs failed; first: ({first}, 'InfeasibleDesignError: "
+            "true prevalence weights a stratum without a defined joint law')"
+        )
+        with pytest.raises(NumericalError) as info:
+            sim.run_min_prevalence_grid(
+                N_list=N_list, m_list=[2], pi_min_list=["0"], transform_list=["floor"],
+                runs=20, master_seed=4, threads=threads,
+            )
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_study_whose_runs_all_fail_still_yields_a_row(self, threads):
+        # study 2 of these draws leaves a population without both arms in every run
+        dist = sim.run_study_distribution(**dict(STUDIES, master_seed=0), threads=threads)
+        row = dist.rows[2]
+        assert (row.study, row.coverage, row.failures) == (2, 0.0, 10)
+        assert np.isnan(row.mean_length)
+        assert [r.failures for r in dist.rows] == [0, 0, 10, 0]
 
 
 class TestOtherExactSettings:
