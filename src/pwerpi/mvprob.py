@@ -6,14 +6,16 @@ time down to it for the trivariate and four-variate normal, and chi-scale
 mixtures of those for the t cases. Each quadrature climbs a ladder of ever
 finer rules and stops at the first two adjacent rungs that agree within
 TOL_MIN, a fixed constant, so its result never depends on the caller's `tol`;
-three times that last gap is the error estimate. Many 1- and 2-dim laws
-evaluate in one stacked call (univariate_cdf_many, bivariate_cdf_many) whose
-entries equal their own calls bit for bit. A CorrelationMatrix is
+three times that last gap is the error estimate. Many laws evaluate in one
+stacked call whose entries equal their own calls bit for bit: 1-dim ones in
+univariate_cdf_many, 2-dim ones in bivariate_cdf_many (each row with its own
+correlation and, for t, its own df) and 3- and 4-dim normal ones in
+normal_orthants (each row with its own correlation). A CorrelationMatrix is
 validated once and keeps its Cholesky factor and conditioning plan, and its
 principal submatrices need no validation of their own. Higher dimensions
 integrate the separation-of-variables transform with randomized quasi-Monte
 Carlo over scrambled Sobol streams, where the spread across scramblings yields
-the error estimate.
+the error estimate; scipy.stats.qmc is imported only once QMC runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.stats import qmc
 
 from .errors import ConfigError, NumericalError
 
@@ -42,6 +43,16 @@ _EIG_CLIP = -1e-10  # most negative eigenvalue tolerated before hard failure
 _COND_RHO_MAX = 0.999
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def __getattr__(name: str):
+    """`qmc` is scipy.stats.qmc, imported on first use: scipy.stats is most of
+    the package's import time and memory, and only QMC strata need it."""
+    if name == "qmc":
+        from scipy.stats import qmc
+
+        return qmc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProbResult(NamedTuple):
@@ -93,24 +104,17 @@ class CorrelationMatrix:
         mat = np.array(self.values, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError("correlation matrix must be square")
-        if not np.all(np.isfinite(mat)):
-            raise ConfigError("correlation matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.T)) > 1e-12:
-            raise ConfigError("correlation matrix must be symmetric within 1e-12")
-        if mat.shape[0] and np.max(np.abs(np.diag(mat) - 1.0)) > 1e-12:
-            raise ConfigError("correlation matrix diagonal must be 1")
-        mat = 0.5 * (mat + mat.T)
-        np.fill_diagonal(mat, 1.0)
-        if np.max(np.abs(mat)) > 1.0 + 1e-12:
-            raise ConfigError("correlation entries must lie in [-1, 1]")
-        mat = np.clip(mat, -1.0, 1.0)
-        eigvals = np.linalg.eigvalsh(mat)
-        if eigvals[0] < _EIG_CLIP:
-            raise ConfigError(
-                f"correlation matrix is not positive semidefinite (min eigenvalue {eigvals[0]:.3e})"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "values", mat)
+        [checked] = correlation_matrices(mat[None])
+        if isinstance(checked, ConfigError):
+            raise checked
+        object.__setattr__(self, "values", checked.values)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> CorrelationMatrix:
+        """A CorrelationMatrix of read-only values known to pass its checks."""
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "values", values)
+        return corr
 
     @property
     def dim(self) -> int:
@@ -150,13 +154,51 @@ class CorrelationMatrix:
         eigenvalue is no smaller than the whole matrix's. Every 1-dim
         submatrix is the one shared _UNIT_CORRELATION.
         """
-        if len(idx) == 1:
-            return _UNIT_CORRELATION
-        sub = object.__new__(CorrelationMatrix)
-        values = self.values[np.ix_(idx, idx)]
-        values.setflags(write=False)
-        object.__setattr__(sub, "values", values)
-        return sub
+        return principals([self], idx)[0]
+
+
+def correlation_matrices(mats: np.ndarray) -> list[CorrelationMatrix | ConfigError]:
+    """CorrelationMatrix(mats[r]) for every matrix of the stack mats (R, k, k),
+    or the ConfigError that construction raises.
+
+    Each check runs once over the whole stack, the eigenvalue bound in one
+    stacked eigvalsh, and every accepted matrix equals its own construction
+    bit for bit.
+    """
+    mats = np.array(mats, dtype=float)
+    k = mats.shape[-1]
+    failed = [""] * mats.shape[0]
+
+    def fail(mask: np.ndarray, message) -> None:
+        for r in np.flatnonzero(mask).tolist():
+            failed[r] = failed[r] or (message(r) if callable(message) else message)
+
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    fail(~finite, "correlation matrix has non-finite entries")
+    mats[~finite] = np.eye(k)  # keeps them out of the checks below
+    fail(np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12,
+         "correlation matrix must be symmetric within 1e-12")
+    fail(np.abs(np.diagonal(mats, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-12,
+         "correlation matrix diagonal must be 1")
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    mats[:, range(k), range(k)] = 1.0
+    fail(np.abs(mats).max(axis=(1, 2)) > 1.0 + 1e-12, "correlation entries must lie in [-1, 1]")
+    mats = np.clip(mats, -1.0, 1.0)
+    checked = np.array([not f for f in failed])[:, None, None]
+    smallest = np.linalg.eigvalsh(np.where(checked, mats, np.eye(k)))[:, 0]
+    fail(smallest < _EIG_CLIP,
+         lambda r: f"correlation matrix is not positive semidefinite (min eigenvalue {smallest[r]:.3e})")
+    mats.setflags(write=False)
+    return [ConfigError(f) if f else CorrelationMatrix._trusted(mat) for f, mat in zip(failed, mats)]
+
+
+def principals(corrs: list[CorrelationMatrix], idx) -> list[CorrelationMatrix]:
+    """corr.principal(idx) for every corr of one dimension, from one stacked index."""
+    if len(idx) == 1:
+        return [_UNIT_CORRELATION] * len(corrs)
+    values = np.array([corr.values for corr in corrs])[:, idx][:, :, idx]
+    values.setflags(write=False)
+    return [CorrelationMatrix._trusted(v) for v in values]
 
 
 # the [[1.0]] of every 1-dim stratum; its diagonal is exact, as in any CorrelationMatrix
@@ -265,8 +307,8 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
     rho is one correlation, or a 1-dim array of them, one per entry of the
     leading axis of b1 and b2, which then share one shape. The entries are
     evaluated in groups that share a rule (_bvn_rule), one stacked
-    quadrature per group, and each equals, bit for bit, the call with its
-    own rho alone.
+    quadrature per group that keeps each entry's trailing axes, and each
+    equals, bit for bit, the call with its own rho alone.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -282,9 +324,10 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
         if len(idx) == 1:
             out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead)
             continue
-        # one row per entry, so each entry's nodes reduce as in its own call
-        rows = (len(idx), -1)
-        values = _bvn_lower(b1[idx].reshape(rows), b2[idx].reshape(rows), rho[idx][:, None], lead)
+        # the entry's own trailing axes (one, at least), so its nodes reduce as in its own call
+        shape = (len(idx),) + (b1.shape[1:] or (1,))
+        r = rho[idx].reshape((-1,) + (1,) * (len(shape) - 1))
+        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, lead)
         out[idx] = values.reshape(out[idx].shape)
     return out
 
@@ -293,16 +336,17 @@ def bvn_cdf(b1: float, b2: float, rho: float) -> float:
     return float(bvn_cdf_many(np.float64(b1), np.float64(b2), rho))
 
 
-def _conditioning(corr: np.ndarray) -> tuple[list, float] | None:
+def _conditioning(corr: np.ndarray) -> tuple[list, np.ndarray] | None:
     """The layers of recursive conditioning on one variable at a time.
 
     Each layer pivots on the variable least correlated with the others (the
-    first one on ties) and keeps its (order, r, s), r and s shaped (d-1, 1, 1):
-    given the pivot X1 = y, the others are normal with limits (u - r y)/s and
-    one conditional correlation matrix for every y, on which the next layer
-    pivots. Returns the layers and the correlation of the last two
-    variables; None when a pivot's largest correlation makes the
-    conditioning degenerate. The matrices are small, so this works on floats.
+    first one on ties) and keeps its (order, r, s): given the pivot X1 = y,
+    the others are normal with limits (u - r y)/s and one conditional
+    correlation matrix for every y, on which the next layer pivots. Returns
+    the layers and the correlation of the last two variables, stacked as a
+    plan of one row (see _stack_plans); None when a pivot's largest
+    correlation makes the conditioning degenerate. The matrices are small,
+    so this works on floats.
     """
     rows = corr.tolist()
     layers = []
@@ -314,38 +358,47 @@ def _conditioning(corr: np.ndarray) -> tuple[list, float] | None:
         rest = [i for i in range(len(rows)) if i != best]
         r = [rows[best][i] for i in rest]
         s = [math.sqrt(1.0 - x * x) for x in r]
-        layers.append(([best] + rest, np.array(r)[:, None, None], np.array(s)[:, None, None]))
+        layers.append((np.array([best] + rest)[:, None], np.array(r)[:, None], np.array(s)[:, None]))
         rows = [
             [min(max((rows[i][j] - r[a] * r[b]) / (s[a] * s[b]), -1.0), 1.0) for b, j in enumerate(rest)]
             for a, i in enumerate(rest)
         ]
-    return layers, rows[0][1]
+    return layers, np.array([rows[0][1]])
 
 
-def _cond_quad(upper: np.ndarray, layers: list, rho: float, nodes: tuple[int, ...]) -> np.ndarray:
-    """Normal orthant probability of each column of limits by recursive conditioning.
+def _stack_plans(plans: list) -> tuple[list, np.ndarray]:
+    """Conditioning plans of one dimension stacked into one, a column per plan."""
+    layers = [tuple(np.concatenate(part, axis=1) for part in zip(*layer)) for layer in zip(*(p[0] for p in plans))]
+    return layers, np.concatenate([p[1] for p in plans])
 
-    upper is (d, n): n limit vectors that share the correlation whose
-    _conditioning gave `layers` and `rho`. The first layer's pivot is
-    integrated over nodes[0] Gauss-Legendre nodes in y, and the conditioned
-    rest is one stacked call for every (column, y): the next layer with
-    nodes[1:], or the bivariate rule once two variables remain.
+
+def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
+    """Normal orthant probability of limits by recursive conditioning.
+
+    upper is (d, n, *t): n rows, row i conditioned on column i of the stacked
+    plan (layers, rho), each with the limit vectors t that share its plan.
+    The first layer's pivot is integrated over nodes[0] Gauss-Legendre nodes
+    in y, and the conditioned rest is one stacked call for every (row, t, y):
+    the next layer with nodes[1:], or the bivariate rule once two variables
+    remain. Every entry of the (n, *t) result reduces its own nodes, so it
+    equals, bit for bit, its row's call with that limit vector alone.
     """
     (order, r, s), *inner_layers = layers
-    upper = upper[order]
+    upper = upper[order, np.arange(order.shape[1])]
     lo = -8.6
     hi = np.minimum(upper[0], 8.6)
     width = np.maximum(hi - lo, 0.0)
     x, w = _GL_RULES[nodes[0]]
-    y = lo + (x[None, :] + 1.0) / 2.0 * width[:, None]
-    wt = w[None, :] * width[:, None] / 2.0
-    lim = (upper[1:, :, None] - r * y) / s
+    y = lo + (x + 1.0) / 2.0 * width[..., None]
+    wt = w * width[..., None] / 2.0
+    per_row = (slice(None), slice(None)) + (None,) * (y.ndim - 1)
+    lim = (upper[1:, ..., None] - r[per_row] * y) / s[per_row]
     if inner_layers:
-        inner = _cond_quad(lim.reshape(r.shape[0], -1), inner_layers, rho, nodes[1:]).reshape(y.shape)
+        inner = _cond_quad(lim, inner_layers, rho, nodes[1:])
     else:
         inner = bvn_cdf_many(lim[0], lim[1], rho)
     phi = np.exp(-0.5 * y * y) / _SQRT_2PI
-    return (inner * phi * wt).sum(axis=1)
+    return (inner * phi * wt).sum(axis=-1)
 
 
 # The rule ladders, coarse to fine: the Gauss-Legendre node count of each
@@ -356,39 +409,65 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: float, nodes: tuple[int, ..
 _NORMAL_RULES = {d: tuple((n,) * (d - 2) for n in (24, 48, 96)) for d in (3, 4)}
 _T_RULES = {3: ((32, 48), (64, 96)), 4: ((32, 32, 32), (64, 48, 48))}
 _BVT_RULES = (32, 64)
-# bivariate evaluations per stacked _cond_quad call of the t mixture, which
-# bounds its temporaries at a few MB
+# bivariate evaluations per stacked _cond_quad call, which bounds its
+# temporaries at a few MB
 _QUAD_BLOCK = 1 << 14
 
 
-def _ladder(rules, evaluate: Callable, floor: float) -> ProbResult:
-    """Evaluate the rules in turn until two adjacent ones agree within TOL_MIN.
+def _ladder(rules, evaluate: Callable, floor: float, n: int = 1) -> list[ProbResult]:
+    """Climb the rules for n integrals at once, each until two adjacent rules agree within TOL_MIN.
 
-    evaluate(rule) returns (value, points). The result is the last rule's
-    value with three times its gap to the one before as the error estimate
-    (at least `floor`); points_used sums the rules evaluated.
+    evaluate(rule, active) returns the values under rule of the integrals
+    indexed by the array active, and the points that rule takes per
+    integral. An integral's result is the last rule's value with three times
+    its gap to the one before as the error estimate (at least `floor`);
+    points_used sums the rules it evaluated. The integrals still climbing
+    after a rule are the only ones the next rule evaluates.
     """
-    prev, points = evaluate(rules[0])
-    for rule in rules[1:]:
-        value, n = evaluate(rule)
-        points += n
-        err = 3.0 * abs(value - prev)
-        if err <= TOL_MIN:
+    out: list[ProbResult | None] = [None] * n
+    active = np.arange(n)
+    prev, points = evaluate(rules[0], active)
+    for k, rule in enumerate(rules[1:], 2):
+        value, more = evaluate(rule, active)
+        points += more
+        err = 3.0 * np.abs(value - prev)
+        done = err <= TOL_MIN if k < len(rules) else np.ones(len(active), bool)
+        for i, v, e in zip(active[done].tolist(), value[done].tolist(), err[done].tolist()):
+            out[i] = ProbResult(min(1.0, max(0.0, v)), max(e, floor), points)
+        active, prev = active[~done], value[~done]
+        if not active.size:
             break
-        prev = value
-    return ProbResult(min(1.0, max(0.0, value)), max(err, floor), points)
+    return out
 
 
-def _mvn_det(upper: np.ndarray, corr: CorrelationMatrix) -> ProbResult | None:
-    """Deterministic normal orthant probability (d = 3, 4), or None when conditioning degenerates."""
-    plan = corr.conditioning()
-    if plan is None:
-        return None
+def normal_orthants(upper: np.ndarray, corrs: list[CorrelationMatrix]) -> list[ProbResult | None]:
+    """Deterministic normal orthant probability of each row of upper (S x d, d = 3 or 4)
+    under its own correlation, or None where conditioning degenerates.
 
-    def evaluate(nodes):
-        return float(_cond_quad(upper[:, None], *plan, nodes)[0]), math.prod(nodes)
+    Every rung of the node ladder is one stacked _cond_quad over the rows
+    still climbing, in pieces of at most _QUAD_BLOCK bivariate evaluations,
+    and each row's result equals its own call bit for bit.
+    """
+    plans = [corr.conditioning() for corr in corrs]
+    rows = [i for i, plan in enumerate(plans) if plan is not None]
+    out: list[ProbResult | None] = [None] * len(plans)
+    if not rows:
+        return out
+    layers, rho = _stack_plans([plans[i] for i in rows])
+    limits = upper[rows].T
 
-    return _ladder(_NORMAL_RULES[corr.dim], evaluate, 1e-10)
+    def evaluate(nodes, active):
+        step = max(1, _QUAD_BLOCK // math.prod(nodes))
+        parts = []
+        for i in range(0, len(active), step):
+            piece = active[i:i + step]
+            sub = [(o[:, piece], r[:, piece], s[:, piece]) for o, r, s in layers]
+            parts.append(_cond_quad(limits[:, piece], sub, rho[piece], nodes))
+        return np.concatenate(parts), math.prod(nodes)
+
+    for i, result in zip(rows, _ladder(_NORMAL_RULES[upper.shape[1]], evaluate, 1e-10, len(rows))):
+        out[i] = result
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -415,18 +494,21 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _bvt_det(upper: np.ndarray, rho: np.ndarray, df: float) -> list[ProbResult]:
-    """Bivariate t of each row of upper (S x 2) with correlation rho (S,), as
-    chi-scale mixtures of deterministic bivariate normals.
+def _bvt_det(upper: np.ndarray, rho: np.ndarray, df: np.ndarray) -> list[ProbResult]:
+    """Bivariate t of each row of upper (S x 2) with correlation rho (S,) and
+    degrees of freedom df (S,), as chi-scale mixtures of deterministic
+    bivariate normals.
 
-    Each rung is one bvn_cdf_many call over every row and chi-scale node; the
-    ladder then runs per row on its rung values.
+    Each rung is one bvn_cdf_many call over every row and its own df's
+    chi-scale nodes; the ladder then runs per row on its rung values.
     """
     rungs = {}
     for n in _BVT_RULES:
-        s, w = _chi_scale_nodes(df, n)
-        rungs[n] = np.sum(w * bvn_cdf_many(upper[:, :1] * s, upper[:, 1:] * s, rho), axis=1).tolist()
-    return [_ladder(_BVT_RULES, lambda n: (rungs[n][j], n), 1e-10) for j in range(len(rho))]
+        rules = {v: _chi_scale_nodes(v, n) for v in set(df.tolist())}
+        s = np.array([rules[v][0] for v in df.tolist()])
+        w = np.array([rules[v][1] for v in df.tolist()])
+        rungs[n] = np.sum(w * bvn_cdf_many(upper[:, :1] * s, upper[:, 1:] * s, rho), axis=1)
+    return _ladder(_BVT_RULES, lambda n, active: (rungs[n][active], n), 1e-10, len(rho))
 
 
 def _mvt_det(upper: np.ndarray, corr: CorrelationMatrix, df: float) -> ProbResult | None:
@@ -436,16 +518,16 @@ def _mvt_det(upper: np.ndarray, corr: CorrelationMatrix, df: float) -> ProbResul
     if plan is None:
         return None
 
-    def evaluate(rule):
+    def evaluate(rule, active):
         n_chi, *nodes = rule
         s, w = _chi_scale_nodes(df, n_chi)
         step = max(1, _QUAD_BLOCK // math.prod(nodes))
         inner = np.concatenate(
-            [_cond_quad(upper[:, None] * s[i:i + step], *plan, nodes) for i in range(0, n_chi, step)]
+            [_cond_quad(upper[:, None, None] * s[i:i + step], *plan, nodes)[0] for i in range(0, n_chi, step)]
         )
-        return float(np.sum(w * inner)), math.prod(rule)
+        return np.array([np.sum(w * inner)]), math.prod(rule)
 
-    return _ladder(_T_RULES[corr.dim], evaluate, 1e-9)
+    return _ladder(_T_RULES[corr.dim], evaluate, 1e-9)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +582,8 @@ def _randomized_qmc(
     instead of scrambling anew, and integrates the same points. Points are
     generated one scrambling's block at a time and never kept.
     """
+    from scipy.stats import qmc  # see __getattr__
+
     seeds = rng.integers(0, 2**63 - 1, size=_N_SHIFTS)
     key = (dim, *seeds.tolist())
     sobol = None if engines is None else engines.get(key)
@@ -555,16 +639,18 @@ def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
     return upper
 
 
-def univariate_cdf_many(x: np.ndarray, df: float | None = None) -> list[ProbResult]:
-    """P(X <= x_j) for each entry of x: standard normal, or Student t when df is given."""
+def univariate_cdf_many(x: np.ndarray, df=None) -> list[ProbResult]:
+    """P(X <= x_j) for each entry of x: standard normal, or Student t when df
+    (one value, or one per entry) is given."""
     if df is None:
         return [ProbResult(v, 1e-16, 1) for v in special.ndtr(x).tolist()]
     return [ProbResult(v, 1e-14, 1) for v in special.stdtr(df, x).tolist()]
 
 
-def bivariate_cdf_many(upper: np.ndarray, rho: np.ndarray, df: float | None = None) -> list[ProbResult]:
+def bivariate_cdf_many(upper: np.ndarray, rho: np.ndarray, df=None) -> list[ProbResult]:
     """P(X <= upper_j) for each row of upper (S x 2), X standard bivariate normal
-    with correlation rho_j, or bivariate t when df is given.
+    with correlation rho_j, or bivariate t when df (one value, or one per
+    row) is given.
 
     Deterministic, in one stacked evaluation; each row equals its own call
     bit for bit. Correlations within 1e-13 of +-1 take the degenerate laws.
@@ -572,15 +658,16 @@ def bivariate_cdf_many(upper: np.ndarray, rho: np.ndarray, df: float | None = No
     if df is None:
         values = bvn_cdf_many(upper[:, 0], upper[:, 1], rho)
         return [ProbResult(v, 5e-15, 20) for v in values.tolist()]
+    df = np.broadcast_to(np.asarray(df, dtype=float), rho.shape)
     results = [None] * len(rho)
     for j in np.flatnonzero(np.abs(rho) >= 1.0 - 1e-13).tolist():
-        t = special.stdtr(df, upper[j])
+        t = special.stdtr(df[j], upper[j])
         if rho[j] > 0.0:
             results[j] = ProbResult(float(min(t)), 1e-14, 1)
         else:
             results[j] = ProbResult(max(0.0, float(t[0] + t[1] - 1.0)), 1e-14, 1)
     rows = [j for j, r in enumerate(results) if r is None]
-    for j, r in zip(rows, _bvt_det(upper[rows], rho[rows], df) if rows else ()):
+    for j, r in zip(rows, _bvt_det(upper[rows], rho[rows], df[rows]) if rows else ()):
         results[j] = r
     return results
 
@@ -612,7 +699,7 @@ def mvn_cdf(
     if d == 2 and method == "auto":
         return bivariate_cdf_many(upper[None], corr.values[:1, 1])[0]
     if d in _NORMAL_RULES and method == "auto":
-        result = _mvn_det(upper, corr)
+        [result] = normal_orthants(upper[None], [corr])
         if result is not None and result.error_estimate <= tol:
             return result
     if rng is None:

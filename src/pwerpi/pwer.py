@@ -5,7 +5,9 @@ multivariate normal (known variances) or t (unknown homogeneous variances)
 with the correlation matrix determined by the cell sizes and variances. This
 module builds that model, evaluates PWER(c) = sum_J pi_J (1 - F_J(c_J)),
 calibrates the shared critical value, and turns the PWER gradient into the
-delta-method prediction interval for the true PWER.
+delta-method prediction interval for the true PWER. Many calibrations run in
+lockstep (solve_lockstep): each step evaluates the strata of every unfinished
+one in one stacked pass (_evaluate), and a single solve is a lockstep of one.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import mvprob
 from .design import Design, prevalence_weights
-from .errors import ConfigError, InfeasibleDesignError, NumericalError
+from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_CDF_TOL = 1e-6
@@ -28,6 +31,10 @@ DEFAULT_VERIFY_TOL = 1e-7
 # few significant digits of alpha (at 1e-12 the achieved PWER is off by 6e-5
 # relative).
 ALPHA_MIN = 1e-10
+
+# The errors that end one run's calibration and leave the other runs of its
+# lockstep running.
+RUN_ERRORS = (PwerError, np.linalg.LinAlgError)
 
 # Safeguarded secant: bracket width at which it stops, and its step limit.
 _SOLVER_XTOL = 1e-12
@@ -71,20 +78,42 @@ class TestModel:
         return mvprob.std_normal_quantile(1.0 - p)
 
 
-def arm_weight_matrix(design: Design) -> np.ndarray:
+def arm_weight_matrix(design: Design, sizes: np.ndarray | None = None) -> np.ndarray:
     """Signed pooling weights W: the pooled contrasts are cell_means @ W.T.
 
     Row i carries n_cell/n_{i,T} on population i's treatment cells and
     -n_cell/n_{i,C} on its control cells (design.treatment_member and
     control_member); the row of a population with an empty arm is NaN.
+    sizes (..., cells) replaces design.cell_sizes with cell sizes of the same
+    layout, one W per leading index.
     """
-    sizes = design.cell_sizes.astype(float)
+    sizes = (design.cell_sizes if sizes is None else sizes).astype(float)[..., None, :]
     treated = design.treatment_member * sizes
     control = design.control_member * sizes
     with np.errstate(invalid="ignore"):  # 0/0 on the rows of empty arms
-        treated /= treated.sum(axis=1, keepdims=True)
-        control /= control.sum(axis=1, keepdims=True)
+        treated /= treated.sum(axis=-1, keepdims=True)
+        control /= control.sum(axis=-1, keepdims=True)
     return treated - control
+
+
+def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarray]:
+    """build_full_correlation of designs of one cell layout, stacked (R, m, m) and (R, m),
+    from one stacked W diag(s^2/n) W^T; the rows of populations with an empty arm hold NaN."""
+    sizes = np.array([design.cell_sizes for design in designs], dtype=float)
+    w = arm_weight_matrix(designs[0], sizes)
+    variances = np.array([design.cell_variances for design in designs])
+    s2_over_n = np.divide(variances, sizes, out=np.zeros_like(sizes), where=sizes > 0)
+    cov = (w * s2_over_n[:, None, :]) @ w.transpose(0, 2, 1)
+    v = np.diagonal(cov, axis1=1, axis2=2).copy()
+    corr = cov / np.sqrt(v[:, :, None] * v[:, None, :])
+    corr[:, range(v.shape[1]), range(v.shape[1])] = 1.0
+    return corr, v
+
+
+def _empty_arm(design: Design, v: np.ndarray) -> InfeasibleDesignError:
+    i = int(np.argmax(np.isnan(v)))
+    arm = "treatment" if design.treatment_member[i] @ design.cell_sizes == 0 else "control"
+    return InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
 
 
 def build_full_correlation(
@@ -100,19 +129,98 @@ def build_full_correlation(
     InfeasibleDesignError; with allow_empty_populations its row and column
     hold NaN off-diagonal and NaN variance instead.
     """
-    sizes = design.cell_sizes.astype(float)
-    w = arm_weight_matrix(design)
-    empty = np.isnan(w[:, 0])
-    if empty.any() and not allow_empty_populations:
-        i = int(np.argmax(empty))
-        arm = "treatment" if design.treatment_member[i] @ design.cell_sizes == 0 else "control"
-        raise InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
-    s2_over_n = np.divide(design.cell_variances, sizes, out=np.zeros_like(sizes), where=sizes > 0)
-    cov = (w * s2_over_n) @ w.T
-    v = np.diag(cov).copy()
-    corr = cov / np.sqrt(np.outer(v, v))
-    np.fill_diagonal(corr, 1.0)
-    return corr, v
+    corr, v = _full_correlations([design])
+    if np.isnan(v[0]).any() and not allow_empty_populations:
+        raise _empty_arm(design, v[0])
+    return corr[0], v[0]
+
+
+def _law(design: Design, df: float | None) -> tuple[str, float | None]:
+    """The kind and df of build_test_model."""
+    mode = design.variance_mode
+    if df is not None and mode != "unknown_heterogeneous":
+        raise ConfigError(f"a reference df applies to unknown heterogeneous variances, not {mode}")
+    if mode in ("known_homogeneous", "known_heterogeneous"):
+        return "normal", df
+    if mode == "unknown_homogeneous":
+        df = float(design.N - design.positive_cell_count())
+    elif df is None:
+        raise ConfigError(
+            "unknown heterogeneous variances have no closed-form joint law; "
+            "use the bootstrap engine"
+        )
+    if df < 1.0:
+        raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
+    return "t", df
+
+
+def build_test_models(
+    designs: Sequence[Design],
+    dfs: Sequence[float | None] | None = None,
+    allow_empty_populations: bool = False,
+) -> list[TestModel | Exception]:
+    """build_test_model of every design (with dfs[r] as its df): its TestModel,
+    or the error that call raises.
+
+    Designs of one cell layout share one stacked W diag(s^2/n) W^T. Those with
+    the same populated populations have their populated blocks validated in
+    one stacked check (mvprob.correlation_matrices); each stratum's matrix is
+    a principal submatrix of the block, indexed by its members' positions in
+    it, taken for all of them at once (mvprob.principals). Every model
+    equals its own build_test_model call bit for bit.
+    """
+    out: list = [None] * len(designs)
+    laws = {}
+    for r, (design, df) in enumerate(zip(designs, dfs or [None] * len(designs))):
+        try:
+            laws[r] = _law(design, df)
+        except RUN_ERRORS as exc:
+            out[r] = exc
+    layouts: dict[tuple, list[int]] = {}
+    for r in laws:
+        layouts.setdefault((designs[r].m, designs[r].treatment_scheme), []).append(r)
+    for rows in layouts.values():
+        corrs, variances = _full_correlations([designs[r] for r in rows])
+        # rows by their populated populations
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, r in enumerate(rows):
+            populated = tuple(np.flatnonzero(~np.isnan(variances[k])).tolist())
+            if len(populated) < designs[r].m and not allow_empty_populations:
+                out[r] = _empty_arm(designs[r], variances[k])
+            else:
+                groups.setdefault(populated, []).append(k)
+        for populated, ks in groups.items():
+            blocks = (
+                mvprob.correlation_matrices(corrs[ks][:, populated][:, :, populated])
+                if populated else [None] * len(ks)
+            )
+            kept = []
+            for k, block in zip(ks, blocks):
+                if isinstance(block, ConfigError):
+                    out[rows[k]] = block
+                else:
+                    kept.append((k, block))
+            if not kept:
+                continue
+            strata = designs[rows[kept[0][0]]].strata
+            position = {i + 1: p for p, i in enumerate(populated)}
+            columns = [
+                mvprob.principals([block for _, block in kept], [position[i] for i in sorted(stratum)])
+                if stratum.issubset(position) else [None] * len(kept)
+                for stratum in strata
+            ]
+            for n, (k, _) in enumerate(kept):
+                kind, df = laws[rows[k]]
+                out[rows[k]] = TestModel(
+                    kind=kind,
+                    df=df,
+                    m=designs[rows[k]].m,
+                    strata=strata,
+                    full_corr=corrs[k],
+                    stratum_corr=tuple(column[n] for column in columns),
+                    population_variances=variances[k],
+                )
+    return out
 
 
 def build_test_model(
@@ -126,46 +234,13 @@ def build_test_model(
     (boot.build_satterthwaite_model), and no other mode takes one. With
     allow_empty_populations, strata touching a population with an empty arm
     get no joint law (stratum_corr entry None) instead of raising; they can
-    only ever be evaluated with zero weight.
+    only ever be evaluated with zero weight. A block of one of
+    build_test_models.
     """
-    mode = design.variance_mode
-    if df is not None and mode != "unknown_heterogeneous":
-        raise ConfigError(f"a reference df applies to unknown heterogeneous variances, not {mode}")
-    if mode in ("known_homogeneous", "known_heterogeneous"):
-        kind = "normal"
-    else:
-        kind = "t"
-        if mode == "unknown_homogeneous":
-            df = float(design.N - design.positive_cell_count())
-        elif df is None:
-            raise ConfigError(
-                "unknown heterogeneous variances have no closed-form joint law; "
-                "use the bootstrap engine"
-            )
-        if df < 1.0:
-            raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
-
-    corr, v = build_full_correlation(design, allow_empty_populations)
-    # validate the populated block once; each stratum's matrix is a principal
-    # submatrix of it, indexed by its members' positions in the block
-    populated = np.flatnonzero(~np.isnan(v))
-    block = mvprob.CorrelationMatrix(corr[np.ix_(populated, populated)]) if populated.size else None
-    position = {int(i) + 1: k for k, i in enumerate(populated)}
-    subs = []
-    for stratum in design.strata:
-        if stratum.issubset(position):
-            subs.append(block.principal([position[i] for i in sorted(stratum)]))
-        else:
-            subs.append(None)
-    return TestModel(
-        kind=kind,
-        df=df,
-        m=design.m,
-        strata=design.strata,
-        full_corr=corr,
-        stratum_corr=tuple(subs),
-        population_variances=v,
-    )
+    [model] = build_test_models([design], [df], allow_empty_populations)
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def test_statistics(design: Design, cell_means: np.ndarray) -> np.ndarray:
@@ -190,6 +265,107 @@ def _c_vector(c, m: int) -> np.ndarray:
     return arr
 
 
+class _Request(NamedTuple):
+    """One evaluation of F_J(c_J) for the strata `which` selects (see evaluate_strata).
+
+    stream() gives the integration stream of its QMC strata; it is called
+    once a QMC stratum is reached and reused by the later ones (None makes
+    each of them use its own seed-0 stream). engines is the scrambled-engine
+    store of mvprob._randomized_qmc, None for fresh engines.
+    """
+
+    c: np.ndarray
+    model: TestModel
+    which: np.ndarray | None
+    tol: float
+    stream: Callable[[], np.random.Generator | None]
+    engines: dict | None
+
+
+def _picked(model: TestModel, which: np.ndarray | None) -> list[int]:
+    if which is None:
+        return [j for j, corr in enumerate(model.stratum_corr) if corr is not None]
+    picked = np.flatnonzero(which).tolist()
+    for j in picked:
+        if model.stratum_corr[j] is None:
+            raise InfeasibleDesignError(
+                f"stratum {sorted(model.strata[j])} involves a population with an empty arm"
+            )
+    return picked
+
+
+def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] | Exception]:
+    """Every request's per-stratum results, or the error that request raised, in one stacked pass.
+
+    Each request's limits, tol and strata are checked first. Then the 1-dim
+    strata of all requests take one univariate_cdf_many call per law (normal,
+    or t with a df per row), the 2-dim ones one bivariate_cdf_many call per
+    law, and the 3- and 4-dim normal ones one normal_orthants call per
+    dimension. The t strata of 3 or more dimensions, and the strata that need
+    QMC (a degenerate or unsettled quadrature, or 5 or more dimensions), go
+    per request in stratum order, so its QMC strata read its stream in that
+    order. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
+    """
+    out: list = [None] * len(requests)
+    picked = {}
+    for i, req in enumerate(requests):
+        try:
+            mvprob.check_limits(req.c)
+            mvprob.check_tol(req.tol)
+            picked[i] = _picked(req.model, req.which)
+        except RUN_ERRORS as exc:
+            out[i] = exc
+    # (request, stratum) pairs by the stacked call that takes them
+    stacked: dict[tuple, list[tuple[int, int]]] = {}
+    for i, strata in picked.items():
+        model = requests[i].model
+        out[i] = [None] * len(model.strata)
+        for j in strata:
+            d = len(model._members[j])
+            if d <= 2:
+                stacked.setdefault((d, model.kind), []).append((i, j))
+            elif model.kind == "normal" and d in mvprob._NORMAL_RULES:
+                stacked.setdefault((d, "orthant"), []).append((i, j))
+
+    for (d, law), pairs in stacked.items():
+        upper = np.array([requests[i].c[requests[i].model._members[j]] for i, j in pairs])
+        corrs = [requests[i].model.stratum_corr[j] for i, j in pairs]
+        df = np.array([requests[i].model.df for i, _ in pairs]) if law == "t" else None
+        if d == 1:
+            results = mvprob.univariate_cdf_many(upper[:, 0], df)
+        elif d == 2:
+            results = mvprob.bivariate_cdf_many(upper, np.array([corr.values[0, 1] for corr in corrs]), df)
+        else:
+            results = mvprob.normal_orthants(upper, corrs)
+        for (i, j), result in zip(pairs, results):
+            out[i][j] = result
+
+    for i, strata in picked.items():
+        req, results = requests[i], out[i]
+        model, stream = req.model, None
+        try:
+            for j in strata:
+                members = model._members[j]
+                if len(members) <= 2:
+                    continue
+                corr, upper = model.stratum_corr[j], req.c[members]
+                if model.kind == "t" and corr.dim in mvprob._T_RULES:
+                    results[j] = mvprob._mvt_det(upper, corr, model.df)
+                result = results[j]
+                if result is not None and result.error_estimate <= req.tol:
+                    continue
+                stream = stream or req.stream()
+                if model.kind == "normal":
+                    results[j] = mvprob.mvn_cdf(upper, corr, req.tol, stream, method="qmc", engines=req.engines)
+                else:
+                    results[j] = mvprob.mvt_cdf(
+                        upper, corr, model.df, req.tol, stream, method="qmc", engines=req.engines
+                    )
+        except RUN_ERRORS as exc:
+            out[i] = exc
+    return out
+
+
 def evaluate_strata(
     c,
     model: TestModel,
@@ -202,46 +378,14 @@ def evaluate_strata(
 
     which selects the strata (default: every one with a defined joint law);
     requesting a stratum without one raises, and unselected strata return
-    None. The limits and tol are checked once. The 1-dim strata take one
-    vectorized marginal CDF and the 2-dim ones one stacked bivariate call;
-    each larger stratum goes through mvn_cdf/mvt_cdf in stratum order, so its
-    QMC streams come off rng in that order, and `engines` keeps their
-    scrambled engines across calls. Every result equals the stratum's own
-    mvn_cdf/mvt_cdf call.
+    None. The limits and tol are checked once. The strata are evaluated as one
+    request of _evaluate: QMC strata read rng in stratum order, and `engines`
+    keeps their scrambled engines across calls. Every result equals the
+    stratum's own mvn_cdf/mvt_cdf call.
     """
-    c_vec = _c_vector(c, model.m)
-    mvprob.check_limits(c_vec)
-    mvprob.check_tol(tol)
-    if which is None:
-        picked = [j for j, corr in enumerate(model.stratum_corr) if corr is not None]
-    else:
-        picked = np.flatnonzero(which).tolist()
-        for j in picked:
-            if model.stratum_corr[j] is None:
-                raise InfeasibleDesignError(
-                    f"stratum {sorted(model.strata[j])} involves a population with an empty arm"
-                )
-    df = model.df if model.kind == "t" else None
-    members = model._members
-    results: list[mvprob.ProbResult | None] = [None] * len(members)
-    ones = [j for j in picked if len(members[j]) == 1]
-    if ones:
-        upper = c_vec[[members[j][0] for j in ones]]
-        for j, r in zip(ones, mvprob.univariate_cdf_many(upper, df)):
-            results[j] = r
-    twos = [j for j in picked if len(members[j]) == 2]
-    if twos:
-        upper = c_vec[[members[j] for j in twos]]
-        rho = np.array([model.stratum_corr[j].values[0, 1] for j in twos])
-        for j, r in zip(twos, mvprob.bivariate_cdf_many(upper, rho, df)):
-            results[j] = r
-    for j in picked:
-        if len(members[j]) > 2:
-            corr = model.stratum_corr[j]
-            if df is None:
-                results[j] = mvprob.mvn_cdf(c_vec[members[j]], corr, tol, rng, engines=engines)
-            else:
-                results[j] = mvprob.mvt_cdf(c_vec[members[j]], corr, df, tol, rng, engines=engines)
+    [results] = _evaluate([_Request(_c_vector(c, model.m), model, which, tol, lambda: rng, engines)])
+    if isinstance(results, Exception):
+        raise results
     return results
 
 
@@ -329,33 +473,70 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must lie in [{ALPHA_MIN:g}, 0.5), got {alpha}")
 
 
-def solve_critical_values(
+class _Streams:
+    """The integration streams of one solve, built when a QMC stratum first reads one.
+
+    Every solver evaluation replays the solve stream from its start, which
+    makes the objective a deterministic function of c, and shares one store
+    of scrambled Sobol engines, built by the first evaluation and rewound by
+    the later ones. The verify pass reads an independent stream with fresh
+    engines. Both streams derive from one seed, which seed() gives on first
+    read; a solve whose strata are all quadrature never calls it.
+    """
+
+    def __init__(self, seed: Callable[[], int]):
+        self._seed = seed
+        self.engines: dict = {}
+
+    @cached_property
+    def seed(self) -> int:
+        return self._seed()
+
+    @cached_property
+    def _solve(self) -> tuple[np.random.Generator, dict]:
+        stream = np.random.default_rng(self.seed)
+        return stream, stream.bit_generator.state
+
+    def solve(self) -> np.random.Generator:
+        stream, start = self._solve
+        stream.bit_generator.state = start
+        return stream
+
+    def verify(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed ^ 0x9E3779B97F4A7C15)
+
+
+CalibrationSteps = Generator[_Request, list, CriticalValues]
+
+
+def calibration(
     pi,
     model: TestModel,
     alpha: float,
+    seed: Callable[[], int],
     solver_tol: float = DEFAULT_SOLVER_TOL,
     cdf_tol: float = DEFAULT_CDF_TOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
-    rng: np.random.Generator | None = None,
-) -> CriticalValues:
-    """Find the shared critical value with PWER(c * 1) = alpha.
+) -> CalibrationSteps:
+    """The calibration of solve_critical_values, one evaluation at a time.
 
-    Brackets with the single-test and Bonferroni-like quantiles and runs a
+    A generator: it yields each evaluation it needs as a _Request, receives
+    that request's per-stratum results (see _evaluate), and returns the
+    CriticalValues; solve_lockstep drives many at once. seed() gives the
+    integration seed, on first need only (see _Streams).
+
+    It brackets with the single-test and Bonferroni-like quantiles and runs a
     safeguarded secant on the quantile scale, z(c) = Q(PWER(c)) - Q(alpha)
     with Q the marginal upper-tail quantile: z is nearly c - c* (exactly for
     disjoint populations), so the first step from the lower end takes slope
     one and the later ones the secant of the last two iterates. A step that
     leaves the bracket, or two steps that fail to halve it, bisect instead.
     The upper end is evaluated, and checked, only once a bisection or an
-    exit needs it. All PWER evaluations inside one solve reuse one frozen
-    integration seed, which makes the objective a deterministic function of
-    c, and one set of scrambled Sobol engines per QMC stratum, built by the
-    first evaluation and rewound by the later ones. Each evaluation is one
-    batched evaluate_strata call, and the solver keeps its per-stratum
-    results for every c it evaluated. The verify pass (_finish) reuses the
-    deterministic ones at the returned c and recomputes only the QMC strata,
-    the deterministic ones looser than verify_tol and the zero-weight strata,
-    at verify_tol on an independent stream with fresh engines.
+    exit needs it. The solver keeps its per-stratum results for every c it
+    evaluated. The verify pass (_finish) reuses the deterministic ones at the
+    returned c and recomputes only the QMC strata, the deterministic ones
+    looser than verify_tol and the zero-weight strata, at verify_tol on the
+    verify stream.
 
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
     a small alpha is met to a relative precision too.
@@ -365,20 +546,16 @@ def solve_critical_values(
     if not np.any(weights > 0.0):
         raise ConfigError("prevalence vector has no positive component")
 
-    seed = int((rng or np.random.default_rng(0)).integers(0, 2**63 - 1))
     mask = weights > 0.0
     evaluations = 0
-    stream = np.random.default_rng(seed)
-    start = stream.bit_generator.state
-    engines: dict = {}
+    streams = _Streams(seed)
     # the per-stratum results at every c evaluated, for the verify pass
     solved: dict[float, list[mvprob.ProbResult | None]] = {}
 
-    def pwer_at(c: float) -> float:
+    def pwer_at(c: float):
         nonlocal evaluations
         evaluations += 1
-        stream.bit_generator.state = start  # every evaluation replays the same seeds
-        solved[c] = evaluate_strata(np.full(model.m, c), model, cdf_tol, stream, mask, engines)
+        solved[c] = yield _Request(np.full(model.m, c), model, mask, cdf_tol, streams.solve, streams.engines)
         return _pwer(weights, solved[c])
 
     q_alpha = _upper_quantile(model, alpha)
@@ -386,21 +563,21 @@ def solve_critical_values(
     def z(p: float) -> float:
         return _upper_quantile(model, p) - q_alpha
 
-    def finish(c: float, p: float) -> CriticalValues:
-        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, seed, evaluations, solved[c])
+    def finish(c: float, p: float):
+        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, streams, evaluations, solved[c])
 
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
     f_tol = min(solver_tol, 1e-3 * alpha)
-    p_lo = pwer_at(lo)
+    p_lo = yield from pwer_at(lo)
     if p_lo - alpha < -slack:
         raise NumericalError(
             f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
         )
     if p_lo - alpha <= f_tol:
         # the single-test bound is already exhausted (disjoint-population case)
-        return finish(lo, p_lo)
+        return (yield from finish(lo, p_lo))
 
     # [a, b] holds the root: PWER(a) > alpha, and PWER(b) < alpha once b is
     # evaluated; until then b = hi rests on the bracket's quantile bound
@@ -412,24 +589,24 @@ def solve_critical_values(
         # bisect after a step out of the bracket or two steps that did not halve it
         if not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
             if math.isnan(p_b):
-                p_b = pwer_at(hi)
+                p_b = yield from pwer_at(hi)
                 if p_b - alpha > slack:
                     raise NumericalError(
                         f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
                     )
                 if p_b - alpha >= -f_tol:
-                    return finish(hi, p_b)
+                    return (yield from finish(hi, p_b))
             x = 0.5 * (a + b)
-        p = pwer_at(x)
+        p = yield from pwer_at(x)
         if abs(p - alpha) <= f_tol:
-            return finish(x, p)
+            return (yield from finish(x, p))
         if p > alpha:
             a, p_a = x, p
         else:
             b, p_b = x, p
         widths.append(b - a)
         if b - a <= _SOLVER_XTOL and not math.isnan(p_b):
-            return finish(*min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha)))
+            return (yield from finish(*min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))))
         z_x = z(p)
         # a flat secant has no root; its infinite step leaves the bracket
         step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
@@ -438,6 +615,59 @@ def solve_critical_values(
         f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
         f"(bracket [{a:.12f}, {b:.12f}])"
     )
+
+
+def solve_lockstep(calibrations: list[CalibrationSteps]) -> list[CriticalValues | Exception]:
+    """Drive calibrations together; each one's CriticalValues, or the error it raised.
+
+    Every step evaluates the pending request of every unfinished calibration
+    in one _evaluate call, and the finished ones drop out, so a block of runs
+    costs about as many stacked evaluations as its slowest run. An error of
+    RUN_ERRORS ends only the calibration it belongs to.
+    """
+    out: list = [None] * len(calibrations)
+    pending: dict[int, _Request] = {}
+
+    def advance(i: int, results) -> None:
+        try:
+            pending[i] = calibrations[i].send(results)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except RUN_ERRORS as exc:
+            out[i] = exc
+
+    for i in range(len(calibrations)):
+        advance(i, None)
+    while pending:
+        order = list(pending)
+        for i, results in zip(order, _evaluate([pending.pop(i) for i in order])):
+            if isinstance(results, Exception):
+                calibrations[i].close()
+                out[i] = results
+            else:
+                advance(i, results)
+    return out
+
+
+def solve_critical_values(
+    pi,
+    model: TestModel,
+    alpha: float,
+    solver_tol: float = DEFAULT_SOLVER_TOL,
+    cdf_tol: float = DEFAULT_CDF_TOL,
+    verify_tol: float = DEFAULT_VERIFY_TOL,
+    rng: np.random.Generator | None = None,
+) -> CriticalValues:
+    """Find the shared critical value with PWER(c * 1) = alpha (see calibration).
+
+    A lockstep of one: the integration seed is drawn from rng (a seed-0
+    stream when omitted) before the solve starts.
+    """
+    seed = int((rng or np.random.default_rng(0)).integers(0, 2**63 - 1))
+    [cv] = solve_lockstep([calibration(pi, model, alpha, lambda: seed, solver_tol, cdf_tol, verify_tol)])
+    if not isinstance(cv, CriticalValues):
+        raise cv
+    return cv
 
 
 def _upper_quantile(model: TestModel, p: float) -> float:
@@ -460,27 +690,27 @@ def _finish(
     alpha: float,
     verify_tol: float,
     cdf_tol: float,
-    seed: int,
+    streams: _Streams,
     evaluations: int,
     solved: list[mvprob.ProbResult | None],
-) -> CriticalValues:
+):
     """Verify the solver's PWER at c_star and fill in every stratum's FWER.
 
-    solved holds the solver's per-stratum results at c_star. A deterministic
-    one within verify_tol is what the verify pass would compute, since
-    quadrature does not depend on tol or stream, and is kept. The rest are
-    computed at verify_tol on an independent stream with fresh engines: the
-    QMC strata, deterministic ones whose error estimate exceeds verify_tol
-    (verify_tol sends them to QMC), and the zero-weight strata with a defined
-    law, which true_pwer weighs.
+    A generator, like calibration: it yields the verify pass's _Request, if
+    any. solved holds the solver's per-stratum results at c_star. A
+    deterministic one within verify_tol is what the verify pass would
+    compute, since quadrature does not depend on tol or stream, and is kept.
+    The rest are computed at verify_tol on the verify stream with fresh
+    engines: the QMC strata, deterministic ones whose error estimate exceeds
+    verify_tol (verify_tol sends them to QMC), and the zero-weight strata with
+    a defined law, which true_pwer weighs.
     """
     c_vec = np.full(model.m, c_star)
     redo = model.stratum_ok & np.array(
         [r is None or r.qmc or r.error_estimate > verify_tol for r in solved]
     )
     if redo.any():
-        verify_rng = np.random.default_rng(seed ^ 0x9E3779B97F4A7C15)
-        fresh = evaluate_strata(c_vec, model, verify_tol, verify_rng, redo)
+        fresh = yield _Request(c_vec, model, redo, verify_tol, streams.verify, None)
         solved = [f if again else r for f, r, again in zip(fresh, solved, redo)]
     fwer = 1.0 - _values(solved)
     # strata without a defined law carry NaN and only ever zero weight here

@@ -5,9 +5,12 @@ setting; SETTINGS_TABLE gives each setting's design variance mode and
 calibrating engine. Each run draws a study (the strata counts and the
 setting's own data), calibrates critical values on the estimated prevalences
 (`calibrate`), builds the interval (`interval`), and checks whether the
-realized true PWER is covered. The CLI's analyze mode runs an observed study
-through the same two steps. Aggregations reproduce the coverage/length tables
-and the per-study distribution data.
+realized true PWER is covered. Runs go in blocks: a block draws all its runs,
+then calibrates them together, the exact-engine ones in one lockstep of
+stacked PWER evaluations (pwer.solve_lockstep), and a run's records do not
+depend on the block it went in. The CLI's analyze mode runs an observed study
+through the same two steps as a block of one. Aggregations reproduce the
+coverage/length tables and the per-study distribution data.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .design import (
     enumerate_strata,
     transform_weights,
 )
-from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
+from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 
 class Setting(NamedTuple):
@@ -278,43 +282,85 @@ def calibrate(
 ) -> Calibration:
     """Calibrate c* on the study's transformed prevalence estimates by its setting's engine.
 
-    truth, when given, is the transformed true prevalence vector; the exact
-    engine refuses one that weighs a stratum without a defined joint law.
+    A block of one of _calibrate_block. truth, when given, is the transformed
+    true prevalence vector; the exact engine refuses one that weighs a
+    stratum without a defined joint law.
     """
-    design = study.design
-    weights = design.strata_counts / design.N
-    used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
+    [cal] = _calibrate_block(scenario, [study], [(None, boot_seed, solve_seed).__getitem__], truth)
+    if isinstance(cal, Exception):
+        raise cal
+    return cal
+
+
+def _integration_seed(seed: Callable[[int], np.random.SeedSequence]) -> int:
+    """The integration seed the exact engine draws from a run's solve stream."""
+    return int(np.random.default_rng(seed(2)).integers(0, 2**63 - 1))
+
+
+def _calibrate_block(
+    scenario: SimScenario,
+    studies: Sequence[Study],
+    seeds: Sequence[Callable[[int], np.random.SeedSequence]],
+    truth: np.ndarray | None,
+) -> list[Calibration | Exception]:
+    """The Calibration of every study of a block, or the error its run raised.
+
+    seeds[k](stream) is study k's seed sequence of a run_streams stream (1
+    the bootstrap's, 2 the solve's), built only when its engine reads it:
+    the bootstrap engines read theirs up front, the exact engine its solve
+    stream only once a QMC stratum or a verify recompute needs it. The
+    exact engine builds the block's models in one pwer.build_test_models
+    call; the bootstrap engines calibrate run by run. The exact-engine
+    calibrations (exact and satterthwaite) of the whole block then run
+    together in one pwer.solve_lockstep, each on its own model;
+    satterthwaite's FWER comes from its bootstrap null afterwards.
+    """
     engine = SETTINGS_TABLE[scenario.setting].engine
-
-    def solve_exact(model: pwer.TestModel) -> pwer.CriticalValues:
-        return pwer.solve_critical_values(
-            used, model, scenario.alpha, rng=np.random.default_rng(solve_seed)
-        )
-
-    rejected = 0
     if engine == "exact":
-        model = pwer.build_test_model(design, allow_empty_populations=True)
-        if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
-            raise InfeasibleDesignError(
-                "true prevalence weights a stratum without a defined joint law"
-            )
-        cv = solve_exact(model)
-    elif engine == "projection_bootstrap":
-        null = boot.bootstrap_null_E(
-            design, weights, study.effects, study.pooled_variance, scenario.B,
-            np.random.default_rng(boot_seed),
-        )
-        rejected = null.rejected_resamples
-        cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
-    else:
-        null = boot.bootstrap_null_D(design, scenario.B, np.random.default_rng(boot_seed))
-        if engine == "parametric_bootstrap":
-            cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
-        else:
-            # c* from the Satterthwaite t model, its FWER from the bootstrap null
-            cv = solve_exact(boot.build_satterthwaite_model(design))
-            cv = replace(cv, fwer=boot.stratum_fwer(boot.fwer_curves(null, design.strata), cv.value))
-    return Calibration(weights, used, factors, cv, rejected)
+        models = pwer.build_test_models([study.design for study in studies], allow_empty_populations=True)
+    out: list = [None] * len(studies)
+    lockstep = {}  # study index -> (weights, used, factors, bootstrap null or None, calibration)
+    for k, (study, seed) in enumerate(zip(studies, seeds)):
+        design = study.design
+        weights = design.strata_counts / design.N
+        try:
+            used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
+            null = None
+            if engine == "exact":
+                model = models[k]
+                if isinstance(model, Exception):
+                    raise model
+                if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
+                    raise InfeasibleDesignError(
+                        "true prevalence weights a stratum without a defined joint law"
+                    )
+            elif engine == "projection_bootstrap":
+                null = boot.bootstrap_null_E(
+                    design, weights, study.effects, study.pooled_variance, scenario.B,
+                    np.random.default_rng(seed(1)),
+                )
+                cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
+                out[k] = Calibration(weights, used, factors, cv, null.rejected_resamples)
+                continue
+            else:
+                null = boot.bootstrap_null_D(design, scenario.B, np.random.default_rng(seed(1)))
+                if engine == "parametric_bootstrap":
+                    cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
+                    out[k] = Calibration(weights, used, factors, cv, 0)
+                    continue
+                # c* from the Satterthwaite t model, its FWER from the bootstrap null
+                model = boot.build_satterthwaite_model(design)
+            calibration = pwer.calibration(used, model, scenario.alpha, partial(_integration_seed, seed))
+            lockstep[k] = (weights, used, factors, null, calibration)
+        except pwer.RUN_ERRORS as exc:
+            out[k] = exc
+    solved = pwer.solve_lockstep([entry[-1] for entry in lockstep.values()])
+    for (k, (weights, used, factors, null, _)), cv in zip(lockstep.items(), solved):
+        if isinstance(cv, pwer.CriticalValues) and null is not None:
+            curves = boot.fwer_curves(null, studies[k].design.strata)
+            cv = replace(cv, fwer=boot.stratum_fwer(curves, cv.value))
+        out[k] = cv if isinstance(cv, Exception) else Calibration(weights, used, factors, cv, 0)
+    return out
 
 
 def interval(scenario: SimScenario, cal: Calibration) -> pwer.PredictionInterval:
@@ -323,41 +369,83 @@ def interval(scenario: SimScenario, cal: Calibration) -> pwer.PredictionInterval
     return pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
 
 
+def _run_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedSequence:
+    """Stream `stream` of run_streams(master_seed, run_index), built alone."""
+    return np.random.SeedSequence((master_seed, run_index), spawn_key=(stream,))
+
+
 def run_streams(master_seed: int, run_index: int) -> list[np.random.SeedSequence]:
-    """The (data, boot, solve) seed sequences of one run; an analyzed study is run 0."""
-    return np.random.SeedSequence((master_seed, run_index)).spawn(3)
+    """The (data, boot, solve) seed sequences of one run; an analyzed study is run 0.
+
+    They equal SeedSequence((master_seed, run_index)).spawn(3); a simulation
+    run builds each one only where it is read (_run_seed).
+    """
+    return [_run_seed(master_seed, run_index, stream) for stream in range(3)]
+
+
+# Runs per block: a block's exact-engine runs calibrate in lockstep, and with
+# one worker a scenario's runs go in blocks of this size.
+_BLOCK_RUNS = 64
+
+
+def _block_records(
+    scenario: SimScenario, pi_true: np.ndarray, indices: Sequence[int]
+) -> list[RunRecord | Exception]:
+    """The RunRecord of every run of a block, or the error that run raised.
+
+    Draws every run first, calibrates them all (_calibrate_block), then builds
+    each interval. Records depend only on (master_seed, run_index), whatever
+    runs share the block: the stacked evaluations return each run's numbers
+    bit for bit.
+    """
+    truth, factors_true = transform_weights(pi_true, scenario.transform, scenario.pi_min)
+    out: dict[int, RunRecord | Exception] = {}
+    drawn = {}
+    for run_index in indices:
+        try:
+            rng = np.random.default_rng(_run_seed(scenario.master_seed, run_index, 0))
+            drawn[run_index] = _draw(scenario, pi_true, rng)
+        except pwer.RUN_ERRORS as exc:
+            out[run_index] = exc
+    seeds = [partial(_run_seed, scenario.master_seed, run_index) for run_index in drawn]
+    for run_index, cal in zip(drawn, _calibrate_block(scenario, list(drawn.values()), seeds, truth)):
+        if isinstance(cal, Exception):
+            out[run_index] = cal
+            continue
+        try:
+            iv = interval(scenario, cal)
+            tp = cal.cv.true_pwer(truth)
+            out[run_index] = RunRecord(
+                true_pwer=tp,
+                lower=float(iv.lower),
+                upper=float(iv.upper),
+                covered=bool(iv.contains(tp)),
+                length=float(iv.length),
+                gamma=iv.gamma,
+                gamma_true=float(pwer.delta_gamma(pi_true, cal.cv.gradient(factors_true))),
+                c_star=cal.cv.value,
+                achieved=float(cal.cv.achieved),
+                rejected_resamples=cal.rejected_resamples,
+            )
+        except pwer.RUN_ERRORS as exc:
+            out[run_index] = exc
+    return [out[run_index] for run_index in indices]
 
 
 def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:
-    """One simulation run: draw, calibrate, interval; raises PwerError subtypes on failure."""
-    data_ss, boot_ss, solve_ss = run_streams(scenario.master_seed, run_index)
-    study = _draw(scenario, pi_true, np.random.default_rng(data_ss))
-    truth, factors_true = transform_weights(pi_true, scenario.transform, scenario.pi_min)
-    cal = calibrate(scenario, study, boot_ss, solve_ss, truth)
-    iv = interval(scenario, cal)
-    tp = cal.cv.true_pwer(truth)
-    return RunRecord(
-        true_pwer=tp,
-        lower=float(iv.lower),
-        upper=float(iv.upper),
-        covered=bool(iv.contains(tp)),
-        length=float(iv.length),
-        gamma=iv.gamma,
-        gamma_true=float(pwer.delta_gamma(pi_true, cal.cv.gradient(factors_true))),
-        c_star=cal.cv.value,
-        achieved=float(cal.cv.achieved),
-        rejected_resamples=cal.rejected_resamples,
-    )
+    """One simulation run, a block of one; raises its PwerError subtype on failure."""
+    [record] = _block_records(scenario, pi_true, [run_index])
+    if isinstance(record, Exception):
+        raise record
+    return record
 
 
 def _run_block(scenario: SimScenario, pi_true: np.ndarray, indices: Sequence[int]):
-    out = []
-    for run_index in indices:
-        try:
-            out.append((run_index, _run_single(scenario, pi_true, run_index)))
-        except (PwerError, np.linalg.LinAlgError) as exc:
-            out.append((run_index, f"{type(exc).__name__}: {exc}"))
-    return out
+    """(run index, RunRecord or "ErrorType: message") of every run of a block."""
+    return [
+        (run_index, payload if isinstance(payload, RunRecord) else f"{type(payload).__name__}: {payload}")
+        for run_index, payload in zip(indices, _block_records(scenario, pi_true, indices))
+    ]
 
 
 def resolve_true_prevalences(scenario: SimScenario) -> np.ndarray:
@@ -372,12 +460,13 @@ def resolve_true_prevalences(scenario: SimScenario) -> np.ndarray:
 
 
 def _chunks(runs: int, workers: int) -> list[range]:
-    """A scenario's run indices in order, in about 4 chunks per worker.
+    """A scenario's run indices in order, in blocks of at most _BLOCK_RUNS runs.
 
-    Small chunks let the workers of a shared pool take up the next scenario's
+    One worker takes blocks of _BLOCK_RUNS. More take about 4 chunks each:
+    small chunks let the workers of a shared pool take up the next scenario's
     runs while a slow one finishes.
     """
-    size = -(-runs // (4 * workers))
+    size = _BLOCK_RUNS if workers == 1 else min(_BLOCK_RUNS, -(-runs // (4 * workers)))
     return [range(start, min(start + size, runs)) for start in range(0, runs, size)]
 
 

@@ -121,7 +121,7 @@ class TestBuildTestModel:
     def test_indefinite_populated_block_rejected(self, monkeypatch):
         # every pair is a valid correlation, but the three together are not
         mat = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.9], [0.5, 0.9, 1.0]])
-        monkeypatch.setattr(pwer, "build_full_correlation", lambda design, allow: (mat, np.ones(3)))
+        monkeypatch.setattr(pwer, "_full_correlations", lambda designs: (mat[None], np.ones((1, 3))))
         d = dz.build_design(3, "pairwise_different", [10] * 7, 1.0, "known_homogeneous")
         with pytest.raises(ConfigError, match="positive semidefinite"):
             pwer.build_test_model(d)
@@ -419,12 +419,15 @@ class TestSolverEdges:
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
 
-        def fake_evaluate_strata(c, model, tol=None, rng=None, which=None, engines=None):
-            c0 = float(np.asarray(c).reshape(-1)[0])
-            calls.append(c0)
-            return [mvprob.ProbResult(1.0 - pwer_of_c(c0), 0.0, 1)] * len(model.strata)
+        def fake_evaluate(requests):
+            out = []
+            for request in requests:
+                c0 = float(request.c[0])
+                calls.append(c0)
+                out.append([mvprob.ProbResult(1.0 - pwer_of_c(c0), 0.0, 1)] * len(request.model.strata))
+            return out
 
-        monkeypatch.setattr(pwer, "evaluate_strata", fake_evaluate_strata)
+        monkeypatch.setattr(pwer, "_evaluate", fake_evaluate)
         model = pwer.build_test_model(equal_cells_design())
         return calls, lambda: pwer.solve_critical_values(np.full(3, 1 / 3), model, ALPHA)
 
@@ -497,16 +500,24 @@ class TestVerifyReuse:
 
     @staticmethod
     def law_calls(monkeypatch, shift=0.0):
-        # every mvn_cdf/mvt_cdf call as (dimension, from the verify pass); the
-        # verify pass alone passes no engine store. shift moves its results.
+        # every evaluated stratum of 3 or more dimensions as (dimension, from
+        # the verify pass); the verify pass alone passes no engine store.
+        # shift moves the verify pass's results for them.
         calls = []
-        for name in ("mvn_cdf", "mvt_cdf"):
-            def counting(upper, corr, *args, _law=getattr(mvprob, name), **kwargs):
-                verify = kwargs.get("engines") is None
-                calls.append((corr.dim, verify))
-                result = _law(upper, corr, *args, **kwargs)
-                return result._replace(value=result.value + shift) if verify else result
-            monkeypatch.setattr(mvprob, name, counting)
+        evaluate = pwer._evaluate
+
+        def counting(requests):
+            out = evaluate(requests)
+            for request, results in zip(requests, out):
+                verify = request.engines is None
+                for j in np.flatnonzero(request.which).tolist():
+                    if len(request.model.strata[j]) > 2:
+                        calls.append((len(request.model.strata[j]), verify))
+                        if verify:
+                            results[j] = results[j]._replace(value=results[j].value + shift)
+            return out
+
+        monkeypatch.setattr(pwer, "_evaluate", counting)
         return calls
 
     @staticmethod
@@ -547,18 +558,19 @@ class TestVerifyReuse:
     def loosen_solver_error(monkeypatch, j, error=5e-7, qmc=False):
         # the solver's result for stratum j gets an error estimate in
         # (verify_tol, cdf_tol], or is marked as QMC
-        evaluate = pwer.evaluate_strata
+        evaluate = pwer._evaluate
         verify_selections = []
 
-        def patched(c, model, tol, rng=None, which=None, engines=None):
-            results = evaluate(c, model, tol, rng, which, engines)
-            if tol == pwer.DEFAULT_CDF_TOL:
-                results[j] = results[j]._replace(error_estimate=error, qmc=qmc)
-            else:
-                verify_selections.append(np.flatnonzero(which).tolist())
-            return results
+        def patched(requests):
+            out = evaluate(requests)
+            for request, results in zip(requests, out):
+                if request.tol == pwer.DEFAULT_CDF_TOL:
+                    results[j] = results[j]._replace(error_estimate=error, qmc=qmc)
+                else:
+                    verify_selections.append(np.flatnonzero(request.which).tolist())
+            return out
 
-        monkeypatch.setattr(pwer, "evaluate_strata", patched)
+        monkeypatch.setattr(pwer, "_evaluate", patched)
         return verify_selections
 
     @pytest.mark.parametrize("j", [0, 3, 6], ids=["dim1", "dim2", "dim3"])

@@ -297,7 +297,11 @@ class TestSharedPool:
             for workers in (1, 2, 3, 8):
                 chunks = sim._chunks(runs, workers)
                 assert [i for chunk in chunks for i in chunk] == list(range(runs))
-                assert len(chunks) <= 4 * workers
+                assert all(len(chunk) <= sim._BLOCK_RUNS for chunk in chunks)
+                if workers == 1:  # fixed-size blocks
+                    assert all(len(chunk) == sim._BLOCK_RUNS for chunk in chunks[:-1])
+                else:  # about 4 chunks per worker, unless that exceeds a block
+                    assert len(chunks) <= max(4 * workers, -(-runs // sim._BLOCK_RUNS))
 
     def test_pool_is_shut_down_before_the_call_returns(self, monkeypatch):
         events = []
