@@ -368,8 +368,11 @@ def _conditioning(corr: np.ndarray) -> tuple[list, np.ndarray] | None:
 
 def _stack_plans(plans: list) -> tuple[list, np.ndarray]:
     """Conditioning plans of one dimension stacked into one, a column per plan."""
-    layers = [tuple(np.concatenate(part, axis=1) for part in zip(*layer)) for layer in zip(*(p[0] for p in plans))]
-    return layers, np.concatenate([p[1] for p in plans])
+    layers = [
+        tuple(np.concatenate(part, axis=1) for part in zip(*layer))
+        for layer in zip(*(plan[0] for plan in plans))
+    ]
+    return layers, np.concatenate([plan[1] for plan in plans])
 
 
 def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:

@@ -356,7 +356,9 @@ def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] |
                     continue
                 stream = stream or req.stream()
                 if model.kind == "normal":
-                    results[j] = mvprob.mvn_cdf(upper, corr, req.tol, stream, method="qmc", engines=req.engines)
+                    results[j] = mvprob.mvn_cdf(
+                        upper, corr, req.tol, stream, method="qmc", engines=req.engines
+                    )
                 else:
                     results[j] = mvprob.mvt_cdf(
                         upper, corr, model.df, req.tol, stream, method="qmc", engines=req.engines

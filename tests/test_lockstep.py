@@ -192,7 +192,8 @@ print(len(built))
 def test_import_leaves_scipy_stats_out_until_qmc_runs():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(pwerpi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", LAZY_QMC], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", LAZY_QMC], capture_output=True, text=True,
+                          env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     # the m=5 stratum's 12 engines, shared by every evaluation, and 12 for the verify pass
     assert proc.stdout.split() == ["24"]
