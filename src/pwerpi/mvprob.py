@@ -2,21 +2,20 @@
 
 Dimensions up to four use deterministic quadrature: the Drezner-Wesolowsky /
 Gauss-Legendre bivariate normal, recursive conditioning on one variable at a
-time down to it for the trivariate and four-variate normal, and chi-scale
-mixtures of those for the t cases. Each quadrature climbs a ladder of ever
-finer rules and stops at the first two adjacent rungs that agree within
-TOL_MIN, a fixed constant, so its result never depends on the caller's `tol`;
-three times that last gap is the error estimate. Many laws evaluate in one
-stacked call whose entries equal their own calls bit for bit: 1-dim ones in
-univariate_cdf_many, 2-dim ones in bivariate_cdf_many (each row with its own
-correlation and, for t, its own df) and 3- and 4-dim normal ones in
-normal_orthants (each row with its own correlation). A CorrelationMatrix is
+time down to it for the trivariate and four-variate normal, and for the t law
+the chi-weighted sum of those normal orthants at limits upper * s, s =
+chi_df / sqrt(df). Each quadrature climbs a ladder of ever finer rules and
+stops at the first two adjacent rungs that agree within TOL_MIN, a fixed
+constant, so its result never depends on the caller's `tol`; three times that
+last gap is the error estimate. `orthants` evaluates many laws of one kind in
+one stacked call, each row with its own correlation and, for t, its own df,
+and returns None for the rows that need QMC; every row equals its own call
+bit for bit, and mvn_cdf/mvt_cdf are calls of one row. A CorrelationMatrix is
 validated once and keeps its Cholesky factor and conditioning plan, and its
 principal submatrices need no validation of their own. Higher dimensions
 integrate the separation-of-variables transform with randomized quasi-Monte
 Carlo over scrambled Sobol streams, where the spread across scramblings yields
-the error estimate; scipy.stats.qmc is imported only once QMC runs.
-"""
+the error estimate; scipy.stats.qmc is imported only once QMC runs."""
 
 from __future__ import annotations
 
@@ -372,7 +371,7 @@ def _stack_plans(plans: list) -> tuple[list, np.ndarray]:
         tuple(np.concatenate(part, axis=1) for part in zip(*layer))
         for layer in zip(*(plan[0] for plan in plans))
     ]
-    return layers, np.concatenate([plan[1] for plan in plans])
+    return layers, np.array([plan[1][0] for plan in plans])
 
 
 def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
@@ -383,9 +382,12 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[in
     The first layer's pivot is integrated over nodes[0] Gauss-Legendre nodes
     in y, and the conditioned rest is one stacked call for every (row, t, y):
     the next layer with nodes[1:], or the bivariate rule once two variables
-    remain. Every entry of the (n, *t) result reduces its own nodes, so it
-    equals, bit for bit, its row's call with that limit vector alone.
+    remain (with no layer left, upper itself is bivariate). Every entry of
+    the (n, *t) result reduces its own nodes, so it equals, bit for bit, its
+    row's call with that limit vector alone.
     """
+    if not layers:
+        return bvn_cdf_many(upper[0], upper[1], rho)
     (order, r, s), *inner_layers = layers
     upper = upper[order, np.arange(order.shape[1])]
     lo = -8.6
@@ -396,80 +398,57 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[in
     wt = w * width[..., None] / 2.0
     per_row = (slice(None), slice(None)) + (None,) * (y.ndim - 1)
     lim = (upper[1:, ..., None] - r[per_row] * y) / s[per_row]
-    if inner_layers:
-        inner = _cond_quad(lim, inner_layers, rho, nodes[1:])
-    else:
-        inner = bvn_cdf_many(lim[0], lim[1], rho)
+    inner = _cond_quad(lim, inner_layers, rho, nodes[1:])
     phi = np.exp(-0.5 * y * y) / _SQRT_2PI
     return (inner * phi * wt).sum(axis=-1)
 
 
-# The rule ladders, coarse to fine: the Gauss-Legendre node count of each
-# conditioning layer, led for the t law by the chi-scale nodes. The normal
-# ladder usually stops at its middle rung. The t ladders have two rungs: at 24
-# chi-scale nodes the mixture is only accurate to ~2e-7, so a coarser t rung
-# would never agree with the next within TOL_MIN.
-_NORMAL_RULES = {d: tuple((n,) * (d - 2) for n in (24, 48, 96)) for d in (3, 4)}
-_T_RULES = {3: ((32, 48), (64, 96)), 4: ((32, 32, 32), (64, 48, 48))}
-_BVT_RULES = (32, 64)
+# The rule ladders, coarse to fine, and the error floor of each deterministic
+# law, by (dimension, t law): the Gauss-Legendre node count of each
+# conditioning layer, led for the t law by the chi-scale nodes. The bivariate
+# normal is one rung of its own 6/12/20-node rules, counted as the 20 nodes of
+# its finest band. The normal ladder usually stops at its middle rung. The t
+# ladders have two rungs: at 24 chi-scale nodes the mixture is only accurate
+# to ~2e-7, so a coarser t rung would never agree with the next within TOL_MIN.
+_LADDERS = {
+    (2, False): (((20,),), 5e-15),
+    (3, False): (((24,), (48,), (96,)), 1e-10),
+    (4, False): (((24, 24), (48, 48), (96, 96)), 1e-10),
+    (2, True): (((32,), (64,)), 1e-10),
+    (3, True): (((32, 48), (64, 96)), 1e-9),
+    (4, True): (((32, 32, 32), (64, 48, 48)), 1e-9),
+}
 # bivariate evaluations per stacked _cond_quad call, which bounds its
-# temporaries at a few MB
-_QUAD_BLOCK = 1 << 14
+# temporaries at about a MB; pieces twice that size run slower out of cache
+_QUAD_BLOCK = 1 << 13
 
 
-def _ladder(rules, evaluate: Callable, floor: float, n: int = 1) -> list[ProbResult]:
+def _ladder(rules, evaluate: Callable, floor: float, n: int) -> list[ProbResult]:
     """Climb the rules for n integrals at once, each until two adjacent rules agree within TOL_MIN.
 
     evaluate(rule, active) returns the values under rule of the integrals
     indexed by the array active, and the points that rule takes per
     integral. An integral's result is the last rule's value with three times
-    its gap to the one before as the error estimate (at least `floor`);
-    points_used sums the rules it evaluated. The integrals still climbing
-    after a rule are the only ones the next rule evaluates.
+    its gap to the one before as the error estimate (at least `floor`, which
+    a ladder of one rule always takes); points_used sums the rules it
+    evaluated. The integrals still climbing after a rule are the only ones
+    the next rule evaluates.
     """
     out: list[ProbResult | None] = [None] * n
-    active = np.arange(n)
-    prev, points = evaluate(rules[0], active)
-    for k, rule in enumerate(rules[1:], 2):
+    active, points = np.arange(n), 0
+    for k, rule in enumerate(rules, 1):
         value, more = evaluate(rule, active)
         points += more
-        err = 3.0 * np.abs(value - prev)
+        if k == 1 < len(rules):
+            prev = value
+            continue
+        err = 3.0 * np.abs(value - prev) if k > 1 else np.zeros(len(active))
         done = err <= TOL_MIN if k < len(rules) else np.ones(len(active), bool)
         for i, v, e in zip(active[done].tolist(), value[done].tolist(), err[done].tolist()):
             out[i] = ProbResult(min(1.0, max(0.0, v)), max(e, floor), points)
         active, prev = active[~done], value[~done]
         if not active.size:
             break
-    return out
-
-
-def normal_orthants(upper: np.ndarray, corrs: list[CorrelationMatrix]) -> list[ProbResult | None]:
-    """Deterministic normal orthant probability of each row of upper (S x d, d = 3 or 4)
-    under its own correlation, or None where conditioning degenerates.
-
-    Every rung of the node ladder is one stacked _cond_quad over the rows
-    still climbing, in pieces of at most _QUAD_BLOCK bivariate evaluations,
-    and each row's result equals its own call bit for bit.
-    """
-    plans = [corr.conditioning() for corr in corrs]
-    rows = [i for i, plan in enumerate(plans) if plan is not None]
-    out: list[ProbResult | None] = [None] * len(plans)
-    if not rows:
-        return out
-    layers, rho = _stack_plans([plans[i] for i in rows])
-    limits = upper[rows].T
-
-    def evaluate(nodes, active):
-        step = max(1, _QUAD_BLOCK // math.prod(nodes))
-        parts = []
-        for i in range(0, len(active), step):
-            piece = active[i:i + step]
-            sub = [(o[:, piece], r[:, piece], s[:, piece]) for o, r, s in layers]
-            parts.append(_cond_quad(limits[:, piece], sub, rho[piece], nodes))
-        return np.concatenate(parts), math.prod(nodes)
-
-    for i, result in zip(rows, _ladder(_NORMAL_RULES[upper.shape[1]], evaluate, 1e-10, len(rows))):
-        out[i] = result
     return out
 
 
@@ -497,40 +476,98 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _bvt_det(upper: np.ndarray, rho: np.ndarray, df: np.ndarray) -> list[ProbResult]:
-    """Bivariate t of each row of upper (S x 2) with correlation rho (S,) and
-    degrees of freedom df (S,), as chi-scale mixtures of deterministic
-    bivariate normals.
+def _quadrature(upper: np.ndarray, layers: list, rho: np.ndarray, df: np.ndarray | None) -> list[ProbResult]:
+    """The deterministic law of every column of upper (d x n), column i
+    conditioned on column i of the stacked plan (layers, rho; see _cond_quad):
+    normal, or t with df[i] degrees of freedom as the chi-weighted sum of
+    normal orthants at limits upper * s.
 
-    Each rung is one bvn_cdf_many call over every row and its own df's
-    chi-scale nodes; the ladder then runs per row on its rung values.
+    The rows climb the ladder of _LADDERS together: each rung is one stacked
+    _cond_quad over the rows still climbing, in pieces of at most _QUAD_BLOCK
+    bivariate evaluations. A t row's chi-scale nodes are limit vectors of its
+    own, in chunks of as many as fit a piece (all of them for a bivariate
+    row). Each row reduces its nodes in the shapes of its own call, so it
+    equals that call bit for bit.
     """
-    rungs = {}
-    for n in _BVT_RULES:
-        rules = {v: _chi_scale_nodes(v, n) for v in set(df.tolist())}
-        s = np.array([rules[v][0] for v in df.tolist()])
-        w = np.array([rules[v][1] for v in df.tolist()])
-        rungs[n] = np.sum(w * bvn_cdf_many(upper[:, :1] * s, upper[:, 1:] * s, rho), axis=1)
-    return _ladder(_BVT_RULES, lambda n, active: (rungs[n][active], n), 1e-10, len(rho))
-
-
-def _mvt_det(upper: np.ndarray, corr: CorrelationMatrix, df: float) -> ProbResult | None:
-    """Deterministic t orthant probability (d = 3, 4) as a chi-scale mixture of
-    normal ones, or None when conditioning degenerates."""
-    plan = corr.conditioning()
-    if plan is None:
-        return None
+    d = upper.shape[0]
+    rules, floor = _LADDERS[d, df is not None]
 
     def evaluate(rule, active):
-        n_chi, *nodes = rule
-        s, w = _chi_scale_nodes(df, n_chi)
-        step = max(1, _QUAD_BLOCK // math.prod(nodes))
-        inner = np.concatenate(
-            [_cond_quad(upper[:, None, None] * s[i:i + step], *plan, nodes)[0] for i in range(0, n_chi, step)]
-        )
-        return np.array([np.sum(w * inner)]), math.prod(rule)
+        limits, columns, nodes = upper[:, active], active, rule
+        if df is not None:
+            n_chi, *nodes = rule
+            chi = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
+            # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece
+            chunk = n_chi
+            while chunk > 1 and chunk * math.prod(nodes) > _QUAD_BLOCK:
+                chunk //= 2
+            limits = (limits[..., None] * np.array([s for s, _ in chi])).reshape(d, -1, chunk)
+            columns = np.repeat(active, n_chi // chunk)
+        step = max(1, _QUAD_BLOCK // (math.prod(nodes) * math.prod(limits.shape[2:])))
+        parts = []
+        for i in range(0, len(columns), step):
+            piece = columns[i:i + step]
+            sub = [(o[:, piece], r[:, piece], s[:, piece]) for o, r, s in layers]
+            parts.append(_cond_quad(limits[:, i:i + step], sub, rho[piece], nodes))
+        values = np.concatenate(parts)
+        if df is not None:
+            values = np.sum(np.array([w for _, w in chi]) * values.reshape(len(active), -1), axis=1)
+        return values, math.prod(rule)
 
-    return _ladder(_T_RULES[corr.dim], evaluate, 1e-9)[0]
+    return _ladder(rules, evaluate, floor, upper.shape[1])
+
+
+def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[ProbResult | None]:
+    """P(X <= limits[i]) for every row i, with X standard normal under the
+    correlation corrs[i], or t when df (one value, or one per row) is given;
+    None where the row needs QMC.
+
+    The rows are grouped by dimension. One-dimensional rows take one
+    vectorized marginal CDF, bivariate t rows whose correlation lies within
+    1e-13 of +-1 their exact degenerate laws, and the other rows of two to
+    four dimensions climb their rule ladder together (_quadrature). A row is
+    None when it has five or more dimensions, no usable conditioning pivot,
+    or three or four dimensions and an error estimate above tol (one value,
+    or one per row); rows of one or two dimensions never are. The limits
+    must be finite and df a finite real >= 1 (see check_limits, check_df).
+    Each row equals its own call bit for bit.
+    """
+    n, t = len(corrs), df is not None
+    df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    out: list[ProbResult | None] = [None] * n
+    dims: dict[int, list[int]] = {}
+    for i, corr in enumerate(corrs):
+        dims.setdefault(corr.dim, []).append(i)
+    for d, rows in dims.items():
+        upper = np.array([limits[i] for i in rows], dtype=float)
+        if d == 1:
+            x = upper[:, 0]
+            values = special.stdtr(df[rows], x) if t else special.ndtr(x)
+            for i, v in zip(rows, values.tolist()):
+                out[i] = ProbResult(v, 1e-14 if t else 1e-16, 1)
+            continue
+        if (d, t) not in _LADDERS:
+            continue
+        if d == 2:  # no conditioning layer, only the correlation
+            layers, rho = [], np.array([corrs[i].values[0, 1] for i in rows])
+            kept = np.abs(rho) < 1.0 - 1e-13 if t else np.ones(len(rows), bool)
+            for k in np.flatnonzero(~kept).tolist():  # the degenerate t laws are exact
+                cdf = special.stdtr(df[rows[k]], upper[k])
+                value = float(min(cdf)) if rho[k] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
+                out[rows[k]] = ProbResult(value, 1e-14, 1)
+            rho = rho[kept]
+        else:
+            plans = [corrs[i].conditioning() for i in rows]
+            kept = np.array([plan is not None for plan in plans])
+            layers, rho = _stack_plans([plan for plan in plans if plan is not None])
+        kept = np.flatnonzero(kept).tolist()
+        if not kept:
+            continue
+        results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None)
+        for k, result in zip(kept, results):
+            out[rows[k]] = result if d == 2 or result.error_estimate <= tol[rows[k]] else None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +665,12 @@ def _check_options(tol: float, method: str) -> None:
         raise ConfigError(f"method must be 'auto' or 'qmc', got {method!r}")
 
 
+def check_df(df: float) -> None:
+    """Reject t degrees of freedom that are not a finite real >= 1."""
+    if not (math.isfinite(df) and df >= 1.0):
+        raise ConfigError(f"degrees of freedom must be a finite real >= 1, got {df}")
+
+
 def check_limits(upper: np.ndarray) -> None:
     """Reject integration limits that are not all finite."""
     if not np.isfinite(upper).all():
@@ -640,39 +683,6 @@ def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
         raise ConfigError(f"limit vector has length {upper.shape[0]}, matrix dimension is {corr.dim}")
     check_limits(upper)
     return upper
-
-
-def univariate_cdf_many(x: np.ndarray, df=None) -> list[ProbResult]:
-    """P(X <= x_j) for each entry of x: standard normal, or Student t when df
-    (one value, or one per entry) is given."""
-    if df is None:
-        return [ProbResult(v, 1e-16, 1) for v in special.ndtr(x).tolist()]
-    return [ProbResult(v, 1e-14, 1) for v in special.stdtr(df, x).tolist()]
-
-
-def bivariate_cdf_many(upper: np.ndarray, rho: np.ndarray, df=None) -> list[ProbResult]:
-    """P(X <= upper_j) for each row of upper (S x 2), X standard bivariate normal
-    with correlation rho_j, or bivariate t when df (one value, or one per
-    row) is given.
-
-    Deterministic, in one stacked evaluation; each row equals its own call
-    bit for bit. Correlations within 1e-13 of +-1 take the degenerate laws.
-    """
-    if df is None:
-        values = bvn_cdf_many(upper[:, 0], upper[:, 1], rho)
-        return [ProbResult(v, 5e-15, 20) for v in values.tolist()]
-    df = np.broadcast_to(np.asarray(df, dtype=float), rho.shape)
-    results = [None] * len(rho)
-    for j in np.flatnonzero(np.abs(rho) >= 1.0 - 1e-13).tolist():
-        t = special.stdtr(df[j], upper[j])
-        if rho[j] > 0.0:
-            results[j] = ProbResult(float(min(t)), 1e-14, 1)
-        else:
-            results[j] = ProbResult(max(0.0, float(t[0] + t[1] - 1.0)), 1e-14, 1)
-    rows = [j for j, r in enumerate(results) if r is None]
-    for j, r in zip(rows, _bvt_det(upper[rows], rho[rows], df[rows]) if rows else ()):
-        results[j] = r
-    return results
 
 
 def mvn_cdf(
@@ -696,14 +706,9 @@ def mvn_cdf(
     """
     _check_options(tol, method)
     upper = _check_upper(upper, corr)
-    d = corr.dim
-    if d == 1:
-        return univariate_cdf_many(upper)[0]
-    if d == 2 and method == "auto":
-        return bivariate_cdf_many(upper[None], corr.values[:1, 1])[0]
-    if d in _NORMAL_RULES and method == "auto":
-        [result] = normal_orthants(upper[None], [corr])
-        if result is not None and result.error_estimate <= tol:
+    if method == "auto" or corr.dim == 1:
+        [result] = orthants([upper], [corr], None, tol)
+        if result is not None:
             return result
     if rng is None:
         rng = np.random.default_rng(0)
@@ -712,7 +717,7 @@ def mvn_cdf(
     def integrand(w):
         return _sov_product(chol, upper, w)
 
-    return _randomized_qmc(d - 1, integrand, tol, rng, engines)
+    return _randomized_qmc(corr.dim - 1, integrand, tol, rng, engines)
 
 
 def mvt_cdf(
@@ -732,18 +737,12 @@ def mvt_cdf(
     mvn_cdf.
     """
     _check_options(tol, method)
-    if df < 1.0:
-        raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
+    check_df(df)
     upper = _check_upper(upper, corr)
-    d = corr.dim
-    if d == 1:
-        return univariate_cdf_many(upper, df)[0]
-    # the degenerate bivariate laws are exact whatever the method
-    if d == 2 and (method == "auto" or abs(corr.values[0, 1]) >= 1.0 - 1e-13):
-        return bivariate_cdf_many(upper[None], corr.values[:1, 1], df)[0]
-    if d in _T_RULES and method == "auto":
-        result = _mvt_det(upper, corr, df)
-        if result is not None and result.error_estimate <= tol:
+    # the univariate and degenerate bivariate laws are exact whatever the method
+    if method == "auto" or corr.dim == 1 or (corr.dim == 2 and abs(corr.values[0, 1]) >= 1.0 - 1e-13):
+        [result] = orthants([upper], [corr], df, tol)
+        if result is not None:
             return result
     if rng is None:
         rng = np.random.default_rng(0)
@@ -757,4 +756,4 @@ def mvt_cdf(
         rows = scale[:, None] * upper[None, :]
         return _sov_product(chol, rows, w[:, 1:])
 
-    return _randomized_qmc(d, integrand, tol, rng, engines)
+    return _randomized_qmc(corr.dim, integrand, tol, rng, engines)

@@ -8,6 +8,8 @@ calibrates the shared critical value, and turns the PWER gradient into the
 delta-method prediction interval for the true PWER. Many calibrations run in
 lockstep (solve_lockstep): each step evaluates the strata of every unfinished
 one in one stacked pass (_evaluate), and a single solve is a lockstep of one.
+The orthant probabilities F_J come from mvprob.orthants, one call per law per
+step; this module only sends the strata it leaves undecided to QMC.
 """
 
 from __future__ import annotations
@@ -151,6 +153,7 @@ def _law(design: Design, df: float | None) -> tuple[str, float | None]:
         )
     if df < 1.0:
         raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
+    mvprob.check_df(df)
     return "t", df
 
 
@@ -271,7 +274,7 @@ class _Request(NamedTuple):
     stream() gives the integration stream of its QMC strata; it is called
     once a QMC stratum is reached and reused by the later ones (None makes
     each of them use its own seed-0 stream). engines is the scrambled-engine
-    store of mvprob._randomized_qmc, None for fresh engines.
+    store of their mvn_cdf/mvt_cdf calls, None for fresh engines.
     """
 
     c: np.ndarray
@@ -297,17 +300,17 @@ def _picked(model: TestModel, which: np.ndarray | None) -> list[int]:
 def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] | Exception]:
     """Every request's per-stratum results, or the error that request raised, in one stacked pass.
 
-    Each request's limits, tol and strata are checked first. Then the 1-dim
-    strata of all requests take one univariate_cdf_many call per law (normal,
-    or t with a df per row), the 2-dim ones one bivariate_cdf_many call per
-    law, and the 3- and 4-dim normal ones one normal_orthants call per
-    dimension. The t strata of 3 or more dimensions, and the strata that need
-    QMC (a degenerate or unsettled quadrature, or 5 or more dimensions), go
+    Each request's limits, tol and strata are checked first. Then the strata
+    of all requests take one mvprob.orthants call per law (normal, or t with
+    a df per row), each stratum at its request's tol. The strata it leaves to
+    QMC (five or more dimensions, a degenerate or unsettled quadrature) go
     per request in stratum order, so its QMC strata read its stream in that
     order. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
     """
     out: list = [None] * len(requests)
     picked = {}
+    # (request, stratum) pairs by law, for one orthants call each
+    laws: dict[str, list[tuple[int, int]]] = {"normal": [], "t": []}
     for i, req in enumerate(requests):
         try:
             mvprob.check_limits(req.c)
@@ -315,28 +318,20 @@ def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] |
             picked[i] = _picked(req.model, req.which)
         except RUN_ERRORS as exc:
             out[i] = exc
-    # (request, stratum) pairs by the stacked call that takes them
-    stacked: dict[tuple, list[tuple[int, int]]] = {}
-    for i, strata in picked.items():
-        model = requests[i].model
-        out[i] = [None] * len(model.strata)
-        for j in strata:
-            d = len(model._members[j])
-            if d <= 2:
-                stacked.setdefault((d, model.kind), []).append((i, j))
-            elif model.kind == "normal" and d in mvprob._NORMAL_RULES:
-                stacked.setdefault((d, "orthant"), []).append((i, j))
+            continue
+        out[i] = [None] * len(req.model.strata)
+        laws[req.model.kind].extend((i, j) for j in picked[i])
 
-    for (d, law), pairs in stacked.items():
-        upper = np.array([requests[i].c[requests[i].model._members[j]] for i, j in pairs])
-        corrs = [requests[i].model.stratum_corr[j] for i, j in pairs]
-        df = np.array([requests[i].model.df for i, _ in pairs]) if law == "t" else None
-        if d == 1:
-            results = mvprob.univariate_cdf_many(upper[:, 0], df)
-        elif d == 2:
-            results = mvprob.bivariate_cdf_many(upper, np.array([corr.values[0, 1] for corr in corrs]), df)
-        else:
-            results = mvprob.normal_orthants(upper, corrs)
+    for kind, pairs in laws.items():
+        if not pairs:
+            continue
+        models = [requests[i].model for i, _ in pairs]
+        results = mvprob.orthants(
+            [requests[i].c[model._members[j]] for (i, j), model in zip(pairs, models)],
+            [model.stratum_corr[j] for (_, j), model in zip(pairs, models)],
+            [model.df for model in models] if kind == "t" else None,
+            [requests[i].tol for i, _ in pairs],
+        )
         for (i, j), result in zip(pairs, results):
             out[i][j] = result
 
@@ -345,15 +340,9 @@ def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] |
         model, stream = req.model, None
         try:
             for j in strata:
-                members = model._members[j]
-                if len(members) <= 2:
+                if results[j] is not None:
                     continue
-                corr, upper = model.stratum_corr[j], req.c[members]
-                if model.kind == "t" and corr.dim in mvprob._T_RULES:
-                    results[j] = mvprob._mvt_det(upper, corr, model.df)
-                result = results[j]
-                if result is not None and result.error_estimate <= req.tol:
-                    continue
+                corr, upper = model.stratum_corr[j], req.c[model._members[j]]
                 stream = stream or req.stream()
                 if model.kind == "normal":
                     results[j] = mvprob.mvn_cdf(

@@ -26,6 +26,7 @@ EXACT_CELLS = {
                        transform="floor", pi_min=1 / 28, runs=20),
 }
 A_M4 = dict(N=500, m=4, setting="A", runs=6)
+C_M4 = dict(N=250, m=4, setting="C", runs=4)
 
 
 def records_csv(scenario, path):
@@ -43,6 +44,7 @@ def records_csv(scenario, path):
     pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
                       pi_min=1 / 28), id="A_m3_floor"),
     pytest.param(dict(m=4, setting="A"), id="A_m4"),
+    pytest.param(dict(m=4, setting="C", runs=8), id="C_m4"),
 ])
 def test_records_do_not_depend_on_the_block_size(monkeypatch, tmp_path, fields):
     scenario = sim.SimScenario(**{"N": 250, "runs": 40, "master_seed": 17, **fields})
@@ -109,11 +111,12 @@ def counted(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("fields", [
     *[pytest.param(fields, id=name) for name, fields in EXACT_CELLS.items()],
     pytest.param(A_M4, id="A_m4"),
+    pytest.param(C_M4, id="C_m4"),
 ])
 def test_calibration_work_is_bounded(monkeypatch, fields):
-    # at most four stacked evaluations per run, one univariate and one
-    # bivariate call per lockstep step, and no QMC on these cells
-    evaluations, per_step, counts = [], [], {}
+    # at most four stacked evaluations per run, one orthants call per law per
+    # lockstep step, and no QMC on these cells
+    evaluations, per_step, laws, counts = [], [], [], {}
     solve = pwer.solve_lockstep
 
     def recording_solve(calibrations):
@@ -124,13 +127,19 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
     evaluate = pwer._evaluate
 
     def step(requests):
-        counts.clear()
+        laws.clear()
         out = evaluate(requests)
-        per_step.append(dict(counts))
+        per_step.append(list(laws))
         return out
 
-    for name in ("univariate_cdf_many", "bivariate_cdf_many", "_randomized_qmc"):
-        counted(monkeypatch, mvprob, name, counts)
+    orthants = mvprob.orthants
+
+    def law_orthants(limits, corrs, df, tol):
+        laws.append("normal" if df is None else "t")
+        return orthants(limits, corrs, df, tol)
+
+    monkeypatch.setattr(mvprob, "orthants", law_orthants)
+    counted(monkeypatch, mvprob, "_randomized_qmc", counts)
     sobol = []
     monkeypatch.setattr(mvprob.qmc, "Sobol", lambda *a, **k: sobol.append(a))
     monkeypatch.setattr(pwer, "solve_lockstep", recording_solve)
@@ -139,11 +148,8 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
         result = sim.run_scenario(sim.SimScenario(master_seed=seed, **fields), max_failure_fraction=1.0)
         assert result.failures == 0
     assert len(evaluations) == 2 * fields["runs"] and max(evaluations) <= 4
-    assert per_step and all(
-        counts.get("univariate_cdf_many", 0) <= 1 and counts.get("bivariate_cdf_many", 0) <= 1
-        for counts in per_step
-    )
-    assert not any("_randomized_qmc" in counts for counts in per_step) and sobol == []
+    assert per_step and all(called and len(called) == len(set(called)) for called in per_step)
+    assert counts == {} and sobol == []
 
 
 def test_perfbench_tracer_installs_and_restores():

@@ -24,6 +24,10 @@ def equicorr(d, rho):
     return corr(rho + (1.0 - rho) * np.eye(d))
 
 
+def corr2(rho):
+    return corr([[1.0, rho], [rho, 1.0]])
+
+
 @pytest.fixture
 def no_qmc(monkeypatch):
     # the call must be answered by the quadrature
@@ -107,7 +111,7 @@ class TestBivariateMany:
         rng = np.random.default_rng(int(df))
         rho = np.array([r for r in RULE_RHOS if abs(r) < 1.0 - 1e-13])
         upper = rng.normal(scale=1.5, size=(rho.size, 2))
-        for j, got in enumerate(mvprob.bivariate_cdf_many(upper, rho, df)):
+        for j, got in enumerate(mvprob.orthants(upper, [corr2(r) for r in rho], df)):
             rungs = []
             for n in (32, 64):
                 s, w = mvprob._chi_scale_nodes(df, n)
@@ -120,17 +124,69 @@ class TestBivariateMany:
         rng = np.random.default_rng(5)
         rho = np.array(RULE_RHOS)
         upper = rng.normal(scale=1.5, size=(rho.size, 2))
-        many = mvprob.bivariate_cdf_many(upper, rho, df)
+        many = mvprob.orthants(upper, [corr2(r) for r in rho], df)
         for j, r in enumerate(rho):
-            cm = corr([[1.0, r], [r, 1.0]])
+            cm = corr2(r)
             one = mvprob.mvn_cdf(upper[j], cm) if df is None else mvprob.mvt_cdf(upper[j], cm, df)
             assert many[j] == one
         # the univariate laws likewise
-        many = mvprob.univariate_cdf_many(upper[:, 0], df)
+        many = mvprob.orthants(upper[:, :1], [corr([[1.0]])] * rho.size, df)
         for j in range(rho.size):
             one = mvprob.mvn_cdf(upper[j, :1], corr([[1.0]])) if df is None else mvprob.mvt_cdf(
                 upper[j, :1], corr([[1.0]]), df)
             assert many[j] == one
+
+
+class TestOrthants:
+    """One stacked call over many laws against the calls with one law each."""
+
+    def test_t_rows_of_every_dimension_equal_their_own_calls(self):
+        rng = np.random.default_rng(14)
+        rows = [(d, df) for d in (2, 3, 4) for df in (3.0, 17.5, 235.0)] * 2
+        limits = [rng.normal(scale=1.5, size=d) for d, _ in rows]
+        corrs = [corr(random_correlation(d, rng)) for d, _ in rows]
+        dfs = [df for _, df in rows]
+        many = mvprob.orthants(limits, corrs, dfs, 1e-6)
+        for upper, cm, df, got in zip(limits, corrs, dfs, many):
+            # every field, points_used included
+            assert got == mvprob.mvt_cdf(upper, cm, df, tol=1e-6)
+
+    def test_normal_rows_of_every_dimension_equal_their_own_calls(self):
+        rng = np.random.default_rng(15)
+        dims = [1, 2, 3, 4] * 3
+        limits = [rng.normal(scale=1.5, size=d) for d in dims]
+        corrs = [corr(random_correlation(d, rng)) if d > 1 else corr([[1.0]]) for d in dims]
+        many = mvprob.orthants(limits, corrs, None, 1e-6)
+        for upper, cm, got in zip(limits, corrs, many):
+            assert got == mvprob.mvn_cdf(upper, cm, tol=1e-6)
+
+    @pytest.mark.parametrize("df", [None, 5.0])
+    def test_rows_that_need_qmc_are_none(self, df):
+        unsettled = ([2.0, -1.0, 0.5], equicorr(3, 0.998))  # error estimate ~9e-5 (t), ~9e-3 (normal)
+        rows = [
+            ([1.0, 1.1, 1.2], equicorr(3, 0.9995)),  # no conditioning pivot
+            ([1.0, 1.1, 1.2, 1.3], equicorr(4, 0.9995)),
+            ([0.5] * 5, equicorr(5, 0.3)),  # five dimensions
+            unsettled,
+            ([1.0, 1.2, 0.8], equicorr(3, 0.5)),
+            ([0.3, -0.2], corr2(0.9999)),
+            ([0.3], corr([[1.0]])),
+        ]
+        many = mvprob.orthants([u for u, _ in rows], [c for _, c in rows], df, 1e-5)
+        assert [r is None for r in many] == [True] * 4 + [False] * 3
+
+    def test_tol_is_one_value_per_row(self):
+        upper, cm = [2.0, -1.0, 0.5], equicorr(3, 0.998)  # error estimate ~9e-5
+        strict, loose = mvprob.orthants([upper, upper], [cm, cm], 5.0, [1e-5, 1e-3])
+        assert strict is None and 1e-5 < loose.error_estimate <= 1e-3
+        assert loose == mvprob.mvt_cdf(upper, cm, 5.0, tol=1e-3)
+
+    def test_degenerate_bivariate_t_rows_take_exact_laws(self):
+        upper = np.array([[1.3, 0.9], [1.3, 0.9], [0.4, -0.2]])
+        many = mvprob.orthants(upper, [corr2(1.0), corr2(-1.0), corr2(0.2)], [7.0, 7.0, 4.0])
+        assert many[0] == (mvprob.t_cdf(0.9, 7.0), 1e-14, 1, False)
+        assert many[1] == (max(0.0, mvprob.t_cdf(1.3, 7.0) + mvprob.t_cdf(0.9, 7.0) - 1.0), 1e-14, 1, False)
+        assert many[2] == mvprob.mvt_cdf(upper[2], corr2(0.2), 4.0)
 
 
 class TestMvnCdf:
@@ -407,13 +463,17 @@ class TestMvtCdf:
             assert np.array_equal(a, b) and np.array_equal(a, c)
             assert not a.flags.writeable
 
-    def test_df_domain(self):
-        with pytest.raises(ConfigError):
-            mvprob.mvt_cdf([0.0, 0.0], corr(np.eye(2)), df=0.5)
+    @pytest.mark.parametrize("df", [0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_df_domain(self, d, df):
+        with pytest.raises(ConfigError, match="degrees of freedom"):
+            mvprob.mvt_cdf([0.0] * d, corr(np.eye(d)), df=df)
+        with pytest.raises(ConfigError, match="degrees of freedom"):
+            mvprob.mvt_cdf([0.0] * d, corr(np.eye(d)), df=df, method="qmc")
 
     def test_dim2_det_vs_qmc(self):
         c2 = corr([[1, -0.35], [-0.35, 1]])
-        det = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-7)  # the _bvt_det quadrature
+        det = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-7)  # the chi-scale quadrature
         q = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-6,
                            rng=np.random.default_rng(9), method="qmc")
         assert abs(det.value - q.value) <= q.error_estimate + det.error_estimate + 1e-7

@@ -90,6 +90,12 @@ class TestBuildTestModel:
             with pytest.raises(ConfigError):
                 pwer.build_test_model(dataclasses.replace(d, variance_mode=mode), df=12.5)
 
+    @pytest.mark.parametrize("df", [math.nan, math.inf])
+    def test_non_finite_reference_df_rejected(self, df):
+        d_h = dataclasses.replace(equal_cells_design(), variance_mode="unknown_heterogeneous")
+        with pytest.raises(ConfigError, match="degrees of freedom"):
+            pwer.build_test_model(d_h, df=df)
+
     def test_empty_population_arm_raises(self):
         # a single patient lands in the treatment arm, leaving control empty
         d = dz.build_design(2, "pairwise_different", [100, 1, 0], 1.0, "known_homogeneous")

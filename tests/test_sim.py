@@ -448,6 +448,9 @@ PRE_LADDER_C_STAR = {
     pytest.param(dict(m=4, setting="A", runs=2),
                  "c9bbc06594032d8d03671e4a1ce642f1e410f6533ac035daacf6c2e67b2308d7",
                  id="A_m4"),
+    pytest.param(dict(m=4, setting="C", runs=2),
+                 "f3706df37807825404b6f2f92004d77a40845a512afe15fef315ec7bd4f28109",
+                 id="C_m4"),
 ])
 def test_records_pinned(request, tmp_path, fields, digest):
     # records.csv, byte for byte, of N=250, 6 runs (unless set), master seed 11
