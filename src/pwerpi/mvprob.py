@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -442,13 +443,16 @@ def _ladder(rules, evaluate: Callable, floor: float, n: int) -> list[ProbResult]
         if k == 1 < len(rules):
             prev = value
             continue
-        err = 3.0 * np.abs(value - prev) if k > 1 else np.zeros(len(active))
-        done = err <= TOL_MIN if k < len(rules) else np.ones(len(active), bool)
-        for i, v, e in zip(active[done].tolist(), value[done].tolist(), err[done].tolist()):
-            out[i] = ProbResult(min(1.0, max(0.0, v)), max(e, floor), points)
-        active, prev = active[~done], value[~done]
-        if not active.size:
+        # the floor lies below TOL_MIN, so it decides no integral's stop
+        err = np.maximum(3.0 * np.abs(value - prev), floor) if k > 1 else np.full(len(active), floor)
+        done = err <= TOL_MIN if k < len(rules) else slice(None)
+        settled = np.minimum(1.0, np.maximum(0.0, value[done])).tolist()
+        results = map(ProbResult, settled, err[done].tolist(), repeat(points))
+        for i, result in zip(active[done].tolist(), results):
+            out[i] = result
+        if k == len(rules) or done.all():
             break
+        active, prev = active[~done], value[~done]
     return out
 
 
@@ -534,11 +538,10 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
     """
     n, t = len(corrs), df is not None
     df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     out: list[ProbResult | None] = [None] * n
     dims: dict[int, list[int]] = {}
     for i, corr in enumerate(corrs):
-        dims.setdefault(corr.dim, []).append(i)
+        dims.setdefault(len(corr.values), []).append(i)
     for d, rows in dims.items():
         upper = np.array([limits[i] for i in rows], dtype=float)
         if d == 1:
@@ -551,22 +554,26 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
             continue
         if d == 2:  # no conditioning layer, only the correlation
             layers, rho = [], np.array([corrs[i].values[0, 1] for i in rows])
-            kept = np.abs(rho) < 1.0 - 1e-13 if t else np.ones(len(rows), bool)
-            for k in np.flatnonzero(~kept).tolist():  # the degenerate t laws are exact
-                cdf = special.stdtr(df[rows[k]], upper[k])
-                value = float(min(cdf)) if rho[k] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
-                out[rows[k]] = ProbResult(value, 1e-14, 1)
-            rho = rho[kept]
+            kept = list(range(len(rows)))
+            if t:  # the degenerate laws are exact
+                for k in [k for k in kept if abs(rho[k]) >= 1.0 - 1e-13]:
+                    cdf = special.stdtr(df[rows[k]], upper[k])
+                    value = float(min(cdf)) if rho[k] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
+                    out[rows[k]] = ProbResult(value, 1e-14, 1)
+                kept = [k for k in kept if out[rows[k]] is None]
+                rho = rho[kept]
         else:
             plans = [corrs[i].conditioning() for i in rows]
-            kept = np.array([plan is not None for plan in plans])
-            layers, rho = _stack_plans([plan for plan in plans if plan is not None])
-        kept = np.flatnonzero(kept).tolist()
+            kept = [k for k, plan in enumerate(plans) if plan is not None]
+            layers, rho = _stack_plans([plans[k] for k in kept])
         if not kept:
             continue
         results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None)
+        if d > 2:  # QMC takes the rows whose quadrature is looser than their tol
+            tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+            results = [r if r.error_estimate <= tols[rows[k]] else None for k, r in zip(kept, results)]
         for k, result in zip(kept, results):
-            out[rows[k]] = result if d == 2 or result.error_estimate <= tol[rows[k]] else None
+            out[rows[k]] = result
     return out
 
 
