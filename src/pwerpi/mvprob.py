@@ -444,10 +444,10 @@ def _ladder(rules, evaluate: Callable, floor: float, n: int) -> list[ProbResult]
             prev = value
             continue
         # the floor lies below TOL_MIN, so it decides no integral's stop
-        err = np.maximum(3.0 * np.abs(value - prev), floor) if k > 1 else np.full(len(active), floor)
+        err = np.maximum(3.0 * np.abs(value - prev), floor) if k > 1 else None
         done = err <= TOL_MIN if k < len(rules) else slice(None)
         settled = np.minimum(1.0, np.maximum(0.0, value[done])).tolist()
-        results = map(ProbResult, settled, err[done].tolist(), repeat(points))
+        results = map(ProbResult, settled, repeat(floor) if err is None else err[done].tolist(), repeat(points))
         for i, result in zip(active[done].tolist(), results):
             out[i] = result
         if k == len(rules) or done.all():
@@ -570,7 +570,7 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
             continue
         results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None)
         if d > 2:  # QMC takes the rows whose quadrature is looser than their tol
-            tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+            tols = tol if isinstance(tol, (list, tuple, np.ndarray)) else [tol] * n
             results = [r if r.error_estimate <= tols[rows[k]] else None for k, r in zip(kept, results)]
         for k, result in zip(kept, results):
             out[rows[k]] = result
