@@ -15,7 +15,8 @@ validated once and keeps its Cholesky factor and conditioning plan, and its
 principal submatrices need no validation of their own. Higher dimensions
 integrate the separation-of-variables transform with randomized quasi-Monte
 Carlo over scrambled Sobol streams, where the spread across scramblings yields
-the error estimate; scipy.stats.qmc is imported only once QMC runs."""
+the error estimate; scipy.stats.qmc is imported only once QMC runs.
+"""
 
 from __future__ import annotations
 
