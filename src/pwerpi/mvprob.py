@@ -4,7 +4,11 @@ Dimensions up to four use deterministic quadrature: the Drezner-Wesolowsky /
 Gauss-Legendre bivariate normal, recursive conditioning on one variable at a
 time down to it for the trivariate and four-variate normal, and for the t law
 the chi-weighted sum of those normal orthants at limits upper * s, s =
-chi_df / sqrt(df). Each quadrature climbs a ladder of ever finer rules and
+chi_df / sqrt(df). The chi-scale nodes are the Gauss rule of the chi measure
+(Golub-Welsch on the generalized-Laguerre Jacobi matrix) for df >= 80, and
+Gauss-Legendre nodes on the range of the chi law, weighted by its density,
+below that. Each quadrature climbs a ladder of ever finer rules, one ladder
+per dimension and law (each chi-scale family has its own), and
 stops at the first two adjacent rungs that agree within TOL_MIN, a fixed
 constant, so its result never depends on the caller's `tol`; three times that
 last gap is the error estimate. `orthants` evaluates many laws of one kind in
@@ -291,15 +295,21 @@ def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, lead: float) -> np.ndarray:
     return np.clip(_bvn_upper(-b1, -b2, r, lead), 0.0, 1.0)
 
 
-def _bvn_rule(r: float) -> int:
-    """The rule r takes: 0-2 the 6/12/20-node bands, 3 and 4 the near-singular
-    branch for r > 0 and r < 0, 5 and 6 the edges within 1e-13 of +1 and -1."""
-    if r >= 1.0 - 1e-13:
-        return 5
-    if r <= -1.0 + 1e-13:
-        return 6
-    a = abs(r)
-    return 0 if a < 0.3 else 1 if a < 0.75 else 2 if a < 0.925 else 3 + (r < 0.0)
+# the |r| bounds of the 6/12/20-node bands and of the near-singular branch
+_BVN_BANDS = np.array([0.3, 0.75, 0.925])
+
+
+def _bvn_rules(rho: np.ndarray) -> np.ndarray:
+    """The rule each correlation takes: 0-2 the 6/12/20-node bands, 3 and 4 the
+    near-singular branch for r > 0 and r < 0 (and 3 for nan), 5 and 6 the
+    edges within 1e-13 of +1 and -1. A few array operations, not a Python
+    call per entry: np.select or np.unique would cost more than that loop at
+    the tens of entries of a lockstep call."""
+    rules = np.searchsorted(_BVN_BANDS, np.abs(rho), side="right")
+    rules[(rules == 3) & (rho < 0.0)] = 4
+    rules[rho >= 1.0 - 1e-13] = 5
+    rules[rho <= -1.0 + 1e-13] = 6
+    return rules
 
 
 def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
@@ -307,7 +317,7 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
 
     rho is one correlation, or a 1-dim array of them, one per entry of the
     leading axis of b1 and b2, which then share one shape. The entries are
-    evaluated in groups that share a rule (_bvn_rule), one stacked
+    evaluated in groups that share a rule (_bvn_rules), one stacked
     quadrature per group that keeps each entry's trailing axes, and each
     equals, bit for bit, the call with its own rho alone.
     """
@@ -316,11 +326,10 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
     if np.ndim(rho) == 0:
         return _bvn_lower(b1, b2, float(rho), float(rho))
     rho = np.asarray(rho, dtype=float)
-    groups: dict[int, list[int]] = {}
-    for j, v in enumerate(rho.tolist()):
-        groups.setdefault(_bvn_rule(v), []).append(j)
+    rules = _bvn_rules(rho)
     out = np.empty(b1.shape)
-    for idx in groups.values():
+    for rule in set(rules.tolist()):
+        idx = np.flatnonzero(rules == rule)
         lead = rho[idx[0]]
         if len(idx) == 1:
             out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead)
@@ -406,20 +415,28 @@ def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[in
 
 
 # The rule ladders, coarse to fine, and the error floor of each deterministic
-# law, by (dimension, t law): the Gauss-Legendre node count of each
-# conditioning layer, led for the t law by the chi-scale nodes. The bivariate
-# normal is one rung of its own 6/12/20-node rules, counted as the 20 nodes of
-# its finest band. The normal ladder usually stops at its middle rung. The t
-# ladders have two rungs: at 24 chi-scale nodes the mixture is only accurate
-# to ~2e-7, so a coarser t rung would never agree with the next within TOL_MIN.
+# law, by (dimension, chi-scale rule): the node count of each conditioning
+# layer, led for the t law by the chi-scale nodes. The bivariate normal is one
+# rung of its own 6/12/20-node rules, counted as the 20 nodes of its finest
+# band. The normal ladder usually stops at its middle rung. A t law with df >=
+# _GAMMA_DF takes the Gauss rule of the chi measure ("gamma"), accurate to
+# ~5e-11 at 8 nodes, so its ladders start there. Below that df the Gamma rule
+# converges slowly (5e-6 at 32 nodes for df = 5), and the chi-scale nodes are
+# Gauss-Legendre nodes on the range of the chi law ("legendre"): at 24 of them
+# the mixture is only accurate to ~2e-7, so those ladders have two rungs, as a
+# coarser rung would never agree with the next within TOL_MIN.
 _LADDERS = {
-    (2, False): (((20,),), 5e-15),
-    (3, False): (((24,), (48,), (96,)), 1e-10),
-    (4, False): (((24, 24), (48, 48), (96, 96)), 1e-10),
-    (2, True): (((32,), (64,)), 1e-10),
-    (3, True): (((32, 48), (64, 96)), 1e-9),
-    (4, True): (((32, 32, 32), (64, 48, 48)), 1e-9),
+    (2, None): (((20,),), 5e-15),
+    (3, None): (((24,), (48,), (96,)), 1e-10),
+    (4, None): (((24, 24), (48, 48), (96, 96)), 1e-10),
+    (2, "legendre"): (((32,), (64,)), 1e-10),
+    (3, "legendre"): (((32, 48), (64, 96)), 1e-9),
+    (4, "legendre"): (((32, 32, 32), (64, 48, 48)), 1e-9),
+    (2, "gamma"): (((8,), (12,), (16,)), 1e-10),
+    (3, "gamma"): (((8, 24), (12, 48), (16, 96)), 1e-9),
+    (4, "gamma"): (((8, 24, 24), (12, 48, 48), (16, 96, 96)), 1e-9),
 }
+_GAMMA_DF = 80.0
 # bivariate evaluations per stacked _cond_quad call, which bounds its
 # temporaries at about a MB; pieces twice that size run slower out of cache
 _QUAD_BLOCK = 1 << 13
@@ -457,56 +474,83 @@ def _ladder(rules, evaluate: Callable, floor: float, n: int) -> list[ProbResult]
     return out
 
 
-@lru_cache(maxsize=64)
-def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in s = chi_df / sqrt(df), weighted by its density.
+def _chi_rule(df: float) -> str:
+    """The chi-scale rule of a t law with df degrees of freedom (see _LADDERS)."""
+    return "gamma" if df >= _GAMMA_DF else "legendre"
 
-    Read-only and cached per (df, n): every PWER evaluation of a solve, and
-    every run that shares its df, integrates on the same rule.
+
+# (df, n) rules kept: a lockstep block of sim's 64 runs, each with its own df
+# (Satterthwaite), climbs up to three rungs for each of its t strata
+_CHI_RULES_KEPT = 512
+
+
+@lru_cache(maxsize=_CHI_RULES_KEPT)
+def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n nodes in s = chi_df / sqrt(df) and their weights under its density.
+
+    For df >= _GAMMA_DF, the Gauss rule of the chi measure: x = df s^2 / 2 is
+    Gamma(df/2), whose Gauss rule (Golub & Welsch 1969) has as nodes the
+    eigenvalues of the generalized-Laguerre Jacobi matrix, with diagonal
+    2k + a + 1, off-diagonal sqrt(k (k + a)) and a = df/2 - 1, and as weights
+    the squared first components of its eigenvectors. Below it, Gauss-Legendre
+    nodes on [F^-1(1e-16), F^-1(1 - 1e-16)] of the chi law, weighted by its
+    density. Read-only and cached per (df, n): every PWER evaluation of a
+    solve, and every run that shares its df, integrates on the same rule.
     """
-    lo = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1e-16) / df)
-    hi = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1.0 - 1e-16) / df)
-    s, wt = _gl_on(lo, hi, n)
-    xs = s * math.sqrt(df)
-    log_pdf = (
-        (df - 1.0) * np.log(xs)
-        - 0.5 * xs * xs
-        - (df / 2.0 - 1.0) * math.log(2.0)
-        - special.gammaln(df / 2.0)
-        + 0.5 * math.log(df)
-    )
-    w = wt * np.exp(log_pdf)
+    if _chi_rule(df) == "gamma":
+        a = df / 2.0 - 1.0
+        k = np.arange(1.0, n)
+        off = np.sqrt(k * (k + a))
+        jacobi = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+        x, vectors = np.linalg.eigh(jacobi)
+        s, w = np.sqrt(2.0 * x / df), vectors[0] ** 2
+    else:
+        lo = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1e-16) / df)
+        hi = math.sqrt(2.0 * special.gammaincinv(df / 2.0, 1.0 - 1e-16) / df)
+        s, wt = _gl_on(lo, hi, n)
+        xs = s * math.sqrt(df)
+        log_pdf = (
+            (df - 1.0) * np.log(xs)
+            - 0.5 * xs * xs
+            - (df / 2.0 - 1.0) * math.log(2.0)
+            - special.gammaln(df / 2.0)
+            + 0.5 * math.log(df)
+        )
+        w = wt * np.exp(log_pdf)
     s.setflags(write=False)
     w.setflags(write=False)
     return s, w
 
 
-def _quadrature(upper: np.ndarray, layers: list, rho: np.ndarray, df: np.ndarray | None) -> list[ProbResult]:
+def _quadrature(
+    upper: np.ndarray, layers: list, rho: np.ndarray, df: np.ndarray | None, chi: str | None
+) -> list[ProbResult]:
     """The deterministic law of every column of upper (d x n), column i
     conditioned on column i of the stacked plan (layers, rho; see _cond_quad):
     normal, or t with df[i] degrees of freedom as the chi-weighted sum of
-    normal orthants at limits upper * s.
+    normal orthants at limits upper * s, every df on the chi-scale rule chi.
 
     The rows climb the ladder of _LADDERS together: each rung is one stacked
     _cond_quad over the rows still climbing, in pieces of at most _QUAD_BLOCK
     bivariate evaluations. A t row's chi-scale nodes are limit vectors of its
-    own, in chunks of as many as fit a piece (all of them for a bivariate
-    row). Each row reduces its nodes in the shapes of its own call, so it
-    equals that call bit for bit.
+    own, in chunks halved until they fit a piece (all of them for a
+    bivariate row). Each row reduces its nodes in the shapes of its own call,
+    so it equals that call bit for bit.
     """
     d = upper.shape[0]
-    rules, floor = _LADDERS[d, df is not None]
+    rules, floor = _LADDERS[d, chi]
 
     def evaluate(rule, active):
         limits, columns, nodes = upper[:, active], active, rule
         if df is not None:
             n_chi, *nodes = rule
-            chi = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
-            # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece
+            scales = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
+            # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece;
+            # halving 8, 12 or 16 nodes (or a power of two) keeps every chunk whole
             chunk = n_chi
             while chunk > 1 and chunk * math.prod(nodes) > _QUAD_BLOCK:
                 chunk //= 2
-            limits = (limits[..., None] * np.array([s for s, _ in chi])).reshape(d, -1, chunk)
+            limits = (limits[..., None] * np.array([s for s, _ in scales])).reshape(d, -1, chunk)
             columns = np.repeat(active, n_chi // chunk)
         step = max(1, _QUAD_BLOCK // (math.prod(nodes) * math.prod(limits.shape[2:])))
         parts = []
@@ -516,7 +560,7 @@ def _quadrature(upper: np.ndarray, layers: list, rho: np.ndarray, df: np.ndarray
             parts.append(_cond_quad(limits[:, i:i + step], sub, rho[piece], nodes))
         values = np.concatenate(parts)
         if df is not None:
-            values = np.sum(np.array([w for _, w in chi]) * values.reshape(len(active), -1), axis=1)
+            values = np.sum(np.array([w for _, w in scales]) * values.reshape(len(active), -1), axis=1)
         return values, math.prod(rule)
 
     return _ladder(rules, evaluate, floor, upper.shape[1])
@@ -527,7 +571,8 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
     correlation corrs[i], or t when df (one value, or one per row) is given;
     None where the row needs QMC.
 
-    The rows are grouped by dimension. One-dimensional rows take one
+    The rows are grouped by dimension and, for the t law from two dimensions
+    on, by chi-scale rule (see _LADDERS). One-dimensional rows take one
     vectorized marginal CDF, bivariate t rows whose correlation lies within
     1e-13 of +-1 their exact degenerate laws, and the other rows of two to
     four dimensions climb their rule ladder together (_quadrature). A row is
@@ -539,11 +584,13 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
     """
     n, t = len(corrs), df is not None
     df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
+    chis = [_chi_rule(v) for v in df.tolist()] if t else [None] * n
     out: list[ProbResult | None] = [None] * n
-    dims: dict[int, list[int]] = {}
+    groups: dict[tuple[int, str | None], list[int]] = {}
     for i, corr in enumerate(corrs):
-        dims.setdefault(len(corr.values), []).append(i)
-    for d, rows in dims.items():
+        d = len(corr.values)
+        groups.setdefault((d, chis[i] if d > 1 else None), []).append(i)
+    for (d, chi), rows in groups.items():
         upper = np.array([limits[i] for i in rows], dtype=float)
         if d == 1:
             x = upper[:, 0]
@@ -551,7 +598,7 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
             for i, v in zip(rows, values.tolist()):
                 out[i] = ProbResult(v, 1e-14 if t else 1e-16, 1)
             continue
-        if (d, t) not in _LADDERS:
+        if (d, chi) not in _LADDERS:
             continue
         if d == 2:  # no conditioning layer, only the correlation
             layers, rho = [], np.array([corrs[i].values[0, 1] for i in rows])
@@ -569,7 +616,7 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
             layers, rho = _stack_plans([plans[k] for k in kept])
         if not kept:
             continue
-        results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None)
+        results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None, chi)
         if d > 2:  # QMC takes the rows whose quadrature is looser than their tol
             tols = tol if isinstance(tol, (list, tuple, np.ndarray)) else [tol] * n
             results = [r if r.error_estimate <= tols[rows[k]] else None for k, r in zip(kept, results)]

@@ -459,14 +459,20 @@ def resolve_true_prevalences(scenario: SimScenario) -> np.ndarray:
     )
 
 
-def _chunks(runs: int, workers: int) -> list[range]:
-    """A scenario's run indices in order, in blocks of at most _BLOCK_RUNS runs.
+def _chunk_size(total_runs: int, workers: int) -> int:
+    """The runs per chunk of every scenario of one call, at most _BLOCK_RUNS.
 
-    One worker takes blocks of _BLOCK_RUNS. More take about 4 chunks each:
-    small chunks let the workers of a shared pool take up the next scenario's
-    runs while a slow one finishes.
+    One worker takes blocks of _BLOCK_RUNS. More take about 4 chunks each of
+    the call's total_runs: small chunks let the workers of a shared pool take
+    up the next scenario's runs while a slow one finishes, and sizing them
+    from the whole call keeps the many small scenarios of a study in chunks
+    large enough for the lockstep calibration.
     """
-    size = _BLOCK_RUNS if workers == 1 else min(_BLOCK_RUNS, -(-runs // (4 * workers)))
+    return _BLOCK_RUNS if workers == 1 else min(_BLOCK_RUNS, -(-total_runs // (4 * workers)))
+
+
+def _chunks(runs: int, size: int) -> list[range]:
+    """A scenario's run indices in order, in chunks of size runs (the last one shorter)."""
     return [range(start, min(start + size, runs)) for start in range(0, runs, size)]
 
 
@@ -486,8 +492,10 @@ def _run_scenarios(
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     truths = [resolve_true_prevalences(scenario) for scenario in scenarios]
-    workers = min(threads, sum(scenario.runs for scenario in scenarios))
-    chunks = [_chunks(scenario.runs, workers) for scenario in scenarios]
+    total_runs = sum(scenario.runs for scenario in scenarios)
+    workers = min(threads, total_runs)
+    size = _chunk_size(total_runs, workers)
+    chunks = [_chunks(scenario.runs, size) for scenario in scenarios]
     # _run_block's three argument columns, one entry per chunk
     columns = (
         [scenario for scenario, own in zip(scenarios, chunks) for _ in own],

@@ -177,12 +177,32 @@ def test_perfbench_tracer_installs_and_restores():
     assert all(getattr(owner, attr) is original for (owner, attr), original in zip(wrapped, originals))
 
 
+def test_a_satterthwaite_block_reuses_its_chi_rules(monkeypatch):
+    # every run has its own df, on both sides of the Gamma rule's threshold; the
+    # rule cache holds a whole block, so each (df, n) rule is built once
+    rule = mvprob._chi_scale_nodes
+    assert rule.cache_info().maxsize >= 3 * sim._BLOCK_RUNS  # up to three rungs a run
+    keys = []
+    monkeypatch.setattr(mvprob, "_chi_scale_nodes", lambda df, n: keys.append((df, n)) or rule(df, n))
+    rule.cache_clear()
+    scenario = sim.SimScenario(N=250, m=2, setting="D_satterthwaite", runs=sim._BLOCK_RUNS, master_seed=3)
+    sim.run_scenario(scenario)
+    assert {mvprob._chi_rule(df) for df, _ in keys} == {"gamma", "legendre"}
+    info = rule.cache_info()
+    assert info.hits > 0 and info.misses <= len(set(keys))
+
+
 LAZY_QMC = """
 import sys
 import numpy as np
 import pwerpi
-from pwerpi import design, mvprob, pwer
+from pwerpi import design, mvprob, pwer, sim
 assert "scipy.stats" not in sys.modules, "import pwerpi imported scipy.stats"
+# C at m=2 has t strata of df >= 80, so it builds the Gamma chi-scale rule
+sim.run_scenario(sim.SimScenario(N=250, m=2, setting="C", runs=2, master_seed=1))
+assert mvprob._chi_scale_nodes.cache_info().misses > 0
+for name in ("scipy.linalg", "scipy.stats"):
+    assert name not in sys.modules, f"a C m=2 solve imported {name}"
 counts = [30, 22, 18, 25, 14, 20, 16, 28, 12, 19, 24, 15, 21, 17, 26,
           23, 11, 27, 13, 29, 18, 22, 16, 25, 20, 14, 24, 19, 21, 17, 26]
 d = design.build_design(5, "pairwise_different", counts, 1.0, "known_homogeneous")

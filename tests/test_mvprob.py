@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from pwerpi import mvprob
@@ -108,15 +111,19 @@ class TestBivariateMany:
 
     @pytest.mark.parametrize("df", [3.0, 12.5, 480.0])
     def test_t_rows_equal_chi_mixture_of_single_calls(self, df):
+        # the Gauss-Legendre chi-scale rule stops at its second rung, 32 + 64 nodes;
+        # from df = 80 the Gamma rule settles at its second, 8 + 12 nodes
+        nodes = (32, 64) if df < 80.0 else (8, 12)
         rng = np.random.default_rng(int(df))
         rho = np.array([r for r in RULE_RHOS if abs(r) < 1.0 - 1e-13])
         upper = rng.normal(scale=1.5, size=(rho.size, 2))
         for j, got in enumerate(mvprob.orthants(upper, [corr2(r) for r in rho], df)):
             rungs = []
-            for n in (32, 64):
+            for n in nodes:
                 s, w = mvprob._chi_scale_nodes(df, n)
                 rungs.append(float(np.sum(w * mvprob.bvn_cdf_many(s * upper[j, 0], s * upper[j, 1], rho[j]))))
-            want = (min(1.0, max(0.0, rungs[1])), max(3.0 * abs(rungs[1] - rungs[0]), 1e-10), 96, False)
+            err = max(3.0 * abs(rungs[1] - rungs[0]), 1e-10)
+            want = (min(1.0, max(0.0, rungs[1])), err, sum(nodes), False)
             assert tuple(got) == want
 
     @pytest.mark.parametrize("df", [None, 7.0])
@@ -462,6 +469,40 @@ class TestMvtCdf:
         for a, b, c in zip(first, second, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
             assert not a.flags.writeable
+
+    @pytest.mark.parametrize("df", [80.0, 235.0, 480.0, 990.0])
+    def test_gamma_rule_weights(self, df):
+        for n in (8, 12, 16):
+            s, w = mvprob._chi_scale_nodes(df, n)
+            assert np.isfinite(s).all() and np.isfinite(w).all() and (w > 0.0).all()
+            assert abs(w.sum() - 1.0) <= 1e-14
+            assert abs(w @ (s * s) - 1.0) <= 1e-13  # E[s^2] = 1, exact for a Gauss rule
+            assert not s.flags.writeable and not w.flags.writeable
+
+    @staticmethod
+    def chi_reference(upper, cm, df, n=256):
+        # n Gauss-Legendre nodes in s over [F^-1(1e-16), F^-1(1 - 1e-16)] of the chi law,
+        # each a normal orthant at limits upper * s
+        lo, hi = (math.sqrt(2.0 * special.gammaincinv(df / 2.0, q) / df) for q in (1e-16, 1.0 - 1e-16))
+        x, w = leggauss(n)
+        s = lo + (hi - lo) * (x + 1.0) / 2.0
+        log_pdf = (math.log(2.0) + (df / 2.0) * math.log(df / 2.0) - special.gammaln(df / 2.0)
+                   + (df - 1.0) * np.log(s) - df * s * s / 2.0)
+        normal = np.array([r.value for r in mvprob.orthants(s[:, None] * upper, [cm] * n)])
+        return float(np.sum(w * (hi - lo) / 2.0 * np.exp(log_pdf) * normal))
+
+    def test_both_chi_rules_against_fine_legendre_reference(self):
+        # worst error found: 5.1e-14 (d = 2, df = 235); the Gamma rule serves df >= 80
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for d, rows in ((2, 3), (3, 3), (4, 1)):
+            for df in (1.0, 2.0, 5.0, 12.0, 30.0, 80.0, 235.0, 480.0, 990.0):
+                for _ in range(rows):
+                    upper = rng.normal(scale=1.5, size=d)
+                    cm = corr(random_correlation(d, rng))
+                    got = mvprob.mvt_cdf(upper, cm, df)
+                    worst = max(worst, abs(got.value - self.chi_reference(upper, cm, df)))
+        assert worst <= 5e-10
 
     def test_df_domain(self):
         for df in (0.5, np.nan, np.inf, -np.inf):

@@ -293,15 +293,20 @@ class TestSharedPool:
         assert pools == [2, 3, 2]
 
     def test_chunks_cover_the_runs_in_order(self):
-        for runs in (1, 3, 10, 20, 1001):
+        for total in (1, 3, 10, 20, 160, 1001):
             for workers in (1, 2, 3, 8):
-                chunks = sim._chunks(runs, workers)
-                assert [i for chunk in chunks for i in chunk] == list(range(runs))
-                assert all(len(chunk) <= sim._BLOCK_RUNS for chunk in chunks)
+                size = sim._chunk_size(total, workers)
                 if workers == 1:  # fixed-size blocks
-                    assert all(len(chunk) == sim._BLOCK_RUNS for chunk in chunks[:-1])
-                else:  # about 4 chunks per worker, unless that exceeds a block
-                    assert len(chunks) <= max(4 * workers, -(-runs // sim._BLOCK_RUNS))
+                    assert size == sim._BLOCK_RUNS
+                else:  # about 4 chunks per worker over the whole call, unless that exceeds a block
+                    assert size == min(sim._BLOCK_RUNS, -(-total // (4 * workers)))
+                for runs in {1, 3, 20, total}:  # the scenarios of the call share the size
+                    chunks = sim._chunks(runs, size)
+                    assert [i for chunk in chunks for i in chunk] == list(range(runs))
+                    assert all(len(chunk) <= sim._BLOCK_RUNS for chunk in chunks)
+                    assert all(len(chunk) == size for chunk in chunks[:-1])
+        # a study of 20 runs among 8 goes in one chunk, not in chunks of 3
+        assert sim._chunks(20, sim._chunk_size(8 * 20, 2)) == [range(20)]
 
     def test_pool_is_shut_down_before_the_call_returns(self, monkeypatch):
         events = []
@@ -419,6 +424,25 @@ PRE_LADDER_C_STAR = {
 }
 
 
+# c* of the pinned runs with t strata before a t law of df >= 80 took the Gauss
+# rule of the chi measure; the two chi-scale rules agree to about 1e-12 in c*
+PRE_GAMMA_C_STAR = {
+    "C_m2": (
+        2.099094447541013, 2.076213551782791, 2.083264126023873,
+        2.092455876875437, 2.080961969483968, 2.0786206369243048,
+    ),
+    "D_satterthwaite_m2": (
+        2.122517185648876, 2.1011755846498787, 2.0953692707877383,
+        2.111431462969448, 2.0956752998834918, 2.101972870327368,
+    ),
+    "C_m3": (
+        2.1848550795011854, 2.1830023255176645, 2.1649835532818615,
+        2.1829667911275483, 2.1880880122929347, 2.1750016636623757,
+    ),
+    "C_m4": (2.2608526035068466, 2.268610816599378),
+}
+
+
 @pytest.mark.parametrize("fields, digest", [
     pytest.param(dict(m=2, setting="A"),
                  "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
@@ -427,10 +451,10 @@ PRE_LADDER_C_STAR = {
                  "f630935cab0f79bf0b9753598547a282190336d208903f65aae0173227b733c0",
                  id="B_m2"),
     pytest.param(dict(m=2, setting="C"),
-                 "7b41e652062bdced2aeda6e338ad44f484f2ee72ecf985948ab105dfa490eaa6",
+                 "b800b7727d2799185d0b1dd1645b6e96fea2338f6ed1146ea4ae1fa911593856",
                  id="C_m2"),
     pytest.param(dict(m=2, setting="D_satterthwaite"),
-                 "9cc0b347adf7bb20d2e4ebfa5919b58e4e0efc51df06365f202b8ed7f4ce704a",
+                 "8de9e2cd5f05aa58093fad6d1b74e1d9c9f9a10130644ced1b56a704074f87b7",
                  id="D_satterthwaite_m2"),
     pytest.param(dict(m=2, setting="D_bootstrap"),
                  "f46f4fe87209426925cbb4b57de350bbcd8b5c98d40c21b8389808c878e47c55",
@@ -443,13 +467,13 @@ PRE_LADDER_C_STAR = {
                  "0ba981acbcbf7ba291e557113b84a933ebf8fac7f94c8d966a2c215ecc8b68ca",
                  id="A_m3_floor"),
     pytest.param(dict(m=3, setting="C"),
-                 "2921fe1642f1b0a8b5c8edf8372dcf1e15ce40f06141747f62761dccb54ed4ef",
+                 "8e35f81e0aac56392fe4601a1aeea1195c100d74380779aedfd550327913ea41",
                  id="C_m3"),
     pytest.param(dict(m=4, setting="A", runs=2),
                  "c9bbc06594032d8d03671e4a1ce642f1e410f6533ac035daacf6c2e67b2308d7",
                  id="A_m4"),
     pytest.param(dict(m=4, setting="C", runs=2),
-                 "f3706df37807825404b6f2f92004d77a40845a512afe15fef315ec7bd4f28109",
+                 "475277013bbf53b87e21523bbcc966177efd1ac801ae040c03b979ceaea34124",
                  id="C_m4"),
 ])
 def test_records_pinned(request, tmp_path, fields, digest):
@@ -466,3 +490,6 @@ def test_records_pinned(request, tmp_path, fields, digest):
     parent = PRE_LADDER_C_STAR.get(request.node.callspec.id)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-12
+    parent = PRE_GAMMA_C_STAR.get(request.node.callspec.id)
+    if parent is not None:
+        assert np.abs(c_star - parent).max() <= 1e-11
