@@ -131,12 +131,8 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     order statistics, so the conservative side of the step is guaranteed.
     """
     weights = prevalence_weights(pi_hat, len(strata))
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    pwer.check_alpha(alpha)
     curves = fwer_curves(null, strata)
-    if alpha >= 1.0:
-        c_star = float(null.statistics.min()) - 1.0
-        return _empirical_result(c_star, curves, weights, strata, alpha)
     if null.B * alpha < MIN_TAIL_RESAMPLES:
         raise ConfigError(
             f"B*alpha = {null.B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "

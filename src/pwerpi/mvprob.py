@@ -1,9 +1,10 @@
 """Multivariate normal and t orthant probabilities.
 
 Dimensions up to four use deterministic quadrature: the Drezner-Wesolowsky /
-Gauss-Legendre bivariate normal, recursive conditioning on one variable at a
-time down to it for the trivariate and four-variate normal, and for the t law
-the chi-weighted sum of those normal orthants at limits upper * s, s =
+Gauss-Legendre bivariate normal, Plackett's identity for the trivariate and
+four-variate normal (the closed form at a block-diagonal correlation plus one
+Gauss-Legendre integral along the straight path to the true one), and for the
+t law the chi-weighted sum of those normal orthants at limits upper * s, s =
 chi_df / sqrt(df). The chi-scale nodes are the Gauss rule of the chi measure
 (Golub-Welsch on the generalized-Laguerre Jacobi matrix) for df >= 80, and
 Gauss-Legendre nodes on the range of the chi law, weighted by its density,
@@ -15,11 +16,12 @@ last gap is the error estimate. `orthants` evaluates many laws of one kind in
 one stacked call, each row with its own correlation and, for t, its own df,
 and returns None for the rows that need QMC; every row equals its own call
 bit for bit, and mvn_cdf/mvt_cdf are calls of one row. A CorrelationMatrix is
-validated once and keeps its Cholesky factor and conditioning plan, and its
-principal submatrices need no validation of their own. Higher dimensions
-integrate the separation-of-variables transform with randomized quasi-Monte
-Carlo over scrambled Sobol streams, where the spread across scramblings yields
-the error estimate; scipy.stats.qmc is imported only once QMC runs.
+validated once and keeps its Cholesky factor, and its principal submatrices
+need no validation of their own. Higher dimensions, and the rows of three or
+four whose error estimate exceeds the caller's tol, integrate the
+separation-of-variables transform with randomized quasi-Monte Carlo over
+scrambled Sobol streams, where the spread across scramblings yields the
+error estimate; scipy.stats.qmc is imported only once QMC runs.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ TOL_MIN = 1e-8
 TOL_MAX = 1e-3
 
 _EIG_CLIP = -1e-10  # most negative eigenvalue tolerated before hard failure
-
-# conditioning on a pivot degenerates near |rho| = 1
-_COND_RHO_MAX = 0.999
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -96,7 +95,7 @@ def t_quantile(q: float, df: float) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """A validated correlation matrix with a cached Cholesky factor and conditioning plan.
+    """A validated correlation matrix with a cached Cholesky factor.
 
     Symmetry is required within 1e-12 (then symmetrized exactly), the diagonal
     must be 1 within 1e-12, and eigenvalues in [-1e-10, 0) are clipped to zero;
@@ -143,12 +142,6 @@ class CorrelationMatrix:
         chol.setflags(write=False)
         object.__setattr__(self, "_chol", chol)
         return chol
-
-    def conditioning(self) -> tuple[list, float] | None:
-        """The recursive-conditioning plan of _conditioning, computed once."""
-        if "_plan" not in self.__dict__:
-            object.__setattr__(self, "_plan", _conditioning(self.values))
-        return self.__dict__["_plan"]
 
     def principal(self, idx) -> CorrelationMatrix:
         """The principal submatrix on the indices idx.
@@ -213,7 +206,7 @@ _UNIT_CORRELATION = CorrelationMatrix(np.ones((1, 1)))
 # ---------------------------------------------------------------------------
 # deterministic quadratures
 
-_GL_RULES = {n: leggauss(n) for n in (6, 12, 20, 24, 32, 48, 64, 96)}
+_GL_RULES = {n: leggauss(n) for n in (6, 12, 20, 24, 32, 48, 64)}
 
 
 def _gl_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,99 +339,116 @@ def bvn_cdf(b1: float, b2: float, rho: float) -> float:
     return float(bvn_cdf_many(np.float64(b1), np.float64(b2), rho))
 
 
-def _conditioning(corr: np.ndarray) -> tuple[list, np.ndarray] | None:
-    """The layers of recursive conditioning on one variable at a time.
+# Plackett's identity (Plackett 1954; Genz 2004): along the straight path R(t)
+# = R0 + t (R - R0), dPhi_d(h; R(t))/dt sums, over the entries R changes,
+# r_ij phi_2(h_i, h_j; t r_ij) times the orthant of the other variables given
+# X_i = h_i, X_j = h_j. R0 keeps the correlations within the blocks {0, 1}
+# and {2} (d = 3) or {2, 3} (d = 4) of a variable order, on which Phi_d(h; R0)
+# is a product of closed forms. _SPLITS holds the orders of every candidate R0
+# and _OFF_BLOCK, as columns, each off-block pair (i, j) and the rest (p[, q]).
+_SPLITS = {
+    2: np.array([[0, 1]]),
+    3: np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]]),
+    4: np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]]),
+}
+_OFF_BLOCK = {
+    2: np.zeros((2, 0), dtype=int),
+    3: np.array([[0, 2, 1], [1, 2, 0]]).T,
+    4: np.array([[0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2]]).T,
+}
+# conditional limits are clipped here, where every normal tail is below 1e-299
+# and the bivariate rule still stays finite
+_Z_MAX = 37.0
 
-    Each layer pivots on the variable least correlated with the others (the
-    first one on ties) and keeps its (order, r, s): given the pivot X1 = y,
-    the others are normal with limits (u - r y)/s and one conditional
-    correlation matrix for every y, on which the next layer pivots. Returns
-    the layers and the correlation of the last two variables, stacked as a
-    plan of one row (see _stack_plans); None when a pivot's largest
-    correlation makes the conditioning degenerate. The matrices are small,
-    so this works on floats.
+
+def _block_order(mats: np.ndarray) -> np.ndarray:
+    """Each row's variable order for Plackett's path (see _SPLITS): for d = 3
+    the pair with the largest |r| leads, for d = 4 the 2 + 2 split with the
+    largest |r_01| + |r_23|, the first candidate on ties."""
+    splits = _SPLITS[mats.shape[-1]]
+    score = sum(np.abs(mats[:, splits[:, a], splits[:, a + 1]]) for a in range(0, splits.shape[1] - 1, 2))
+    return splits[np.argmax(score, axis=1)]
+
+
+def _plackett(h: np.ndarray, corr: np.ndarray, n: int) -> np.ndarray:
+    """Normal orthant probability of every limit vector of h (k, *c, d) by Plackett's identity.
+
+    Row r's limit vectors share its correlation corr[r] (k x d x d), both in
+    block order (see _block_order), so that Phi_d(h; R0) is the bivariate
+    rule times the univariate (d = 3) or bivariate (d = 4) one, and the path
+    integral over t in (0, 1) takes n Gauss-Legendre nodes; the conditional
+    law of the rest is one ndtr (d = 3) or one stacked bivariate call (d = 4)
+    for every (limit vector, node, pair). Every entry of the (k, *c) result
+    reduces its own nodes, so it equals, bit for bit, its row's call with that
+    limit vector alone. For d = 2, R0 is R and the result its bivariate rule.
     """
-    rows = corr.tolist()
-    layers = []
-    while len(rows) > 2:
-        scores = [max(abs(v) for j, v in enumerate(row) if j != i) for i, row in enumerate(rows)]
-        best = scores.index(min(scores))
-        if scores[best] > _COND_RHO_MAX:
-            return None
-        rest = [i for i in range(len(rows)) if i != best]
-        r = [rows[best][i] for i in rest]
-        s = [math.sqrt(1.0 - x * x) for x in r]
-        layers.append((np.array([best] + rest)[:, None], np.array(r)[:, None], np.array(s)[:, None]))
-        rows = [
-            [min(max((rows[i][j] - r[a] * r[b]) / (s[a] * s[b]), -1.0), 1.0) for b, j in enumerate(rest)]
-            for a, i in enumerate(rest)
-        ]
-    return layers, np.array([rows[0][1]])
+    d = h.shape[-1]
+    value = bvn_cdf_many(h[..., 0], h[..., 1], corr[:, 0, 1])
+    if d == 3:
+        value = value * special.ndtr(h[..., 2])
+    elif d == 4:
+        value = value * bvn_cdf_many(h[..., 2], h[..., 3], corr[:, 2, 3])
+    if d == 2:
+        return value
+    i, j, *rest = _OFF_BLOCK[d]
+    t, wt = _gl_on(0.0, 1.0, n)
+    path = np.ones((n, d, d))
+    path[:, i, j] = path[:, j, i] = t[:, None]
+    # R and R(t) as (k, *1, 1, d, d) and (k, *1, n, d, d); h as (k, *c, 1, d)
+    R = corr.reshape(corr.shape[:1] + (1,) * (h.ndim - 1) + (d, d))
+    r = R * path
+    h = h[..., None, :]
+    hi, hj, rho = h[..., i], h[..., j], r[..., i, j]
+    det = (1.0 - rho) * (1.0 + rho)
+    density = np.exp(-(hi * hi - 2.0 * rho * hi * hj + hj * hj) / (2.0 * det)) / (2.0 * math.pi * np.sqrt(det))
 
+    def given_pair(m):
+        """The regression (a, b) of X_m on X_i, X_j, its residual sd and standardized limit."""
+        a = (r[..., m, i] - rho * r[..., m, j]) / det
+        b = (r[..., m, j] - rho * r[..., m, i]) / det
+        sd = np.sqrt(np.maximum(1.0 - a * r[..., m, i] - b * r[..., m, j], _TINY))
+        return a, b, sd, np.clip((h[..., m] - a * hi - b * hj) / sd, -_Z_MAX, _Z_MAX)
 
-def _stack_plans(plans: list) -> tuple[list, np.ndarray]:
-    """Conditioning plans of one dimension stacked into one, a column per plan."""
-    layers = [
-        tuple(np.concatenate(part, axis=1) for part in zip(*layer))
-        for layer in zip(*(plan[0] for plan in plans))
-    ]
-    return layers, np.array([plan[1][0] for plan in plans])
-
-
-def _cond_quad(upper: np.ndarray, layers: list, rho: np.ndarray, nodes: tuple[int, ...]) -> np.ndarray:
-    """Normal orthant probability of limits by recursive conditioning.
-
-    upper is (d, n, *t): n rows, row i conditioned on column i of the stacked
-    plan (layers, rho), each with the limit vectors t that share its plan.
-    The first layer's pivot is integrated over nodes[0] Gauss-Legendre nodes
-    in y, and the conditioned rest is one stacked call for every (row, t, y):
-    the next layer with nodes[1:], or the bivariate rule once two variables
-    remain (with no layer left, upper itself is bivariate). Every entry of
-    the (n, *t) result reduces its own nodes, so it equals, bit for bit, its
-    row's call with that limit vector alone.
-    """
-    if not layers:
-        return bvn_cdf_many(upper[0], upper[1], rho)
-    (order, r, s), *inner_layers = layers
-    upper = upper[order, np.arange(order.shape[1])]
-    lo = -8.6
-    hi = np.minimum(upper[0], 8.6)
-    width = np.maximum(hi - lo, 0.0)
-    x, w = _GL_RULES[nodes[0]]
-    y = lo + (x + 1.0) / 2.0 * width[..., None]
-    wt = w * width[..., None] / 2.0
-    per_row = (slice(None), slice(None)) + (None,) * (y.ndim - 1)
-    lim = (upper[1:, ..., None] - r[per_row] * y) / s[per_row]
-    inner = _cond_quad(lim, inner_layers, rho, nodes[1:])
-    phi = np.exp(-0.5 * y * y) / _SQRT_2PI
-    return (inner * phi * wt).sum(axis=-1)
+    a, b, sd, z = given_pair(rest[0])
+    if d == 3:
+        cond = special.ndtr(z)
+    else:
+        p, q = rest
+        _, _, sd_q, z_q = given_pair(q)
+        cov = r[..., p, q] - a * r[..., q, i] - b * r[..., q, j]
+        rho_pq = np.broadcast_to(np.clip(cov / (sd * sd_q), -1.0, 1.0), z.shape)
+        cond = bvn_cdf_many(z.ravel(), z_q.ravel(), rho_pq.ravel()).reshape(z.shape)
+    slope = (R[..., i, j] * density * cond).sum(axis=-1)
+    return value + (slope * wt).sum(axis=-1)
 
 
 # The rule ladders, coarse to fine, and the error floor of each deterministic
-# law, by (dimension, chi-scale rule): the node count of each conditioning
-# layer, led for the t law by the chi-scale nodes. The bivariate normal is one
-# rung of its own 6/12/20-node rules, counted as the 20 nodes of its finest
-# band. The normal ladder usually stops at its middle rung. A t law with df >=
-# _GAMMA_DF takes the Gauss rule of the chi measure ("gamma"), accurate to
-# ~5e-11 at 8 nodes, so its ladders start there. Below that df the Gamma rule
-# converges slowly (5e-6 at 32 nodes for df = 5), and the chi-scale nodes are
-# Gauss-Legendre nodes on the range of the chi law ("legendre"): at 24 of them
-# the mixture is only accurate to ~2e-7, so those ladders have two rungs, as a
-# coarser rung would never agree with the next within TOL_MIN.
+# law, by (dimension, chi-scale rule): for d = 3 and 4 the Gauss-Legendre
+# node count of Plackett's path integral in t, led for the t law by the
+# chi-scale nodes. The bivariate normal is one rung of its own 6/12/20-node
+# rules, counted as the 20 nodes of its finest band. The normal ladder usually
+# stops at its middle rung. A t law with df >= _GAMMA_DF takes the Gauss rule
+# of the chi measure ("gamma"), accurate to ~5e-11 at 8 nodes, so its ladders
+# start there. Below that df the Gamma rule converges slowly (5e-6 at 32 nodes
+# for df = 5), and the chi-scale nodes are Gauss-Legendre nodes on the range
+# of the chi law ("legendre"): at 24 of them the mixture is only accurate to
+# ~2e-7, so those ladders have two rungs, as a coarser rung would never agree
+# with the next within TOL_MIN.
 _LADDERS = {
     (2, None): (((20,),), 5e-15),
-    (3, None): (((24,), (48,), (96,)), 1e-10),
-    (4, None): (((24, 24), (48, 48), (96, 96)), 1e-10),
+    (3, None): (((12,), (24,), (48,)), 1e-10),
+    (4, None): (((12,), (24,), (48,)), 1e-10),
     (2, "legendre"): (((32,), (64,)), 1e-10),
-    (3, "legendre"): (((32, 48), (64, 96)), 1e-9),
-    (4, "legendre"): (((32, 32, 32), (64, 48, 48)), 1e-9),
+    (3, "legendre"): (((32, 24), (64, 48)), 1e-9),
+    (4, "legendre"): (((32, 24), (64, 48)), 1e-9),
     (2, "gamma"): (((8,), (12,), (16,)), 1e-10),
-    (3, "gamma"): (((8, 24), (12, 48), (16, 96)), 1e-9),
-    (4, "gamma"): (((8, 24, 24), (12, 48, 48), (16, 96, 96)), 1e-9),
+    (3, "gamma"): (((8, 12), (12, 24), (16, 48)), 1e-9),
+    (4, "gamma"): (((8, 12), (12, 24), (16, 48)), 1e-9),
 }
 _GAMMA_DF = 80.0
-# bivariate evaluations per stacked _cond_quad call, which bounds its
-# temporaries at about a MB; pieces twice that size run slower out of cache
+# integrand evaluations (bivariate evaluations for d = 2 and 4) per stacked
+# _plackett call, which bounds its temporaries at about a MB; pieces twice
+# that size run slower out of cache
 _QUAD_BLOCK = 1 << 13
 
 
@@ -522,48 +532,49 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _quadrature(
-    upper: np.ndarray, layers: list, rho: np.ndarray, df: np.ndarray | None, chi: str | None
-) -> list[ProbResult]:
-    """The deterministic law of every column of upper (d x n), column i
-    conditioned on column i of the stacked plan (layers, rho; see _cond_quad):
-    normal, or t with df[i] degrees of freedom as the chi-weighted sum of
-    normal orthants at limits upper * s, every df on the chi-scale rule chi.
+def _quadrature(upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi: str | None) -> list[ProbResult]:
+    """The deterministic law of every row of upper (n x d) under its
+    correlation corr (n x d x d): normal, or t with df[i] degrees of freedom
+    as the chi-weighted sum of normal orthants at limits upper * s, every df
+    on the chi-scale rule chi.
 
-    The rows climb the ladder of _LADDERS together: each rung is one stacked
-    _cond_quad over the rows still climbing, in pieces of at most _QUAD_BLOCK
-    bivariate evaluations. A t row's chi-scale nodes are limit vectors of its
-    own, in chunks halved until they fit a piece (all of them for a
-    bivariate row). Each row reduces its nodes in the shapes of its own call,
-    so it equals that call bit for bit.
+    Each row is put in its block order (_block_order) once, and the rows
+    climb the ladder of _LADDERS together: each rung is one stacked _plackett
+    over the rows still climbing, in pieces of at most _QUAD_BLOCK integrand
+    evaluations. A t row's chi-scale nodes are limit vectors of its own, in
+    chunks halved until they fit a piece (all of them for a bivariate row).
+    Each row reduces its nodes in the shapes of its own call, so it equals
+    that call bit for bit.
     """
-    d = upper.shape[0]
+    n, d = upper.shape
     rules, floor = _LADDERS[d, chi]
+    order = _block_order(corr)
+    upper = np.take_along_axis(upper, order, axis=1)
+    corr = corr[np.arange(n)[:, None, None], order[:, :, None], order[:, None, :]]
 
     def evaluate(rule, active):
-        limits, columns, nodes = upper[:, active], active, rule
+        limits, rows = upper[active], active
+        nodes = rule[-1] if d > 2 else 0
+        per_vector = max(1, nodes * _OFF_BLOCK[d].shape[1])
         if df is not None:
-            n_chi, *nodes = rule
+            n_chi = rule[0]
             scales = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
             # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece;
             # halving 8, 12 or 16 nodes (or a power of two) keeps every chunk whole
             chunk = n_chi
-            while chunk > 1 and chunk * math.prod(nodes) > _QUAD_BLOCK:
+            while chunk > 1 and chunk * per_vector > _QUAD_BLOCK:
                 chunk //= 2
-            limits = (limits[..., None] * np.array([s for s, _ in scales])).reshape(d, -1, chunk)
-            columns = np.repeat(active, n_chi // chunk)
-        step = max(1, _QUAD_BLOCK // (math.prod(nodes) * math.prod(limits.shape[2:])))
-        parts = []
-        for i in range(0, len(columns), step):
-            piece = columns[i:i + step]
-            sub = [(o[:, piece], r[:, piece], s[:, piece]) for o, r, s in layers]
-            parts.append(_cond_quad(limits[:, i:i + step], sub, rho[piece], nodes))
-        values = np.concatenate(parts)
+            limits = (limits[:, None] * np.array([s for s, _ in scales])[..., None]).reshape(-1, chunk, d)
+            rows = np.repeat(active, n_chi // chunk)
+        step = max(1, _QUAD_BLOCK // (per_vector * math.prod(limits.shape[1:-1])))
+        values = np.concatenate([
+            _plackett(limits[i:i + step], corr[rows[i:i + step]], nodes) for i in range(0, len(rows), step)
+        ])
         if df is not None:
             values = np.sum(np.array([w for _, w in scales]) * values.reshape(len(active), -1), axis=1)
         return values, math.prod(rule)
 
-    return _ladder(rules, evaluate, floor, upper.shape[1])
+    return _ladder(rules, evaluate, floor, n)
 
 
 def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[ProbResult | None]:
@@ -576,11 +587,11 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
     vectorized marginal CDF, bivariate t rows whose correlation lies within
     1e-13 of +-1 their exact degenerate laws, and the other rows of two to
     four dimensions climb their rule ladder together (_quadrature). A row is
-    None when it has five or more dimensions, no usable conditioning pivot,
-    or three or four dimensions and an error estimate above tol (one value,
-    or one per row); rows of one or two dimensions never are. The limits
-    must be finite and df a finite real >= 1 (see check_limits, check_df).
-    Each row equals its own call bit for bit.
+    None when it has five or more dimensions, or three or four dimensions
+    and an error estimate above tol (one value, or one per row); rows of one
+    or two dimensions never are. The limits must be finite and df a finite
+    real >= 1 (see check_limits, check_df). Each row equals its own call bit
+    for bit.
     """
     n, t = len(corrs), df is not None
     df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
@@ -600,23 +611,17 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
             continue
         if (d, chi) not in _LADDERS:
             continue
-        if d == 2:  # no conditioning layer, only the correlation
-            layers, rho = [], np.array([corrs[i].values[0, 1] for i in rows])
-            kept = list(range(len(rows)))
-            if t:  # the degenerate laws are exact
-                for k in [k for k in kept if abs(rho[k]) >= 1.0 - 1e-13]:
-                    cdf = special.stdtr(df[rows[k]], upper[k])
-                    value = float(min(cdf)) if rho[k] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
-                    out[rows[k]] = ProbResult(value, 1e-14, 1)
-                kept = [k for k in kept if out[rows[k]] is None]
-                rho = rho[kept]
-        else:
-            plans = [corrs[i].conditioning() for i in rows]
-            kept = [k for k, plan in enumerate(plans) if plan is not None]
-            layers, rho = _stack_plans([plans[k] for k in kept])
-        if not kept:
-            continue
-        results = _quadrature(upper[kept].T, layers, rho, df[[rows[k] for k in kept]] if t else None, chi)
+        mats = np.array([corrs[i].values for i in rows])
+        kept = list(range(len(rows)))
+        if t and d == 2:  # the degenerate laws are exact
+            for k in [k for k in kept if abs(mats[k, 0, 1]) >= 1.0 - 1e-13]:
+                cdf = special.stdtr(df[rows[k]], upper[k])
+                value = float(min(cdf)) if mats[k, 0, 1] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
+                out[rows[k]] = ProbResult(value, 1e-14, 1)
+            kept = [k for k in kept if out[rows[k]] is None]
+            if not kept:
+                continue
+        results = _quadrature(upper[kept], mats[kept], df[[rows[k] for k in kept]] if t else None, chi)
         if d > 2:  # QMC takes the rows whose quadrature is looser than their tol
             tols = tol if isinstance(tol, (list, tuple, np.ndarray)) else [tol] * n
             results = [r if r.error_estimate <= tols[rows[k]] else None for k, r in zip(kept, results)]
@@ -752,9 +757,8 @@ def mvn_cdf(
     """P(Z <= upper componentwise) for Z ~ N(0, corr).
 
     Dimensions up to four are deterministic under method="auto". Larger
-    dimensions, method="qmc", inputs with no usable conditioning pivot, and
-    three- or four-dimensional ones whose quadrature error estimate exceeds
-    `tol` use randomized QMC driven by `rng` (a seed-0 stream when omitted), so
+    dimensions, method="qmc", and three- or four-dimensional inputs whose
+    quadrature error estimate exceeds `tol` use randomized QMC driven by `rng` (a seed-0 stream when omitted), so
     identical inputs and stream state give bit-identical results. `engines`
     is the scrambled-engine store of _randomized_qmc (None builds fresh
     engines); it changes no result.

@@ -390,18 +390,6 @@ def _pwer(weights: np.ndarray, results: list[mvprob.ProbResult | None]) -> float
     return float(np.sum(weights[mask] * (1.0 - _values(results)[mask])))
 
 
-def stratum_cdf_values(
-    c,
-    model: TestModel,
-    tol: float = DEFAULT_VERIFY_TOL,
-    rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
-    engines: dict | None = None,
-) -> np.ndarray:
-    """F_J(c_J) for every stratum, NaN where not evaluated (see evaluate_strata)."""
-    return _values(evaluate_strata(c, model, tol, rng, mask, engines))
-
-
 def pwer_value(
     c,
     pi,

@@ -103,10 +103,12 @@ class TestSolveCriticalEmpirical:
         assert maxima[k - 1] <= cv.value <= maxima[k]
         assert cv.achieved <= ALPHA
 
-    def test_alpha_one_boundary(self):
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_alpha_outside_the_exact_engines_range_rejected(self, alpha):
+        # both engines take alpha in [ALPHA_MIN, 0.5) (pwer.check_alpha)
         d, null = self.build_null(B=2000)
-        cv = boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), 1.0)
-        assert cv.value == pytest.approx(null.statistics.min() - 1.0)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), alpha)
 
     def test_insufficient_tail_resolution(self):
         d, null = self.build_null(B=2000)
@@ -147,7 +149,7 @@ class TestEmpiricalGradient:
         cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
         grad = cv.gradient()
         model = pwer.build_test_model(d)
-        exact = pwer.stratum_cdf_values(cv, model, tol=1e-7) - 1.0
+        exact = np.array([r.value for r in pwer.evaluate_strata(cv, model, tol=1e-7)]) - 1.0
         assert np.max(np.abs(grad - exact)) <= 0.02
 
 

@@ -169,21 +169,39 @@ class TestOrthants:
 
     @pytest.mark.parametrize("df", [None, 5.0])
     def test_rows_that_need_qmc_are_none(self, df):
-        unsettled = ([2.0, -1.0, 0.5], equicorr(3, 0.998))  # error estimate ~9e-5 (t), ~9e-3 (normal)
         rows = [
-            ([1.0, 1.1, 1.2], equicorr(3, 0.9995)),  # no conditioning pivot
-            ([1.0, 1.1, 1.2, 1.3], equicorr(4, 0.9995)),
+            # nearly singular: error estimates ~2e-4 (normal), 2e-5 and 5e-5 (t)
+            ([1.0, 1.1, 1.2], equicorr(3, 0.999)),
+            ([1.0, 1.1, 1.2, 1.3], equicorr(4, 0.9999)),
             ([0.5] * 5, equicorr(5, 0.3)),  # five dimensions
-            unsettled,
+            ([1.0, 1.2, 0.8], equicorr(3, 0.998)),  # error estimate ~1e-4 (normal), ~2e-5 (t)
+            ([2.0, -1.0, 0.5], equicorr(3, 0.998)),  # nearly comonotone, yet it settles
             ([1.0, 1.2, 0.8], equicorr(3, 0.5)),
             ([0.3, -0.2], corr2(0.9999)),
             ([0.3], corr([[1.0]])),
         ]
         many = mvprob.orthants([u for u, _ in rows], [c for _, c in rows], df, 1e-5)
-        assert [r is None for r in many] == [True] * 4 + [False] * 3
+        assert [r is None for r in many] == [True] * 4 + [False] * 4
+
+    @pytest.mark.parametrize("df", [None, 3.0, 235.0])
+    def test_pieces_hold_at_most_a_block_of_evaluations(self, monkeypatch, df):
+        # a stacked call's temporaries stay bounded, whatever its row count
+        pieces = []
+        plackett = mvprob._plackett
+
+        def counting(h, cm, n):
+            pieces.append(math.prod(h.shape[:-1]) * max(1, n * mvprob._OFF_BLOCK[h.shape[-1]].shape[1]))
+            return plackett(h, cm, n)
+
+        monkeypatch.setattr(mvprob, "_plackett", counting)
+        rng = np.random.default_rng(8)
+        dims = [2, 3, 4] * 60
+        limits = [rng.normal(scale=1.5, size=d) for d in dims]
+        mvprob.orthants(limits, [corr(random_correlation(d, rng)) for d in dims], df)
+        assert max(pieces) <= mvprob._QUAD_BLOCK < sum(pieces)
 
     def test_tol_is_one_value_per_row(self):
-        upper, cm = [2.0, -1.0, 0.5], equicorr(3, 0.998)  # error estimate ~9e-5
+        upper, cm = [1.0, 1.2, 0.8], equicorr(3, 0.998)  # error estimate ~2e-5
         strict, loose = mvprob.orthants([upper, upper], [cm, cm], 5.0, [1e-5, 1e-3])
         assert strict is None and 1e-5 < loose.error_estimate <= 1e-3
         assert loose == mvprob.mvt_cdf(upper, cm, 5.0, tol=1e-3)
@@ -327,7 +345,7 @@ class TestMvnCdf:
     @pytest.mark.parametrize("a, b, upper", [
         (0.6, -0.3, [0.8, 1.1, -0.3, 0.5]),
         (0.95, 0.2, [1.2, 0.4, 1.9, -0.7]),
-        (0.995, 0.2, [0.3, -0.4, 1.1, 0.6]),  # exact only if the strong pair is conditioned last
+        (0.995, 0.2, [0.3, -0.4, 1.1, 0.6]),  # exact only if R0 keeps both blocks
     ])
     def test_dim4_block_diagonal_factorizes(self, no_qmc, a, b, upper):
         mat = np.zeros((4, 4))
@@ -338,30 +356,38 @@ class TestMvnCdf:
         assert abs(res.value - pair) <= 1e-12
 
     @pytest.mark.parametrize("mat", [
-        pytest.param(0.9995 * np.ones((4, 4)) + 0.0005 * np.eye(4), id="outer_pivot"),
+        pytest.param(0.9995 * np.ones((4, 4)) + 0.0005 * np.eye(4), id="all_pairs"),
         pytest.param([[1, 0.1, 0.1, 0.1], [0.1, 1, 0.9995, 0.9995],
-                      [0.1, 0.9995, 1, 0.9995], [0.1, 0.9995, 0.9995, 1]], id="inner_pivot"),
+                      [0.1, 0.9995, 1, 0.9995], [0.1, 0.9995, 0.9995, 1]], id="one_triple"),
     ])
     def test_dim4_near_singular_falls_back_to_qmc(self, mat):
+        # error estimates ~3e-4 and ~6e-4
         upper = [1.0, 1.1, 1.2, 1.3]
         res = mvprob.mvn_cdf(upper, corr(mat), tol=1e-4, rng=np.random.default_rng(2))
         assert res.points_used > 1000
         assert res == qmc_twin(mvprob.mvn_cdf, upper, corr(mat), tol=1e-4, seed=2)
 
     def test_dim4_quadrature_error_above_tol_falls_back_to_qmc(self):
-        # nearly comonotone but pivotable: the coarse and fine rules disagree by ~1e-4
-        upper, c4 = [2.0, -1.0, 0.5, 0.3], equicorr(4, 0.99)
+        # nearly comonotone: the quadrature's own error estimate is ~4e-6
+        upper, c4 = [1.0, 1.2, 0.8, 1.5], equicorr(4, 0.995)
         res = mvprob.mvn_cdf(upper, c4, tol=1e-6, rng=np.random.default_rng(5))
         assert res == qmc_twin(mvprob.mvn_cdf, upper, c4, tol=1e-6, seed=5)
         assert res.error_estimate <= 1e-6
 
     def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
-        # the quadrature's own error estimate here is ~9e-3, its error ~4e-4
-        upper = [2.0, -1.0, 0.5]
-        res = mvprob.mvn_cdf(upper, equicorr(3, 0.998), tol=1e-6, rng=np.random.default_rng(5))
-        assert res == qmc_twin(mvprob.mvn_cdf, upper, equicorr(3, 0.998), tol=1e-6, seed=5)
+        # the quadrature's own error estimate here is ~4e-6
+        upper = [1.0, 1.2, 0.8]
+        res = mvprob.mvn_cdf(upper, equicorr(3, 0.995), tol=1e-6, rng=np.random.default_rng(5))
+        assert res == qmc_twin(mvprob.mvn_cdf, upper, equicorr(3, 0.995), tol=1e-6, seed=5)
         assert res.error_estimate <= 1e-6
-        assert abs(res.value - equicorrelated_orthant(upper, 0.998)) <= 3.0 * res.error_estimate
+        assert abs(res.value - equicorrelated_orthant(upper, 0.995)) <= 3.0 * res.error_estimate
+
+    def test_dim3_nearly_comonotone_settles(self, no_qmc):
+        # nearly comonotone, yet the path integral settles within TOL_MIN
+        upper = [2.0, -1.0, 0.5]
+        res = mvprob.mvn_cdf(upper, equicorr(3, 0.998), tol=1e-6)
+        assert not res.qmc and res.error_estimate <= mvprob.TOL_MIN
+        assert abs(res.value - equicorrelated_orthant(upper, 0.998)) <= res.error_estimate
 
     def test_tol_domain(self):
         with pytest.raises(ConfigError):
@@ -377,7 +403,7 @@ class TestMvnCdf:
             mvprob.mvt_cdf([0.0, 0.0, 0.0, 0.0], equicorr(4, 0.3), df=5.0, method=method)
 
     def test_dim3_near_singular_falls_back_to_qmc(self):
-        # no conditioning pivot exists; the QMC path with ridge repair handles it
+        # the path integral's error estimate is ~3e-4; the QMC path with ridge repair handles it
         rho = 0.9995
         mat = rho * np.ones((3, 3)) + (1 - rho) * np.eye(3)
         res = mvprob.mvn_cdf([1.0, 1.1, 1.2], corr(mat), tol=1e-4,
@@ -388,23 +414,24 @@ class TestMvnCdf:
 
 
 class TestNodeLadder:
-    """The normal quadrature climbs 24 -> 48 -> 96 nodes per layer until two rungs agree."""
+    """The normal quadrature climbs 12 -> 24 -> 48 path nodes until two rungs agree."""
 
     @staticmethod
     def rung(upper, cm, n):
-        return float(mvprob._cond_quad(np.asarray(upper, float)[:, None], *cm.conditioning(),
-                                       (n,) * (cm.dim - 2))[0])
+        order = mvprob._block_order(cm.values[None])[0]
+        h = np.asarray(upper, float)[order]
+        return float(mvprob._plackett(h[None], cm.values[np.ix_(order, order)][None], n)[0])
 
     @pytest.mark.parametrize("d", [3, 4])
-    def test_unsettled_input_returns_the_old_fine_pair(self, no_qmc, d):
-        # 24 and 48 nodes disagree by ~8e-8 here, so the 96 rung decides
+    def test_unsettled_input_returns_the_finest_rung(self, no_qmc, d):
+        # 12 and 24 nodes disagree by ~2e-7 here, so the 48 rung decides
         upper, cm = [1.0, 1.2, 0.8, 1.5][:d], equicorr(d, 0.95)
-        coarse, fine = self.rung(upper, cm, 48), self.rung(upper, cm, 96)
-        assert 3.0 * abs(coarse - self.rung(upper, cm, 24)) > mvprob.TOL_MIN
+        coarse, fine = self.rung(upper, cm, 24), self.rung(upper, cm, 48)
+        assert 3.0 * abs(coarse - self.rung(upper, cm, 12)) > mvprob.TOL_MIN
         res = mvprob.mvn_cdf(upper, cm)
         assert res.value == fine
         assert res.error_estimate == max(3.0 * abs(fine - coarse), 1e-10)
-        assert res.points_used == sum(n ** (d - 2) for n in (24, 48, 96))
+        assert res.points_used == 12 + 24 + 48
 
     def test_settled_inputs_match_the_finest_rung(self):
         rng = np.random.default_rng(10)
@@ -414,10 +441,10 @@ class TestNodeLadder:
                 cm = corr(random_correlation(d, rng))
                 upper = rng.normal(size=d) * 1.5
                 res = mvprob.mvn_cdf(upper, cm)
-                if res.points_used == 24 ** (d - 2) + 48 ** (d - 2):
+                if res.points_used == 12 + 24:
                     settled += 1
-                    assert res.value == self.rung(upper, cm, 48)
-                    assert abs(res.value - self.rung(upper, cm, 96)) <= 1e-13
+                    assert res.value == self.rung(upper, cm, 24)
+                    assert abs(res.value - self.rung(upper, cm, 48)) <= 1e-13
                     assert res.error_estimate <= mvprob.TOL_MIN
         assert settled >= 90
 
@@ -428,12 +455,6 @@ class TestNodeLadder:
     ])
     def test_result_independent_of_tol(self, no_qmc, upper, mat):
         assert mvprob.mvn_cdf(upper, corr(mat), tol=1e-6) == mvprob.mvn_cdf(upper, corr(mat), tol=1e-7)
-
-    def test_conditioning_plan_cached(self):
-        cm = equicorr(4, 0.4)
-        assert cm.conditioning() is cm.conditioning()
-        singular = equicorr(3, 0.9995)
-        assert singular.conditioning() is None and "_plan" in singular.__dict__
 
 
 class TestMvtCdf:
@@ -526,12 +547,19 @@ class TestMvtCdf:
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
 
     def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
-        # the quadrature's own error estimate here is ~9e-5
-        upper = [2.0, -1.0, 0.5]
-        res = mvprob.mvt_cdf(upper, equicorr(3, 0.998), df=5.0, tol=1e-5,
-                             rng=np.random.default_rng(5))
+        # the quadrature's own error estimate here is ~2e-5
+        upper, c3 = [1.0, 1.2, 0.8], equicorr(3, 0.998)
+        res = mvprob.mvt_cdf(upper, c3, df=5.0, tol=1e-5, rng=np.random.default_rng(5))
+        assert res == qmc_twin(mvprob.mvt_cdf, upper, c3, df=5.0, tol=1e-5, seed=5)
         assert res.error_estimate <= 1e-5
         assert abs(res.value - equicorrelated_orthant(upper, 0.998, 5.0)) <= 3.0 * res.error_estimate
+
+    def test_dim3_nearly_comonotone_settles(self, no_qmc):
+        # nearly comonotone, yet the path integral settles within TOL_MIN
+        upper = [2.0, -1.0, 0.5]
+        res = mvprob.mvt_cdf(upper, equicorr(3, 0.998), df=5.0, tol=1e-6)
+        assert not res.qmc and res.error_estimate <= mvprob.TOL_MIN
+        assert abs(res.value - equicorrelated_orthant(upper, 0.998, 5.0)) <= res.error_estimate
 
     @pytest.mark.parametrize("upper, rho, df", [
         ([1.5, 1.2, 0.9, 1.8], 0.4, 3.0),
@@ -548,7 +576,8 @@ class TestMvtCdf:
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
 
     def test_dim4_near_singular_falls_back_to_qmc(self):
-        upper, c4 = [1.0, 1.1, 1.2, 1.3], equicorr(4, 0.9995)
+        # the path integral's error estimate is ~2e-4
+        upper, c4 = [0.5, 0.6, 0.7, 0.8], equicorr(4, 0.9999)
         res = mvprob.mvt_cdf(upper, c4, df=6.0, tol=1e-4, rng=np.random.default_rng(2))
         assert res.points_used > 1000
         assert res == qmc_twin(mvprob.mvt_cdf, upper, c4, df=6.0, tol=1e-4, seed=2)

@@ -443,6 +443,23 @@ PRE_GAMMA_C_STAR = {
 }
 
 
+# c* of the pinned runs with 3- or 4-dim strata before those strata took
+# Plackett's path integral instead of recursive conditioning; the two agree to
+# rounding, about 1e-14 in c*
+PRE_PLACKETT_C_STAR = {
+    "A_m3_floor": (
+        2.138869917172661, 2.1383818034684454, 2.1208223609933636,
+        2.136507892291559, 2.1384763374800237, 2.1336152297757853,
+    ),
+    "C_m3": (
+        2.1848550795024244, 2.18300232551888, 2.1649835532829758,
+        2.182966791128772, 2.1880880122941764, 2.175001663663548,
+    ),
+    "A_m4": (2.244602318744785, 2.252249725072763),
+    "C_m4": (2.2608526035069985, 2.2686108165995287),
+}
+
+
 @pytest.mark.parametrize("fields, digest", [
     pytest.param(dict(m=2, setting="A"),
                  "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
@@ -464,16 +481,16 @@ PRE_GAMMA_C_STAR = {
                  id="E_m2"),
     pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
                       pi_min=1 / 28),
-                 "0ba981acbcbf7ba291e557113b84a933ebf8fac7f94c8d966a2c215ecc8b68ca",
+                 "9ab84f7d656020bdaf77ee59dcf0559367a3fa61def96400af5e4483321d1d3b",
                  id="A_m3_floor"),
     pytest.param(dict(m=3, setting="C"),
-                 "8e35f81e0aac56392fe4601a1aeea1195c100d74380779aedfd550327913ea41",
+                 "57768514d28a635842ede3fa023dafb54ec9b88c80727b21e03118b053b7e755",
                  id="C_m3"),
     pytest.param(dict(m=4, setting="A", runs=2),
-                 "c9bbc06594032d8d03671e4a1ce642f1e410f6533ac035daacf6c2e67b2308d7",
+                 "e6f9d53fb834a822478b89ab66d90f7d104873be2f7b01bc20af3e3a25d4a423",
                  id="A_m4"),
     pytest.param(dict(m=4, setting="C", runs=2),
-                 "475277013bbf53b87e21523bbcc966177efd1ac801ae040c03b979ceaea34124",
+                 "e276a6a1895130276bce871bb91ecbc64c8f7a29b0ac3dc01f5a75bd1aaf75ae",
                  id="C_m4"),
 ])
 def test_records_pinned(request, tmp_path, fields, digest):
@@ -491,5 +508,8 @@ def test_records_pinned(request, tmp_path, fields, digest):
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-12
     parent = PRE_GAMMA_C_STAR.get(request.node.callspec.id)
+    if parent is not None:
+        assert np.abs(c_star - parent).max() <= 1e-11
+    parent = PRE_PLACKETT_C_STAR.get(request.node.callspec.id)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-11
