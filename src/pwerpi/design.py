@@ -150,7 +150,8 @@ def prevalence_weights(pi, n_strata: int) -> np.ndarray:
     w = np.asarray(pi, dtype=float)
     if w.shape != (n_strata,):
         raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({n_strata},)")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+    # one pass each: NaN fails both comparisons, and -0.0 >= 0.0
+    if not (w.min() >= 0.0 and w.max() < np.inf):
         raise ConfigError("prevalence weights must be finite and nonnegative")
     return w
 

@@ -12,10 +12,12 @@ below that. Each quadrature climbs a ladder of ever finer rules, one ladder
 per dimension and law (each chi-scale family has its own), and
 stops at the first two adjacent rungs that agree within TOL_MIN, a fixed
 constant, so its result never depends on the caller's `tol`; three times that
-last gap is the error estimate. `orthants` evaluates many laws of one kind in
-one stacked call, each row with its own correlation and, for t, its own df,
-and returns None for the rows that need QMC; every row equals its own call
-bit for bit, and mvn_cdf/mvt_cdf are calls of one row. A CorrelationMatrix is
+last gap is the error estimate. `orthant_groups` plans many laws of one kind
+once, each row with its own correlation and, for t, its own df, and each
+OrthantGroup it returns evaluates any of its rows at any limits in one
+stacked call, flagging the rows that need QMC; `orthants` plans and
+evaluates in one call, and mvn_cdf/mvt_cdf are calls of one row. Every row
+equals its own call bit for bit. A CorrelationMatrix is
 validated once and keeps its Cholesky factor, and its principal submatrices
 need no validation of their own. Higher dimensions, and the rows of three or
 four whose error estimate exceeds the caller's tol, integrate the
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -311,8 +312,12 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
     rho is one correlation, or a 1-dim array of them, one per entry of the
     leading axis of b1 and b2, which then share one shape. The entries are
     evaluated in groups that share a rule (_bvn_rules), one stacked
-    quadrature per group that keeps each entry's trailing axes, and each
-    equals, bit for bit, the call with its own rho alone.
+    quadrature per group that keeps each entry's trailing axes. So each
+    entry equals, bit for bit, the call with its own rho alone at the same
+    trailing shape, and any subset of the entries equals the full call; the
+    same numbers regrouped to another trailing shape (a (k, c) block
+    flattened to (k * c,), say) sum their nodes in another order and may
+    differ in the last bit.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -370,24 +375,34 @@ def _block_order(mats: np.ndarray) -> np.ndarray:
     return splits[np.argmax(score, axis=1)]
 
 
-def _plackett(h: np.ndarray, corr: np.ndarray, n: int) -> np.ndarray:
-    """Normal orthant probability of every limit vector of h (k, *c, d) by Plackett's identity.
-
-    Row r's limit vectors share its correlation corr[r] (k x d x d), both in
-    block order (see _block_order), so that Phi_d(h; R0) is the bivariate
-    rule times the univariate (d = 3) or bivariate (d = 4) one, and the path
-    integral over t in (0, 1) takes n Gauss-Legendre nodes; the conditional
-    law of the rest is one ndtr (d = 3) or one stacked bivariate call (d = 4)
-    for every (limit vector, node, pair). Every entry of the (k, *c) result
-    reduces its own nodes, so it equals, bit for bit, its row's call with that
-    limit vector alone. For d = 2, R0 is R and the result its bivariate rule.
-    """
+def _plackett_base(h: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """Phi_d(h; R0) of every limit vector of h (k, *c, d), rows in block order
+    (see _plackett): the bivariate rule times the univariate (d = 3) or
+    bivariate (d = 4) one; for d = 2 the bivariate rule itself."""
     d = h.shape[-1]
     value = bvn_cdf_many(h[..., 0], h[..., 1], corr[:, 0, 1])
     if d == 3:
         value = value * special.ndtr(h[..., 2])
     elif d == 4:
         value = value * bvn_cdf_many(h[..., 2], h[..., 3], corr[:, 2, 3])
+    return value
+
+
+def _plackett(h: np.ndarray, corr: np.ndarray, n: int, base: np.ndarray | None = None) -> np.ndarray:
+    """Normal orthant probability of every limit vector of h (k, *c, d) by Plackett's identity.
+
+    Row r's limit vectors share its correlation corr[r] (k x d x d), both in
+    block order (see _block_order), so that Phi_d(h; R0) is a product of
+    closed forms (_plackett_base; `base` passes it in when it is already
+    known, as it does not depend on n), and the path integral over t in
+    (0, 1) takes n Gauss-Legendre nodes; the conditional law of the rest is
+    one ndtr (d = 3) or one stacked bivariate call (d = 4) for every (limit
+    vector, node, pair). Every entry of the (k, *c) result reduces its own
+    nodes, so it equals, bit for bit, its row's call with that limit vector
+    alone. For d = 2, R0 is R and the result its bivariate rule.
+    """
+    d = h.shape[-1]
+    value = _plackett_base(h, corr) if base is None else base
     if d == 2:
         return value
     i, j, *rest = _OFF_BLOCK[d]
@@ -452,36 +467,36 @@ _GAMMA_DF = 80.0
 _QUAD_BLOCK = 1 << 13
 
 
-def _ladder(rules, evaluate: Callable, floor: float, n: int) -> list[ProbResult]:
+def _ladder(rules, evaluate: Callable, floor: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Climb the rules for n integrals at once, each until two adjacent rules agree within TOL_MIN.
 
     evaluate(rule, active) returns the values under rule of the integrals
     indexed by the array active, and the points that rule takes per
-    integral. An integral's result is the last rule's value with three times
-    its gap to the one before as the error estimate (at least `floor`, which
-    a ladder of one rule always takes); points_used sums the rules it
-    evaluated. The integrals still climbing after a rule are the only ones
-    the next rule evaluates.
+    integral. An integral's value is the last rule's, clipped to [0, 1], its
+    error estimate three times the gap to the rule before (at least `floor`,
+    which a ladder of one rule always takes), and its points the sum over
+    the rules it evaluated; the three come back as arrays. The integrals
+    still climbing after a rule are the only ones the next rule evaluates.
     """
-    out: list[ProbResult | None] = [None] * n
+    value, error, points_used = np.empty(n), np.empty(n), np.empty(n, dtype=int)
     active, points = np.arange(n), 0
     for k, rule in enumerate(rules, 1):
-        value, more = evaluate(rule, active)
+        rung, more = evaluate(rule, active)
         points += more
         if k == 1 < len(rules):
-            prev = value
+            prev = rung
             continue
         # the floor lies below TOL_MIN, so it decides no integral's stop
-        err = np.maximum(3.0 * np.abs(value - prev), floor) if k > 1 else None
-        done = err <= TOL_MIN if k < len(rules) else slice(None)
-        settled = np.minimum(1.0, np.maximum(0.0, value[done])).tolist()
-        results = map(ProbResult, settled, repeat(floor) if err is None else err[done].tolist(), repeat(points))
-        for i, result in zip(active[done].tolist(), results):
-            out[i] = result
+        err = np.maximum(3.0 * np.abs(rung - prev), floor) if k > 1 else np.full(len(active), floor)
+        done = err <= TOL_MIN if k < len(rules) else np.ones(len(active), dtype=bool)
+        settled = active[done]
+        value[settled] = np.minimum(1.0, np.maximum(0.0, rung[done]))
+        error[settled] = err[done]
+        points_used[settled] = points
         if k == len(rules) or done.all():
             break
-        active, prev = active[~done], value[~done]
-    return out
+        active, prev = active[~done], rung[~done]
+    return value, error, points_used
 
 
 def _chi_rule(df: float) -> str:
@@ -532,25 +547,26 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _quadrature(upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi: str | None) -> list[ProbResult]:
+def _quadrature(
+    upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi: str | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The deterministic law of every row of upper (n x d) under its
-    correlation corr (n x d x d): normal, or t with df[i] degrees of freedom
-    as the chi-weighted sum of normal orthants at limits upper * s, every df
-    on the chi-scale rule chi.
+    correlation corr (n x d x d), both in block order (_block_order): normal,
+    or t with df[i] degrees of freedom as the chi-weighted sum of normal
+    orthants at limits upper * s, every df on the chi-scale rule chi.
+    Returns _ladder's value, error and points arrays.
 
-    Each row is put in its block order (_block_order) once, and the rows
-    climb the ladder of _LADDERS together: each rung is one stacked _plackett
-    over the rows still climbing, in pieces of at most _QUAD_BLOCK integrand
-    evaluations. A t row's chi-scale nodes are limit vectors of its own, in
-    chunks halved until they fit a piece (all of them for a bivariate row).
-    Each row reduces its nodes in the shapes of its own call, so it equals
-    that call bit for bit.
+    The rows climb the ladder of _LADDERS together: each rung is one stacked
+    _plackett over the rows still climbing, in pieces of at most _QUAD_BLOCK
+    integrand evaluations. A normal row's Phi_d(h; R0) does not depend on the
+    rung and is computed once, for every row, at the first. A t row's
+    chi-scale nodes are limit vectors of its own, in chunks halved until
+    they fit a piece (all of them for a bivariate row). Each row reduces its
+    nodes in the shapes of its own call, so it equals that call bit for bit.
     """
     n, d = upper.shape
     rules, floor = _LADDERS[d, chi]
-    order = _block_order(corr)
-    upper = np.take_along_axis(upper, order, axis=1)
-    corr = corr[np.arange(n)[:, None, None], order[:, :, None], order[:, None, :]]
+    base = _plackett_base(upper, corr) if df is None and d > 2 else None
 
     def evaluate(rule, active):
         limits, rows = upper[active], active
@@ -567,8 +583,10 @@ def _quadrature(upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi:
             limits = (limits[:, None] * np.array([s for s, _ in scales])[..., None]).reshape(-1, chunk, d)
             rows = np.repeat(active, n_chi // chunk)
         step = max(1, _QUAD_BLOCK // (per_vector * math.prod(limits.shape[1:-1])))
+        pieces = [rows[i:i + step] for i in range(0, len(rows), step)]
         values = np.concatenate([
-            _plackett(limits[i:i + step], corr[rows[i:i + step]], nodes) for i in range(0, len(rows), step)
+            _plackett(limits[i:i + step], corr[piece], nodes, None if base is None else base[piece])
+            for i, piece in zip(range(0, len(rows), step), pieces)
         ])
         if df is not None:
             values = np.sum(np.array([w for _, w in scales]) * values.reshape(len(active), -1), axis=1)
@@ -577,56 +595,125 @@ def _quadrature(upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi:
     return _ladder(rules, evaluate, floor, n)
 
 
+@dataclass(frozen=True)
+class OrthantGroup:
+    """Orthant laws of one dimension and kind, planned once and evaluated at any limits.
+
+    orthant_groups builds them. order holds each row's block order
+    (_block_order) and corr its correlation in that order, df each t row's
+    degrees of freedom and chi their chi-scale rule; exact is +1 or -1 on the
+    bivariate t rows whose correlation lies within 1e-13 of +1 or -1, whose
+    degenerate laws are exact, and 0 elsewhere. Rows of one dimension need
+    no correlation, and rows of five or more keep none: they need QMC.
+    """
+
+    size: int
+    dim: int
+    chi: str | None
+    df: np.ndarray | None
+    order: np.ndarray | None
+    corr: np.ndarray | None
+    exact: np.ndarray | None
+
+    def evaluate(
+        self, limits, rows: np.ndarray | None = None, tol=1e-6
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The value, error estimate, points and settled flag of each row of
+        `rows` (default: every row) at its limits (k x dim, in the variable
+        order of the correlations it was planned from).
+
+        settled is False, and the other three hold no number, where the row
+        needs QMC: five or more dimensions, or three or four and an error
+        estimate above tol (one value, or one per row). Each row equals its
+        own mvn_cdf/mvt_cdf call bit for bit.
+        """
+        upper = np.asarray(limits, dtype=float)
+        k, d, t = len(upper), self.dim, self.df is not None
+        rows = np.arange(self.size) if rows is None else rows
+        df = self.df[rows] if t else None
+        if d == 1:
+            x = upper[:, 0]
+            value = special.stdtr(df, x) if t else special.ndtr(x)
+            return value, np.full(k, 1e-14 if t else 1e-16), np.ones(k, dtype=int), np.ones(k, dtype=bool)
+        value, error = np.full(k, math.nan), np.full(k, math.nan)
+        points, settled = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
+        if self.corr is None:
+            return value, error, points, settled
+        quad = np.arange(k)
+        if self.exact is not None and self.exact[rows].any():  # the degenerate bivariate t laws
+            sign = self.exact[rows]
+            at = np.flatnonzero(sign)
+            cdf = special.stdtr(df[at, None], upper[at])
+            value[at] = np.where(sign[at] > 0, cdf.min(axis=1), np.maximum(0.0, cdf[:, 0] + cdf[:, 1] - 1.0))
+            error[at], points[at], settled[at] = 1e-14, 1, True
+            quad = np.flatnonzero(sign == 0)
+        if len(quad):
+            order = self.order[rows[quad]]
+            value[quad], error[quad], points[quad] = _quadrature(
+                np.take_along_axis(upper[quad], order, axis=1),
+                self.corr[rows[quad]],
+                df[quad] if t else None,
+                self.chi,
+            )
+            # QMC takes the rows whose quadrature is looser than their tol
+            settled[quad] = error[quad] <= np.broadcast_to(tol, (k,))[quad] if d > 2 else True
+        return value, error, points, settled
+
+
+def orthant_groups(corrs: list[CorrelationMatrix], df=None) -> list[tuple[np.ndarray, OrthantGroup]]:
+    """The laws of corrs (normal, or t when df, one value or one per row, is
+    given) as OrthantGroups, each with the indices of its rows in corrs.
+
+    Rows are grouped by dimension and, for the t law from two dimensions on,
+    by chi-scale rule (see _LADDERS). Each group's correlations are stacked
+    and put in block order here, once, however often it is evaluated.
+    """
+    n, t = len(corrs), df is not None
+    df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
+    dims = np.array([len(corr.values) for corr in corrs], dtype=int)
+    # 2 * dimension, plus 1 for the t rows of two or more dimensions on the Gamma chi-scale rule
+    gamma = (df >= _GAMMA_DF) & (dims > 1) if t else 0
+    keys = 2 * dims + gamma
+    groups = []
+    for key in dict.fromkeys(keys.tolist()):
+        rows = np.flatnonzero(keys == key)
+        d = key // 2
+        chi = ("gamma" if key % 2 else "legendre") if t and d > 1 else None
+        order = mats = exact = None
+        if d > 1 and (d, chi) in _LADDERS:
+            mats = np.array([corrs[i].values for i in rows.tolist()])
+            order = _block_order(mats)
+            mats = mats[np.arange(len(rows))[:, None, None], order[:, :, None], order[:, None, :]]
+            if t and d == 2:
+                rho = mats[:, 0, 1]
+                exact = np.where(np.abs(rho) >= 1.0 - 1e-13, np.sign(rho), 0.0)
+        groups.append((rows, OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, mats, exact)))
+    return groups
+
+
 def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[ProbResult | None]:
     """P(X <= limits[i]) for every row i, with X standard normal under the
     correlation corrs[i], or t when df (one value, or one per row) is given;
     None where the row needs QMC.
 
-    The rows are grouped by dimension and, for the t law from two dimensions
-    on, by chi-scale rule (see _LADDERS). One-dimensional rows take one
-    vectorized marginal CDF, bivariate t rows whose correlation lies within
-    1e-13 of +-1 their exact degenerate laws, and the other rows of two to
-    four dimensions climb their rule ladder together (_quadrature). A row is
-    None when it has five or more dimensions, or three or four dimensions
-    and an error estimate above tol (one value, or one per row); rows of one
-    or two dimensions never are. The limits must be finite and df a finite
-    real >= 1 (see check_limits, check_df). Each row equals its own call bit
-    for bit.
+    One call of OrthantGroup.evaluate per group of orthant_groups:
+    one-dimensional rows take one vectorized marginal CDF, bivariate t rows
+    whose correlation lies within 1e-13 of +-1 their exact degenerate laws,
+    and the other rows of two to four dimensions climb their rule ladder
+    together (_quadrature). A row is None when it has five or more
+    dimensions, or three or four dimensions and an error estimate above tol
+    (one value, or one per row); rows of one or two dimensions never are.
+    The limits must be finite and df a finite real >= 1 (see check_limits,
+    check_df). Each row equals its own call bit for bit.
     """
-    n, t = len(corrs), df is not None
-    df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
-    chis = [_chi_rule(v) for v in df.tolist()] if t else [None] * n
+    n = len(corrs)
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     out: list[ProbResult | None] = [None] * n
-    groups: dict[tuple[int, str | None], list[int]] = {}
-    for i, corr in enumerate(corrs):
-        d = len(corr.values)
-        groups.setdefault((d, chis[i] if d > 1 else None), []).append(i)
-    for (d, chi), rows in groups.items():
-        upper = np.array([limits[i] for i in rows], dtype=float)
-        if d == 1:
-            x = upper[:, 0]
-            values = special.stdtr(df[rows], x) if t else special.ndtr(x)
-            for i, v in zip(rows, values.tolist()):
-                out[i] = ProbResult(v, 1e-14 if t else 1e-16, 1)
-            continue
-        if (d, chi) not in _LADDERS:
-            continue
-        mats = np.array([corrs[i].values for i in rows])
-        kept = list(range(len(rows)))
-        if t and d == 2:  # the degenerate laws are exact
-            for k in [k for k in kept if abs(mats[k, 0, 1]) >= 1.0 - 1e-13]:
-                cdf = special.stdtr(df[rows[k]], upper[k])
-                value = float(min(cdf)) if mats[k, 0, 1] > 0.0 else max(0.0, float(cdf[0] + cdf[1] - 1.0))
-                out[rows[k]] = ProbResult(value, 1e-14, 1)
-            kept = [k for k in kept if out[rows[k]] is None]
-            if not kept:
-                continue
-        results = _quadrature(upper[kept], mats[kept], df[[rows[k] for k in kept]] if t else None, chi)
-        if d > 2:  # QMC takes the rows whose quadrature is looser than their tol
-            tols = tol if isinstance(tol, (list, tuple, np.ndarray)) else [tol] * n
-            results = [r if r.error_estimate <= tols[rows[k]] else None for k, r in zip(kept, results)]
-        for k, result in zip(kept, results):
-            out[rows[k]] = result
+    for rows, group in orthant_groups(corrs, df):
+        results = group.evaluate(np.array([limits[i] for i in rows], dtype=float), None, tols[rows])
+        for i, value, error, points, settled in zip(rows.tolist(), *(r.tolist() for r in results)):
+            if settled:
+                out[i] = ProbResult(value, error, points)
     return out
 
 

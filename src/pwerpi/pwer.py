@@ -6,10 +6,14 @@ with the correlation matrix determined by the cell sizes and variances. This
 module builds that model, evaluates PWER(c) = sum_J pi_J (1 - F_J(c_J)),
 calibrates the shared critical value, and turns the PWER gradient into the
 delta-method prediction interval for the true PWER. Many calibrations run in
-lockstep (solve_lockstep): each step evaluates the strata of every unfinished
-one in one stacked pass (_evaluate), and a single solve is a lockstep of one.
-The orthant probabilities F_J come from mvprob.orthants, one call per law per
-step; this module only sends the strata it leaves undecided to QMC.
+lockstep (solve_lockstep), and a single solve is a lockstep of one. The block
+is planned once (_Plan): every stratum of every run, grouped by law,
+dimension and chi-scale rule into mvprob.OrthantGroups, and every run's
+weights. Each step evaluates the strata of every unfinished run in one
+stacked pass (_evaluate: one OrthantGroup.evaluate per group; only the
+strata it leaves undecided go to QMC, per run) and sums their PWERs in one
+stacked pass; each run's solver (_secant) only sends a float c and receives
+a float PWER. The finished runs take one stacked verify pass (_verify).
 """
 
 from __future__ import annotations
@@ -268,93 +272,158 @@ def _c_vector(c, m: int) -> np.ndarray:
     return arr
 
 
-class _Request(NamedTuple):
-    """One evaluation of F_J(c_J) for the strata `which` selects (see evaluate_strata).
+class _Given(NamedTuple):
+    """The integration stream and engine store of evaluate_strata and pwer_value (see _Streams)."""
 
-    stream() gives the integration stream of its QMC strata; it is called
-    once a QMC stratum is reached and reused by the later ones (None makes
-    each of them use its own seed-0 stream). engines is the scrambled-engine
-    store of their mvn_cdf/mvt_cdf calls, None for fresh engines.
-    """
-
-    c: np.ndarray
-    model: TestModel
-    which: np.ndarray | None
-    tol: float
-    stream: Callable[[], np.random.Generator | None]
+    rng: np.random.Generator | None
     engines: dict | None
 
-
-def _picked(model: TestModel, which: np.ndarray | None) -> list[int]:
-    if which is None:
-        return [j for j, corr in enumerate(model.stratum_corr) if corr is not None]
-    picked = np.flatnonzero(which).tolist()
-    for j in picked:
-        if model.stratum_corr[j] is None:
-            raise InfeasibleDesignError(
-                f"stratum {sorted(model.strata[j])} involves a population with an empty arm"
-            )
-    return picked
+    def solve(self) -> np.random.Generator | None:
+        return self.rng
 
 
-def _evaluate(requests: list[_Request]) -> list[list[mvprob.ProbResult | None] | Exception]:
-    """Every request's per-stratum results, or the error that request raised, in one stacked pass.
+class _Plan:
+    """The strata of a block of runs of one m, planned once for every evaluation of a lockstep.
 
-    Each request's limits, tol and strata are checked first. Then the strata
-    of all requests take one mvprob.orthants call per law (normal, or t with
-    a df per row), each stratum at its request's tol. The strata it leaves to
-    QMC (five or more dimensions, a degenerate or unsettled quadrature) go
-    per request in stratum order, so its QMC strata read its stream in that
-    order. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
+    groups holds one mvprob.OrthantGroup per (law, dimension, chi-scale
+    rule), over the strata with a defined law of every run, with each row's
+    run, stratum and member populations; mvprob.orthant_groups has stacked
+    their correlations in block order. tols holds each run's tol of the
+    solve pass and of the verify pass, streams its _Streams. With weights
+    (one row per run), mask marks the positive ones, and the runs are
+    grouped by mask pattern for the PWER sums (pwer).
     """
-    out: list = [None] * len(requests)
-    picked = {}
-    # (request, stratum) pairs by law, for one orthants call each
-    laws: dict[str, list[tuple[int, int]]] = {"normal": [], "t": []}
-    for i, req in enumerate(requests):
-        try:
-            mvprob.check_limits(req.c)
-            mvprob.check_tol(req.tol)
-            picked[i] = _picked(req.model, req.which)
-        except RUN_ERRORS as exc:
-            out[i] = exc
-            continue
-        out[i] = [None] * len(req.model.strata)
-        laws[req.model.kind].extend((i, j) for j in picked[i])
 
-    for kind, pairs in laws.items():
-        if not pairs:
+    def __init__(self, models: Sequence[TestModel], tols, streams: Sequence, weights=None):
+        # the strata of one m are canonical (design.enumerate_strata), and so are their members
+        if any(model.strata != models[0].strata for model in models):
+            raise ConfigError("the models of one lockstep must share m")
+        self.models, self.m, self.streams = models, models[0].m, streams
+        self.tols = np.asarray(tols, dtype=float)
+        self.ok = np.array([[corr is not None for corr in model.stratum_corr] for model in models])
+        kinds = np.array([model.kind for model in models])
+        members = models[0]._members
+        self.groups = []
+        for kind in ("normal", "t"):
+            runs, strata = np.nonzero(self.ok & (kinds == kind)[:, None])
+            rows = list(zip(runs.tolist(), strata.tolist()))
+            if not rows:
+                continue
+            corrs = [models[r].stratum_corr[j] for r, j in rows]
+            dfs = [models[r].df for r, _ in rows] if kind == "t" else None
+            for at, group in mvprob.orthant_groups(corrs, dfs):
+                group_strata = strata[at]
+                self.groups.append(
+                    (group, runs[at], group_strata, np.array([members[j] for j in group_strata.tolist()]))
+                )
+        if weights is None:
+            return
+        self.weights = np.array(weights, dtype=float)
+        self.mask = self.weights > 0.0
+        patterns: dict[bytes, list[int]] = {}
+        for r, row in enumerate(self.mask):
+            patterns.setdefault(row.tobytes(), []).append(r)
+        self.pattern = np.empty(len(models), dtype=int)
+        self.columns = []
+        for p, runs in enumerate(patterns.values()):
+            self.pattern[runs] = p
+            self.columns.append(np.flatnonzero(self.mask[runs[0]]))
+
+    def pwer(self, runs: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """sum_J pi_J * (1 - F_J) over the positive weights of each run of runs, F (k x S) one row per run.
+
+        One stacked sum per mask pattern over its positive columns only: a
+        row summed along axis 1 has the bits of the 1-D np.sum of that row,
+        while zero-filling the other strata would change them.
+        """
+        out = np.empty(len(runs))
+        pattern = self.pattern[runs]
+        for p in set(pattern.tolist()):
+            at = np.flatnonzero(pattern == p)
+            cols = self.columns[p]
+            out[at] = (self.weights[np.ix_(runs[at], cols)] * (1.0 - value[np.ix_(at, cols)])).sum(axis=1)
+        return out
+
+
+class _Evaluated(NamedTuple):
+    """The per-stratum results of an _evaluate call, one row per run.
+
+    A stratum that was not evaluated has value NaN, error inf and points 0;
+    failed maps a row to the error that ended its run.
+    """
+
+    value: np.ndarray
+    error: np.ndarray
+    points: np.ndarray
+    qmc: np.ndarray
+    failed: dict[int, Exception]
+
+
+def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, verify: bool = False) -> _Evaluated:
+    """F_J(c_J) for the strata select[k] (k x S) of each run runs[k] of the plan at its limits c[k] (k x m).
+
+    Each run's limits, its tol of the pass (verify or solve) and its strata
+    are checked first. Then each group of the plan takes one
+    OrthantGroup.evaluate over the selected rows of these runs. The strata
+    it leaves to QMC (five or more dimensions, an unsettled quadrature) go
+    per run in stratum order on that run's stream of the pass, so its QMC
+    strata read the stream in that order; the verify pass builds fresh
+    engines. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
+    """
+    k, n_strata = select.shape
+    tol = plan.tols[runs, int(verify)]
+    value = np.full((k, n_strata), math.nan)
+    error = np.full((k, n_strata), math.inf)
+    points = np.zeros((k, n_strata), dtype=int)
+    qmc = np.zeros((k, n_strata), dtype=bool)
+    failed = {}
+    undefined = select & ~plan.ok[runs]
+    in_range = (tol >= mvprob.TOL_MIN) & (tol <= mvprob.TOL_MAX)
+    bad = ~np.isfinite(c).all(axis=1) | ~in_range | undefined.any(axis=1)
+    for pos in np.flatnonzero(bad).tolist():
+        try:
+            mvprob.check_limits(c[pos])
+            mvprob.check_tol(tol[pos])
+            j = int(np.argmax(undefined[pos]))
+            raise InfeasibleDesignError(
+                f"stratum {sorted(plan.models[runs[pos]].strata[j])} involves a population with an empty arm"
+            )
+        except RUN_ERRORS as exc:
+            failed[pos] = exc
+    live = np.zeros(plan.ok.shape, dtype=bool)
+    live[runs] = select & ~bad[:, None]
+    at = np.empty(len(plan.models), dtype=int)
+    at[runs] = np.arange(k)
+    unsettled = []
+    for group, group_runs, strata, members in plan.groups:
+        rows = np.flatnonzero(live[group_runs, strata])
+        if not len(rows):
             continue
-        models = [requests[i].model for i, _ in pairs]
-        results = mvprob.orthants(
-            [requests[i].c[model._members[j]] for (i, j), model in zip(pairs, models)],
-            [model.stratum_corr[j] for (_, j), model in zip(pairs, models)],
-            [model.df for model in models] if kind == "t" else None,
-            [requests[i].tol for i, _ in pairs],
+        pos, j = at[group_runs[rows]], strata[rows]
+        value[pos, j], error[pos, j], points[pos, j], settled = group.evaluate(
+            c[pos[:, None], members[rows]], rows, tol[pos]
         )
-        for (i, j), result in zip(pairs, results):
-            out[i][j] = result
+        if not settled.all():
+            unsettled.extend(zip(pos[~settled].tolist(), j[~settled].tolist()))
 
-    for i, strata in picked.items():
-        req, results = requests[i], out[i]
-        model, stream = req.model, None
+    by_run: dict[int, list[int]] = {}
+    for pos, j in sorted(unsettled):
+        by_run.setdefault(pos, []).append(j)
+    for pos, strata in by_run.items():
+        model, streams = plan.models[runs[pos]], plan.streams[runs[pos]]
         try:
+            stream = streams.verify() if verify else streams.solve()
+            engines = None if verify else streams.engines
             for j in strata:
-                if results[j] is not None:
-                    continue
-                corr, upper = model.stratum_corr[j], req.c[model._members[j]]
-                stream = stream or req.stream()
+                corr, upper = model.stratum_corr[j], c[pos, model._members[j]]
                 if model.kind == "normal":
-                    results[j] = mvprob.mvn_cdf(
-                        upper, corr, req.tol, stream, method="qmc", engines=req.engines
-                    )
+                    result = mvprob.mvn_cdf(upper, corr, tol[pos], stream, method="qmc", engines=engines)
                 else:
-                    results[j] = mvprob.mvt_cdf(
-                        upper, corr, model.df, req.tol, stream, method="qmc", engines=req.engines
-                    )
+                    result = mvprob.mvt_cdf(upper, corr, model.df, tol[pos], stream, method="qmc", engines=engines)
+                value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = result
         except RUN_ERRORS as exc:
-            out[i] = exc
-    return out
+            failed[pos] = exc
+    return _Evaluated(value, error, points, qmc, failed)
 
 
 def evaluate_strata(
@@ -369,25 +438,18 @@ def evaluate_strata(
 
     which selects the strata (default: every one with a defined joint law);
     requesting a stratum without one raises, and unselected strata return
-    None. The limits and tol are checked once. The strata are evaluated as one
-    request of _evaluate: QMC strata read rng in stratum order, and `engines`
-    keeps their scrambled engines across calls. Every result equals the
-    stratum's own mvn_cdf/mvt_cdf call.
+    None. The limits and tol are checked once. The strata are evaluated as a
+    plan of one run (_evaluate): QMC strata read rng in stratum order, and
+    `engines` keeps their scrambled engines across calls. Every result
+    equals the stratum's own mvn_cdf/mvt_cdf call.
     """
-    [results] = _evaluate([_Request(_c_vector(c, model.m), model, which, tol, lambda: rng, engines)])
-    if isinstance(results, Exception):
-        raise results
-    return results
-
-
-def _values(results: list[mvprob.ProbResult | None]) -> np.ndarray:
-    return np.array([math.nan if r is None else r.value for r in results])
-
-
-def _pwer(weights: np.ndarray, results: list[mvprob.ProbResult | None]) -> float:
-    """sum_J pi_J * (1 - F_J) over the positive weights."""
-    mask = weights > 0.0
-    return float(np.sum(weights[mask] * (1.0 - _values(results)[mask])))
+    plan = _Plan([model], [[tol, tol]], [_Given(rng, engines)])
+    select = model.stratum_ok if which is None else np.asarray(which, dtype=bool)
+    step = _evaluate(plan, np.zeros(1, dtype=int), _c_vector(c, model.m)[None], select[None])
+    if step.failed:
+        raise step.failed[0]
+    fields = (step.value[0].tolist(), step.error[0].tolist(), step.points[0].tolist(), step.qmc[0].tolist())
+    return [mvprob.ProbResult(*result) if chosen else None for chosen, *result in zip(select.tolist(), *fields)]
 
 
 def pwer_value(
@@ -399,7 +461,12 @@ def pwer_value(
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
     weights = prevalence_weights(pi, len(model.strata))
-    return _pwer(weights, evaluate_strata(c, model, tol, rng, weights > 0.0))
+    plan = _Plan([model], [[tol, tol]], [_Given(rng, None)], [weights])
+    run = np.zeros(1, dtype=int)
+    step = _evaluate(plan, run, _c_vector(c, model.m)[None], plan.mask)
+    if step.failed:
+        raise step.failed[0]
+    return float(plan.pwer(run, step.value)[0])
 
 
 @dataclass(frozen=True)
@@ -485,7 +552,16 @@ class _Streams:
         return np.random.default_rng(self.seed ^ 0x9E3779B97F4A7C15)
 
 
-CalibrationSteps = Generator[_Request, list, CriticalValues]
+class CalibrationTask(NamedTuple):
+    """One calibration of solve_lockstep: its inputs, its streams, and its scalar solver."""
+
+    model: TestModel
+    weights: np.ndarray
+    alpha: float
+    cdf_tol: float
+    verify_tol: float
+    streams: _Streams
+    solver: Generator[float, float, tuple[float, float]]
 
 
 def calibration(
@@ -496,67 +572,59 @@ def calibration(
     solver_tol: float = DEFAULT_SOLVER_TOL,
     cdf_tol: float = DEFAULT_CDF_TOL,
     verify_tol: float = DEFAULT_VERIFY_TOL,
-) -> CalibrationSteps:
-    """The calibration of solve_critical_values, one evaluation at a time.
+) -> CalibrationTask:
+    """The calibration of solve_critical_values, for solve_lockstep to drive.
 
-    A generator: it yields each evaluation it needs as a _Request, receives
-    that request's per-stratum results (see _evaluate), and returns the
-    CriticalValues; solve_lockstep drives many at once. seed() gives the
-    integration seed, on first need only (see _Streams).
-
-    It brackets with the single-test and Bonferroni-like quantiles and runs a
-    safeguarded secant on the quantile scale, z(c) = Q(PWER(c)) - Q(alpha)
-    with Q the marginal upper-tail quantile: z is nearly c - c* (exactly for
-    disjoint populations), so the first step from the lower end takes slope
-    one and the later ones the secant of the last two iterates. A step that
-    leaves the bracket, or two steps that fail to halve it, bisect instead.
-    The upper end is evaluated, and checked, only once a bisection or an
-    exit needs it. The solver keeps its per-stratum results for every c it
-    evaluated. The verify pass (_finish) reuses the deterministic ones at the
-    returned c and recomputes only the QMC strata, the deterministic ones
-    looser than verify_tol and the zero-weight strata, at verify_tol on the
-    verify stream.
-
-    The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
-    a small alpha is met to a relative precision too.
+    The weights and alpha are checked here. seed() gives the integration
+    seed, on first need only (see _Streams). The solver (_secant) yields
+    each c it needs PWER at and receives that PWER as a float; the lockstep
+    keeps the per-stratum results of every c, and its verify pass reuses the
+    deterministic ones at the returned c.
     """
     weights = prevalence_weights(pi, len(model.strata))
     check_alpha(alpha)
     if not np.any(weights > 0.0):
         raise ConfigError("prevalence vector has no positive component")
+    return CalibrationTask(
+        model, weights, alpha, cdf_tol, verify_tol, _Streams(seed), _secant(model, alpha, solver_tol, cdf_tol)
+    )
 
-    mask = weights > 0.0
-    evaluations = 0
-    streams = _Streams(seed)
-    # the per-stratum results at every c evaluated, for the verify pass
-    solved: dict[float, list[mvprob.ProbResult | None]] = {}
 
-    def pwer_at(c: float):
-        nonlocal evaluations
-        evaluations += 1
-        solved[c] = yield _Request(np.full(model.m, c), model, mask, cdf_tol, streams.solve, streams.engines)
-        return _pwer(weights, solved[c])
+def _secant(
+    model: TestModel, alpha: float, solver_tol: float, cdf_tol: float
+) -> Generator[float, float, tuple[float, float]]:
+    """The critical value c* with PWER(c*) = alpha, and its PWER, one PWER evaluation at a time.
 
+    A generator: it yields each c, receives PWER(c), and returns (c*,
+    PWER(c*)). It brackets with the single-test and Bonferroni-like
+    quantiles and runs a safeguarded secant on the quantile scale, z(c) =
+    Q(PWER(c)) - Q(alpha) with Q the marginal upper-tail quantile: z is
+    nearly c - c* (exactly for disjoint populations), so the first step from
+    the lower end takes slope one and the later ones the secant of the last
+    two iterates. A step that leaves the bracket, or two steps that fail to
+    halve it, bisect instead. The upper end is evaluated, and checked, only
+    once a bisection or an exit needs it.
+
+    The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
+    a small alpha is met to a relative precision too.
+    """
     q_alpha = _upper_quantile(model, alpha)
 
     def z(p: float) -> float:
         return _upper_quantile(model, p) - q_alpha
 
-    def finish(c: float, p: float):
-        return _finish(c, p, weights, model, alpha, verify_tol, cdf_tol, streams, evaluations, solved[c])
-
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
     f_tol = min(solver_tol, 1e-3 * alpha)
-    p_lo = yield from pwer_at(lo)
+    p_lo = yield lo
     if p_lo - alpha < -slack:
         raise NumericalError(
             f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
         )
     if p_lo - alpha <= f_tol:
         # the single-test bound is already exhausted (disjoint-population case)
-        return (yield from finish(lo, p_lo))
+        return lo, p_lo
 
     # [a, b] holds the root: PWER(a) > alpha, and PWER(b) < alpha once b is
     # evaluated; until then b = hi rests on the bracket's quantile bound
@@ -568,24 +636,24 @@ def calibration(
         # bisect after a step out of the bracket or two steps that did not halve it
         if not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
             if math.isnan(p_b):
-                p_b = yield from pwer_at(hi)
+                p_b = yield hi
                 if p_b - alpha > slack:
                     raise NumericalError(
                         f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
                     )
                 if p_b - alpha >= -f_tol:
-                    return (yield from finish(hi, p_b))
+                    return hi, p_b
             x = 0.5 * (a + b)
-        p = yield from pwer_at(x)
+        p = yield x
         if abs(p - alpha) <= f_tol:
-            return (yield from finish(x, p))
+            return x, p
         if p > alpha:
             a, p_a = x, p
         else:
             b, p_b = x, p
         widths.append(b - a)
         if b - a <= _SOLVER_XTOL and not math.isnan(p_b):
-            return (yield from finish(*min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))))
+            return min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))
         z_x = z(p)
         # a flat secant has no root; its infinite step leaves the bracket
         step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
@@ -596,36 +664,118 @@ def calibration(
     )
 
 
-def solve_lockstep(calibrations: list[CalibrationSteps]) -> list[CriticalValues | Exception]:
-    """Drive calibrations together; each one's CriticalValues, or the error it raised.
+def solve_lockstep(tasks: list[CalibrationTask]) -> list[CriticalValues | Exception]:
+    """Drive calibrations of one m together; each one's CriticalValues, or the error it raised.
 
-    Every step evaluates the pending request of every unfinished calibration
-    in one _evaluate call, and the finished ones drop out, so a block of runs
-    costs about as many stacked evaluations as its slowest run. An error of
+    The block is planned once (_Plan). Every step gathers the pending c of
+    every unfinished solver, evaluates their positive-weight strata in one
+    _evaluate call, sums the PWER of every one of them in one stacked pass
+    (_Plan.pwer) and sends each solver its float; the finished ones drop
+    out, so a block of runs costs about as many stacked evaluations as its
+    slowest run. The per-stratum results at every c are kept, and the
+    finished runs take one stacked verify pass (_verify). An error of
     RUN_ERRORS ends only the calibration it belongs to.
     """
-    out: list = [None] * len(calibrations)
-    pending: dict[int, _Request] = {}
+    out: list = [None] * len(tasks)
+    if not tasks:
+        return out
+    plan = _Plan(
+        [task.model for task in tasks],
+        [(task.cdf_tol, task.verify_tol) for task in tasks],
+        [task.streams for task in tasks],
+        [task.weights for task in tasks],
+    )
+    at = [math.nan] * len(tasks)  # each solver's pending c
+    evaluations = [0] * len(tasks)
+    # each run's per-stratum results at every c it evaluated: (step, row of the step)
+    solved: list[dict[float, tuple[_Evaluated, int]]] = [{} for _ in tasks]
+    finished: dict[int, tuple[float, float]] = {}
 
-    def advance(i: int, results) -> None:
+    def advance(r: int, p: float | None) -> bool:
         try:
-            pending[i] = calibrations[i].send(results)
+            at[r] = tasks[r].solver.send(p)
         except StopIteration as stop:
-            out[i] = stop.value
+            finished[r] = stop.value
+            return False
         except RUN_ERRORS as exc:
-            out[i] = exc
+            out[r] = exc
+            return False
+        evaluations[r] += 1
+        return True
 
-    for i in range(len(calibrations)):
-        advance(i, None)
+    pending = [r for r in range(len(tasks)) if advance(r, None)]
     while pending:
-        order = list(pending)
-        for i, results in zip(order, _evaluate([pending.pop(i) for i in order])):
-            if isinstance(results, Exception):
-                calibrations[i].close()
-                out[i] = results
-            else:
-                advance(i, results)
+        runs = np.array(pending)
+        c = np.array([at[r] for r in pending])
+        step = _evaluate(plan, runs, np.broadcast_to(c[:, None], (len(runs), plan.m)), plan.mask[runs])
+        p = plan.pwer(runs, step.value).tolist()
+        kept = []
+        for pos, r in enumerate(pending):
+            if pos in step.failed:
+                tasks[r].solver.close()
+                out[r] = step.failed[pos]
+                continue
+            solved[r][at[r]] = (step, pos)
+            if advance(r, p[pos]):
+                kept.append(r)
+        pending = kept
+    if finished:
+        _verify(plan, tasks, finished, solved, evaluations, out)
     return out
+
+
+def _verify(
+    plan: _Plan,
+    tasks: list[CalibrationTask],
+    finished: dict[int, tuple[float, float]],
+    solved: list[dict[float, tuple[_Evaluated, int]]],
+    evaluations: list[int],
+    out: list,
+) -> None:
+    """Verify every finished run's PWER at its c* in one stacked pass, and fill in out.
+
+    A deterministic result within verify_tol is what the verify pass would
+    compute, since quadrature does not depend on tol or stream, and is kept.
+    The rest are computed at verify_tol on each run's verify stream with
+    fresh engines, in one _evaluate call: the QMC strata, deterministic ones
+    whose error estimate exceeds verify_tol (verify_tol sends them to QMC),
+    and the zero-weight strata with a defined law, which true_pwer weighs.
+    """
+    runs = np.array(list(finished))
+    rows = [solved[r][finished[r][0]] for r in runs.tolist()]
+    value = np.array([step.value[pos] for step, pos in rows])
+    error = np.array([step.error[pos] for step, pos in rows])
+    qmc = np.array([step.qmc[pos] for step, pos in rows])
+    redo = plan.ok[runs] & (qmc | (error > plan.tols[runs, 1][:, None]))
+    again = np.flatnonzero(redo.any(axis=1))
+    failed = {}
+    if len(again):
+        c = np.array([finished[r][0] for r in runs[again].tolist()])
+        fresh = _evaluate(plan, runs[again], np.broadcast_to(c[:, None], (len(again), plan.m)), redo[again], True)
+        value[again] = np.where(redo[again], fresh.value, value[again])
+        failed = {int(again[pos]): exc for pos, exc in fresh.failed.items()}
+    fwer = 1.0 - value
+    # strata without a defined law carry NaN and only ever zero weight here
+    verified = np.nansum(plan.weights[runs] * fwer, axis=1).tolist()
+    for k, r in enumerate(runs.tolist()):
+        task, (c_star, achieved) = tasks[r], finished[r]
+        if k in failed:
+            out[r] = failed[k]
+            continue
+        threshold = 3.0 * task.cdf_tol + 30.0 * task.verify_tol + 10.0 * abs(achieved - task.alpha)
+        if abs(verified[k] - task.alpha) > threshold:
+            out[r] = NumericalError(
+                f"verification pass disagrees with the calibration: PWER={verified[k]:.3e} vs alpha={task.alpha}"
+            )
+            continue
+        out[r] = CriticalValues(
+            c=np.full(plan.m, c_star),
+            alpha=task.alpha,
+            achieved=achieved,
+            verified=verified[k],
+            fwer=fwer[k],
+            evaluations=evaluations[r],
+        )
 
 
 def solve_critical_values(
@@ -637,7 +787,7 @@ def solve_critical_values(
     verify_tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
 ) -> CriticalValues:
-    """Find the shared critical value with PWER(c * 1) = alpha (see calibration).
+    """Find the shared critical value with PWER(c * 1) = alpha (see _secant).
 
     A lockstep of one: the integration seed is drawn from rng (a seed-0
     stream when omitted) before the solve starts.
@@ -659,54 +809,6 @@ def _upper_quantile(model: TestModel, p: float) -> float:
     if model.kind == "t":
         return -mvprob.t_quantile(p, model.df)
     return -mvprob.std_normal_quantile(p)
-
-
-def _finish(
-    c_star: float,
-    achieved: float,
-    weights: np.ndarray,
-    model: TestModel,
-    alpha: float,
-    verify_tol: float,
-    cdf_tol: float,
-    streams: _Streams,
-    evaluations: int,
-    solved: list[mvprob.ProbResult | None],
-):
-    """Verify the solver's PWER at c_star and fill in every stratum's FWER.
-
-    A generator, like calibration: it yields the verify pass's _Request, if
-    any. solved holds the solver's per-stratum results at c_star. A
-    deterministic one within verify_tol is what the verify pass would
-    compute, since quadrature does not depend on tol or stream, and is kept.
-    The rest are computed at verify_tol on the verify stream with fresh
-    engines: the QMC strata, deterministic ones whose error estimate exceeds
-    verify_tol (verify_tol sends them to QMC), and the zero-weight strata with
-    a defined law, which true_pwer weighs.
-    """
-    c_vec = np.full(model.m, c_star)
-    redo = model.stratum_ok & np.array(
-        [r is None or r.qmc or r.error_estimate > verify_tol for r in solved]
-    )
-    if redo.any():
-        fresh = yield _Request(c_vec, model, redo, verify_tol, streams.verify, None)
-        solved = [f if again else r for f, r, again in zip(fresh, solved, redo)]
-    fwer = 1.0 - _values(solved)
-    # strata without a defined law carry NaN and only ever zero weight here
-    verified = float(np.nansum(weights * fwer))
-    threshold = 3.0 * cdf_tol + 30.0 * verify_tol + 10.0 * abs(achieved - alpha)
-    if abs(verified - alpha) > threshold:
-        raise NumericalError(
-            f"verification pass disagrees with the calibration: PWER={verified:.3e} vs alpha={alpha}"
-        )
-    return CriticalValues(
-        c=c_vec,
-        alpha=alpha,
-        achieved=achieved,
-        verified=verified,
-        fwer=fwer,
-        evaluations=evaluations,
-    )
 
 
 def delta_gamma(pi, gradient: np.ndarray) -> float:

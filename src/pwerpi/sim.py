@@ -6,9 +6,11 @@ calibrating engine. Each run draws a study (the strata counts and the
 setting's own data), calibrates critical values on the estimated prevalences
 (`calibrate`), builds the interval (`interval`), and checks whether the
 realized true PWER is covered. Runs go in blocks: a block draws all its runs,
-then calibrates them together, the exact-engine ones in one lockstep of
-stacked PWER evaluations (pwer.solve_lockstep), and a run's records do not
-depend on the block it went in. The CLI's analyze mode runs an observed study
+then calibrates them together, the exact-engine ones in one lockstep
+(pwer.solve_lockstep), which plans the block's strata once, steps every
+run's scalar solver on stacked PWER evaluations and verifies the finished
+runs in one stacked pass; a run's records do not depend on the block it
+went in. The CLI's analyze mode runs an observed study
 through the same two steps as a block of one. Aggregations reproduce the
 coverage/length tables and the per-study distribution data.
 """

@@ -321,3 +321,17 @@ class TestPrevalenceWeights:
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
             dz.prevalence_weights(np.array([-0.1, 0.6, 0.5]), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_every_non_finite_or_negative_entry(self, bad):
+        for j in range(3):
+            pi = np.array([0.2, 0.3, 0.5])
+            pi[j] = bad
+            with pytest.raises(ConfigError, match="prevalence weights must be finite and nonnegative"):
+                dz.prevalence_weights(pi, 3)
+
+    def test_accepts_negative_zero(self):
+        pi = np.array([-0.0, 0.5, 0.5])
+        assert dz.prevalence_weights(pi, 3) is not None
+        with pytest.raises(ConfigError, match=r"prevalence vector has shape \(2,\), expected \(3,\)"):
+            dz.prevalence_weights(pi[:2], 3)

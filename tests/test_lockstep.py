@@ -83,14 +83,14 @@ def test_a_run_failing_inside_the_lockstep_fails_alone(monkeypatch):
     clean = sim._run_block(scenario, pi_true, range(scenario.runs))
     evaluate, steps = pwer._evaluate, []
 
-    def failing_third_request(requests):
-        out = evaluate(requests)
-        steps.append(len(requests))
+    def failing_third_run(plan, runs, c, select, verify=False):
+        out = evaluate(plan, runs, c, select, verify)
+        steps.append(len(runs))
         if len(steps) == 2:  # the second step: run 2 fails mid-solve
-            out[2] = pwerpi.NumericalError("QMC budget exhausted")
+            out.failed[2] = pwerpi.NumericalError("QMC budget exhausted")
         return out
 
-    monkeypatch.setattr(pwer, "_evaluate", failing_third_request)
+    monkeypatch.setattr(pwer, "_evaluate", failing_third_run)
     block = sim._run_block(scenario, pi_true, range(scenario.runs))
     assert block[2] == (2, "NumericalError: QMC budget exhausted")
     assert block[:2] + block[3:] == clean[:2] + clean[3:]
@@ -114,31 +114,31 @@ def counted(monkeypatch, owner, name, counts):
     pytest.param(C_M4, id="C_m4"),
 ])
 def test_calibration_work_is_bounded(monkeypatch, fields):
-    # at most four stacked evaluations per run, one orthants call per law per
+    # at most four stacked evaluations per run, one call per orthant group per
     # lockstep step, and no QMC on these cells
-    evaluations, per_step, laws, counts = [], [], [], {}
+    evaluations, per_step, groups, counts = [], [], [], {}
     solve = pwer.solve_lockstep
 
-    def recording_solve(calibrations):
-        out = solve(calibrations)
+    def recording_solve(tasks):
+        out = solve(tasks)
         evaluations.extend(cv.evaluations for cv in out)
         return out
 
     evaluate = pwer._evaluate
 
-    def step(requests):
-        laws.clear()
-        out = evaluate(requests)
-        per_step.append(list(laws))
+    def step(plan, runs, c, select, verify=False):
+        groups.clear()
+        out = evaluate(plan, runs, c, select, verify)
+        per_step.append(list(groups))
         return out
 
-    orthants = mvprob.orthants
+    group_evaluate = mvprob.OrthantGroup.evaluate
 
-    def law_orthants(limits, corrs, df, tol):
-        laws.append("normal" if df is None else "t")
-        return orthants(limits, corrs, df, tol)
+    def law_evaluate(group, limits, rows=None, tol=1e-6):
+        groups.append(("normal" if group.df is None else "t", group.dim, group.chi))
+        return group_evaluate(group, limits, rows, tol)
 
-    monkeypatch.setattr(mvprob, "orthants", law_orthants)
+    monkeypatch.setattr(mvprob.OrthantGroup, "evaluate", law_evaluate)
     counted(monkeypatch, mvprob, "_randomized_qmc", counts)
     sobol = []
     monkeypatch.setattr(mvprob.qmc, "Sobol", lambda *a, **k: sobol.append(a))
@@ -150,6 +150,54 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
     assert len(evaluations) == 2 * fields["runs"] and max(evaluations) <= 4
     assert per_step and all(called and len(called) == len(set(called)) for called in per_step)
     assert counts == {} and sobol == []
+
+
+def test_a_block_is_planned_once(monkeypatch):
+    # one plan, and one orthant_groups call per law, per solve_lockstep call, however many steps it takes
+    plans, grouped, steps, lockstep = [], [], [], []
+    plan, orthant_groups, evaluate = pwer._Plan, mvprob.orthant_groups, pwer._evaluate
+    solve = pwer.solve_lockstep
+    monkeypatch.setattr(pwer, "solve_lockstep", lambda tasks: lockstep.append(len(tasks)) or solve(tasks))
+    monkeypatch.setattr(pwer, "_Plan", lambda *a: plans.append(a) or plan(*a))
+    monkeypatch.setattr(mvprob, "orthant_groups", lambda *a: grouped.append(a) or orthant_groups(*a))
+    monkeypatch.setattr(pwer, "_evaluate", lambda *a: steps.append(a) or evaluate(*a))
+    # two blocks of C at m=2, whose models are all t
+    scenario = sim.SimScenario(N=250, m=2, setting="C", runs=2 * sim._BLOCK_RUNS, master_seed=4)
+    sim.run_scenario(scenario)
+    assert lockstep == [sim._BLOCK_RUNS] * 2
+    assert len(plans) == 2 and len(grouped) == 2
+    assert len(steps) >= 4 * len(plans)
+
+
+def test_stacked_pwer_sums_have_the_bits_of_each_runs_own_sum():
+    # runs of m = 4 (15 strata, past the eight terms numpy's unrolled sum starts at),
+    # each with its own zero-weight strata, sum in one pass per mask pattern
+    rng = np.random.default_rng(17)
+    models, weights = [], []
+    for k in range(8):
+        counts = rng.integers(5, 60, size=15)
+        counts[rng.choice(15, size=k % 5, replace=False)] = 0
+        d = pwerpi.design.build_design(4, "pairwise_different", counts, 1.0, "known_homogeneous")
+        models.append(pwer.build_test_model(d, allow_empty_populations=True))
+        weights.append(counts / counts.sum())
+    weights[7] = weights[6]  # two runs share a pattern
+    plan = pwer._Plan(models, [(1e-6, 1e-7)] * 8, [None] * 8, weights)
+    runs = np.arange(8)
+    values = rng.uniform(0.5, 1.0, size=(8, 15))
+    stacked = plan.pwer(runs, values)
+    for r in runs:
+        mask = weights[r] > 0.0
+        assert stacked[r] == np.sum(weights[r][mask] * (1.0 - values[r][mask]))
+    # a subset of the runs, in another order
+    subset = np.array([5, 0, 3])
+    assert plan.pwer(subset, values[subset]).tolist() == stacked[subset].tolist()
+    # and the PWERs of a real step: the runs of one lockstep call against a run alone
+    c = np.full((8, 4), 2.2)
+    step = pwer._evaluate(plan, runs, c, plan.mask)
+    together = plan.pwer(runs, step.value)
+    for r in runs:
+        alone = pwer.pwer_value(2.2, weights[r], models[r])
+        assert together[r] == alone
 
 
 def test_perfbench_tracer_installs_and_restores():

@@ -109,6 +109,20 @@ class TestBivariateMany:
         for j in range(size):
             assert np.array_equal(many[j], mvprob.bvn_cdf_many(b1[j], b2[j], float(rho[j])))
 
+    @pytest.mark.parametrize("row", [(), (8,)], ids=["scalar_rows", "vector_rows"])
+    def test_row_subsets_equal_the_full_call_bit_for_bit(self, row):
+        # what holds across calls: any subset of rows at the same trailing shape;
+        # the same entries regrouped to another trailing shape may differ in the last bit
+        rng = np.random.default_rng(40 + len(row))
+        rho = rng.permutation(np.resize(RULE_RHOS, 3 * len(RULE_RHOS)))
+        b1 = rng.normal(scale=2.0, size=(rho.size, *row))
+        b2 = rng.normal(scale=2.0, size=(rho.size, *row))
+        full = mvprob.bvn_cdf_many(b1, b2, rho)
+        for size in (1, 2, 5, rho.size // 2):
+            for _ in range(10):
+                idx = np.sort(rng.choice(rho.size, size=size, replace=False))
+                assert np.array_equal(mvprob.bvn_cdf_many(b1[idx], b2[idx], rho[idx]), full[idx])
+
     @pytest.mark.parametrize("df", [3.0, 12.5, 480.0])
     def test_t_rows_equal_chi_mixture_of_single_calls(self, df):
         # the Gauss-Legendre chi-scale rule stops at its second rung, 32 + 64 nodes;
@@ -189,9 +203,9 @@ class TestOrthants:
         pieces = []
         plackett = mvprob._plackett
 
-        def counting(h, cm, n):
+        def counting(h, cm, n, *base):
             pieces.append(math.prod(h.shape[:-1]) * max(1, n * mvprob._OFF_BLOCK[h.shape[-1]].shape[1]))
-            return plackett(h, cm, n)
+            return plackett(h, cm, n, *base)
 
         monkeypatch.setattr(mvprob, "_plackett", counting)
         rng = np.random.default_rng(8)

@@ -290,6 +290,27 @@ class TestEvaluateStrata:
         batched = pwer.evaluate_strata(c, model, 1e-6, None, which)
         self.assert_agree(batched, per_stratum(c, model, 1e-6, which))
 
+    @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 9.5), ("t", 160.0)])
+    def test_unequal_limits_match_each_stratums_own_call(self, kind, df):
+        # every stratum takes its members' own limits, QMC strata (m = 5) included
+        rng = np.random.default_rng(31)
+        d = dz.build_design(5, "pairwise_different", M5_COUNTS, 1.0, "known_homogeneous")
+        model = pwer.build_test_model(d)
+        if kind == "t":
+            model = dataclasses.replace(model, kind="t", df=df)
+        c = rng.uniform(1.0, 3.0, size=5)
+        which = np.array([len(s) < 5 for s in model.strata])
+        batched = pwer.evaluate_strata(c, model, 1e-5, None, which)
+        assert batched == per_stratum(c, model, 1e-5, which)
+        assert all(r.qmc is False for r in batched if r is not None)
+        # the 5-dim stratum alone goes to QMC, on the given stream
+        five = ~which
+        [qmc] = [r for r in pwer.evaluate_strata(c, model, 1e-3, np.random.default_rng(3), five) if r]
+        corr = model.stratum_corr[-1]
+        own = (mvprob.mvn_cdf(c, corr, 1e-3, np.random.default_rng(3)) if kind == "normal"
+               else mvprob.mvt_cdf(c, corr, df, 1e-3, np.random.default_rng(3)))
+        assert qmc == own and qmc.qmc
+
     def test_rejects_bad_limits_tol_and_undefined_strata(self):
         model = pwer.build_test_model(equal_cells_design())
         with pytest.raises(ConfigError, match="integration limits must be finite"):
@@ -413,13 +434,10 @@ class TestSolverEdges:
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
 
-        def fake_evaluate(requests):
-            out = []
-            for request in requests:
-                c0 = float(request.c[0])
-                calls.append(c0)
-                out.append([mvprob.ProbResult(1.0 - pwer_of_c(c0), 0.0, 1)] * len(request.model.strata))
-            return out
+        def fake_evaluate(plan, runs, c, select, verify=False):
+            calls.extend(c[:, 0].tolist())
+            value = np.repeat([[1.0 - pwer_of_c(c0)] for c0 in c[:, 0].tolist()], select.shape[1], axis=1)
+            return pwer._Evaluated(value, np.zeros(value.shape), np.ones(value.shape, int), np.zeros(value.shape, bool), {})
 
         monkeypatch.setattr(pwer, "_evaluate", fake_evaluate)
         model = pwer.build_test_model(equal_cells_design())
@@ -495,20 +513,19 @@ class TestVerifyReuse:
     @staticmethod
     def law_calls(monkeypatch, shift=0.0):
         # every evaluated stratum of 3 or more dimensions as (dimension, from
-        # the verify pass); the verify pass alone passes no engine store.
-        # shift moves the verify pass's results for them.
+        # the verify pass); shift moves the verify pass's results for them.
         calls = []
         evaluate = pwer._evaluate
 
-        def counting(requests):
-            out = evaluate(requests)
-            for request, results in zip(requests, out):
-                verify = request.engines is None
-                for j in np.flatnonzero(request.which).tolist():
-                    if len(request.model.strata[j]) > 2:
-                        calls.append((len(request.model.strata[j]), verify))
+        def counting(plan, runs, c, select, verify=False):
+            out = evaluate(plan, runs, c, select, verify)
+            for pos, r in enumerate(runs.tolist()):
+                strata = plan.models[r].strata
+                for j in np.flatnonzero(select[pos]).tolist():
+                    if len(strata[j]) > 2:
+                        calls.append((len(strata[j]), verify))
                         if verify:
-                            results[j] = results[j]._replace(value=results[j].value + shift)
+                            out.value[pos, j] += shift
             return out
 
         monkeypatch.setattr(pwer, "_evaluate", counting)
@@ -555,13 +572,12 @@ class TestVerifyReuse:
         evaluate = pwer._evaluate
         verify_selections = []
 
-        def patched(requests):
-            out = evaluate(requests)
-            for request, results in zip(requests, out):
-                if request.tol == pwer.DEFAULT_CDF_TOL:
-                    results[j] = results[j]._replace(error_estimate=error, qmc=qmc)
-                else:
-                    verify_selections.append(np.flatnonzero(request.which).tolist())
+        def patched(plan, runs, c, select, verify=False):
+            out = evaluate(plan, runs, c, select, verify)
+            if verify:
+                verify_selections.extend(np.flatnonzero(row).tolist() for row in select)
+            else:
+                out.error[:, j], out.qmc[:, j] = error, qmc
             return out
 
         monkeypatch.setattr(pwer, "_evaluate", patched)
