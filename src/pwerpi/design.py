@@ -5,7 +5,8 @@ populations), each split into one arm per distinct treatment given in it plus
 the shared control. This module enumerates the strata, builds that cell
 layout once per (m, treatment scheme) (`cell_layout`), holds a study's strata
 counts, arm sizes and cell variances (`Design`, the one place every engine
-reads them from), and applies the two minimal-prevalence transformations
+reads them from; `build_designs` builds a block of them, checked once over
+the block), and applies the two minimal-prevalence transformations
 together with the gradient factors they induce (`transform_weights`). The
 prevalence estimate is strata_counts / N. Drawing the counts of a simulated
 study is `sim`'s job.
@@ -15,13 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleDesignError
+from .errors import ConfigError, InfeasibleDesignError, PwerError
 
 CONTROL = "C"
 
@@ -108,6 +110,11 @@ class CellLayout(NamedTuple):
     arm_count: np.ndarray
     arm_slot: np.ndarray
 
+    def split_counts(self, counts) -> np.ndarray:
+        """Cell sizes of (..., strata) counts: each stratum split evenly over its arms."""
+        n = np.asarray(counts)[..., self.stratum_of_cell]
+        return n // self.arm_count + (self.arm_slot < n % self.arm_count)
+
 
 def cell_layout(m: int, treatment_scheme: str) -> CellLayout:
     """The cell layout of (m, treatment_scheme), built once per process.
@@ -185,61 +192,110 @@ class Design:
     cell_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        layout = cell_layout(self.m, self.treatment_scheme)
-        counts = _checked_counts(self.strata_counts)
-        if counts.shape != (len(layout.strata),):
-            raise ConfigError(
-                f"expected {len(layout.strata)} strata counts for m={self.m}, got {counts.size}"
-            )
-        N = int(counts.sum())
-        if N <= 0:
-            raise InfeasibleDesignError("design has no patients")
-        variances = np.array(self.cell_variances, dtype=float)  # a copy: frozen below
-        if variances.shape != (len(layout.cells),):
-            raise ConfigError("cell arrays must align with the cell list")
-        if np.any(variances <= 0.0):
-            raise ConfigError("all cell variances must be strictly positive")
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
-        sizes = self.split_counts(counts)
-        for arr in (counts, variances, sizes):
-            arr.setflags(write=False)
-        derived = dict(zip(CellLayout._fields[:6], layout), N=N,
-                       strata_counts=counts, cell_variances=variances, cell_sizes=sizes)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        # a block of one of build_designs; a caller's int array keeps its fast path there
+        counts = self.strata_counts
+        [checked] = build_designs(
+            self.m, self.treatment_scheme,
+            counts[None] if isinstance(counts, np.ndarray) else [counts],
+            [self.cell_variances], self.variance_mode,
+        )
+        if isinstance(checked, Exception):
+            raise checked
+        vars(self).update(vars(checked))
+
+    @classmethod
+    def _trusted(cls, fields: dict) -> Design:
+        """A Design of fields (every dataclass field) known to pass its checks."""
+        design = object.__new__(cls)
+        vars(design).update(fields)  # frozen: set as object.__setattr__ would, in one call
+        return design
 
     @property
     def n_strata(self) -> int:
         return len(self.strata)
 
     def split_counts(self, counts) -> np.ndarray:
-        """Cell sizes of (strata,) or (B, strata) counts: each stratum split evenly over its arms."""
-        layout = cell_layout(self.m, self.treatment_scheme)
-        n = np.asarray(counts)[..., layout.stratum_of_cell]
-        return n // layout.arm_count + (layout.arm_slot < n % layout.arm_count)
+        """Cell sizes of (strata,) or (B, strata) counts (CellLayout.split_counts)."""
+        return cell_layout(self.m, self.treatment_scheme).split_counts(counts)
 
     def positive_cell_count(self) -> int:
         """Number of (stratum, arm) cells with at least one patient."""
         return int(np.count_nonzero(self.cell_sizes))
 
 
-def _checked_counts(counts) -> np.ndarray:
-    """The strata counts as int64, once each is a finite, nonnegative whole number.
+def build_designs(
+    m: int, treatment_scheme: str, counts, variances, variance_mode: str
+) -> list[Design | PwerError]:
+    """Design(m, treatment_scheme, counts[r], variances[r], variance_mode) for every row r of
+    the stacks counts (R, strata) and variances (R, cells), or the error that construction raises.
+
+    Each of Design's checks runs once over the whole stack, in Design's order,
+    and a row fails with the first check it fails; the rest are built without
+    checking again. Every design equals its own construction bit for bit, its
+    arrays read-only rows of the block's copies.
+    """
+    layout = cell_layout(m, treatment_scheme)
+    if not len(counts):
+        return []
+    errors: list[PwerError | None] = [None] * len(counts)
+
+    def fail(rows, error: type, message) -> None:
+        for r in np.flatnonzero(np.broadcast_to(rows, len(errors))).tolist():
+            errors[r] = errors[r] or error(message(r) if callable(message) else message)
+
+    counts = _checked_counts(counts, fail)
+    n_strata, n_cells = len(layout.strata), len(layout.cells)
+    if counts.shape[1:] != (n_strata,):
+        fail(True, ConfigError, f"expected {n_strata} strata counts for m={m}, got {math.prod(counts.shape[1:])}")
+        return errors
+    N = counts.sum(axis=1)
+    fail(N <= 0, InfeasibleDesignError, "design has no patients")
+    if all(errors):
+        return errors
+    variances = np.array(variances, dtype=float)  # a copy: frozen below
+    if variances.shape != (len(counts), n_cells):
+        fail(True, ConfigError, "cell arrays must align with the cell list")
+        return errors
+    fail((variances <= 0.0).any(axis=1), ConfigError, "all cell variances must be strictly positive")
+    if variance_mode not in VARIANCE_MODES:
+        fail(True, ConfigError, f"unknown variance mode {variance_mode!r}")
+        return errors
+    sizes = layout.split_counts(counts)
+    for arr in (counts, variances, sizes):
+        arr.setflags(write=False)
+    shared = dict(zip(CellLayout._fields[:6], layout), m=m, treatment_scheme=treatment_scheme,
+                  variance_mode=variance_mode)
+    return [
+        error or Design._trusted(dict(shared, strata_counts=n, cell_variances=v, N=total, cell_sizes=size))
+        for error, n, v, total, size in zip(errors, counts, variances, N.tolist(), sizes)
+    ]
+
+
+def _checked_counts(counts, fail) -> np.ndarray:
+    """The (R, strata) counts as int64, failing each row with a count that is not a
+    finite, nonnegative whole number (its rows zeroed).
 
     Booleans and strings are refused too: numpy would read True as a count
     of one and "83" as 83.
     """
     if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
-        for v in np.ravel(np.asarray(counts, dtype=object)):
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"strata counts must be numbers, got {v!r}")
-        counts = np.asarray(counts, dtype=float)
-        if not np.all(np.isfinite(counts)) or np.any(counts != np.trunc(counts)):
-            raise ConfigError("strata counts must be finite whole numbers")
-    if np.any(counts < 0):
-        raise ConfigError("strata counts must be nonnegative")
-    return np.array(counts, dtype=np.int64)  # a copy: the design freezes it
+        values = np.array(counts, dtype=object)  # a copy: rows that fail are zeroed
+        rows = values.reshape(len(values), -1)
+        wrong = {}  # row -> its first entry that is not a number
+        for r, row in enumerate(rows.tolist()):
+            for v in row:
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                    wrong.setdefault(r, v)
+        fail(np.isin(np.arange(len(rows)), list(wrong)), ConfigError,
+             lambda r: f"strata counts must be numbers, got {wrong[r]!r}")
+        rows[list(wrong)] = 0
+        counts = values.astype(float)
+        flat = counts.reshape(len(counts), -1)
+        whole = (np.isfinite(flat) & (flat == np.trunc(flat))).all(axis=1)
+        fail(~whole, ConfigError, "strata counts must be finite whole numbers")
+        flat[~whole] = 0.0
+    fail((counts < 0).reshape(len(counts), -1).any(axis=1), ConfigError, "strata counts must be nonnegative")
+    return np.array(counts, dtype=np.int64)  # a copy: the designs freeze it
 
 
 def build_design(
@@ -252,8 +308,9 @@ def build_design(
     """Assemble a Design from strata counts.
 
     `counts` is either a sequence aligned with the canonical strata order or a
-    mapping keyed by stratum. `variances` is a scalar (shared by every cell)
-    or a mapping (stratum, arm) -> sigma^2.
+    mapping keyed by stratum. `variances` is a scalar (shared by every cell),
+    an array aligned with the cells, or a mapping (stratum, arm) -> sigma^2.
+    A block of one of build_designs.
     """
     layout = cell_layout(m, treatment_scheme)
     if isinstance(counts, Mapping):
@@ -265,6 +322,8 @@ def build_design(
             if key not in variances:
                 raise ConfigError(f"missing variance for cell ({stratum_label(key[0])}, {arm})")
             var_arr[k] = float(variances[key])
+    elif np.ndim(variances):
+        var_arr = variances  # checked against the cells by Design
     else:
         var_arr = np.full(len(layout.cells), float(variances))
     return Design(m, treatment_scheme, counts, var_arr, variance_mode)

@@ -13,13 +13,15 @@ weights. Each step evaluates the strata of every unfinished run in one
 stacked pass (_evaluate: one OrthantGroup.evaluate per group; only the
 strata it leaves undecided go to QMC, per run) and sums their PWERs in one
 stacked pass; each run's solver (_secant) only sends a float c and receives
-a float PWER. The finished runs take one stacked verify pass (_verify).
+a float PWER. The finished runs take one stacked verify pass (_verify). The
+interval's pieces come stacked too (delta_gammas, prediction_intervals,
+true_pwers), one row per run; the one-run functions are rows of one of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Generator, NamedTuple, Sequence
 
@@ -506,11 +508,20 @@ class CriticalValues:
         return np.asarray(factors, float) * -self.fwer
 
     def true_pwer(self, pi) -> float:
-        """PWER at c under the weights pi: sum_J pi_J * FWER_J(c).
+        """PWER at c under the weights pi: sum_J pi_J * FWER_J(c) (true_pwers of one row).
 
         Strata without a defined law (NaN) add 0; callers give them no weight.
         """
-        return float(np.nansum(prevalence_weights(pi, self.fwer.shape[0]) * self.fwer))
+        return float(true_pwers(pi, self.fwer[None])[0])
+
+
+def true_pwers(pi, fwer: np.ndarray) -> np.ndarray:
+    """CriticalValues.true_pwer(pi) of every row of fwer (R, S), in one stacked sum.
+
+    pi is checked once. Each row, summed along its contiguous axis, has the
+    bits of the 1-D sum of that row.
+    """
+    return np.nansum(prevalence_weights(pi, fwer.shape[1]) * fwer, axis=1)
 
 
 def check_alpha(alpha: float) -> None:
@@ -815,58 +826,117 @@ def delta_gamma(pi, gradient: np.ndarray) -> float:
     """Delta-method standard deviation: sqrt(g' (diag(pi) - pi pi') g).
 
     The multinomial covariance uses the untransformed prevalence estimate;
-    transformations enter through the gradient factors instead.
+    transformations enter through the gradient factors instead. A row of one
+    of delta_gammas.
+    """
+    gamma, failed = delta_gammas(pi, np.asarray(gradient, dtype=float)[None])
+    if failed:
+        raise failed[0]
+    return gamma.tolist()[0]
+
+
+def delta_gammas(pi, gradient: np.ndarray) -> tuple[np.ndarray, dict[int, PwerError]]:
+    """delta_gamma of every row of gradient (R, S), with its row of pi (R, S) or with pi (S,) for all rows.
+
+    Returns the gammas, NaN where a row fails, and the error each failing row's
+    delta_gamma call raises: weights that are not finite and nonnegative, or a
+    negative quadratic form. Each row has the bits of its own call: both dot
+    products are vector @ vector per row, which numpy takes as the 1-D dot,
+    and the square of the second is the scalar one (C pow, as np.float64 ** 2
+    takes it), taken on a Python float; the array square x * x differs from it
+    in about one input in a thousand.
     """
     g = np.asarray(gradient, dtype=float)
-    w = prevalence_weights(pi, g.shape[0])
+    w = np.asarray(pi, dtype=float)
+    if w.shape not in (g.shape, g.shape[1:]):
+        raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({g.shape[1]},)")
+    w = np.broadcast_to(w, g.shape)
+    # one pass each: NaN fails both comparisons, and -0.0 >= 0.0 (prevalence_weights)
+    bad = ~((w.min(axis=1) >= 0.0) & (w.max(axis=1) < np.inf))
+    failed: dict[int, PwerError] = {
+        r: ConfigError("prevalence weights must be finite and nonnegative") for r in np.flatnonzero(bad).tolist()
+    }
+    if failed:
+        w = np.where(bad[:, None], 0.0, w)
     # zero-weight strata cannot influence the covariance; this also keeps the
     # NaN gradients of strata without a defined law out of the quadratic form
     g = np.where(w > 0.0, g, 0.0)
-    quad = float(np.dot(w, g * g) - np.dot(w, g) ** 2)
-    if quad < -1e-14:
-        raise NumericalError(f"negative delta-method quadratic form: {quad:.3e}")
-    return float(np.sqrt(max(quad, 0.0)))
+    square = (w[:, None, :] @ (g * g)[:, :, None])[:, 0, 0].tolist()
+    mean = (w[:, None, :] @ g[:, :, None])[:, 0, 0].tolist()
+    gamma = []
+    for r, (a, d) in enumerate(zip(square, mean)):
+        quad = a - d**2
+        if quad < -1e-14 and r not in failed:
+            failed[r] = NumericalError(f"negative delta-method quadratic form: {quad:.3e}")
+        gamma.append(math.nan if r in failed else math.sqrt(max(quad, 0.0)))
+    return np.array(gamma), failed
 
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """Interval [alpha - z*gamma/sqrt(N), alpha + z*gamma/sqrt(N)]."""
+    """Interval [alpha - z*gamma/sqrt(N), alpha + z*gamma/sqrt(N)].
+
+    prediction_intervals gives half_width and gamma one entry per row, and
+    lower, upper, length and contains follow them row by row.
+    """
 
     center: float
-    half_width: float
-    gamma: float
+    half_width: float | np.ndarray
+    gamma: float | np.ndarray
     alpha_prime: float
     N: int
 
     @property
-    def lower(self) -> float:
+    def lower(self):
         return self.center - self.half_width
 
     @property
-    def upper(self) -> float:
+    def upper(self):
         return self.center + self.half_width
 
     @property
-    def length(self) -> float:
+    def length(self):
         return 2.0 * self.half_width
 
-    def contains(self, x: float, atol: float = 1e-12) -> bool:
+    def contains(self, x, atol: float = 1e-12):
         # atol guards degenerate zero-width intervals against float rounding
-        return self.lower - atol <= x <= self.upper + atol
+        return (self.lower - atol <= x) & (x <= self.upper + atol)
+
+    def row(self, k: int) -> PredictionInterval:
+        """Row k of a stacked interval, its fields builtin floats."""
+        return replace(self, half_width=self.half_width[k].item(), gamma=self.gamma[k].item())
 
 
 def prediction_interval(alpha: float, alpha_prime: float, gamma: float, N: int) -> PredictionInterval:
+    """The interval of one gamma, a row of one of prediction_intervals."""
+    iv, failed = prediction_intervals(alpha, alpha_prime, [gamma], N)
+    if failed:
+        raise failed[0]
+    return iv.row(0)
+
+
+def prediction_intervals(
+    alpha: float, alpha_prime: float, gamma, N: int
+) -> tuple[PredictionInterval, dict[int, ConfigError]]:
+    """The intervals of every gamma of a 1-D array, as one PredictionInterval of its rows.
+
+    alpha, alpha_prime and N are checked, and z computed, once; a negative
+    gamma fails its own row, returned with its error. Each row has the bits of
+    its own prediction_interval call.
+    """
     if not 0.0 < alpha < 1.0 or not 0.0 < alpha_prime < 1.0:
         raise ConfigError("alpha and alpha_prime must lie in (0, 1)")
     if N < 1:
         raise ConfigError(f"sample size must be >= 1, got {N}")
-    if gamma < 0.0:
-        raise ConfigError(f"gamma must be nonnegative, got {gamma}")
+    gamma = np.asarray(gamma, dtype=float)
+    failed = {r: ConfigError(f"gamma must be nonnegative, got {gamma[r].item()}")
+              for r in np.flatnonzero(gamma < 0.0).tolist()}
     z = mvprob.std_normal_quantile(1.0 - alpha_prime / 2.0)
-    return PredictionInterval(
+    iv = PredictionInterval(
         center=float(alpha),
-        half_width=float(z * gamma) / math.sqrt(N),
-        gamma=float(gamma),
+        half_width=z * gamma / math.sqrt(N),
+        gamma=gamma,
         alpha_prime=float(alpha_prime),
         N=int(N),
     )
+    return iv, failed

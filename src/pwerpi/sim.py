@@ -5,13 +5,17 @@ setting; SETTINGS_TABLE gives each setting's design variance mode and
 calibrating engine. Each run draws a study (the strata counts and the
 setting's own data), calibrates critical values on the estimated prevalences
 (`calibrate`), builds the interval (`interval`), and checks whether the
-realized true PWER is covered. Runs go in blocks: a block draws all its runs,
-then calibrates them together, the exact-engine ones in one lockstep
+realized true PWER is covered. Runs go in blocks, each in three passes.
+Pass 1 (_draw_block) draws every run from its own data stream and builds the
+block's designs in one design.build_designs call. Pass 2 (_calibrate_block)
+calibrates them together, the exact-engine ones in one lockstep
 (pwer.solve_lockstep), which plans the block's strata once, steps every
 run's scalar solver on stacked PWER evaluations and verifies the finished
-runs in one stacked pass; a run's records do not depend on the block it
-went in. The CLI's analyze mode runs an observed study
-through the same two steps as a block of one. Aggregations reproduce the
+runs in one stacked pass. Pass 3 (_records) computes every calibrated run's
+gamma, interval, true PWER and coverage in one stacked pass. A run's records
+do not depend on the block it went in, and a run that fails in any pass
+fails alone. The CLI's analyze mode runs an observed study through the same
+calibration and interval as a block of one. Aggregations reproduce the
 coverage/length tables and the per-study distribution data.
 """
 
@@ -30,14 +34,17 @@ import numpy as np
 from . import boot, pwer
 from .design import (
     SIMPLEX_ATOL,
+    CellLayout,
     Design,
     TRANSFORM_NONE,
     build_design,
+    build_designs,
+    cell_layout,
     check_transform,
     enumerate_strata,
     transform_weights,
 )
-from .errors import ConfigError, InfeasibleDesignError, NumericalError
+from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 
 class Setting(NamedTuple):
@@ -250,29 +257,74 @@ class Calibration(NamedTuple):
     rejected_resamples: int
 
 
-def _draw(scenario: SimScenario, pi_true: np.ndarray, rng: np.random.Generator) -> Study:
-    """The strata counts of one run, then its setting's own data."""
+def _draw_data(
+    scenario: SimScenario, layout: CellLayout, pi_true: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The strata counts of one run, then its cell variances: 1 in every cell,
+    or setting B's or D's own, drawn right after the counts."""
     counts = rng.multinomial(scenario.N, pi_true)
-    design = build_design(
-        scenario.m, scenario.treatment_scheme, counts, 1.0,
-        SETTINGS_TABLE[scenario.setting].variance_mode,
-    )
     if scenario.setting == "B":
         # one U(0,1) variance per stratum, shared by its arms
-        per_stratum = rng.uniform(size=design.n_strata)
-        return Study(replace(design, cell_variances=per_stratum[design.stratum_of_cell]))
-    if scenario.setting == "E":
-        return Study(design, *boot.generate_setting_E_study(pi_true, design, SETTING_E_SIGMA, rng))
+        return counts, rng.uniform(size=len(layout.strata))[layout.stratum_of_cell]
     if scenario.setting in ("D_satterthwaite", "D_bootstrap"):
         # observed variances: s^2 ~ sigma^2 chi^2_{n-1} / (n-1), sigma^2 ~ U(0,1)
-        sizes = design.cell_sizes.astype(float)
-        true_vars = rng.uniform(size=len(design.cells))
+        sizes = layout.split_counts(counts).astype(float)
+        true_vars = rng.uniform(size=len(layout.cells))
         if np.any((sizes > 0) & (sizes < 2)):
             raise InfeasibleDesignError("a populated cell has a single patient")
         chi = rng.chisquare(np.maximum(sizes - 1.0, 1.0))
-        s2_obs = np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
-        return Study(replace(design, cell_variances=s2_obs))
+        return counts, np.where(sizes > 0, true_vars * chi / np.maximum(sizes - 1.0, 1.0), 1.0)
+    return counts, np.ones(len(layout.cells))
+
+
+def _study(scenario: SimScenario, pi_true: np.ndarray, design: Design, rng: np.random.Generator) -> Study:
+    """A run's Study on its design; setting E then draws its effects and pooled variance."""
+    if scenario.setting == "E":
+        return Study(design, *boot.generate_setting_E_study(pi_true, design, SETTING_E_SIGMA, rng))
     return Study(design)
+
+
+def _draw(scenario: SimScenario, pi_true: np.ndarray, rng: np.random.Generator) -> Study:
+    """One run's study as _draw_block draws it, its design built alone (build_design)."""
+    counts, variances = _draw_data(scenario, cell_layout(scenario.m, scenario.treatment_scheme), pi_true, rng)
+    design = build_design(
+        scenario.m, scenario.treatment_scheme, counts, variances,
+        SETTINGS_TABLE[scenario.setting].variance_mode,
+    )
+    return _study(scenario, pi_true, design, rng)
+
+
+def _draw_block(
+    scenario: SimScenario, pi_true: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> list[Study | Exception]:
+    """Pass 1: the Study of every run of a block, each drawn from its own stream rngs[k],
+    or the error its draw raised.
+
+    Each run draws its counts and cell variances (_draw_data), then the
+    block's designs are built in one build_designs call, and setting E draws
+    each run's effects on its design: every stream is read in the order a
+    run drawn alone (_draw) reads it.
+    """
+    layout = cell_layout(scenario.m, scenario.treatment_scheme)
+    out: list = [None] * len(rngs)
+    drawn = {}
+    for k, rng in enumerate(rngs):
+        try:
+            drawn[k] = _draw_data(scenario, layout, pi_true, rng)
+        except pwer.RUN_ERRORS as exc:
+            out[k] = exc
+    designs = build_designs(
+        scenario.m, scenario.treatment_scheme,
+        np.array([counts for counts, _ in drawn.values()]),
+        np.array([variances for _, variances in drawn.values()]),
+        SETTINGS_TABLE[scenario.setting].variance_mode,
+    )
+    for k, design in zip(drawn, designs):
+        try:
+            out[k] = design if isinstance(design, Exception) else _study(scenario, pi_true, design, rngs[k])
+        except pwer.RUN_ERRORS as exc:
+            out[k] = exc
+    return out
 
 
 def calibrate(
@@ -366,9 +418,25 @@ def _calibrate_block(
 
 
 def interval(scenario: SimScenario, cal: Calibration) -> pwer.PredictionInterval:
-    """The delta-method prediction interval alpha +- z * gamma / sqrt(N) of a calibrated study."""
-    gamma = pwer.delta_gamma(cal.weights, cal.cv.gradient(cal.factors))
-    return pwer.prediction_interval(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
+    """The delta-method prediction interval alpha +- z * gamma / sqrt(N) of a calibrated study.
+
+    A row of one of _intervals.
+    """
+    iv, failed = _intervals(scenario, cal.weights[None], cal.factors[None], cal.cv.fwer[None])
+    if failed:
+        raise failed[0]
+    return iv.row(0)
+
+
+def _intervals(
+    scenario: SimScenario, weights: np.ndarray, factors: np.ndarray, fwer: np.ndarray
+) -> tuple[pwer.PredictionInterval, dict[int, PwerError]]:
+    """The interval of every row of calibrated studies' weights, factors and FWERs (R, S),
+    as one PredictionInterval of the rows, and the error each failing row raises."""
+    # factors * -fwer: CriticalValues.gradient(factors) of every row
+    gamma, failed = pwer.delta_gammas(weights, factors * -fwer)
+    iv, negative = pwer.prediction_intervals(scenario.alpha, scenario.alpha_prime, gamma, scenario.N)
+    return iv, {**negative, **failed}  # a row keeps the error its call raises first
 
 
 def _run_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedSequence:
@@ -395,43 +463,54 @@ def _block_records(
 ) -> list[RunRecord | Exception]:
     """The RunRecord of every run of a block, or the error that run raised.
 
-    Draws every run first, calibrates them all (_calibrate_block), then builds
-    each interval. Records depend only on (master_seed, run_index), whatever
-    runs share the block: the stacked evaluations return each run's numbers
-    bit for bit.
+    Three passes: draw every run from its own data stream and build the
+    block's designs in one stacked call (_draw_block), calibrate them all
+    (_calibrate_block), then record every calibrated run in one stacked pass
+    (_records). Records depend only on (master_seed, run_index), whatever
+    runs share the block: each stacked pass returns every run's numbers bit
+    for bit, and a run that fails in any pass fails alone.
     """
     truth, factors_true = transform_weights(pi_true, scenario.transform, scenario.pi_min)
-    out: dict[int, RunRecord | Exception] = {}
-    drawn = {}
-    for run_index in indices:
-        try:
-            rng = np.random.default_rng(_run_seed(scenario.master_seed, run_index, 0))
-            drawn[run_index] = _draw(scenario, pi_true, rng)
-        except pwer.RUN_ERRORS as exc:
-            out[run_index] = exc
+    rngs = [np.random.default_rng(_run_seed(scenario.master_seed, run_index, 0)) for run_index in indices]
+    out = dict(zip(indices, _draw_block(scenario, pi_true, rngs)))
+    drawn = [run_index for run_index in indices if isinstance(out[run_index], Study)]
     seeds = [partial(_run_seed, scenario.master_seed, run_index) for run_index in drawn]
-    for run_index, cal in zip(drawn, _calibrate_block(scenario, list(drawn.values()), seeds, truth)):
-        if isinstance(cal, Exception):
-            out[run_index] = cal
-            continue
-        try:
-            iv = interval(scenario, cal)
-            tp = cal.cv.true_pwer(truth)
-            out[run_index] = RunRecord(
-                true_pwer=tp,
-                lower=float(iv.lower),
-                upper=float(iv.upper),
-                covered=bool(iv.contains(tp)),
-                length=float(iv.length),
-                gamma=iv.gamma,
-                gamma_true=float(pwer.delta_gamma(pi_true, cal.cv.gradient(factors_true))),
-                c_star=cal.cv.value,
-                achieved=float(cal.cv.achieved),
-                rejected_resamples=cal.rejected_resamples,
-            )
-        except pwer.RUN_ERRORS as exc:
-            out[run_index] = exc
+    out.update(zip(drawn, _calibrate_block(scenario, [out[run_index] for run_index in drawn], seeds, truth)))
+    calibrated = [run_index for run_index in drawn if isinstance(out[run_index], Calibration)]
+    out.update(zip(calibrated, _records(scenario, pi_true, truth, factors_true, [out[i] for i in calibrated])))
     return [out[run_index] for run_index in indices]
+
+
+def _records(
+    scenario: SimScenario,
+    pi_true: np.ndarray,
+    truth: np.ndarray,
+    factors_true: np.ndarray,
+    cals: Sequence[Calibration],
+) -> list[RunRecord | PwerError]:
+    """Pass 3: the RunRecord of every calibrated run of a block, or the error its run raised.
+
+    One stacked pass builds every run's interval (_intervals), its true PWER
+    under the transformed truth (pwer.true_pwers) and its gamma at the true
+    prevalences (pwer.delta_gammas); each row has the bits of the run's own
+    interval, true_pwer and delta_gamma calls, and a run fails with the
+    first error those calls would raise. Every field is a builtin float,
+    bool or int (read off .tolist()), so the records CSV writes each by repr.
+    """
+    if not cals:
+        return []
+    fwer = np.array([cal.cv.fwer for cal in cals])
+    weights, factors = np.array([cal.weights for cal in cals]), np.array([cal.factors for cal in cals])
+    iv, failed = _intervals(scenario, weights, factors, fwer)
+    true_pwer = pwer.true_pwers(truth, fwer)
+    gamma_true, true_failed = pwer.delta_gammas(pi_true, factors_true * -fwer)
+    failed = {**true_failed, **failed}
+    columns = (
+        true_pwer.tolist(), iv.lower.tolist(), iv.upper.tolist(), iv.contains(true_pwer).tolist(),
+        iv.length.tolist(), iv.gamma.tolist(), gamma_true.tolist(), [cal.cv.value for cal in cals],
+        [float(cal.cv.achieved) for cal in cals], [cal.rejected_resamples for cal in cals],
+    )
+    return [failed.get(k) or RunRecord(*row) for k, row in enumerate(zip(*columns))]
 
 
 def _run_single(scenario: SimScenario, pi_true: np.ndarray, run_index: int) -> RunRecord:

@@ -39,6 +39,8 @@ def records_csv(scenario, path):
     pytest.param(dict(m=2, setting="B"), id="B_m2"),
     pytest.param(dict(m=2, setting="C"), id="C_m2"),
     pytest.param(dict(m=2, setting="D_satterthwaite"), id="D_satterthwaite_m2"),
+    pytest.param(dict(m=2, setting="D_bootstrap"), id="D_bootstrap_m2"),
+    pytest.param(dict(m=2, setting="E"), id="E_m2"),
     pytest.param(dict(m=3, setting="A"), id="A_m3"),
     pytest.param(dict(m=3, setting="C"), id="C_m3"),
     pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",

@@ -499,6 +499,9 @@ def test_records_pinned(request, tmp_path, fields, digest):
     result = sim.run_scenario(scenario)
     sim.write_records_csv(result, tmp_path / "records.csv")
     assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
+    # builtin fields only: the CSV writes floats by repr, and a numpy scalar's repr names its type
+    field_types = [float] * 3 + [bool] + [float] * 5 + [int]
+    assert all([type(v) for v in record] == field_types for record in result.records)
     c_star = np.array([r.c_star for r in result.records])
     parent = PARENT_C_STAR.get(request.node.callspec.id)
     if parent is not None:
