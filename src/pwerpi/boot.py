@@ -84,7 +84,8 @@ def welch_df(
 
 
 def satterthwaite_df(design: Design) -> float:
-    """Shared t degrees of freedom: the minimum of the per-population Welch dfs.
+    """Shared t degrees of freedom: the minimum of the per-population Welch dfs, at least 1
+    (a Welch df is never below its smallest cell df; the bound catches rounding).
 
     Population i combines the per-cell contributions q = W^2 s^2/n to its V_i
     (W from pwer.arm_weight_matrix, s^2 the design's sample variances); every
@@ -102,12 +103,12 @@ def satterthwaite_df(design: Design) -> float:
     inv_n = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=populated)
     weights = pwer.arm_weight_matrix(design) ** 2 * inv_n
     dfs = welch_df(design.cell_variances[populated], weights[:, populated], sizes[populated] - 1.0)
-    return float(dfs.min())
+    return max(float(dfs.min()), 1.0)
 
 
 def build_satterthwaite_model(design: Design) -> pwer.TestModel:
     """Multivariate t model with the design's observed variances and the shared Welch df."""
-    return pwer.build_test_model(design, df=max(satterthwaite_df(design), 1.0))
+    return pwer.build_test_model(design, df=satterthwaite_df(design))
 
 
 def bootstrap_null_D(design: Design, B: int, rng: np.random.Generator) -> EmpiricalNull:

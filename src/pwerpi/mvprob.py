@@ -13,14 +13,15 @@ per dimension and law (each chi-scale family has its own), and
 stops at the first two adjacent rungs that agree within TOL_MIN, a fixed
 constant, so its result never depends on the caller's `tol`; three times that
 last gap is the error estimate. `orthant_groups` plans many laws of one kind
-once, each row with its own correlation and, for t, its own df, and each
-OrthantGroup it returns evaluates any of its rows at any limits in one
-stacked call, flagging the rows that need QMC; `orthants` plans and
-evaluates in one call, and mvn_cdf/mvt_cdf are calls of one row. Every row
-equals its own call bit for bit. A CorrelationMatrix is
-validated once and keeps its Cholesky factor, and its principal submatrices
-need no validation of their own. Higher dimensions, and the rows of three or
-four whose error estimate exceeds the caller's tol, integrate the
+once from a stack (n, d, d) of correlations, each row with its own
+correlation and, for t, its own df, and each OrthantGroup it returns
+evaluates any of its rows at any limits in one stacked call, flagging the
+rows that need QMC; `orthants` plans and evaluates in one call, and
+mvn_cdf/mvt_cdf are calls of one row. Every row equals its own call bit for
+bit. `correlation_matrices` validates a stack of correlation matrices in one
+pass; a CorrelationMatrix is one validated matrix with its Cholesky factor,
+which mvn_cdf/mvt_cdf and QMC take. Higher dimensions, and the rows of three
+or four whose error estimate exceeds the caller's tol, integrate the
 separation-of-variables transform with randomized quasi-Monte Carlo over
 scrambled Sobol streams, where the spread across scramblings yields the
 error estimate; scipy.stats.qmc is imported only once QMC runs.
@@ -100,7 +101,7 @@ class CorrelationMatrix:
 
     Symmetry is required within 1e-12 (then symmetrized exactly), the diagonal
     must be 1 within 1e-12, and eigenvalues in [-1e-10, 0) are clipped to zero;
-    anything more negative is rejected.
+    anything more negative is rejected (correlation_matrices of one matrix).
     """
 
     values: np.ndarray
@@ -109,17 +110,10 @@ class CorrelationMatrix:
         mat = np.array(self.values, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError("correlation matrix must be square")
-        [checked] = correlation_matrices(mat[None])
-        if isinstance(checked, ConfigError):
-            raise checked
-        object.__setattr__(self, "values", checked.values)
-
-    @classmethod
-    def _trusted(cls, values: np.ndarray) -> CorrelationMatrix:
-        """A CorrelationMatrix of read-only values known to pass its checks."""
-        corr = object.__new__(cls)
-        object.__setattr__(corr, "values", values)
-        return corr
+        checked, failed = correlation_matrices(mat[None])
+        if failed:
+            raise failed[0]
+        object.__setattr__(self, "values", checked[0])
 
     @property
     def dim(self) -> int:
@@ -144,25 +138,19 @@ class CorrelationMatrix:
         object.__setattr__(self, "_chol", chol)
         return chol
 
-    def principal(self, idx) -> CorrelationMatrix:
-        """The principal submatrix on the indices idx.
 
-        It equals CorrelationMatrix(values[idx, idx]) exactly and needs no
-        validation of its own: every check is entrywise except the eigenvalue
-        bound, and by Cauchy interlacing a principal submatrix's smallest
-        eigenvalue is no smaller than the whole matrix's. Every 1-dim
-        submatrix is the one shared _UNIT_CORRELATION.
-        """
-        return principals([self], idx)[0]
-
-
-def correlation_matrices(mats: np.ndarray) -> list[CorrelationMatrix | ConfigError]:
-    """CorrelationMatrix(mats[r]) for every matrix of the stack mats (R, k, k),
-    or the ConfigError that construction raises.
+def correlation_matrices(mats: np.ndarray) -> tuple[np.ndarray, dict[int, ConfigError]]:
+    """The stack mats (R, k, k) validated as CorrelationMatrix validates one
+    matrix, read-only, and the ConfigError of each row that fails a check
+    (whose matrix then means nothing).
 
     Each check runs once over the whole stack, the eigenvalue bound in one
-    stacked eigvalsh, and every accepted matrix equals its own construction
-    bit for bit.
+    stacked eigvalsh, and every accepted matrix equals the values of its own
+    CorrelationMatrix bit for bit. Every check is entrywise except the
+    eigenvalue bound, and by Cauchy interlacing a principal submatrix's
+    smallest eigenvalue is no smaller than the whole matrix's: so a principal
+    submatrix of an accepted matrix passes again, and its validation returns
+    its bits unchanged.
     """
     mats = np.array(mats, dtype=float)
     k = mats.shape[-1]
@@ -188,20 +176,7 @@ def correlation_matrices(mats: np.ndarray) -> list[CorrelationMatrix | ConfigErr
     fail(smallest < _EIG_CLIP,
          lambda r: f"correlation matrix is not positive semidefinite (min eigenvalue {smallest[r]:.3e})")
     mats.setflags(write=False)
-    return [ConfigError(f) if f else CorrelationMatrix._trusted(mat) for f, mat in zip(failed, mats)]
-
-
-def principals(corrs: list[CorrelationMatrix], idx) -> list[CorrelationMatrix]:
-    """corr.principal(idx) for every corr of one dimension, from one stacked index."""
-    if len(idx) == 1:
-        return [_UNIT_CORRELATION] * len(corrs)
-    values = np.array([corr.values for corr in corrs])[:, idx][:, :, idx]
-    values.setflags(write=False)
-    return [CorrelationMatrix._trusted(v) for v in values]
-
-
-# the [[1.0]] of every 1-dim stratum; its diagonal is exact, as in any CorrelationMatrix
-_UNIT_CORRELATION = CorrelationMatrix(np.ones((1, 1)))
+    return mats, {r: ConfigError(f) for r, f in enumerate(failed) if f}
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +491,8 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     For df >= _GAMMA_DF, the Gauss rule of the chi measure: x = df s^2 / 2 is
     Gamma(df/2), whose Gauss rule (Golub & Welsch 1969) has as nodes the
     eigenvalues of the generalized-Laguerre Jacobi matrix, with diagonal
-    2k + a + 1, off-diagonal sqrt(k (k + a)) and a = df/2 - 1, and as weights
+    2k + a + 1, off-diagonal sqrt(k (k + a)) and a = df/2 - 1 (only its lower
+    triangle built, all that eigh reads), and as weights
     the squared first components of its eigenvectors. Below it, Gauss-Legendre
     nodes on [F^-1(1e-16), F^-1(1 - 1e-16)] of the chi law, weighted by its
     density. Read-only and cached per (df, n): every PWER evaluation of a
@@ -526,7 +502,8 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         a = df / 2.0 - 1.0
         k = np.arange(1.0, n)
         off = np.sqrt(k * (k + a))
-        jacobi = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+        # eigh reads the lower triangle only (UPLO='L')
+        jacobi = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(off, -1)
         x, vectors = np.linalg.eigh(jacobi)
         s, w = np.sqrt(2.0 * x / df), vectors[0] ** 2
     else:
@@ -660,34 +637,33 @@ class OrthantGroup:
         return value, error, points, settled
 
 
-def orthant_groups(corrs: list[CorrelationMatrix], df=None) -> list[tuple[np.ndarray, OrthantGroup]]:
-    """The laws of corrs (normal, or t when df, one value or one per row, is
-    given) as OrthantGroups, each with the indices of its rows in corrs.
+def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantGroup]]:
+    """The laws of the validated correlations mats (n, d, d) of one dimension
+    (normal, or t when df, one value or one per row, is given) as
+    OrthantGroups, each with the indices of its rows in mats.
 
-    Rows are grouped by dimension and, for the t law from two dimensions on,
-    by chi-scale rule (see _LADDERS). Each group's correlations are stacked
-    and put in block order here, once, however often it is evaluated.
+    The t rows of two or more dimensions are grouped by chi-scale rule (see
+    _LADDERS); every other stack is one group. Each group's correlations are
+    put in block order here, once, however often it is evaluated.
     """
-    n, t = len(corrs), df is not None
+    n, d = mats.shape[:2]
+    t = df is not None
     df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
-    dims = np.array([len(corr.values) for corr in corrs], dtype=int)
-    # 2 * dimension, plus 1 for the t rows of two or more dimensions on the Gamma chi-scale rule
-    gamma = (df >= _GAMMA_DF) & (dims > 1) if t else 0
-    keys = 2 * dims + gamma
+    if t and d > 1:
+        gamma = df >= _GAMMA_DF
+        parts = [(np.flatnonzero(of), chi) for of, chi in ((~gamma, "legendre"), (gamma, "gamma")) if of.any()]
+    else:
+        parts = [(np.arange(n), None)]
     groups = []
-    for key in dict.fromkeys(keys.tolist()):
-        rows = np.flatnonzero(keys == key)
-        d = key // 2
-        chi = ("gamma" if key % 2 else "legendre") if t and d > 1 else None
-        order = mats = exact = None
+    for rows, chi in parts:
+        order = corr = exact = None
         if d > 1 and (d, chi) in _LADDERS:
-            mats = np.array([corrs[i].values for i in rows.tolist()])
-            order = _block_order(mats)
-            mats = mats[np.arange(len(rows))[:, None, None], order[:, :, None], order[:, None, :]]
+            order = _block_order(mats[rows])
+            corr = mats[rows[:, None, None], order[:, :, None], order[:, None, :]]
             if t and d == 2:
-                rho = mats[:, 0, 1]
+                rho = corr[:, 0, 1]
                 exact = np.where(np.abs(rho) >= 1.0 - 1e-13, np.sign(rho), 0.0)
-        groups.append((rows, OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, mats, exact)))
+        groups.append((rows, OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact)))
     return groups
 
 
@@ -696,24 +672,31 @@ def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[
     correlation corrs[i], or t when df (one value, or one per row) is given;
     None where the row needs QMC.
 
-    One call of OrthantGroup.evaluate per group of orthant_groups:
-    one-dimensional rows take one vectorized marginal CDF, bivariate t rows
-    whose correlation lies within 1e-13 of +-1 their exact degenerate laws,
-    and the other rows of two to four dimensions climb their rule ladder
-    together (_quadrature). A row is None when it has five or more
-    dimensions, or three or four dimensions and an error estimate above tol
-    (one value, or one per row); rows of one or two dimensions never are.
-    The limits must be finite and df a finite real >= 1 (see check_limits,
-    check_df). Each row equals its own call bit for bit.
+    The rows of each dimension are stacked for one orthant_groups call, and
+    each group takes one OrthantGroup.evaluate: one-dimensional rows take
+    one vectorized marginal CDF, bivariate t rows whose correlation lies
+    within 1e-13 of +-1 their exact degenerate laws, and the other rows of
+    two to four dimensions climb their rule ladder together (_quadrature).
+    A row is None when it has five or more dimensions, or three or four
+    dimensions and an error estimate above tol (one value, or one per row);
+    rows of one or two dimensions never are. The limits must be finite and
+    df a finite real >= 1 (see check_limits, check_df). Each row equals its
+    own call bit for bit.
     """
     n = len(corrs)
+    dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), (n,))
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    dims = np.array([corr.dim for corr in corrs], dtype=int)
     out: list[ProbResult | None] = [None] * n
-    for rows, group in orthant_groups(corrs, df):
-        results = group.evaluate(np.array([limits[i] for i in rows], dtype=float), None, tols[rows])
-        for i, value, error, points, settled in zip(rows.tolist(), *(r.tolist() for r in results)):
-            if settled:
-                out[i] = ProbResult(value, error, points)
+    for d in dict.fromkeys(dims.tolist()):
+        of_d = np.flatnonzero(dims == d)
+        mats = np.array([corrs[i].values for i in of_d.tolist()])
+        for rows, group in orthant_groups(mats, None if dfs is None else dfs[of_d]):
+            at = of_d[rows]
+            results = group.evaluate(np.array([limits[i] for i in at.tolist()], dtype=float), None, tols[at])
+            for i, value, error, points, settled in zip(at.tolist(), *(r.tolist() for r in results)):
+                if settled:
+                    out[i] = ProbResult(value, error, points)
     return out
 
 

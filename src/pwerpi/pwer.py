@@ -5,24 +5,28 @@ multivariate normal (known variances) or t (unknown homogeneous variances)
 with the correlation matrix determined by the cell sizes and variances. This
 module builds that model, evaluates PWER(c) = sum_J pi_J (1 - F_J(c_J)),
 calibrates the shared critical value, and turns the PWER gradient into the
-delta-method prediction interval for the true PWER. Many calibrations run in
-lockstep (solve_lockstep), and a single solve is a lockstep of one. The block
-is planned once (_Plan): every stratum of every run, grouped by law,
-dimension and chi-scale rule into mvprob.OrthantGroups, and every run's
-weights. Each step evaluates the strata of every unfinished run in one
-stacked pass (_evaluate: one OrthantGroup.evaluate per group; only the
-strata it leaves undecided go to QMC, per run) and sums their PWERs in one
-stacked pass; each run's solver (_secant) only sends a float c and receives
-a float PWER. The finished runs take one stacked verify pass (_verify). The
-interval's pieces come stacked too (delta_gammas, prediction_intervals,
-true_pwers), one row per run; the one-run functions are rows of one of them.
+delta-method prediction interval for the true PWER. A model carries one
+validated m x m correlation matrix, and each stratum's law has the principal
+submatrix on its members. Many calibrations run in lockstep
+(solve_lockstep), and a single solve is a lockstep of one. The block is
+planned once (_Plan): the runs' matrices stacked once, every stratum of
+every run sliced from that stack, grouped by law, dimension and chi-scale
+rule into mvprob.OrthantGroups, and every run's weights. Each step
+evaluates the strata of every unfinished run in one stacked pass
+(_evaluate: one OrthantGroup.evaluate per group; only the strata it leaves
+undecided go to QMC, per run, each with a CorrelationMatrix of its own) and
+sums their PWERs in one stacked pass; each run's solver (_secant) only
+sends a float c and receives a float PWER. The finished runs take one
+stacked verify pass (_verify). The interval's pieces come stacked too
+(delta_gammas, prediction_intervals, true_pwers), one row per run; the
+one-run functions are rows of one of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -55,10 +59,12 @@ class TestModel:
 
     kind is "normal" or "t" (df from build_test_model);
     full_corr is the m x m correlation matrix of the pooled contrasts, whose
-    covariance is W diag(s^2/n) W^T (see build_full_correlation), and
-    stratum_corr its principal submatrices in stratum order.
-    population_variances holds its diagonal, the V_i used to standardize the
-    statistics.
+    covariance is W diag(s^2/n) W^T (see build_full_correlation), validated
+    by mvprob.correlation_matrices (read-only, exactly symmetric, unit
+    diagonal); the off-diagonal entries of a population with an empty arm
+    are NaN. Each stratum's joint law has as correlation the principal
+    submatrix on its members. population_variances holds the V_i used to
+    standardize the statistics, NaN where a population has an empty arm.
     """
 
     kind: str
@@ -66,13 +72,12 @@ class TestModel:
     m: int
     strata: tuple[frozenset[int], ...]
     full_corr: np.ndarray
-    stratum_corr: tuple[mvprob.CorrelationMatrix | None, ...]
     population_variances: np.ndarray
 
     @property
     def stratum_ok(self) -> np.ndarray:
         """Strata whose joint law is defined (all member populations populated)."""
-        return np.array([corr is not None for corr in self.stratum_corr])
+        return _defined(self.population_variances[None], self.strata)[0]
 
     @cached_property
     def _members(self) -> list[list[int]]:
@@ -84,6 +89,21 @@ class TestModel:
         if self.kind == "t":
             return mvprob.t_quantile(1.0 - p, self.df)
         return mvprob.std_normal_quantile(1.0 - p)
+
+
+@lru_cache(maxsize=16)
+def _membership(strata: tuple[frozenset[int], ...], m: int) -> np.ndarray:
+    """(S, m): whether population i + 1 belongs to stratum J, read-only and
+    cached, as the strata of one m are canonical (design.enumerate_strata)."""
+    member = np.array([[i + 1 in stratum for i in range(m)] for stratum in strata])
+    member.setflags(write=False)
+    return member
+
+
+def _defined(variances: np.ndarray, strata: tuple[frozenset[int], ...]) -> np.ndarray:
+    """Which strata have a defined joint law (R, S), from the population
+    variances (R, m) of R runs: those whose members all have a variance."""
+    return ~(np.isnan(variances)[:, None, :] & _membership(strata, variances.shape[1])).any(axis=2)
 
 
 def arm_weight_matrix(design: Design, sizes: np.ndarray | None = None) -> np.ndarray:
@@ -171,12 +191,12 @@ def build_test_models(
     """build_test_model of every design (with dfs[r] as its df): its TestModel,
     or the error that call raises.
 
-    Designs of one cell layout share one stacked W diag(s^2/n) W^T. Those with
-    the same populated populations have their populated blocks validated in
-    one stacked check (mvprob.correlation_matrices); each stratum's matrix is
-    a principal submatrix of the block, indexed by its members' positions in
-    it, taken for all of them at once (mvprob.principals). Every model
-    equals its own build_test_model call bit for bit.
+    Designs of one cell layout share one stacked W diag(s^2/n) W^T, and their
+    correlations are validated in one stacked check
+    (mvprob.correlation_matrices), the rows and columns of populations with
+    an empty arm standing in as the identity's, so that the populated block
+    alone is checked. Every model equals its own build_test_model call bit
+    for bit.
     """
     out: list = [None] * len(designs)
     laws = {}
@@ -190,45 +210,20 @@ def build_test_models(
         layouts.setdefault((designs[r].m, designs[r].treatment_scheme), []).append(r)
     for rows in layouts.values():
         corrs, variances = _full_correlations([designs[r] for r in rows])
-        # rows by their populated populations
-        groups: dict[tuple[int, ...], list[int]] = {}
+        empty = np.isnan(variances)
+        m = empty.shape[1]
+        off = (empty[:, :, None] | empty[:, None, :]) & ~np.eye(m, dtype=bool)
+        checked, failed = mvprob.correlation_matrices(np.where(off, 0.0, corrs))
+        full = np.where(off, math.nan, checked)
+        full.setflags(write=False)
         for k, r in enumerate(rows):
-            populated = tuple(np.flatnonzero(~np.isnan(variances[k])).tolist())
-            if len(populated) < designs[r].m and not allow_empty_populations:
+            if empty[k].any() and not allow_empty_populations:
                 out[r] = _empty_arm(designs[r], variances[k])
+            elif k in failed:
+                out[r] = failed[k]
             else:
-                groups.setdefault(populated, []).append(k)
-        for populated, ks in groups.items():
-            blocks = (
-                mvprob.correlation_matrices(corrs[ks][:, populated][:, :, populated])
-                if populated else [None] * len(ks)
-            )
-            kept = []
-            for k, block in zip(ks, blocks):
-                if isinstance(block, ConfigError):
-                    out[rows[k]] = block
-                else:
-                    kept.append((k, block))
-            if not kept:
-                continue
-            strata = designs[rows[kept[0][0]]].strata
-            position = {i + 1: p for p, i in enumerate(populated)}
-            columns = [
-                mvprob.principals([block for _, block in kept], [position[i] for i in sorted(stratum)])
-                if stratum.issubset(position) else [None] * len(kept)
-                for stratum in strata
-            ]
-            for n, (k, _) in enumerate(kept):
-                kind, df = laws[rows[k]]
-                out[rows[k]] = TestModel(
-                    kind=kind,
-                    df=df,
-                    m=designs[rows[k]].m,
-                    strata=strata,
-                    full_corr=corrs[k],
-                    stratum_corr=tuple(column[n] for column in columns),
-                    population_variances=variances[k],
-                )
+                kind, df = laws[r]
+                out[r] = TestModel(kind, df, m, designs[r].strata, full[k], variances[k])
     return out
 
 
@@ -242,7 +237,7 @@ def build_test_model(
     t law only by approximation: df is that approximation's reference df
     (boot.build_satterthwaite_model), and no other mode takes one. With
     allow_empty_populations, strata touching a population with an empty arm
-    get no joint law (stratum_corr entry None) instead of raising; they can
+    get no joint law (stratum_ok False) instead of raising; they can
     only ever be evaluated with zero weight. A block of one of
     build_test_models.
     """
@@ -289,11 +284,14 @@ class _Plan:
 
     groups holds one mvprob.OrthantGroup per (law, dimension, chi-scale
     rule), over the strata with a defined law of every run, with each row's
-    run, stratum and member populations; mvprob.orthant_groups has stacked
-    their correlations in block order. tols holds each run's tol of the
-    solve pass and of the verify pass, streams its _Streams. With weights
-    (one row per run), mask marks the positive ones, and the runs are
-    grouped by mask pattern for the PWER sums (pwer).
+    run, stratum and member populations. The runs' full_corr are stacked
+    once, and the correlations of every stratum of one dimension, for all
+    its runs, taken from that stack with one fancy index for
+    mvprob.orthant_groups. ok marks each run's strata with a defined law,
+    tols holds each run's tol of the solve pass and of the verify pass,
+    streams its _Streams. With weights (one row per run), mask marks the
+    positive ones, and the runs are grouped by mask pattern for the PWER
+    sums (pwer).
     """
 
     def __init__(self, models: Sequence[TestModel], tols, streams: Sequence, weights=None):
@@ -302,22 +300,24 @@ class _Plan:
             raise ConfigError("the models of one lockstep must share m")
         self.models, self.m, self.streams = models, models[0].m, streams
         self.tols = np.asarray(tols, dtype=float)
-        self.ok = np.array([[corr is not None for corr in model.stratum_corr] for model in models])
+        self.ok = _defined(np.array([model.population_variances for model in models]), models[0].strata)
         kinds = np.array([model.kind for model in models])
+        dfs = np.array([model.df for model in models], dtype=float)  # NaN for the normal law
+        full = np.array([model.full_corr for model in models])
         members = models[0]._members
+        dims = np.array([len(stratum) for stratum in members])
         self.groups = []
-        for kind in ("normal", "t"):
-            runs, strata = np.nonzero(self.ok & (kinds == kind)[:, None])
-            rows = list(zip(runs.tolist(), strata.tolist()))
-            if not rows:
-                continue
-            corrs = [models[r].stratum_corr[j] for r, j in rows]
-            dfs = [models[r].df for r, _ in rows] if kind == "t" else None
-            for at, group in mvprob.orthant_groups(corrs, dfs):
-                group_strata = strata[at]
-                self.groups.append(
-                    (group, runs[at], group_strata, np.array([members[j] for j in group_strata.tolist()]))
-                )
+        for d in dict.fromkeys(dims.tolist()):
+            of_d = np.flatnonzero(dims == d)
+            members_d = np.array([members[j] for j in of_d.tolist()])
+            for kind in dict.fromkeys(kinds.tolist()):
+                runs, at = np.nonzero(self.ok[:, of_d] & (kinds == kind)[:, None])
+                if not len(runs):
+                    continue
+                strata, idx = of_d[at], members_d[at]
+                mats = full[runs[:, None, None], idx[:, :, None], idx[:, None, :]]
+                for rows, group in mvprob.orthant_groups(mats, dfs[runs] if kind == "t" else None):
+                    self.groups.append((group, runs[rows], strata[rows], idx[rows]))
         if weights is None:
             return
         self.weights = np.array(weights, dtype=float)
@@ -417,7 +417,10 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
             stream = streams.verify() if verify else streams.solve()
             engines = None if verify else streams.engines
             for j in strata:
-                corr, upper = model.stratum_corr[j], c[pos, model._members[j]]
+                members = model._members[j]
+                # a principal submatrix of a validated matrix: validating it keeps its bits
+                corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(members, members)])
+                upper = c[pos, members]
                 if model.kind == "normal":
                     result = mvprob.mvn_cdf(upper, corr, tol[pos], stream, method="qmc", engines=engines)
                 else:

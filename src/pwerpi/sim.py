@@ -363,32 +363,23 @@ def _calibrate_block(
     the bootstrap's, 2 the solve's), built only when its engine reads it:
     the bootstrap engines read theirs up front, the exact engine its solve
     stream only once a QMC stratum or a verify recompute needs it. The
-    exact engine builds the block's models in one pwer.build_test_models
-    call; the bootstrap engines calibrate run by run. The exact-engine
-    calibrations (exact and satterthwaite) of the whole block then run
-    together in one pwer.solve_lockstep, each on its own model;
-    satterthwaite's FWER comes from its bootstrap null afterwards.
+    bootstrap engines calibrate run by run. The exact-engine calibrations
+    (exact and satterthwaite) build the models of the whole block in one
+    pwer.build_test_models call, each with its run's df (satterthwaite's
+    after its bootstrap null), and then run together in one
+    pwer.solve_lockstep, each on its own model; satterthwaite's FWER comes
+    from its bootstrap null afterwards.
     """
     engine = SETTINGS_TABLE[scenario.setting].engine
-    if engine == "exact":
-        models = pwer.build_test_models([study.design for study in studies], allow_empty_populations=True)
     out: list = [None] * len(studies)
-    lockstep = {}  # study index -> (weights, used, factors, bootstrap null or None, calibration)
+    modeled = {}  # study index -> (weights, used, factors, bootstrap null or None, df or None)
     for k, (study, seed) in enumerate(zip(studies, seeds)):
         design = study.design
         weights = design.strata_counts / design.N
         try:
             used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
-            null = None
-            if engine == "exact":
-                model = models[k]
-                if isinstance(model, Exception):
-                    raise model
-                if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
-                    raise InfeasibleDesignError(
-                        "true prevalence weights a stratum without a defined joint law"
-                    )
-            elif engine == "projection_bootstrap":
+            null = df = None
+            if engine == "projection_bootstrap":
                 null = boot.bootstrap_null_E(
                     design, weights, study.effects, study.pooled_variance, scenario.B,
                     np.random.default_rng(seed(1)),
@@ -396,15 +387,27 @@ def _calibrate_block(
                 cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
                 out[k] = Calibration(weights, used, factors, cv, null.rejected_resamples)
                 continue
-            else:
+            if engine != "exact":
                 null = boot.bootstrap_null_D(design, scenario.B, np.random.default_rng(seed(1)))
                 if engine == "parametric_bootstrap":
                     cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
                     out[k] = Calibration(weights, used, factors, cv, 0)
                     continue
                 # c* from the Satterthwaite t model, its FWER from the bootstrap null
-                model = boot.build_satterthwaite_model(design)
-            calibration = pwer.calibration(used, model, scenario.alpha, partial(_integration_seed, seed))
+                df = boot.satterthwaite_df(design)
+            modeled[k] = (weights, used, factors, null, df)
+        except pwer.RUN_ERRORS as exc:
+            out[k] = exc
+    designs, dfs = [studies[k].design for k in modeled], [entry[-1] for entry in modeled.values()]
+    models = pwer.build_test_models(designs, dfs, allow_empty_populations=engine == "exact")
+    lockstep = {}  # study index -> (weights, used, factors, bootstrap null or None, calibration)
+    for (k, (weights, used, factors, null, _)), model in zip(modeled.items(), models):
+        try:
+            if isinstance(model, Exception):
+                raise model
+            if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
+                raise InfeasibleDesignError("true prevalence weights a stratum without a defined joint law")
+            calibration = pwer.calibration(used, model, scenario.alpha, partial(_integration_seed, seeds[k]))
             lockstep[k] = (weights, used, factors, null, calibration)
         except pwer.RUN_ERRORS as exc:
             out[k] = exc

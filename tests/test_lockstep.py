@@ -154,8 +154,29 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
     assert counts == {} and sobol == []
 
 
+@pytest.mark.parametrize("fields, qmc", [
+    pytest.param(dict(N=250, m=3, setting="A", runs=20), False, id="A_m3"),
+    pytest.param(C_M4, False, id="C_m4"),
+    pytest.param(dict(N=250, m=5, setting="A", runs=2), True, id="A_m5"),
+])
+def test_only_qmc_strata_build_correlation_objects(monkeypatch, fields, qmc):
+    # models and plans carry the validated m x m matrices as stacks; a CorrelationMatrix is
+    # built only for a stratum that goes to QMC, one per mvn_cdf/mvt_cdf call
+    counts = {}
+    built = mvprob.CorrelationMatrix.__post_init__
+    monkeypatch.setattr(mvprob.CorrelationMatrix, "__post_init__",
+                        lambda self: counts.update(built=counts.get("built", 0) + 1) or built(self))
+    counted(monkeypatch, mvprob, "mvn_cdf", counts)
+    counted(monkeypatch, mvprob, "mvt_cdf", counts)
+    result = sim.run_scenario(sim.SimScenario(master_seed=3, **fields), max_failure_fraction=1.0)
+    assert result.failures == 0
+    calls = counts.get("mvn_cdf", 0) + counts.get("mvt_cdf", 0)
+    assert counts.get("built", 0) == calls and (calls > 0) == qmc
+
+
 def test_a_block_is_planned_once(monkeypatch):
-    # one plan, and one orthant_groups call per law, per solve_lockstep call, however many steps it takes
+    # one plan, and one orthant_groups call per (law, stratum dimension), per solve_lockstep call,
+    # however many steps it takes
     plans, grouped, steps, lockstep = [], [], [], []
     plan, orthant_groups, evaluate = pwer._Plan, mvprob.orthant_groups, pwer._evaluate
     solve = pwer.solve_lockstep
@@ -167,7 +188,9 @@ def test_a_block_is_planned_once(monkeypatch):
     scenario = sim.SimScenario(N=250, m=2, setting="C", runs=2 * sim._BLOCK_RUNS, master_seed=4)
     sim.run_scenario(scenario)
     assert lockstep == [sim._BLOCK_RUNS] * 2
-    assert len(plans) == 2 and len(grouped) == 2
+    # the 1- and 2-dim strata of the t law, each a stack (n, d, d) of all the block's runs
+    assert len(plans) == 2 and [a[0].shape[1:] for a in grouped] == [(1, 1), (2, 2)] * 2
+    assert all(len(a[0]) == sim._BLOCK_RUNS * d for a, d in zip(grouped, (2, 1) * 2))
     assert len(steps) >= 4 * len(plans)
 
 

@@ -514,6 +514,17 @@ class TestMvtCdf:
             assert abs(w @ (s * s) - 1.0) <= 1e-13  # E[s^2] = 1, exact for a Gauss rule
             assert not s.flags.writeable and not w.flags.writeable
 
+    def test_gamma_rule_from_the_lower_triangle_equals_the_full_jacobi_matrix(self):
+        # eigh reads the lower triangle only: the rule built from it has the full matrix's bits
+        for df in np.geomspace(80.0, 1e5, 100).tolist():
+            for n in (8, 12, 16):
+                a, k = df / 2.0 - 1.0, np.arange(1.0, n)
+                off = np.sqrt(k * (k + a))
+                jacobi = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+                x, vectors = np.linalg.eigh(jacobi)
+                s, w = mvprob._chi_scale_nodes.__wrapped__(df, n)
+                assert np.array_equal(s, np.sqrt(2.0 * x / df)) and np.array_equal(w, vectors[0] ** 2)
+
     @staticmethod
     def chi_reference(upper, cm, df, n=256):
         # n Gauss-Legendre nodes in s over [F^-1(1e-16), F^-1(1 - 1e-16)] of the chi law,
@@ -631,13 +642,6 @@ class TestCorrelationMatrix:
     def test_asymmetric_rejected(self):
         with pytest.raises(ConfigError):
             corr([[1.0, 0.2], [0.3, 1.0]])
-
-    def test_one_dim_principal_is_shared_unit(self):
-        whole = corr(0.5 + 0.5 * np.eye(3))
-        subs = [whole.principal([i]) for i in range(3)]
-        assert all(sub is subs[0] for sub in subs)
-        assert np.array_equal(subs[0].values, corr([[1.0]]).values)
-        assert not subs[0].values.flags.writeable
 
     def test_bad_diagonal_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import pytest
 
 from pwerpi import design as dz
 from pwerpi import mvprob, pwer, sim
-from pwerpi.errors import NumericalError, PwerError
+from pwerpi.errors import ConfigError, NumericalError, PwerError
 
 ALPHA, ALPHA_PRIME, N = 0.025, 0.05, 250
 
@@ -209,3 +209,35 @@ def test_runs_failing_in_their_draw_leave_the_rest_of_their_block():
     failures = {payload for _, payload in block if isinstance(payload, str)}
     assert "InfeasibleDesignError: a populated cell has a single patient" in failures
     assert sum(isinstance(payload, sim.RunRecord) for _, payload in block) >= 5
+
+
+def test_satterthwaite_runs_fail_by_null_then_df_then_model(monkeypatch):
+    # the block builds its t models in one call, after every run's null and df: each run
+    # still fails with the first error of its own null, df and model, as alone
+    scenario = sim.SimScenario(N=250, m=2, setting="D_satterthwaite", B=1000, runs=8, master_seed=6)
+    pi_true = sim.resolve_true_prevalences(scenario)
+    rngs = [np.random.default_rng(sim._run_seed(scenario.master_seed, i, 0)) for i in range(8)]
+    key = [study.design.strata_counts.tobytes() for study in sim._draw_block(scenario, pi_true, rngs)]
+    null, df = sim.boot.bootstrap_null_D, sim.boot.satterthwaite_df
+
+    def patched_null(design, B, rng):
+        if key.index(design.strata_counts.tobytes()) in (1, 3):
+            raise ConfigError("no null")
+        return null(design, B, rng)
+
+    def patched_df(design):
+        run = key.index(design.strata_counts.tobytes())
+        if run in (2, 3):
+            raise NumericalError("no df")
+        return math.nan if run == 4 else df(design)  # a NaN df fails the model
+
+    monkeypatch.setattr(sim.boot, "bootstrap_null_D", patched_null)
+    monkeypatch.setattr(sim.boot, "satterthwaite_df", patched_df)
+    block = sim._run_block(scenario, pi_true, range(8))
+    alone = [pair for i in range(8) for pair in sim._run_block(scenario, pi_true, [i])]
+    assert repr(block) == repr(alone)
+    assert [payload for _, payload in block[1:5]] == [
+        "ConfigError: no null", "NumericalError: no df", "ConfigError: no null",
+        "ConfigError: degrees of freedom must be a finite real >= 1, got nan",
+    ]
+    assert all(isinstance(payload, sim.RunRecord) for _, payload in block[:1] + block[5:])

@@ -114,15 +114,17 @@ class TestBuildTestModel:
     def test_stratum_matrices_equal_fresh_validation(self, m, counts):
         d = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
         model = pwer.build_test_model(d, allow_empty_populations=True)
+        full = model.full_corr
+        assert not full.flags.writeable
+        assert np.array_equal(full, full.T, equal_nan=True)
+        assert np.array_equal(np.diag(full), np.ones(m))
         populated = ~np.isnan(model.population_variances)
-        for stratum, cm in zip(model.strata, model.stratum_corr):
+        for stratum, ok in zip(model.strata, model.stratum_ok):
             idx = [i - 1 for i in sorted(stratum)]
-            if not populated[idx].all():
-                assert cm is None
-                continue
-            fresh = mvprob.CorrelationMatrix(model.full_corr[np.ix_(idx, idx)])
-            assert np.array_equal(cm.values, fresh.values)
-            assert not cm.values.flags.writeable
+            assert ok == populated[idx].all()
+            if ok:
+                principal = full[np.ix_(idx, idx)]
+                assert np.array_equal(principal, mvprob.CorrelationMatrix(principal).values)
 
     def test_indefinite_populated_block_rejected(self, monkeypatch):
         # every pair is a valid correlation, but the three together are not
@@ -212,11 +214,14 @@ def random_model(rng, m, scheme, kind, df=None, empty=False, zero=False):
 def per_stratum(c, model, tol, which):
     """The reference: each selected stratum's own mvn_cdf/mvt_cdf call."""
     out = []
-    for stratum, corr, selected in zip(model.strata, model.stratum_corr, which):
-        upper = c[[i - 1 for i in sorted(stratum)]]
+    for stratum, selected in zip(model.strata, which):
+        idx = [i - 1 for i in sorted(stratum)]
+        upper = c[idx]
         if not selected:
             out.append(None)
-        elif model.kind == "t":
+            continue
+        corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(idx, idx)])
+        if model.kind == "t":
             out.append(mvprob.mvt_cdf(upper, corr, model.df, tol))
         else:
             out.append(mvprob.mvn_cdf(upper, corr, tol))
@@ -224,15 +229,14 @@ def per_stratum(c, model, tol, which):
 
 
 def with_bivariate_rhos(model, rhos):
-    # give the 2-dim strata the correlations rhos, in stratum order
-    rhos = iter(rhos)
-    corrs = []
-    for cm in model.stratum_corr:
-        if cm.dim == 2:
-            r = next(rhos)
-            cm = mvprob.CorrelationMatrix(np.array([[1.0, r], [r, 1.0]]))
-        corrs.append(cm)
-    return dataclasses.replace(model, stratum_corr=tuple(corrs))
+    # give the 2-dim strata the correlations rhos, in stratum order: for m = 4
+    # the six pair strata are the six off-diagonal entries of full_corr
+    full = model.full_corr.copy()
+    pairs = [sorted(s) for s in model.strata if len(s) == 2]
+    assert len(pairs) == len(rhos)
+    for (i, j), r in zip(pairs, rhos):
+        full[i - 1, j - 1] = full[j - 1, i - 1] = r
+    return dataclasses.replace(model, full_corr=full)
 
 
 class TestEvaluateStrata:
@@ -306,7 +310,7 @@ class TestEvaluateStrata:
         # the 5-dim stratum alone goes to QMC, on the given stream
         five = ~which
         [qmc] = [r for r in pwer.evaluate_strata(c, model, 1e-3, np.random.default_rng(3), five) if r]
-        corr = model.stratum_corr[-1]
+        corr = mvprob.CorrelationMatrix(model.full_corr)
         own = (mvprob.mvn_cdf(c, corr, 1e-3, np.random.default_rng(3)) if kind == "normal"
                else mvprob.mvt_cdf(c, corr, df, 1e-3, np.random.default_rng(3)))
         assert qmc == own and qmc.qmc
@@ -332,10 +336,7 @@ class TestSolveCriticalValues:
     def test_independent_full_overlap_closed_form(self):
         # oracle: brentq on 2(1-Phi) - (1-Phi)^2 = alpha gives 2.238964375652972
         model = pwer.build_test_model(equal_cells_design())
-        eye = mvprob.CorrelationMatrix(np.eye(2))
-        model0 = dataclasses.replace(
-            model, full_corr=np.eye(2), stratum_corr=model.stratum_corr[:2] + (eye,)
-        )
+        model0 = dataclasses.replace(model, full_corr=np.eye(2))
         cv = pwer.solve_critical_values(np.array([0.0, 0.0, 1.0]), model0, ALPHA)
         assert cv.value == pytest.approx(2.238964375652972, abs=1e-6)
 
@@ -716,7 +717,7 @@ class TestTruePwer:
         # exercises the full lattice (31 strata) and the QMC dimensions
         d = dz.build_design(5, "pairwise_different", [40] * 31, 1.0, "known_homogeneous")
         model = pwer.build_test_model(d)
-        assert len(model.stratum_corr) == 31
+        assert len(model.strata) == 31
         weights = np.full(31, 1 / 31)
         value = pwer.pwer_value(2.3, weights, model, tol=1e-3,
                                 rng=np.random.default_rng(0))
