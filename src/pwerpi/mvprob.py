@@ -14,8 +14,11 @@ stops at the first two adjacent rungs that agree within TOL_MIN, a fixed
 constant, so its result never depends on the caller's `tol`; three times that
 last gap is the error estimate. `orthant_groups` plans many laws of one kind
 once from a stack (n, d, d) of correlations, each row with its own
-correlation and, for t, its own df, and each OrthantGroup it returns
-evaluates any of its rows at any limits in one stacked call, flagging the
+correlation and, for t, its own df: there it computes, once, all that
+depends on the correlations alone (the path of the first two rungs, and
+the rule, asin and sine nodes of every bivariate call whose correlation
+does not depend on the limits). Each OrthantGroup it returns evaluates any
+of its rows at any limits in one stacked call on that plan, flagging the
 rows that need QMC; `orthants` plans and evaluates in one call, and
 mvn_cdf/mvt_cdf are calls of one row. Every row equals its own call bit for
 bit. `correlation_matrices` validates a stack of correlation matrices in one
@@ -191,15 +194,18 @@ def _gl_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _bvn_upper(h, k, r, lead: float) -> np.ndarray:
+def _bvn_upper(h, k, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
     """P(X > h, Y > k) elementwise for standard bivariate normal.
 
     Drezner-Wesolowsky quadrature with Genz's near-singular expansion for
     |r| >= 0.925; every |r| must be < 1. r is one correlation, or an array of
     them that broadcasts against h and k; an array's entries share the node
     band, the branch and, in the near-singular branch, the sign of `lead`.
-    Each entry of h reduces its own nodes, so a stacked call returns the
-    entries of separate calls bit for bit.
+    In a 6/12/20-node band, nodes holds asin r, the sine nodes and 1 - sn^2,
+    shaped as r with the nodes last (_Kernel.nodes); they depend on r only,
+    and are computed here for one r when None. Each entry of h reduces its
+    own nodes, so a stacked call returns the entries of separate calls bit
+    for bit.
     """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -214,10 +220,13 @@ def _bvn_upper(h, k, r, lead: float) -> np.ndarray:
     hk = h * k
     if abs(lead) < 0.925:
         hs = (h * h + k * k) / 2.0
-        # math.asin, not np.arcsin: the two differ in the last bit
-        asr = np.array([math.asin(v) for v in r.flat]).reshape(r.shape) if stacked else math.asin(r)
-        sn = np.sin((asr[..., None] if stacked else asr) * (x + 1.0) / 2.0)
-        expo = (hk[..., None] * sn - hs[..., None]) / (1.0 - sn * sn)
+        if nodes is None:
+            # math.asin, not np.arcsin: the two differ in the last bit
+            asr = math.asin(r)
+            sn = np.sin(asr * (x + 1.0) / 2.0)
+            nodes = asr, sn, 1.0 - sn * sn
+        asr, sn, cos_sq = nodes
+        expo = (hk[..., None] * sn - hs[..., None]) / cos_sq
         bvn = np.exp(expo) @ w
         return bvn * asr / (4.0 * math.pi) + special.ndtr(-h) * special.ndtr(-k)
 
@@ -255,13 +264,13 @@ def _bvn_upper(h, k, r, lead: float) -> np.ndarray:
     return -bvn + np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0)
 
 
-def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, lead: float) -> np.ndarray:
+def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
     """P(X <= b1, Y <= b2) for correlations that share `lead`'s edge or band (see _bvn_upper)."""
     if lead >= 1.0 - 1e-13:
         return special.ndtr(np.minimum(b1, b2))
     if lead <= -1.0 + 1e-13:
         return np.maximum(0.0, special.ndtr(b1) + special.ndtr(b2) - 1.0)
-    return np.clip(_bvn_upper(-b1, -b2, r, lead), 0.0, 1.0)
+    return np.clip(_bvn_upper(-b1, -b2, r, lead, nodes), 0.0, 1.0)
 
 
 # the |r| bounds of the 6/12/20-node bands and of the near-singular branch
@@ -281,36 +290,94 @@ def _bvn_rules(rho: np.ndarray) -> np.ndarray:
     return rules
 
 
+class _Kernel(NamedTuple):
+    """What bvn_cdf_many computes from its correlations alone, per entry (_kernel).
+
+    rho, rule and slot share one shape, an entry's correlation, its rule
+    (_bvn_rules) and, in a 6/12/20-node band, its row in tables[rule]: asin
+    rho, the n sine nodes and n values of 1 - sn^2 of every entry of that
+    band, side by side. take selects entries (a[index] of each array) and
+    ravel lays them on one axis, broadcast first to `shape` when given;
+    both keep the tables.
+    """
+
+    rho: np.ndarray
+    rule: np.ndarray
+    slot: np.ndarray
+    tables: dict
+
+    def take(self, index) -> _Kernel:
+        return self._replace(rho=self.rho[index], rule=self.rule[index], slot=self.slot[index])
+
+    def ravel(self, shape: tuple | None = None) -> _Kernel:
+        def flat(a):
+            return (a if shape is None else np.broadcast_to(a, shape)).ravel()
+
+        return self._replace(rho=flat(self.rho), rule=flat(self.rule), slot=flat(self.slot))
+
+    def nodes(self, rule: int, idx: np.ndarray, shape: tuple) -> tuple:
+        """The band nodes (_bvn_upper) of the entries idx of band rule, asin rho shaped
+        as their correlations `shape`, the sine nodes and 1 - sn^2 with the nodes last."""
+        table = self.tables[rule][self.slot[idx]]
+        n = table.shape[1] // 2
+        sn, cos_sq = table[:, 1:n + 1], table[:, n + 1:]
+        return table[:, 0].reshape(shape), sn.reshape(shape + (n,)), cos_sq.reshape(shape + (n,))
+
+
+def _kernel(rho: np.ndarray) -> _Kernel:
+    """The _Kernel of the correlations rho (any shape): each band's math.asin
+    and sine nodes computed once, as a stacked bivariate call computes
+    them, however many limits the entries are later evaluated at."""
+    flat = rho.ravel()
+    rule = _bvn_rules(flat)
+    slot = np.zeros(flat.shape, dtype=int)
+    tables = {}
+    for band in set(rule[rule < 3].tolist()):
+        at = np.flatnonzero(rule == band)
+        slot[at] = np.arange(len(at))
+        x, _ = _GL_RULES[(6, 12, 20)[band]]
+        # math.asin, not np.arcsin: the two differ in the last bit
+        asr = np.fromiter(map(math.asin, flat[at].tolist()), float, len(at))
+        sn = np.sin(asr[:, None] * (x + 1.0) / 2.0)
+        tables[band] = np.concatenate([asr[:, None], sn, 1.0 - sn * sn], axis=1)
+    return _Kernel(rho, rule.reshape(rho.shape), slot.reshape(rho.shape), tables)
+
+
 def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
     """P(X <= b1, Y <= b2) elementwise, standard bivariate normal.
 
     rho is one correlation, or a 1-dim array of them, one per entry of the
-    leading axis of b1 and b2, which then share one shape. The entries are
-    evaluated in groups that share a rule (_bvn_rules), one stacked
-    quadrature per group that keeps each entry's trailing axes. So each
-    entry equals, bit for bit, the call with its own rho alone at the same
-    trailing shape, and any subset of the entries equals the full call; the
-    same numbers regrouped to another trailing shape (a (k, c) block
-    flattened to (k * c,), say) sum their nodes in another order and may
-    differ in the last bit.
+    leading axis of b1 and b2, which then share one shape; or such an
+    array's _Kernel, which orthant_groups plans once for correlations that
+    are evaluated at many limits. The entries are evaluated in groups that
+    share a rule (_bvn_rules), one stacked quadrature per group that keeps
+    each entry's trailing axes. So each entry equals, bit for bit, the call
+    with its own rho alone at the same trailing shape, and any subset of the
+    entries equals the full call; the same numbers regrouped to another
+    trailing shape (a (k, c) block flattened to (k * c,), say) sum their
+    nodes in another order and may differ in the last bit.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    if np.ndim(rho) == 0:
+    if isinstance(rho, _Kernel):
+        kernel = rho
+    elif np.ndim(rho) == 0:
         return _bvn_lower(b1, b2, float(rho), float(rho))
-    rho = np.asarray(rho, dtype=float)
-    rules = _bvn_rules(rho)
+    else:
+        kernel = _kernel(np.asarray(rho, dtype=float))
     out = np.empty(b1.shape)
-    for rule in set(rules.tolist()):
-        idx = np.flatnonzero(rules == rule)
-        lead = rho[idx[0]]
+    for rule in set(kernel.rule.tolist()):
+        idx = np.flatnonzero(kernel.rule == rule)
+        lead = kernel.rho[idx[0]]
         if len(idx) == 1:
-            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead)
+            nodes = kernel.nodes(rule, idx, ()) if rule < 3 else None
+            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead, nodes)
             continue
         # the entry's own trailing axes (one, at least), so its nodes reduce as in its own call
         shape = (len(idx),) + (b1.shape[1:] or (1,))
-        r = rho[idx].reshape((-1,) + (1,) * (len(shape) - 1))
-        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, lead)
+        r = kernel.rho[idx].reshape((-1,) + (1,) * (len(shape) - 1))
+        nodes = kernel.nodes(rule, idx, r.shape) if rule < 3 else None
+        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, lead, nodes)
         out[idx] = values.reshape(out[idx].shape)
     return out
 
@@ -350,80 +417,157 @@ def _block_order(mats: np.ndarray) -> np.ndarray:
     return splits[np.argmax(score, axis=1)]
 
 
-def _plackett_base(h: np.ndarray, corr: np.ndarray) -> np.ndarray:
+def _plackett_base(h: np.ndarray, pairs: _Kernel) -> np.ndarray:
     """Phi_d(h; R0) of every limit vector of h (k, *c, d), rows in block order
     (see _plackett): the bivariate rule times the univariate (d = 3) or
-    bivariate (d = 4) one; for d = 2 the bivariate rule itself."""
-    d = h.shape[-1]
-    value = bvn_cdf_many(h[..., 0], h[..., 1], corr[:, 0, 1])
-    if d == 3:
-        value = value * special.ndtr(h[..., 2])
-    elif d == 4:
-        value = value * bvn_cdf_many(h[..., 2], h[..., 3], corr[:, 2, 3])
-    return value
+    bivariate (d = 4) one; for d = 2 the bivariate rule itself. pairs is the
+    _Kernel of the rows' base pairs, (1, k) entries of the pair (0, 1), or
+    (2, k) of (0, 1) and (2, 3) for d = 4, which take one bivariate call."""
+    k, d = len(h), h.shape[-1]
+    if d < 4:
+        value = bvn_cdf_many(h[..., 0], h[..., 1], pairs.take(0))
+        return value * special.ndtr(h[..., 2]) if d == 3 else value
+    b1, b2 = np.concatenate([h[..., 0], h[..., 2]]), np.concatenate([h[..., 1], h[..., 3]])
+    value = bvn_cdf_many(b1, b2, pairs.ravel())
+    return value[:k] * value[k:]
 
 
-def _plackett(h: np.ndarray, corr: np.ndarray, n: int, base: np.ndarray | None = None) -> np.ndarray:
-    """Normal orthant probability of every limit vector of h (k, *c, d) by Plackett's identity.
+class _Path(NamedTuple):
+    """Plackett's path of rows of one dimension at the t nodes of one or more
+    rungs: all that depends on the correlations alone (_path).
 
-    Row r's limit vectors share its correlation corr[r] (k x d x d), both in
-    block order (see _block_order), so that Phi_d(h; R0) is a product of
-    closed forms (_plackett_base; `base` passes it in when it is already
-    known, as it does not depend on n), and the path integral over t in
-    (0, 1) takes n Gauss-Legendre nodes; the conditional law of the rest is
-    one ndtr (d = 3) or one stacked bivariate call (d = 4) for every (limit
-    vector, node, pair). Every entry of the (k, *c) result reduces its own
-    nodes, so it equals, bit for bit, its row's call with that limit vector
-    alone. For d = 2, R0 is R and the result its bivariate rule.
+    weights holds each rung's Gauss-Legendre weights, its nodes one rung
+    after another. geometry holds arrays (rows, nodes, off-block pairs):
+    r_ij, 2 rho, 2 det and 2 pi sqrt(det) of each pair (i, j) at R(t), then
+    the regression (a, b) of each conditioned variable on X_i, X_j and its
+    residual sd (p, then q for d = 4); cond is the _Kernel of the
+    conditional correlations rho_pq (d = 4). take selects rows (or rows and
+    nodes), rung one rung's nodes.
     """
-    d = h.shape[-1]
-    value = _plackett_base(h, corr) if base is None else base
-    if d == 2:
-        return value
+
+    weights: tuple[np.ndarray, ...]
+    geometry: tuple[np.ndarray, ...]
+    cond: _Kernel | None
+
+    @property
+    def nodes(self) -> int:
+        return sum(len(w) for w in self.weights)
+
+    def take(self, index, weights: tuple | None = None) -> _Path:
+        return _Path(
+            self.weights if weights is None else weights,
+            tuple(a[index] for a in self.geometry),
+            None if self.cond is None else self.cond.take(index),
+        )
+
+    def rung(self, k: int) -> _Path:
+        start = sum(len(w) for w in self.weights[:k])
+        return self.take((slice(None), slice(start, start + len(self.weights[k]))), self.weights[k:k + 1])
+
+
+def _path(corr: np.ndarray, rungs: tuple[int, ...]) -> _Path:
+    """The _Path of the correlations corr (k x d x d, block order) at the
+    Gauss-Legendre t nodes of each rung of `rungs` (node counts). Every
+    number is elementwise, so a row's path has the same bits whatever rows
+    and rungs it is built with."""
+    d = corr.shape[-1]
     i, j, *rest = _OFF_BLOCK[d]
-    t, wt = _gl_on(0.0, 1.0, n)
-    path = np.ones((n, d, d))
+    nodes = [_gl_on(0.0, 1.0, n) for n in rungs]
+    t = np.concatenate([x for x, _ in nodes])
+    path = np.ones((len(t), d, d))
     path[:, i, j] = path[:, j, i] = t[:, None]
-    # R and R(t) as (k, *1, 1, d, d) and (k, *1, n, d, d); h as (k, *c, 1, d)
-    R = corr.reshape(corr.shape[:1] + (1,) * (h.ndim - 1) + (d, d))
-    r = R * path
-    h = h[..., None, :]
-    hi, hj, rho = h[..., i], h[..., j], r[..., i, j]
+
+    def r(u, v):
+        """The entries (u, v) of R(t) = R * path as (k, n, P): R0's, or R's times t."""
+        return corr[:, None, u, v] * path[:, u, v]
+
+    rho = r(i, j)
     det = (1.0 - rho) * (1.0 + rho)
-    density = np.exp(-(hi * hi - 2.0 * rho * hi * hj + hj * hj) / (2.0 * det)) / (2.0 * math.pi * np.sqrt(det))
 
     def given_pair(m):
-        """The regression (a, b) of X_m on X_i, X_j, its residual sd and standardized limit."""
-        a = (r[..., m, i] - rho * r[..., m, j]) / det
-        b = (r[..., m, j] - rho * r[..., m, i]) / det
-        sd = np.sqrt(np.maximum(1.0 - a * r[..., m, i] - b * r[..., m, j], _TINY))
-        return a, b, sd, np.clip((h[..., m] - a * hi - b * hj) / sd, -_Z_MAX, _Z_MAX)
+        """The regression (a, b) of X_m on X_i, X_j and its residual sd."""
+        r_mi, r_mj = r(m, i), r(m, j)
+        a = (r_mi - rho * r_mj) / det
+        b = (r_mj - rho * r_mi) / det
+        return a, b, np.sqrt(np.maximum(1.0 - a * r_mi - b * r_mj, _TINY))
 
-    a, b, sd, z = given_pair(rest[0])
+    given = given_pair(rest[0])
+    cond = None
+    if d == 4:
+        p, q = rest
+        a, b, sd = given
+        given_q = given_pair(q)
+        cov = r(p, q) - a * r(q, i) - b * r(q, j)
+        cond = _kernel(np.clip(cov / (sd * given_q[2]), -1.0, 1.0))
+        given = given + given_q
+    r_ij = np.broadcast_to(corr[:, None, i, j], rho.shape)
+    geometry = (r_ij, 2.0 * rho, 2.0 * det, 2.0 * math.pi * np.sqrt(det)) + given
+    return _Path(tuple(w for _, w in nodes), geometry, cond)
+
+
+def _plackett(
+    h: np.ndarray, pairs: _Kernel | None, path: _Path | None, base: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Normal orthant probability of every limit vector of h (k, *c, d) by
+    Plackett's identity, one array (k, *c) per rung of path.
+
+    Row r's limit vectors share its correlation, in block order (see
+    _block_order), so that Phi_d(h; R0) is a product of closed forms
+    (_plackett_base over the pair kernels `pairs`; `base` passes it in
+    when it is already known, as it does not depend on the rung). path is
+    the rows' _Path: the path integral over t in (0, 1) takes each rung's
+    Gauss-Legendre nodes, and the conditional law of the rest is one ndtr
+    (d = 3) or one stacked bivariate call (d = 4) for every (limit vector,
+    node, pair) of every rung at once. Every entry of each rung's result
+    reduces that rung's nodes alone, so it equals, bit for bit, its row's
+    call with that limit vector and that rung alone. For d = 2, path is
+    None, R0 is R and the result its bivariate rule.
+    """
+    value = _plackett_base(h, pairs) if base is None else base
+    if path is None:
+        return [value]
+    d = h.shape[-1]
+    i, j, *rest = _OFF_BLOCK[d]
+
+    # the path's (k, n, P) arrays as (k, *1, n, P), against h as (k, *c, 1, d)
+    lift = (slice(None),) + (None,) * (h.ndim - 2)
+    r_ij, rho2, det2, norm, *given = (a[lift] for a in path.geometry)
+    h = h[..., None, :]
+    hi, hj = h[..., i], h[..., j]
+    density = np.exp(-(hi * hi - rho2 * hi * hj + hj * hj) / det2) / norm
+
+    def limit(m, a, b, sd):
+        """The standardized limit of X_m given X_i = h_i, X_j = h_j."""
+        return np.clip((h[..., m] - a * hi - b * hj) / sd, -_Z_MAX, _Z_MAX)
+
+    z = limit(rest[0], *given[:3])
     if d == 3:
         cond = special.ndtr(z)
     else:
-        p, q = rest
-        _, _, sd_q, z_q = given_pair(q)
-        cov = r[..., p, q] - a * r[..., q, i] - b * r[..., q, j]
-        rho_pq = np.broadcast_to(np.clip(cov / (sd * sd_q), -1.0, 1.0), z.shape)
-        cond = bvn_cdf_many(z.ravel(), z_q.ravel(), rho_pq.ravel()).reshape(z.shape)
-    slope = (R[..., i, j] * density * cond).sum(axis=-1)
-    return value + (slope * wt).sum(axis=-1)
+        z_q = limit(rest[1], *given[3:])
+        cond = bvn_cdf_many(z.ravel(), z_q.ravel(), path.cond.take(lift).ravel(z.shape)).reshape(z.shape)
+    slope = (r_ij * density * cond).sum(axis=-1)
+    rungs, start = [], 0
+    for w in path.weights:
+        rungs.append(value + (slope[..., start:start + len(w)] * w).sum(axis=-1))
+        start += len(w)
+    return rungs
 
 
 # The rule ladders, coarse to fine, and the error floor of each deterministic
 # law, by (dimension, chi-scale rule): for d = 3 and 4 the Gauss-Legendre
 # node count of Plackett's path integral in t, led for the t law by the
 # chi-scale nodes. The bivariate normal is one rung of its own 6/12/20-node
-# rules, counted as the 20 nodes of its finest band. The normal ladder usually
-# stops at its middle rung. A t law with df >= _GAMMA_DF takes the Gauss rule
-# of the chi measure ("gamma"), accurate to ~5e-11 at 8 nodes, so its ladders
-# start there. Below that df the Gamma rule converges slowly (5e-6 at 32 nodes
-# for df = 5), and the chi-scale nodes are Gauss-Legendre nodes on the range
-# of the chi law ("legendre"): at 24 of them the mixture is only accurate to
-# ~2e-7, so those ladders have two rungs, as a coarser rung would never agree
-# with the next within TOL_MIN.
+# rules, counted as the 20 nodes of its finest band. Rungs 1 and 2 always
+# run, on the path orthant_groups plans, and a normal row runs them together,
+# in one pass; the normal ladder usually stops at its middle rung. A t law
+# with df >= _GAMMA_DF takes the Gauss rule of the chi measure ("gamma"),
+# accurate to ~5e-11 at 8 nodes, so its ladders start there. Below that df
+# the Gamma rule converges slowly (5e-6 at 32 nodes for df = 5), and the
+# chi-scale nodes are Gauss-Legendre nodes on the range of the chi law
+# ("legendre"): at 24 of them the mixture is only accurate to ~2e-7, so
+# those ladders have two rungs, as a coarser rung would never agree with the
+# next within TOL_MIN.
 _LADDERS = {
     (2, None): (((20,),), 5e-15),
     (3, None): (((12,), (24,), (48,)), 1e-10),
@@ -437,27 +581,31 @@ _LADDERS = {
 }
 _GAMMA_DF = 80.0
 # integrand evaluations (bivariate evaluations for d = 2 and 4) per stacked
-# _plackett call, which bounds its temporaries at about a MB; pieces twice
-# that size run slower out of cache
+# _plackett call, over every rung it takes (12 + 24 nodes per limit vector in
+# a normal row's first pass), which bounds its temporaries at about a MB;
+# pieces twice that size run slower out of cache
 _QUAD_BLOCK = 1 << 13
 
 
 def _ladder(rules, evaluate: Callable, floor: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Climb the rules for n integrals at once, each until two adjacent rules agree within TOL_MIN.
 
-    evaluate(rule, active) returns the values under rule of the integrals
-    indexed by the array active, and the points that rule takes per
-    integral. An integral's value is the last rule's, clipped to [0, 1], its
-    error estimate three times the gap to the rule before (at least `floor`,
-    which a ladder of one rule always takes), and its points the sum over
-    the rules it evaluated; the three come back as arrays. The integrals
-    still climbing after a rule are the only ones the next rule evaluates.
+    evaluate(ks, active) returns, for each index k of the range ks, the
+    values under rules[k] of the integrals indexed by the array active. The
+    first rule settles no integral, as it has none to compare with, so the
+    first two are asked for in one call. An integral's value is the last
+    rule's, clipped to [0, 1], its error estimate three times the gap to the
+    rule before (at least `floor`, which a ladder of one rule always takes),
+    and its points the sum of math.prod(rule) over the rules it evaluated;
+    the three come back as arrays. The integrals still climbing after a rule
+    are the only ones the next rule evaluates.
     """
     value, error, points_used = np.empty(n), np.empty(n), np.empty(n, dtype=int)
     active, points = np.arange(n), 0
+    first = evaluate(range(min(2, len(rules))), active)
     for k, rule in enumerate(rules, 1):
-        rung, more = evaluate(rule, active)
-        points += more
+        rung = first[k - 1] if k <= len(first) else evaluate(range(k - 1, k), active)[0]
+        points += math.prod(rule)
         if k == 1 < len(rules):
             prev = rung
             continue
@@ -525,49 +673,73 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quadrature(
-    upper: np.ndarray, corr: np.ndarray, df: np.ndarray | None, chi: str | None
+    upper: np.ndarray, group: OrthantGroup, at: np.ndarray, df: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The deterministic law of every row of upper (n x d) under its
-    correlation corr (n x d x d), both in block order (_block_order): normal,
-    or t with df[i] degrees of freedom as the chi-weighted sum of normal
-    orthants at limits upper * s, every df on the chi-scale rule chi.
-    Returns _ladder's value, error and points arrays.
+    """The deterministic law of every row of upper (n x d, in block order),
+    the rows `at` of group: normal, or t with df[i] degrees of freedom as the
+    chi-weighted sum of normal orthants at limits upper * s, on the group's
+    chi-scale rule. Returns _ladder's value, error and points arrays.
 
-    The rows climb the ladder of _LADDERS together: each rung is one stacked
-    _plackett over the rows still climbing, in pieces of at most _QUAD_BLOCK
-    integrand evaluations. A normal row's Phi_d(h; R0) does not depend on the
-    rung and is computed once, for every row, at the first. A t row's
-    chi-scale nodes are limit vectors of its own, in chunks halved until
-    they fit a piece (all of them for a bivariate row). Each row reduces its
-    nodes in the shapes of its own call, so it equals that call bit for bit.
+    The rows climb the ladder of _LADDERS together, in pieces of at most
+    _QUAD_BLOCK integrand evaluations per stacked _plackett call. The first
+    two rungs take the group's planned path (orthant_groups); a third rung
+    builds the path of the rows that reach it, and only theirs. A normal
+    row's Phi_d(h; R0) does not depend on the rung and is computed once, for
+    every row, and its limit vectors are the same on every rung, so its
+    first two rungs are one _plackett pass over the nodes of both. A t row's
+    chi-scale nodes are limit vectors of its own, which differ by rung, so
+    each of its rungs is a pass of its own, its nodes in chunks halved until
+    they fit a piece (all of them for a bivariate row). Each row reduces
+    each rung's nodes in the shapes of its own call, so it equals that call
+    bit for bit.
     """
     n, d = upper.shape
-    rules, floor = _LADDERS[d, chi]
-    base = _plackett_base(upper, corr) if df is None and d > 2 else None
+    rules, floor = _LADDERS[d, group.chi]
+    base = _plackett_base(upper, group.pairs.take((slice(None), at))) if df is None and d > 2 else None
 
-    def evaluate(rule, active):
-        limits, rows = upper[active], active
-        nodes = rule[-1] if d > 2 else 0
-        per_vector = max(1, nodes * _OFF_BLOCK[d].shape[1])
-        if df is not None:
-            n_chi = rule[0]
+    def per_vector(path: _Path | None) -> int:
+        return 1 if path is None else path.nodes * _OFF_BLOCK[d].shape[1]
+
+    def evaluate(ks, active):
+        rows = at[active]
+        path, pick = group.path, rows
+        if d > 2 and ks[0] >= 2:
+            path, pick = _path(group.corr[rows], tuple(rules[k][-1] for k in ks)), np.arange(len(rows))
+        if df is None:
+            step = max(1, _QUAD_BLOCK // per_vector(path))
+            parts = [
+                _plackett(
+                    upper[active[i:i + step]],
+                    None if base is not None else group.pairs.take((slice(None), rows[i:i + step])),
+                    None if path is None else path.take(pick[i:i + step]),
+                    None if base is None else base[active[i:i + step]],
+                )
+                for i in range(0, len(active), step)
+            ]
+            return [np.concatenate(rung) for rung in zip(*parts)]
+        values = []
+        for k in ks:
+            rung = None if path is None else path.rung(k - ks[0])
+            n_chi = rules[k][0]
             scales = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
             # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece;
             # halving 8, 12 or 16 nodes (or a power of two) keeps every chunk whole
             chunk = n_chi
-            while chunk > 1 and chunk * per_vector > _QUAD_BLOCK:
+            while chunk > 1 and chunk * per_vector(rung) > _QUAD_BLOCK:
                 chunk //= 2
-            limits = (limits[:, None] * np.array([s for s, _ in scales])[..., None]).reshape(-1, chunk, d)
-            rows = np.repeat(active, n_chi // chunk)
-        step = max(1, _QUAD_BLOCK // (per_vector * math.prod(limits.shape[1:-1])))
-        pieces = [rows[i:i + step] for i in range(0, len(rows), step)]
-        values = np.concatenate([
-            _plackett(limits[i:i + step], corr[piece], nodes, None if base is None else base[piece])
-            for i, piece in zip(range(0, len(rows), step), pieces)
-        ])
-        if df is not None:
-            values = np.sum(np.array([w for _, w in scales]) * values.reshape(len(active), -1), axis=1)
-        return values, math.prod(rule)
+            limits = (upper[active][:, None] * np.array([s for s, _ in scales])[..., None]).reshape(-1, chunk, d)
+            pieces, picks = np.repeat(rows, n_chi // chunk), np.repeat(pick, n_chi // chunk)
+            step = max(1, _QUAD_BLOCK // (per_vector(rung) * chunk))
+            rung_values = np.concatenate([
+                _plackett(
+                    limits[i:i + step],
+                    group.pairs.take((slice(None), pieces[i:i + step])),
+                    None if rung is None else rung.take(picks[i:i + step]),
+                )[0]
+                for i in range(0, len(limits), step)
+            ])
+            values.append(np.sum(np.array([w for _, w in scales]) * rung_values.reshape(len(active), -1), axis=1))
+        return values
 
     return _ladder(rules, evaluate, floor, n)
 
@@ -580,8 +752,12 @@ class OrthantGroup:
     (_block_order) and corr its correlation in that order, df each t row's
     degrees of freedom and chi their chi-scale rule; exact is +1 or -1 on the
     bivariate t rows whose correlation lies within 1e-13 of +1 or -1, whose
-    degenerate laws are exact, and 0 elsewhere. Rows of one dimension need
-    no correlation, and rows of five or more keep none: they need QMC.
+    degenerate laws are exact, and 0 elsewhere. pairs holds the _Kernel of
+    each row's base pairs (_plackett_base) and, for three or four
+    dimensions, path its _Path at the t nodes of the first two rungs: what
+    depends on the correlations alone, computed here once for every
+    evaluation, and dropped with the group. Rows of one dimension need no
+    correlation, and rows of five or more keep none: they need QMC.
     """
 
     size: int
@@ -591,6 +767,8 @@ class OrthantGroup:
     order: np.ndarray | None
     corr: np.ndarray | None
     exact: np.ndarray | None
+    pairs: _Kernel | None
+    path: _Path | None
 
     def evaluate(
         self, limits, rows: np.ndarray | None = None, tol=1e-6
@@ -599,10 +777,11 @@ class OrthantGroup:
         `rows` (default: every row) at its limits (k x dim, in the variable
         order of the correlations it was planned from).
 
-        settled is False, and the other three hold no number, where the row
-        needs QMC: five or more dimensions, or three or four and an error
-        estimate above tol (one value, or one per row). Each row equals its
-        own mvn_cdf/mvt_cdf call bit for bit.
+        settled is False where the row needs QMC: five or more dimensions,
+        where the other three hold no number, or three or four and an error
+        estimate above tol (one value, or one per row), where they hold the
+        quadrature's last rung. Each row equals its own mvn_cdf/mvt_cdf call
+        bit for bit.
         """
         upper = np.asarray(limits, dtype=float)
         k, d, t = len(upper), self.dim, self.df is not None
@@ -628,9 +807,9 @@ class OrthantGroup:
             order = self.order[rows[quad]]
             value[quad], error[quad], points[quad] = _quadrature(
                 np.take_along_axis(upper[quad], order, axis=1),
-                self.corr[rows[quad]],
+                self,
+                rows[quad],
                 df[quad] if t else None,
-                self.chi,
             )
             # QMC takes the rows whose quadrature is looser than their tol
             settled[quad] = error[quad] <= np.broadcast_to(tol, (k,))[quad] if d > 2 else True
@@ -643,8 +822,10 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
     OrthantGroups, each with the indices of its rows in mats.
 
     The t rows of two or more dimensions are grouped by chi-scale rule (see
-    _LADDERS); every other stack is one group. Each group's correlations are
-    put in block order here, once, however often it is evaluated.
+    _LADDERS); every other stack is one group. Each group is planned here,
+    once, however often it is evaluated: its correlations put in block
+    order, the _Kernel of its base pairs and, for three or four dimensions,
+    the _Path of its first two rungs.
     """
     n, d = mats.shape[:2]
     t = df is not None
@@ -656,14 +837,18 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
         parts = [(np.arange(n), None)]
     groups = []
     for rows, chi in parts:
-        order = corr = exact = None
+        order = corr = exact = pairs = path = None
         if d > 1 and (d, chi) in _LADDERS:
             order = _block_order(mats[rows])
             corr = mats[rows[:, None, None], order[:, :, None], order[:, None, :]]
+            pairs = _kernel(corr[:, range(0, d - 1, 2), range(1, d, 2)].T)
+            if d > 2:
+                path = _path(corr, tuple(rule[-1] for rule in _LADDERS[d, chi][0][:2]))
             if t and d == 2:
                 rho = corr[:, 0, 1]
                 exact = np.where(np.abs(rho) >= 1.0 - 1e-13, np.sign(rho), 0.0)
-        groups.append((rows, OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact)))
+        group = OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact, pairs, path)
+        groups.append((rows, group))
     return groups
 
 

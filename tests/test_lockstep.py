@@ -1,10 +1,12 @@
 """Lockstep calibration: a block's runs solve c* together in stacked evaluations."""
 
+import gc
 import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,40 @@ def test_a_block_is_planned_once(monkeypatch):
     assert len(plans) == 2 and [a[0].shape[1:] for a in grouped] == [(1, 1), (2, 2)] * 2
     assert all(len(a[0]) == sim._BLOCK_RUNS * d for a, d in zip(grouped, (2, 1) * 2))
     assert len(steps) >= 4 * len(plans)
+
+
+def test_path_geometry_is_planned_once_per_group_and_dies_with_its_block(monkeypatch):
+    # the 3- and 4-dim groups' path geometry of rungs 1 and 2 is built once, when the block is
+    # planned; a third rung builds it for the rows that reach it alone, and nothing outlives the block
+    built, planned, climbed, groups = [], [], [], []
+    path, orthant_groups, evaluate = mvprob._path, mvprob.orthant_groups, mvprob.OrthantGroup.evaluate
+    monkeypatch.setattr(mvprob, "_path", lambda corr, rungs: built.append((rungs, len(corr))) or path(corr, rungs))
+
+    def grouped(*args):
+        out = orthant_groups(*args)
+        groups.extend(weakref.ref(group) for _, group in out)
+        planned.extend(((12, 24), group.size) for _, group in out if group.dim > 2)
+        return out
+
+    def counted(self, *args):
+        start = len(built)
+        out = evaluate(self, *args)
+        if self.dim > 2:
+            reached = int(np.sum(out[2] == 12 + 24 + 48))
+            climbed.append(reached)
+            assert built[start:] == ([((48,), reached)] if reached else [])
+        return out
+
+    monkeypatch.setattr(mvprob, "orthant_groups", grouped)
+    monkeypatch.setattr(mvprob.OrthantGroup, "evaluate", counted)
+    scenario = sim.SimScenario(N=500, m=4, setting="A", runs=2 * sim._BLOCK_RUNS, master_seed=5)
+    assert sim.run_scenario(scenario).failures == 0
+    # one 3-dim and one 4-dim group per block, each planned once over every run's strata
+    assert [b for b in built if b[0] == (12, 24)] == planned
+    assert [size for _, size in planned] == [4 * sim._BLOCK_RUNS, sim._BLOCK_RUNS] * 2
+    assert len(climbed) > len(planned)  # each group evaluated at more than one step
+    gc.collect()
+    assert groups and all(ref() is None for ref in groups)
 
 
 def test_stacked_pwer_sums_have_the_bits_of_each_runs_own_sum():

@@ -203,9 +203,11 @@ class TestOrthants:
         pieces = []
         plackett = mvprob._plackett
 
-        def counting(h, cm, n, *base):
-            pieces.append(math.prod(h.shape[:-1]) * max(1, n * mvprob._OFF_BLOCK[h.shape[-1]].shape[1]))
-            return plackett(h, cm, n, *base)
+        def counting(h, pairs, path, *base):
+            # a normal row's first two rungs are one pass: 12 + 24 path nodes per limit vector
+            nodes = 0 if path is None else path.nodes
+            pieces.append(math.prod(h.shape[:-1]) * max(1, nodes * mvprob._OFF_BLOCK[h.shape[-1]].shape[1]))
+            return plackett(h, pairs, path, *base)
 
         monkeypatch.setattr(mvprob, "_plackett", counting)
         rng = np.random.default_rng(8)
@@ -226,6 +228,49 @@ class TestOrthants:
         assert many[0] == (mvprob.t_cdf(0.9, 7.0), 1e-14, 1, False)
         assert many[1] == (max(0.0, mvprob.t_cdf(1.3, 7.0) + mvprob.t_cdf(0.9, 7.0) - 1.0), 1e-14, 1, False)
         assert many[2] == mvprob.mvt_cdf(upper[2], corr2(0.2), 4.0)
+
+
+class TestPlannedGroup:
+    """One OrthantGroup, planned once and evaluated at many limits, against fresh calls."""
+
+    # nearly singular laws with limits at which they climb to the finest rung or are left to QMC
+    HARD = [(equicorr(4, 0.95), [1.0, 1.2, 0.8, 1.5]), (equicorr(4, 0.995), [1.0, 1.2, 0.8, 1.5]),
+            (equicorr(4, 0.998), [1.0, 1.2, 0.8, 1.5]), (equicorr(4, 0.9999), [0.5, 0.6, 0.7, 0.8])]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("df", [None, 6.5, 150.0], ids=["normal", "t_legendre", "t_gamma"])
+    def test_planned_geometry_gives_the_bits_of_a_fresh_call(self, monkeypatch, d, df):
+        rng = np.random.default_rng(10 * d + (0 if df is None else int(df)))
+        hard = [(corr(cm.values[:d, :d]), upper[:d]) for cm, upper in self.HARD]
+        corrs = [corr(random_correlation(d, rng)) for _ in range(10)] + [cm for cm, _ in hard]
+        [(rows, group)] = mvprob.orthant_groups(np.array([cm.values for cm in corrs]), df)
+        rules = mvprob._LADDERS[d, group.chi][0]
+        finest = sum(math.prod(rule) for rule in rules)
+        # the path of the rows that reach a third rung is built for them alone
+        built = []
+        path = mvprob._path
+        monkeypatch.setattr(mvprob, "_path", lambda c, rungs: built.append(len(c)) or path(c, rungs))
+        climbed = left = 0
+        for _ in range(5):
+            subset = rng.permutation(group.size)[:rng.integers(group.size // 2, group.size + 1)]
+            limits = rng.normal(scale=1.5, size=(len(subset), d))
+            for k, r in enumerate(subset.tolist()):
+                if r >= 10:
+                    limits[k] = hard[r - 10][1]
+            del built[:]
+            got = group.evaluate(limits, subset, 1e-5)
+            reached = int(np.sum(got[2] == finest)) if len(rules) > 2 else 0
+            assert built == ([reached] if reached else [])
+            fresh = mvprob.orthants(limits, [corrs[r] for r in rows[subset]], df, 1e-5)
+            for want, value, error, points, settled in zip(fresh, *(a.tolist() for a in got)):
+                assert settled == (want is not None)
+                if settled:
+                    assert (value, error, points, False) == want
+            climbed += int(np.sum(got[2] == finest))
+            left += int(np.sum(~got[3]))
+        # the Gamma rule settles every bivariate t row by its second rung
+        assert (climbed > 0) == ((d, group.chi) != (2, "gamma"))
+        assert (left > 0) == (d > 2)
 
 
 class TestMvnCdf:
@@ -432,9 +477,10 @@ class TestNodeLadder:
 
     @staticmethod
     def rung(upper, cm, n):
-        order = mvprob._block_order(cm.values[None])[0]
-        h = np.asarray(upper, float)[order]
-        return float(mvprob._plackett(h[None], cm.values[np.ix_(order, order)][None], n)[0])
+        [(_, group)] = mvprob.orthant_groups(cm.values[None])
+        h = np.asarray(upper, float)[group.order[0]]
+        [value] = mvprob._plackett(h[None], group.pairs, mvprob._path(group.corr, (n,)))
+        return float(value[0])
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_unsettled_input_returns_the_finest_rung(self, no_qmc, d):
