@@ -492,6 +492,10 @@ PRE_PLACKETT_C_STAR = {
     pytest.param(dict(m=4, setting="C", runs=2),
                  "e276a6a1895130276bce871bb91ecbc64c8f7a29b0ac3dc01f5a75bd1aaf75ae",
                  id="C_m4"),
+    # the only records path that reaches QMC: its 5-dim stratum reads the solve stream
+    pytest.param(dict(m=5, setting="A", runs=2),
+                 "4fb1e3013603890e96f977e61ffceda8c8a8c6b80c5f282d03f9c9a8fc9d73c6",
+                 id="A_m5"),
 ])
 def test_records_pinned(request, tmp_path, fields, digest):
     # records.csv, byte for byte, of N=250, 6 runs (unless set), master seed 11
