@@ -19,15 +19,16 @@ depends on the correlations alone (the path of the first two rungs, and
 the rule, asin and sine nodes of every bivariate call whose correlation
 does not depend on the limits). Each OrthantGroup it returns evaluates any
 of its rows at any limits in one stacked call on that plan, flagging the
-rows that need QMC; `orthants` plans and evaluates in one call, and
-mvn_cdf/mvt_cdf are calls of one row. Every row equals its own call bit for
-bit. `correlation_matrices` validates a stack of correlation matrices in one
-pass; a CorrelationMatrix is one validated matrix with its Cholesky factor,
-which mvn_cdf/mvt_cdf and QMC take. Higher dimensions, and the rows of three
-or four whose error estimate exceeds the caller's tol, integrate the
-separation-of-variables transform with randomized quasi-Monte Carlo over
-scrambled Sobol streams, where the spread across scramblings yields the
-error estimate; scipy.stats.qmc is imported only once QMC runs.
+rows that need QMC; mvn_cdf/mvt_cdf evaluate one row of one group, and
+every row equals that call bit for bit. `correlation_matrices` validates a
+stack of correlation matrices in one pass; a CorrelationMatrix is one
+validated matrix with its Cholesky factor, which mvn_cdf/mvt_cdf and QMC
+take. Higher dimensions, and the rows of three or four whose error estimate
+exceeds the caller's tol, go to `qmc_cdf`, the one QMC entry point for
+both laws: it integrates the separation-of-variables transform with
+randomized quasi-Monte Carlo over scrambled Sobol streams, where the spread
+across scramblings yields the error estimate; scipy.stats.qmc is imported
+only once QMC runs.
 """
 
 from __future__ import annotations
@@ -194,44 +195,49 @@ def _gl_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
-def _bvn_upper(h, k, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
+# the |r| bounds of the 6/12/20-node bands and of the near-singular branch
+_BVN_BANDS = np.array([0.3, 0.75, 0.925])
+_BAND_NODES = (6, 12, 20)
+
+
+def _bvn_rules(rho: np.ndarray) -> np.ndarray:
+    """The rule each correlation takes: 0-2 the 6/12/20-node bands, 3 and 4 the
+    near-singular branch for r > 0 and r < 0 (and 3 for nan), 5 and 6 the
+    edges within 1e-13 of +1 and -1. A few array operations, not a Python
+    call per entry: np.select or np.unique would cost more than that loop at
+    the tens of entries of a lockstep call."""
+    rules = np.searchsorted(_BVN_BANDS, np.abs(rho), side="right")
+    rules[(rules == 3) & (rho < 0.0)] = 4
+    rules[rho >= 1.0 - 1e-13] = 5
+    rules[rho <= -1.0 + 1e-13] = 6
+    return rules
+
+
+def _bvn_upper(h, k, r, rule: int, nodes: tuple | None) -> np.ndarray:
     """P(X > h, Y > k) elementwise for standard bivariate normal.
 
     Drezner-Wesolowsky quadrature with Genz's near-singular expansion for
     |r| >= 0.925; every |r| must be < 1. r is one correlation, or an array of
-    them that broadcasts against h and k; an array's entries share the node
-    band, the branch and, in the near-singular branch, the sign of `lead`.
-    In a 6/12/20-node band, nodes holds asin r, the sine nodes and 1 - sn^2,
-    shaped as r with the nodes last (_Kernel.nodes); they depend on r only,
-    and are computed here for one r when None. Each entry of h reduces its
-    own nodes, so a stacked call returns the entries of separate calls bit
-    for bit.
+    them that broadcasts against h and k, all of the one rule (_bvn_rules)
+    `rule`, 0-4. In a 6/12/20-node band, nodes holds asin r, the sine nodes
+    and 1 - sn^2, shaped as r with the nodes last (_Kernel.nodes). Each
+    entry of h reduces its own nodes, so a stacked call returns the entries
+    of separate calls bit for bit.
     """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    if abs(lead) < 0.3:
-        x, w = _GL_RULES[6]
-    elif abs(lead) < 0.75:
-        x, w = _GL_RULES[12]
-    else:
-        x, w = _GL_RULES[20]
-
-    stacked = isinstance(r, np.ndarray)
     hk = h * k
-    if abs(lead) < 0.925:
+    if rule < 3:
+        _, w = _GL_RULES[_BAND_NODES[rule]]
         hs = (h * h + k * k) / 2.0
-        if nodes is None:
-            # math.asin, not np.arcsin: the two differ in the last bit
-            asr = math.asin(r)
-            sn = np.sin(asr * (x + 1.0) / 2.0)
-            nodes = asr, sn, 1.0 - sn * sn
         asr, sn, cos_sq = nodes
         expo = (hk[..., None] * sn - hs[..., None]) / cos_sq
         bvn = np.exp(expo) @ w
         return bvn * asr / (4.0 * math.pi) + special.ndtr(-h) * special.ndtr(-k)
 
     # integrate the difference from the perfectly dependent case
-    if lead < 0.0:
+    x, w = _GL_RULES[20]
+    if rule == 4:
         k = -k
         hk = -hk
     a_sq = (1.0 - r) * (1.0 + r)
@@ -251,7 +257,7 @@ def _bvn_upper(h, k, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
     tail = np.exp(np.maximum(-hk / 2.0, -700.0)) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
     bvn = bvn - np.where(-hk < 100.0, tail, 0.0)
     half = a / 2.0
-    xs = ((half[..., None] if stacked else half) * (x + 1.0)) ** 2
+    xs = np.multiply.outer(half, x + 1.0) ** 2
     rs = np.sqrt(1.0 - xs)
     asr_v = -(bs[..., None] / xs + hk[..., None]) / 2.0
     sp_v = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
@@ -259,35 +265,18 @@ def _bvn_upper(h, k, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
     contrib = np.where(asr_v > -100.0, np.exp(np.maximum(asr_v, -700.0)) * (ep_v - sp_v), 0.0)
     bvn = bvn + half * (contrib @ w)
     bvn = -bvn / (2.0 * math.pi)
-    if lead > 0.0:
+    if rule == 3:
         return bvn + special.ndtr(-np.maximum(h, k))
     return -bvn + np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0)
 
 
-def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, lead: float, nodes: tuple | None = None) -> np.ndarray:
-    """P(X <= b1, Y <= b2) for correlations that share `lead`'s edge or band (see _bvn_upper)."""
-    if lead >= 1.0 - 1e-13:
+def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, rule: int, nodes: tuple | None) -> np.ndarray:
+    """P(X <= b1, Y <= b2) for correlations r of the one rule `rule` (see _bvn_upper)."""
+    if rule == 5:
         return special.ndtr(np.minimum(b1, b2))
-    if lead <= -1.0 + 1e-13:
+    if rule == 6:
         return np.maximum(0.0, special.ndtr(b1) + special.ndtr(b2) - 1.0)
-    return np.clip(_bvn_upper(-b1, -b2, r, lead, nodes), 0.0, 1.0)
-
-
-# the |r| bounds of the 6/12/20-node bands and of the near-singular branch
-_BVN_BANDS = np.array([0.3, 0.75, 0.925])
-
-
-def _bvn_rules(rho: np.ndarray) -> np.ndarray:
-    """The rule each correlation takes: 0-2 the 6/12/20-node bands, 3 and 4 the
-    near-singular branch for r > 0 and r < 0 (and 3 for nan), 5 and 6 the
-    edges within 1e-13 of +1 and -1. A few array operations, not a Python
-    call per entry: np.select or np.unique would cost more than that loop at
-    the tens of entries of a lockstep call."""
-    rules = np.searchsorted(_BVN_BANDS, np.abs(rho), side="right")
-    rules[(rules == 3) & (rho < 0.0)] = 4
-    rules[rho >= 1.0 - 1e-13] = 5
-    rules[rho <= -1.0 + 1e-13] = 6
-    return rules
+    return np.clip(_bvn_upper(-b1, -b2, r, rule, nodes), 0.0, 1.0)
 
 
 class _Kernel(NamedTuple):
@@ -335,7 +324,7 @@ def _kernel(rho: np.ndarray) -> _Kernel:
     for band in set(rule[rule < 3].tolist()):
         at = np.flatnonzero(rule == band)
         slot[at] = np.arange(len(at))
-        x, _ = _GL_RULES[(6, 12, 20)[band]]
+        x, _ = _GL_RULES[_BAND_NODES[band]]
         # math.asin, not np.arcsin: the two differ in the last bit
         asr = np.fromiter(map(math.asin, flat[at].tolist()), float, len(at))
         sn = np.sin(asr[:, None] * (x + 1.0) / 2.0)
@@ -362,22 +351,24 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
     if isinstance(rho, _Kernel):
         kernel = rho
     elif np.ndim(rho) == 0:
-        return _bvn_lower(b1, b2, float(rho), float(rho))
+        # one correlation for every entry
+        kernel = _kernel(np.array([rho], dtype=float))
+        rule = int(kernel.rule[0])
+        return _bvn_lower(b1, b2, kernel.rho[0], rule, kernel.nodes(rule, [0], ()) if rule < 3 else None)
     else:
         kernel = _kernel(np.asarray(rho, dtype=float))
     out = np.empty(b1.shape)
     for rule in set(kernel.rule.tolist()):
         idx = np.flatnonzero(kernel.rule == rule)
-        lead = kernel.rho[idx[0]]
         if len(idx) == 1:
             nodes = kernel.nodes(rule, idx, ()) if rule < 3 else None
-            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], lead, lead, nodes)
+            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], kernel.rho[idx[0]], rule, nodes)
             continue
         # the entry's own trailing axes (one, at least), so its nodes reduce as in its own call
         shape = (len(idx),) + (b1.shape[1:] or (1,))
         r = kernel.rho[idx].reshape((-1,) + (1,) * (len(shape) - 1))
         nodes = kernel.nodes(rule, idx, r.shape) if rule < 3 else None
-        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, lead, nodes)
+        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, rule, nodes)
         out[idx] = values.reshape(out[idx].shape)
     return out
 
@@ -622,9 +613,10 @@ def _ladder(rules, evaluate: Callable, floor: float, n: int) -> tuple[np.ndarray
     return value, error, points_used
 
 
-def _chi_rule(df: float) -> str:
-    """The chi-scale rule of a t law with df degrees of freedom (see _LADDERS)."""
-    return "gamma" if df >= _GAMMA_DF else "legendre"
+def _chi_rule(df):
+    """The chi-scale rule of t laws with df degrees of freedom (see _LADDERS):
+    a str for one df, a list of them for an array."""
+    return np.where(np.asarray(df) >= _GAMMA_DF, "gamma", "legendre").tolist()
 
 
 # (df, n) rules kept: a lockstep block of sim's 64 runs, each with its own df
@@ -831,8 +823,8 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
     t = df is not None
     df = np.broadcast_to(np.asarray(df, dtype=float), (n,)) if t else None
     if t and d > 1:
-        gamma = df >= _GAMMA_DF
-        parts = [(np.flatnonzero(of), chi) for of, chi in ((~gamma, "legendre"), (gamma, "gamma")) if of.any()]
+        rule = np.broadcast_to(np.array(_chi_rule(df)), (n,))
+        parts = [(np.flatnonzero(rule == chi), chi) for chi in ("legendre", "gamma") if (rule == chi).any()]
     else:
         parts = [(np.arange(n), None)]
     groups = []
@@ -850,39 +842,6 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
         group = OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact, pairs, path)
         groups.append((rows, group))
     return groups
-
-
-def orthants(limits, corrs: list[CorrelationMatrix], df=None, tol=1e-6) -> list[ProbResult | None]:
-    """P(X <= limits[i]) for every row i, with X standard normal under the
-    correlation corrs[i], or t when df (one value, or one per row) is given;
-    None where the row needs QMC.
-
-    The rows of each dimension are stacked for one orthant_groups call, and
-    each group takes one OrthantGroup.evaluate: one-dimensional rows take
-    one vectorized marginal CDF, bivariate t rows whose correlation lies
-    within 1e-13 of +-1 their exact degenerate laws, and the other rows of
-    two to four dimensions climb their rule ladder together (_quadrature).
-    A row is None when it has five or more dimensions, or three or four
-    dimensions and an error estimate above tol (one value, or one per row);
-    rows of one or two dimensions never are. The limits must be finite and
-    df a finite real >= 1 (see check_limits, check_df). Each row equals its
-    own call bit for bit.
-    """
-    n = len(corrs)
-    dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), (n,))
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
-    dims = np.array([corr.dim for corr in corrs], dtype=int)
-    out: list[ProbResult | None] = [None] * n
-    for d in dict.fromkeys(dims.tolist()):
-        of_d = np.flatnonzero(dims == d)
-        mats = np.array([corrs[i].values for i in of_d.tolist()])
-        for rows, group in orthant_groups(mats, None if dfs is None else dfs[of_d]):
-            at = of_d[rows]
-            results = group.evaluate(np.array([limits[i] for i in at.tolist()], dtype=float), None, tols[at])
-            for i, value, error, points, settled in zip(at.tolist(), *(r.tolist() for r in results)):
-                if settled:
-                    out[i] = ProbResult(value, error, points)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -974,12 +933,6 @@ def check_tol(tol: float) -> None:
         raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
 
-def _check_options(tol: float, method: str) -> None:
-    check_tol(tol)
-    if method not in ("auto", "qmc"):
-        raise ConfigError(f"method must be 'auto' or 'qmc', got {method!r}")
-
-
 def check_df(df: float) -> None:
     """Reject t degrees of freedom that are not a finite real >= 1."""
     if not (math.isfinite(df) and df >= 1.0):
@@ -992,7 +945,11 @@ def check_limits(upper: np.ndarray) -> None:
         raise ConfigError("integration limits must be finite")
 
 
-def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
+def _checked(upper, corr: CorrelationMatrix, df: float | None, tol: float) -> np.ndarray:
+    """The limit vector of one law, once tol, df (None for the normal law) and the limits pass their checks."""
+    check_tol(tol)
+    if df is not None:
+        check_df(df)
     upper = np.asarray(upper, dtype=float).reshape(-1)
     if upper.shape[0] != corr.dim:
         raise ConfigError(f"limit vector has length {upper.shape[0]}, matrix dimension is {corr.dim}")
@@ -1000,74 +957,71 @@ def _check_upper(upper, corr: CorrelationMatrix) -> np.ndarray:
     return upper
 
 
-def mvn_cdf(
+def qmc_cdf(
     upper,
     corr: CorrelationMatrix,
+    df: float | None = None,
     tol: float = 1e-6,
     rng: np.random.Generator | None = None,
-    *,
-    method: str = "auto",
     engines: dict | None = None,
 ) -> ProbResult:
-    """P(Z <= upper componentwise) for Z ~ N(0, corr).
+    """P(X <= upper componentwise) by randomized QMC, X ~ N(0, corr), or
+    multivariate t with scale corr when df (any real >= 1) is given.
 
-    Dimensions up to four are deterministic under method="auto". Larger
-    dimensions, method="qmc", and three- or four-dimensional inputs whose
-    quadrature error estimate exceeds `tol` use randomized QMC driven by `rng` (a seed-0 stream when omitted), so
-    identical inputs and stream state give bit-identical results. `engines`
-    is the scrambled-engine store of _randomized_qmc (None builds fresh
-    engines); it changes no result.
+    The separation-of-variables transform on corr's Cholesky factor (for t
+    led by a coordinate that draws the chi scale s = chi_df / sqrt(df) of
+    the limits), integrated to tol by _randomized_qmc. Its scramblings
+    are seeded from `rng` (a seed-0 stream when omitted), so identical
+    inputs and stream state give bit-identical results. `engines` is the
+    scrambled-engine store of _randomized_qmc (None builds fresh engines);
+    it changes no result. A one-dimensional normal law has no integral to
+    take, and is rejected.
     """
-    _check_options(tol, method)
-    upper = _check_upper(upper, corr)
-    if method == "auto" or corr.dim == 1:
-        [result] = orthants([upper], [corr], None, tol)
-        if result is not None:
-            return result
+    upper = _checked(upper, corr, df, tol)
+    if df is None and corr.dim == 1:
+        raise ConfigError("a one-dimensional normal law has no QMC integral; use mvn_cdf")
     if rng is None:
         rng = np.random.default_rng(0)
     chol = corr.cholesky()
 
     def integrand(w):
-        return _sov_product(chol, upper, w)
+        if df is None:
+            return _sov_product(chol, upper, w)
+        # the first coordinate drives the chi scaling, the rest the normal SOV
+        u = np.minimum(np.maximum(w[:, 0], _TINY), _ONE)
+        scale = np.sqrt(2.0 * special.gammaincinv(df / 2.0, u) / df)
+        return _sov_product(chol, scale[:, None] * upper[None, :], w[:, 1:])
 
-    return _randomized_qmc(corr.dim - 1, integrand, tol, rng, engines)
+    return _randomized_qmc(corr.dim if df is not None else corr.dim - 1, integrand, tol, rng, engines)
+
+
+def _cdf(upper, corr: CorrelationMatrix, df: float | None, tol: float, rng: np.random.Generator | None) -> ProbResult:
+    """The one law as one row of orthant_groups, or qmc_cdf where that row needs QMC."""
+    upper = _checked(upper, corr, df, tol)
+    [(_, group)] = orthant_groups(corr.values[None], df)
+    value, error, points, settled = (a.tolist() for a in group.evaluate(upper[None], None, tol))
+    if settled[0]:
+        return ProbResult(value[0], error[0], points[0])
+    return qmc_cdf(upper, corr, df, tol, rng)
+
+
+def mvn_cdf(upper, corr: CorrelationMatrix, tol: float = 1e-6, rng: np.random.Generator | None = None) -> ProbResult:
+    """P(Z <= upper componentwise) for Z ~ N(0, corr).
+
+    Deterministic quadrature (orthant_groups) in up to four dimensions,
+    whose result does not depend on tol or rng; qmc_cdf, on `rng`, in five
+    or more, and in three or four where the quadrature's error estimate
+    exceeds `tol`.
+    """
+    return _cdf(upper, corr, None, tol, rng)
 
 
 def mvt_cdf(
-    upper,
-    corr: CorrelationMatrix,
-    df: float,
-    tol: float = 1e-6,
-    rng: np.random.Generator | None = None,
-    *,
-    method: str = "auto",
-    engines: dict | None = None,
+    upper, corr: CorrelationMatrix, df: float, tol: float = 1e-6, rng: np.random.Generator | None = None
 ) -> ProbResult:
     """P(T <= upper componentwise) for multivariate t with scale `corr`.
 
     df may be any real >= 1 (Satterthwaite produces non-integral values).
-    Converges to mvn_cdf as df grows. `method`, `rng` and `engines` act as in
-    mvn_cdf.
+    Converges to mvn_cdf as df grows, and takes quadrature or QMC as it does.
     """
-    _check_options(tol, method)
-    check_df(df)
-    upper = _check_upper(upper, corr)
-    # the univariate and degenerate bivariate laws are exact whatever the method
-    if method == "auto" or corr.dim == 1 or (corr.dim == 2 and abs(corr.values[0, 1]) >= 1.0 - 1e-13):
-        [result] = orthants([upper], [corr], df, tol)
-        if result is not None:
-            return result
-    if rng is None:
-        rng = np.random.default_rng(0)
-    chol = corr.cholesky()
-    half_df = df / 2.0
-
-    def integrand(w):
-        # first coordinate drives the chi scaling, the rest the normal SOV
-        u = np.minimum(np.maximum(w[:, 0], _TINY), _ONE)
-        scale = np.sqrt(2.0 * special.gammaincinv(half_df, u) / df)
-        rows = scale[:, None] * upper[None, :]
-        return _sov_product(chol, rows, w[:, 1:])
-
-    return _randomized_qmc(corr.dim, integrand, tol, rng, engines)
+    return _cdf(upper, corr, df, tol, rng)

@@ -14,7 +14,8 @@ every run sliced from that stack, grouped by law, dimension and chi-scale
 rule into mvprob.OrthantGroups, and every run's weights. Each step
 evaluates the strata of every unfinished run in one stacked pass
 (_evaluate: one OrthantGroup.evaluate per group; only the strata it leaves
-undecided go to QMC, per run, each with a CorrelationMatrix of its own) and
+undecided go to mvprob.qmc_cdf, per run, each with a CorrelationMatrix of
+its own) and
 sums their PWERs in one stacked pass; each run's solver (_secant) only
 sends a float c and receives a float PWER. The finished runs take one
 stacked verify pass (_verify). The interval's pieces come stacked too
@@ -270,10 +271,10 @@ def _c_vector(c, m: int) -> np.ndarray:
 
 
 class _Given(NamedTuple):
-    """The integration stream and engine store of evaluate_strata and pwer_value (see _Streams)."""
+    """The integration stream of evaluate_strata and pwer_value (see _Streams), with no engine store."""
 
     rng: np.random.Generator | None
-    engines: dict | None
+    engines = None
 
     def solve(self) -> np.random.Generator | None:
         return self.rng
@@ -367,8 +368,9 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
     Each run's limits, its tol of the pass (verify or solve) and its strata
     are checked first. Then each group of the plan takes one
     OrthantGroup.evaluate over the selected rows of these runs. The strata
-    it leaves to QMC (five or more dimensions, an unsettled quadrature) go
-    per run in stratum order on that run's stream of the pass, so its QMC
+    it leaves to QMC (five or more dimensions, an unsettled quadrature) take
+    one mvprob.qmc_cdf call each, per run in stratum order on that run's
+    stream of the pass, so its QMC
     strata read the stream in that order; the verify pass builds fresh
     engines. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
     """
@@ -420,12 +422,9 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
                 members = model._members[j]
                 # a principal submatrix of a validated matrix: validating it keeps its bits
                 corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(members, members)])
-                upper = c[pos, members]
-                if model.kind == "normal":
-                    result = mvprob.mvn_cdf(upper, corr, tol[pos], stream, method="qmc", engines=engines)
-                else:
-                    result = mvprob.mvt_cdf(upper, corr, model.df, tol[pos], stream, method="qmc", engines=engines)
-                value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = result
+                value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = mvprob.qmc_cdf(
+                    c[pos, members], corr, model.df, tol[pos], stream, engines
+                )
         except RUN_ERRORS as exc:
             failed[pos] = exc
     return _Evaluated(value, error, points, qmc, failed)
@@ -437,18 +436,16 @@ def evaluate_strata(
     tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
     which: np.ndarray | None = None,
-    engines: dict | None = None,
 ) -> list[mvprob.ProbResult | None]:
     """F_J(c_J), the no-rejection probability, of every stratum in one batched call.
 
     which selects the strata (default: every one with a defined joint law);
     requesting a stratum without one raises, and unselected strata return
     None. The limits and tol are checked once. The strata are evaluated as a
-    plan of one run (_evaluate): QMC strata read rng in stratum order, and
-    `engines` keeps their scrambled engines across calls. Every result
-    equals the stratum's own mvn_cdf/mvt_cdf call.
+    plan of one run (_evaluate): QMC strata read rng in stratum order.
+    Every result equals the stratum's own mvn_cdf/mvt_cdf call.
     """
-    plan = _Plan([model], [[tol, tol]], [_Given(rng, engines)])
+    plan = _Plan([model], [[tol, tol]], [_Given(rng)])
     select = model.stratum_ok if which is None else np.asarray(which, dtype=bool)
     step = _evaluate(plan, np.zeros(1, dtype=int), _c_vector(c, model.m)[None], select[None])
     if step.failed:
@@ -466,7 +463,7 @@ def pwer_value(
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
     weights = prevalence_weights(pi, len(model.strata))
-    plan = _Plan([model], [[tol, tol]], [_Given(rng, None)], [weights])
+    plan = _Plan([model], [[tol, tol]], [_Given(rng)], [weights])
     run = np.zeros(1, dtype=int)
     step = _evaluate(plan, run, _c_vector(c, model.m)[None], plan.mask)
     if step.failed:

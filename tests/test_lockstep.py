@@ -163,16 +163,15 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
 ])
 def test_only_qmc_strata_build_correlation_objects(monkeypatch, fields, qmc):
     # models and plans carry the validated m x m matrices as stacks; a CorrelationMatrix is
-    # built only for a stratum that goes to QMC, one per mvn_cdf/mvt_cdf call
+    # built only for a stratum that goes to QMC, one per qmc_cdf call
     counts = {}
     built = mvprob.CorrelationMatrix.__post_init__
     monkeypatch.setattr(mvprob.CorrelationMatrix, "__post_init__",
                         lambda self: counts.update(built=counts.get("built", 0) + 1) or built(self))
-    counted(monkeypatch, mvprob, "mvn_cdf", counts)
-    counted(monkeypatch, mvprob, "mvt_cdf", counts)
+    counted(monkeypatch, mvprob, "qmc_cdf", counts)
     result = sim.run_scenario(sim.SimScenario(master_seed=3, **fields), max_failure_fraction=1.0)
     assert result.failures == 0
-    calls = counts.get("mvn_cdf", 0) + counts.get("mvt_cdf", 0)
+    calls = counts.get("qmc_cdf", 0)
     assert counts.get("built", 0) == calls and (calls > 0) == qmc
 
 

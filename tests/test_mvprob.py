@@ -40,9 +40,28 @@ def no_qmc(monkeypatch):
     monkeypatch.setattr(mvprob, "_randomized_qmc", fail)
 
 
-def qmc_twin(cdf, *args, seed, **kwargs):
-    # the same call forced through QMC: equality shows the call fell back to it
-    return cdf(*args, rng=np.random.default_rng(seed), method="qmc", **kwargs)
+def qmc_twin(upper, cm, df=None, *, tol, seed):
+    # the same law through qmc_cdf: equality shows the call fell back to it
+    return mvprob.qmc_cdf(upper, cm, df, tol, np.random.default_rng(seed))
+
+
+def planned(limits, corrs, df=None, tol=1e-6):
+    """Every row through orthant_groups, the rows of each dimension stacked, and one
+    OrthantGroup.evaluate per group: a ProbResult per row, None where it needs QMC."""
+    n = len(corrs)
+    dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), (n,))
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    dims = np.array([cm.dim for cm in corrs])
+    out = [None] * n
+    for d in set(dims.tolist()):
+        of_d = np.flatnonzero(dims == d)
+        mats = np.array([corrs[i].values for i in of_d.tolist()])
+        for rows, group in mvprob.orthant_groups(mats, None if dfs is None else dfs[of_d]):
+            at = of_d[rows]
+            got = group.evaluate(np.array([limits[i] for i in at.tolist()], dtype=float), None, tols[at])
+            for i, value, error, points, settled in zip(at.tolist(), *(a.tolist() for a in got)):
+                out[i] = mvprob.ProbResult(value, error, points) if settled else None
+    return out
 
 
 def sov_rows_reference(chol, upper_rows, w):
@@ -131,7 +150,7 @@ class TestBivariateMany:
         rng = np.random.default_rng(int(df))
         rho = np.array([r for r in RULE_RHOS if abs(r) < 1.0 - 1e-13])
         upper = rng.normal(scale=1.5, size=(rho.size, 2))
-        for j, got in enumerate(mvprob.orthants(upper, [corr2(r) for r in rho], df)):
+        for j, got in enumerate(planned(upper, [corr2(r) for r in rho], df)):
             rungs = []
             for n in nodes:
                 s, w = mvprob._chi_scale_nodes(df, n)
@@ -145,13 +164,13 @@ class TestBivariateMany:
         rng = np.random.default_rng(5)
         rho = np.array(RULE_RHOS)
         upper = rng.normal(scale=1.5, size=(rho.size, 2))
-        many = mvprob.orthants(upper, [corr2(r) for r in rho], df)
+        many = planned(upper, [corr2(r) for r in rho], df)
         for j, r in enumerate(rho):
             cm = corr2(r)
             one = mvprob.mvn_cdf(upper[j], cm) if df is None else mvprob.mvt_cdf(upper[j], cm, df)
             assert many[j] == one
         # the univariate laws likewise
-        many = mvprob.orthants(upper[:, :1], [corr([[1.0]])] * rho.size, df)
+        many = planned(upper[:, :1], [corr([[1.0]])] * rho.size, df)
         for j in range(rho.size):
             one = mvprob.mvn_cdf(upper[j, :1], corr([[1.0]])) if df is None else mvprob.mvt_cdf(
                 upper[j, :1], corr([[1.0]]), df)
@@ -159,7 +178,7 @@ class TestBivariateMany:
 
 
 class TestOrthants:
-    """One stacked call over many laws against the calls with one law each."""
+    """Many laws stacked through orthant_groups against the calls with one law each."""
 
     def test_t_rows_of_every_dimension_equal_their_own_calls(self):
         rng = np.random.default_rng(14)
@@ -167,7 +186,7 @@ class TestOrthants:
         limits = [rng.normal(scale=1.5, size=d) for d, _ in rows]
         corrs = [corr(random_correlation(d, rng)) for d, _ in rows]
         dfs = [df for _, df in rows]
-        many = mvprob.orthants(limits, corrs, dfs, 1e-6)
+        many = planned(limits, corrs, dfs, 1e-6)
         for upper, cm, df, got in zip(limits, corrs, dfs, many):
             # every field, points_used included
             assert got == mvprob.mvt_cdf(upper, cm, df, tol=1e-6)
@@ -177,7 +196,7 @@ class TestOrthants:
         dims = [1, 2, 3, 4] * 3
         limits = [rng.normal(scale=1.5, size=d) for d in dims]
         corrs = [corr(random_correlation(d, rng)) if d > 1 else corr([[1.0]]) for d in dims]
-        many = mvprob.orthants(limits, corrs, None, 1e-6)
+        many = planned(limits, corrs, None, 1e-6)
         for upper, cm, got in zip(limits, corrs, many):
             assert got == mvprob.mvn_cdf(upper, cm, tol=1e-6)
 
@@ -194,7 +213,7 @@ class TestOrthants:
             ([0.3, -0.2], corr2(0.9999)),
             ([0.3], corr([[1.0]])),
         ]
-        many = mvprob.orthants([u for u, _ in rows], [c for _, c in rows], df, 1e-5)
+        many = planned([u for u, _ in rows], [c for _, c in rows], df, 1e-5)
         assert [r is None for r in many] == [True] * 4 + [False] * 4
 
     @pytest.mark.parametrize("df", [None, 3.0, 235.0])
@@ -213,18 +232,18 @@ class TestOrthants:
         rng = np.random.default_rng(8)
         dims = [2, 3, 4] * 60
         limits = [rng.normal(scale=1.5, size=d) for d in dims]
-        mvprob.orthants(limits, [corr(random_correlation(d, rng)) for d in dims], df)
+        planned(limits, [corr(random_correlation(d, rng)) for d in dims], df)
         assert max(pieces) <= mvprob._QUAD_BLOCK < sum(pieces)
 
     def test_tol_is_one_value_per_row(self):
         upper, cm = [1.0, 1.2, 0.8], equicorr(3, 0.998)  # error estimate ~2e-5
-        strict, loose = mvprob.orthants([upper, upper], [cm, cm], 5.0, [1e-5, 1e-3])
+        strict, loose = planned([upper, upper], [cm, cm], 5.0, [1e-5, 1e-3])
         assert strict is None and 1e-5 < loose.error_estimate <= 1e-3
         assert loose == mvprob.mvt_cdf(upper, cm, 5.0, tol=1e-3)
 
     def test_degenerate_bivariate_t_rows_take_exact_laws(self):
         upper = np.array([[1.3, 0.9], [1.3, 0.9], [0.4, -0.2]])
-        many = mvprob.orthants(upper, [corr2(1.0), corr2(-1.0), corr2(0.2)], [7.0, 7.0, 4.0])
+        many = planned(upper, [corr2(1.0), corr2(-1.0), corr2(0.2)], [7.0, 7.0, 4.0])
         assert many[0] == (mvprob.t_cdf(0.9, 7.0), 1e-14, 1, False)
         assert many[1] == (max(0.0, mvprob.t_cdf(1.3, 7.0) + mvprob.t_cdf(0.9, 7.0) - 1.0), 1e-14, 1, False)
         assert many[2] == mvprob.mvt_cdf(upper[2], corr2(0.2), 4.0)
@@ -261,7 +280,7 @@ class TestPlannedGroup:
             got = group.evaluate(limits, subset, 1e-5)
             reached = int(np.sum(got[2] == finest)) if len(rules) > 2 else 0
             assert built == ([reached] if reached else [])
-            fresh = mvprob.orthants(limits, [corrs[r] for r in rows[subset]], df, 1e-5)
+            fresh = planned(limits, [corrs[r] for r in rows[subset]], df, 1e-5)
             for want, value, error, points, settled in zip(fresh, *(a.tolist() for a in got)):
                 assert settled == (want is not None)
                 if settled:
@@ -271,6 +290,16 @@ class TestPlannedGroup:
         # the Gamma rule settles every bivariate t row by its second rung
         assert (climbed > 0) == ((d, group.chi) != (2, "gamma"))
         assert (left > 0) == (d > 2)
+
+    def test_groups_take_the_chi_rule(self, monkeypatch):
+        # the df threshold between the chi-scale families is decided in _chi_rule alone
+        assert mvprob._chi_rule(79.9) == "legendre" and mvprob._chi_rule(80.0) == "gamma"
+        mats = np.array([random_correlation(3, np.random.default_rng(3))] * 2)
+        groups = mvprob.orthant_groups(mats, [100.0, 20.0])
+        assert [(rows.tolist(), group.chi) for rows, group in groups] == [([1], "legendre"), ([0], "gamma")]
+        monkeypatch.setattr(mvprob, "_chi_rule", lambda df: "legendre")
+        [(rows, group)] = mvprob.orthant_groups(mats, 100.0)
+        assert group.chi == "legendre" and rows.tolist() == [0, 1]
 
 
 class TestMvnCdf:
@@ -290,7 +319,7 @@ class TestMvnCdf:
         c3 = corr(0.5 + 0.5 * np.eye(3))
         assert not mvprob.mvn_cdf([1.0, 1.2, 0.8], c3).qmc
         assert not mvprob.mvt_cdf([1.0, 1.2], corr(np.eye(2)), df=4.0).qmc
-        res = mvprob.mvn_cdf([1.0, 1.2, 0.8], c3, rng=np.random.default_rng(1), method="qmc")
+        res = mvprob.qmc_cdf([1.0, 1.2, 0.8], c3, rng=np.random.default_rng(1))
         assert res.qmc
 
     def test_dim3_against_mc_oracle(self):
@@ -307,8 +336,7 @@ class TestMvnCdf:
     def test_qmc_and_deterministic_agree(self, upper, mat):
         cm = corr(mat)
         det = mvprob.mvn_cdf(upper, cm, tol=1e-7)
-        q = mvprob.mvn_cdf(upper, cm, tol=1e-7,
-                           rng=np.random.default_rng(4), method="qmc")
+        q = mvprob.qmc_cdf(upper, cm, tol=1e-7, rng=np.random.default_rng(4))
         # both error estimates are ~3-sigma bounds; allow their sum plus slack
         assert abs(det.value - q.value) <= 2 * q.error_estimate + det.error_estimate + 1e-8
 
@@ -341,9 +369,9 @@ class TestMvnCdf:
 
     def test_determinism_bit_identical(self):
         c4 = corr(0.4 + 0.6 * np.eye(4))
-        for method in ("auto", "qmc"):
-            a = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13), method=method)
-            b = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13), method=method)
+        for cdf in (mvprob.mvn_cdf, mvprob.qmc_cdf):
+            a = cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
+            b = cdf([1.5, 1.2, 0.9, 1.8], c4, rng=np.random.default_rng(13))
             assert a == b
 
     def test_qmc_builds_each_engine_once(self, monkeypatch):
@@ -357,20 +385,9 @@ class TestMvnCdf:
 
         monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
         c4 = corr(0.4 + 0.6 * np.eye(4))
-        res = mvprob.mvn_cdf([1.5, 1.2, 0.9, 1.8], c4, tol=1e-6, rng=np.random.default_rng(13),
-                             method="qmc")
+        res = mvprob.qmc_cdf([1.5, 1.2, 0.9, 1.8], c4, tol=1e-6, rng=np.random.default_rng(13))
         assert res.points_used > 12 * 128  # more than one round
         assert len(built) == 12
-
-    def test_reused_engines_match_fresh_engines(self):
-        c4 = corr(0.4 + 0.6 * np.eye(4))
-        engines = {}
-        for upper in ([1.5, 1.2, 0.9, 1.8], [2.1, 0.3, 1.7, 1.1]):
-            kept = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), method="qmc",
-                                  engines=engines)
-            fresh = mvprob.mvn_cdf(upper, c4, rng=np.random.default_rng(13), method="qmc")
-            assert kept == fresh
-        assert len(engines) == 1
 
     def test_sov_product_matches_broadcast_rows(self):
         rng = np.random.default_rng(4)
@@ -424,20 +441,20 @@ class TestMvnCdf:
         upper = [1.0, 1.1, 1.2, 1.3]
         res = mvprob.mvn_cdf(upper, corr(mat), tol=1e-4, rng=np.random.default_rng(2))
         assert res.points_used > 1000
-        assert res == qmc_twin(mvprob.mvn_cdf, upper, corr(mat), tol=1e-4, seed=2)
+        assert res == qmc_twin(upper, corr(mat), tol=1e-4, seed=2)
 
     def test_dim4_quadrature_error_above_tol_falls_back_to_qmc(self):
         # nearly comonotone: the quadrature's own error estimate is ~4e-6
         upper, c4 = [1.0, 1.2, 0.8, 1.5], equicorr(4, 0.995)
         res = mvprob.mvn_cdf(upper, c4, tol=1e-6, rng=np.random.default_rng(5))
-        assert res == qmc_twin(mvprob.mvn_cdf, upper, c4, tol=1e-6, seed=5)
+        assert res == qmc_twin(upper, c4, tol=1e-6, seed=5)
         assert res.error_estimate <= 1e-6
 
     def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
         # the quadrature's own error estimate here is ~4e-6
         upper = [1.0, 1.2, 0.8]
         res = mvprob.mvn_cdf(upper, equicorr(3, 0.995), tol=1e-6, rng=np.random.default_rng(5))
-        assert res == qmc_twin(mvprob.mvn_cdf, upper, equicorr(3, 0.995), tol=1e-6, seed=5)
+        assert res == qmc_twin(upper, equicorr(3, 0.995), tol=1e-6, seed=5)
         assert res.error_estimate <= 1e-6
         assert abs(res.value - equicorrelated_orthant(upper, 0.995)) <= 3.0 * res.error_estimate
 
@@ -453,13 +470,6 @@ class TestMvnCdf:
             mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)), tol=1e-2)
         with pytest.raises(ConfigError):
             mvprob.mvn_cdf([0.0, 0.0], corr(np.eye(2)), tol=1e-9)
-
-    @pytest.mark.parametrize("method", ["det", "QMC", "", None])
-    def test_unknown_method_rejected(self, method):
-        with pytest.raises(ConfigError):
-            mvprob.mvn_cdf([0.0, 0.0, 0.0, 0.0], equicorr(4, 0.3), method=method)
-        with pytest.raises(ConfigError):
-            mvprob.mvt_cdf([0.0, 0.0, 0.0, 0.0], equicorr(4, 0.3), df=5.0, method=method)
 
     def test_dim3_near_singular_falls_back_to_qmc(self):
         # the path integral's error estimate is ~3e-4; the QMC path with ridge repair handles it
@@ -580,7 +590,7 @@ class TestMvtCdf:
         s = lo + (hi - lo) * (x + 1.0) / 2.0
         log_pdf = (math.log(2.0) + (df / 2.0) * math.log(df / 2.0) - special.gammaln(df / 2.0)
                    + (df - 1.0) * np.log(s) - df * s * s / 2.0)
-        normal = np.array([r.value for r in mvprob.orthants(s[:, None] * upper, [cm] * n)])
+        normal = np.array([r.value for r in planned(s[:, None] * upper, [cm] * n)])
         return float(np.sum(w * (hi - lo) / 2.0 * np.exp(log_pdf) * normal))
 
     def test_both_chi_rules_against_fine_legendre_reference(self):
@@ -599,29 +609,27 @@ class TestMvtCdf:
     def test_df_domain(self):
         for df in (0.5, np.nan, np.inf, -np.inf):
             for d in (1, 2, 3):
-                for method in ("auto", "qmc"):
+                for cdf in (mvprob.mvt_cdf, mvprob.qmc_cdf):
                     with pytest.raises(ConfigError, match="degrees of freedom"):
-                        mvprob.mvt_cdf([0.0] * d, corr(np.eye(d)), df=df, method=method)
+                        cdf([0.0] * d, corr(np.eye(d)), df=df)
 
     def test_dim2_det_vs_qmc(self):
         c2 = corr([[1, -0.35], [-0.35, 1]])
         det = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-7)  # the chi-scale quadrature
-        q = mvprob.mvt_cdf([1.1, 0.6], c2, df=6.5, tol=1e-6,
-                           rng=np.random.default_rng(9), method="qmc")
+        q = mvprob.qmc_cdf([1.1, 0.6], c2, df=6.5, tol=1e-6, rng=np.random.default_rng(9))
         assert abs(det.value - q.value) <= q.error_estimate + det.error_estimate + 1e-7
 
     def test_dim3_det_vs_qmc(self):
         c3 = corr([[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]])
         det = mvprob.mvt_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-7)
-        q = mvprob.mvt_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-6,
-                           rng=np.random.default_rng(8), method="qmc")
+        q = mvprob.qmc_cdf([1.8, 2.0, 2.2], c3, df=17.5, tol=1e-6, rng=np.random.default_rng(8))
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
 
     def test_dim3_quadrature_error_above_tol_falls_back_to_qmc(self):
         # the quadrature's own error estimate here is ~2e-5
         upper, c3 = [1.0, 1.2, 0.8], equicorr(3, 0.998)
         res = mvprob.mvt_cdf(upper, c3, df=5.0, tol=1e-5, rng=np.random.default_rng(5))
-        assert res == qmc_twin(mvprob.mvt_cdf, upper, c3, df=5.0, tol=1e-5, seed=5)
+        assert res == qmc_twin(upper, c3, 5.0, tol=1e-5, seed=5)
         assert res.error_estimate <= 1e-5
         assert abs(res.value - equicorrelated_orthant(upper, 0.998, 5.0)) <= 3.0 * res.error_estimate
 
@@ -643,7 +651,7 @@ class TestMvtCdf:
     def test_dim4_det_vs_qmc(self):
         upper, c4 = DIM4_RANDOM[0], corr(DIM4_RANDOM[1])
         det = mvprob.mvt_cdf(upper, c4, df=7.5, tol=1e-7)
-        q = qmc_twin(mvprob.mvt_cdf, upper, c4, df=7.5, tol=1e-6, seed=43)
+        q = qmc_twin(upper, c4, 7.5, tol=1e-6, seed=43)
         assert abs(det.value - q.value) <= q.error_estimate + 1e-7
 
     def test_dim4_near_singular_falls_back_to_qmc(self):
@@ -651,18 +659,7 @@ class TestMvtCdf:
         upper, c4 = [0.5, 0.6, 0.7, 0.8], equicorr(4, 0.9999)
         res = mvprob.mvt_cdf(upper, c4, df=6.0, tol=1e-4, rng=np.random.default_rng(2))
         assert res.points_used > 1000
-        assert res == qmc_twin(mvprob.mvt_cdf, upper, c4, df=6.0, tol=1e-4, seed=2)
-
-    def test_reused_engines_match_fresh_engines(self):
-        c3 = corr([[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]])
-        engines = {}
-        for upper in ([1.8, 2.0, 2.2], [0.9, 1.4, 2.6]):
-            kept = mvprob.mvt_cdf(upper, c3, df=17.5, rng=np.random.default_rng(8),
-                                  method="qmc", engines=engines)
-            fresh = mvprob.mvt_cdf(upper, c3, df=17.5, rng=np.random.default_rng(8),
-                                   method="qmc")
-            assert kept == fresh
-        assert len(engines) == 1
+        assert res == qmc_twin(upper, c4, 6.0, tol=1e-4, seed=2)
 
     def test_dim3_against_mc_oracle(self):
         rng = np.random.default_rng(33)
@@ -673,11 +670,48 @@ class TestMvtCdf:
         assert abs(res.value - oracle) <= 3 * np.hypot(se, res.error_estimate / 3) + 1.5e-6
 
 
+class TestQmcCdf:
+    """The one QMC entry point, for both laws."""
+
+    @pytest.mark.parametrize("upper, mat, df", [
+        pytest.param([[1.5, 1.2, 0.9, 1.8], [2.1, 0.3, 1.7, 1.1]], 0.4 + 0.6 * np.eye(4), None, id="normal"),
+        pytest.param([[1.8, 2.0, 2.2], [0.9, 1.4, 2.6]], [[1, 0.4, 0.25], [0.4, 1, 0.55], [0.25, 0.55, 1]],
+                     17.5, id="t"),
+    ])
+    def test_reused_engines_match_fresh_engines(self, upper, mat, df):
+        engines = {}
+        for u in upper:
+            kept = mvprob.qmc_cdf(u, corr(mat), df, 1e-6, np.random.default_rng(13), engines)
+            fresh = mvprob.qmc_cdf(u, corr(mat), df, 1e-6, np.random.default_rng(13))
+            assert kept == fresh and kept.qmc
+        assert len(engines) == 1
+
+    def test_one_dimensional_normal_law_rejected(self):
+        with pytest.raises(ConfigError, match="no QMC integral"):
+            mvprob.qmc_cdf([0.3], corr([[1.0]]))
+        # the t law integrates over its chi scale
+        res = mvprob.qmc_cdf([2.015048], corr([[1.0]]), df=5.0, tol=1e-6)
+        assert res.qmc and abs(res.value - mvprob.t_cdf(2.015048, 5.0)) <= res.error_estimate + 1e-7
+
+    @pytest.mark.parametrize("df", [None, 5.0])
+    def test_inputs_checked_as_the_cdfs_check_them(self, df):
+        c3 = equicorr(3, 0.3)
+        for cdf in (mvprob.qmc_cdf, mvprob.mvn_cdf if df is None else mvprob.mvt_cdf):
+            args = () if df is None else (df,)
+            for tol in (1e-2, 1e-9):
+                with pytest.raises(ConfigError, match="tol must lie"):
+                    cdf([0.0] * 3, c3, *args, tol=tol)
+            with pytest.raises(ConfigError, match="limit vector has length 2"):
+                cdf([0.0] * 2, c3, *args)
+            with pytest.raises(ConfigError, match="integration limits must be finite"):
+                cdf([0.0, np.nan, 1.0], c3, *args)
+
+
 class TestCorrelationMatrix:
     def test_semidefinite_boundary_accepted(self):
         mat = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         cm = corr(mat)  # eigenvalue exactly 0
-        res = mvprob.mvn_cdf([0.5, 1.0, 0.2], cm, rng=np.random.default_rng(0), method="qmc")
+        res = mvprob.qmc_cdf([0.5, 1.0, 0.2], cm, rng=np.random.default_rng(0))
         assert 0.0 <= res.value <= 1.0
 
     def test_indefinite_rejected(self):

@@ -311,9 +311,7 @@ class TestEvaluateStrata:
         five = ~which
         [qmc] = [r for r in pwer.evaluate_strata(c, model, 1e-3, np.random.default_rng(3), five) if r]
         corr = mvprob.CorrelationMatrix(model.full_corr)
-        own = (mvprob.mvn_cdf(c, corr, 1e-3, np.random.default_rng(3)) if kind == "normal"
-               else mvprob.mvt_cdf(c, corr, df, 1e-3, np.random.default_rng(3)))
-        assert qmc == own and qmc.qmc
+        assert qmc == mvprob.qmc_cdf(c, corr, df, 1e-3, np.random.default_rng(3)) and qmc.qmc
 
     def test_rejects_bad_limits_tol_and_undefined_strata(self):
         model = pwer.build_test_model(equal_cells_design())
