@@ -479,6 +479,20 @@ PRE_PLACKETT_C_STAR = {
     pytest.param(dict(m=2, setting="E"),
                  "257f1524fc82b29dcde6ddc60d05042362de6e9bd38989ac6e1d7b87ba4655b3",
                  id="E_m2"),
+    # the resampling settings under the benchmark's treatment scheme
+    pytest.param(dict(m=2, setting="D_satterthwaite", treatment_scheme="single"),
+                 "d455a23d3c03042f85eea02a9e6a81532997f0ab990cee17b420cb500f76aab9",
+                 id="D_satterthwaite_m2_single"),
+    pytest.param(dict(m=2, setting="D_bootstrap", treatment_scheme="single"),
+                 "ebf73bf1040af3ce64c3d1d1fa746514bc9695f34db89d3080ca297aa95abe3f",
+                 id="D_bootstrap_m2_single"),
+    pytest.param(dict(m=2, setting="E", treatment_scheme="single"),
+                 "308dcde6555d08f692945bbd952deb801db8869b668c2585f74e39e670237449",
+                 id="E_m2_single"),
+    # the empirical solver over seven strata
+    pytest.param(dict(m=3, setting="D_bootstrap"),
+                 "722b5676b9285c976e0171b50cb970db639327cec1d7fce9df30156419c0e4dc",
+                 id="D_bootstrap_m3"),
     pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
                       pi_min=1 / 28),
                  "9ab84f7d656020bdaf77ee59dcf0559367a3fa61def96400af5e4483321d1d3b",
