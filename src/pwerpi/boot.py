@@ -58,18 +58,24 @@ class FwerCurve:
         return float(n - np.searchsorted(self.sorted_maxima, c, side="right")) / n
 
 
+def _stratum_maxima(null: EmpiricalNull, strata) -> list[np.ndarray]:
+    """Each stratum's resample maxima over its member statistics."""
+    return [null.statistics[:, [i - 1 for i in sorted(stratum)]].max(axis=1) for stratum in strata]
+
+
 def fwer_curves(null: EmpiricalNull, strata) -> list[FwerCurve]:
     """Per-stratum curves from the shared resample matrix."""
-    curves = []
-    for stratum in strata:
-        idx = [i - 1 for i in sorted(stratum)]
-        curves.append(FwerCurve(null.statistics[:, idx].max(axis=1)))
-    return curves
+    return [FwerCurve(maxima) for maxima in _stratum_maxima(null, strata)]
 
 
 def stratum_fwer(curves: list[FwerCurve], c: float) -> np.ndarray:
     """FWER_J(c) of every stratum, as CriticalValues.fwer stores it."""
     return np.array([curve.value(c) for curve in curves])
+
+
+def null_fwer(null: EmpiricalNull, strata, c: float) -> np.ndarray:
+    """stratum_fwer(fwer_curves(null, strata), c) by counting the maxima above c, with no sort."""
+    return np.array([np.count_nonzero(maxima > c) / null.B for maxima in _stratum_maxima(null, strata)])
 
 
 def welch_df(
@@ -130,30 +136,43 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     The empirical PWER is the pi-weighted mix of the per-stratum rejection
     step functions; the root is reported as the midpoint of the bracketing
     order statistics, so the conservative side of the step is guaranteed.
+
+    Only the merged upper tail of the live strata's maxima is read: every
+    maximum at or above q, the largest of their T-th largest maxima, ties at
+    q included. The tail is kept once its lowest value is infeasible, which
+    puts the root inside it; otherwise T grows, up to the full set. The tail
+    holds each value above q whole, in the full set's stable order, and the
+    weight above a value sums from the top, so the result equals the
+    full-set one bit for bit.
     """
     weights = prevalence_weights(pi_hat, len(strata))
     pwer.check_alpha(alpha)
-    curves = fwer_curves(null, strata)
-    if null.B * alpha < MIN_TAIL_RESAMPLES:
+    B = null.B
+    if B * alpha < MIN_TAIL_RESAMPLES:
         raise ConfigError(
-            f"B*alpha = {null.B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "
+            f"B*alpha = {B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "
             "not enough resamples to resolve the tail"
         )
-    live = weights > 0.0
-    values = np.concatenate([curves[j].sorted_maxima for j in np.flatnonzero(live)])
-    atom_w = np.concatenate(
-        [np.full(null.B, weights[j] / null.B) for j in np.flatnonzero(live)]
-    )
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    atom_w = atom_w[order]
-    uniq, inverse = np.unique(values, return_inverse=True)
-    group_w = np.bincount(inverse, weights=atom_w)
-    above = np.concatenate([np.cumsum(group_w[::-1])[::-1], [0.0]])[1:]  # weight > uniq[g]
-    feasible = above <= alpha + 1e-15
-    g = int(np.argmax(feasible))  # `above` is nonincreasing, so first True
-    if not feasible[g]:
-        raise NumericalError("empirical PWER never falls below alpha")
+    curves = fwer_curves(null, strata)
+    live = np.flatnonzero(weights > 0.0)
+    maxima = [curves[j].sorted_maxima for j in live]
+    # at q no stratum rejects more than T/B of its resamples, so with weights
+    # summing to one only a T above alpha * B can hold the root
+    T = 2 * int(alpha * B)
+    while True:
+        q = max(s[B - T] for s in maxima) if T < B else -np.inf
+        cuts = np.array([np.searchsorted(s, q) for s in maxima])
+        values = np.concatenate([s[k:] for s, k in zip(maxima, cuts)])
+        atom_w = np.repeat(weights[live] / B, B - cuts)
+        order = np.argsort(values, kind="stable")
+        uniq, inverse = np.unique(values[order], return_inverse=True)
+        group_w = np.bincount(inverse, weights=atom_w[order])
+        above = np.concatenate([np.cumsum(group_w[::-1])[::-1], [0.0]])[1:]  # weight > uniq[g]
+        # `above` is nonincreasing and ends at 0, so the first True exists
+        g = int(np.argmax(above <= alpha + 1e-15))
+        if g > 0 or not cuts.any():
+            break
+        T *= 4
     c_star = float(0.5 * (uniq[g] + uniq[g + 1])) if g + 1 < uniq.shape[0] else float(uniq[g] + 1.0)
     return _empirical_result(c_star, curves, weights, strata, alpha)
 
@@ -214,18 +233,17 @@ def bootstrap_null_E(
     counts = rng.multinomial(design.N, weights, size=B)
     rejected = 0
     for _ in range(_MAX_REDRAW_ROUNDS):
-        cell_n = design.split_counts(counts)
+        cell_n = design.split_counts(counts).astype(float)
         n_t = cell_n @ t_member
         n_c = cell_n @ c_member
-        bad = ((n_t == 0) | (n_c == 0)).any(axis=1)
-        if not bad.any():
+        if n_t.all() and n_c.all():
             break
+        bad = ((n_t == 0) | (n_c == 0)).any(axis=1)
         rejected += int(bad.sum())
         counts[bad] = rng.multinomial(design.N, weights, size=int(bad.sum()))
     else:
         raise NumericalError("projection bootstrap kept producing empty population arms")
 
-    cell_n = cell_n.astype(float)
     scale = np.sqrt(np.divide(pooled_variance, cell_n, out=np.zeros_like(cell_n), where=cell_n > 0))
     means = centers[None, :] + rng.standard_normal((B, n_cells)) * scale
 

@@ -112,8 +112,8 @@ class CellLayout(NamedTuple):
 
     def split_counts(self, counts) -> np.ndarray:
         """Cell sizes of (..., strata) counts: each stratum split evenly over its arms."""
-        n = np.asarray(counts)[..., self.stratum_of_cell]
-        return n // self.arm_count + (self.arm_slot < n % self.arm_count)
+        share, rest = np.divmod(np.asarray(counts)[..., self.stratum_of_cell], self.arm_count)
+        return share + (self.arm_slot < rest)
 
 
 def cell_layout(m: int, treatment_scheme: str) -> CellLayout:

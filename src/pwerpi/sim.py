@@ -414,8 +414,7 @@ def _calibrate_block(
     solved = pwer.solve_lockstep([entry[-1] for entry in lockstep.values()])
     for (k, (weights, used, factors, null, _)), cv in zip(lockstep.items(), solved):
         if isinstance(cv, pwer.CriticalValues) and null is not None:
-            curves = boot.fwer_curves(null, studies[k].design.strata)
-            cv = replace(cv, fwer=boot.stratum_fwer(curves, cv.value))
+            cv = replace(cv, fwer=boot.null_fwer(null, studies[k].design.strata, cv.value))
         out[k] = cv if isinstance(cv, Exception) else Calibration(weights, used, factors, cv, 0)
     return out
 

@@ -177,3 +177,35 @@ def population_correlation_oracle(design, cell_variances=None):
                 corr[i - 1, k - 1] += cov / np.sqrt(v[i - 1] * v[k - 1])
                 corr[k - 1, i - 1] = corr[i - 1, k - 1]
     return corr, v
+
+
+def empirical_critical_full(null, strata, pi_hat, alpha):
+    """(c*, fwer, achieved) of the empirical solver over every resample maximum.
+
+    The reference for boot.solve_critical_empirical, which reads only the
+    merged upper tail: this body merges all S*B maxima of the live strata in
+    one stable sort, sums the weight of every distinct value, and takes the
+    first value whose weight above it is at most alpha.
+    """
+    from pwerpi import boot, pwer
+    from pwerpi.design import prevalence_weights
+    from pwerpi.errors import ConfigError
+
+    weights = prevalence_weights(pi_hat, len(strata))
+    pwer.check_alpha(alpha)
+    if null.B * alpha < boot.MIN_TAIL_RESAMPLES:
+        raise ConfigError("not enough resamples to resolve the tail")
+    curves = boot.fwer_curves(null, strata)
+    live = weights > 0.0
+    values = np.concatenate([curves[j].sorted_maxima for j in np.flatnonzero(live)])
+    atom_w = np.concatenate([np.full(null.B, weights[j] / null.B) for j in np.flatnonzero(live)])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    atom_w = atom_w[order]
+    uniq, inverse = np.unique(values, return_inverse=True)
+    group_w = np.bincount(inverse, weights=atom_w)
+    above = np.concatenate([np.cumsum(group_w[::-1])[::-1], [0.0]])[1:]  # weight > uniq[g]
+    g = int(np.argmax(above <= alpha + 1e-15))
+    c_star = float(0.5 * (uniq[g] + uniq[g + 1])) if g + 1 < uniq.shape[0] else float(uniq[g] + 1.0)
+    fwer = boot.stratum_fwer(curves, c_star)
+    return c_star, fwer, float(np.dot(weights, fwer))

@@ -6,6 +6,8 @@ import pytest
 from pwerpi import boot, design as dz, pwer
 from pwerpi.errors import ConfigError, InfeasibleDesignError
 
+from oracles import empirical_critical_full
+
 ALPHA = 0.025
 
 
@@ -110,8 +112,13 @@ class TestSolveCriticalEmpirical:
         with pytest.raises(ConfigError, match="alpha must lie in"):
             boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), alpha)
 
-    def test_insufficient_tail_resolution(self):
+    def test_insufficient_tail_resolution(self, monkeypatch):
         d, null = self.build_null(B=2000)
+
+        def unsorted(*args):
+            raise AssertionError("a rejected call sorts no maxima")
+
+        monkeypatch.setattr(boot, "fwer_curves", unsorted)
         with pytest.raises(ConfigError):
             boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), 0.005)
 
@@ -129,6 +136,74 @@ class TestSolveCriticalEmpirical:
         model = pwer.build_test_model(d)
         cv_exact = pwer.solve_critical_values(weights, model, ALPHA)
         assert abs(cv_emp.value - cv_exact.value) <= 0.05
+
+
+def correlated_statistics(m, B, seed, rho=0.5):
+    """(B, m) equicorrelated normal statistics. An overlap stratum's maximum
+    equals one of its singletons' on every resample, so values tie across strata."""
+    chol = np.linalg.cholesky(np.full((m, m), rho) + (1.0 - rho) * np.eye(m))
+    return np.random.default_rng(seed).standard_normal((B, m)) @ chol.T
+
+
+# (m, statistics transform, weights): inputs that stress the tail cut
+TAIL_CASES = {
+    "m2": (2, None, [0.3, 0.3, 0.4]),
+    "m3": (3, None, [0.2, 0.15, 0.1, 0.15, 0.1, 0.2, 0.1]),
+    "m2_rounded": (2, lambda s: np.round(s / 0.05) * 0.05, [0.25, 0.35, 0.4]),
+    "m3_rounded": (3, lambda s: np.round(s / 0.05) * 0.05, [1 / 7] * 7),
+    "m3_rounded_coarse": (3, lambda s: np.round(s / 0.5) * 0.5, [0.1, 0.2, 0.1, 0.2, 0.1, 0.2, 0.1]),
+    # every maximum above 1.5 ties at the cap, so the cut lands on the top value
+    "m2_clipped": (2, lambda s: np.minimum(s, 1.5), [0.3, 0.3, 0.4]),
+    "m3_clipped": (3, lambda s: np.minimum(s, 1.5), [1 / 7] * 7),
+    "one_live_overlap": (2, None, [0.0, 0.0, 1.0]),
+    "one_live_singleton": (3, None, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    "zero_weights": (3, None, [0.5, 0.0, 0.0, 0.3, 0.2, 0.0, 0.0]),
+    # the strata holding the shifted population weigh << alpha but top the
+    # tail: the cut widens up to the full set
+    "tiny_weight_widens": (3, lambda s: s + np.array([0.0, 0.0, 10.0]),
+                           [0.3, 0.3, 1e-5, 0.4 - 4e-5, 1e-5, 1e-5, 1e-5]),
+    "m2_tiny_weight_widens": (2, lambda s: s + np.array([0.0, 10.0]), [1.0 - 2e-5, 1e-5, 1e-5]),
+}
+
+
+class TestTailSolverMatchesFullSet:
+    @pytest.mark.parametrize("B", [1000, 10_000])
+    @pytest.mark.parametrize("case", sorted(TAIL_CASES))
+    def test_bit_identical(self, case, B):
+        m, transform, weights = TAIL_CASES[case]
+        stats = correlated_statistics(m, B, seed=B + m)
+        if transform is not None:
+            stats = transform(stats)
+        null = boot.EmpiricalNull(statistics=stats, provenance="parametric_D")
+        strata = dz.enumerate_strata(m)
+        weights = np.array(weights)
+        for alpha in (0.01, 0.02, 0.025, 0.05, 0.1, 0.25, 0.49):
+            if B * alpha < boot.MIN_TAIL_RESAMPLES:
+                with pytest.raises(ConfigError):
+                    boot.solve_critical_empirical(null, strata, weights, alpha)
+                continue
+            c_star, fwer, achieved = empirical_critical_full(null, strata, weights, alpha)
+            cv = boot.solve_critical_empirical(null, strata, weights, alpha)
+            assert np.array_equal(cv.c, np.full(m, c_star)), alpha
+            assert np.array_equal(cv.fwer, fwer), alpha
+            assert cv.achieved == achieved and cv.verified == achieved, alpha
+
+
+class TestNullFwer:
+    @pytest.mark.parametrize("m, transform", [
+        (2, None), (3, None), (3, lambda s: np.round(s / 0.05) * 0.05),
+    ])
+    def test_equals_sorted_curves(self, m, transform):
+        stats = correlated_statistics(m, 2000, seed=m)
+        if transform is not None:
+            stats = transform(stats)
+        null = boot.EmpiricalNull(statistics=stats, provenance="parametric_D")
+        strata = dz.enumerate_strata(m)
+        curves = boot.fwer_curves(null, strata)
+        # resample maxima themselves (the side="right" edge), then points between them
+        at_maxima = [curve.sorted_maxima[k] for curve in curves for k in (0, 1000, 1950, 1999)]
+        for c in at_maxima + [-10.0, 0.0, 1.96, 2.2360679, 10.0]:
+            assert np.array_equal(boot.null_fwer(null, strata, c), boot.stratum_fwer(curves, c)), c
 
 
 class TestEmpiricalGradient:
@@ -213,6 +288,17 @@ class TestSettingE:
         assert np.array_equal(a.statistics, b.statistics)
         assert a.statistics.shape == (2000, 2)
         assert a.provenance == "projection_E"
+
+    def test_empty_arm_resamples_redrawn_and_counted(self):
+        # eight patients: a population arm is often empty, and such resamples are redrawn
+        d = dz.build_design(2, "single", [3, 3, 2], 1.0, "unknown_homogeneous")
+        pv = np.array([0.45, 0.45, 0.1])
+        effects = np.array([0.2, -0.3, 0.1])
+        a = boot.bootstrap_null_E(d, pv, effects, 0.8, 2000, np.random.default_rng(4))
+        b = boot.bootstrap_null_E(d, pv, effects, 0.8, 2000, np.random.default_rng(4))
+        assert a.rejected_resamples > 0
+        assert a.rejected_resamples == b.rejected_resamples
+        assert np.array_equal(a.statistics, b.statistics)
 
     def test_m3_rejected(self):
         d3 = dz.build_design(3, "single", [30] * 7, 1.0, "unknown_homogeneous")
