@@ -9,10 +9,8 @@ engines for the settings without a closed-form joint test distribution.
 
 from .boot import (
     EmpiricalNull,
-    FwerCurve,
     bootstrap_null_D,
     bootstrap_null_E,
-    build_satterthwaite_model,
     fwer_curves,
     generate_setting_E_study,
     project_to_null,

@@ -30,7 +30,6 @@ class EmpiricalNull:
     """Resampled test statistics under the global null hypothesis."""
 
     statistics: np.ndarray  # (B, m)
-    provenance: str  # "parametric_D" | "projection_E"
     rejected_resamples: int = 0
 
     def __post_init__(self):
@@ -47,35 +46,24 @@ class EmpiricalNull:
         return self.statistics.shape[0]
 
 
-class FwerCurve:
-    """Empirical FWER of one stratum: c -> fraction of resample maxima above c."""
-
-    def __init__(self, maxima: np.ndarray):
-        self.sorted_maxima = np.sort(np.asarray(maxima, dtype=float))
-
-    def value(self, c: float) -> float:
-        n = self.sorted_maxima.shape[0]
-        return float(n - np.searchsorted(self.sorted_maxima, c, side="right")) / n
-
-
 def _stratum_maxima(null: EmpiricalNull, strata) -> list[np.ndarray]:
     """Each stratum's resample maxima over its member statistics."""
     return [null.statistics[:, [i - 1 for i in sorted(stratum)]].max(axis=1) for stratum in strata]
 
 
-def fwer_curves(null: EmpiricalNull, strata) -> list[FwerCurve]:
-    """Per-stratum curves from the shared resample matrix."""
-    return [FwerCurve(maxima) for maxima in _stratum_maxima(null, strata)]
+def fwer_curves(null: EmpiricalNull, strata) -> list[np.ndarray]:
+    """Each stratum's resample maxima, sorted: its FWER step function FWER_J(c)."""
+    return [np.sort(maxima) for maxima in _stratum_maxima(null, strata)]
 
 
-def stratum_fwer(curves: list[FwerCurve], c: float) -> np.ndarray:
-    """FWER_J(c) of every stratum, as CriticalValues.fwer stores it."""
-    return np.array([curve.value(c) for curve in curves])
+def _exceeding(maxima: list[np.ndarray], c: float, B: int) -> np.ndarray:
+    """FWER_J(c) of every stratum: the share of its B resample maxima above c."""
+    return np.array([np.count_nonzero(m > c) / B for m in maxima])
 
 
 def null_fwer(null: EmpiricalNull, strata, c: float) -> np.ndarray:
-    """stratum_fwer(fwer_curves(null, strata), c) by counting the maxima above c, with no sort."""
-    return np.array([np.count_nonzero(maxima > c) / null.B for maxima in _stratum_maxima(null, strata)])
+    """FWER_J(c) of every stratum, as CriticalValues.fwer stores it, with no sort."""
+    return _exceeding(_stratum_maxima(null, strata), c, null.B)
 
 
 def welch_df(
@@ -112,11 +100,6 @@ def satterthwaite_df(design: Design) -> float:
     return max(float(dfs.min()), 1.0)
 
 
-def build_satterthwaite_model(design: Design) -> pwer.TestModel:
-    """Multivariate t model with the design's observed variances and the shared Welch df."""
-    return pwer.build_test_model(design, df=satterthwaite_df(design))
-
-
 def bootstrap_null_D(design: Design, B: int, rng: np.random.Generator) -> EmpiricalNull:
     """Parametric bootstrap of the global null with the design's observed cell variances.
 
@@ -127,7 +110,7 @@ def bootstrap_null_D(design: Design, B: int, rng: np.random.Generator) -> Empiri
     scale = np.where(sizes > 0, np.sqrt(design.cell_variances / np.maximum(sizes, 1.0)), 0.0)
     means = rng.standard_normal((int(B), len(design.cells))) * scale[None, :]
     stats = pwer.test_statistics(design, means)
-    return EmpiricalNull(statistics=stats, provenance="parametric_D")
+    return EmpiricalNull(statistics=stats)
 
 
 def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) -> pwer.CriticalValues:
@@ -153,9 +136,11 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
             f"B*alpha = {B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "
             "not enough resamples to resolve the tail"
         )
-    curves = fwer_curves(null, strata)
     live = np.flatnonzero(weights > 0.0)
-    maxima = [curves[j].sorted_maxima for j in live]
+    if not live.size:
+        raise ConfigError("prevalence vector has no positive component")
+    curves = fwer_curves(null, strata)
+    maxima = [curves[j] for j in live]
     # at q no stratum rejects more than T/B of its resamples, so with weights
     # summing to one only a T above alpha * B can hold the root
     T = 2 * int(alpha * B)
@@ -174,15 +159,10 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
             break
         T *= 4
     c_star = float(0.5 * (uniq[g] + uniq[g + 1])) if g + 1 < uniq.shape[0] else float(uniq[g] + 1.0)
-    return _empirical_result(c_star, curves, weights, strata, alpha)
-
-
-def _empirical_result(c_star, curves, weights, strata, alpha) -> pwer.CriticalValues:
-    fwer = stratum_fwer(curves, c_star)
+    fwer = _exceeding(curves, c_star, B)
     achieved = float(np.dot(weights, fwer))
-    m = max(max(s) for s in strata)
     return pwer.CriticalValues(
-        c=np.full(m, c_star),
+        c=np.full(null.statistics.shape[1], c_star),
         alpha=alpha,
         achieved=achieved,
         verified=achieved,
@@ -251,7 +231,7 @@ def bootstrap_null_E(
     totals = means * cell_n
     contrast = totals @ t_member / n_t - totals @ c_member / n_c
     z = contrast / np.sqrt(pooled_variance * (1.0 / n_t + 1.0 / n_c))
-    return EmpiricalNull(statistics=z, provenance="projection_E", rejected_resamples=rejected)
+    return EmpiricalNull(statistics=z, rejected_resamples=rejected)
 
 
 def generate_setting_E_study(
@@ -298,7 +278,7 @@ def generate_setting_E_study(
             )
         observed[j] = means[t_cells].mean() - means[c_cell]
 
-    df = design.N - design.positive_cell_count()
+    df = design.residual_df
     if df < 1:
         raise InfeasibleDesignError("no residual degrees of freedom for the pooled variance")
     pooled_variance = sigma**2 * rng.chisquare(df) / df

@@ -218,9 +218,10 @@ class Design:
         """Cell sizes of (strata,) or (B, strata) counts (CellLayout.split_counts)."""
         return cell_layout(self.m, self.treatment_scheme).split_counts(counts)
 
-    def positive_cell_count(self) -> int:
-        """Number of (stratum, arm) cells with at least one patient."""
-        return int(np.count_nonzero(self.cell_sizes))
+    @property
+    def residual_df(self) -> int:
+        """Residual degrees of freedom of the pooled variance: N minus the populated cells."""
+        return self.N - int(np.count_nonzero(self.cell_sizes))
 
 
 def build_designs(

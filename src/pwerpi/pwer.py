@@ -60,7 +60,7 @@ class TestModel:
 
     kind is "normal" or "t" (df from build_test_model);
     full_corr is the m x m correlation matrix of the pooled contrasts, whose
-    covariance is W diag(s^2/n) W^T (see build_full_correlation), validated
+    covariance is W diag(s^2/n) W^T (see _full_correlations), validated
     by mvprob.correlation_matrices (read-only, exactly symmetric, unit
     diagonal); the off-diagonal entries of a population with an empty arm
     are NaN. Each stratum's joint law has as correlation the principal
@@ -126,8 +126,15 @@ def arm_weight_matrix(design: Design, sizes: np.ndarray | None = None) -> np.nda
 
 
 def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarray]:
-    """build_full_correlation of designs of one cell layout, stacked (R, m, m) and (R, m),
-    from one stacked W diag(s^2/n) W^T; the rows of populations with an empty arm hold NaN."""
+    """Correlations (R, m, m) and variances V_i (R, m) of the population statistics of
+    designs of one cell layout.
+
+    The cell means are independent with variances s^2/n (s^2 = design.cell_variances),
+    so the pooled contrasts have Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty
+    cells carry weight zero), one stacked product for all designs. V_i is its diagonal and
+    the correlation its normalisation; a population with an empty arm has NaN variance and
+    NaN off-diagonal correlations.
+    """
     sizes = np.array([design.cell_sizes for design in designs], dtype=float)
     w = arm_weight_matrix(designs[0], sizes)
     variances = np.array([design.cell_variances for design in designs])
@@ -145,25 +152,6 @@ def _empty_arm(design: Design, v: np.ndarray) -> InfeasibleDesignError:
     return InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
 
 
-def build_full_correlation(
-    design: Design, allow_empty_populations: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation matrix of the population statistics and the variances V_i.
-
-    The cell means are independent with variances s^2/n (s^2 =
-    design.cell_variances), so the pooled contrasts have
-    Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty cells carry
-    weight zero). V_i is its diagonal and the correlation its
-    normalisation. A population with an empty arm raises
-    InfeasibleDesignError; with allow_empty_populations its row and column
-    hold NaN off-diagonal and NaN variance instead.
-    """
-    corr, v = _full_correlations([design])
-    if np.isnan(v[0]).any() and not allow_empty_populations:
-        raise _empty_arm(design, v[0])
-    return corr[0], v[0]
-
-
 def _law(design: Design, df: float | None) -> tuple[str, float | None]:
     """The kind and df of build_test_model."""
     mode = design.variance_mode
@@ -172,7 +160,7 @@ def _law(design: Design, df: float | None) -> tuple[str, float | None]:
     if mode in ("known_homogeneous", "known_heterogeneous"):
         return "normal", df
     if mode == "unknown_homogeneous":
-        df = float(design.N - design.positive_cell_count())
+        df = float(design.residual_df)
     elif df is None:
         raise ConfigError(
             "unknown heterogeneous variances have no closed-form joint law; "
@@ -236,7 +224,7 @@ def build_test_model(
     Known variances give a normal law; unknown homogeneous ones a t law with
     df = N minus the populated cells. Unknown heterogeneous variances have a
     t law only by approximation: df is that approximation's reference df
-    (boot.build_satterthwaite_model), and no other mode takes one. With
+    (boot.satterthwaite_df), and no other mode takes one. With
     allow_empty_populations, strata touching a population with an empty arm
     get no joint law (stratum_ok False) instead of raising; they can
     only ever be evaluated with zero weight. A block of one of
@@ -255,7 +243,9 @@ def test_statistics(design: Design, cell_means: np.ndarray) -> np.ndarray:
     and preserved. Cells with no patients carry weight zero.
     """
     means = np.asarray(cell_means, dtype=float)
-    v = build_full_correlation(design)[1]
+    v = _full_correlations([design])[1][0]
+    if np.isnan(v).any():
+        raise _empty_arm(design, v)
     return (means @ arm_weight_matrix(design).T) / np.sqrt(v)
 
 

@@ -97,8 +97,8 @@ class SimScenario:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.prevalence_scheme not in PREVALENCE_SCHEMES:
             raise ConfigError(f"unknown prevalence scheme {self.prevalence_scheme!r}")
-        # enumerate_strata checks m
-        check_transform(self.transform, self.pi_min, len(enumerate_strata(self.m)))
+        # cell_layout checks m and the treatment scheme
+        check_transform(self.transform, self.pi_min, len(cell_layout(self.m, self.treatment_scheme).strata))
         if self.setting == "E" and self.m != 2:
             raise ConfigError("setting E is defined for m = 2 only")
         if self.runs < 1 or self.N < 1:

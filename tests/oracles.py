@@ -136,12 +136,12 @@ def fd_gradient(pi0, model, alpha, step=1e-4, cdf_tol=1e-8):
 def population_correlation_oracle(design, cell_variances=None):
     """Correlation of the pooled contrasts and their variances V_i, pair by pair.
 
-    Reference for pwer.build_full_correlation, read off the cell list alone:
-    population i pools its member strata's cells labelled with its treatment
-    (treatment arm) or the control (control arm). Two populations of one
-    stratum share its control cell, and its treatment cell too when their
-    treatment labels agree. A population with an empty arm gets NaN variance
-    and NaN off-diagonal correlations.
+    Reference for pwer.build_test_model's full_corr and population_variances,
+    read off the cell list alone: population i pools its member strata's
+    cells labelled with its treatment (treatment arm) or the control (control
+    arm). Two populations of one stratum share its control cell, and its
+    treatment cell too when their treatment labels agree. A population with
+    an empty arm gets NaN variance and NaN off-diagonal correlations.
     """
     from pwerpi.design import CONTROL
 
@@ -197,7 +197,7 @@ def empirical_critical_full(null, strata, pi_hat, alpha):
         raise ConfigError("not enough resamples to resolve the tail")
     curves = boot.fwer_curves(null, strata)
     live = weights > 0.0
-    values = np.concatenate([curves[j].sorted_maxima for j in np.flatnonzero(live)])
+    values = np.concatenate([curves[j] for j in np.flatnonzero(live)])
     atom_w = np.concatenate([np.full(null.B, weights[j] / null.B) for j in np.flatnonzero(live)])
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -207,5 +207,5 @@ def empirical_critical_full(null, strata, pi_hat, alpha):
     above = np.concatenate([np.cumsum(group_w[::-1])[::-1], [0.0]])[1:]  # weight > uniq[g]
     g = int(np.argmax(above <= alpha + 1e-15))
     c_star = float(0.5 * (uniq[g] + uniq[g + 1])) if g + 1 < uniq.shape[0] else float(uniq[g] + 1.0)
-    fwer = boot.stratum_fwer(curves, c_star)
+    fwer = np.array([float(null.B - np.searchsorted(s, c_star, side="right")) / null.B for s in curves])
     return c_star, fwer, float(np.dot(weights, fwer))

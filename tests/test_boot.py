@@ -77,7 +77,7 @@ class TestBootstrapNullD:
         d = single_scheme_design()
         d = dataclasses.replace(d, cell_variances=np.full(len(d.cells), 0.7))
         null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(8))
-        corr, _ = pwer.build_full_correlation(d)
+        corr = pwer.build_test_model(d, df=boot.satterthwaite_df(d)).full_corr
         emp = np.corrcoef(null.statistics.T)[0, 1]
         assert emp == pytest.approx(corr[0, 1], abs=0.03)
 
@@ -112,15 +112,22 @@ class TestSolveCriticalEmpirical:
         with pytest.raises(ConfigError, match="alpha must lie in"):
             boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), alpha)
 
-    def test_insufficient_tail_resolution(self, monkeypatch):
-        d, null = self.build_null(B=2000)
-
+    @pytest.fixture
+    def sorts_nothing(self, monkeypatch):
         def unsorted(*args):
             raise AssertionError("a rejected call sorts no maxima")
 
         monkeypatch.setattr(boot, "fwer_curves", unsorted)
+
+    def test_insufficient_tail_resolution(self, sorts_nothing):
+        d, null = self.build_null(B=2000)
         with pytest.raises(ConfigError):
             boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), 0.005)
+
+    def test_no_positive_prevalence(self, sorts_nothing):
+        d, null = self.build_null(B=2000)
+        with pytest.raises(ConfigError, match="no positive component"):
+            boot.solve_critical_empirical(null, d.strata, np.zeros(3), ALPHA)
 
     def test_conservative_side_and_granularity(self):
         d, null = self.build_null()
@@ -174,7 +181,7 @@ class TestTailSolverMatchesFullSet:
         stats = correlated_statistics(m, B, seed=B + m)
         if transform is not None:
             stats = transform(stats)
-        null = boot.EmpiricalNull(statistics=stats, provenance="parametric_D")
+        null = boot.EmpiricalNull(statistics=stats)
         strata = dz.enumerate_strata(m)
         weights = np.array(weights)
         for alpha in (0.01, 0.02, 0.025, 0.05, 0.1, 0.25, 0.49):
@@ -186,6 +193,7 @@ class TestTailSolverMatchesFullSet:
             cv = boot.solve_critical_empirical(null, strata, weights, alpha)
             assert np.array_equal(cv.c, np.full(m, c_star)), alpha
             assert np.array_equal(cv.fwer, fwer), alpha
+            assert np.array_equal(cv.fwer, boot.null_fwer(null, strata, cv.value)), alpha
             assert cv.achieved == achieved and cv.verified == achieved, alpha
 
 
@@ -197,13 +205,14 @@ class TestNullFwer:
         stats = correlated_statistics(m, 2000, seed=m)
         if transform is not None:
             stats = transform(stats)
-        null = boot.EmpiricalNull(statistics=stats, provenance="parametric_D")
+        null = boot.EmpiricalNull(statistics=stats)
         strata = dz.enumerate_strata(m)
         curves = boot.fwer_curves(null, strata)
         # resample maxima themselves (the side="right" edge), then points between them
-        at_maxima = [curve.sorted_maxima[k] for curve in curves for k in (0, 1000, 1950, 1999)]
+        at_maxima = [curve[k] for curve in curves for k in (0, 1000, 1950, 1999)]
         for c in at_maxima + [-10.0, 0.0, 1.96, 2.2360679, 10.0]:
-            assert np.array_equal(boot.null_fwer(null, strata, c), boot.stratum_fwer(curves, c)), c
+            above = [float(null.B - np.searchsorted(curve, c, side="right")) / null.B for curve in curves]
+            assert np.array_equal(boot.null_fwer(null, strata, c), np.array(above)), c
 
 
 class TestEmpiricalGradient:
@@ -287,7 +296,6 @@ class TestSettingE:
         b = boot.bootstrap_null_E(d, pv, effects, pooled, 2000, np.random.default_rng(9))
         assert np.array_equal(a.statistics, b.statistics)
         assert a.statistics.shape == (2000, 2)
-        assert a.provenance == "projection_E"
 
     def test_empty_arm_resamples_redrawn_and_counted(self):
         # eight patients: a population arm is often empty, and such resamples are redrawn
@@ -310,11 +318,8 @@ class TestFwerCurves:
     def test_monotone_and_nested(self):
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 5000, np.random.default_rng(1))
-        curves = boot.fwer_curves(null, d.strata)
         grid = np.linspace(0.5, 3.5, 13)
-        for curve in curves:
-            values = [curve.value(c) for c in grid]
-            assert np.all(np.diff(values) <= 0)
+        fwer = np.array([boot.null_fwer(null, d.strata, c) for c in grid])
+        assert np.all(np.diff(fwer, axis=0) <= 0)
         # supersets reject at least as often on shared resamples
-        for c in grid:
-            assert curves[2].value(c) >= max(curves[0].value(c), curves[1].value(c))
+        assert np.all(fwer[:, 2] >= fwer[:, :2].max(axis=1))

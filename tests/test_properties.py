@@ -97,9 +97,10 @@ class TestCorrelationOracle:
         s2 = np.asarray(data.draw(
             st.lists(st.floats(0.05, 4.0), min_size=len(d.cells), max_size=len(d.cells))
         ))
-        corr, v = pwer.build_full_correlation(
+        model = pwer.build_test_model(
             dataclasses.replace(d, cell_variances=s2), allow_empty_populations=True
         )
+        corr, v = model.full_corr, model.population_variances
         ref_corr, ref_v = population_correlation_oracle(d, s2)
         assert np.array_equal(np.isnan(corr), np.isnan(ref_corr))
         assert np.array_equal(np.isnan(v), np.isnan(ref_v))

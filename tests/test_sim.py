@@ -143,6 +143,7 @@ class TestRunScenario:
         ("A", dict(m=13)),
         ("A", dict(m=1)),
         ("A", dict(alpha=1e-12)),  # below the smallest alpha the calibration resolves
+        ("A", dict(treatment_scheme="bogus")),
     ])
     def test_levels_and_resamples_checked_at_construction(self, setting, fields):
         with pytest.raises(ConfigError):
@@ -177,6 +178,11 @@ class TestStudyDistribution:
         with pytest.raises(ConfigError):
             sim.run_study_distribution(m=2, setting="A", N=250, studies=studies,
                                        runs_per_study=10, master_seed=1)
+
+    def test_treatment_scheme_checked(self):
+        with pytest.raises(ConfigError, match="unknown treatment scheme"):
+            sim.study_scenarios(m=2, setting="A", N=250, studies=2, runs_per_study=10,
+                                master_seed=1, treatment_scheme="bogus")
 
     def test_single_study_is_identity(self):
         dist = sim.run_study_distribution(
@@ -227,6 +233,10 @@ class TestMinPrevalenceGrid:
         zero = {r["transform"]: r for r in rows if r["pi_min_label"] == "0"}
         assert zero["floor"]["coverage"] == zero["shift"]["coverage"]
         assert zero["floor"]["mean_length_e3"] == zero["shift"]["mean_length_e3"]
+
+    def test_treatment_scheme_checked(self):
+        with pytest.raises(ConfigError, match="unknown treatment scheme"):
+            sim.min_prevalence_grid_cells([50], [2], treatment_scheme="bogus")
 
     def test_every_cell_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(sim, "_run_block", lambda *a, **k: pytest.fail("a cell ran"))
