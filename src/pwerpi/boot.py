@@ -150,7 +150,11 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
         values = np.concatenate([s[k:] for s, k in zip(maxima, cuts)])
         atom_w = np.repeat(weights[live] / B, B - cuts)
         order = np.argsort(values, kind="stable")
-        uniq, inverse = np.unique(values[order], return_inverse=True)
+        values = values[order]
+        # the distinct values and each value's group, as np.unique gives them: the
+        # values are sorted, so a group starts wherever a value differs from the last
+        first = np.concatenate(([True], values[1:] != values[:-1]))
+        uniq, inverse = values[first], np.cumsum(first) - 1
         group_w = np.bincount(inverse, weights=atom_w[order])
         above = np.concatenate([np.cumsum(group_w[::-1])[::-1], [0.0]])[1:]  # weight > uniq[g]
         # `above` is nonincreasing and ends at 0, so the first True exists

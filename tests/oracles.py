@@ -209,3 +209,68 @@ def empirical_critical_full(null, strata, pi_hat, alpha):
     c_star = float(0.5 * (uniq[g] + uniq[g + 1])) if g + 1 < uniq.shape[0] else float(uniq[g] + 1.0)
     fwer = np.array([float(null.B - np.searchsorted(s, c_star, side="right")) / null.B for s in curves])
     return c_star, fwer, float(np.dot(weights, fwer))
+
+
+def quantile_start_secant(model, weights, alpha, solver_tol, cdf_tol):
+    """pwer._secant as it was before it started at the independence root (weights unused).
+
+    The reference for the calibration's history checks: records and figures
+    pinned before that change are reproduced by monkeypatching pwer._secant
+    with it. It brackets with the single-test and Bonferroni-like quantiles,
+    starts at the single-test one, takes a first step of slope one on the
+    quantile scale and then the safeguarded secant of pwer._secant.
+    """
+    import math
+
+    from pwerpi import pwer
+    from pwerpi.errors import NumericalError
+
+    q_alpha = pwer._upper_quantile(model, alpha)
+
+    def z(p):
+        return pwer._upper_quantile(model, p) - q_alpha
+
+    lo = model.tail_quantile(alpha)
+    hi = model.tail_quantile(alpha / 2**model.m)
+    slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
+    f_tol = min(solver_tol, 1e-3 * alpha)
+    p_lo = yield lo
+    if p_lo - alpha < -slack:
+        raise NumericalError(
+            f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
+        )
+    if p_lo - alpha <= f_tol:
+        return lo, p_lo
+
+    a, p_a, b, p_b = lo, p_lo, hi, math.nan
+    x_prev, z_prev = lo, z(p_lo)
+    x = lo - z_prev
+    widths = [b - a]
+    for _ in range(pwer._SOLVER_MAX_ITER):
+        if not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            if math.isnan(p_b):
+                p_b = yield hi
+                if p_b - alpha > slack:
+                    raise NumericalError(
+                        f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
+                    )
+                if p_b - alpha >= -f_tol:
+                    return hi, p_b
+            x = 0.5 * (a + b)
+        p = yield x
+        if abs(p - alpha) <= f_tol:
+            return x, p
+        if p > alpha:
+            a, p_a = x, p
+        else:
+            b, p_b = x, p
+        widths.append(b - a)
+        if b - a <= pwer._SOLVER_XTOL and not math.isnan(p_b):
+            return min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))
+        z_x = z(p)
+        step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
+        x_prev, z_prev, x = x, z_x, x - step
+    raise NumericalError(
+        f"critical value iteration did not converge within {pwer._SOLVER_MAX_ITER} steps "
+        f"(bracket [{a:.12f}, {b:.12f}])"
+    )

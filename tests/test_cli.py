@@ -4,13 +4,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwerpi import cli, sim
+from pwerpi import cli, pwer, sim
 from pwerpi.design import enumerate_strata, stratum_label
+
+from oracles import quantile_start_secant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # report.json of configs/analyze.json
 SHIPPED_REPORT = {
+    "engine": "exact", "N": 250, "m": 2,
+    "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+    "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
+    "transform": "none", "pi_min": 0.0,
+    "critical_value": 2.075493079338709, "achieved_pwer": 0.02500000003607565,
+    "gradient": {"1": -0.018970429804210265, "2": -0.018970429804210265, "1,2": -0.03691557930380962},
+    "gamma": 0.00847619148250918, "alpha": 0.025, "alpha_prime": 0.05,
+    "interval_lower": 0.023949299725255717, "interval_upper": 0.026050700274744286,
+    "interval_length": 0.0021014005494885708,
+}
+# its report.json while the solver started at the single-test quantile
+QUANTILE_START_REPORT = {
     "engine": "exact", "N": 250, "m": 2,
     "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
     "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
@@ -65,7 +79,16 @@ class TestAnalyze:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
         report = json.loads((tmp_path / "shipped" / "report.json").read_text())
         assert report == SHIPPED_REPORT
+
+    def test_shipped_config_report_pinned_under_the_quantile_start(self, monkeypatch, tmp_path):
+        # the solver as it was before it started at the independence root keeps its report
+        cfg = str(CONFIGS / "analyze.json")
+        monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
+        report = json.loads((tmp_path / "shipped" / "report.json").read_text())
+        assert report == QUANTILE_START_REPORT
         assert abs(report["critical_value"] - SHIPPED_PARENT_C_STAR) <= 2e-7
+        assert abs(report["critical_value"] - SHIPPED_REPORT["critical_value"]) <= 1e-7
 
     @pytest.mark.parametrize("m, scheme, runs", [
         pytest.param(m, scheme, runs, id=f"{m}-{scheme}")

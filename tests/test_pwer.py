@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pwerpi import design as dz
 from pwerpi import mvprob, pwer, sim
 from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
-from oracles import fd_gradient, pwer_event_mc
+from oracles import fd_gradient, pwer_event_mc, quantile_start_secant
 
 ALPHA = 0.025
 
@@ -330,13 +331,17 @@ class TestSolveCriticalValues:
         model = pwer.build_test_model(equal_cells_design())
         cv = pwer.solve_critical_values(np.array([0.5, 0.5, 0.0]), model, ALPHA)
         assert cv.value == pytest.approx(1.959964, abs=1e-5)
+        # the independence start is the single-test quantile, already the root
+        assert cv.evaluations == 1
 
     def test_independent_full_overlap_closed_form(self):
         # oracle: brentq on 2(1-Phi) - (1-Phi)^2 = alpha gives 2.238964375652972
         model = pwer.build_test_model(equal_cells_design())
         model0 = dataclasses.replace(model, full_corr=np.eye(2))
         cv = pwer.solve_critical_values(np.array([0.0, 0.0, 1.0]), model0, ALPHA)
-        assert cv.value == pytest.approx(2.238964375652972, abs=1e-6)
+        assert cv.value == pytest.approx(2.238964375652972, abs=1e-12)
+        # the independence start solves this model exactly
+        assert cv.evaluations == 1
 
     def test_bracket_bounds_hold(self):
         model = pwer.build_test_model(equal_cells_design())
@@ -358,6 +363,25 @@ class TestSolveCriticalValues:
     def test_m4_solve_pinned(self):
         # exact figures: a change that moves the 4-dim quadrature numbers must update them
         cv = m4_solve()
+        assert cv.value == 2.249761729270922
+        assert cv.achieved == 0.025000001587625092
+        assert cv.verified == 0.025000001587625092
+        assert cv.evaluations == 3
+        assert cv.fwer.tolist() == [
+            0.012232037312516542, 0.012232037312516542, 0.012232037312516542,
+            0.012232037312516542, 0.023989418106021176, 0.023908995678799116,
+            0.023983276700698664, 0.023832879319427014, 0.024025279457973836,
+            0.023943318371420497, 0.03508726193502054, 0.03533737153853378,
+            0.035184998304186754, 0.03515226386208292, 0.04600066982238116,
+        ]
+
+    def test_m4_solve_pinned_under_the_quantile_start(self, monkeypatch):
+        # the solver as it was before it started at the independence root keeps every figure
+        # pinned on it; both solves meet solver_tol, and their c* lie 6.1e-9 apart
+        new = m4_solve()
+        monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
+        cv = m4_solve()
+        assert abs(cv.value - new.value) <= 1e-7
         assert cv.value == 2.249761723205735
         assert cv.achieved == 0.025000001972812623
         assert cv.verified == 0.025000001972812623
@@ -392,7 +416,7 @@ class TestSolveCriticalValues:
 
         monkeypatch.setattr(mvprob.qmc, "Sobol", counting_sobol)
         cv = setting_a_solve(5, M5_COUNTS)
-        assert cv.evaluations == 5
+        assert cv.evaluations == 3
         assert len(built) == 24
         built.clear()
         m4_solve()
@@ -417,18 +441,21 @@ def test_small_alpha_calibrated_to_relative_precision(alpha):
     assert abs(cv.achieved - alpha) <= 1e-3 * alpha
     assert abs(cv.verified - alpha) <= 1e-3 * alpha
     assert cv.value > model.tail_quantile(alpha) + 0.01
-    assert cv.evaluations <= 4
+    assert cv.evaluations <= 3
 
 
 class TestSolverEdges:
     """The secant's bracket checks and exits, on objectives set by hand.
 
     Every stratum's CDF is replaced by one function F of the shared c, so
-    PWER(c) = 1 - F(c) whatever the weights.
+    PWER(c) = 1 - F(c) whatever the weights. The solve starts at X0, the root
+    of the independence model of the weights 1/3: (4/3) v - (1/3) v^2 = alpha
+    in the normal tail v.
     """
 
     LO = mvprob.std_normal_quantile(1 - ALPHA)
     HI = mvprob.std_normal_quantile(1 - ALPHA / 4)
+    X0 = pytest.approx(-mvprob.std_normal_quantile(2.0 - math.sqrt(4.0 - 3.0 * ALPHA)), abs=1e-12)
 
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
@@ -451,14 +478,15 @@ class TestSolverEdges:
         calls, solve = self.solve(monkeypatch, lambda c: 0.5 * ALPHA)
         with pytest.raises(NumericalError, match="bracket failure: .* already below alpha"):
             solve()
-        assert calls == [self.LO]
+        # the Newton step from X0 leaves the bracket, so lo is evaluated
+        assert calls == [self.X0, self.LO]
 
     def test_bracket_failure_at_lazy_hi(self, monkeypatch):
         # the root lies beyond hi: the first step leaves the bracket, so hi is evaluated
         calls, solve = self.solve(monkeypatch, self.shifted_tail(1.0))
         with pytest.raises(NumericalError, match="bracket failure: .* still above alpha"):
             solve()
-        assert calls == [self.LO, self.HI]
+        assert calls == [self.X0, self.HI]
 
     def test_early_return_at_hi(self, monkeypatch):
         # the root lies just beyond hi: PWER(hi) exceeds alpha by less than the
@@ -468,13 +496,14 @@ class TestSolverEdges:
         cv = solve()
         assert 0.0 < cv.achieved - ALPHA <= 10 * pwer.DEFAULT_SOLVER_TOL
         assert (cv.value, cv.evaluations) == (self.HI, 2)
-        assert calls[:2] == [self.LO, self.HI]
+        assert calls[:2] == [self.X0, self.HI]
 
     def test_hi_never_evaluated_on_smooth_objective(self, monkeypatch):
         calls, solve = self.solve(monkeypatch, self.shifted_tail(0.1))
         cv = solve()
         assert abs(cv.achieved - ALPHA) <= pwer.DEFAULT_SOLVER_TOL
-        assert cv.evaluations <= 3 and self.HI not in calls
+        assert cv.evaluations <= 3 and self.HI not in calls and self.LO not in calls
+        assert calls[0] == self.X0
 
     @pytest.mark.parametrize("shift", [0.1, HI - LO + 5e-8], ids=["secant", "hi"])
     def test_verify_pass_reads_the_results_at_the_returned_c(self, monkeypatch, shift):
@@ -501,6 +530,70 @@ class TestSolverEdges:
             sides = [pwer_of_c(cv.value + d) - ALPHA for d in (-pwer._SOLVER_XTOL, pwer._SOLVER_XTOL)]
             assert sides[0] > 0.0 > sides[1]
         assert self.LO < cv.value < self.HI
+
+
+class TestIndependenceStart:
+    """The solve's first point x0, the root of sum_J w_J (1 - F(c)^|J|) = alpha."""
+
+    @pytest.mark.parametrize("setting", ["A", "B", "C"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_start_lies_in_the_bracket_at_or_above_the_root(self, setting, m):
+        # Slepian and Sidak: with nonnegative correlations PWER(x0) <= alpha, up to the
+        # quadrature's own error, and lo <= x0 <= hi
+        scenario = sim.SimScenario(N=250, m=m, setting=setting, prevalence_scheme="one_small")
+        pi_true = sim.resolve_true_prevalences(scenario)
+        rng = np.random.default_rng(100 * m + ord(setting))
+        for _ in range(10):
+            design = sim._draw(scenario, pi_true, rng).design
+            model = pwer.build_test_model(design)
+            assert (model.full_corr >= 0.0).all()
+            weights = design.strata_counts / design.N
+            x0, slope = pwer._independence_root(model, weights, ALPHA)
+            assert model.tail_quantile(ALPHA) <= x0 <= model.tail_quantile(ALPHA / 2**m)
+            assert slope < 0.0
+            results = pwer.evaluate_strata(x0, model, which=weights > 0.0)
+            live = [(w, r) for w, r in zip(weights.tolist(), results) if r is not None]
+            pwer_x0 = sum(w * (1.0 - r.value) for w, r in live)
+            assert pwer_x0 <= ALPHA + sum(w * r.error_estimate for w, r in live)
+
+    def test_negative_correlation_starts_below_the_root(self):
+        model = dataclasses.replace(pwer.build_test_model(equal_cells_design()),
+                                    full_corr=np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        weights = np.full(3, 1 / 3)
+        x0, _ = pwer._independence_root(model, weights, ALPHA)
+        assert pwer.pwer_value(x0, weights, model) > ALPHA
+        cv = pwer.solve_critical_values(weights, model, ALPHA)
+        assert cv.value > x0
+        assert abs(cv.achieved - ALPHA) <= min(pwer.DEFAULT_SOLVER_TOL, 1e-3 * ALPHA)
+        assert cv.evaluations <= 3
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_weights_below_alpha_fail_at_lo(self, m):
+        # weights of total at most alpha give the independence model no root: the solve
+        # starts at lo, where PWER is already below alpha
+        counts = M4_COUNTS[:2**m - 1]
+        design = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
+        model = pwer.build_test_model(design)
+        weights = np.full(2**m - 1, 0.5 * ALPHA / (2**m - 1))
+        assert pwer._independence_root(model, weights, ALPHA)[0] == pytest.approx(model.tail_quantile(ALPHA))
+        with pytest.raises(NumericalError, match="bracket failure: .* already below alpha"):
+            pwer.solve_critical_values(weights, model, ALPHA)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_smallest_alpha_keeps_its_digits(self, m):
+        # g(x0) = alpha to rounding at ALPHA_MIN: the tail sums never take 1 - (1 - v)^d
+        counts = M4_COUNTS[:2**m - 1]
+        design = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
+        model = pwer.build_test_model(design)
+        weights = np.asarray(counts, float) / sum(counts)
+        alpha = pwer.ALPHA_MIN
+        x0, _ = pwer._independence_root(model, weights, alpha)
+        v = float(special.ndtr(-x0))
+        sizes = [len(stratum) for stratum in model.strata]
+        g = sum(w * -math.expm1(d * math.log1p(-v)) for w, d in zip(weights.tolist(), sizes))
+        assert abs(g - alpha) <= 1e-12 * alpha
+        cv = pwer.solve_critical_values(weights, model, alpha)
+        assert abs(cv.achieved - alpha) <= 1e-3 * alpha
 
 
 M3_COUNTS = [30, 22, 18, 25, 14, 20, 16]

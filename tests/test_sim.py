@@ -7,8 +7,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from pwerpi import sim
+from pwerpi import pwer, sim
 from pwerpi.errors import ConfigError, NumericalError
+
+from oracles import quantile_start_secant
 
 
 class TestSchemePrevalences:
@@ -470,77 +472,105 @@ PRE_PLACKETT_C_STAR = {
 }
 
 
-@pytest.mark.parametrize("fields, digest", [
-    pytest.param(dict(m=2, setting="A"),
-                 "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
-                 id="A_m2"),
-    pytest.param(dict(m=2, setting="B"),
-                 "f630935cab0f79bf0b9753598547a282190336d208903f65aae0173227b733c0",
-                 id="B_m2"),
-    pytest.param(dict(m=2, setting="C"),
-                 "b800b7727d2799185d0b1dd1645b6e96fea2338f6ed1146ea4ae1fa911593856",
-                 id="C_m2"),
-    pytest.param(dict(m=2, setting="D_satterthwaite"),
-                 "8de9e2cd5f05aa58093fad6d1b74e1d9c9f9a10130644ced1b56a704074f87b7",
-                 id="D_satterthwaite_m2"),
-    pytest.param(dict(m=2, setting="D_bootstrap"),
-                 "f46f4fe87209426925cbb4b57de350bbcd8b5c98d40c21b8389808c878e47c55",
-                 id="D_bootstrap_m2"),
-    pytest.param(dict(m=2, setting="E"),
-                 "257f1524fc82b29dcde6ddc60d05042362de6e9bd38989ac6e1d7b87ba4655b3",
-                 id="E_m2"),
+# records.csv digest of each pinned case, N=250, 6 runs (unless set), master seed 11
+PINNED_RECORDS = {
+    "A_m2": (dict(m=2, setting="A"),
+             "4045ce80b227575c0576233acfffcd5c62b5f755ba207388cabc436f3d94331a"),
+    "B_m2": (dict(m=2, setting="B"),
+             "448ecf14de4e5871215ead7e70fbdff1cd024cadc75191a1f60376e72a93e2ed"),
+    "C_m2": (dict(m=2, setting="C"),
+             "2676ca1901410e4f2fff43e5d9d6c19dfda4832e049c76b94d511a9077236c47"),
+    "D_satterthwaite_m2": (dict(m=2, setting="D_satterthwaite"),
+                           "6d15c1634d1b45901c85cdb1534176d5cf8e3815a97e27ec25ad2f21ab508a06"),
+    "D_bootstrap_m2": (dict(m=2, setting="D_bootstrap"),
+                       "f46f4fe87209426925cbb4b57de350bbcd8b5c98d40c21b8389808c878e47c55"),
+    "E_m2": (dict(m=2, setting="E"),
+             "257f1524fc82b29dcde6ddc60d05042362de6e9bd38989ac6e1d7b87ba4655b3"),
     # the resampling settings under the benchmark's treatment scheme
-    pytest.param(dict(m=2, setting="D_satterthwaite", treatment_scheme="single"),
-                 "d455a23d3c03042f85eea02a9e6a81532997f0ab990cee17b420cb500f76aab9",
-                 id="D_satterthwaite_m2_single"),
-    pytest.param(dict(m=2, setting="D_bootstrap", treatment_scheme="single"),
-                 "ebf73bf1040af3ce64c3d1d1fa746514bc9695f34db89d3080ca297aa95abe3f",
-                 id="D_bootstrap_m2_single"),
-    pytest.param(dict(m=2, setting="E", treatment_scheme="single"),
-                 "308dcde6555d08f692945bbd952deb801db8869b668c2585f74e39e670237449",
-                 id="E_m2_single"),
+    "D_satterthwaite_m2_single": (dict(m=2, setting="D_satterthwaite", treatment_scheme="single"),
+                                  "d2d1be23d3be02cc66aa4509deb28b83a61bd144766e051368f0924341202104"),
+    "D_bootstrap_m2_single": (dict(m=2, setting="D_bootstrap", treatment_scheme="single"),
+                              "ebf73bf1040af3ce64c3d1d1fa746514bc9695f34db89d3080ca297aa95abe3f"),
+    "E_m2_single": (dict(m=2, setting="E", treatment_scheme="single"),
+                    "308dcde6555d08f692945bbd952deb801db8869b668c2585f74e39e670237449"),
     # the empirical solver over seven strata
-    pytest.param(dict(m=3, setting="D_bootstrap"),
-                 "722b5676b9285c976e0171b50cb970db639327cec1d7fce9df30156419c0e4dc",
-                 id="D_bootstrap_m3"),
-    pytest.param(dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor",
-                      pi_min=1 / 28),
-                 "9ab84f7d656020bdaf77ee59dcf0559367a3fa61def96400af5e4483321d1d3b",
-                 id="A_m3_floor"),
-    pytest.param(dict(m=3, setting="C"),
-                 "57768514d28a635842ede3fa023dafb54ec9b88c80727b21e03118b053b7e755",
-                 id="C_m3"),
-    pytest.param(dict(m=4, setting="A", runs=2),
-                 "e6f9d53fb834a822478b89ab66d90f7d104873be2f7b01bc20af3e3a25d4a423",
-                 id="A_m4"),
-    pytest.param(dict(m=4, setting="C", runs=2),
-                 "e276a6a1895130276bce871bb91ecbc64c8f7a29b0ac3dc01f5a75bd1aaf75ae",
-                 id="C_m4"),
+    "D_bootstrap_m3": (dict(m=3, setting="D_bootstrap"),
+                       "722b5676b9285c976e0171b50cb970db639327cec1d7fce9df30156419c0e4dc"),
+    "A_m3_floor": (dict(m=3, setting="A", prevalence_scheme="one_small", transform="floor", pi_min=1 / 28),
+                   "2ffcef178a847cebce0ecfe15f9d2e3d66d449d3b6383de36aa6c2f48d64dd29"),
+    "C_m3": (dict(m=3, setting="C"),
+             "e2bb1c781dafcf324db81dc35c20c6c4043d519f8aee0997d538a2377b9962b2"),
+    "A_m4": (dict(m=4, setting="A", runs=2),
+             "275e48bbed52757ecafb8bd77b94b029a4511f5e5591a5e8f44d6c046e4534f2"),
+    "C_m4": (dict(m=4, setting="C", runs=2),
+             "25be25e9c23ba8c8df4ae340d0b1fdaeb4f1cc420d86fb0099a2dd5e5f6752af"),
     # the only records path that reaches QMC: its 5-dim stratum reads the solve stream
-    pytest.param(dict(m=5, setting="A", runs=2),
-                 "4fb1e3013603890e96f977e61ffceda8c8a8c6b80c5f282d03f9c9a8fc9d73c6",
-                 id="A_m5"),
-])
-def test_records_pinned(request, tmp_path, fields, digest):
-    # records.csv, byte for byte, of N=250, 6 runs (unless set), master seed 11
-    scenario = sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields})
-    result = sim.run_scenario(scenario)
+    "A_m5": (dict(m=5, setting="A", runs=2),
+             "c06ec9e9fe41c4f9bd39f207de93262bd28d22e8ed5f4b7a2cf9925136a04049"),
+}
+
+
+def pinned_run(fields):
+    return sim.run_scenario(sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields}))
+
+
+def records_digest(result, tmp_path):
     sim.write_records_csv(result, tmp_path / "records.csv")
-    assert hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest() == digest
+    return hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fields, digest", [
+    pytest.param(fields, digest, id=case) for case, (fields, digest) in PINNED_RECORDS.items()
+])
+def test_records_pinned(tmp_path, fields, digest):
+    result = pinned_run(fields)
+    assert records_digest(result, tmp_path) == digest
     # builtin fields only: the CSV writes floats by repr, and a numpy scalar's repr names its type
     field_types = [float] * 3 + [bool] + [float] * 5 + [int]
     assert all([type(v) for v in record] == field_types for record in result.records)
+
+
+# the records.csv digests of the exact-engine cases while the solver started at the
+# single-test quantile (oracles.quantile_start_secant)
+QUANTILE_START_DIGESTS = {
+    "A_m2": "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
+    "B_m2": "f630935cab0f79bf0b9753598547a282190336d208903f65aae0173227b733c0",
+    "C_m2": "b800b7727d2799185d0b1dd1645b6e96fea2338f6ed1146ea4ae1fa911593856",
+    "D_satterthwaite_m2": "8de9e2cd5f05aa58093fad6d1b74e1d9c9f9a10130644ced1b56a704074f87b7",
+    "D_satterthwaite_m2_single": "d455a23d3c03042f85eea02a9e6a81532997f0ab990cee17b420cb500f76aab9",
+    "A_m3_floor": "9ab84f7d656020bdaf77ee59dcf0559367a3fa61def96400af5e4483321d1d3b",
+    "C_m3": "57768514d28a635842ede3fa023dafb54ec9b88c80727b21e03118b053b7e755",
+    "A_m4": "e6f9d53fb834a822478b89ab66d90f7d104873be2f7b01bc20af3e3a25d4a423",
+    "C_m4": "e276a6a1895130276bce871bb91ecbc64c8f7a29b0ac3dc01f5a75bd1aaf75ae",
+    "A_m5": "4fb1e3013603890e96f977e61ffceda8c8a8c6b80c5f282d03f9c9a8fc9d73c6",
+}
+
+
+@pytest.mark.parametrize("case", list(QUANTILE_START_DIGESTS))
+def test_records_pinned_under_the_quantile_start(monkeypatch, tmp_path, case):
+    # the solver as it was before it started at the independence root still gives the
+    # records, and the c* of every earlier change, pinned on it
+    fields = PINNED_RECORDS[case][0]
+    new = pinned_run(fields).records
+    monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
+    result = pinned_run(fields)
+    assert records_digest(result, tmp_path) == QUANTILE_START_DIGESTS[case]
     c_star = np.array([r.c_star for r in result.records])
-    parent = PARENT_C_STAR.get(request.node.callspec.id)
+    parent = PARENT_C_STAR.get(case)
     if parent is not None:
-        bound = 2e-7 if scenario.m == 2 else 1e-8
+        bound = 2e-7 if fields["m"] == 2 else 1e-8
         assert np.abs(c_star - parent).max() <= bound
-    parent = PRE_LADDER_C_STAR.get(request.node.callspec.id)
+    parent = PRE_LADDER_C_STAR.get(case)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-12
-    parent = PRE_GAMMA_C_STAR.get(request.node.callspec.id)
+    parent = PRE_GAMMA_C_STAR.get(case)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-11
-    parent = PRE_PLACKETT_C_STAR.get(request.node.callspec.id)
+    parent = PRE_PLACKETT_C_STAR.get(case)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-11
+    # both solves stop within solver_tol (1e-8) of alpha, so their c* lie within that
+    # band's width in c (up to 1.3e-7 on these runs), and no run's coverage moves
+    assert all(abs(r.achieved - 0.025) <= 1e-8 for r in new + result.records)
+    assert np.abs(np.array([r.c_star for r in new]) - c_star).max() <= 2e-7
+    assert [r.covered for r in new] == [r.covered for r in result.records]
