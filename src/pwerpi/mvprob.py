@@ -551,10 +551,7 @@ def _plackett(
 # chi-scale nodes. The bivariate normal is one rung of its own 6/12/20-node
 # rules, counted as the 20 nodes of its finest band. Rungs 1 and 2 always
 # run, on the path orthant_groups plans, and a normal row runs them together,
-# in one pass. The normal path integrand is smooth at the correlations of
-# the simulated designs, so its ladder starts at 6 nodes and every such
-# stratum stops at its second rung, 6 + 12 nodes; nearly singular
-# correlations climb on to 24 and 48. A t law
+# in one pass; the normal ladder usually stops at its middle rung. A t law
 # with df >= _GAMMA_DF takes the Gauss rule of the chi measure ("gamma"),
 # accurate to ~5e-11 at 8 nodes, so its ladders start there. Below that df
 # the Gamma rule converges slowly (5e-6 at 32 nodes for df = 5), and the
@@ -564,8 +561,8 @@ def _plackett(
 # next within TOL_MIN.
 _LADDERS = {
     (2, None): (((20,),), 5e-15),
-    (3, None): (((6,), (12,), (24,), (48,)), 1e-10),
-    (4, None): (((6,), (12,), (24,), (48,)), 1e-10),
+    (3, None): (((12,), (24,), (48,)), 1e-10),
+    (4, None): (((12,), (24,), (48,)), 1e-10),
     (2, "legendre"): (((32,), (64,)), 1e-10),
     (3, "legendre"): (((32, 24), (64, 48)), 1e-9),
     (4, "legendre"): (((32, 24), (64, 48)), 1e-9),
@@ -575,7 +572,7 @@ _LADDERS = {
 }
 _GAMMA_DF = 80.0
 # integrand evaluations (bivariate evaluations for d = 2 and 4) per stacked
-# _plackett call, over every rung it takes (6 + 12 nodes per limit vector in
+# _plackett call, over every rung it takes (12 + 24 nodes per limit vector in
 # a normal row's first pass), which bounds its temporaries at about a MB;
 # pieces twice that size run slower out of cache
 _QUAD_BLOCK = 1 << 13
@@ -677,8 +674,8 @@ def _quadrature(
 
     The rows climb the ladder of _LADDERS together, in pieces of at most
     _QUAD_BLOCK integrand evaluations per stacked _plackett call. The first
-    two rungs take the group's planned path (orthant_groups); each later
-    rung builds the path of the rows that reach it, and only theirs. A normal
+    two rungs take the group's planned path (orthant_groups); a third rung
+    builds the path of the rows that reach it, and only theirs. A normal
     row's Phi_d(h; R0) does not depend on the rung and is computed once, for
     every row, and its limit vectors are the same on every rung, so its
     first two rungs are one _plackett pass over the nodes of both. A t row's

@@ -204,7 +204,7 @@ def test_a_block_is_planned_once(monkeypatch):
 
 def test_path_geometry_is_planned_once_per_group_and_dies_with_its_block(monkeypatch):
     # the 3- and 4-dim groups' path geometry of rungs 1 and 2 is built once, when the block is
-    # planned; each later rung builds it for the rows that reach it alone, and nothing outlives the block
+    # planned; a third rung builds it for the rows that reach it alone, and nothing outlives the block
     built, planned, climbed, groups = [], [], [], []
     path, orthant_groups, evaluate = mvprob._path, mvprob.orthant_groups, mvprob.OrthantGroup.evaluate
     monkeypatch.setattr(mvprob, "_path", lambda corr, rungs: built.append((rungs, len(corr))) or path(corr, rungs))
@@ -212,16 +212,16 @@ def test_path_geometry_is_planned_once_per_group_and_dies_with_its_block(monkeyp
     def grouped(*args):
         out = orthant_groups(*args)
         groups.extend(weakref.ref(group) for _, group in out)
-        planned.extend(((6, 12), group.size) for _, group in out if group.dim > 2)
+        planned.extend(((12, 24), group.size) for _, group in out if group.dim > 2)
         return out
 
     def counted(self, *args):
         start = len(built)
         out = evaluate(self, *args)
         if self.dim > 2:
-            reached = [((24,), int(np.sum(out[2] >= 6 + 12 + 24))), ((48,), int(np.sum(out[2] == 6 + 12 + 24 + 48)))]
-            climbed.append(reached[0][1])
-            assert built[start:] == [(rungs, n) for rungs, n in reached if n]
+            reached = int(np.sum(out[2] == 12 + 24 + 48))
+            climbed.append(reached)
+            assert built[start:] == ([((48,), reached)] if reached else [])
         return out
 
     monkeypatch.setattr(mvprob, "orthant_groups", grouped)
@@ -229,7 +229,7 @@ def test_path_geometry_is_planned_once_per_group_and_dies_with_its_block(monkeyp
     scenario = sim.SimScenario(N=500, m=4, setting="A", runs=2 * sim._BLOCK_RUNS, master_seed=5)
     assert sim.run_scenario(scenario).failures == 0
     # one 3-dim and one 4-dim group per block, each planned once over every run's strata
-    assert [b for b in built if b[0] == (6, 12)] == planned
+    assert [b for b in built if b[0] == (12, 24)] == planned
     assert [size for _, size in planned] == [4 * sim._BLOCK_RUNS, sim._BLOCK_RUNS] * 2
     assert len(climbed) > len(planned)  # each group evaluated at more than one step
     gc.collect()
