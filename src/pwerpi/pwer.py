@@ -599,8 +599,8 @@ def calibration(
     )
 
 
-# Newton steps of the independence root at m >= 3; from the Bonferroni start
-# they reach full precision in at most five for alpha < 0.5
+# Newton steps of the independence root; from the Bonferroni start they reach
+# full precision in at most five for alpha < 0.5
 _INDEPENDENCE_MAX_ITER = 50
 
 
@@ -611,10 +611,10 @@ def _independence_root(model: TestModel, weights: np.ndarray, alpha: float) -> t
     F(c), where it is the concave increasing sum_d W_d (1 - q^d), q = 1 - v,
     over the weights W_d of the strata of size d. 1 - q^d is taken as v (1 +
     q + ... + q^(d-1)), a sum of positive terms, so that alpha down to
-    ALPHA_MIN keeps its digits. At m = 2, g is the quadratic (W_1 + 2 W_2) v
-    - W_2 v^2; above, Newton steps from the Bonferroni point alpha / sum_d d
-    W_d, where g <= alpha, climb to the root without overshooting it. With
-    weights of total at most alpha, g has no root, and v is alpha.
+    ALPHA_MIN keeps its digits. Newton steps from the Bonferroni point alpha
+    / sum_d d W_d, where g <= alpha, climb to the root without overshooting
+    it. With weights of total at most alpha, g has no root, and x0 is the
+    single-test quantile, the lower end of _secant's bracket.
     g'(c) = -f(c) sum_d d W_d q^(d - 1), f the marginal density.
     """
     by_size = [0.0] * (model.m + 1)
@@ -633,10 +633,7 @@ def _independence_root(model: TestModel, weights: np.ndarray, alpha: float) -> t
         return g_over_v, slope
 
     if sum(by_size) <= alpha:
-        v = alpha
-    elif model.m == 2:
-        b = by_size[1] + 2.0 * by_size[2]
-        v = 2.0 * alpha / (b + math.sqrt(b * b - 4.0 * by_size[2] * alpha))
+        v, x0 = alpha, model.tail_quantile(alpha)
     else:
         v = alpha / g_over_v_and_slope(1.0)[1]
         for _ in range(_INDEPENDENCE_MAX_ITER):
@@ -645,7 +642,7 @@ def _independence_root(model: TestModel, weights: np.ndarray, alpha: float) -> t
             v += step
             if step <= 1e-15 * v:
                 break
-    x0 = _upper_quantile(model, v)
+        x0 = _upper_quantile(model, v)
     return x0, -model.density(x0) * g_over_v_and_slope(1.0 - v)[1]
 
 
@@ -667,8 +664,8 @@ def _secant(
     The single-test and Bonferroni-like quantiles lo <= x0 <= hi bracket
     the root. A step that leaves the bracket, or two steps that fail to
     halve it, bisect instead; lo and hi are evaluated, and checked, only
-    once a bisection needs them. With disjoint populations x0 is lo and
-    already the root.
+    once a bisection needs them or a step lands on them. With disjoint
+    populations x0 is lo and already the root.
 
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
     a small alpha is met to a relative precision too.
@@ -685,6 +682,16 @@ def _secant(
     x, slope = _independence_root(model, weights, alpha)
     x = min(max(x, lo), hi)
 
+    def stops_at_end(end: float, p: float) -> bool:
+        """Whether the solve stops at the bracket end lo or hi, PWER(end) = p; a bracket failure raises."""
+        if end == lo:
+            if p - alpha < -slack:
+                raise NumericalError(f"bracket failure: PWER({lo:.6f}) = {p:.3e} already below alpha={alpha}")
+            return p - alpha <= f_tol
+        if p - alpha > slack:
+            raise NumericalError(f"bracket failure: PWER({hi:.6f}) = {p:.3e} still above alpha={alpha}")
+        return p - alpha >= -f_tol
+
     # [a, b] holds the root: PWER(a) > alpha > PWER(b) once a and b are
     # evaluated; until then a = lo and b = hi rest on the bracket's quantile bounds
     a, p_a, b, p_b = lo, math.nan, hi, math.nan
@@ -694,23 +701,15 @@ def _secant(
         if k and (not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
             if math.isnan(p_a):
                 p_a = yield lo
-                if p_a - alpha < -slack:
-                    raise NumericalError(
-                        f"bracket failure: PWER({lo:.6f}) = {p_a:.3e} already below alpha={alpha}"
-                    )
-                if p_a - alpha <= f_tol:
+                if stops_at_end(lo, p_a):
                     return lo, p_a
             if math.isnan(p_b):
                 p_b = yield hi
-                if p_b - alpha > slack:
-                    raise NumericalError(
-                        f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
-                    )
-                if p_b - alpha >= -f_tol:
+                if stops_at_end(hi, p_b):
                     return hi, p_b
             x = 0.5 * (a + b)
         p = yield x
-        if abs(p - alpha) <= f_tol:
+        if abs(p - alpha) <= f_tol or (x in (lo, hi) and stops_at_end(x, p)):
             return x, p
         if p > alpha:
             a, p_a = x, p

@@ -568,16 +568,22 @@ class TestIndependenceStart:
         assert cv.evaluations <= 3
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_weights_below_alpha_fail_at_lo(self, m):
+    def test_weights_below_alpha_fail_at_lo(self, monkeypatch, m):
         # weights of total at most alpha give the independence model no root: the solve
-        # starts at lo, where PWER is already below alpha
+        # starts at lo, where PWER is already below alpha, and fails there at once
         counts = M4_COUNTS[:2**m - 1]
         design = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
         model = pwer.build_test_model(design)
         weights = np.full(2**m - 1, 0.5 * ALPHA / (2**m - 1))
-        assert pwer._independence_root(model, weights, ALPHA)[0] == pytest.approx(model.tail_quantile(ALPHA))
+        lo = model.tail_quantile(ALPHA)
+        assert pwer._independence_root(model, weights, ALPHA)[0] == lo
+        calls = []
+        evaluate = pwer._evaluate
+        monkeypatch.setattr(pwer, "_evaluate", lambda plan, runs, c, *rest: calls.extend(c[:, 0].tolist())
+                            or evaluate(plan, runs, c, *rest))
         with pytest.raises(NumericalError, match="bracket failure: .* already below alpha"):
             pwer.solve_critical_values(weights, model, ALPHA)
+        assert calls == [lo]
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_smallest_alpha_keeps_its_digits(self, m):

@@ -488,7 +488,7 @@ PINNED_RECORDS = {
              "257f1524fc82b29dcde6ddc60d05042362de6e9bd38989ac6e1d7b87ba4655b3"),
     # the resampling settings under the benchmark's treatment scheme
     "D_satterthwaite_m2_single": (dict(m=2, setting="D_satterthwaite", treatment_scheme="single"),
-                                  "d2d1be23d3be02cc66aa4509deb28b83a61bd144766e051368f0924341202104"),
+                                  "ad3a8b118fee3c97d797aefd2a0977b089d3067996703cee4710b51358a52f40"),
     "D_bootstrap_m2_single": (dict(m=2, setting="D_bootstrap", treatment_scheme="single"),
                               "ebf73bf1040af3ce64c3d1d1fa746514bc9695f34db89d3080ca297aa95abe3f"),
     "E_m2_single": (dict(m=2, setting="E", treatment_scheme="single"),
@@ -569,8 +569,22 @@ def test_records_pinned_under_the_quantile_start(monkeypatch, tmp_path, case):
     parent = PRE_PLACKETT_C_STAR.get(case)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-11
-    # both solves stop within solver_tol (1e-8) of alpha, so their c* lie within that
-    # band's width in c (up to 1.3e-7 on these runs), and no run's coverage moves
+    # both solves stop within solver_tol (1e-8) of alpha, and no run's coverage moves
     assert all(abs(r.achieved - 0.025) <= 1e-8 for r in new + result.records)
-    assert np.abs(np.array([r.c_star for r in new]) - c_star).max() <= 2e-7
     assert [r.covered for r in new] == [r.covered for r in result.records]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="c* moves 1.26e-7: the quantile-start solve of run 1 stops 6.7e-9 below alpha, "
+               "1.17e-7 above the root, where the new solve stops 9e-9 below it")
+    ) if case == "D_satterthwaite_m2_single" else case
+    for case in QUANTILE_START_DIGESTS
+])
+def test_pinned_c_star_moves_at_most_1e_7(monkeypatch, case):
+    fields = PINNED_RECORDS[case][0]
+    new = np.array([r.c_star for r in pinned_run(fields).records])
+    monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
+    old = np.array([r.c_star for r in pinned_run(fields).records])
+    assert np.abs(new - old).max() <= 1e-7
