@@ -665,7 +665,7 @@ def _secant(
     the root. A step that leaves the bracket, or two steps that fail to
     halve it, bisect instead; lo and hi are evaluated, and checked, only
     once a bisection needs them or a step lands on them. With disjoint
-    populations x0 is lo and already the root.
+    populations x0 is the single-test quantile and already the root.
 
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
     a small alpha is met to a relative precision too.
