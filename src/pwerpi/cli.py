@@ -193,8 +193,7 @@ def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
 def run_analyze(config: dict, out_dir: Path) -> dict:
     """Single-study workflow: calibrate on the observed counts and report the interval."""
     scenario, study = _analyze_study(config)
-    _, boot_seed, solve_seed = sim.run_streams(scenario.master_seed, 0)
-    cal = sim.calibrate(scenario, study, boot_seed, solve_seed)
+    cal = sim.calibrate(scenario, study)
     interval = sim.interval(scenario, cal)
     cv, engine = cal.cv, sim.SETTINGS_TABLE[scenario.setting].engine
     labels = [stratum_label(s) for s in study.design.strata]

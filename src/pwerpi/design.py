@@ -2,14 +2,16 @@
 
 Populations 1..m define 2^m - 1 disjoint strata (one per nonempty subset of
 populations), each split into one arm per distinct treatment given in it plus
-the shared control. This module enumerates the strata, builds that cell
-layout once per (m, treatment scheme) (`cell_layout`), holds a study's strata
-counts, arm sizes and cell variances (`Design`, the one place every engine
-reads them from; `build_designs` builds a block of them, checked once over
-the block), and applies the two minimal-prevalence transformations
-together with the gradient factors they induce (`transform_weights`). The
-prevalence estimate is strata_counts / N. Drawing the counts of a simulated
-study is `sim`'s job.
+the shared control. This module enumerates the strata, tables which
+populations each one holds (`stratum_members`, the membership every layer
+reads), builds that cell layout once per (m, treatment scheme)
+(`cell_layout`), holds a study's strata counts, arm sizes and cell
+variances (`Design`, the one place every engine reads them from;
+`build_designs` builds a block of them, checked once over the block), and
+applies the two minimal-prevalence transformations together with the
+gradient factors they induce (`transform_weights`). The prevalence estimate
+is strata_counts / N. Drawing the counts of a simulated study is `sim`'s
+job.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def enumerate_strata(m: int) -> tuple[frozenset[int], ...]:
         for subset in itertools.combinations(range(1, m + 1), size):
             strata.append(frozenset(subset))
     return tuple(strata)
+
+
+def stratum_members(m: int) -> np.ndarray:
+    """(S, m) read-only membership of the strata of enumerate_strata(m): row j, column
+    i is whether population i + 1 belongs to stratum j. Built once per m, which is
+    checked before the cache lookup, as in cell_layout."""
+    return _stratum_members(_population_count(m))
+
+
+@functools.cache
+def _stratum_members(m: int) -> np.ndarray:
+    members = np.array([[i in s for i in range(1, m + 1)] for s in enumerate_strata(m)])
+    members.setflags(write=False)
+    return members
 
 
 def stratum_label(stratum: frozenset[int]) -> str:
@@ -138,8 +154,7 @@ def _cell_layout(m: int, treatment_scheme: str) -> CellLayout:
         arm_slot += [len(arms)] + list(range(len(arms)))
     stratum_of_cell = np.array([j for j, _arm in cells], dtype=np.intp)
     arm_of_cell = np.array([arm for _j, arm in cells])
-    in_stratum = np.array([[i in s for s in strata] for i in range(1, m + 1)])
-    member = in_stratum[:, stratum_of_cell]
+    member = _stratum_members(m).T[:, stratum_of_cell]
     arrays = (
         stratum_of_cell,
         member & (arm_of_cell == np.array(treatments)[:, None]),

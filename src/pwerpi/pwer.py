@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import mvprob
-from .design import Design, prevalence_weights
+from .design import Design, prevalence_weights, stratum_members
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -78,12 +78,7 @@ class TestModel:
     @property
     def stratum_ok(self) -> np.ndarray:
         """Strata whose joint law is defined (all member populations populated)."""
-        return _defined(self.population_variances[None], self.strata)[0]
-
-    @cached_property
-    def _members(self) -> list[list[int]]:
-        """Each stratum's member populations as sorted 0-based indices."""
-        return [[i - 1 for i in sorted(stratum)] for stratum in self.strata]
+        return _defined(self.population_variances[None])[0]
 
     def tail_quantile(self, p: float) -> float:
         """c with P(single statistic > c) = p under the marginal law."""
@@ -100,19 +95,10 @@ class TestModel:
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-@lru_cache(maxsize=16)
-def _membership(strata: tuple[frozenset[int], ...], m: int) -> np.ndarray:
-    """(S, m): whether population i + 1 belongs to stratum J, read-only and
-    cached, as the strata of one m are canonical (design.enumerate_strata)."""
-    member = np.array([[i + 1 in stratum for i in range(m)] for stratum in strata])
-    member.setflags(write=False)
-    return member
-
-
-def _defined(variances: np.ndarray, strata: tuple[frozenset[int], ...]) -> np.ndarray:
+def _defined(variances: np.ndarray) -> np.ndarray:
     """Which strata have a defined joint law (R, S), from the population
     variances (R, m) of R runs: those whose members all have a variance."""
-    return ~(np.isnan(variances)[:, None, :] & _membership(strata, variances.shape[1])).any(axis=2)
+    return ~(np.isnan(variances)[:, None, :] & stratum_members(variances.shape[1])).any(axis=2)
 
 
 def arm_weight_matrix(design: Design, sizes: np.ndarray | None = None) -> np.ndarray:
@@ -281,34 +267,34 @@ class _Given(NamedTuple):
 class _Plan:
     """The strata of a block of runs of one m, planned once for every evaluation of a lockstep.
 
-    groups holds one mvprob.OrthantGroup per (law, dimension, chi-scale
-    rule), over the strata with a defined law of every run, with each row's
-    run, stratum and member populations. The runs' full_corr are stacked
-    once, and the correlations of every stratum of one dimension, for all
-    its runs, taken from that stack with one fancy index for
-    mvprob.orthant_groups. ok marks each run's strata with a defined law,
-    tols holds each run's tol of the solve pass and of the verify pass,
-    streams its _Streams. With weights (one row per run), mask marks the
-    positive ones, and the runs are grouped by mask pattern for the PWER
-    sums (pwer).
+    The models share m, so their strata and members are the rows of
+    design.stratum_members(m). groups holds one mvprob.OrthantGroup per
+    (law, dimension, chi-scale rule), over the strata with a defined law of
+    every run, with each row's run, stratum and member populations. The
+    runs' full_corr are stacked once, and the correlations of every stratum
+    of one dimension, for all its runs, taken from that stack with one fancy
+    index for mvprob.orthant_groups. ok marks each run's strata with a
+    defined law, tols holds each run's tol of the solve pass and of the
+    verify pass, streams its _Streams. With weights (one row per run), mask
+    marks the positive ones, and the runs are grouped by mask pattern for
+    the PWER sums (pwer).
     """
 
     def __init__(self, models: Sequence[TestModel], tols, streams: Sequence, weights=None):
-        # the strata of one m are canonical (design.enumerate_strata), and so are their members
-        if any(model.strata != models[0].strata for model in models):
+        if any(model.m != models[0].m for model in models):
             raise ConfigError("the models of one lockstep must share m")
         self.models, self.m, self.streams = models, models[0].m, streams
         self.tols = np.asarray(tols, dtype=float)
-        self.ok = _defined(np.array([model.population_variances for model in models]), models[0].strata)
+        self.ok = _defined(np.array([model.population_variances for model in models]))
         kinds = np.array([model.kind for model in models])
         dfs = np.array([model.df for model in models], dtype=float)  # NaN for the normal law
         full = np.array([model.full_corr for model in models])
-        members = models[0]._members
-        dims = np.array([len(stratum) for stratum in members])
+        table = stratum_members(self.m)
+        dims = table.sum(axis=1)
         self.groups = []
         for d in dict.fromkeys(dims.tolist()):
             of_d = np.flatnonzero(dims == d)
-            members_d = np.array([members[j] for j in of_d.tolist()])
+            members_d = np.nonzero(table[of_d])[1].reshape(len(of_d), d)
             for kind in dict.fromkeys(kinds.tolist()):
                 runs, at = np.nonzero(self.ok[:, of_d] & (kinds == kind)[:, None])
                 if not len(runs):
@@ -417,7 +403,7 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
             stream = streams.verify() if verify else streams.solve()
             engines = None if verify else streams.engines
             for j in strata:
-                members = model._members[j]
+                members = np.flatnonzero(stratum_members(plan.m)[j])
                 # a principal submatrix of a validated matrix: validating it keeps its bits
                 corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(members, members)])
                 value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = mvprob.qmc_cdf(
@@ -617,9 +603,7 @@ def _independence_root(model: TestModel, weights: np.ndarray, alpha: float) -> t
     single-test quantile, the lower end of _secant's bracket.
     g'(c) = -f(c) sum_d d W_d q^(d - 1), f the marginal density.
     """
-    by_size = [0.0] * (model.m + 1)
-    for stratum, w in zip(model.strata, weights.tolist()):
-        by_size[len(stratum)] += w
+    by_size = np.bincount(stratum_members(model.m).sum(axis=1), weights, model.m + 1).tolist()
 
     def g_over_v_and_slope(q: float) -> tuple[float, float]:
         """g / v and dg/dv at q = 1 - v: sum_d W_d (1 + ... + q^(d-1)) and sum_d d W_d q^(d-1)."""

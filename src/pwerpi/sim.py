@@ -14,8 +14,9 @@ run's scalar solver on stacked PWER evaluations and verifies the finished
 runs in one stacked pass. Pass 3 (_records) computes every calibrated run's
 gamma, interval, true PWER and coverage in one stacked pass. A run's records
 do not depend on the block it went in, and a run that fails in any pass
-fails alone. The CLI's analyze mode runs an observed study through the same
-calibration and interval as a block of one. Aggregations reproduce the
+fails alone. Each run's random streams are keyed by its run index
+(_run_seed). The CLI's analyze mode runs an observed study through the same
+calibration and interval as run 0, a block of one. Aggregations reproduce the
 coverage/length tables and the per-study distribution data.
 """
 
@@ -27,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .design import (
     build_designs,
     cell_layout,
     check_transform,
-    enumerate_strata,
+    stratum_members,
     transform_weights,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
@@ -152,12 +153,7 @@ def scheme_prevalences(m: int, scheme: str, explicit: Sequence[float] | None = N
 def prevalences_from_biomarkers(p: Sequence[float]) -> np.ndarray:
     """Strata weights proportional to products of biomarker probabilities."""
     p = np.asarray(p, dtype=float)
-    strata = enumerate_strata(p.shape[0])
-    raw = np.empty(len(strata))
-    for j, stratum in enumerate(strata):
-        mask = np.zeros(p.shape[0], dtype=bool)
-        mask[[i - 1 for i in stratum]] = True
-        raw[j] = np.prod(np.where(mask, p, 1.0 - p))
+    raw = np.prod(np.where(stratum_members(p.shape[0]), p, 1.0 - p), axis=1)
     total = raw.sum()
     if total <= 0.0:
         raise ConfigError("all biomarker probabilities vanish")
@@ -327,53 +323,48 @@ def _draw_block(
     return out
 
 
-def calibrate(
-    scenario: SimScenario,
-    study: Study,
-    boot_seed: np.random.SeedSequence,
-    solve_seed: np.random.SeedSequence,
-    truth: np.ndarray | None = None,
-) -> Calibration:
+def calibrate(scenario: SimScenario, study: Study, truth: np.ndarray | None = None) -> Calibration:
     """Calibrate c* on the study's transformed prevalence estimates by its setting's engine.
 
-    A block of one of _calibrate_block. truth, when given, is the transformed
-    true prevalence vector; the exact engine refuses one that weighs a
-    stratum without a defined joint law.
+    A block of one of _calibrate_block, on the streams of run 0, so an
+    analyzed study is run 0 of its scenario. truth, when given, is the
+    transformed true prevalence vector; the exact engine refuses one that
+    weighs a stratum without a defined joint law.
     """
-    [cal] = _calibrate_block(scenario, [study], [(None, boot_seed, solve_seed).__getitem__], truth)
+    [cal] = _calibrate_block(scenario, [study], [0], truth)
     if isinstance(cal, Exception):
         raise cal
     return cal
 
 
-def _integration_seed(seed: Callable[[int], np.random.SeedSequence]) -> int:
+def _integration_seed(master_seed: int, run_index: int) -> int:
     """The integration seed the exact engine draws from a run's solve stream."""
-    return int(np.random.default_rng(seed(2)).integers(0, 2**63 - 1))
+    return int(np.random.default_rng(_run_seed(master_seed, run_index, 2)).integers(0, 2**63 - 1))
 
 
 def _calibrate_block(
     scenario: SimScenario,
     studies: Sequence[Study],
-    seeds: Sequence[Callable[[int], np.random.SeedSequence]],
+    runs: Sequence[int],
     truth: np.ndarray | None,
 ) -> list[Calibration | Exception]:
     """The Calibration of every study of a block, or the error its run raised.
 
-    seeds[k](stream) is study k's seed sequence of a run_streams stream (1
-    the bootstrap's, 2 the solve's), built only when its engine reads it:
-    the bootstrap engines read theirs up front, the exact engine its solve
-    stream only once a QMC stratum or a verify recompute needs it. The
-    bootstrap engines calibrate run by run. The exact-engine calibrations
-    (exact and satterthwaite) build the models of the whole block in one
-    pwer.build_test_models call, each with its run's df (satterthwaite's
-    after its bootstrap null), and then run together in one
+    Study k is run runs[k] of the scenario, and its streams are that run's
+    (_run_seed: 1 the bootstrap's, 2 the solve's), each built only when its
+    engine reads it: the bootstrap engines read theirs up front, the exact
+    engine its solve stream only once a QMC stratum or a verify recompute
+    needs it. The bootstrap engines calibrate run by run. The exact-engine
+    calibrations (exact and satterthwaite) build the models of the whole
+    block in one pwer.build_test_models call, each with its run's df
+    (satterthwaite's after its bootstrap null), and then run together in one
     pwer.solve_lockstep, each on its own model; satterthwaite's FWER comes
     from its bootstrap null afterwards.
     """
     engine = SETTINGS_TABLE[scenario.setting].engine
     out: list = [None] * len(studies)
     modeled = {}  # study index -> (weights, used, factors, bootstrap null or None, df or None)
-    for k, (study, seed) in enumerate(zip(studies, seeds)):
+    for k, (study, run) in enumerate(zip(studies, runs)):
         design = study.design
         weights = design.strata_counts / design.N
         try:
@@ -382,13 +373,15 @@ def _calibrate_block(
             if engine == "projection_bootstrap":
                 null = boot.bootstrap_null_E(
                     design, weights, study.effects, study.pooled_variance, scenario.B,
-                    np.random.default_rng(seed(1)),
+                    np.random.default_rng(_run_seed(scenario.master_seed, run, 1)),
                 )
                 cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
                 out[k] = Calibration(weights, used, factors, cv, null.rejected_resamples)
                 continue
             if engine != "exact":
-                null = boot.bootstrap_null_D(design, scenario.B, np.random.default_rng(seed(1)))
+                null = boot.bootstrap_null_D(
+                    design, scenario.B, np.random.default_rng(_run_seed(scenario.master_seed, run, 1))
+                )
                 if engine == "parametric_bootstrap":
                     cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
                     out[k] = Calibration(weights, used, factors, cv, 0)
@@ -407,7 +400,8 @@ def _calibrate_block(
                 raise model
             if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
                 raise InfeasibleDesignError("true prevalence weights a stratum without a defined joint law")
-            calibration = pwer.calibration(used, model, scenario.alpha, partial(_integration_seed, seeds[k]))
+            seed = partial(_integration_seed, scenario.master_seed, runs[k])
+            calibration = pwer.calibration(used, model, scenario.alpha, seed)
             lockstep[k] = (weights, used, factors, null, calibration)
         except pwer.RUN_ERRORS as exc:
             out[k] = exc
@@ -442,17 +436,9 @@ def _intervals(
 
 
 def _run_seed(master_seed: int, run_index: int, stream: int) -> np.random.SeedSequence:
-    """Stream `stream` of run_streams(master_seed, run_index), built alone."""
+    """Stream `stream` (0 data, 1 bootstrap, 2 solve) of run run_index, built alone:
+    SeedSequence((master_seed, run_index)).spawn(3)[stream]."""
     return np.random.SeedSequence((master_seed, run_index), spawn_key=(stream,))
-
-
-def run_streams(master_seed: int, run_index: int) -> list[np.random.SeedSequence]:
-    """The (data, boot, solve) seed sequences of one run; an analyzed study is run 0.
-
-    They equal SeedSequence((master_seed, run_index)).spawn(3); a simulation
-    run builds each one only where it is read (_run_seed).
-    """
-    return [_run_seed(master_seed, run_index, stream) for stream in range(3)]
 
 
 # Runs per block: a block's exact-engine runs calibrate in lockstep, and with
@@ -476,8 +462,7 @@ def _block_records(
     rngs = [np.random.default_rng(_run_seed(scenario.master_seed, run_index, 0)) for run_index in indices]
     out = dict(zip(indices, _draw_block(scenario, pi_true, rngs)))
     drawn = [run_index for run_index in indices if isinstance(out[run_index], Study)]
-    seeds = [partial(_run_seed, scenario.master_seed, run_index) for run_index in drawn]
-    out.update(zip(drawn, _calibrate_block(scenario, [out[run_index] for run_index in drawn], seeds, truth)))
+    out.update(zip(drawn, _calibrate_block(scenario, [out[run_index] for run_index in drawn], drawn, truth)))
     calibrated = [run_index for run_index in drawn if isinstance(out[run_index], Calibration)]
     out.update(zip(calibrated, _records(scenario, pi_true, truth, factors_true, [out[i] for i in calibrated])))
     return [out[run_index] for run_index in indices]

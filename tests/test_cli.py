@@ -105,8 +105,7 @@ class TestAnalyze:
         labels = [stratum_label(s) for s in enumerate_strata(m)]
         for k, rec in enumerate(records):
             # run k's counts come first from its data stream
-            data_ss = sim.run_streams(11, k)[0]
-            counts = np.random.default_rng(data_ss).multinomial(250, pi_true)
+            counts = np.random.default_rng(sim._run_seed(11, k, 0)).multinomial(250, pi_true)
             payload = json.loads(open(analyze_config(
                 tmp_path, out=f"run{k}", engine={"master_seed": 11})).read())
             payload["design"].update(m=m, strata_counts=dict(zip(labels, counts.tolist())))
@@ -179,7 +178,7 @@ class TestAnalyze:
         report = json.loads((tmp_path / "boot_out" / "report.json").read_text())
         assert report["engine"] == "parametric_bootstrap"
         assert report["achieved_pwer"] <= 0.025
-        # the null draws the boot stream of run 0 of master seed 3 (sim.run_streams)
+        # the null draws the boot stream of run 0 of master seed 3 (sim._run_seed)
         assert report == {
             "engine": "parametric_bootstrap", "N": 250, "m": 2,
             "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},

@@ -46,6 +46,24 @@ class TestEnumerateStrata:
         assert sizes == sorted(sizes)
 
 
+class TestStratumMembers:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_rows_are_the_canonical_strata(self, m):
+        table = dz.stratum_members(m)
+        strata = dz.enumerate_strata(m)
+        assert table.tolist() == [[i in s for i in range(1, m + 1)] for s in strata]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = not table[0, 0]
+        for row, s in zip(table, strata):
+            assert np.flatnonzero(row).tolist() == sorted(i - 1 for i in s)
+
+    @pytest.mark.parametrize("m", [1, 0, 13, 3.0, True])
+    def test_invalid_m_raises(self, m):
+        with pytest.raises(ConfigError):
+            dz.stratum_members(m)
+
+
 class TestEstimatePrevalences:
     # the prevalence estimate is the design's strata_counts / N
     def estimate(self, n1, n2, n12):

@@ -169,8 +169,8 @@ def corrupt_weights_of_run(k, corrupt):
     """A _calibrate_block that hands the record pass run k's weights corrupted."""
     calibrate = sim._calibrate_block
 
-    def patched(scenario, studies, seeds, truth):
-        out = calibrate(scenario, studies, seeds, truth)
+    def patched(scenario, studies, runs, truth):
+        out = calibrate(scenario, studies, runs, truth)
         out[k] = out[k]._replace(weights=corrupt(out[k].weights))
         return out
 

@@ -723,9 +723,20 @@ def test_upper_quantile_finite_and_monotone(kind, df):
 def test_evaluation_budget(setting, m):
     # run 0 of each cell calibrates in at most four PWER evaluations
     scenario = sim.SimScenario(N=250, m=m, setting=setting, runs=1, master_seed=11)
-    data_ss, boot_ss, solve_ss = sim.run_streams(scenario.master_seed, 0)
-    study = sim._draw(scenario, sim.resolve_true_prevalences(scenario), np.random.default_rng(data_ss))
-    assert sim.calibrate(scenario, study, boot_ss, solve_ss).cv.evaluations <= 4
+    data = np.random.default_rng(sim._run_seed(scenario.master_seed, 0, 0))
+    study = sim._draw(scenario, sim.resolve_true_prevalences(scenario), data)
+    assert sim.calibrate(scenario, study).cv.evaluations <= 4
+
+
+def test_a_lockstep_over_two_m_raises():
+    # the calibrations of one lockstep share m, and with it their strata
+    tasks = []
+    for m in (2, 3):
+        n_s = 2**m - 1
+        model = pwer.build_test_model(dz.build_design(m, "single", [20] * n_s, 1.0, "known_homogeneous"))
+        tasks.append(pwer.calibration(np.full(n_s, 1.0 / n_s), model, ALPHA, lambda: 0))
+    with pytest.raises(ConfigError, match="must share m"):
+        pwer.solve_lockstep(tasks)
 
 
 class TestGradient:
