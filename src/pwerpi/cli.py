@@ -267,6 +267,7 @@ def run_simulate(config: dict, out_dir: Path) -> dict:
         "coverage": result.coverage,
         "mean_length": result.mean_length,
         "failures": result.failures,
+        "failure_causes": result.failure_causes,
     }
     print(
         f"scenario {scenario.setting} m={scenario.m} N={scenario.N}: "
@@ -298,12 +299,13 @@ def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_study_csv(dist, out_dir / "studies.csv")
     summary = dist.summary()
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
     print(
         "study distribution: "
         + " ".join(f"{k}={v:.4g}" for k, v in summary.items())
     )
+    summary["failure_causes"] = dist.failure_causes
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
     return summary
 
 

@@ -379,28 +379,31 @@ def floor_values(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
 
 
 def shift_values(values: np.ndarray, pi_min: float) -> np.ndarray:
-    """Additive shift by pi_min with renormalization over all strata."""
+    """Additive shift by pi_min with renormalization over all strata (the last axis)."""
     values = np.asarray(values, dtype=float)
-    check_transform(TRANSFORM_SHIFT, pi_min, values.shape[0])
-    return (values + pi_min) / (1.0 + values.shape[0] * pi_min)
+    check_transform(TRANSFORM_SHIFT, pi_min, values.shape[-1])
+    return (values + pi_min) / (1.0 + values.shape[-1] * pi_min)
 
 
 def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray, np.ndarray]:
     """Transformed weights and their chain-rule factors.
 
-    The one dispatch on the transform name. The floor transform zeroes the
-    factors of the components it floors and applies its scale p
-    (floor_values) elsewhere, also at the non-differentiable point
-    values == pi_min, by convention; the shift transform contracts every
-    component by 1/(1 + n_S * pi_min). "none" and pi_min = 0 return the
-    weights themselves and unit factors.
+    The one dispatch on the transform name. values is one weight vector (S,)
+    or a stack of them (..., S), transformed row by row. The floor transform
+    zeroes the factors of the components it floors and applies its scale p
+    (floor_values, one row at a time) elsewhere, also at the
+    non-differentiable point values == pi_min, by convention; the shift
+    transform contracts every component by 1/(1 + n_S * pi_min). "none" and
+    pi_min = 0 return the weights themselves and unit factors.
     """
     values = np.asarray(values, dtype=float)
-    n_s = values.shape[0]
+    n_s = values.shape[-1]
     check_transform(transform, pi_min, n_s)
     if transform == TRANSFORM_NONE or pi_min == 0.0:
-        return values, np.ones(n_s)
+        return values, np.ones(values.shape)
     if transform == TRANSFORM_FLOOR:
-        out, p = floor_values(values, pi_min)
+        floored = [floor_values(row, pi_min) for row in values.reshape(-1, n_s)]
+        out = np.array([row for row, _ in floored]).reshape(values.shape)
+        p = np.array([p for _, p in floored]).reshape(*values.shape[:-1], 1)
         return out, np.where(values < pi_min, 0.0, p)
-    return shift_values(values, pi_min), np.full(n_s, 1.0 / (1.0 + n_s * pi_min))
+    return shift_values(values, pi_min), np.full(values.shape, 1.0 / (1.0 + n_s * pi_min))

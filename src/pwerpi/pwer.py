@@ -16,9 +16,10 @@ evaluates the strata of every unfinished run in one stacked pass
 (_evaluate: one OrthantGroup.evaluate per group; only the strata it leaves
 undecided go to mvprob.qmc_cdf, per run, each with a CorrelationMatrix of
 its own) and
-sums their PWERs in one stacked pass; each run's solver (_secant) only
-sends a float c and receives a float PWER. The finished runs take one
-stacked verify pass (_verify). The interval's pieces come stacked too
+sums their PWERs in one stacked pass; one array secant steps every run's
+c at once (_Secants, _step), in masked numpy operations with the bits of
+each run's scalar solve. The finished runs take one stacked verify pass
+(_verify). The interval's pieces come stacked too
 (delta_gammas, prediction_intervals, true_pwers), one row per run; the
 one-run functions are rows of one of them.
 """
@@ -28,9 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy import special
 
 from . import mvprob
 from .design import Design, prevalence_weights, stratum_members
@@ -78,7 +80,7 @@ class TestModel:
     @property
     def stratum_ok(self) -> np.ndarray:
         """Strata whose joint law is defined (all member populations populated)."""
-        return _defined(self.population_variances[None])[0]
+        return defined_strata(self.population_variances[None])[0]
 
     def tail_quantile(self, p: float) -> float:
         """c with P(single statistic > c) = p under the marginal law."""
@@ -95,7 +97,7 @@ class TestModel:
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _defined(variances: np.ndarray) -> np.ndarray:
+def defined_strata(variances: np.ndarray) -> np.ndarray:
     """Which strata have a defined joint law (R, S), from the population
     variances (R, m) of R runs: those whose members all have a variance."""
     return ~(np.isnan(variances)[:, None, :] & stratum_members(variances.shape[1])).any(axis=2)
@@ -285,7 +287,7 @@ class _Plan:
             raise ConfigError("the models of one lockstep must share m")
         self.models, self.m, self.streams = models, models[0].m, streams
         self.tols = np.asarray(tols, dtype=float)
-        self.ok = _defined(np.array([model.population_variances for model in models]))
+        self.ok = defined_strata(np.array([model.population_variances for model in models]))
         kinds = np.array([model.kind for model in models])
         dfs = np.array([model.df for model in models], dtype=float)  # NaN for the normal law
         full = np.array([model.full_corr for model in models])
@@ -547,42 +549,32 @@ class _Streams:
         return np.random.default_rng(self.seed ^ 0x9E3779B97F4A7C15)
 
 
-class CalibrationTask(NamedTuple):
-    """One calibration of solve_lockstep: its inputs, its streams, and its scalar solver."""
-
-    model: TestModel
-    weights: np.ndarray
-    alpha: float
-    cdf_tol: float
-    verify_tol: float
-    streams: _Streams
-    solver: Generator[float, float, tuple[float, float]]
+def _dfs(models: Sequence[TestModel]) -> np.ndarray:
+    """Each model's t df, NaN for the normal law."""
+    return np.array([model.df if model.kind == "t" else math.nan for model in models], dtype=float)
 
 
-def calibration(
-    pi,
-    model: TestModel,
-    alpha: float,
-    seed: Callable[[], int],
-    solver_tol: float = DEFAULT_SOLVER_TOL,
-    cdf_tol: float = DEFAULT_CDF_TOL,
-    verify_tol: float = DEFAULT_VERIFY_TOL,
-) -> CalibrationTask:
-    """The calibration of solve_critical_values, for solve_lockstep to drive.
+def _lower_quantiles(df: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each row's marginal lower quantile at q: the t law's of df, or the normal's where df is NaN.
 
-    The weights and alpha are checked here. seed() gives the integration
-    seed, on first need only (see _Streams). The solver (_secant) yields
-    each c it needs PWER at and receives that PWER as a float; the lockstep
-    keeps the per-stratum results of every c, and its verify pass reuses the
-    deterministic ones at the returned c.
+    One ndtri or stdtrit call over the rows (both for a block of both laws);
+    each entry has the bits of its scalar mvprob.std_normal_quantile or
+    mvprob.t_quantile call.
     """
-    weights = prevalence_weights(pi, len(model.strata))
-    check_alpha(alpha)
-    if not np.any(weights > 0.0):
-        raise ConfigError("prevalence vector has no positive component")
-    return CalibrationTask(
-        model, weights, alpha, cdf_tol, verify_tol, _Streams(seed), _secant(model, weights, alpha, solver_tol, cdf_tol)
-    )
+    normal = np.isnan(df)
+    if normal.all():
+        return special.ndtri(q)
+    out = special.stdtrit(np.where(normal, 1.0, df), q)
+    return np.where(normal, special.ndtri(q), out) if normal.any() else out
+
+
+def _upper_quantiles(df: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Upper-tail quantile of each p, finite for any p: the negated lower quantile, never 1 - p.
+
+    p is clamped into [1e-100, 1 - 2^-53]; below 1e-100 the t quantile of
+    small df can overflow to inf.
+    """
+    return -_lower_quantiles(df, np.clip(p, 1e-100, 1.0 - 2.0**-53))
 
 
 # Newton steps of the independence root; from the Bonferroni start they reach
@@ -590,243 +582,316 @@ def calibration(
 _INDEPENDENCE_MAX_ITER = 50
 
 
-def _independence_root(model: TestModel, weights: np.ndarray, alpha: float) -> tuple[float, float]:
-    """The root x0 of the independence model g(c) = sum_J w_J (1 - F(c)^|J|) = alpha, and g'(x0).
+def _independence_root(
+    models: Sequence[TestModel], weights: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The root x0 of each run's independence model g(c) = sum_J w_J (1 - F(c)^|J|) = alpha, and g'(x0).
 
-    F is the model's marginal CDF. g is solved in the marginal tail v = 1 -
-    F(c), where it is the concave increasing sum_d W_d (1 - q^d), q = 1 - v,
-    over the weights W_d of the strata of size d. 1 - q^d is taken as v (1 +
-    q + ... + q^(d-1)), a sum of positive terms, so that alpha down to
-    ALPHA_MIN keeps its digits. Newton steps from the Bonferroni point alpha
-    / sum_d d W_d, where g <= alpha, climb to the root without overshooting
-    it. With weights of total at most alpha, g has no root, and x0 is the
-    single-test quantile, the lower end of _secant's bracket.
-    g'(c) = -f(c) sum_d d W_d q^(d - 1), f the marginal density.
+    Run r has the model models[r] and the weights row r of weights (R, S);
+    the models share m. F is the model's marginal CDF. g is solved in the
+    marginal tail v = 1 - F(c), where it is the concave increasing sum_d W_d
+    (1 - q^d), q = 1 - v, over the weights W_d of the strata of size d. 1 -
+    q^d is taken as v (1 + q + ... + q^(d-1)), a sum of positive terms, so
+    that alpha down to ALPHA_MIN keeps its digits. Newton steps from the
+    Bonferroni point alpha / sum_d d W_d, where g <= alpha, climb to the root
+    without overshooting it; every run steps together, and a run stops once
+    its step falls below 1e-15 v. With weights of total at most alpha, g has
+    no root, and x0 is the single-test quantile, the lower end of the
+    secant's bracket. g'(c) = -f(c) sum_d d W_d q^(d - 1), f the marginal
+    density (TestModel.density, run by run). The W_d and the tail sums add
+    and multiply in the order of a scalar loop over the strata and over d,
+    so each run has the bits of its own scalar solve.
     """
-    by_size = np.bincount(stratum_members(model.m).sum(axis=1), weights, model.m + 1).tolist()
+    n, df = len(models), _dfs(models)
+    by_size: list = [None] * (models[0].m + 1)  # W_d, a sequential sum over the strata of size d
+    for j, d in enumerate(stratum_members(models[0].m).sum(axis=1).tolist()):
+        by_size[d] = weights[:, j] if by_size[d] is None else by_size[d] + weights[:, j]
+    total = by_size[1]
+    for w in by_size[2:]:
+        total = total + w
+    rooted = total > alpha
+    d_weights = [None] + [d * w for d, w in enumerate(by_size[1:], 1)]  # d W_d
 
-    def g_over_v_and_slope(q: float) -> tuple[float, float]:
+    def tail_sums(q, rows=slice(None), slope_only=False):
         """g / v and dg/dv at q = 1 - v: sum_d W_d (1 + ... + q^(d-1)) and sum_d d W_d q^(d-1)."""
-        g_over_v = slope = geometric = 0.0
-        power = 1.0
-        for d in range(1, model.m + 1):
-            geometric += power
-            g_over_v += by_size[d] * geometric
-            slope += d * by_size[d] * power
-            power *= q
+        g_over_v, slope, geometric, power = by_size[1][rows], d_weights[1][rows], 1.0, q
+        for d in range(2, len(by_size)):
+            if not slope_only:
+                geometric = geometric + power
+                g_over_v = g_over_v + by_size[d][rows] * geometric
+            slope = slope + d_weights[d][rows] * power
+            power = power * q
         return g_over_v, slope
 
-    if sum(by_size) <= alpha:
-        v, x0 = alpha, model.tail_quantile(alpha)
-    else:
-        v = alpha / g_over_v_and_slope(1.0)[1]
+    v = np.full(n, alpha)
+    if rooted.any():
+        rows = slice(None) if rooted.all() else rooted
+        v_r = alpha / tail_sums(1.0, rows, slope_only=True)[1]
+        live = np.ones(len(v_r), dtype=bool)
         for _ in range(_INDEPENDENCE_MAX_ITER):
-            g_over_v, slope = g_over_v_and_slope(1.0 - v)
-            step = (alpha - v * g_over_v) / slope
-            v += step
-            if step <= 1e-15 * v:
+            g_over_v, slope = tail_sums(1.0 - v_r, rows)
+            step = (alpha - v_r * g_over_v) / slope
+            stepped = v_r + step
+            v_r = np.where(live, stepped, v_r)
+            live &= step > 1e-15 * stepped
+            if not live.any():
                 break
-        x0 = _upper_quantile(model, v)
-    return x0, -model.density(x0) * g_over_v_and_slope(1.0 - v)[1]
+        v[rows] = v_r
+    x0 = _upper_quantiles(df, v)
+    if not rooted.all():
+        x0 = np.where(rooted, x0, _lower_quantiles(df, np.full(n, 1.0 - alpha)))
+    density = np.array([model.density(x) for model, x in zip(models, x0.tolist())])
+    return x0, -density * tail_sums(1.0 - v, slope_only=True)[1]
 
 
-def _secant(
-    model: TestModel, weights: np.ndarray, alpha: float, solver_tol: float, cdf_tol: float
-) -> Generator[float, float, tuple[float, float]]:
-    """The critical value c* with PWER(c*) = alpha, and its PWER, one PWER evaluation at a time.
+class _Secants:
+    """The safeguarded secants of a lockstep's unfinished runs, one entry per run.
 
-    A generator: it yields each c, receives PWER(c), and returns (c*,
-    PWER(c*)). It starts at the root x0 of the independence model
-    (_independence_root), which the Slepian and Sidak inequalities put at
-    or above c* when every correlation is nonnegative (for the t law too, by
+    rows holds each run's index in the plan, x its pending c and phase what
+    that c is: 0 an iterate, 1 the bracket end lo, 2 the end hi. [a, b] is
+    the bracket, with PWERs p_a and p_b (NaN until evaluated); w1, w2 and w3
+    are its last three widths, NaN before there are three. k counts the
+    iterates, and x_prev and z_prev are the last one and its z. slope is
+    g'(x0) of the first step, df the marginal law (_dfs) and q_alpha the
+    upper quantile of alpha. keep drops the finished runs.
+    """
+
+    __slots__ = ("rows", "x", "phase", "k", "a", "p_a", "b", "p_b", "w1", "w2", "w3",
+                 "x_prev", "z_prev", "lo", "hi", "slope", "df", "q_alpha")
+
+    def __init__(self, models: Sequence[TestModel], weights: np.ndarray, alpha: float, rows: np.ndarray):
+        n = len(rows)
+        self.rows = rows
+        self.df = _dfs(models)
+        self.lo = _lower_quantiles(self.df, np.full(n, 1.0 - alpha))
+        self.hi = _lower_quantiles(self.df, np.full(n, 1.0 - alpha / 2 ** models[0].m))
+        self.q_alpha = _upper_quantiles(self.df, np.full(n, alpha))
+        x, self.slope = _independence_root(models, weights, alpha)
+        self.x = np.minimum(np.maximum(x, self.lo), self.hi)
+        self.phase, self.k = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        self.a, self.b, self.w1 = self.lo, self.hi, self.hi - self.lo
+        self.p_a, self.p_b, self.w2, self.w3, self.x_prev, self.z_prev = np.full((6, n), math.nan)
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _step(s: _Secants, p: np.ndarray, alpha: float, f_tol: float, slack: float, failed: dict[int, Exception]):
+    """Take every secant of s one step, given the PWER p of its pending c.
+
+    Each run takes the step of a scalar safeguarded secant, in masked numpy
+    operations. It starts at the root x0 of the independence model
+    (_independence_root), which the Slepian and Sidak inequalities put at or
+    above c* when every correlation is nonnegative (for the t law too, by
     association in the shared chi scale): PWER(x0) <= alpha, within 1e-3 on
     the simulated designs. The second point is a Newton step on the
     independence model, x0 - (PWER(x0) - alpha) / g'(x0), and the later ones
     a safeguarded secant on the quantile scale, z(c) = Q(PWER(c)) - Q(alpha)
     with Q the marginal upper-tail quantile, through the last two iterates;
-    z is nearly c - c*.
-    The single-test and Bonferroni-like quantiles lo <= x0 <= hi bracket
-    the root. A step that leaves the bracket, or two steps that fail to
-    halve it, bisect instead; lo and hi are evaluated, and checked, only
-    once a bisection needs them or a step lands on them. With disjoint
-    populations x0 is the single-test quantile and already the root.
+    z is nearly c - c*. The single-test and Bonferroni-like quantiles lo <=
+    x0 <= hi bracket the root. A step that leaves the bracket, or two steps
+    that fail to halve it, bisect instead; lo and hi are evaluated, and
+    checked, only once a bisection needs them or a step lands on them, and a
+    run there stops, or fails with a bracket failure, by its PWER. With
+    disjoint populations x0 is the single-test quantile and already the
+    root. A run stops once |PWER - alpha| <= f_tol, or at the end of its
+    closed bracket (width _SOLVER_XTOL) nearer alpha. The masks of the rare
+    exits (at lo or hi, a closed bracket) are formed only at the steps that
+    reach them.
 
+    failed maps the runs (positions in s) whose evaluation failed to their
+    error, and takes the errors of the runs this step fails. Returns the
+    bracket end each c now is (True for b), which runs finished, and each
+    one's c*, its PWER and the end it is; every other run of s holds its
+    next pending c.
+    """
+    reg = s.phase == 0
+    dev = p - alpha
+    stop = np.abs(dev) <= f_tol
+    at_end = (s.x == s.lo) | (s.x == s.hi)
+    if at_end.any():
+        at_lo = s.x == s.lo
+        at_hi = at_end & ~at_lo
+        for pos in np.flatnonzero(at_lo & (dev < -slack)).tolist():
+            failed.setdefault(pos, NumericalError(
+                f"bracket failure: PWER({s.lo[pos]:.6f}) = {p[pos]:.3e} already below alpha={alpha}"))
+        for pos in np.flatnonzero(at_hi & (dev > slack)).tolist():
+            failed.setdefault(pos, NumericalError(
+                f"bracket failure: PWER({s.hi[pos]:.6f}) = {p[pos]:.3e} still above alpha={alpha}"))
+        stop = np.where(at_lo, dev <= f_tol, np.where(at_hi, dev >= -f_tol, stop))
+    bad = np.zeros(len(p), dtype=bool)
+    bad[list(failed)] = True
+    stop &= ~bad
+    # an iterate moves the end its PWER falls on, an evaluated end sets its own PWER
+    side = np.where(reg, p <= alpha, s.phase == 2)
+    s.a, s.p_a = np.where(side, s.a, s.x), np.where(side, s.p_a, p)
+    s.b, s.p_b = np.where(side, s.x, s.b), np.where(side, p, s.p_b)
+    width = s.b - s.a
+    s.w3, s.w2, s.w1 = np.where(reg, s.w2, s.w3), np.where(reg, s.w1, s.w2), np.where(reg, width, s.w1)
+    done, c_star, p_star, end = stop, s.x, p, side
+    closing = width <= _SOLVER_XTOL
+    if closing.any():
+        done = stop | (closing & reg & ~bad & ~np.isnan(s.p_a + s.p_b))
+        at_b, closed = np.abs(s.p_b - alpha) < np.abs(s.p_a - alpha), done & ~stop
+        c_star = np.where(closed, np.where(at_b, s.b, s.a), s.x)
+        p_star = np.where(closed, np.where(at_b, s.p_b, s.p_a), p)
+        end = np.where(closed, at_b, side)
+    if (done | bad).all():
+        return side, done, c_star, p_star, end
+
+    go = reg & ~done & ~bad
+    z = _upper_quantiles(s.df, p) - s.q_alpha
+    rise = z - s.z_prev
+    # a flat secant has no root; its infinite step leaves the bracket
+    secant = np.divide(z * (s.x - s.x_prev), rise, out=np.full(len(p), math.inf), where=rise != 0.0)
+    step = np.where(s.k == 0, dev / s.slope, secant)  # the first step: Newton on the independence model
+    s.x_prev, s.z_prev = np.where(go, s.x, s.x_prev), np.where(go, z, s.z_prev)
+    s.x, s.k = np.where(go, s.x - step, s.x), s.k + go
+    stuck = go & (np.isnan(p) | (s.k == _SOLVER_MAX_ITER))
+    for pos in np.flatnonzero(stuck).tolist():
+        failed[pos] = ConfigError(f"quantile argument must lie in (0, 1), got {p[pos]}") if math.isnan(p[pos]) \
+            else NumericalError(f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
+                                f"(bracket [{s.a[pos]:.12f}, {s.b[pos]:.12f}])")
+    go &= ~stuck
+
+    # bisect after a step out of the bracket or two steps that did not halve it; an
+    # evaluated end that did not stop goes on to the other end or the midpoint
+    bisect = go & (~((s.a < s.x) & (s.x < s.b)) | (s.w1 > 0.5 * s.w3)) | ~reg & ~done & ~bad
+    if bisect.any():
+        to_lo = bisect & reg & np.isnan(s.p_a)
+        to_hi = bisect & ~to_lo & (s.phase != 2) & np.isnan(s.p_b)
+        s.x = np.where(to_lo, s.lo, np.where(to_hi, s.hi, np.where(bisect, 0.5 * (s.a + s.b), s.x)))
+        s.phase = np.where(to_lo, 1, np.where(to_hi, 2, 0))
+    return side, done, c_star, p_star, end
+
+
+def solve_lockstep(
+    models: Sequence[TestModel],
+    weights: np.ndarray,
+    alpha: float,
+    seeds: Sequence[Callable[[], int]],
+    solver_tol: float = DEFAULT_SOLVER_TOL,
+    cdf_tol: float = DEFAULT_CDF_TOL,
+    verify_tol: float = DEFAULT_VERIFY_TOL,
+) -> list[CriticalValues | Exception]:
+    """Calibrate runs of one m together: each run's CriticalValues, or the error that ended it.
+
+    Run r has the model models[r], the prevalence weights row r of weights
+    (R, S) and the integration seed seeds[r](), drawn on first need only (see
+    _Streams); alpha and the tolerances are the block's. alpha is checked
+    once, and each row of weights on its own. The block is planned once
+    (_Plan), and one array secant steps every run (_Secants, _step): each
+    step evaluates the pending c of every unfinished run in one _evaluate
+    call, sums their PWERs in one stacked pass (_Plan.pwer) and moves every
+    run's state in masked numpy operations, so each run takes the steps of
+    its own scalar solve, bit for bit. The finished runs drop out, so a
+    block costs about as many stacked evaluations as its slowest run. Each
+    run's per-stratum results are kept at its two bracket ends, where every
+    c* lies, and the finished runs take one stacked verify pass (_verify).
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
-    a small alpha is met to a relative precision too.
+    a small alpha is met to a relative precision too. An error of RUN_ERRORS
+    ends only the run it belongs to.
     """
-    q_alpha = _upper_quantile(model, alpha)
-
-    def z(p: float) -> float:
-        return _upper_quantile(model, p) - q_alpha
-
-    lo = model.tail_quantile(alpha)
-    hi = model.tail_quantile(alpha / 2**model.m)
-    slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
-    f_tol = min(solver_tol, 1e-3 * alpha)
-    x, slope = _independence_root(model, weights, alpha)
-    x = min(max(x, lo), hi)
-
-    def stops_at_end(end: float, p: float) -> bool:
-        """Whether the solve stops at the bracket end lo or hi, PWER(end) = p; a bracket failure raises."""
-        if end == lo:
-            if p - alpha < -slack:
-                raise NumericalError(f"bracket failure: PWER({lo:.6f}) = {p:.3e} already below alpha={alpha}")
-            return p - alpha <= f_tol
-        if p - alpha > slack:
-            raise NumericalError(f"bracket failure: PWER({hi:.6f}) = {p:.3e} still above alpha={alpha}")
-        return p - alpha >= -f_tol
-
-    # [a, b] holds the root: PWER(a) > alpha > PWER(b) once a and b are
-    # evaluated; until then a = lo and b = hi rest on the bracket's quantile bounds
-    a, p_a, b, p_b = lo, math.nan, hi, math.nan
-    widths = [b - a]
-    for k in range(_SOLVER_MAX_ITER):
-        # bisect after a step out of the bracket or two steps that did not halve it
-        if k and (not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
-            if math.isnan(p_a):
-                p_a = yield lo
-                if stops_at_end(lo, p_a):
-                    return lo, p_a
-            if math.isnan(p_b):
-                p_b = yield hi
-                if stops_at_end(hi, p_b):
-                    return hi, p_b
-            x = 0.5 * (a + b)
-        p = yield x
-        if abs(p - alpha) <= f_tol or (x in (lo, hi) and stops_at_end(x, p)):
-            return x, p
-        if p > alpha:
-            a, p_a = x, p
-        else:
-            b, p_b = x, p
-        widths.append(b - a)
-        if b - a <= _SOLVER_XTOL and not math.isnan(p_a + p_b):
-            return min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))
-        z_x = z(p)
-        if k == 0:  # Newton on the independence model
-            step = (p - alpha) / slope
-        else:
-            # a flat secant has no root; its infinite step leaves the bracket
-            step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
-        x_prev, z_prev, x = x, z_x, x - step
-    raise NumericalError(
-        f"critical value iteration did not converge within {_SOLVER_MAX_ITER} steps "
-        f"(bracket [{a:.12f}, {b:.12f}])"
-    )
-
-
-def solve_lockstep(tasks: list[CalibrationTask]) -> list[CriticalValues | Exception]:
-    """Drive calibrations of one m together; each one's CriticalValues, or the error it raised.
-
-    The block is planned once (_Plan). Every step gathers the pending c of
-    every unfinished solver, evaluates their positive-weight strata in one
-    _evaluate call, sums the PWER of every one of them in one stacked pass
-    (_Plan.pwer) and sends each solver its float; the finished ones drop
-    out, so a block of runs costs about as many stacked evaluations as its
-    slowest run. The per-stratum results at every c are kept, and the
-    finished runs take one stacked verify pass (_verify). An error of
-    RUN_ERRORS ends only the calibration it belongs to.
-    """
-    out: list = [None] * len(tasks)
-    if not tasks:
+    out: list = [None] * len(models)
+    if not len(models):
         return out
-    plan = _Plan(
-        [task.model for task in tasks],
-        [(task.cdf_tol, task.verify_tol) for task in tasks],
-        [task.streams for task in tasks],
-        [task.weights for task in tasks],
-    )
-    at = [math.nan] * len(tasks)  # each solver's pending c
-    evaluations = [0] * len(tasks)
-    # each run's per-stratum results at every c it evaluated: (step, row of the step)
-    solved: list[dict[float, tuple[_Evaluated, int]]] = [{} for _ in tasks]
-    finished: dict[int, tuple[float, float]] = {}
-
-    def advance(r: int, p: float | None) -> bool:
-        try:
-            at[r] = tasks[r].solver.send(p)
-        except StopIteration as stop:
-            finished[r] = stop.value
-            return False
-        except RUN_ERRORS as exc:
-            out[r] = exc
-            return False
-        evaluations[r] += 1
-        return True
-
-    pending = [r for r in range(len(tasks)) if advance(r, None)]
-    while pending:
-        runs = np.array(pending)
-        c = np.array([at[r] for r in pending])
-        step = _evaluate(plan, runs, np.broadcast_to(c[:, None], (len(runs), plan.m)), plan.mask[runs])
-        p = plan.pwer(runs, step.value).tolist()
-        kept = []
-        for pos, r in enumerate(pending):
-            if pos in step.failed:
-                tasks[r].solver.close()
-                out[r] = step.failed[pos]
-                continue
-            solved[r][at[r]] = (step, pos)
-            if advance(r, p[pos]):
-                kept.append(r)
-        pending = kept
-    if finished:
-        _verify(plan, tasks, finished, solved, evaluations, out)
+    check_alpha(alpha)
+    weights = np.asarray(weights, dtype=float)
+    shape = (len(models), len(models[0].strata))
+    if weights.shape != shape:
+        raise ConfigError(f"prevalence weights have shape {weights.shape}, expected {shape}")
+    plan = _Plan(models, [(cdf_tol, verify_tol)] * len(models), [_Streams(seed) for seed in seeds], weights)
+    invalid = ~((weights.min(axis=1) >= 0.0) & (weights.max(axis=1) < np.inf))
+    empty = ~plan.mask.any(axis=1)
+    for r in np.flatnonzero(invalid | empty).tolist():
+        out[r] = ConfigError(
+            "prevalence weights must be finite and nonnegative" if invalid[r]
+            else "prevalence vector has no positive component"
+        )
+    rows = np.flatnonzero(~(invalid | empty))
+    if not len(rows):
+        return out
+    s = _Secants([models[r] for r in rows.tolist()], weights[rows], alpha, rows)
+    f_tol = min(solver_tol, 1e-3 * alpha)
+    slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
+    evaluations = np.zeros(len(models), dtype=int)
+    # each run's per-stratum results at its bracket ends a (0) and b (1)
+    value, error = np.empty((2, *weights.shape)), np.empty((2, *weights.shape))
+    qmc = np.empty((2, *weights.shape), dtype=bool)
+    finished = []
+    while len(s.rows):
+        step = _evaluate(plan, s.rows, np.broadcast_to(s.x[:, None], (len(s.rows), plan.m)), plan.mask[s.rows])
+        evaluations[s.rows] += 1
+        failed = dict(step.failed)
+        side, done, c_star, p_star, end = _step(s, plan.pwer(s.rows, step.value), alpha, f_tol, slack, failed)
+        at = side.astype(int)
+        value[at, s.rows], error[at, s.rows], qmc[at, s.rows] = step.value, step.error, step.qmc
+        for pos, exc in failed.items():
+            out[s.rows[pos]] = exc
+        if done.any():
+            finished.append((s.rows[done], c_star[done], p_star[done], end[done]))
+        done[list(failed)] = True
+        if done.all():
+            break
+        if done.any():
+            s.keep(~done)
+    if not finished:
+        return out
+    runs, c_star, achieved, end = (np.concatenate(parts) for parts in zip(*finished))
+    at_c = (value[end.astype(int), runs], error[end.astype(int), runs], qmc[end.astype(int), runs])
+    for r, cv in zip(runs.tolist(), _verify(plan, runs, c_star, achieved, at_c, alpha, evaluations[runs])):
+        out[r] = cv
     return out
 
 
 def _verify(
     plan: _Plan,
-    tasks: list[CalibrationTask],
-    finished: dict[int, tuple[float, float]],
-    solved: list[dict[float, tuple[_Evaluated, int]]],
-    evaluations: list[int],
-    out: list,
-) -> None:
-    """Verify every finished run's PWER at its c* in one stacked pass, and fill in out.
+    runs: np.ndarray,
+    c: np.ndarray,
+    achieved: np.ndarray,
+    at_c: tuple[np.ndarray, np.ndarray, np.ndarray],
+    alpha: float,
+    evaluations: np.ndarray,
+) -> list[CriticalValues | Exception]:
+    """The CriticalValues of every finished run, or its error, from one stacked verify pass at its c*.
 
-    A deterministic result within verify_tol is what the verify pass would
-    compute, since quadrature does not depend on tol or stream, and is kept.
-    The rest are computed at verify_tol on each run's verify stream with
-    fresh engines, in one _evaluate call: the QMC strata, deterministic ones
-    whose error estimate exceeds verify_tol (verify_tol sends them to QMC),
-    and the zero-weight strata with a defined law, which true_pwer weighs.
+    Run k is runs[k] of the plan, with c* c[k], the solver's PWER achieved[k]
+    and evaluations[k] evaluations; at_c holds its per-stratum values, error
+    estimates and QMC flags at c*. A deterministic result within verify_tol
+    is what the verify pass would compute, since quadrature does not depend
+    on tol or stream, and is kept. The rest are computed at verify_tol on
+    each run's verify stream with fresh engines, in one _evaluate call: the
+    QMC strata, deterministic ones whose error estimate exceeds verify_tol
+    (verify_tol sends them to QMC), and the zero-weight strata with a
+    defined law, which true_pwer weighs.
     """
-    runs = np.array(list(finished))
-    rows = [solved[r][finished[r][0]] for r in runs.tolist()]
-    value = np.array([step.value[pos] for step, pos in rows])
-    error = np.array([step.error[pos] for step, pos in rows])
-    qmc = np.array([step.qmc[pos] for step, pos in rows])
-    redo = plan.ok[runs] & (qmc | (error > plan.tols[runs, 1][:, None]))
+    value, error, qmc = at_c
+    cdf_tol, verify_tol = plan.tols[runs].T
+    redo = plan.ok[runs] & (qmc | (error > verify_tol[:, None]))
     again = np.flatnonzero(redo.any(axis=1))
     failed = {}
     if len(again):
-        c = np.array([finished[r][0] for r in runs[again].tolist()])
-        fresh = _evaluate(plan, runs[again], np.broadcast_to(c[:, None], (len(again), plan.m)), redo[again], True)
+        limits = np.broadcast_to(c[again][:, None], (len(again), plan.m))
+        fresh = _evaluate(plan, runs[again], limits, redo[again], True)
         value[again] = np.where(redo[again], fresh.value, value[again])
         failed = {int(again[pos]): exc for pos, exc in fresh.failed.items()}
     fwer = 1.0 - value
     # strata without a defined law carry NaN and only ever zero weight here
-    verified = np.nansum(plan.weights[runs] * fwer, axis=1).tolist()
-    for k, r in enumerate(runs.tolist()):
-        task, (c_star, achieved) = tasks[r], finished[r]
+    verified = np.nansum(plan.weights[runs] * fwer, axis=1)
+    disagrees = np.abs(verified - alpha) > 3.0 * cdf_tol + 30.0 * verify_tol + 10.0 * np.abs(achieved - alpha)
+    out: list = []
+    rows = zip(c.tolist(), achieved.tolist(), verified.tolist(), evaluations.tolist())
+    for k, (c_star, achieved_k, verified_k, evaluations_k) in enumerate(rows):
         if k in failed:
-            out[r] = failed[k]
-            continue
-        threshold = 3.0 * task.cdf_tol + 30.0 * task.verify_tol + 10.0 * abs(achieved - task.alpha)
-        if abs(verified[k] - task.alpha) > threshold:
-            out[r] = NumericalError(
-                f"verification pass disagrees with the calibration: PWER={verified[k]:.3e} vs alpha={task.alpha}"
-            )
-            continue
-        out[r] = CriticalValues(
-            c=np.full(plan.m, c_star),
-            alpha=task.alpha,
-            achieved=achieved,
-            verified=verified[k],
-            fwer=fwer[k],
-            evaluations=evaluations[r],
-        )
+            out.append(failed[k])
+        elif disagrees[k]:
+            out.append(NumericalError(
+                f"verification pass disagrees with the calibration: PWER={verified_k:.3e} vs alpha={alpha}"
+            ))
+        else:
+            out.append(CriticalValues(np.full(plan.m, c_star), alpha, achieved_k, verified_k, fwer[k], evaluations_k))
+    return out
 
 
 def solve_critical_values(
@@ -838,28 +903,17 @@ def solve_critical_values(
     verify_tol: float = DEFAULT_VERIFY_TOL,
     rng: np.random.Generator | None = None,
 ) -> CriticalValues:
-    """Find the shared critical value with PWER(c * 1) = alpha (see _secant).
+    """Find the shared critical value with PWER(c * 1) = alpha (see _step).
 
     A lockstep of one: the integration seed is drawn from rng (a seed-0
     stream when omitted) before the solve starts.
     """
     seed = int((rng or np.random.default_rng(0)).integers(0, 2**63 - 1))
-    [cv] = solve_lockstep([calibration(pi, model, alpha, lambda: seed, solver_tol, cdf_tol, verify_tol)])
+    weights = prevalence_weights(pi, len(model.strata))
+    [cv] = solve_lockstep([model], weights[None], alpha, [lambda: seed], solver_tol, cdf_tol, verify_tol)
     if not isinstance(cv, CriticalValues):
         raise cv
     return cv
-
-
-def _upper_quantile(model: TestModel, p: float) -> float:
-    """Upper-tail quantile of p, finite for any p: the negated lower quantile, never 1 - p.
-
-    p is clamped into [1e-100, 1 - 2^-53]; below 1e-100 the t quantile of
-    small df can overflow to inf.
-    """
-    p = min(max(p, 1e-100), 1.0 - 2.0**-53)
-    if model.kind == "t":
-        return -mvprob.t_quantile(p, model.df)
-    return -mvprob.std_normal_quantile(p)
 
 
 def delta_gamma(pi, gradient: np.ndarray) -> float:

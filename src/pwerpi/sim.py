@@ -9,8 +9,8 @@ realized true PWER is covered. Runs go in blocks, each in three passes.
 Pass 1 (_draw_block) draws every run from its own data stream and builds the
 block's designs in one design.build_designs call. Pass 2 (_calibrate_block)
 calibrates them together, the exact-engine ones in one lockstep
-(pwer.solve_lockstep), which plans the block's strata once, steps every
-run's scalar solver on stacked PWER evaluations and verifies the finished
+(pwer.solve_lockstep), which plans the block's strata once, steps one array
+secant over every run on stacked PWER evaluations and verifies the finished
 runs in one stacked pass. Pass 3 (_records) computes every calibrated run's
 gamma, interval, true PWER and coverage in one stacked pass. A run's records
 do not depend on the block it went in, and a run that fails in any pass
@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -184,13 +184,25 @@ class RunRecord(NamedTuple):
     rejected_resamples: int
 
 
+def failure_causes(messages: Sequence[str]) -> dict[str, dict]:
+    """Failed runs by cause, from their "ErrorType: message" strings: each type's count
+    and its first message, in the order the types first fail."""
+    causes: dict[str, dict] = {}
+    for message in messages:
+        cause = causes.setdefault(message.split(":", 1)[0], {"count": 0, "example": message})
+        cause["count"] += 1
+    return causes
+
+
 @dataclass
 class SimResult:
-    """Per-run records plus aggregate coverage and length statistics."""
+    """Per-run records plus aggregate coverage and length statistics; failure_causes
+    counts the failed runs by cause (failure_causes)."""
 
     scenario: SimScenario
     records: list[RunRecord]
     failures: int = 0
+    failure_causes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.records:
@@ -354,62 +366,73 @@ def _calibrate_block(
     (_run_seed: 1 the bootstrap's, 2 the solve's), each built only when its
     engine reads it: the bootstrap engines read theirs up front, the exact
     engine its solve stream only once a QMC stratum or a verify recompute
-    needs it. The bootstrap engines calibrate run by run. The exact-engine
-    calibrations (exact and satterthwaite) build the models of the whole
-    block in one pwer.build_test_models call, each with its run's df
-    (satterthwaite's after its bootstrap null), and then run together in one
-    pwer.solve_lockstep, each on its own model; satterthwaite's FWER comes
-    from its bootstrap null afterwards.
+    needs it. The block's weights (counts / N) are one (R, S) division, and
+    their transform one transform_weights call. The bootstrap engines
+    calibrate run by run. The exact-engine calibrations (exact and
+    satterthwaite) build the models of the whole block in one
+    pwer.build_test_models call, each with its run's df (satterthwaite's
+    after its bootstrap null), check truth against the strata with a defined
+    law of every model at once (pwer.defined_strata), and then run together
+    in one pwer.solve_lockstep, each on its own model; satterthwaite's FWER
+    comes from its bootstrap null afterwards.
     """
     engine = SETTINGS_TABLE[scenario.setting].engine
     out: list = [None] * len(studies)
-    modeled = {}  # study index -> (weights, used, factors, bootstrap null or None, df or None)
+    if not studies:
+        return out
+    designs = [study.design for study in studies]
+    weights = np.array([design.strata_counts for design in designs]) / np.array([[design.N] for design in designs])
+    used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
+    modeled = {}  # study index -> (bootstrap null or None, df or None)
     for k, (study, run) in enumerate(zip(studies, runs)):
         design = study.design
-        weights = design.strata_counts / design.N
         try:
-            used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
             null = df = None
             if engine == "projection_bootstrap":
                 null = boot.bootstrap_null_E(
-                    design, weights, study.effects, study.pooled_variance, scenario.B,
+                    design, weights[k], study.effects, study.pooled_variance, scenario.B,
                     np.random.default_rng(_run_seed(scenario.master_seed, run, 1)),
                 )
-                cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
-                out[k] = Calibration(weights, used, factors, cv, null.rejected_resamples)
+                cv = boot.solve_critical_empirical(null, design.strata, used[k], scenario.alpha)
+                out[k] = Calibration(weights[k], used[k], factors[k], cv, null.rejected_resamples)
                 continue
             if engine != "exact":
                 null = boot.bootstrap_null_D(
                     design, scenario.B, np.random.default_rng(_run_seed(scenario.master_seed, run, 1))
                 )
                 if engine == "parametric_bootstrap":
-                    cv = boot.solve_critical_empirical(null, design.strata, used, scenario.alpha)
-                    out[k] = Calibration(weights, used, factors, cv, 0)
+                    cv = boot.solve_critical_empirical(null, design.strata, used[k], scenario.alpha)
+                    out[k] = Calibration(weights[k], used[k], factors[k], cv, 0)
                     continue
                 # c* from the Satterthwaite t model, its FWER from the bootstrap null
                 df = boot.satterthwaite_df(design)
-            modeled[k] = (weights, used, factors, null, df)
+            modeled[k] = (null, df)
         except pwer.RUN_ERRORS as exc:
             out[k] = exc
-    designs, dfs = [studies[k].design for k in modeled], [entry[-1] for entry in modeled.values()]
-    models = pwer.build_test_models(designs, dfs, allow_empty_populations=engine == "exact")
-    lockstep = {}  # study index -> (weights, used, factors, bootstrap null or None, calibration)
-    for (k, (weights, used, factors, null, _)), model in zip(modeled.items(), models):
-        try:
-            if isinstance(model, Exception):
-                raise model
-            if truth is not None and np.any(~model.stratum_ok & (truth > 0)):
-                raise InfeasibleDesignError("true prevalence weights a stratum without a defined joint law")
-            seed = partial(_integration_seed, scenario.master_seed, runs[k])
-            calibration = pwer.calibration(used, model, scenario.alpha, seed)
-            lockstep[k] = (weights, used, factors, null, calibration)
-        except pwer.RUN_ERRORS as exc:
-            out[k] = exc
-    solved = pwer.solve_lockstep([entry[-1] for entry in lockstep.values()])
-    for (k, (weights, used, factors, null, _)), cv in zip(lockstep.items(), solved):
+    models = pwer.build_test_models(
+        [designs[k] for k in modeled], [df for _, df in modeled.values()], allow_empty_populations=engine == "exact"
+    )
+    lockstep = {}  # study index -> (model, bootstrap null or None)
+    for (k, (null, _)), model in zip(modeled.items(), models):
+        if isinstance(model, Exception):
+            out[k] = model
+        else:
+            lockstep[k] = (model, null)
+    if truth is not None and lockstep:
+        undefined = ~pwer.defined_strata(np.array([model.population_variances for model, _ in lockstep.values()]))
+        for k in np.array(list(lockstep))[(undefined & (truth > 0)).any(axis=1)].tolist():
+            out[k] = InfeasibleDesignError("true prevalence weights a stratum without a defined joint law")
+            del lockstep[k]
+    solved = pwer.solve_lockstep(
+        [model for model, _ in lockstep.values()],
+        used[list(lockstep)],
+        scenario.alpha,
+        [partial(_integration_seed, scenario.master_seed, runs[k]) for k in lockstep],
+    )
+    for (k, (_, null)), cv in zip(lockstep.items(), solved):
         if isinstance(cv, pwer.CriticalValues) and null is not None:
             cv = replace(cv, fwer=boot.null_fwer(null, studies[k].design.strata, cv.value))
-        out[k] = cv if isinstance(cv, Exception) else Calibration(weights, used, factors, cv, 0)
+        out[k] = cv if isinstance(cv, Exception) else Calibration(weights[k], used[k], factors[k], cv, 0)
     return out
 
 
@@ -546,8 +569,8 @@ def _chunks(runs: int, size: int) -> list[range]:
 
 def _run_scenarios(
     scenarios: Sequence[SimScenario], threads: int, max_failure_fraction: float
-) -> list[tuple[list[RunRecord], int]]:
-    """(records in run order, failure count) of every scenario, from one map.
+) -> list[tuple[list[RunRecord], list[str]]]:
+    """(records, failure messages), each in run order, of every scenario, from one map.
 
     Every scenario is checked before any run starts. The ordered chunks of all
     scenarios go through one ProcessPoolExecutor with min(threads, total runs)
@@ -585,7 +608,7 @@ def _run_scenarios(
                 raise NumericalError(
                     f"{len(failures)}/{scenario.runs} runs failed; first: {failures[0]}"
                 )
-            out.append((records, len(failures)))
+            out.append((records, [message for _, message in failures]))
         return out
 
     if workers <= 1:
@@ -609,16 +632,19 @@ def run_scenario(
     counted; more than max_failure_fraction failures (default 1%) fails the
     whole scenario.
     """
-    [(records, failures)] = _run_scenarios([scenario], threads, max_failure_fraction)
-    return SimResult(scenario=scenario, records=records, failures=failures)
+    [(records, failed)] = _run_scenarios([scenario], threads, max_failure_fraction)
+    return SimResult(scenario, records, len(failed), failure_causes(failed))
 
 
 @dataclass
 class StudyRow:
+    """One study's coverage and mean length, and its failed runs, counted and by cause."""
+
     study: int
     coverage: float
     mean_length: float
     failures: int = 0
+    failure_causes: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -626,6 +652,15 @@ class StudyDistribution:
     """Coverage distribution over studies with random prevalences."""
 
     rows: list[StudyRow]
+
+    @property
+    def failure_causes(self) -> dict[str, dict]:
+        """The failed runs of every study by cause: each type's count and its first message."""
+        causes: dict[str, dict] = {}
+        for row in self.rows:
+            for kind, cause in row.failure_causes.items():
+                causes.setdefault(kind, {"count": 0, "example": cause["example"]})["count"] += cause["count"]
+        return causes
 
     def summary(self) -> dict:
         cov = np.array([r.coverage for r in self.rows])
@@ -697,17 +732,18 @@ def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistributi
     scenarios = study_scenarios(*args, **kwargs)
     outcomes = _run_scenarios(scenarios, threads, max_failure_fraction=1.0)
     rows = []
-    for s, (scenario, (records, failures)) in enumerate(zip(scenarios, outcomes)):
+    for s, (scenario, (records, failed)) in enumerate(zip(scenarios, outcomes)):
         if records:
             covered = sum(rec.covered for rec in records)
-            mean_length = SimResult(scenario, records, failures).mean_length
+            mean_length = SimResult(scenario, records).mean_length
         else:  # every run failed: nothing to average
             covered, mean_length = 0, float("nan")
         rows.append(StudyRow(
             study=s,
             coverage=covered / scenario.runs,
             mean_length=mean_length,
-            failures=failures,
+            failures=len(failed),
+            failure_causes=failure_causes(failed),
         ))
     return StudyDistribution(rows=rows)
 
@@ -785,8 +821,8 @@ def run_min_prevalence_grid(*args, threads: int = 1, **kwargs) -> list[dict]:
     cells = min_prevalence_grid_cells(*args, **kwargs)
     outcomes = _run_scenarios([sc for *_, sc in cells], threads, max_failure_fraction=0.01)
     rows = []
-    for (transform, label, scenario), (records, failures) in zip(cells, outcomes):
-        result = SimResult(scenario=scenario, records=records, failures=failures)
+    for (transform, label, scenario), (records, failed) in zip(cells, outcomes):
+        result = SimResult(scenario, records, len(failed), failure_causes(failed))
         rows.append(
             {
                 "N": scenario.N,

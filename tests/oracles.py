@@ -1,4 +1,6 @@
-"""Brute-force oracles, independent of the package's integration engine."""
+"""Brute-force oracles, independent of the package's integration engine, and scalar references."""
+
+import math
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -211,24 +213,171 @@ def empirical_critical_full(null, strata, pi_hat, alpha):
     return c_star, fwer, float(np.dot(weights, fwer))
 
 
-def quantile_start_secant(model, weights, alpha, solver_tol, cdf_tol):
-    """pwer._secant as it was before it started at the independence root (weights unused).
+def upper_quantile(model, p):
+    """Upper-tail quantile of p under the model's marginal law, one scalar call (the
+    reference for pwer._upper_quantiles): p clamped into [1e-100, 1 - 2^-53], then
+    the negated lower quantile."""
+    from pwerpi import mvprob
 
-    The reference for the calibration's history checks: records and figures
-    pinned before that change are reproduced by monkeypatching pwer._secant
-    with it. It brackets with the single-test and Bonferroni-like quantiles,
-    starts at the single-test one, takes a first step of slope one on the
-    quantile scale and then the safeguarded secant of pwer._secant.
+    p = min(max(p, 1e-100), 1.0 - 2.0**-53)
+    if model.kind == "t":
+        return -mvprob.t_quantile(p, model.df)
+    return -mvprob.std_normal_quantile(p)
+
+
+def independence_root(model, weights, alpha):
+    """(x0, g'(x0)) of one run's independence model, in scalar Python floats: the
+    reference for pwer._independence_root."""
+    from pwerpi.design import stratum_members
+
+    by_size = np.bincount(stratum_members(model.m).sum(axis=1), weights, model.m + 1).tolist()
+
+    def g_over_v_and_slope(q):
+        """g / v and dg/dv at q = 1 - v: sum_d W_d (1 + ... + q^(d-1)) and sum_d d W_d q^(d-1)."""
+        g_over_v = slope = geometric = 0.0
+        power = 1.0
+        for d in range(1, model.m + 1):
+            geometric += power
+            g_over_v += by_size[d] * geometric
+            slope += d * by_size[d] * power
+            power *= q
+        return g_over_v, slope
+
+    if sum(by_size) <= alpha:
+        v, x0 = alpha, model.tail_quantile(alpha)
+    else:
+        v = alpha / g_over_v_and_slope(1.0)[1]
+        for _ in range(50):
+            g_over_v, slope = g_over_v_and_slope(1.0 - v)
+            step = (alpha - v * g_over_v) / slope
+            v += step
+            if step <= 1e-15 * v:
+                break
+        x0 = upper_quantile(model, v)
+    return x0, -model.density(x0) * g_over_v_and_slope(1.0 - v)[1]
+
+
+def secant(model, weights, alpha, solver_tol, cdf_tol):
+    """One run's calibration as a scalar generator over Python floats: the
+    reference for pwer's array secant (pwer._step), driven by solve_one.
+
+    It yields each c it needs PWER at, receives PWER(c), and returns (c*,
+    PWER(c*)): the independence root x0 clamped into [lo, hi], a Newton step
+    on the independence model, then the safeguarded secant on the quantile
+    scale, with lazily evaluated bracket ends.
     """
-    import math
-
     from pwerpi import pwer
     from pwerpi.errors import NumericalError
 
-    q_alpha = pwer._upper_quantile(model, alpha)
+    q_alpha = upper_quantile(model, alpha)
 
     def z(p):
-        return pwer._upper_quantile(model, p) - q_alpha
+        return upper_quantile(model, p) - q_alpha
+
+    lo = model.tail_quantile(alpha)
+    hi = model.tail_quantile(alpha / 2**model.m)
+    slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
+    f_tol = min(solver_tol, 1e-3 * alpha)
+    x, slope = independence_root(model, weights, alpha)
+    x = min(max(x, lo), hi)
+
+    def stops_at_end(end, p):
+        """Whether the solve stops at the bracket end lo or hi, PWER(end) = p; a bracket failure raises."""
+        if end == lo:
+            if p - alpha < -slack:
+                raise NumericalError(f"bracket failure: PWER({lo:.6f}) = {p:.3e} already below alpha={alpha}")
+            return p - alpha <= f_tol
+        if p - alpha > slack:
+            raise NumericalError(f"bracket failure: PWER({hi:.6f}) = {p:.3e} still above alpha={alpha}")
+        return p - alpha >= -f_tol
+
+    a, p_a, b, p_b = lo, math.nan, hi, math.nan
+    widths = [b - a]
+    for k in range(pwer._SOLVER_MAX_ITER):
+        if k and (not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3])):
+            if math.isnan(p_a):
+                p_a = yield lo
+                if stops_at_end(lo, p_a):
+                    return lo, p_a
+            if math.isnan(p_b):
+                p_b = yield hi
+                if stops_at_end(hi, p_b):
+                    return hi, p_b
+            x = 0.5 * (a + b)
+        p = yield x
+        if abs(p - alpha) <= f_tol or (x in (lo, hi) and stops_at_end(x, p)):
+            return x, p
+        if p > alpha:
+            a, p_a = x, p
+        else:
+            b, p_b = x, p
+        widths.append(b - a)
+        if b - a <= pwer._SOLVER_XTOL and not math.isnan(p_a + p_b):
+            return min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))
+        z_x = z(p)
+        if k == 0:
+            step = (p - alpha) / slope
+        else:
+            step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
+        x_prev, z_prev, x = x, z_x, x - step
+    raise NumericalError(
+        f"critical value iteration did not converge within {pwer._SOLVER_MAX_ITER} steps "
+        f"(bracket [{a:.12f}, {b:.12f}])"
+    )
+
+
+def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6, verify_tol=1e-7):
+    """One run's CriticalValues, or the error that ends it, with the scalar generator
+    solver (secant, quantile_start_secant) driven as pwer.solve_lockstep drives a run.
+
+    The run is a pwer._Plan of one with its own _Streams of seed(), so that QMC reads
+    its stream as in a lockstep; every c is evaluated by pwer._evaluate and summed
+    by _Plan.pwer, the results at every c are kept, and the run takes pwer._verify.
+    """
+    from pwerpi import pwer
+    from pwerpi.design import prevalence_weights
+
+    weights = prevalence_weights(weights, len(model.strata))
+    pwer.check_alpha(alpha)
+    plan = pwer._Plan([model], [(cdf_tol, verify_tol)], [pwer._Streams(seed)], [weights])
+    run = np.zeros(1, dtype=int)
+    solved, evaluations = {}, 0
+    generator = solver(model, weights, alpha, solver_tol, cdf_tol)
+    try:
+        c = next(generator)
+        while True:
+            evaluations += 1
+            step = pwer._evaluate(plan, run, np.full((1, model.m), c), plan.mask)
+            if step.failed:
+                return step.failed[0]
+            solved[c] = step
+            c = generator.send(plan.pwer(run, step.value).tolist()[0])
+    except StopIteration as stop:
+        c_star, achieved = stop.value
+    except pwer.RUN_ERRORS as exc:
+        return exc
+    at_c = solved[c_star]
+    [cv] = pwer._verify(plan, run, np.array([c_star]), np.array([achieved]),
+                        (at_c.value.copy(), at_c.error, at_c.qmc), alpha, np.array([evaluations]))
+    return cv
+
+
+def quantile_start_secant(model, weights, alpha, solver_tol, cdf_tol):
+    """secant as it was before it started at the independence root (weights unused).
+
+    The reference for the calibration's history checks: figures pinned before
+    that change are reproduced by driving it with solve_one. It brackets with
+    the single-test and Bonferroni-like quantiles, starts at the single-test
+    one, takes a first step of slope one on the quantile scale and then the
+    safeguarded secant of secant.
+    """
+    from pwerpi import pwer
+    from pwerpi.errors import NumericalError
+
+    q_alpha = upper_quantile(model, alpha)
+
+    def z(p):
+        return upper_quantile(model, p) - q_alpha
 
     lo = model.tail_quantile(alpha)
     hi = model.tail_quantile(alpha / 2**model.m)
@@ -274,3 +423,25 @@ def quantile_start_secant(model, weights, alpha, solver_tol, cdf_tol):
         f"critical value iteration did not converge within {pwer._SOLVER_MAX_ITER} steps "
         f"(bracket [{a:.12f}, {b:.12f}])"
     )
+
+
+def lockstep_calls(monkeypatch):
+    """Record every pwer.solve_lockstep call, as (models, weights, alpha, seeds, results)."""
+    from pwerpi import pwer
+
+    calls = []
+    solve = pwer.solve_lockstep
+
+    def recording(models, weights, alpha, seeds, *args):
+        out = solve(models, weights, alpha, seeds, *args)
+        calls.append((models, np.asarray(weights), alpha, seeds, out))
+        return out
+
+    monkeypatch.setattr(pwer, "solve_lockstep", recording)
+    return calls
+
+
+def scalar_solves(calls, solver=secant):
+    """solve_one of every run of the recorded lockstep calls, in order."""
+    return [solve_one(solver, model, weights[r], alpha, seeds[r])
+            for models, weights, alpha, seeds, _ in calls for r, model in enumerate(models)]

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwerpi import cli, pwer, sim
+from pwerpi import cli, sim
 from pwerpi.design import enumerate_strata, stratum_label
 
-from oracles import quantile_start_secant
+from oracles import lockstep_calls, quantile_start_secant, scalar_solves
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -23,18 +23,8 @@ SHIPPED_REPORT = {
     "interval_lower": 0.023949299725255717, "interval_upper": 0.026050700274744286,
     "interval_length": 0.0021014005494885708,
 }
-# its report.json while the solver started at the single-test quantile
-QUANTILE_START_REPORT = {
-    "engine": "exact", "N": 250, "m": 2,
-    "prevalence_estimate": {"1": 0.332, "2": 0.332, "1,2": 0.336},
-    "prevalence_used": {"1": 0.332, "2": 0.332, "1,2": 0.336},
-    "transform": "none", "pi_min": 0.0,
-    "critical_value": 2.0754930798999234, "achieved_pwer": 0.025000000002166088,
-    "gradient": {"1": -0.01897042977823027, "2": -0.01897042977823027, "1,2": -0.036915579254229725},
-    "gamma": 0.008476191471362015, "alpha": 0.025, "alpha_prime": 0.05,
-    "interval_lower": 0.023949299726637507, "interval_upper": 0.026050700273362495,
-    "interval_length": 0.0021014005467249876,
-}
+# its c* and achieved PWER while the solver started at the single-test quantile
+QUANTILE_START_C_STAR = (2.0754930798999234, 0.025000000002166088)
 # its c* before the calibration became a secant on the quantile scale
 SHIPPED_PARENT_C_STAR = 2.075493213039483
 
@@ -80,15 +70,20 @@ class TestAnalyze:
         report = json.loads((tmp_path / "shipped" / "report.json").read_text())
         assert report == SHIPPED_REPORT
 
-    def test_shipped_config_report_pinned_under_the_quantile_start(self, monkeypatch, tmp_path):
-        # the solver as it was before it started at the independence root keeps its report
+    def test_shipped_config_c_star_pinned_under_the_quantile_start(self, monkeypatch, tmp_path):
+        # the solver as it was before it started at the independence root keeps its c*
         cfg = str(CONFIGS / "analyze.json")
-        monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
+        calls = lockstep_calls(monkeypatch)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
-        report = json.loads((tmp_path / "shipped" / "report.json").read_text())
-        assert report == QUANTILE_START_REPORT
-        assert abs(report["critical_value"] - SHIPPED_PARENT_C_STAR) <= 2e-7
-        assert abs(report["critical_value"] - SHIPPED_REPORT["critical_value"]) <= 1e-7
+        [cv] = scalar_solves(calls, quantile_start_secant)
+        assert (cv.value, cv.achieved) == QUANTILE_START_C_STAR
+        assert abs(cv.value - SHIPPED_PARENT_C_STAR) <= 2e-7
+        assert abs(cv.value - SHIPPED_REPORT["critical_value"]) <= 1e-7
+
+    def test_shipped_config_c_star_pinned_within_its_solve_tolerance_of_the_root(self):
+        # the root of its PWER, solved to 1e-13 on the finest rungs (tests/solve_c_star_roots.py)
+        [ref] = json.loads((Path(__file__).resolve().parent / "c_star_roots.json").read_text())["analyze.json"]
+        assert abs(SHIPPED_REPORT["critical_value"] - ref["c_ref"]) <= (1e-8 + 2e-13) / ref["slope"]
 
     @pytest.mark.parametrize("m, scheme, runs", [
         pytest.param(m, scheme, runs, id=f"{m}-{scheme}")
@@ -210,6 +205,7 @@ class TestSimulate:
         assert (out / "records.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == cli.config_hash(manifest["config"])
+        assert manifest["summary"]["failures"] == 0 and manifest["summary"]["failure_causes"] == {}
         header = (out / "records.csv").read_text().splitlines()[0]
         assert header.startswith("true_pwer,lower,upper,covered,length")
 
@@ -286,7 +282,9 @@ class TestStudyDistributionMode:
         assert lines[0] == "study,coverage,mean_length,failures"
         assert len(lines) == 3
         summary = json.loads((tmp_path / "studies" / "summary.json").read_text())
-        assert set(summary) >= {"mean", "sd", "min", "q1", "median", "q3", "max"}
+        assert set(summary) >= {"mean", "sd", "min", "q1", "median", "q3", "max", "failure_causes"}
+        manifest = json.loads((tmp_path / "studies" / "manifest.json").read_text())
+        assert manifest["summary"] == summary
 
 
 class TestErrorPaths:

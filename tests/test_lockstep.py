@@ -15,8 +15,6 @@ import pytest
 import pwerpi
 from pwerpi import mvprob, pwer, sim
 
-from oracles import quantile_start_secant
-
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the cells of the benchmark's coverage_exact workload, and its A m=4 cell
@@ -66,7 +64,7 @@ FAILING = sim.SimScenario(N=30, m=2, setting="A", prevalence_scheme="explicit",
                           explicit_prevalences=(0.98, 0.02, 0.0), runs=50, master_seed=3)
 
 
-def test_failing_runs_leave_the_rest_of_their_block(monkeypatch):
+def test_failing_runs_leave_the_rest_of_their_block():
     pi_true = sim.resolve_true_prevalences(FAILING)
     block = sim._run_block(FAILING, pi_true, range(FAILING.runs))
     alone = [pair for i in range(FAILING.runs) for pair in sim._run_block(FAILING, pi_true, [i])]
@@ -81,11 +79,6 @@ def test_failing_runs_leave_the_rest_of_their_block(monkeypatch):
     assert digest == "3dfcf6df45164a1cc6ebbb12feba983f7dfae4391a33cb5ae9335e75a213ba76"
     with pytest.raises(pwerpi.InfeasibleDesignError, match="true prevalence weights"):
         sim._run_single(FAILING, pi_true, 0)
-    # the digest while the solver started at the single-test quantile
-    monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
-    block = sim._run_block(FAILING, pi_true, range(FAILING.runs))
-    digest = hashlib.sha256(repr(block).encode()).hexdigest()
-    assert digest == "17d86ac840b90e49c23186027d5dc01a3405f370876569cf376ce057fb6caad3"
 
 
 def test_a_run_failing_inside_the_lockstep_fails_alone(monkeypatch):
@@ -130,8 +123,8 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
     evaluations, per_step, groups, counts = [], [], [], {}
     solve = pwer.solve_lockstep
 
-    def recording_solve(tasks):
-        out = solve(tasks)
+    def recording_solve(*args):
+        out = solve(*args)
         evaluations.extend(cv.evaluations for cv in out)
         return out
 
@@ -188,7 +181,7 @@ def test_a_block_is_planned_once(monkeypatch):
     plans, grouped, steps, lockstep = [], [], [], []
     plan, orthant_groups, evaluate = pwer._Plan, mvprob.orthant_groups, pwer._evaluate
     solve = pwer.solve_lockstep
-    monkeypatch.setattr(pwer, "solve_lockstep", lambda tasks: lockstep.append(len(tasks)) or solve(tasks))
+    monkeypatch.setattr(pwer, "solve_lockstep", lambda models, *a: lockstep.append(len(models)) or solve(models, *a))
     monkeypatch.setattr(pwer, "_Plan", lambda *a: plans.append(a) or plan(*a))
     monkeypatch.setattr(mvprob, "orthant_groups", lambda *a: grouped.append(a) or orthant_groups(*a))
     monkeypatch.setattr(pwer, "_evaluate", lambda *a: steps.append(a) or evaluate(*a))

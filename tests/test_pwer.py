@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from pwerpi import design as dz
 from pwerpi import mvprob, pwer, sim
 from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
-from oracles import fd_gradient, pwer_event_mc, quantile_start_secant
+from oracles import fd_gradient, independence_root, pwer_event_mc, quantile_start_secant, solve_one, upper_quantile
 
 ALPHA = 0.025
 
@@ -375,12 +377,19 @@ class TestSolveCriticalValues:
             0.035184998304186754, 0.03515226386208292, 0.04600066982238116,
         ]
 
-    def test_m4_solve_pinned_under_the_quantile_start(self, monkeypatch):
+    def test_m4_solve_pinned_within_its_solve_tolerance_of_the_root(self):
+        # the root of its PWER, solved to 1e-13 on the finest rungs (tests/solve_c_star_roots.py)
+        [ref] = json.loads((Path(__file__).resolve().parent / "c_star_roots.json").read_text())["m4_solve"]
+        assert abs(m4_solve().value - ref["c_ref"]) <= (1e-8 + 2e-13) / ref["slope"]
+
+    def test_m4_solve_pinned_under_the_quantile_start(self):
         # the solver as it was before it started at the independence root keeps every figure
         # pinned on it; both solves meet solver_tol, and their c* lie 6.1e-9 apart
         new = m4_solve()
-        monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
-        cv = m4_solve()
+        d = dz.build_design(4, "pairwise_different", M4_COUNTS, 1.0, "known_homogeneous")
+        seed = int(np.random.default_rng(2026).integers(0, 2**63 - 1))
+        weights = np.asarray(M4_COUNTS, float) / sum(M4_COUNTS)
+        cv = solve_one(quantile_start_secant, pwer.build_test_model(d), weights, ALPHA, lambda: seed)
         assert abs(cv.value - new.value) <= 1e-7
         assert cv.value == 2.249761723205735
         assert cv.achieved == 0.025000001972812623
@@ -548,7 +557,9 @@ class TestIndependenceStart:
             model = pwer.build_test_model(design)
             assert (model.full_corr >= 0.0).all()
             weights = design.strata_counts / design.N
-            x0, slope = pwer._independence_root(model, weights, ALPHA)
+            [x0], [slope] = pwer._independence_root([model], weights[None], ALPHA)
+            # the array root has the bits of the scalar one
+            assert (x0, slope) == independence_root(model, weights, ALPHA)
             assert model.tail_quantile(ALPHA) <= x0 <= model.tail_quantile(ALPHA / 2**m)
             assert slope < 0.0
             results = pwer.evaluate_strata(x0, model, which=weights > 0.0)
@@ -560,7 +571,7 @@ class TestIndependenceStart:
         model = dataclasses.replace(pwer.build_test_model(equal_cells_design()),
                                     full_corr=np.array([[1.0, -0.5], [-0.5, 1.0]]))
         weights = np.full(3, 1 / 3)
-        x0, _ = pwer._independence_root(model, weights, ALPHA)
+        [x0], _ = pwer._independence_root([model], weights[None], ALPHA)
         assert pwer.pwer_value(x0, weights, model) > ALPHA
         cv = pwer.solve_critical_values(weights, model, ALPHA)
         assert cv.value > x0
@@ -576,7 +587,7 @@ class TestIndependenceStart:
         model = pwer.build_test_model(design)
         weights = np.full(2**m - 1, 0.5 * ALPHA / (2**m - 1))
         lo = model.tail_quantile(ALPHA)
-        assert pwer._independence_root(model, weights, ALPHA)[0] == lo
+        assert pwer._independence_root([model], weights[None], ALPHA)[0].tolist() == [lo]
         calls = []
         evaluate = pwer._evaluate
         monkeypatch.setattr(pwer, "_evaluate", lambda plan, runs, c, *rest: calls.extend(c[:, 0].tolist())
@@ -593,7 +604,7 @@ class TestIndependenceStart:
         model = pwer.build_test_model(design)
         weights = np.asarray(counts, float) / sum(counts)
         alpha = pwer.ALPHA_MIN
-        x0, _ = pwer._independence_root(model, weights, alpha)
+        [x0], _ = pwer._independence_root([model], weights[None], alpha)
         v = float(special.ndtr(-x0))
         sizes = [len(stratum) for stratum in model.strata]
         g = sum(w * -math.expm1(d * math.log1p(-v)) for w, d in zip(weights.tolist(), sizes))
@@ -709,12 +720,14 @@ def test_upper_quantile_finite_and_monotone(kind, df):
     # the secant's z scale must stay finite for every PWER in (0, 1], and for noise beyond it
     model = dataclasses.replace(pwer.build_test_model(equal_cells_design()), kind=kind, df=df)
     ps = [-1e-9, 0.0, 1e-320, 1e-300, 1e-120, 1e-30, 1e-6, ALPHA, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]
-    qs = [pwer._upper_quantile(model, p) for p in ps]
+    qs = pwer._upper_quantiles(pwer._dfs([model] * len(ps)), np.array(ps)).tolist()
     assert all(math.isfinite(q) for q in qs)
     assert all(q0 >= q1 for q0, q1 in zip(qs, qs[1:]))
+    # one array call has the bits of each scalar call
+    assert qs == [upper_quantile(model, p) for p in ps]
     for p in (1e-6, ALPHA, 0.3):
         # tail_quantile forms 1 - p, which rounds; the two agree to that rounding
-        assert pwer._upper_quantile(model, p) == pytest.approx(model.tail_quantile(p), rel=1e-9)
+        assert upper_quantile(model, p) == pytest.approx(model.tail_quantile(p), rel=1e-9)
 
 
 @pytest.mark.parametrize("setting, m", [
@@ -730,13 +743,10 @@ def test_evaluation_budget(setting, m):
 
 def test_a_lockstep_over_two_m_raises():
     # the calibrations of one lockstep share m, and with it their strata
-    tasks = []
-    for m in (2, 3):
-        n_s = 2**m - 1
-        model = pwer.build_test_model(dz.build_design(m, "single", [20] * n_s, 1.0, "known_homogeneous"))
-        tasks.append(pwer.calibration(np.full(n_s, 1.0 / n_s), model, ALPHA, lambda: 0))
+    models = [pwer.build_test_model(dz.build_design(m, "single", [20] * (2**m - 1), 1.0, "known_homogeneous"))
+              for m in (2, 3)]
     with pytest.raises(ConfigError, match="must share m"):
-        pwer.solve_lockstep(tasks)
+        pwer.solve_lockstep(models, np.full((2, 3), 1 / 3), ALPHA, [lambda: 0] * 2)
 
 
 class TestGradient:

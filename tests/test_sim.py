@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import hashlib
+import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from pwerpi import pwer, sim
 from pwerpi.errors import ConfigError, NumericalError
 
-from oracles import quantile_start_secant
+from oracles import lockstep_calls, quantile_start_secant, scalar_solves
 
 
 class TestSchemePrevalences:
@@ -217,6 +219,30 @@ class TestStudyDistribution:
         assert result.failures > 0
         assert len(result.records) + result.failures == 40
 
+    def test_failures_are_counted_by_cause(self, monkeypatch):
+        # N=30 with 2% on population 2: most runs leave it without both arms; and the
+        # lockstep's first evaluation of one of the others fails
+        scenario = sim.SimScenario(N=30, m=2, setting="A", prevalence_scheme="explicit",
+                                   explicit_prevalences=(0.98, 0.02, 0.0), runs=50, master_seed=3)
+        evaluate = pwer._evaluate
+
+        def failing_first_run(plan, runs, c, select, verify=False):
+            out = evaluate(plan, runs, c, select, verify)
+            if not verify and len(runs) == len(plan.models):
+                out.failed[0] = NumericalError("QMC budget exhausted")
+            return out
+
+        monkeypatch.setattr(pwer, "_evaluate", failing_first_run)
+        result = sim.run_scenario(scenario, max_failure_fraction=1.0)
+        assert result.failures == 45 and len(result.records) == 5
+        assert result.failure_causes == {
+            "InfeasibleDesignError": {
+                "count": 44,
+                "example": "InfeasibleDesignError: true prevalence weights a stratum without a defined joint law",
+            },
+            "NumericalError": {"count": 1, "example": "NumericalError: QMC budget exhausted"},
+        }
+
 
 class TestMinPrevalenceGrid:
     def test_pi_min_resolution(self):
@@ -370,6 +396,8 @@ class TestSharedPool:
         assert (row.study, row.coverage, row.failures) == (2, 0.0, 10)
         assert np.isnan(row.mean_length)
         assert [r.failures for r in dist.rows] == [0, 0, 10, 0]
+        assert [sum(c["count"] for c in r.failure_causes.values()) for r in dist.rows] == [0, 0, 10, 0]
+        assert dist.failure_causes == {kind: {**cause, "count": 10} for kind, cause in row.failure_causes.items()}
 
 
 class TestOtherExactSettings:
@@ -530,32 +558,26 @@ def test_records_pinned(tmp_path, fields, digest):
     assert all([type(v) for v in record] == field_types for record in result.records)
 
 
-# the records.csv digests of the exact-engine cases while the solver started at the
-# single-test quantile (oracles.quantile_start_secant)
-QUANTILE_START_DIGESTS = {
-    "A_m2": "fc33a10daa2f82425ef1d96aa7ddee656398da423f681825d8fa3ece651ad10b",
-    "B_m2": "f630935cab0f79bf0b9753598547a282190336d208903f65aae0173227b733c0",
-    "C_m2": "b800b7727d2799185d0b1dd1645b6e96fea2338f6ed1146ea4ae1fa911593856",
-    "D_satterthwaite_m2": "8de9e2cd5f05aa58093fad6d1b74e1d9c9f9a10130644ced1b56a704074f87b7",
-    "D_satterthwaite_m2_single": "d455a23d3c03042f85eea02a9e6a81532997f0ab990cee17b420cb500f76aab9",
-    "A_m3_floor": "9ab84f7d656020bdaf77ee59dcf0559367a3fa61def96400af5e4483321d1d3b",
-    "C_m3": "57768514d28a635842ede3fa023dafb54ec9b88c80727b21e03118b053b7e755",
-    "A_m4": "e6f9d53fb834a822478b89ab66d90f7d104873be2f7b01bc20af3e3a25d4a423",
-    "C_m4": "e276a6a1895130276bce871bb91ecbc64c8f7a29b0ac3dc01f5a75bd1aaf75ae",
-    "A_m5": "4fb1e3013603890e96f977e61ffceda8c8a8c6b80c5f282d03f9c9a8fc9d73c6",
-}
+# the exact-engine cases, whose c* the history checks and the root pins follow
+QUANTILE_START_CASES = ("A_m2", "B_m2", "C_m2", "D_satterthwaite_m2", "D_satterthwaite_m2_single",
+                        "A_m3_floor", "C_m3", "A_m4", "C_m4", "A_m5")
 
 
-@pytest.mark.parametrize("case", list(QUANTILE_START_DIGESTS))
-def test_records_pinned_under_the_quantile_start(monkeypatch, tmp_path, case):
-    # the solver as it was before it started at the independence root still gives the
-    # records, and the c* of every earlier change, pinned on it
-    fields = PINNED_RECORDS[case][0]
+def quantile_start_solves(monkeypatch, fields):
+    """The pinned run's records, and each run's CriticalValues under the solver as it was
+    before it started at the independence root (oracles.quantile_start_secant)."""
+    calls = lockstep_calls(monkeypatch)
     new = pinned_run(fields).records
-    monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
-    result = pinned_run(fields)
-    assert records_digest(result, tmp_path) == QUANTILE_START_DIGESTS[case]
-    c_star = np.array([r.c_star for r in result.records])
+    return new, scalar_solves(calls, quantile_start_secant)
+
+
+@pytest.mark.parametrize("case", QUANTILE_START_CASES)
+def test_c_star_history_under_the_quantile_start(monkeypatch, case):
+    # the solver as it was before it started at the independence root still gives the
+    # c* of every earlier change, pinned on it
+    fields = PINNED_RECORDS[case][0]
+    new, old = quantile_start_solves(monkeypatch, fields)
+    c_star = np.array([cv.value for cv in old])
     parent = PARENT_C_STAR.get(case)
     if parent is not None:
         bound = 2e-7 if fields["m"] == 2 else 1e-8
@@ -569,9 +591,9 @@ def test_records_pinned_under_the_quantile_start(monkeypatch, tmp_path, case):
     parent = PRE_PLACKETT_C_STAR.get(case)
     if parent is not None:
         assert np.abs(c_star - parent).max() <= 1e-11
-    # both solves stop within solver_tol (1e-8) of alpha, and no run's coverage moves
-    assert all(abs(r.achieved - 0.025) <= 1e-8 for r in new + result.records)
-    assert [r.covered for r in new] == [r.covered for r in result.records]
+    # both solves stop within solver_tol (1e-8) of alpha
+    assert all(abs(r.achieved - 0.025) <= 1e-8 for r in new)
+    assert all(abs(cv.achieved - 0.025) <= 1e-8 for cv in old)
 
 
 @pytest.mark.parametrize("case", [
@@ -580,11 +602,31 @@ def test_records_pinned_under_the_quantile_start(monkeypatch, tmp_path, case):
         reason="c* moves 1.26e-7: the quantile-start solve of run 1 stops 6.7e-9 below alpha, "
                "1.17e-7 above the root, where the new solve stops 9e-9 below it")
     ) if case == "D_satterthwaite_m2_single" else case
-    for case in QUANTILE_START_DIGESTS
+    for case in QUANTILE_START_CASES
 ])
 def test_pinned_c_star_moves_at_most_1e_7(monkeypatch, case):
-    fields = PINNED_RECORDS[case][0]
-    new = np.array([r.c_star for r in pinned_run(fields).records])
-    monkeypatch.setattr(pwer, "_secant", quantile_start_secant)
-    old = np.array([r.c_star for r in pinned_run(fields).records])
+    new, old = quantile_start_solves(monkeypatch, PINNED_RECORDS[case][0])
+    new = np.array([r.c_star for r in new])
+    old = np.array([cv.value for cv in old])
     assert np.abs(new - old).max() <= 1e-7
+
+
+# each pinned run's root c*_ref, solved to |PWER - alpha| <= 1e-13 on the finest rungs, and
+# |PWER'(c*_ref)|, written by tests/solve_c_star_roots.py
+C_STAR_ROOTS = Path(__file__).resolve().parent / "c_star_roots.json"
+
+
+@pytest.mark.parametrize("case", QUANTILE_START_CASES)
+def test_pinned_c_star_lies_within_its_solve_tolerance_of_the_root(case):
+    # |PWER - alpha| <= solver_tol is |c* - c*_ref| <= solver_tol / |PWER'|, plus the
+    # reference's own error: its 1e-13 stop and its finest rungs, ~1e-13 for the normal law
+    # and ~1e-11 for t. A_m5's 5-dim stratum is QMC: its solve holds cdf_tol (1e-6), its
+    # reference the 1e-7 it was integrated at.
+    fields = PINNED_RECORDS[case][0]
+    law = "t" if fields["setting"] in ("C", "D_satterthwaite") else "normal"
+    tol, ref_error = (1e-6, 1e-7) if fields["m"] >= 5 else (1e-8, 1e-13 + (1e-11 if law == "t" else 1e-13))
+    records = pinned_run(fields).records
+    roots = json.loads(C_STAR_ROOTS.read_text())[case]
+    assert len(roots) == len(records)
+    for record, ref in zip(records, roots):
+        assert abs(record.c_star - ref["c_ref"]) <= (tol + ref_error) / ref["slope"]
