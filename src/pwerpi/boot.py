@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pwer
-from .design import Design, prevalence_weights
+from .design import Design, prevalence_weights, stratum_members
 from .errors import ConfigError, InfeasibleDesignError, NumericalError
 
 # redraw rounds for resamples with an empty population arm before giving up
@@ -46,14 +46,14 @@ class EmpiricalNull:
         return self.statistics.shape[0]
 
 
-def _stratum_maxima(null: EmpiricalNull, strata) -> list[np.ndarray]:
-    """Each stratum's resample maxima over its member statistics."""
-    return [null.statistics[:, [i - 1 for i in sorted(stratum)]].max(axis=1) for stratum in strata]
+def _stratum_maxima(null: EmpiricalNull) -> list[np.ndarray]:
+    """Each stratum's resample maxima over its member statistics (design.stratum_members)."""
+    return [null.statistics[:, members].max(axis=1) for members in stratum_members(null.statistics.shape[1])]
 
 
-def fwer_curves(null: EmpiricalNull, strata) -> list[np.ndarray]:
+def fwer_curves(null: EmpiricalNull) -> list[np.ndarray]:
     """Each stratum's resample maxima, sorted: its FWER step function FWER_J(c)."""
-    return [np.sort(maxima) for maxima in _stratum_maxima(null, strata)]
+    return [np.sort(maxima) for maxima in _stratum_maxima(null)]
 
 
 def _exceeding(maxima: list[np.ndarray], c: float, B: int) -> np.ndarray:
@@ -61,9 +61,9 @@ def _exceeding(maxima: list[np.ndarray], c: float, B: int) -> np.ndarray:
     return np.array([np.count_nonzero(m > c) / B for m in maxima])
 
 
-def null_fwer(null: EmpiricalNull, strata, c: float) -> np.ndarray:
+def null_fwer(null: EmpiricalNull, c: float) -> np.ndarray:
     """FWER_J(c) of every stratum, as CriticalValues.fwer stores it, with no sort."""
-    return _exceeding(_stratum_maxima(null, strata), c, null.B)
+    return _exceeding(_stratum_maxima(null), c, null.B)
 
 
 def welch_df(
@@ -113,7 +113,7 @@ def bootstrap_null_D(design: Design, B: int, rng: np.random.Generator) -> Empiri
     return EmpiricalNull(statistics=stats)
 
 
-def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) -> pwer.CriticalValues:
+def solve_critical_empirical(null: EmpiricalNull, pi_hat, alpha: float) -> pwer.CriticalValues:
     """Smallest shared c with empirical PWER(c) <= alpha.
 
     The empirical PWER is the pi-weighted mix of the per-stratum rejection
@@ -128,9 +128,9 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     weight above a value sums from the top, so the result equals the
     full-set one bit for bit.
     """
-    weights = prevalence_weights(pi_hat, len(strata))
+    B, m = null.statistics.shape
+    weights = prevalence_weights(pi_hat, 2**m - 1)
     pwer.check_alpha(alpha)
-    B = null.B
     if B * alpha < MIN_TAIL_RESAMPLES:
         raise ConfigError(
             f"B*alpha = {B * alpha:.1f} < {MIN_TAIL_RESAMPLES}: "
@@ -139,7 +139,7 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     live = np.flatnonzero(weights > 0.0)
     if not live.size:
         raise ConfigError("prevalence vector has no positive component")
-    curves = fwer_curves(null, strata)
+    curves = fwer_curves(null)
     maxima = [curves[j] for j in live]
     # at q no stratum rejects more than T/B of its resamples, so with weights
     # summing to one only a T above alpha * B can hold the root
@@ -166,7 +166,7 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     fwer = _exceeding(curves, c_star, B)
     achieved = float(np.dot(weights, fwer))
     return pwer.CriticalValues(
-        c=np.full(null.statistics.shape[1], c_star),
+        c=np.full(m, c_star),
         alpha=alpha,
         achieved=achieved,
         verified=achieved,
@@ -175,14 +175,11 @@ def solve_critical_empirical(null: EmpiricalNull, strata, pi_hat, alpha: float) 
     )
 
 
-def project_to_null(effects: np.ndarray, weights: np.ndarray, strata, m: int) -> np.ndarray:
+def project_to_null(effects: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """Euclidean projection onto {theta : sum_{J containing i} w_J theta_J = 0}."""
     theta = np.asarray(effects, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    constraint = np.zeros((m, len(strata)))
-    for j, stratum in enumerate(strata):
-        for i in stratum:
-            constraint[i - 1, j] = w[j]
+    # (m, S), C-ordered: pinv of the Fortran-ordered transpose differs in the last bits
+    constraint = np.ascontiguousarray(np.where(stratum_members(m).T, np.asarray(weights, dtype=float), 0.0))
     return theta - np.linalg.pinv(constraint) @ (constraint @ theta)
 
 
@@ -206,7 +203,7 @@ def bootstrap_null_E(
     if pooled_variance <= 0.0:
         raise ConfigError(f"pooled variance must be positive, got {pooled_variance}")
     weights = prevalence_weights(pi_hat, design.n_strata)
-    theta = project_to_null(observed_effects, weights, design.strata, design.m)
+    theta = project_to_null(observed_effects, weights, design.m)
 
     n_cells = len(design.cells)
     centers = np.where(design.control_member.any(axis=0), 0.0, theta[design.stratum_of_cell])

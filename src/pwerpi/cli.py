@@ -117,6 +117,11 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown setting {dz['setting']!r}")
     if dz["prevalence_scheme"] not in sim.PREVALENCE_SCHEMES:
         raise ConfigError(f"unknown prevalence scheme {dz['prevalence_scheme']!r}")
+    # record the pair the run uses: analyze reads the variance mode, the other modes the setting
+    if mode == "analyze":
+        dz["setting"] = sim.ANALYSIS_SETTINGS[dz["variance_mode"]]
+    else:
+        dz["variance_mode"] = sim.SETTINGS_TABLE[dz["setting"]].variance_mode
     return resolved
 
 
@@ -184,9 +189,7 @@ def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
     counts = _parse_counts(dz)
     variances = _parse_variances(dz)
     design = build_design(dz["m"], dz["treatment_scheme"], counts, variances, dz["variance_mode"])
-    scenario = _scenario_from_config(
-        config, N=design.N, setting=sim.ANALYSIS_SETTINGS[dz["variance_mode"]], runs=1
-    )
+    scenario = _scenario_from_config(config, N=design.N, runs=1)
     return scenario, sim.Study(design)
 
 

@@ -393,7 +393,7 @@ def _calibrate_block(
                     design, weights[k], study.effects, study.pooled_variance, scenario.B,
                     np.random.default_rng(_run_seed(scenario.master_seed, run, 1)),
                 )
-                cv = boot.solve_critical_empirical(null, design.strata, used[k], scenario.alpha)
+                cv = boot.solve_critical_empirical(null, used[k], scenario.alpha)
                 out[k] = Calibration(weights[k], used[k], factors[k], cv, null.rejected_resamples)
                 continue
             if engine != "exact":
@@ -401,7 +401,7 @@ def _calibrate_block(
                     design, scenario.B, np.random.default_rng(_run_seed(scenario.master_seed, run, 1))
                 )
                 if engine == "parametric_bootstrap":
-                    cv = boot.solve_critical_empirical(null, design.strata, used[k], scenario.alpha)
+                    cv = boot.solve_critical_empirical(null, used[k], scenario.alpha)
                     out[k] = Calibration(weights[k], used[k], factors[k], cv, 0)
                     continue
                 # c* from the Satterthwaite t model, its FWER from the bootstrap null
@@ -431,7 +431,7 @@ def _calibrate_block(
     )
     for (k, (_, null)), cv in zip(lockstep.items(), solved):
         if isinstance(cv, pwer.CriticalValues) and null is not None:
-            cv = replace(cv, fwer=boot.null_fwer(null, studies[k].design.strata, cv.value))
+            cv = replace(cv, fwer=boot.null_fwer(null, cv.value))
         out[k] = cv if isinstance(cv, Exception) else Calibration(weights[k], used[k], factors[k], cv, 0)
     return out
 

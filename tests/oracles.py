@@ -181,7 +181,7 @@ def population_correlation_oracle(design, cell_variances=None):
     return corr, v
 
 
-def empirical_critical_full(null, strata, pi_hat, alpha):
+def empirical_critical_full(null, pi_hat, alpha):
     """(c*, fwer, achieved) of the empirical solver over every resample maximum.
 
     The reference for boot.solve_critical_empirical, which reads only the
@@ -193,11 +193,11 @@ def empirical_critical_full(null, strata, pi_hat, alpha):
     from pwerpi.design import prevalence_weights
     from pwerpi.errors import ConfigError
 
-    weights = prevalence_weights(pi_hat, len(strata))
+    weights = prevalence_weights(pi_hat, 2 ** null.statistics.shape[1] - 1)
     pwer.check_alpha(alpha)
     if null.B * alpha < boot.MIN_TAIL_RESAMPLES:
         raise ConfigError("not enough resamples to resolve the tail")
-    curves = boot.fwer_curves(null, strata)
+    curves = boot.fwer_curves(null)
     live = weights > 0.0
     values = np.concatenate([curves[j] for j in np.flatnonzero(live)])
     atom_w = np.concatenate([np.full(null.B, weights[j] / null.B) for j in np.flatnonzero(live)])
@@ -328,7 +328,7 @@ def secant(model, weights, alpha, solver_tol, cdf_tol):
 
 def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6, verify_tol=1e-7):
     """One run's CriticalValues, or the error that ends it, with the scalar generator
-    solver (secant, quantile_start_secant) driven as pwer.solve_lockstep drives a run.
+    solver (secant) driven as pwer.solve_lockstep drives a run.
 
     The run is a pwer._Plan of one with its own _Streams of seed(), so that QMC reads
     its stream as in a lockstep; every c is evaluated by pwer._evaluate and summed
@@ -360,69 +360,6 @@ def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6
     [cv] = pwer._verify(plan, run, np.array([c_star]), np.array([achieved]),
                         (at_c.value.copy(), at_c.error, at_c.qmc), alpha, np.array([evaluations]))
     return cv
-
-
-def quantile_start_secant(model, weights, alpha, solver_tol, cdf_tol):
-    """secant as it was before it started at the independence root (weights unused).
-
-    The reference for the calibration's history checks: figures pinned before
-    that change are reproduced by driving it with solve_one. It brackets with
-    the single-test and Bonferroni-like quantiles, starts at the single-test
-    one, takes a first step of slope one on the quantile scale and then the
-    safeguarded secant of secant.
-    """
-    from pwerpi import pwer
-    from pwerpi.errors import NumericalError
-
-    q_alpha = upper_quantile(model, alpha)
-
-    def z(p):
-        return upper_quantile(model, p) - q_alpha
-
-    lo = model.tail_quantile(alpha)
-    hi = model.tail_quantile(alpha / 2**model.m)
-    slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
-    f_tol = min(solver_tol, 1e-3 * alpha)
-    p_lo = yield lo
-    if p_lo - alpha < -slack:
-        raise NumericalError(
-            f"bracket failure: PWER({lo:.6f}) = {p_lo:.3e} already below alpha={alpha}"
-        )
-    if p_lo - alpha <= f_tol:
-        return lo, p_lo
-
-    a, p_a, b, p_b = lo, p_lo, hi, math.nan
-    x_prev, z_prev = lo, z(p_lo)
-    x = lo - z_prev
-    widths = [b - a]
-    for _ in range(pwer._SOLVER_MAX_ITER):
-        if not a < x < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
-            if math.isnan(p_b):
-                p_b = yield hi
-                if p_b - alpha > slack:
-                    raise NumericalError(
-                        f"bracket failure: PWER({hi:.6f}) = {p_b:.3e} still above alpha={alpha}"
-                    )
-                if p_b - alpha >= -f_tol:
-                    return hi, p_b
-            x = 0.5 * (a + b)
-        p = yield x
-        if abs(p - alpha) <= f_tol:
-            return x, p
-        if p > alpha:
-            a, p_a = x, p
-        else:
-            b, p_b = x, p
-        widths.append(b - a)
-        if b - a <= pwer._SOLVER_XTOL and not math.isnan(p_b):
-            return min((a, p_a), (b, p_b), key=lambda e: abs(e[1] - alpha))
-        z_x = z(p)
-        step = z_x * (x - x_prev) / (z_x - z_prev) if z_x != z_prev else math.inf
-        x_prev, z_prev, x = x, z_x, x - step
-    raise NumericalError(
-        f"critical value iteration did not converge within {pwer._SOLVER_MAX_ITER} steps "
-        f"(bracket [{a:.12f}, {b:.12f}])"
-    )
 
 
 def lockstep_calls(monkeypatch):

@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python tests/solve_c_star_roots.py   (writes tests/c_star_roots.json)
 
-Each pinned case of test_sim.PINNED_RECORDS that calibrates with the exact engine, the
-shipped analyze config (test_cli.SHIPPED_REPORT) and test_pwer's m4_solve are run as their
-tests run them; every run's model, weights and integration seed are taken from its
-pwer.solve_lockstep call and solved again to |PWER - alpha| <= 1e-13 with every node
-ladder climbed to its finest rung (mvprob.TOL_MIN lowered, so that no pair of rungs
-settles early). The 5-dim QMC stratum of A_m5 is integrated at tol 1e-7 instead. Each
-run also records |PWER'(c*_ref)|, by a central difference of step 1e-3 on the same rungs.
+Each pinned case of test_sim.PINNED_RECORDS that calibrates with the exact engine
+(test_sim.ROOT_CASES), the shipped analyze config (test_cli.SHIPPED_REPORT) and
+test_pwer's m4_solve are run as their tests run them; every run's model, weights and
+integration seed are taken from its pwer.solve_lockstep call (oracles.lockstep_calls) and
+solved again to |PWER - alpha| <= 1e-13 with every node ladder climbed to its finest rung
+(mvprob.TOL_MIN lowered, so that no pair of rungs settles early). The 5-dim QMC stratum
+of A_m5 is integrated at tol 1e-7 instead. Each run also records |PWER'(c*_ref)|, by a
+central difference of step 1e-3 on the same rungs.
 """
 
 import json
@@ -17,12 +18,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from pwerpi import cli, mvprob, pwer  # noqa: E402
 
+from oracles import lockstep_calls  # noqa: E402
 import test_cli  # noqa: E402
 import test_pwer  # noqa: E402
 import test_sim  # noqa: E402
@@ -34,19 +37,10 @@ STEP = 1e-3
 
 def case_inputs(run):
     """(model, weights, alpha, seed) of every run that run() calibrates."""
-    calls = []
-    solve = pwer.solve_lockstep
-
-    def recording(models, weights, alpha, seeds, *args):
-        calls.append((models, np.asarray(weights), alpha, seeds))
-        return solve(models, weights, alpha, seeds, *args)
-
-    pwer.solve_lockstep = recording
-    try:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = lockstep_calls(monkeypatch)
         run()
-    finally:
-        pwer.solve_lockstep = solve
-    return [(model, weights[r], alpha, seeds[r]) for models, weights, alpha, seeds in calls
+    return [(model, weights[r], alpha, seeds[r]) for models, weights, alpha, seeds, _ in calls
             for r, model in enumerate(models)]
 
 
@@ -63,7 +57,7 @@ def main():
     mvprob.TOL_MIN = 1e-16
     out = {}
     cases = {case: (lambda fields=test_sim.PINNED_RECORDS[case][0]: test_sim.pinned_run(fields))
-             for case in test_sim.QUANTILE_START_CASES}
+             for case in test_sim.ROOT_CASES}
     with tempfile.TemporaryDirectory() as out_dir:
         cases["analyze.json"] = lambda: cli.main(["--config", str(test_cli.CONFIGS / "analyze.json"), "--out", out_dir])
         cases["m4_solve"] = test_pwer.m4_solve

@@ -96,9 +96,8 @@ class TestSolveCriticalEmpirical:
 
     def test_concentrated_on_one_stratum(self):
         d, null = self.build_null()
-        strata = d.strata
         pi_hat = np.array([0.0, 0.0, 1.0])
-        cv = boot.solve_critical_empirical(null, strata, pi_hat, ALPHA)
+        cv = boot.solve_critical_empirical(null, pi_hat, ALPHA)
         maxima = np.sort(null.statistics.max(axis=1))
         k = int(np.ceil((1 - ALPHA) * null.B))
         # the midpoint must land between the bracketing order statistics
@@ -110,7 +109,7 @@ class TestSolveCriticalEmpirical:
         # both engines take alpha in [ALPHA_MIN, 0.5) (pwer.check_alpha)
         d, null = self.build_null(B=2000)
         with pytest.raises(ConfigError, match="alpha must lie in"):
-            boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), alpha)
+            boot.solve_critical_empirical(null, np.full(3, 1 / 3), alpha)
 
     @pytest.fixture
     def sorts_nothing(self, monkeypatch):
@@ -122,24 +121,24 @@ class TestSolveCriticalEmpirical:
     def test_insufficient_tail_resolution(self, sorts_nothing):
         d, null = self.build_null(B=2000)
         with pytest.raises(ConfigError):
-            boot.solve_critical_empirical(null, d.strata, np.full(3, 1 / 3), 0.005)
+            boot.solve_critical_empirical(null, np.full(3, 1 / 3), 0.005)
 
     def test_no_positive_prevalence(self, sorts_nothing):
         d, null = self.build_null(B=2000)
         with pytest.raises(ConfigError, match="no positive component"):
-            boot.solve_critical_empirical(null, d.strata, np.zeros(3), ALPHA)
+            boot.solve_critical_empirical(null, np.zeros(3), ALPHA)
 
     def test_conservative_side_and_granularity(self):
         d, null = self.build_null()
         weights = np.full(3, 1 / 3)
-        cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
+        cv = boot.solve_critical_empirical(null, weights, ALPHA)
         assert cv.achieved <= ALPHA
         assert ALPHA - cv.achieved <= 2.0 * weights.max() / null.B
 
     def test_matches_exact_engine_on_setting_c(self):
         d, null = self.build_null()
         weights = np.full(3, 1 / 3)
-        cv_emp = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
+        cv_emp = boot.solve_critical_empirical(null, weights, ALPHA)
         model = pwer.build_test_model(d)
         cv_exact = pwer.solve_critical_values(weights, model, ALPHA)
         assert abs(cv_emp.value - cv_exact.value) <= 0.05
@@ -182,18 +181,17 @@ class TestTailSolverMatchesFullSet:
         if transform is not None:
             stats = transform(stats)
         null = boot.EmpiricalNull(statistics=stats)
-        strata = dz.enumerate_strata(m)
         weights = np.array(weights)
         for alpha in (0.01, 0.02, 0.025, 0.05, 0.1, 0.25, 0.49):
             if B * alpha < boot.MIN_TAIL_RESAMPLES:
                 with pytest.raises(ConfigError):
-                    boot.solve_critical_empirical(null, strata, weights, alpha)
+                    boot.solve_critical_empirical(null, weights, alpha)
                 continue
-            c_star, fwer, achieved = empirical_critical_full(null, strata, weights, alpha)
-            cv = boot.solve_critical_empirical(null, strata, weights, alpha)
+            c_star, fwer, achieved = empirical_critical_full(null, weights, alpha)
+            cv = boot.solve_critical_empirical(null, weights, alpha)
             assert np.array_equal(cv.c, np.full(m, c_star)), alpha
             assert np.array_equal(cv.fwer, fwer), alpha
-            assert np.array_equal(cv.fwer, boot.null_fwer(null, strata, cv.value)), alpha
+            assert np.array_equal(cv.fwer, boot.null_fwer(null, cv.value)), alpha
             assert cv.achieved == achieved and cv.verified == achieved, alpha
 
 
@@ -206,13 +204,12 @@ class TestNullFwer:
         if transform is not None:
             stats = transform(stats)
         null = boot.EmpiricalNull(statistics=stats)
-        strata = dz.enumerate_strata(m)
-        curves = boot.fwer_curves(null, strata)
+        curves = boot.fwer_curves(null)
         # resample maxima themselves (the side="right" edge), then points between them
         at_maxima = [curve[k] for curve in curves for k in (0, 1000, 1950, 1999)]
         for c in at_maxima + [-10.0, 0.0, 1.96, 2.2360679, 10.0]:
             above = [float(null.B - np.searchsorted(curve, c, side="right")) / null.B for curve in curves]
-            assert np.array_equal(boot.null_fwer(null, strata, c), np.array(above)), c
+            assert np.array_equal(boot.null_fwer(null, c), np.array(above)), c
 
 
 class TestEmpiricalGradient:
@@ -220,7 +217,7 @@ class TestEmpiricalGradient:
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(2))
         weights = np.full(3, 1 / 3)
-        cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
+        cv = boot.solve_critical_empirical(null, weights, ALPHA)
         grad, tp = cv.gradient(), cv.true_pwer(weights)
         assert tp == pytest.approx(cv.achieved, abs=1e-15)
         assert tp <= ALPHA
@@ -230,7 +227,7 @@ class TestEmpiricalGradient:
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 10_000, np.random.default_rng(23))
         weights = np.full(3, 1 / 3)
-        cv = boot.solve_critical_empirical(null, d.strata, weights, ALPHA)
+        cv = boot.solve_critical_empirical(null, weights, ALPHA)
         grad = cv.gradient()
         model = pwer.build_test_model(d)
         exact = np.array([r.value for r in pwer.evaluate_strata(cv, model, tol=1e-7)]) - 1.0
@@ -239,11 +236,10 @@ class TestEmpiricalGradient:
 
 class TestProjection:
     def test_null_compliant_is_fixed_point(self):
-        strata = dz.enumerate_strata(2)
         pi = np.array([0.25, 0.25, 0.5])
         u = 0.37
         theta = np.array([-pi[2] / pi[0] * u, -pi[2] / pi[1] * u, u])
-        projected = boot.project_to_null(theta, pi, strata, 2)
+        projected = boot.project_to_null(theta, pi, 2)
         assert projected == pytest.approx(theta, abs=1e-12)
 
     def test_idempotent(self):
@@ -251,8 +247,8 @@ class TestProjection:
         pi = np.array([0.2, 0.3, 0.5])
         rng = np.random.default_rng(7)
         theta = rng.normal(size=3)
-        once = boot.project_to_null(theta, pi, strata, 2)
-        twice = boot.project_to_null(once, pi, strata, 2)
+        once = boot.project_to_null(theta, pi, 2)
+        twice = boot.project_to_null(once, pi, 2)
         assert twice == pytest.approx(once, abs=1e-12)
         # projected effects satisfy the population constraints
         for i in (1, 2):
@@ -279,7 +275,7 @@ class TestSettingE:
         assert effects[1] == pytest.approx(-2 * effects[2], abs=1e-7)
         # the construction lies in the null space: projection is the identity
         theta = np.array([-2 * 0.4, -2 * 0.4, 0.4])
-        assert boot.project_to_null(theta, pv, d.strata, 2) == pytest.approx(theta, abs=1e-12)
+        assert boot.project_to_null(theta, pv, 2) == pytest.approx(theta, abs=1e-12)
 
     def test_pooled_variance_mean(self):
         d = dz.build_design(2, "single", [84, 84, 82], 1.0, "unknown_homogeneous")
@@ -319,7 +315,7 @@ class TestFwerCurves:
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 5000, np.random.default_rng(1))
         grid = np.linspace(0.5, 3.5, 13)
-        fwer = np.array([boot.null_fwer(null, d.strata, c) for c in grid])
+        fwer = np.array([boot.null_fwer(null, c) for c in grid])
         assert np.all(np.diff(fwer, axis=0) <= 0)
         # supersets reject at least as often on shared resamples
         assert np.all(fwer[:, 2] >= fwer[:, :2].max(axis=1))

@@ -7,8 +7,6 @@ import pytest
 from pwerpi import cli, sim
 from pwerpi.design import enumerate_strata, stratum_label
 
-from oracles import lockstep_calls, quantile_start_secant, scalar_solves
-
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # report.json of configs/analyze.json
@@ -23,10 +21,6 @@ SHIPPED_REPORT = {
     "interval_lower": 0.023949299725255717, "interval_upper": 0.026050700274744286,
     "interval_length": 0.0021014005494885708,
 }
-# its c* and achieved PWER while the solver started at the single-test quantile
-QUANTILE_START_C_STAR = (2.0754930798999234, 0.025000000002166088)
-# its c* before the calibration became a secant on the quantile scale
-SHIPPED_PARENT_C_STAR = 2.075493213039483
 
 
 def write_config(tmp_path, name, payload):
@@ -70,15 +64,12 @@ class TestAnalyze:
         report = json.loads((tmp_path / "shipped" / "report.json").read_text())
         assert report == SHIPPED_REPORT
 
-    def test_shipped_config_c_star_pinned_under_the_quantile_start(self, monkeypatch, tmp_path):
-        # the solver as it was before it started at the independence root keeps its c*
-        cfg = str(CONFIGS / "analyze.json")
-        calls = lockstep_calls(monkeypatch)
-        assert cli.main(["--config", cfg, "--out", str(tmp_path / "shipped")]) == 0
-        [cv] = scalar_solves(calls, quantile_start_secant)
-        assert (cv.value, cv.achieved) == QUANTILE_START_C_STAR
-        assert abs(cv.value - SHIPPED_PARENT_C_STAR) <= 2e-7
-        assert abs(cv.value - SHIPPED_REPORT["critical_value"]) <= 1e-7
+    def test_manifest_records_the_setting_that_calibrates(self, tmp_path):
+        # an unknown-heterogeneous study calibrates by the parametric bootstrap
+        cfg = analyze_config(tmp_path, design={"variance_mode": "unknown_heterogeneous"})
+        assert cli.main(["--config", cfg]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["design"]["setting"] == "D_bootstrap"
 
     def test_shipped_config_c_star_pinned_within_its_solve_tolerance_of_the_root(self):
         # the root of its PWER, solved to 1e-13 on the finest rungs (tests/solve_c_star_roots.py)
@@ -232,6 +223,11 @@ class TestSimulate:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["mode"] == "simulate"
         assert resolved["engine"]["runs"] == 40
+
+    def test_dry_run_records_the_variance_mode_the_setting_draws(self, capsys):
+        # configs/setting_d.json leaves design.variance_mode at its default
+        assert cli.main(["--config", str(CONFIGS / "setting_d.json"), "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["design"]["variance_mode"] == "unknown_heterogeneous"
 
     def test_seed_and_threads_overrides(self, tmp_path):
         cfg = self.simulate_config(tmp_path, out="ov")

@@ -11,7 +11,7 @@ from pwerpi import design as dz
 from pwerpi import mvprob, pwer, sim
 from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
-from oracles import fd_gradient, independence_root, pwer_event_mc, quantile_start_secant, solve_one, upper_quantile
+from oracles import fd_gradient, independence_root, pwer_event_mc, upper_quantile
 
 ALPHA = 0.025
 
@@ -381,37 +381,6 @@ class TestSolveCriticalValues:
         # the root of its PWER, solved to 1e-13 on the finest rungs (tests/solve_c_star_roots.py)
         [ref] = json.loads((Path(__file__).resolve().parent / "c_star_roots.json").read_text())["m4_solve"]
         assert abs(m4_solve().value - ref["c_ref"]) <= (1e-8 + 2e-13) / ref["slope"]
-
-    def test_m4_solve_pinned_under_the_quantile_start(self):
-        # the solver as it was before it started at the independence root keeps every figure
-        # pinned on it; both solves meet solver_tol, and their c* lie 6.1e-9 apart
-        new = m4_solve()
-        d = dz.build_design(4, "pairwise_different", M4_COUNTS, 1.0, "known_homogeneous")
-        seed = int(np.random.default_rng(2026).integers(0, 2**63 - 1))
-        weights = np.asarray(M4_COUNTS, float) / sum(M4_COUNTS)
-        cv = solve_one(quantile_start_secant, pwer.build_test_model(d), weights, ALPHA, lambda: seed)
-        assert abs(cv.value - new.value) <= 1e-7
-        assert cv.value == 2.249761723205735
-        assert cv.achieved == 0.025000001972812623
-        assert cv.verified == 0.025000001972812623
-        assert cv.evaluations == 4
-        assert cv.fwer.tolist() == [
-            0.012232037505126692, 0.012232037505126692, 0.012232037505126692,
-            0.012232037505126692, 0.02398941847854208, 0.023908996049513687,
-            0.0239832770730799, 0.023832879688472475, 0.024025279831316193,
-            0.023943318742900233, 0.03508726247122618, 0.03533737208019705,
-            0.03518499884248938, 0.035152264399719746, 0.04600067051689516,
-        ]
-        # the figures pinned before the 3- and 4-dim strata took Plackett's path integral
-        assert abs(cv.value - 2.2497617232057587) <= 1e-11
-        assert abs(cv.achieved - 0.02500000197281236) <= 1e-11
-        # the figures pinned before the quadrature climbed a node ladder
-        assert abs(cv.value - 2.249761723205715) <= 1e-12
-        assert abs(cv.achieved - 0.0250000019728125) <= 1e-12
-        # the value pinned before the solver became a secant on the quantile scale
-        assert abs(cv.value - 2.249761755282957) <= 1e-7
-        # the value pinned when the 4-dim stratum went through QMC
-        assert abs(cv.value - 2.249761860995374) <= 1e-6
 
     def test_engines_built_once_per_solve(self, monkeypatch):
         # m=5: the 5-dim stratum's 12 engines are shared by every evaluation,

@@ -12,8 +12,6 @@ import pytest
 from pwerpi import pwer, sim
 from pwerpi.errors import ConfigError, NumericalError
 
-from oracles import lockstep_calls, quantile_start_secant, scalar_solves
-
 
 class TestSchemePrevalences:
     def test_equal(self):
@@ -422,84 +420,6 @@ class TestFourPopulations:
         assert result.mean_length * 1e3 == pytest.approx(2.46, rel=0.05)
 
 
-# c* of each pinned run before the calibration became a secant on the quantile
-# scale, and how far the secant may move it: it stops closer to the root
-PARENT_C_STAR = {
-    "A_m2": (
-        2.0877298268183893, 2.06512888177679, 2.072093704015061,
-        2.0811723932927486, 2.069819110796716, 2.067506107102698,
-    ),
-    "B_m2": (
-        2.0916973252412805, 2.0655504692407956, 2.0722273776584124,
-        2.0781156059312953, 2.0709264366839575, 2.070102085072214,
-    ),
-    "C_m2": (
-        2.0990944476119133, 2.0762136455064, 2.083264249969084,
-        2.0924558769263975, 2.0809620829793527, 2.0786207403827333,
-    ),
-    "D_satterthwaite_m2": (
-        2.1225171858761773, 2.101175701874424, 2.0953693796564714,
-        2.111431463093042, 2.0956754239443165, 2.101972986034511,
-    ),
-    "A_m3_floor": (
-        2.1388699189856344, 2.138381805253658, 2.1208223617768085,
-        2.136507893952463, 2.138476339306703, 2.13361523124134,
-    ),
-    "C_m3": (
-        2.1848550831527107, 2.1830023288516798, 2.164983555201313,
-        2.1829667944648983, 2.188088016070128, 2.1750016662765272,
-    ),
-}
-
-
-# c* of the pinned runs whose 3- or 4-dim normal strata moved when the
-# quadrature began to stop at the first rung of its node ladder that settles;
-# the ladder may move them by rounding only
-PRE_LADDER_C_STAR = {
-    "A_m3_floor": (
-        2.1388699171726557, 2.138381803468443, 2.1208223609933627,
-        2.1365078922915552, 2.1384763374800215, 2.1336152297757818,
-    ),
-    "A_m4": (2.2446023187447506, 2.252249725072721),
-}
-
-
-# c* of the pinned runs with t strata before a t law of df >= 80 took the Gauss
-# rule of the chi measure; the two chi-scale rules agree to about 1e-12 in c*
-PRE_GAMMA_C_STAR = {
-    "C_m2": (
-        2.099094447541013, 2.076213551782791, 2.083264126023873,
-        2.092455876875437, 2.080961969483968, 2.0786206369243048,
-    ),
-    "D_satterthwaite_m2": (
-        2.122517185648876, 2.1011755846498787, 2.0953692707877383,
-        2.111431462969448, 2.0956752998834918, 2.101972870327368,
-    ),
-    "C_m3": (
-        2.1848550795011854, 2.1830023255176645, 2.1649835532818615,
-        2.1829667911275483, 2.1880880122929347, 2.1750016636623757,
-    ),
-    "C_m4": (2.2608526035068466, 2.268610816599378),
-}
-
-
-# c* of the pinned runs with 3- or 4-dim strata before those strata took
-# Plackett's path integral instead of recursive conditioning; the two agree to
-# rounding, about 1e-14 in c*
-PRE_PLACKETT_C_STAR = {
-    "A_m3_floor": (
-        2.138869917172661, 2.1383818034684454, 2.1208223609933636,
-        2.136507892291559, 2.1384763374800237, 2.1336152297757853,
-    ),
-    "C_m3": (
-        2.1848550795024244, 2.18300232551888, 2.1649835532829758,
-        2.182966791128772, 2.1880880122941764, 2.175001663663548,
-    ),
-    "A_m4": (2.244602318744785, 2.252249725072763),
-    "C_m4": (2.2608526035069985, 2.2686108165995287),
-}
-
-
 # records.csv digest of each pinned case, N=250, 6 runs (unless set), master seed 11
 PINNED_RECORDS = {
     "A_m2": (dict(m=2, setting="A"),
@@ -538,8 +458,12 @@ PINNED_RECORDS = {
 }
 
 
+def pinned_scenario(fields):
+    return sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields})
+
+
 def pinned_run(fields):
-    return sim.run_scenario(sim.SimScenario(**{"N": 250, "runs": 6, "master_seed": 11, **fields}))
+    return sim.run_scenario(pinned_scenario(fields))
 
 
 def records_digest(result, tmp_path):
@@ -558,57 +482,10 @@ def test_records_pinned(tmp_path, fields, digest):
     assert all([type(v) for v in record] == field_types for record in result.records)
 
 
-# the exact-engine cases, whose c* the history checks and the root pins follow
-QUANTILE_START_CASES = ("A_m2", "B_m2", "C_m2", "D_satterthwaite_m2", "D_satterthwaite_m2_single",
-                        "A_m3_floor", "C_m3", "A_m4", "C_m4", "A_m5")
-
-
-def quantile_start_solves(monkeypatch, fields):
-    """The pinned run's records, and each run's CriticalValues under the solver as it was
-    before it started at the independence root (oracles.quantile_start_secant)."""
-    calls = lockstep_calls(monkeypatch)
-    new = pinned_run(fields).records
-    return new, scalar_solves(calls, quantile_start_secant)
-
-
-@pytest.mark.parametrize("case", QUANTILE_START_CASES)
-def test_c_star_history_under_the_quantile_start(monkeypatch, case):
-    # the solver as it was before it started at the independence root still gives the
-    # c* of every earlier change, pinned on it
-    fields = PINNED_RECORDS[case][0]
-    new, old = quantile_start_solves(monkeypatch, fields)
-    c_star = np.array([cv.value for cv in old])
-    parent = PARENT_C_STAR.get(case)
-    if parent is not None:
-        bound = 2e-7 if fields["m"] == 2 else 1e-8
-        assert np.abs(c_star - parent).max() <= bound
-    parent = PRE_LADDER_C_STAR.get(case)
-    if parent is not None:
-        assert np.abs(c_star - parent).max() <= 1e-12
-    parent = PRE_GAMMA_C_STAR.get(case)
-    if parent is not None:
-        assert np.abs(c_star - parent).max() <= 1e-11
-    parent = PRE_PLACKETT_C_STAR.get(case)
-    if parent is not None:
-        assert np.abs(c_star - parent).max() <= 1e-11
-    # both solves stop within solver_tol (1e-8) of alpha
-    assert all(abs(r.achieved - 0.025) <= 1e-8 for r in new)
-    assert all(abs(cv.achieved - 0.025) <= 1e-8 for cv in old)
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="c* moves 1.26e-7: the quantile-start solve of run 1 stops 6.7e-9 below alpha, "
-               "1.17e-7 above the root, where the new solve stops 9e-9 below it")
-    ) if case == "D_satterthwaite_m2_single" else case
-    for case in QUANTILE_START_CASES
-])
-def test_pinned_c_star_moves_at_most_1e_7(monkeypatch, case):
-    new, old = quantile_start_solves(monkeypatch, PINNED_RECORDS[case][0])
-    new = np.array([r.c_star for r in new])
-    old = np.array([cv.value for cv in old])
-    assert np.abs(new - old).max() <= 1e-7
+# the pinned cases that calibrate with the exact engine (D_satterthwaite's is the exact
+# engine on a t law), each pinned against the root of its PWER below
+ROOT_CASES = tuple(case for case, (fields, _) in PINNED_RECORDS.items()
+                   if sim.SETTINGS_TABLE[fields["setting"]].engine in ("exact", "satterthwaite"))
 
 
 # each pinned run's root c*_ref, solved to |PWER - alpha| <= 1e-13 on the finest rungs, and
@@ -616,7 +493,15 @@ def test_pinned_c_star_moves_at_most_1e_7(monkeypatch, case):
 C_STAR_ROOTS = Path(__file__).resolve().parent / "c_star_roots.json"
 
 
-@pytest.mark.parametrize("case", QUANTILE_START_CASES)
+def test_every_root_pinned_run_has_a_root():
+    # the cases above, the shipped analyze config (test_cli) and test_pwer's m4_solve,
+    # one root per calibrated run
+    roots = json.loads(C_STAR_ROOTS.read_text())
+    runs = {case: pinned_scenario(PINNED_RECORDS[case][0]).runs for case in ROOT_CASES}
+    assert {case: len(entries) for case, entries in roots.items()} == {**runs, "analyze.json": 1, "m4_solve": 1}
+
+
+@pytest.mark.parametrize("case", ROOT_CASES)
 def test_pinned_c_star_lies_within_its_solve_tolerance_of_the_root(case):
     # |PWER - alpha| <= solver_tol is |c* - c*_ref| <= solver_tol / |PWER'|, plus the
     # reference's own error: its 1e-13 stop and its finest rungs, ~1e-13 for the normal law
@@ -626,6 +511,8 @@ def test_pinned_c_star_lies_within_its_solve_tolerance_of_the_root(case):
     law = "t" if fields["setting"] in ("C", "D_satterthwaite") else "normal"
     tol, ref_error = (1e-6, 1e-7) if fields["m"] >= 5 else (1e-8, 1e-13 + (1e-11 if law == "t" else 1e-13))
     records = pinned_run(fields).records
+    # every solve stops within solver_tol (1e-8) of alpha
+    assert all(abs(record.achieved - 0.025) <= 1e-8 for record in records)
     roots = json.loads(C_STAR_ROOTS.read_text())[case]
     assert len(roots) == len(records)
     for record, ref in zip(records, roots):
