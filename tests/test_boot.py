@@ -255,6 +255,20 @@ class TestProjection:
             total = sum(pi[j] * once[j] for j, s in enumerate(strata) if i in s)
             assert abs(total) <= 1e-12
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_the_strata_constraint_bit_for_bit(self, m):
+        # the constraint as built from enumerate_strata before the membership table
+        strata = dz.enumerate_strata(m)
+        rng = np.random.default_rng(m)
+        w = rng.dirichlet(np.ones(len(strata)))
+        theta = rng.normal(size=len(strata))
+        constraint = np.zeros((m, len(strata)))
+        for j, stratum in enumerate(strata):
+            for i in stratum:
+                constraint[i - 1, j] = w[j]
+        expected = theta - np.linalg.pinv(constraint) @ (constraint @ theta)
+        assert np.array_equal(boot.project_to_null(theta, w, m), expected)
+
 
 class TestSettingE:
     def test_effect_solving_equal_prevalences(self):
@@ -311,6 +325,18 @@ class TestSettingE:
 
 
 class TestFwerCurves:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_maxima_are_those_of_the_strata_columns(self, m):
+        # stratum j's maxima over the columns of enumerate_strata(m)[j], in canonical order
+        null = boot.EmpiricalNull(statistics=np.random.default_rng(m).normal(size=(1000, m)))
+        expected = [np.sort(null.statistics[:, [i - 1 for i in sorted(s)]].max(axis=1))
+                    for s in dz.enumerate_strata(m)]
+        curves = boot.fwer_curves(null)
+        assert len(curves) == len(expected)
+        assert all(np.array_equal(curve, ref) for curve, ref in zip(curves, expected))
+        above = [float(np.count_nonzero(ref > 1.5)) / null.B for ref in expected]
+        assert np.array_equal(boot.null_fwer(null, 1.5), np.array(above))
+
     def test_monotone_and_nested(self):
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 5000, np.random.default_rng(1))

@@ -283,6 +283,26 @@ class TestStudyDistributionMode:
         assert manifest["summary"] == summary
 
 
+class TestResolvedSettingPair:
+    # the resolved config records the (setting, variance_mode) pair the run uses
+
+    @pytest.mark.parametrize("setting", sim.SETTINGS)
+    @pytest.mark.parametrize("mode", ["simulate", "study-distribution", "minprev-grid"])
+    def test_simulating_modes_record_the_variance_mode_the_setting_draws(self, mode, setting):
+        raw = {"mode": mode, "design": {"m": 2, "setting": setting, "variance_mode": "known_heterogeneous"}}
+        dz = cli.resolve_config(raw)["design"]
+        assert (dz["setting"], dz["variance_mode"]) == (setting, sim.SETTINGS_TABLE[setting].variance_mode)
+
+    @pytest.mark.parametrize("variance_mode, setting", [
+        ("known_homogeneous", "A"), ("known_heterogeneous", "B"),
+        ("unknown_homogeneous", "C"), ("unknown_heterogeneous", "D_bootstrap"),
+    ])
+    def test_analyze_records_the_setting_that_calibrates(self, variance_mode, setting):
+        raw = {"mode": "analyze", "design": {"m": 2, "setting": "E", "variance_mode": variance_mode}}
+        dz = cli.resolve_config(raw)["design"]
+        assert (dz["setting"], dz["variance_mode"]) == (setting, variance_mode)
+
+
 class TestErrorPaths:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"mode": "simulate", "design": {"m": 2}, "x": 1})
