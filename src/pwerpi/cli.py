@@ -18,81 +18,87 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sim
-from .design import (
-    TRANSFORMS,
-    VARIANCE_MODES,
-    TREATMENT_SCHEMES,
-    build_design,
-    cell_layout,
-    enumerate_strata,
-    parse_stratum_label,
-    stratum_label,
-)
+from .design import build_design, cell_layout, enumerate_strata, parse_stratum_label, stratum_label
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 MODES = ("analyze", "simulate", "study-distribution", "minprev-grid")
+ANALYZE, SIMULATE, STUDIES, GRID = MODES
+_REQUIRED = object()
 
-# schema: block -> key -> (type, default); None default means required
+# schema: block -> key -> (type, default, the modes that read it); a mode takes no other key
 _SCHEMA = {
     "mode": None,
     "design": {
-        "m": (int, None),
-        "N": (int, 0),
-        "strata_counts": (dict, None),
-        "prevalence_scheme": (str, "equal"),
-        "explicit_prevalences": (list, None),
-        "treatment_scheme": (str, "pairwise_different"),
-        "variances": ((int, float, dict), 1.0),
-        "variance_mode": (str, "known_homogeneous"),
-        "setting": (str, "A"),
+        "m": (int, _REQUIRED, (ANALYZE, SIMULATE, STUDIES)),
+        "N": (int, _REQUIRED, (SIMULATE, STUDIES)),
+        "strata_counts": (dict, _REQUIRED, (ANALYZE,)),
+        "prevalence_scheme": (str, "equal", (SIMULATE,)),
+        "explicit_prevalences": (list, None, (SIMULATE,)),
+        "treatment_scheme": (str, "pairwise_different", MODES),
+        "variances": ((int, float, dict), 1.0, (ANALYZE,)),
+        "variance_mode": (str, "known_homogeneous", (ANALYZE,)),
+        "setting": (str, "A", (SIMULATE, STUDIES, GRID)),
     },
     "interval": {
-        "alpha": (float, 0.025),
-        "alpha_prime": (float, 0.05),
-        "pi_min": ((int, float, str), 0.0),
-        "transform": (str, "none"),
+        "alpha": (float, 0.025, MODES),
+        "alpha_prime": (float, 0.05, MODES),
+        "pi_min": ((int, float, str), 0.0, (ANALYZE, SIMULATE)),
+        "transform": (str, "none", (ANALYZE, SIMULATE)),
     },
     "engine": {
-        "B": (int, 2000),
-        "runs": (int, 2000),
-        "studies": (int, 100),
-        "runs_per_study": (int, 1000),
-        "threads": (int, 1),
-        "master_seed": (int, 0),
-        "N_list": (list, None),
-        "m_list": (list, None),
-        "pi_min_list": (list, None),
-        "transform_list": (list, None),
+        "B": (int, 2000, (ANALYZE, SIMULATE, STUDIES)),
+        "runs": (int, 2000, (SIMULATE, GRID)),
+        "studies": (int, 100, (STUDIES,)),
+        "runs_per_study": (int, 1000, (STUDIES,)),
+        "threads": (int, 1, (SIMULATE, STUDIES, GRID)),
+        "master_seed": (int, 0, MODES),
+        "N_list": (list, _REQUIRED, (GRID,)),
+        "m_list": (list, _REQUIRED, (GRID,)),
+        "pi_min_list": (list, sim.PI_MIN_LABELS, (GRID,)),
+        "transform_list": (list, ("floor", "shift"), (GRID,)),
     },
     "output": {
-        "directory": (str, "out"),
-        "write_records": (bool, True),
+        "directory": (str, "out", MODES),
+        "write_records": (bool, True, (SIMULATE,)),
     },
 }
+# keys a mode reads that are not keywords of its sim call (_sim_kwargs)
+_NOT_PASSED = ("strata_counts", "variances", "variance_mode", "threads")
 
 
-def _validate_block(name: str, block: dict, schema: dict) -> dict:
+def _validate_block(name: str, block: dict, mode: str, derived: str | None = None) -> dict:
+    """The keys of the block that mode reads, type-checked and defaulted; `derived` is also let through."""
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} must be an object")
-    unknown = set(block) - set(schema)
+    schema = {key: spec for key, spec in _SCHEMA[name].items() if mode in spec[2]}
+    unknown = set(block) - set(schema) - {derived}
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}; mode {mode} reads {sorted(schema)}")
     resolved = {}
-    for key, (types, default) in schema.items():
-        if key in block and block[key] is not None:
-            value = block[key]
-            if types is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-                raise ConfigError(f"{name}.{key} has wrong type {type(value).__name__}")
-            resolved[key] = value
-        else:
+    for key, (types, default, _) in schema.items():
+        value = block.get(key)
+        if value is None or value == []:  # null and an empty list read as absent
+            if default is _REQUIRED:
+                raise ConfigError(f"mode {mode} needs {name}.{key}")
             resolved[key] = default
+            continue
+        if types is float and isinstance(value, int):
+            value = float(value)
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            raise ConfigError(f"{name}.{key} has wrong type {type(value).__name__}")
+        resolved[key] = value
     return resolved
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a config document and fill defaults (unknown keys rejected)."""
+    """Validate a config document and fill defaults.
+
+    A mode takes only the keys it reads. Of the (setting, variance_mode) pair
+    it reads one and records the other as the run uses it: analyze derives
+    the setting that calibrates its variance mode, the simulating modes the
+    variance mode their setting draws. A derived key given with another value
+    is an error.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(raw) - set(_SCHEMA)
@@ -101,27 +107,22 @@ def resolve_config(raw: dict) -> dict:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    source, derived = ("variance_mode", "setting") if mode == ANALYZE else ("setting", "variance_mode")
     resolved = {"mode": mode}
     for block in ("design", "interval", "engine", "output"):
-        resolved[block] = _validate_block(block, raw.get(block, {}), _SCHEMA[block])
+        resolved[block] = _validate_block(block, raw.get(block, {}), mode, derived if block == "design" else None)
     dz = resolved["design"]
-    if dz["m"] is None:
-        raise ConfigError("design.m is required")
-    if dz["treatment_scheme"] not in TREATMENT_SCHEMES:
-        raise ConfigError(f"unknown treatment scheme {dz['treatment_scheme']!r}")
-    if dz["variance_mode"] not in VARIANCE_MODES:
-        raise ConfigError(f"unknown variance mode {dz['variance_mode']!r}")
-    if resolved["interval"]["transform"] not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {resolved['interval']['transform']!r}")
-    if dz["setting"] not in sim.SETTINGS:
-        raise ConfigError(f"unknown setting {dz['setting']!r}")
-    if dz["prevalence_scheme"] not in sim.PREVALENCE_SCHEMES:
-        raise ConfigError(f"unknown prevalence scheme {dz['prevalence_scheme']!r}")
-    # record the pair the run uses: analyze reads the variance mode, the other modes the setting
-    if mode == "analyze":
-        dz["setting"] = sim.ANALYSIS_SETTINGS[dz["variance_mode"]]
-    else:
-        dz["variance_mode"] = sim.SETTINGS_TABLE[dz["setting"]].variance_mode
+    pairs = sim.ANALYSIS_SETTINGS if mode == ANALYZE else {
+        setting: spec.variance_mode for setting, spec in sim.SETTINGS_TABLE.items()
+    }
+    if dz[source] not in pairs:
+        raise ConfigError(f"unknown {source.replace('_', ' ')} {dz[source]!r}")
+    dz[derived] = pairs[dz[source]]
+    given = raw.get("design", {}).get(derived)
+    if given is not None and given != dz[derived]:
+        raise ConfigError(
+            f"design.{derived} {given!r} contradicts design.{source} {dz[source]!r}, which runs {dz[derived]!r}"
+        )
     return resolved
 
 
@@ -143,13 +144,12 @@ def _number(value, where: str, whole: bool = False) -> float:
 
 
 def _parse_counts(dz: dict) -> dict:
-    raw = dz.get("strata_counts")
-    if raw is None:
-        raise ConfigError("analyze mode needs design.strata_counts")
-    counts = {
-        parse_stratum_label(label): int(_number(n, f"design.strata_counts[{label!r}]", whole=True))
-        for label, n in raw.items()
-    }
+    counts = {}
+    for label, n in dz["strata_counts"].items():
+        stratum = parse_stratum_label(label)
+        if stratum in counts:
+            raise ConfigError(f"design.strata_counts names stratum {stratum_label(stratum)!r} twice")
+        counts[stratum] = int(_number(n, f"design.strata_counts[{label!r}]", whole=True))
     strata = enumerate_strata(dz["m"])
     extra = set(counts) - set(strata)
     if extra:
@@ -161,25 +161,32 @@ def _parse_variances(dz: dict) -> float | dict:
     raw = dz["variances"]
     if isinstance(raw, (int, float)):
         return float(raw)
-    out = {}
-    default = raw.get("default")
-    cells = raw.get("cells", {})
     unknown = set(raw) - {"default", "cells"}
     if unknown:
         raise ConfigError(f"unknown keys in design.variances: {sorted(unknown)}")
+    if not isinstance(raw.get("cells", {}), dict):
+        raise ConfigError("design.variances.cells must be an object")
+    cells = {}
+    for key, value in raw.get("cells", {}).items():
+        label, _, arm = key.partition("|")
+        cell = (parse_stratum_label(label), arm)
+        if cell in cells:
+            raise ConfigError(f"design.variances.cells names cell '{stratum_label(cell[0])}|{arm}' twice")
+        cells[cell] = _number(value, f"design.variances.cells[{key!r}]")
     layout = cell_layout(dz["m"], dz["treatment_scheme"])
-    for j, arm in layout.cells:
-        stratum = layout.strata[j]
-        key = f"{stratum_label(stratum)}|{arm}"
-        if key in cells:
-            out[(stratum, arm)] = _number(cells[key], f"design.variances.cells[{key!r}]")
-        elif default is not None:
-            out[(stratum, arm)] = _number(default, "design.variances.default")
-        else:
-            raise ConfigError(f"missing variance for cell {key!r}")
-    unknown = set(cells) - {f"{stratum_label(stratum)}|{arm}" for stratum, arm in out}
+    design_cells = [(layout.strata[j], arm) for j, arm in layout.cells]
+    unknown = set(cells) - set(design_cells)
     if unknown:
-        raise ConfigError(f"design.variances.cells names cells outside the design: {sorted(unknown)}")
+        labels = sorted(f"{stratum_label(stratum)}|{arm}" for stratum, arm in unknown)
+        raise ConfigError(f"design.variances.cells names cells outside the design: {labels}")
+    out = {}
+    for stratum, arm in design_cells:
+        if (stratum, arm) in cells:
+            out[(stratum, arm)] = cells[(stratum, arm)]
+        elif raw.get("default") is not None:
+            out[(stratum, arm)] = _number(raw["default"], "design.variances.default")
+        else:
+            raise ConfigError(f"missing variance for cell '{stratum_label(stratum)}|{arm}'")
     return out
 
 
@@ -189,8 +196,7 @@ def _analyze_study(config: dict) -> tuple[sim.SimScenario, sim.Study]:
     counts = _parse_counts(dz)
     variances = _parse_variances(dz)
     design = build_design(dz["m"], dz["treatment_scheme"], counts, variances, dz["variance_mode"])
-    scenario = _scenario_from_config(config, N=design.N, runs=1)
-    return scenario, sim.Study(design)
+    return sim.SimScenario(**_sim_kwargs(config, N=design.N, runs=1)), sim.Study(design)
 
 
 def run_analyze(config: dict, out_dir: Path) -> dict:
@@ -238,29 +244,24 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
     return report
 
 
-def _scenario_from_config(config: dict, **fields) -> sim.SimScenario:
-    """The config's scenario; `fields` replace the ones analyze takes from its study."""
-    dz, iv, eng = config["design"], config["interval"], config["engine"]
-    return sim.SimScenario(**{
-        "N": dz["N"],
-        "m": dz["m"],
-        "setting": dz["setting"],
-        "prevalence_scheme": dz["prevalence_scheme"],
-        "explicit_prevalences": tuple(dz["explicit_prevalences"]) if dz["explicit_prevalences"] else None,
-        "treatment_scheme": dz["treatment_scheme"],
-        "alpha": iv["alpha"],
-        "alpha_prime": iv["alpha_prime"],
-        "runs": eng["runs"],
-        "B": eng["B"],
-        "pi_min": sim.resolve_pi_min(iv["pi_min"], dz["m"]),
-        "transform": iv["transform"],
-        "master_seed": eng["master_seed"],
-        **fields,
-    })
+def _sim_kwargs(config: dict, **fields) -> dict:
+    """The keywords of the mode's sim call (SimScenario, study_scenarios or
+    min_prevalence_grid_cells): every key it reads but _NOT_PASSED, under its
+    own name, with a pi_min label resolved and explicit_prevalences a tuple;
+    `fields` add the ones analyze takes from its study."""
+    kwargs = {
+        key: value for block in ("design", "interval", "engine")
+        for key, value in config[block].items() if key not in _NOT_PASSED
+    }
+    if "pi_min" in kwargs:
+        kwargs["pi_min"] = sim.resolve_pi_min(kwargs["pi_min"], kwargs["m"])
+    if kwargs.get("explicit_prevalences") is not None:
+        kwargs["explicit_prevalences"] = tuple(kwargs["explicit_prevalences"])
+    return {**kwargs, **fields}
 
 
 def run_simulate(config: dict, out_dir: Path) -> dict:
-    scenario = _scenario_from_config(config)
+    scenario = sim.SimScenario(**_sim_kwargs(config))
     result = sim.run_scenario(scenario, threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_aggregate_csv([result], out_dir / "aggregate.csv")
@@ -280,25 +281,8 @@ def run_simulate(config: dict, out_dir: Path) -> dict:
     return summary
 
 
-def _study_args(config: dict) -> dict:
-    """study_scenarios keywords; run_study_distribution also takes threads."""
-    dz, iv, eng = config["design"], config["interval"], config["engine"]
-    return dict(
-        m=dz["m"],
-        setting=dz["setting"],
-        N=dz["N"],
-        studies=eng["studies"],
-        runs_per_study=eng["runs_per_study"],
-        master_seed=eng["master_seed"],
-        treatment_scheme=dz["treatment_scheme"],
-        alpha=iv["alpha"],
-        alpha_prime=iv["alpha_prime"],
-        B=eng["B"],
-    )
-
-
 def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
-    dist = sim.run_study_distribution(**_study_args(config), threads=config["engine"]["threads"])
+    dist = sim.run_study_distribution(**_sim_kwargs(config), threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_study_csv(dist, out_dir / "studies.csv")
     summary = dist.summary()
@@ -312,25 +296,8 @@ def run_study_distribution_mode(config: dict, out_dir: Path) -> dict:
     return summary
 
 
-def _grid_args(config: dict) -> dict:
-    """min_prevalence_grid_cells keywords; run_min_prevalence_grid also takes threads."""
-    dz, iv, eng = config["design"], config["interval"], config["engine"]
-    return dict(
-        N_list=eng["N_list"] or [dz["N"]],
-        m_list=eng["m_list"] or [dz["m"]],
-        pi_min_list=eng["pi_min_list"] or list(sim.PI_MIN_LABELS),
-        transform_list=eng["transform_list"] or ["floor", "shift"],
-        runs=eng["runs"],
-        master_seed=eng["master_seed"],
-        setting=dz["setting"],
-        treatment_scheme=dz["treatment_scheme"],
-        alpha=iv["alpha"],
-        alpha_prime=iv["alpha_prime"],
-    )
-
-
 def run_minprev_grid(config: dict, out_dir: Path) -> dict:
-    rows = sim.run_min_prevalence_grid(**_grid_args(config), threads=config["engine"]["threads"])
+    rows = sim.run_min_prevalence_grid(**_sim_kwargs(config), threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_grid_csv(rows, out_dir / "coverage.csv", "coverage")
     sim.write_grid_csv(rows, out_dir / "lengths.csv", "mean_length_e3")
@@ -372,24 +339,26 @@ def main(argv=None) -> int:
 
     try:
         resolved = resolve_config(raw)
-        if args.seed is not None:
-            resolved["engine"]["master_seed"] = args.seed
-        if args.threads is not None:
-            resolved["engine"]["threads"] = args.threads
-        if args.out is not None:
-            resolved["output"]["directory"] = args.out
-        if resolved["engine"]["threads"] < 1:
+        mode = resolved["mode"]
+        for flag, block, key in (("seed", "engine", "master_seed"), ("threads", "engine", "threads"),
+                                 ("out", "output", "directory")):
+            if getattr(args, flag) is None:
+                continue
+            if key not in resolved[block]:
+                raise ConfigError(f"--{flag}: mode {mode} reads no {block}.{key}")
+            resolved[block][key] = getattr(args, flag)
+        if resolved["engine"].get("threads", 1) < 1:
             raise ConfigError(f"threads must be at least 1, got {resolved['engine']['threads']}")
         if args.dry_run:
             # build what the run would run, through the run's own checks
-            if resolved["mode"] == "analyze":
+            if mode == ANALYZE:
                 _analyze_study(resolved)
-            elif resolved["mode"] == "simulate":
-                sim.resolve_true_prevalences(_scenario_from_config(resolved))
-            elif resolved["mode"] == "study-distribution":
-                sim.study_scenarios(**_study_args(resolved))
-            elif resolved["mode"] == "minprev-grid":
-                sim.min_prevalence_grid_cells(**_grid_args(resolved))
+            elif mode == SIMULATE:
+                sim.resolve_true_prevalences(sim.SimScenario(**_sim_kwargs(resolved)))
+            elif mode == STUDIES:
+                sim.study_scenarios(**_sim_kwargs(resolved))
+            else:
+                sim.min_prevalence_grid_cells(**_sim_kwargs(resolved))
             print(json.dumps(resolved, indent=2))
             return 0
         out_dir = Path(resolved["output"]["directory"])
@@ -398,7 +367,7 @@ def main(argv=None) -> int:
             "simulate": run_simulate,
             "study-distribution": run_study_distribution_mode,
             "minprev-grid": run_minprev_grid,
-        }[resolved["mode"]]
+        }[mode]
         summary = runner(resolved, out_dir)
         _write_manifest(out_dir, resolved, summary)
         return 0

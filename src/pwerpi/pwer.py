@@ -276,17 +276,18 @@ class _Plan:
     runs' full_corr are stacked once, and the correlations of every stratum
     of one dimension, for all its runs, taken from that stack with one fancy
     index for mvprob.orthant_groups. ok marks each run's strata with a
-    defined law, tols holds each run's tol of the solve pass and of the
-    verify pass, streams its _Streams. With weights (one row per run), mask
-    marks the positive ones, and the runs are grouped by mask pattern for
-    the PWER sums (pwer).
+    defined law, tols holds the block's tol of the solve pass and of the
+    verify pass, both checked here, and streams each run's _Streams. With
+    weights (one row per run), mask marks the positive ones, and the runs
+    are grouped by mask pattern for the PWER sums (pwer).
     """
 
-    def __init__(self, models: Sequence[TestModel], tols, streams: Sequence, weights=None):
+    def __init__(self, models: Sequence[TestModel], tols: tuple[float, float], streams, weights=None):
         if any(model.m != models[0].m for model in models):
             raise ConfigError("the models of one lockstep must share m")
-        self.models, self.m, self.streams = models, models[0].m, streams
-        self.tols = np.asarray(tols, dtype=float)
+        for tol in tols:
+            mvprob.check_tol(tol)
+        self.models, self.m, self.streams, self.tols = models, models[0].m, streams, tols
         self.ok = defined_strata(np.array([model.population_variances for model in models]))
         kinds = np.array([model.kind for model in models])
         dfs = np.array([model.df for model in models], dtype=float)  # NaN for the normal law
@@ -351,8 +352,8 @@ class _Evaluated(NamedTuple):
 def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, verify: bool = False) -> _Evaluated:
     """F_J(c_J) for the strata select[k] (k x S) of each run runs[k] of the plan at its limits c[k] (k x m).
 
-    Each run's limits, its tol of the pass (verify or solve) and its strata
-    are checked first. Then each group of the plan takes one
+    Each run's limits and its strata are checked first; the pass (verify or
+    solve) reads its tol of the plan. Then each group of the plan takes one
     OrthantGroup.evaluate over the selected rows of these runs. The strata
     it leaves to QMC (five or more dimensions, an unsettled quadrature) take
     one mvprob.qmc_cdf call each, per run in stratum order on that run's
@@ -361,19 +362,17 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
     engines. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
     """
     k, n_strata = select.shape
-    tol = plan.tols[runs, int(verify)]
+    tol = plan.tols[int(verify)]
     value = np.full((k, n_strata), math.nan)
     error = np.full((k, n_strata), math.inf)
     points = np.zeros((k, n_strata), dtype=int)
     qmc = np.zeros((k, n_strata), dtype=bool)
     failed = {}
     undefined = select & ~plan.ok[runs]
-    in_range = (tol >= mvprob.TOL_MIN) & (tol <= mvprob.TOL_MAX)
-    bad = ~np.isfinite(c).all(axis=1) | ~in_range | undefined.any(axis=1)
+    bad = ~np.isfinite(c).all(axis=1) | undefined.any(axis=1)
     for pos in np.flatnonzero(bad).tolist():
         try:
             mvprob.check_limits(c[pos])
-            mvprob.check_tol(tol[pos])
             j = int(np.argmax(undefined[pos]))
             raise InfeasibleDesignError(
                 f"stratum {sorted(plan.models[runs[pos]].strata[j])} involves a population with an empty arm"
@@ -391,7 +390,7 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
             continue
         pos, j = at[group_runs[rows]], strata[rows]
         value[pos, j], error[pos, j], points[pos, j], settled = group.evaluate(
-            c[pos[:, None], members[rows]], rows, tol[pos]
+            c[pos[:, None], members[rows]], rows, tol
         )
         if not settled.all():
             unsettled.extend(zip(pos[~settled].tolist(), j[~settled].tolist()))
@@ -409,7 +408,7 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
                 # a principal submatrix of a validated matrix: validating it keeps its bits
                 corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(members, members)])
                 value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = mvprob.qmc_cdf(
-                    c[pos, members], corr, model.df, tol[pos], stream, engines
+                    c[pos, members], corr, model.df, tol, stream, engines
                 )
         except RUN_ERRORS as exc:
             failed[pos] = exc
@@ -431,7 +430,7 @@ def evaluate_strata(
     plan of one run (_evaluate): QMC strata read rng in stratum order.
     Every result equals the stratum's own mvn_cdf/mvt_cdf call.
     """
-    plan = _Plan([model], [[tol, tol]], [_Given(rng)])
+    plan = _Plan([model], (tol, tol), [_Given(rng)])
     select = model.stratum_ok if which is None else np.asarray(which, dtype=bool)
     step = _evaluate(plan, np.zeros(1, dtype=int), _c_vector(c, model.m)[None], select[None])
     if step.failed:
@@ -449,7 +448,7 @@ def pwer_value(
 ) -> float:
     """PWER(c) = sum_J pi_J * (1 - F_J(c_J)); zero-weight strata contribute 0."""
     weights = prevalence_weights(pi, len(model.strata))
-    plan = _Plan([model], [[tol, tol]], [_Given(rng)], [weights])
+    plan = _Plan([model], (tol, tol), [_Given(rng)], [weights])
     run = np.zeros(1, dtype=int)
     step = _evaluate(plan, run, _c_vector(c, model.m)[None], plan.mask)
     if step.failed:
@@ -779,8 +778,8 @@ def solve_lockstep(
 
     Run r has the model models[r], the prevalence weights row r of weights
     (R, S) and the integration seed seeds[r](), drawn on first need only (see
-    _Streams); alpha and the tolerances are the block's. alpha is checked
-    once, and each row of weights on its own. The block is planned once
+    _Streams); alpha and the tolerances are the block's, each checked once,
+    and each row of weights is checked on its own. The block is planned once
     (_Plan), and one array secant steps every run (_Secants, _step): each
     step evaluates the pending c of every unfinished run in one _evaluate
     call, sums their PWERs in one stacked pass (_Plan.pwer) and moves every
@@ -801,7 +800,7 @@ def solve_lockstep(
     shape = (len(models), len(models[0].strata))
     if weights.shape != shape:
         raise ConfigError(f"prevalence weights have shape {weights.shape}, expected {shape}")
-    plan = _Plan(models, [(cdf_tol, verify_tol)] * len(models), [_Streams(seed) for seed in seeds], weights)
+    plan = _Plan(models, (cdf_tol, verify_tol), [_Streams(seed) for seed in seeds], weights)
     invalid = ~((weights.min(axis=1) >= 0.0) & (weights.max(axis=1) < np.inf))
     empty = ~plan.mask.any(axis=1)
     for r in np.flatnonzero(invalid | empty).tolist():
@@ -867,8 +866,8 @@ def _verify(
     defined law, which true_pwer weighs.
     """
     value, error, qmc = at_c
-    cdf_tol, verify_tol = plan.tols[runs].T
-    redo = plan.ok[runs] & (qmc | (error > verify_tol[:, None]))
+    cdf_tol, verify_tol = plan.tols
+    redo = plan.ok[runs] & (qmc | (error > verify_tol))
     again = np.flatnonzero(redo.any(axis=1))
     failed = {}
     if len(again):

@@ -38,7 +38,7 @@ from .design import (
     CellLayout,
     Design,
     TRANSFORM_NONE,
-    build_design,
+    build_design,  # unused here: perfbench/tracer.py wraps sim.build_design
     build_designs,
     cell_layout,
     check_transform,
@@ -292,16 +292,6 @@ def _study(scenario: SimScenario, pi_true: np.ndarray, design: Design, rng: np.r
     return Study(design)
 
 
-def _draw(scenario: SimScenario, pi_true: np.ndarray, rng: np.random.Generator) -> Study:
-    """One run's study as _draw_block draws it, its design built alone (build_design)."""
-    counts, variances = _draw_data(scenario, cell_layout(scenario.m, scenario.treatment_scheme), pi_true, rng)
-    design = build_design(
-        scenario.m, scenario.treatment_scheme, counts, variances,
-        SETTINGS_TABLE[scenario.setting].variance_mode,
-    )
-    return _study(scenario, pi_true, design, rng)
-
-
 def _draw_block(
     scenario: SimScenario, pi_true: np.ndarray, rngs: Sequence[np.random.Generator]
 ) -> list[Study | Exception]:
@@ -310,8 +300,8 @@ def _draw_block(
 
     Each run draws its counts and cell variances (_draw_data), then the
     block's designs are built in one build_designs call, and setting E draws
-    each run's effects on its design: every stream is read in the order a
-    run drawn alone (_draw) reads it.
+    each run's effects on its design: each stream is read in the same order
+    whatever the block.
     """
     layout = cell_layout(scenario.m, scenario.treatment_scheme)
     out: list = [None] * len(rngs)

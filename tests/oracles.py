@@ -339,7 +339,7 @@ def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6
 
     weights = prevalence_weights(weights, len(model.strata))
     pwer.check_alpha(alpha)
-    plan = pwer._Plan([model], [(cdf_tol, verify_tol)], [pwer._Streams(seed)], [weights])
+    plan = pwer._Plan([model], (cdf_tol, verify_tol), [pwer._Streams(seed)], [weights])
     run = np.zeros(1, dtype=int)
     solved, evaluations = {}, 0
     generator = solver(model, weights, alpha, solver_tol, cdf_tol)

@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwerpi import cli, sim
-from pwerpi.design import enumerate_strata, stratum_label
+from pwerpi.design import VARIANCE_MODES, enumerate_strata, stratum_label
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -200,22 +201,6 @@ class TestSimulate:
         header = (out / "records.csv").read_text().splitlines()[0]
         assert header.startswith("true_pwer,lower,upper,covered,length")
 
-    def test_resolved_config_round_trip(self, tmp_path):
-        cfg = self.simulate_config(tmp_path, out="rt1")
-        assert cli.main(["--config", cfg]) == 0
-        manifest = json.loads((tmp_path / "rt1" / "manifest.json").read_text())
-        resolved = manifest["config"]
-        resolved["output"]["directory"] = str(tmp_path / "rt2")
-        cfg2 = write_config(tmp_path, "resolved.json", resolved)
-        assert cli.main(["--config", cfg2]) == 0
-        manifest2 = json.loads((tmp_path / "rt2" / "manifest.json").read_text())
-        # identical campaign: same records, same config hash modulo output dir
-        assert (tmp_path / "rt1" / "records.csv").read_bytes() == \
-            (tmp_path / "rt2" / "records.csv").read_bytes()
-        resolved2 = manifest2["config"]
-        resolved2["output"]["directory"] = resolved["output"]["directory"]
-        assert cli.config_hash(resolved2) == cli.config_hash(resolved)
-
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         cfg = self.simulate_config(tmp_path, out="dry")
         assert cli.main(["--config", cfg, "--dry-run"]) == 0
@@ -251,7 +236,7 @@ class TestMinprevGrid:
     def test_two_csvs(self, tmp_path):
         payload = {
             "mode": "minprev-grid",
-            "design": {"m": 2, "setting": "A"},
+            "design": {"setting": "A"},
             "engine": {"runs": 30, "master_seed": 3, "N_list": [250], "m_list": [2],
                        "pi_min_list": ["0", "1/(2^(m+2)-4)"]},
             "output": {"directory": str(tmp_path / "grid")},
@@ -283,24 +268,195 @@ class TestStudyDistributionMode:
         assert manifest["summary"] == summary
 
 
-class TestResolvedSettingPair:
-    # the resolved config records the (setting, variance_mode) pair the run uses
+# each mode's full config: every key it reads set, at small sizes
+FULL_CONFIGS = {
+    "analyze": {
+        "design": {"m": 2, "strata_counts": {"1": 83, "2": 83, "1,2": 84}, "treatment_scheme": "single",
+                   "variances": {"default": 1.0, "cells": {"1|T": 0.5}}, "variance_mode": "known_heterogeneous"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": "1/(2^(m+2)-4)", "transform": "floor"},
+        "engine": {"B": 2000, "master_seed": 3},
+    },
+    "simulate": {
+        "design": {"m": 2, "N": 250, "setting": "C", "prevalence_scheme": "explicit",
+                   "explicit_prevalences": [0.3, 0.3, 0.4], "treatment_scheme": "single"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": 0.05, "transform": "shift"},
+        "engine": {"runs": 8, "B": 2000, "threads": 1, "master_seed": 3},
+        "output": {"write_records": True},
+    },
+    "study-distribution": {
+        "design": {"m": 2, "N": 250, "setting": "A", "treatment_scheme": "single"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05},
+        "engine": {"studies": 2, "runs_per_study": 5, "B": 2000, "threads": 1, "master_seed": 3},
+    },
+    "minprev-grid": {
+        "design": {"setting": "A", "treatment_scheme": "single"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05},
+        "engine": {"runs": 5, "threads": 1, "master_seed": 3, "N_list": [250], "m_list": [2],
+                   "pi_min_list": ["0", "1/(2^(m+2)-4)"], "transform_list": ["floor"]},
+    },
+}
+# a valid value of every schema key but output.directory, from the full config that reads it
+SAMPLE = {key: value for payload in FULL_CONFIGS.values() for keys in payload.values() for key, value in keys.items()}
+# the key of the (setting, variance_mode) pair each mode derives from the other
+DERIVED = {"analyze": "setting", "simulate": "variance_mode", "study-distribution": "variance_mode",
+           "minprev-grid": "variance_mode"}
+# the output files of each mode besides manifest.json
+OUTPUTS = {"analyze": ["report.json", "report.txt"], "simulate": ["aggregate.csv", "records.csv"],
+           "study-distribution": ["studies.csv", "summary.json"], "minprev-grid": ["coverage.csv", "lengths.csv"]}
 
-    @pytest.mark.parametrize("setting", sim.SETTINGS)
-    @pytest.mark.parametrize("mode", ["simulate", "study-distribution", "minprev-grid"])
-    def test_simulating_modes_record_the_variance_mode_the_setting_draws(self, mode, setting):
-        raw = {"mode": mode, "design": {"m": 2, "setting": setting, "variance_mode": "known_heterogeneous"}}
-        dz = cli.resolve_config(raw)["design"]
-        assert (dz["setting"], dz["variance_mode"]) == (setting, sim.SETTINGS_TABLE[setting].variance_mode)
 
-    @pytest.mark.parametrize("variance_mode, setting", [
-        ("known_homogeneous", "A"), ("known_heterogeneous", "B"),
-        ("unknown_homogeneous", "C"), ("unknown_heterogeneous", "D_bootstrap"),
+def full_config(tmp_path, mode, out, **blocks):
+    """The mode's full config writing to tmp_path / out, with each of `blocks` merged into its block."""
+    payload = {"mode": mode, **json.loads(json.dumps(FULL_CONFIGS[mode]))}
+    payload["output"] = {**payload.get("output", {}), "directory": str(tmp_path / out)}
+    for block, keys in blocks.items():
+        payload[block] = {**payload.get(block, {}), **keys}
+    return write_config(tmp_path, f"{out}.json", payload)
+
+
+def schema_keys():
+    """(block, key, the modes that read it) for every key of the schema."""
+    return [(block, key, modes) for block, keys in cli._SCHEMA.items() if block != "mode"
+            for key, (*_, modes) in keys.items()]
+
+
+def unread_keys():
+    """(mode, block, key) for every schema key a mode neither reads nor derives."""
+    return [(mode, block, key) for block, key, modes in schema_keys()
+            for mode in cli.MODES if mode not in modes and key != DERIVED[mode]]
+
+
+class TestModeKeys:
+    def test_each_mode_reads_the_keys_of_its_call(self):
+        read = {mode: sorted(key for _, key, modes in schema_keys() if mode in modes) for mode in cli.MODES}
+        assert read == {
+            "analyze": sorted(["m", "strata_counts", "treatment_scheme", "variances", "variance_mode", "alpha",
+                               "alpha_prime", "pi_min", "transform", "B", "master_seed", "directory"]),
+            "simulate": sorted(["m", "N", "setting", "prevalence_scheme", "explicit_prevalences",
+                                "treatment_scheme", "alpha", "alpha_prime", "pi_min", "transform", "runs", "B",
+                                "threads", "master_seed", "directory", "write_records"]),
+            "study-distribution": sorted(["m", "N", "setting", "treatment_scheme", "alpha", "alpha_prime",
+                                          "studies", "runs_per_study", "B", "threads", "master_seed",
+                                          "directory"]),
+            "minprev-grid": sorted(["setting", "treatment_scheme", "alpha", "alpha_prime", "runs", "threads",
+                                    "master_seed", "N_list", "m_list", "pi_min_list", "transform_list",
+                                    "directory"]),
+        }
+        # the full configs set every key their mode reads
+        for mode, payload in FULL_CONFIGS.items():
+            given = sorted(key for keys in payload.values() for key in keys)
+            assert given == [key for key in read[mode] if key != "directory"]
+
+    @pytest.mark.parametrize("mode, block, key", [
+        pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in unread_keys()
     ])
-    def test_analyze_records_the_setting_that_calibrates(self, variance_mode, setting):
-        raw = {"mode": "analyze", "design": {"m": 2, "setting": "E", "variance_mode": variance_mode}}
-        dz = cli.resolve_config(raw)["design"]
-        assert (dz["setting"], dz["variance_mode"]) == (setting, variance_mode)
+    def test_unread_key_exits_2(self, tmp_path, capsys, mode, block, key):
+        # the value another mode's full config gives the key, so only the mode can reject it
+        cfg = full_config(tmp_path, mode, "unread", **{block: {key: SAMPLE[key]}})
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert f"unknown keys in '{block}': ['{key}']; mode {mode} reads" in capsys.readouterr().err
+        assert not (tmp_path / "unread").exists()
+
+    def test_readme_sketches_set_every_key_their_mode_reads(self):
+        # one README sketch per mode, in MODES order, each setting exactly the keys the mode reads
+        section = (CONFIGS.parent / "README.md").read_text().split("### Config sketch", 1)[1].split("\n## ", 1)[0]
+        sketches = [json.loads(re.sub(r"[ \t]*//[^\n]*", "", part.split("```", 1)[0]))
+                    for part in section.split("```jsonc")[1:]]
+        assert [sketch["mode"] for sketch in sketches] == list(cli.MODES)
+        for sketch in sketches:
+            resolved = cli.resolve_config(sketch)
+            del resolved["design"][DERIVED[sketch["mode"]]]
+            assert {block: sorted(keys) for block, keys in sketch.items() if block != "mode"} == \
+                {block: sorted(keys) for block, keys in resolved.items() if block != "mode"}
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_full_config_passes_dry_run(self, tmp_path, capsys, mode):
+        assert cli.main(["--config", full_config(tmp_path, mode, "full"), "--dry-run"]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert DERIVED[mode] in resolved["design"]
+        assert not (tmp_path / "full").exists()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_resolved_config_round_trip(self, tmp_path, mode):
+        assert cli.main(["--config", full_config(tmp_path, mode, "rt1")]) == 0
+        resolved = json.loads((tmp_path / "rt1" / "manifest.json").read_text())["config"]
+        resolved["output"]["directory"] = str(tmp_path / "rt2")
+        assert cli.main(["--config", write_config(tmp_path, "resolved.json", resolved)]) == 0
+        # identical campaign: same outputs, same config hash modulo output dir
+        for name in OUTPUTS[mode]:
+            assert (tmp_path / "rt1" / name).read_bytes() == (tmp_path / "rt2" / name).read_bytes()
+        resolved2 = json.loads((tmp_path / "rt2" / "manifest.json").read_text())["config"]
+        assert resolved2 == resolved
+        resolved2["output"]["directory"] = str(tmp_path / "rt1")
+        manifest1 = json.loads((tmp_path / "rt1" / "manifest.json").read_text())
+        assert cli.config_hash(resolved2) == manifest1["config_sha256"]
+
+    def test_threads_flag_on_analyze_exits_2(self, tmp_path, capsys):
+        # analyze calibrates one study in process and starts no pool
+        cfg = analyze_config(tmp_path, out="threads")
+        assert cli.main(["--config", cfg, "--threads", "2", "--dry-run"]) == 2
+        assert cli.main(["--config", cfg, "--threads", "2"]) == 2
+        assert "--threads: mode analyze reads no engine.threads" in capsys.readouterr().err
+        assert not (tmp_path / "threads").exists()
+
+    @pytest.mark.parametrize("mode, block, key", [
+        pytest.param(mode, block, key, id=f"{mode}-{key}") for block, key, modes in schema_keys()
+        if cli._SCHEMA[block][key][1] is cli._REQUIRED for mode in modes
+    ])
+    def test_required_key_missing_exits_2(self, tmp_path, capsys, mode, block, key):
+        # the grid's lists have no design.N or design.m fallback: the grid reads neither
+        payload = json.loads(open(full_config(tmp_path, mode, "missing")).read())
+        del payload[block][key]
+        cfg = write_config(tmp_path, "missing.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert f"mode {mode} needs {block}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+
+class TestResolvedSettingPair:
+    # the resolved config records the (setting, variance_mode) pair the run uses; the derived
+    # key may be left out, or given with the value the run uses, and no other
+
+    @staticmethod
+    def pair(mode, setting):
+        """(the key the mode reads, its value, the derived value) of a setting in that mode."""
+        variance_mode = sim.SETTINGS_TABLE[setting].variance_mode
+        if mode == "analyze":
+            return "variance_mode", variance_mode, setting
+        return "setting", setting, variance_mode
+
+    # analyze calibrates each variance mode by one setting (sim.ANALYSIS_SETTINGS)
+    CASES = [(mode, setting) for mode in cli.MODES[1:] for setting in sim.SETTINGS] + [
+        ("analyze", setting) for setting in sim.ANALYSIS_SETTINGS.values()
+    ]
+
+    @pytest.mark.parametrize("mode, setting", CASES)
+    def test_absent_derived_key_is_recorded(self, mode, setting):
+        source, value, derived = self.pair(mode, setting)
+        raw = {"mode": mode, **FULL_CONFIGS[mode]}
+        raw["design"] = {**raw["design"], source: value}
+        assert cli.resolve_config(raw)["design"][DERIVED[mode]] == derived
+
+    @pytest.mark.parametrize("mode, setting", CASES)
+    def test_agreeing_derived_key_is_accepted(self, mode, setting):
+        source, value, derived = self.pair(mode, setting)
+        raw = {"mode": mode, **FULL_CONFIGS[mode]}
+        raw["design"] = {**raw["design"], source: value}
+        absent = cli.resolve_config(raw)
+        raw["design"][DERIVED[mode]] = derived
+        assert cli.resolve_config(raw) == absent
+
+    @pytest.mark.parametrize("mode, setting", CASES)
+    def test_contradicting_derived_key_exits_2(self, tmp_path, capsys, mode, setting):
+        source, value, derived = self.pair(mode, setting)
+        other = next(v for v in (sim.SETTINGS if mode == "analyze" else VARIANCE_MODES) if v != derived)
+        cfg = full_config(tmp_path, mode, "pair", design={source: value, DERIVED[mode]: other})
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert f"design.{DERIVED[mode]} {other!r} contradicts design.{source} {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "pair").exists()
 
 
 class TestErrorPaths:
@@ -416,7 +572,8 @@ class TestErrorPaths:
         ({"1|T1": "abc"}, 1.0),  # non-numeric variance
         ({"1,2|T9": 0.5}, 1.0),  # no such cell in the design
         ({}, True),  # a JSON boolean is no variance
-    ], ids=["cells0", "cells1", "default_true"])
+        (["1|T1"], 1.0),  # cells is an object of cell keys
+    ], ids=["cells0", "cells1", "default_true", "cells_list"])
     def test_bad_variance_cells_exit_2(self, tmp_path, cells, default):
         payload = json.loads(open(analyze_config(tmp_path, out="badvar")).read())
         payload["design"]["variances"] = {"default": default, "cells": cells}
@@ -462,22 +619,59 @@ class TestErrorPaths:
         assert cli.main(["--config", cfg]) == 2
         assert not (tmp_path / "badgrid").exists()
 
-    @pytest.mark.parametrize("mode,design", [
-        ("simulate", {"setting": "Z"}),
-        ("simulate", {"prevalence_scheme": "bogus"}),
-        ("study-distribution", {"setting": "Z"}),
-        ("simulate", {"setting": "E", "m": 3}),
-        ("simulate", {"m": 13}),
-        ("simulate", {"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]}),
+    @pytest.mark.parametrize("mode, design, message", [
+        ("simulate", {"setting": "Z"}, "unknown setting 'Z'"),
+        ("simulate", {"prevalence_scheme": "bogus"}, "unknown prevalence scheme 'bogus'"),
+        ("study-distribution", {"setting": "Z"}, "unknown setting 'Z'"),
+        ("simulate", {"setting": "E", "m": 3}, "setting E is defined for m = 2 only"),
+        ("simulate", {"m": 13}, "population count m must be an integer in [2, 12], got 13"),
+        ("simulate", {"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]},
+         "explicit prevalences must sum to 1"),
     ])
-    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, mode, design):
+    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, mode, design, message):
+        engine = {"runs": 5} if mode == "simulate" else {"studies": 2, "runs_per_study": 5}
         payload = {
             "mode": mode,
             "design": {"m": 2, "N": 250, **design},
-            "engine": {"runs": 5},
+            "engine": engine,
             "output": {"directory": str(tmp_path / "dry")},
         }
         cfg = write_config(tmp_path, "dry.json", payload)
         assert cli.main(["--config", cfg, "--dry-run"]) == 2
         assert cli.main(["--config", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("config error: ") and message in line for line in err)
+        assert not (tmp_path / "dry").exists()
+
+    @pytest.mark.parametrize("counts, stratum", [
+        ({"1": 83, "2": 83, "1,2": 84, "2,1": 10}, "1,2"),
+        ({"1": 83, "2": 83, "1,2": 84, " 1": 10}, "1"),
+    ])
+    def test_stratum_counted_twice_exits_2(self, tmp_path, capsys, counts, stratum):
+        # the last count would silently replace the first
+        cfg = analyze_config(tmp_path, out="twice", counts=counts)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert f"design.strata_counts names stratum {stratum!r} twice" in capsys.readouterr().err
+        assert not (tmp_path / "twice").exists()
+
+    def test_variance_cell_named_twice_exits_2(self, tmp_path, capsys):
+        payload = json.loads(open(analyze_config(tmp_path, out="twice")).read())
+        payload["design"]["variances"] = {"default": 1.0, "cells": {"1,2|T1": 0.5, "2,1|T1": 0.7}}
+        cfg = write_config(tmp_path, "twice.json", payload)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert "design.variances.cells names cell '1,2|T1' twice" in capsys.readouterr().err
+        assert not (tmp_path / "twice").exists()
+
+    def test_variance_cells_read_stratum_labels_as_counts_do(self, tmp_path):
+        # "2,1" names the stratum {1, 2} in a cell key as in strata_counts
+        reports = []
+        for label in ("1,2", "2,1"):
+            payload = json.loads(open(analyze_config(tmp_path, out=label)).read())
+            payload["design"]["variances"] = {"default": 1.0, "cells": {f"{label}|C": 0.5}}
+            payload["design"]["variance_mode"] = "known_heterogeneous"
+            assert cli.main(["--config", write_config(tmp_path, "cell.json", payload)]) == 0
+            reports.append(json.loads((tmp_path / label / "report.json").read_text()))
+        assert reports[0] == reports[1]
+        assert reports[0]["critical_value"] != SHIPPED_REPORT["critical_value"]

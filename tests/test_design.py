@@ -117,7 +117,7 @@ class TestSampleStrataCounts:
     # the strata counts of a simulated study, drawn as a simulation run draws them
     def draw(self, N, pi, seed):
         scenario = sim.SimScenario(N=N, m=2, setting="A")
-        design = sim._draw(scenario, np.asarray(pi, float), np.random.default_rng(seed)).design
+        design = sim._draw_block(scenario, np.asarray(pi, float), [np.random.default_rng(seed)])[0].design
         return design.strata_counts
 
     def test_degenerate(self):

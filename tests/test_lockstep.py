@@ -241,7 +241,7 @@ def test_stacked_pwer_sums_have_the_bits_of_each_runs_own_sum():
         models.append(pwer.build_test_model(d, allow_empty_populations=True))
         weights.append(counts / counts.sum())
     weights[7] = weights[6]  # two runs share a pattern
-    plan = pwer._Plan(models, [(1e-6, 1e-7)] * 8, [None] * 8, weights)
+    plan = pwer._Plan(models, (1e-6, 1e-7), [None] * 8, weights)
     runs = np.arange(8)
     values = rng.uniform(0.5, 1.0, size=(8, 15))
     stacked = plan.pwer(runs, values)
@@ -276,7 +276,9 @@ def test_perfbench_tracer_installs_and_restores():
     try:
         assert sim.run_scenario(scenario).records == untraced
         assert sim._run_single(scenario, pi_true, 0) == untraced[0]
-        model = pwer.build_test_model(sim._draw(scenario, pi_true, np.random.default_rng(0)).design)
+        counts = sim._draw_block(scenario, pi_true, [np.random.default_rng(0)])[0].design.strata_counts
+        # runs build their designs in blocks (build_designs): call the wrapped build_design itself
+        model = pwer.build_test_model(sim.build_design(2, "pairwise_different", counts, 1.0, "known_homogeneous"))
         assert isinstance(pwer.solve_critical_values(np.full(3, 1 / 3), model, 0.025), pwer.CriticalValues)
     finally:
         tracer.restore()

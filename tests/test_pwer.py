@@ -522,7 +522,7 @@ class TestIndependenceStart:
         pi_true = sim.resolve_true_prevalences(scenario)
         rng = np.random.default_rng(100 * m + ord(setting))
         for _ in range(10):
-            design = sim._draw(scenario, pi_true, rng).design
+            design = sim._draw_block(scenario, pi_true, [rng])[0].design
             model = pwer.build_test_model(design)
             assert (model.full_corr >= 0.0).all()
             weights = design.strata_counts / design.N
@@ -706,7 +706,7 @@ def test_evaluation_budget(setting, m):
     # run 0 of each cell calibrates in at most four PWER evaluations
     scenario = sim.SimScenario(N=250, m=m, setting=setting, runs=1, master_seed=11)
     data = np.random.default_rng(sim._run_seed(scenario.master_seed, 0, 0))
-    study = sim._draw(scenario, sim.resolve_true_prevalences(scenario), data)
+    study = sim._draw_block(scenario, sim.resolve_true_prevalences(scenario), [data])[0]
     assert sim.calibrate(scenario, study).cv.evaluations <= 4
 
 
