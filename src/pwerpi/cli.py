@@ -46,7 +46,7 @@ _SCHEMA = {
         "transform": (str, "none", (ANALYZE, SIMULATE)),
     },
     "engine": {
-        "B": (int, 2000, (ANALYZE, SIMULATE, STUDIES)),
+        "B": (int, 2000, MODES),
         "runs": (int, 2000, (SIMULATE, GRID)),
         "studies": (int, 100, (STUDIES,)),
         "runs_per_study": (int, 1000, (STUDIES,)),

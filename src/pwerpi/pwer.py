@@ -20,8 +20,9 @@ sums their PWERs in one stacked pass; one array secant steps every run's
 c at once (_Secants, _step), in masked numpy operations with the bits of
 each run's scalar solve. The finished runs take one stacked verify pass
 (_verify). The interval's pieces come stacked too
-(delta_gammas, prediction_intervals, true_pwers), one row per run; the
-one-run functions are rows of one of them.
+(delta_gammas, prediction_intervals, true_pwers), one row per run, as do
+the test statistics of a stack of bootstrap nulls (test_statistics_block);
+the one-run functions are rows of one of them.
 """
 
 from __future__ import annotations
@@ -236,13 +237,33 @@ def test_statistics(design: Design, cell_means: np.ndarray) -> np.ndarray:
     """Standardized pooled treatment-control contrasts per population.
 
     cell_means is aligned with design.cells; a leading batch axis is allowed
-    and preserved. Cells with no patients carry weight zero.
+    and preserved. Cells with no patients carry weight zero. A block of one
+    of test_statistics_block.
     """
     means = np.asarray(cell_means, dtype=float)
-    v = _full_correlations([design])[1][0]
-    if np.isnan(v).any():
-        raise _empty_arm(design, v)
-    return (means @ arm_weight_matrix(design).T) / np.sqrt(v)
+    z, failed = test_statistics_block([design], means.reshape(1, -1, means.shape[-1]))
+    if failed:
+        raise failed[0]
+    return z[0].T.reshape(means.shape[:-1] + (design.m,))
+
+
+def test_statistics_block(
+    designs: Sequence[Design], cell_means: np.ndarray
+) -> tuple[np.ndarray, dict[int, InfeasibleDesignError]]:
+    """test_statistics of every design of one cell layout on its own cell means
+    (R, B, cells), population by population: (R, m, B), and the error of each
+    row whose design has a population with an empty arm (its row is NaN).
+
+    W and the V_i are one arm_weight_matrix and one _full_correlations call
+    over the designs, and the contrasts one stacked matmul; each row has the
+    bits of its own call.
+    """
+    v = _full_correlations(designs)[1]
+    w = arm_weight_matrix(designs[0], np.array([design.cell_sizes for design in designs]))
+    failed = {r: _empty_arm(designs[r], v[r]) for r in np.flatnonzero(np.isnan(v).any(axis=1)).tolist()}
+    z = np.ascontiguousarray((cell_means @ w.transpose(0, 2, 1)).transpose(0, 2, 1))
+    z /= np.sqrt(v)[:, :, None]
+    return z, failed
 
 
 def _c_vector(c, m: int) -> np.ndarray:

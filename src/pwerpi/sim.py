@@ -8,10 +8,14 @@ setting's own data), calibrates critical values on the estimated prevalences
 realized true PWER is covered. Runs go in blocks, each in three passes.
 Pass 1 (_draw_block) draws every run from its own data stream and builds the
 block's designs in one design.build_designs call. Pass 2 (_calibrate_block)
-calibrates them together, the exact-engine ones in one lockstep
+calibrates them together: the exact-engine ones in one lockstep
 (pwer.solve_lockstep), which plans the block's strata once, steps one array
 secant over every run on stacked PWER evaluations and verifies the finished
-runs in one stacked pass. Pass 3 (_records) computes every calibrated run's
+runs in one stacked pass; the bootstrap engines in stacks of runs
+(boot.chunks), each stack's nulls drawn from every run's own bootstrap
+stream and then studentised, reduced to stratum maxima and solved in one
+pass (boot.parametric_nulls, boot.projection_nulls,
+boot.solve_empirical_block). Pass 3 (_records) computes every calibrated run's
 gamma, interval, true PWER and coverage in one stacked pass. A run's records
 do not depend on the block it went in, and a run that fails in any pass
 fails alone. Each run's random streams are keyed by its run index
@@ -357,14 +361,17 @@ def _calibrate_block(
     engine reads it: the bootstrap engines read theirs up front, the exact
     engine its solve stream only once a QMC stratum or a verify recompute
     needs it. The block's weights (counts / N) are one (R, S) division, and
-    their transform one transform_weights call. The bootstrap engines
-    calibrate run by run. The exact-engine calibrations (exact and
-    satterthwaite) build the models of the whole block in one
-    pwer.build_test_models call, each with its run's df (satterthwaite's
-    after its bootstrap null), check truth against the strata with a defined
-    law of every model at once (pwer.defined_strata), and then run together
-    in one pwer.solve_lockstep, each on its own model; satterthwaite's FWER
-    comes from its bootstrap null afterwards.
+    their transform one transform_weights call. The bootstrap engines draw
+    and studentise their nulls in stacks of runs (boot.chunks), one
+    boot.parametric_nulls or boot.projection_nulls call each, and the
+    empirical engines solve each stack in one boot.solve_empirical_block.
+    The exact-engine calibrations (exact and satterthwaite) build the models
+    of the whole block in one pwer.build_test_models call, each with its
+    run's df (satterthwaite's after its bootstrap null), check truth against
+    the strata with a defined law of every model at once
+    (pwer.defined_strata), and then run together in one pwer.solve_lockstep,
+    each on its own model; satterthwaite's FWER comes from its bootstrap
+    null afterwards, one boot.null_fwers call per stack.
     """
     engine = SETTINGS_TABLE[scenario.setting].engine
     out: list = [None] * len(studies)
@@ -373,56 +380,66 @@ def _calibrate_block(
     designs = [study.design for study in studies]
     weights = np.array([design.strata_counts for design in designs]) / np.array([[design.N] for design in designs])
     used, factors = transform_weights(weights, scenario.transform, scenario.pi_min)
-    modeled = {}  # study index -> (bootstrap null or None, df or None)
-    for k, (study, run) in enumerate(zip(studies, runs)):
-        design = study.design
-        try:
-            null = df = None
+
+    def calibration(k, cv, rejected=0):
+        return cv if isinstance(cv, Exception) else Calibration(weights[k], used[k], factors[k], cv, rejected)
+
+    nulls = []  # satterthwaite: (stack, its boot.Nulls)
+    if engine != "exact":
+        for stack in boot.chunks(len(studies), scenario.B, len(designs[0].cells)):
+            rngs = [np.random.default_rng(_run_seed(scenario.master_seed, run, 1)) for run in runs[stack]]
             if engine == "projection_bootstrap":
-                null = boot.bootstrap_null_E(
-                    design, weights[k], study.effects, study.pooled_variance, scenario.B,
-                    np.random.default_rng(_run_seed(scenario.master_seed, run, 1)),
+                null = boot.projection_nulls(
+                    designs[stack], weights[stack], [study.effects for study in studies[stack]],
+                    [study.pooled_variance for study in studies[stack]], scenario.B, rngs,
                 )
-                cv = boot.solve_critical_empirical(null, used[k], scenario.alpha)
-                out[k] = Calibration(weights[k], used[k], factors[k], cv, null.rejected_resamples)
+            else:
+                null = boot.parametric_nulls(designs[stack], scenario.B, rngs)
+            if engine == "satterthwaite":
+                nulls.append((stack, null))
+                for row, exc in null.failed.items():
+                    out[stack.start + row] = exc
                 continue
-            if engine != "exact":
-                null = boot.bootstrap_null_D(
-                    design, scenario.B, np.random.default_rng(_run_seed(scenario.master_seed, run, 1))
-                )
-                if engine == "parametric_bootstrap":
-                    cv = boot.solve_critical_empirical(null, used[k], scenario.alpha)
-                    out[k] = Calibration(weights[k], used[k], factors[k], cv, 0)
-                    continue
+            solved = boot.solve_empirical_block(null, used[stack], scenario.alpha)
+            for k, cv, rejected in zip(range(stack.start, stack.stop), solved, null.rejected.tolist()):
+                out[k] = calibration(k, cv, rejected)
+        if engine != "satterthwaite":
+            return out
+    modeled = {}  # study index -> df or None
+    for k, design in enumerate(designs):
+        if out[k] is None:
+            try:
                 # c* from the Satterthwaite t model, its FWER from the bootstrap null
-                df = boot.satterthwaite_df(design)
-            modeled[k] = (null, df)
-        except pwer.RUN_ERRORS as exc:
-            out[k] = exc
+                modeled[k] = boot.satterthwaite_df(design) if engine == "satterthwaite" else None
+            except pwer.RUN_ERRORS as exc:
+                out[k] = exc
     models = pwer.build_test_models(
-        [designs[k] for k in modeled], [df for _, df in modeled.values()], allow_empty_populations=engine == "exact"
+        [designs[k] for k in modeled], list(modeled.values()), allow_empty_populations=engine == "exact"
     )
-    lockstep = {}  # study index -> (model, bootstrap null or None)
-    for (k, (null, _)), model in zip(modeled.items(), models):
+    lockstep = {}  # study index -> model
+    for k, model in zip(modeled, models):
         if isinstance(model, Exception):
             out[k] = model
         else:
-            lockstep[k] = (model, null)
+            lockstep[k] = model
     if truth is not None and lockstep:
-        undefined = ~pwer.defined_strata(np.array([model.population_variances for model, _ in lockstep.values()]))
+        undefined = ~pwer.defined_strata(np.array([model.population_variances for model in lockstep.values()]))
         for k in np.array(list(lockstep))[(undefined & (truth > 0)).any(axis=1)].tolist():
             out[k] = InfeasibleDesignError("true prevalence weights a stratum without a defined joint law")
             del lockstep[k]
-    solved = pwer.solve_lockstep(
-        [model for model, _ in lockstep.values()],
+    solved = dict(zip(lockstep, pwer.solve_lockstep(
+        list(lockstep.values()),
         used[list(lockstep)],
         scenario.alpha,
         [partial(_integration_seed, scenario.master_seed, runs[k]) for k in lockstep],
-    )
-    for (k, (_, null)), cv in zip(lockstep.items(), solved):
-        if isinstance(cv, pwer.CriticalValues) and null is not None:
-            cv = replace(cv, fwer=boot.null_fwer(null, cv.value))
-        out[k] = cv if isinstance(cv, Exception) else Calibration(weights[k], used[k], factors[k], cv, 0)
+    )))
+    for stack, null in nulls:
+        done = [k for k in range(stack.start, stack.stop) if isinstance(solved.get(k), pwer.CriticalValues)]
+        fwers = boot.null_fwers(null.statistics[[k - stack.start for k in done]], [solved[k].value for k in done])
+        for k, fwer in zip(done, fwers):
+            solved[k] = replace(solved[k], fwer=fwer)
+    for k, cv in solved.items():
+        out[k] = calibration(k, cv)
     return out
 
 
@@ -764,6 +781,7 @@ def min_prevalence_grid_cells(
     pi_min_list: Sequence = PI_MIN_LABELS,
     transform_list: Sequence[str] = ("floor", "shift"),
     runs: int = 2000,
+    B: int = 2000,
     master_seed: int = 0,
     setting: str = "A",
     treatment_scheme: str = "pairwise_different",
@@ -792,6 +810,7 @@ def min_prevalence_grid_cells(
                         alpha=alpha,
                         alpha_prime=alpha_prime,
                         runs=runs,
+                        B=B,
                         pi_min=pi_min,
                         transform=transform if pi_min > 0.0 else TRANSFORM_NONE,
                         master_seed=cell_seed,

@@ -213,6 +213,48 @@ def empirical_critical_full(null, pi_hat, alpha):
     return c_star, fwer, float(np.dot(weights, fwer))
 
 
+def parametric_null_run_by_run(design, B, rng):
+    """(B, m) statistics of one run's parametric bootstrap null, computed alone as
+    each run did before the nulls were stacked: the reference for boot.parametric_nulls."""
+    from pwerpi import pwer
+
+    sizes = design.cell_sizes.astype(float)
+    scale = np.where(sizes > 0, np.sqrt(design.cell_variances / np.maximum(sizes, 1.0)), 0.0)
+    means = rng.standard_normal((int(B), len(design.cells))) * scale[None, :]
+    v = pwer._full_correlations([design])[1][0]
+    return (means @ pwer.arm_weight_matrix(design).T) / np.sqrt(v)
+
+
+def projection_null_run_by_run(design, pi_hat, observed_effects, pooled_variance, B, rng, max_rounds=1000):
+    """((B, 2) statistics, resamples redrawn) of one run's projection bootstrap null,
+    computed alone as each run did before the nulls were stacked: the reference
+    for boot.projection_nulls."""
+    from pwerpi import boot
+
+    weights = np.asarray(pi_hat, dtype=float)
+    theta = boot.project_to_null(observed_effects, weights, design.m)
+    centers = np.where(design.control_member.any(axis=0), 0.0, theta[design.stratum_of_cell])
+    t_member = design.treatment_member.T.astype(float)
+    c_member = design.control_member.T.astype(float)
+    counts = rng.multinomial(design.N, weights, size=B)
+    rejected = 0
+    for _ in range(max_rounds):
+        cell_n = design.split_counts(counts).astype(float)
+        n_t, n_c = cell_n @ t_member, cell_n @ c_member
+        if n_t.all() and n_c.all():
+            break
+        bad = ((n_t == 0) | (n_c == 0)).any(axis=1)
+        rejected += int(bad.sum())
+        counts[bad] = rng.multinomial(design.N, weights, size=int(bad.sum()))
+    else:
+        raise AssertionError("redraws exhausted")
+    scale = np.sqrt(np.divide(pooled_variance, cell_n, out=np.zeros_like(cell_n), where=cell_n > 0))
+    means = centers[None, :] + rng.standard_normal((B, len(design.cells))) * scale
+    totals = means * cell_n
+    contrast = totals @ t_member / n_t - totals @ c_member / n_c
+    return contrast / np.sqrt(pooled_variance * (1.0 / n_t + 1.0 / n_c)), rejected
+
+
 def upper_quantile(model, p):
     """Upper-tail quantile of p under the model's marginal law, one scalar call (the
     reference for pwer._upper_quantiles): p clamped into [1e-100, 1 - 2^-53], then

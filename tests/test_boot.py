@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pwerpi import boot, design as dz, pwer
-from pwerpi.errors import ConfigError, InfeasibleDesignError
+from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
-from oracles import empirical_critical_full
+from oracles import empirical_critical_full, parametric_null_run_by_run, projection_null_run_by_run
 
 ALPHA = 0.025
 
@@ -80,6 +80,22 @@ class TestBootstrapNullD:
         corr = pwer.build_test_model(d, df=boot.satterthwaite_df(d)).full_corr
         emp = np.corrcoef(null.statistics.T)[0, 1]
         assert emp == pytest.approx(corr[0, 1], abs=0.03)
+
+    @pytest.mark.parametrize("m, scheme", [(2, "single"), (2, "pairwise_different"),
+                                           (3, "single"), (3, "pairwise_different")])
+    def test_stacked_rows_equal_each_run_alone(self, m, scheme):
+        # one stack of 24 runs against each run's null drawn and studentised alone
+        rng = np.random.default_rng(10 * m + len(scheme))
+        layout = dz.cell_layout(m, scheme)
+        designs = [dz.build_design(m, scheme, rng.multinomial(250, np.full(2**m - 1, 1 / (2**m - 1))),
+                                   rng.uniform(0.1, 1.0, len(layout.cells)), "unknown_heterogeneous")
+                   for _ in range(24)]
+        nulls = boot.parametric_nulls(designs, 1000, [np.random.default_rng(k) for k in range(24)])
+        assert nulls.failed == {} and nulls.statistics.shape == (24, m, 1000)
+        for k, design in enumerate(designs):
+            alone = parametric_null_run_by_run(design, 1000, np.random.default_rng(k))
+            assert np.array_equal(nulls.statistics[k].T, alone)
+            assert np.array_equal(boot.bootstrap_null_D(design, 1000, np.random.default_rng(k)).statistics, alone)
 
     def test_deterministic(self):
         d = single_scheme_design()
@@ -193,6 +209,44 @@ class TestTailSolverMatchesFullSet:
             assert np.array_equal(cv.fwer, fwer), alpha
             assert np.array_equal(cv.fwer, boot.null_fwer(null, cv.value)), alpha
             assert cv.achieved == achieved and cv.verified == achieved, alpha
+
+
+class TestBlockSolver:
+    @pytest.mark.parametrize("B", [1000, 10_000])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_equal_their_full_set_and_block_of_one_solves(self, m, B):
+        # every tail case of one m as a row of one block, the widening ones among them
+        cases = [case for case in sorted(TAIL_CASES) if TAIL_CASES[case][0] == m]
+        assert any(case.endswith("_widens") for case in cases)
+        nulls, weights = [], []
+        for case in cases:
+            _, transform, w = TAIL_CASES[case]
+            stats = correlated_statistics(m, B, seed=B + m)
+            nulls.append(boot.EmpiricalNull(statistics=stats if transform is None else transform(stats)))
+            weights.append(w)
+        weights = np.array(weights)
+        block = boot.Nulls(np.stack([null.statistics.T for null in nulls]), np.zeros(len(cases), dtype=int), {})
+        for alpha in (0.01, 0.02, 0.025, 0.05, 0.1, 0.25, 0.49):
+            if B * alpha < boot.MIN_TAIL_RESAMPLES:
+                with pytest.raises(ConfigError):
+                    boot.solve_empirical_block(block, weights, alpha)
+                continue
+            solved = boot.solve_empirical_block(block, weights, alpha)
+            for case, null, w, cv in zip(cases, nulls, weights, solved):
+                c_star, fwer, achieved = empirical_critical_full(null, w, alpha)
+                alone = boot.solve_critical_empirical(null, w, alpha)
+                assert np.array_equal(cv.c, np.full(m, c_star)) and np.array_equal(alone.c, cv.c), (case, alpha)
+                assert np.array_equal(cv.fwer, fwer) and np.array_equal(alone.fwer, fwer), (case, alpha)
+                assert cv.achieved == achieved == alone.achieved, (case, alpha)
+
+    def test_a_row_fails_alone(self):
+        stats = np.stack([correlated_statistics(2, 2000, seed=k).T for k in range(3)])
+        weights = np.array([[0.3, 0.3, 0.4], [0.0, 0.0, 0.0], [0.2, 0.2, 0.6]])
+        block = boot.Nulls(stats, np.zeros(3, dtype=int), {2: NumericalError("no null")})
+        solved = boot.solve_empirical_block(block, weights, ALPHA)
+        assert str(solved[1]) == "prevalence vector has no positive component" and str(solved[2]) == "no null"
+        alone = boot.solve_critical_empirical(boot.EmpiricalNull(stats[0].T), weights[0], ALPHA)
+        assert np.array_equal(solved[0].c, alone.c) and np.array_equal(solved[0].fwer, alone.fwer)
 
 
 class TestNullFwer:
@@ -317,6 +371,37 @@ class TestSettingE:
         assert a.rejected_resamples > 0
         assert a.rejected_resamples == b.rejected_resamples
         assert np.array_equal(a.statistics, b.statistics)
+
+    @pytest.mark.parametrize("scheme", ["single", "pairwise_different"])
+    def test_stacked_rows_equal_each_run_alone(self, scheme):
+        # small trials redraw many resamples, each run in its own rounds
+        rng = np.random.default_rng(len(scheme))
+        designs, pis, effects, pooled = [], [], [], []
+        for k in range(12):
+            counts = rng.multinomial(8 + k, [0.4, 0.4, 0.2])
+            try:
+                designs.append(dz.build_design(2, scheme, counts, 1.0, "unknown_homogeneous"))
+            except InfeasibleDesignError:
+                continue
+            pis.append(rng.dirichlet(np.full(3, 2.0)))
+            effects.append(rng.normal(size=3))
+            pooled.append(rng.uniform(0.2, 1.5))
+        nulls = boot.projection_nulls(designs, np.array(pis), effects, pooled, 1000,
+                                      [np.random.default_rng(k) for k in range(len(designs))])
+        assert nulls.failed == {} and len(designs) >= 8
+        for k, design in enumerate(designs):
+            stats, rejected = projection_null_run_by_run(design, pis[k], effects[k], pooled[k], 1000,
+                                                         np.random.default_rng(k))
+            assert np.array_equal(nulls.statistics[k].T, stats) and nulls.rejected[k] == rejected
+        assert (nulls.rejected > 0).sum() >= 4
+
+    @pytest.mark.parametrize("m, scheme", [(2, "single"), (2, "pairwise_different"), (3, "pairwise_different")])
+    def test_cell_sizes_split_as_the_layout_does(self, m, scheme):
+        layout = dz.cell_layout(m, scheme)
+        counts = np.random.default_rng(m).integers(0, 10**6, size=(3, 50, 2**m - 1))
+        counts[0, :10] = np.arange(10)[:, None]  # every remainder of a small stratum
+        expected = layout.split_counts(counts).astype(float).transpose(0, 2, 1)
+        assert np.array_equal(boot._cell_sizes(layout, counts), expected)
 
     def test_m3_rejected(self):
         d3 = dz.build_design(3, "single", [30] * 7, 1.0, "unknown_homogeneous")

@@ -248,6 +248,27 @@ class TestMinprevGrid:
         assert coverage[0] == "N,pi_min,floor_m2,shift_m2"
         assert len(coverage) == len(lengths) == 3
 
+    def test_resampling_grid_runs_at_its_B(self, tmp_path, monkeypatch):
+        # engine.B reaches every cell of a resampling grid, up to the paper's 10^4
+        payload = {
+            "mode": "minprev-grid",
+            "design": {"setting": "D_bootstrap", "treatment_scheme": "single"},
+            "engine": {"runs": 2, "B": 10_000, "master_seed": 3, "N_list": [250, 500], "m_list": [2, 3],
+                       "pi_min_list": ["0", "1/(2^(m+2)-4)"]},
+            "output": {"directory": str(tmp_path / "grid")},
+        }
+        cfg = write_config(tmp_path, "grid.json", payload)
+        built, cells = [], sim.min_prevalence_grid_cells
+
+        def recording(*args, **kwargs):
+            built.extend(cells(*args, **kwargs))
+            return built
+
+        monkeypatch.setattr(sim, "min_prevalence_grid_cells", recording)
+        assert cli.main(["--config", cfg, "--dry-run"]) == 0
+        assert len(built) == 2 * 2 * 2 * 2 and {scenario.B for *_, scenario in built} == {10_000}
+        assert {scenario.setting for *_, scenario in built} == {"D_bootstrap"}
+
 
 class TestStudyDistributionMode:
     def test_runs_and_writes(self, tmp_path):
@@ -291,7 +312,7 @@ FULL_CONFIGS = {
     "minprev-grid": {
         "design": {"setting": "A", "treatment_scheme": "single"},
         "interval": {"alpha": 0.025, "alpha_prime": 0.05},
-        "engine": {"runs": 5, "threads": 1, "master_seed": 3, "N_list": [250], "m_list": [2],
+        "engine": {"runs": 5, "B": 2000, "threads": 1, "master_seed": 3, "N_list": [250], "m_list": [2],
                    "pi_min_list": ["0", "1/(2^(m+2)-4)"], "transform_list": ["floor"]},
     },
 }
@@ -338,9 +359,9 @@ class TestModeKeys:
             "study-distribution": sorted(["m", "N", "setting", "treatment_scheme", "alpha", "alpha_prime",
                                           "studies", "runs_per_study", "B", "threads", "master_seed",
                                           "directory"]),
-            "minprev-grid": sorted(["setting", "treatment_scheme", "alpha", "alpha_prime", "runs", "threads",
-                                    "master_seed", "N_list", "m_list", "pi_min_list", "transform_list",
-                                    "directory"]),
+            "minprev-grid": sorted(["setting", "treatment_scheme", "alpha", "alpha_prime", "runs", "B",
+                                    "threads", "master_seed", "N_list", "m_list", "pi_min_list",
+                                    "transform_list", "directory"]),
         }
         # the full configs set every key their mode reads
         for mode, payload in FULL_CONFIGS.items():

@@ -49,6 +49,13 @@ def records_csv(scenario, path):
                       pi_min=1 / 28), id="A_m3_floor"),
     pytest.param(dict(m=4, setting="A"), id="A_m4"),
     pytest.param(dict(m=4, setting="C", runs=8), id="C_m4"),
+    # the benchmark's resampling cells; their stacks of runs (boot.chunks) cut blocks of 7 and 40
+    *[pytest.param(dict(m=2, setting=setting, treatment_scheme="single"), id=f"{setting}_m2_single")
+      for setting in ("D_satterthwaite", "D_bootstrap", "E")],
+    # seven strata, whose maxima tie across up to four strata
+    pytest.param(dict(m=3, setting="D_bootstrap"), id="D_bootstrap_m3"),
+    # at N=16 half the runs redraw resamples with an empty population arm
+    pytest.param(dict(N=16, m=2, setting="E"), id="E_m2_redrawn"),
 ])
 def test_records_do_not_depend_on_the_block_size(monkeypatch, tmp_path, fields):
     scenario = sim.SimScenario(**{"N": 250, "runs": 40, "master_seed": 17, **fields})
@@ -57,6 +64,9 @@ def test_records_do_not_depend_on_the_block_size(monkeypatch, tmp_path, fields):
         monkeypatch.setattr(sim, "_BLOCK_RUNS", size)
         written.append(records_csv(scenario, tmp_path / f"records_{size}.csv"))
     assert written[0] == written[1] == written[2]
+    if scenario.N == 16:
+        rejected = [int(row.split(",")[-1]) for row in written[0].decode().splitlines()[1:]]
+        assert max(rejected) > 0
 
 
 # N=30 with 2% on population 2: many runs leave it without both arms

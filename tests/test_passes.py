@@ -218,12 +218,15 @@ def test_satterthwaite_runs_fail_by_null_then_df_then_model(monkeypatch):
     pi_true = sim.resolve_true_prevalences(scenario)
     rngs = [np.random.default_rng(sim._run_seed(scenario.master_seed, i, 0)) for i in range(8)]
     key = [study.design.strata_counts.tobytes() for study in sim._draw_block(scenario, pi_true, rngs)]
-    null, df = sim.boot.bootstrap_null_D, sim.boot.satterthwaite_df
+    nulls, df = sim.boot.parametric_nulls, sim.boot.satterthwaite_df
 
-    def patched_null(design, B, rng):
-        if key.index(design.strata_counts.tobytes()) in (1, 3):
-            raise ConfigError("no null")
-        return null(design, B, rng)
+    def patched_nulls(designs, B, rngs):
+        # the block draws its nulls in stacks: runs 1 and 3 fail in theirs
+        out = nulls(designs, B, rngs)
+        for row, design in enumerate(designs):
+            if key.index(design.strata_counts.tobytes()) in (1, 3):
+                out.failed[row] = ConfigError("no null")
+        return out
 
     def patched_df(design):
         run = key.index(design.strata_counts.tobytes())
@@ -231,7 +234,7 @@ def test_satterthwaite_runs_fail_by_null_then_df_then_model(monkeypatch):
             raise NumericalError("no df")
         return math.nan if run == 4 else df(design)  # a NaN df fails the model
 
-    monkeypatch.setattr(sim.boot, "bootstrap_null_D", patched_null)
+    monkeypatch.setattr(sim.boot, "parametric_nulls", patched_nulls)
     monkeypatch.setattr(sim.boot, "satterthwaite_df", patched_df)
     block = sim._run_block(scenario, pi_true, range(8))
     alone = [pair for i in range(8) for pair in sim._run_block(scenario, pi_true, [i])]
@@ -241,3 +244,40 @@ def test_satterthwaite_runs_fail_by_null_then_df_then_model(monkeypatch):
         "ConfigError: degrees of freedom must be a finite real >= 1, got nan",
     ]
     assert all(isinstance(payload, sim.RunRecord) for _, payload in block[:1] + block[5:])
+
+
+def empty_population_of_run(k):
+    """A _draw_data whose k-th call of a block moves every patient to stratum {2}:
+    population 1 of that run has two empty arms."""
+    draw, calls = sim._draw_data, []
+
+    def patched(scenario, layout, pi_true, rng):
+        counts, variances = draw(scenario, layout, pi_true, rng)
+        calls.append(rng)
+        return (np.array([0, counts.sum(), 0]) if len(calls) == k + 1 else counts), variances
+
+    return patched
+
+
+@pytest.mark.parametrize("setting", ["D_bootstrap", "D_satterthwaite"])
+def test_a_run_with_an_empty_population_fails_alone_in_its_stack(monkeypatch, setting):
+    # the nulls are drawn and studentised in stacks of runs; run 5's has no population 1
+    scenario = sim.SimScenario(N=250, m=2, setting=setting, runs=12, master_seed=8)
+    pi_true = sim.resolve_true_prevalences(scenario)
+    clean = sim._run_block(scenario, pi_true, range(12))
+    monkeypatch.setattr(sim, "_draw_data", empty_population_of_run(5))
+    block = sim._run_block(scenario, pi_true, range(12))
+    assert block[5] == (5, "InfeasibleDesignError: population 1 has an empty treatment arm")
+    assert repr(block[:5] + block[6:]) == repr(clean[:5] + clean[6:])
+
+
+def test_a_run_exhausting_its_redraws_fails_alone_in_its_stack(monkeypatch):
+    # at N=30 run 3 alone redraws a resample; with a single round it cannot
+    scenario = sim.SimScenario(N=30, m=2, setting="E", runs=12, master_seed=17)
+    pi_true = sim.resolve_true_prevalences(scenario)
+    clean = sim._run_block(scenario, pi_true, range(12))
+    assert [record.rejected_resamples for _, record in clean] == [0, 0, 0, 1] + [0] * 8
+    monkeypatch.setattr(sim.boot, "_MAX_REDRAW_ROUNDS", 1)
+    block = sim._run_block(scenario, pi_true, range(12))
+    assert block[3] == (3, "NumericalError: projection bootstrap kept producing empty population arms")
+    assert repr(block[:3] + block[4:]) == repr(clean[:3] + clean[4:])
