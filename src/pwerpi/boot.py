@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import pwer
-from .design import CellLayout, Design, cell_layout, prevalence_weights, stratum_members
+from .design import Design, cell_layout, prevalence_weights, stratum_members
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 # redraw rounds for resamples with an empty population arm before giving up
@@ -317,17 +317,6 @@ def project_to_null(effects: np.ndarray, weights: np.ndarray, m: int) -> np.ndar
     return theta - np.linalg.pinv(constraint) @ (constraint @ theta)
 
 
-def _cell_sizes(layout: CellLayout, counts: np.ndarray) -> np.ndarray:
-    """The cell sizes of strata counts (R, B, S), as layout.split_counts gives them,
-    as floats cell by cell: (R, cells, B). The arm at slot s of a stratum of c
-    patients and a arms gets floor((c + a - 1 - s) / a), exact in floats."""
-    arms = layout.arm_count[:, None]
-    sizes = counts.transpose(0, 2, 1).astype(float)[:, layout.stratum_of_cell]
-    sizes += arms - 1 - layout.arm_slot[:, None]
-    sizes /= arms
-    return np.floor(sizes, out=sizes)
-
-
 def projection_nulls(
     designs: Sequence[Design],
     pi_hat: np.ndarray,
@@ -341,8 +330,8 @@ def projection_nulls(
 
     Each run checks its inputs and projects its effects alone, then draws from
     its stream in a run's order: the strata sizes, its redraw rounds, the
-    normals. The cell sizes, means and totals of the stack are laid out cell
-    by cell, (R, cells, B); the empty-arm checks go round by round over the
+    normals. The cell sizes and totals of the stack are (R, B, cells), as the
+    normals are drawn; the empty-arm checks go round by round over the
     stack, and the contrasts are one matmul over it: at m = 2 each arm sums
     at most two nonzero cells, so every order gives the same bits.
     """
@@ -352,7 +341,7 @@ def projection_nulls(
     R, B, S, cells = len(designs), int(B), len(layout.strata), len(layout.cells)
     failed: dict[int, PwerError] = {}
     weights = np.zeros((R, S))
-    centers = np.zeros((R, cells, 1))
+    centers = np.zeros((R, 1, cells))
     is_control = layout.control_member.any(axis=0)
     for r in range(R):
         try:
@@ -360,17 +349,17 @@ def projection_nulls(
                 raise ConfigError(f"pooled variance must be positive, got {pooled_variances[r]}")
             weights[r] = prevalence_weights(pi_hat[r], S)
             theta = project_to_null(observed_effects[r], weights[r], 2)
-            centers[r, :, 0] = np.where(is_control, 0.0, theta[layout.stratum_of_cell])
+            centers[r, 0] = np.where(is_control, 0.0, theta[layout.stratum_of_cell])
         except pwer.RUN_ERRORS as exc:
             failed[r] = exc
     counts = np.zeros((R, B, S), dtype=np.int64)
     for r in range(R):
         if r not in failed:
             counts[r] = rngs[r].multinomial(designs[r].N, weights[r], size=B)
-    t_member = layout.treatment_member.astype(float)
-    c_member = layout.control_member.astype(float)
-    cell_n = _cell_sizes(layout, counts)
-    n_t, n_c = t_member @ cell_n, c_member @ cell_n
+    t_member = layout.treatment_member.T.astype(float)
+    c_member = layout.control_member.T.astype(float)
+    cell_n = layout.split_counts(counts).astype(float)
+    n_t, n_c = cell_n @ t_member, cell_n @ c_member
     empty = (n_t == 0) | (n_c == 0)
     rejected = np.zeros(R, dtype=int)
     pending = np.array([r for r in np.flatnonzero(empty.any(axis=(1, 2))).tolist() if r not in failed], dtype=int)
@@ -378,11 +367,11 @@ def projection_nulls(
         if not pending.size:
             break
         for r in pending.tolist():
-            redraw = empty[r].any(axis=0)
+            redraw = empty[r].any(axis=1)
             rejected[r] += int(redraw.sum())
             counts[r, redraw] = rngs[r].multinomial(designs[r].N, weights[r], size=int(redraw.sum()))
-        cell_n[pending] = _cell_sizes(layout, counts[pending])
-        n_t[pending], n_c[pending] = t_member @ cell_n[pending], c_member @ cell_n[pending]
+        cell_n[pending] = layout.split_counts(counts[pending])
+        n_t[pending], n_c[pending] = cell_n[pending] @ t_member, cell_n[pending] @ c_member
         empty[pending] = (n_t[pending] == 0) | (n_c[pending] == 0)
         pending = pending[empty[pending].any(axis=(1, 2))]
     for r in pending.tolist():
@@ -398,13 +387,13 @@ def projection_nulls(
     # the cell totals n * (center + normal * sqrt(pooled variance / n)), in place
     totals = np.divide(pooled, cell_n, out=np.zeros_like(cell_n), where=cell_n > 0)
     np.sqrt(totals, out=totals)
-    totals *= normals.transpose(0, 2, 1)
+    totals *= normals
     totals += centers
     totals *= cell_n
     # pooled contrasts with the redrawn sizes; homogeneous pooled variance
-    contrast = t_member @ totals / n_t - c_member @ totals / n_c
+    contrast = totals @ t_member / n_t - totals @ c_member / n_c
     stats = np.full((R, 2, B), np.nan)
-    stats[drawn] = contrast / np.sqrt(pooled * (1.0 / n_t + 1.0 / n_c))
+    stats[drawn] = (contrast / np.sqrt(pooled * (1.0 / n_t + 1.0 / n_c))).transpose(0, 2, 1)
     return Nulls(stats, rejected, _checked(stats, failed))
 
 

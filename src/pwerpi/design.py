@@ -128,8 +128,9 @@ class CellLayout(NamedTuple):
 
     def split_counts(self, counts) -> np.ndarray:
         """Cell sizes of (..., strata) counts: each stratum split evenly over its arms."""
-        share, rest = np.divmod(np.asarray(counts)[..., self.stratum_of_cell], self.arm_count)
-        return share + (self.arm_slot < rest)
+        # of a stratum's c patients, slot s of a arms gets floor(c / a), plus one while s < c mod a
+        c = np.asarray(counts)[..., self.stratum_of_cell]
+        return (c + (self.arm_count - 1 - self.arm_slot)) // self.arm_count
 
 
 def cell_layout(m: int, treatment_scheme: str) -> CellLayout:
@@ -187,9 +188,10 @@ class Design:
     treatment_member/control_member are read. Cells are (stratum, arm)
     pairs; zero-count cells are kept so that vectors over cells have a fixed
     shape. The design is the one holder of the arm sizes and the variances:
-    N and cell_sizes (the even split of strata_counts, split_counts) are
-    derived, and cell_variances holds each cell's variance, known or observed
-    as variance_mode says. Every engine reads them from here.
+    N and cell_sizes (the even split of strata_counts,
+    CellLayout.split_counts) are derived, and cell_variances holds each
+    cell's variance, known or observed as variance_mode says. Every engine
+    reads them from here.
     """
 
     m: int
@@ -228,10 +230,6 @@ class Design:
     @property
     def n_strata(self) -> int:
         return len(self.strata)
-
-    def split_counts(self, counts) -> np.ndarray:
-        """Cell sizes of (strata,) or (B, strata) counts (CellLayout.split_counts)."""
-        return cell_layout(self.m, self.treatment_scheme).split_counts(counts)
 
     @property
     def residual_df(self) -> int:

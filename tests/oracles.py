@@ -230,7 +230,9 @@ def projection_null_run_by_run(design, pi_hat, observed_effects, pooled_variance
     computed alone as each run did before the nulls were stacked: the reference
     for boot.projection_nulls."""
     from pwerpi import boot
+    from pwerpi.design import cell_layout
 
+    layout = cell_layout(design.m, design.treatment_scheme)
     weights = np.asarray(pi_hat, dtype=float)
     theta = boot.project_to_null(observed_effects, weights, design.m)
     centers = np.where(design.control_member.any(axis=0), 0.0, theta[design.stratum_of_cell])
@@ -239,7 +241,7 @@ def projection_null_run_by_run(design, pi_hat, observed_effects, pooled_variance
     counts = rng.multinomial(design.N, weights, size=B)
     rejected = 0
     for _ in range(max_rounds):
-        cell_n = design.split_counts(counts).astype(float)
+        cell_n = layout.split_counts(counts).astype(float)
         n_t, n_c = cell_n @ t_member, cell_n @ c_member
         if n_t.all() and n_c.all():
             break

@@ -395,14 +395,6 @@ class TestSettingE:
             assert np.array_equal(nulls.statistics[k].T, stats) and nulls.rejected[k] == rejected
         assert (nulls.rejected > 0).sum() >= 4
 
-    @pytest.mark.parametrize("m, scheme", [(2, "single"), (2, "pairwise_different"), (3, "pairwise_different")])
-    def test_cell_sizes_split_as_the_layout_does(self, m, scheme):
-        layout = dz.cell_layout(m, scheme)
-        counts = np.random.default_rng(m).integers(0, 10**6, size=(3, 50, 2**m - 1))
-        counts[0, :10] = np.arange(10)[:, None]  # every remainder of a small stratum
-        expected = layout.split_counts(counts).astype(float).transpose(0, 2, 1)
-        assert np.array_equal(boot._cell_sizes(layout, counts), expected)
-
     def test_m3_rejected(self):
         d3 = dz.build_design(3, "single", [30] * 7, 1.0, "unknown_homogeneous")
         with pytest.raises(ConfigError):

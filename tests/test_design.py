@@ -186,7 +186,7 @@ class TestAllocateArms:
         # a (B, strata) count array splits row by row, stratum by stratum
         counts = np.random.default_rng(m).integers(0, 40, size=(20, 2**m - 1))
         d = dz.build_design(m, scheme, counts[0] + 1, 1.0, "known_homogeneous")
-        for row, sizes in zip(counts, d.split_counts(counts)):
+        for row, sizes in zip(counts, dz.cell_layout(m, scheme).split_counts(counts)):
             for j in range(len(d.strata)):
                 arms = arms_of(d, j)
                 base, extra = divmod(int(row[j]), len(arms))
