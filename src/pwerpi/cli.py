@@ -9,6 +9,7 @@ configuration error, 3 numerical failure, 4 infeasible design.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +25,8 @@ from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerErro
 MODES = ("analyze", "simulate", "study-distribution", "minprev-grid")
 ANALYZE, SIMULATE, STUDIES, GRID = MODES
 _REQUIRED = object()
+# a key named as a SimScenario field takes that field's default
+_SCENARIO = {f.name: f.default for f in dataclasses.fields(sim.SimScenario)}
 
 # schema: block -> key -> (type, default, the modes that read it); a mode takes no other key
 _SCHEMA = {
@@ -32,30 +35,30 @@ _SCHEMA = {
         "m": (int, _REQUIRED, (ANALYZE, SIMULATE, STUDIES)),
         "N": (int, _REQUIRED, (SIMULATE, STUDIES)),
         "strata_counts": (dict, _REQUIRED, (ANALYZE,)),
-        "prevalence_scheme": (str, "equal", (SIMULATE,)),
-        "explicit_prevalences": (list, None, (SIMULATE,)),
-        "treatment_scheme": (str, "pairwise_different", MODES),
+        "prevalence_scheme": (str, _SCENARIO["prevalence_scheme"], (SIMULATE,)),
+        "explicit_prevalences": (list, _SCENARIO["explicit_prevalences"], (SIMULATE,)),
+        "treatment_scheme": (str, _SCENARIO["treatment_scheme"], MODES),
         "variances": ((int, float, dict), 1.0, (ANALYZE,)),
         "variance_mode": (str, "known_homogeneous", (ANALYZE,)),
         "setting": (str, "A", (SIMULATE, STUDIES, GRID)),
     },
     "interval": {
-        "alpha": (float, 0.025, MODES),
-        "alpha_prime": (float, 0.05, MODES),
-        "pi_min": ((int, float, str), 0.0, (ANALYZE, SIMULATE)),
-        "transform": (str, "none", (ANALYZE, SIMULATE)),
+        "alpha": (float, _SCENARIO["alpha"], MODES),
+        "alpha_prime": (float, _SCENARIO["alpha_prime"], MODES),
+        "pi_min": ((int, float, str), _SCENARIO["pi_min"], (ANALYZE, SIMULATE)),
+        "transform": (str, _SCENARIO["transform"], (ANALYZE, SIMULATE)),
     },
     "engine": {
-        "B": (int, 2000, MODES),
-        "runs": (int, 2000, (SIMULATE, GRID)),
+        "B": (int, _SCENARIO["B"], MODES),
+        "runs": (int, _SCENARIO["runs"], (SIMULATE, GRID)),
         "studies": (int, 100, (STUDIES,)),
         "runs_per_study": (int, 1000, (STUDIES,)),
         "threads": (int, 1, (SIMULATE, STUDIES, GRID)),
-        "master_seed": (int, 0, MODES),
+        "master_seed": (int, _SCENARIO["master_seed"], MODES),
         "N_list": (list, _REQUIRED, (GRID,)),
         "m_list": (list, _REQUIRED, (GRID,)),
         "pi_min_list": (list, sim.PI_MIN_LABELS, (GRID,)),
-        "transform_list": (list, ("floor", "shift"), (GRID,)),
+        "transform_list": (list, sim.GRID_TRANSFORMS, (GRID,)),
     },
     "output": {
         "directory": (str, "out", MODES),
@@ -245,10 +248,11 @@ def run_analyze(config: dict, out_dir: Path) -> dict:
 
 
 def _sim_kwargs(config: dict, **fields) -> dict:
-    """The keywords of the mode's sim call (SimScenario, study_scenarios or
-    min_prevalence_grid_cells): every key it reads but _NOT_PASSED, under its
-    own name, with a pi_min label resolved and explicit_prevalences a tuple;
-    `fields` add the ones analyze takes from its study."""
+    """The keywords of the mode's sim call (SimScenario, or study_scenarios or
+    min_prevalence_grid_cells, which pass the keys they do not use on to
+    SimScenario): every key it reads but _NOT_PASSED, under its own name, with
+    a pi_min label resolved and explicit_prevalences a tuple; `fields` add the
+    ones analyze takes from its study."""
     kwargs = {
         key: value for block in ("design", "interval", "engine")
         for key, value in config[block].items() if key not in _NOT_PASSED

@@ -61,7 +61,7 @@ _SOLVER_MAX_ITER = 200
 class TestModel:
     """Joint distribution of the population test statistics.
 
-    kind is "normal" or "t" (df from build_test_model);
+    df is the t law's df (from build_test_model), None for the normal law;
     full_corr is the m x m correlation matrix of the pooled contrasts, whose
     covariance is W diag(s^2/n) W^T (see _full_correlations), validated
     by mvprob.correlation_matrices (read-only, exactly symmetric, unit
@@ -71,12 +71,15 @@ class TestModel:
     standardize the statistics, NaN where a population has an empty arm.
     """
 
-    kind: str
     df: float | None
     m: int
     strata: tuple[frozenset[int], ...]
     full_corr: np.ndarray
     population_variances: np.ndarray
+
+    @property
+    def kind(self) -> str:  # the marginal law
+        return "normal" if self.df is None else "t"
 
     @property
     def stratum_ok(self) -> np.ndarray:
@@ -122,9 +125,9 @@ def arm_weight_matrix(design: Design, sizes: np.ndarray | None = None) -> np.nda
     return treated - control
 
 
-def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarray]:
+def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Correlations (R, m, m) and variances V_i (R, m) of the population statistics of
-    designs of one cell layout.
+    designs of one cell layout, and their pooling weights W (R, m, cells).
 
     The cell means are independent with variances s^2/n (s^2 = design.cell_variances),
     so the pooled contrasts have Cov = W diag(s^2/n) W^T (W from arm_weight_matrix; empty
@@ -140,7 +143,7 @@ def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarra
     v = np.diagonal(cov, axis1=1, axis2=2).copy()
     corr = cov / np.sqrt(v[:, :, None] * v[:, None, :])
     corr[:, range(v.shape[1]), range(v.shape[1])] = 1.0
-    return corr, v
+    return corr, v, w
 
 
 def _empty_arm(design: Design, v: np.ndarray) -> InfeasibleDesignError:
@@ -149,13 +152,13 @@ def _empty_arm(design: Design, v: np.ndarray) -> InfeasibleDesignError:
     return InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
 
 
-def _law(design: Design, df: float | None) -> tuple[str, float | None]:
-    """The kind and df of build_test_model."""
+def _law(design: Design, df: float | None) -> float | None:
+    """The df of build_test_model, None for the normal law."""
     mode = design.variance_mode
     if df is not None and mode != "unknown_heterogeneous":
         raise ConfigError(f"a reference df applies to unknown heterogeneous variances, not {mode}")
     if mode in ("known_homogeneous", "known_heterogeneous"):
-        return "normal", df
+        return None
     if mode == "unknown_homogeneous":
         df = float(design.residual_df)
     elif df is None:
@@ -166,7 +169,7 @@ def _law(design: Design, df: float | None) -> tuple[str, float | None]:
     if df < 1.0:
         raise InfeasibleDesignError(f"t reference needs df >= 1, got {df}")
     mvprob.check_df(df)
-    return "t", df
+    return df
 
 
 def build_test_models(
@@ -195,7 +198,7 @@ def build_test_models(
     for r in laws:
         layouts.setdefault((designs[r].m, designs[r].treatment_scheme), []).append(r)
     for rows in layouts.values():
-        corrs, variances = _full_correlations([designs[r] for r in rows])
+        corrs, variances, _ = _full_correlations([designs[r] for r in rows])
         empty = np.isnan(variances)
         m = empty.shape[1]
         off = (empty[:, :, None] | empty[:, None, :]) & ~np.eye(m, dtype=bool)
@@ -208,8 +211,7 @@ def build_test_models(
             elif k in failed:
                 out[r] = failed[k]
             else:
-                kind, df = laws[r]
-                out[r] = TestModel(kind, df, m, designs[r].strata, full[k], variances[k])
+                out[r] = TestModel(laws[r], m, designs[r].strata, full[k], variances[k])
     return out
 
 
@@ -254,12 +256,10 @@ def test_statistics_block(
     (R, B, cells), population by population: (R, m, B), and the error of each
     row whose design has a population with an empty arm (its row is NaN).
 
-    W and the V_i are one arm_weight_matrix and one _full_correlations call
-    over the designs, and the contrasts one stacked matmul; each row has the
-    bits of its own call.
+    W and the V_i are one _full_correlations call over the designs, and the
+    contrasts one stacked matmul; each row has the bits of its own call.
     """
-    v = _full_correlations(designs)[1]
-    w = arm_weight_matrix(designs[0], np.array([design.cell_sizes for design in designs]))
+    _, v, w = _full_correlations(designs)
     failed = {r: _empty_arm(designs[r], v[r]) for r in np.flatnonzero(np.isnan(v).any(axis=1)).tolist()}
     z = np.ascontiguousarray((cell_means @ w.transpose(0, 2, 1)).transpose(0, 2, 1))
     z /= np.sqrt(v)[:, :, None]
@@ -311,7 +311,7 @@ class _Plan:
         self.models, self.m, self.streams, self.tols = models, models[0].m, streams, tols
         self.ok = defined_strata(np.array([model.population_variances for model in models]))
         kinds = np.array([model.kind for model in models])
-        dfs = np.array([model.df for model in models], dtype=float)  # NaN for the normal law
+        dfs = _dfs(models)
         full = np.array([model.full_corr for model in models])
         table = stratum_members(self.m)
         dims = table.sum(axis=1)
@@ -571,7 +571,7 @@ class _Streams:
 
 def _dfs(models: Sequence[TestModel]) -> np.ndarray:
     """Each model's t df, NaN for the normal law."""
-    return np.array([model.df if model.kind == "t" else math.nan for model in models], dtype=float)
+    return np.array([model.df for model in models], dtype=float)  # None reads as NaN
 
 
 def _lower_quantiles(df: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -79,6 +79,12 @@ PREVALENCE_SCHEMES = ("equal", "one_large", "one_small", "random_biomarker", "ex
 SETTING_E_SIGMA = 0.5
 
 
+def check_seed(master_seed: int) -> None:
+    """Refuse a negative master seed, which numpy's SeedSequence cannot take."""
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be nonnegative, got {master_seed}")
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """One simulation configuration at a fixed true prevalence vector."""
@@ -108,6 +114,7 @@ class SimScenario:
             raise ConfigError("setting E is defined for m = 2 only")
         if self.runs < 1 or self.N < 1:
             raise ConfigError("runs and N must be positive")
+        check_seed(self.master_seed)
         pwer.check_alpha(self.alpha)
         if not 0.0 < self.alpha_prime < 1.0:
             raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
@@ -689,46 +696,33 @@ def _derived_seed(*entropy) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def study_scenarios(
-    m: int,
-    setting: str,
-    N: int,
-    studies: int,
-    runs_per_study: int,
-    master_seed: int,
-    treatment_scheme: str = "pairwise_different",
-    alpha: float = 0.025,
-    alpha_prime: float = 0.05,
-    B: int = 2000,
-) -> list[SimScenario]:
-    """The validated scenario of every random-biomarker study.
+def study_scenarios(m: int, studies: int, runs_per_study: int, master_seed: int, **fields) -> list[SimScenario]:
+    """The validated scenario of every random-biomarker study; `fields` are
+    the SimScenario fields the studies share (N, setting, alpha, ...).
 
     Study streams derive only from (master_seed, study index), so different
     settings run against identical prevalence draws and count streams.
     """
+    check_seed(master_seed)
     if studies < 1:
         raise ConfigError(f"studies must be at least 1, got {studies}")
     scenarios = []
     for s in range(studies):
         rng_study = np.random.default_rng(np.random.SeedSequence((master_seed, 7001, s)))
         scenarios.append(SimScenario(
-            N=N,
             m=m,
-            setting=setting,
             prevalence_scheme="explicit",
             explicit_prevalences=tuple(generate_random_study(m, rng_study)),
-            treatment_scheme=treatment_scheme,
-            alpha=alpha,
-            alpha_prime=alpha_prime,
             runs=runs_per_study,
-            B=B,
             master_seed=_derived_seed(master_seed, 7002, s),
+            **fields,
         ))
     return scenarios
 
 
 def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistribution:
-    """Coverage over the studies of study_scenarios(*args, **kwargs).
+    """Coverage over the studies of study_scenarios(*args, **kwargs), whose
+    keywords beyond the study counts and seed are SimScenario fields.
 
     All studies share one pool of `threads` workers (see run_scenario). Extreme
     draws can leave a population without both arms in most runs; a run whose
@@ -756,6 +750,7 @@ def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistributi
 
 
 PI_MIN_LABELS = ("0", "1/(2^(m+2)-4)", "1/(2^(m+1)-2)")
+GRID_TRANSFORMS = ("floor", "shift")
 
 
 def resolve_pi_min(label, m: int) -> float:
@@ -779,21 +774,19 @@ def min_prevalence_grid_cells(
     N_list: Sequence[int],
     m_list: Sequence[int],
     pi_min_list: Sequence = PI_MIN_LABELS,
-    transform_list: Sequence[str] = ("floor", "shift"),
-    runs: int = 2000,
-    B: int = 2000,
+    transform_list: Sequence[str] = GRID_TRANSFORMS,
     master_seed: int = 0,
     setting: str = "A",
-    treatment_scheme: str = "pairwise_different",
-    alpha: float = 0.025,
-    alpha_prime: float = 0.05,
+    **fields,
 ) -> list[tuple[str, object, SimScenario]]:
-    """(transform, pi_min label, validated scenario) for every grid cell.
+    """(transform, pi_min label, validated scenario) for every grid cell;
+    `fields` are the SimScenario fields the cells share (runs, B, alpha, ...).
 
     Cell seeds depend only on (master_seed, N, m): rows of one (N, m) cell are
     paired draws, and pi_min = 0 reproduces the untransformed scenario
     bit-identically under either transform.
     """
+    check_seed(master_seed)
     cells = []
     for N in N_list:
         for m in m_list:
@@ -806,14 +799,10 @@ def min_prevalence_grid_cells(
                         m=m,
                         setting=setting,
                         prevalence_scheme="one_small",
-                        treatment_scheme=treatment_scheme,
-                        alpha=alpha,
-                        alpha_prime=alpha_prime,
-                        runs=runs,
-                        B=B,
                         pi_min=pi_min,
                         transform=transform if pi_min > 0.0 else TRANSFORM_NONE,
                         master_seed=cell_seed,
+                        **fields,
                     )
                     cells.append((transform, label, scenario))
     return cells
@@ -822,8 +811,9 @@ def min_prevalence_grid_cells(
 def run_min_prevalence_grid(*args, threads: int = 1, **kwargs) -> list[dict]:
     """Coverage and mean-length grid under the one_small truth.
 
-    Runs the cells of min_prevalence_grid_cells(*args, **kwargs), all of which
-    are validated before the first one runs, through one pool of `threads`
+    Runs the cells of min_prevalence_grid_cells(*args, **kwargs), whose
+    keywords beyond the grid's lists, seed and setting are SimScenario fields,
+    all validated before the first one runs, through one pool of `threads`
     workers. A cell with more than 1% of its runs failed raises, as in
     run_scenario; the first such cell in grid order names the error.
     """

@@ -436,6 +436,58 @@ class TestModeKeys:
         assert not (tmp_path / "missing").exists()
 
 
+# the config of each mode that gives only its required keys
+REQUIRED_ONLY = {
+    "analyze": {"design": {"m": 2, "strata_counts": {"1": 83, "2": 83, "1,2": 84}}},
+    "simulate": {"design": {"m": 2, "N": 250}},
+    "study-distribution": {"design": {"m": 2, "N": 250}},
+    "minprev-grid": {"engine": {"N_list": [250], "m_list": [2]}},
+}
+# what resolve_config fills in for each, key order included
+RESOLVED_DEFAULTS = {
+    "analyze": {
+        "mode": "analyze",
+        "design": {"m": 2, "strata_counts": {"1": 83, "2": 83, "1,2": 84}, "treatment_scheme": "pairwise_different",
+                   "variances": 1.0, "variance_mode": "known_homogeneous", "setting": "A"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": 0.0, "transform": "none"},
+        "engine": {"B": 2000, "master_seed": 0},
+        "output": {"directory": "out"},
+    },
+    "simulate": {
+        "mode": "simulate",
+        "design": {"m": 2, "N": 250, "prevalence_scheme": "equal", "explicit_prevalences": None,
+                   "treatment_scheme": "pairwise_different", "setting": "A", "variance_mode": "known_homogeneous"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": 0.0, "transform": "none"},
+        "engine": {"B": 2000, "runs": 2000, "threads": 1, "master_seed": 0},
+        "output": {"directory": "out", "write_records": True},
+    },
+    "study-distribution": {
+        "mode": "study-distribution",
+        "design": {"m": 2, "N": 250, "treatment_scheme": "pairwise_different", "setting": "A",
+                   "variance_mode": "known_homogeneous"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05},
+        "engine": {"B": 2000, "studies": 100, "runs_per_study": 1000, "threads": 1, "master_seed": 0},
+        "output": {"directory": "out"},
+    },
+    "minprev-grid": {
+        "mode": "minprev-grid",
+        "design": {"treatment_scheme": "pairwise_different", "setting": "A", "variance_mode": "known_homogeneous"},
+        "interval": {"alpha": 0.025, "alpha_prime": 0.05},
+        "engine": {"B": 2000, "runs": 2000, "threads": 1, "master_seed": 0, "N_list": [250], "m_list": [2],
+                   "pi_min_list": ("0", "1/(2^(m+2)-4)", "1/(2^(m+1)-2)"), "transform_list": ("floor", "shift")},
+        "output": {"directory": "out"},
+    },
+}
+
+
+class TestResolvedDefaults:
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_defaults_pinned(self, mode):
+        resolved = cli.resolve_config({"mode": mode, **REQUIRED_ONLY[mode]})
+        assert resolved == RESOLVED_DEFAULTS[mode]
+        assert json.dumps(resolved) == json.dumps(RESOLVED_DEFAULTS[mode])  # the --dry-run print
+
+
 class TestResolvedSettingPair:
     # the resolved config records the (setting, variance_mode) pair the run uses; the derived
     # key may be left out, or given with the value the run uses, and no other
@@ -696,3 +748,18 @@ class TestErrorPaths:
             reports.append(json.loads((tmp_path / label / "report.json").read_text()))
         assert reports[0] == reports[1]
         assert reports[0]["critical_value"] != SHIPPED_REPORT["critical_value"]
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, mode, where):
+        # numpy's SeedSequence takes no negative entropy: each mode refuses the seed before
+        # its first stream, at --dry-run as at a run
+        if where == "flag":
+            cfg, flags = full_config(tmp_path, mode, "seed"), ["--seed", "-1"]
+        else:
+            cfg, flags = full_config(tmp_path, mode, "seed", engine={"master_seed": -1}), []
+        assert cli.main(["--config", cfg, *flags, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: master_seed must be nonnegative, got -1"] * 2
+        assert not (tmp_path / "seed").exists()

@@ -132,7 +132,7 @@ class TestBuildTestModel:
     def test_indefinite_populated_block_rejected(self, monkeypatch):
         # every pair is a valid correlation, but the three together are not
         mat = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.9], [0.5, 0.9, 1.0]])
-        monkeypatch.setattr(pwer, "_full_correlations", lambda designs: (mat[None], np.ones((1, 3))))
+        monkeypatch.setattr(pwer, "_full_correlations", lambda designs: (mat[None], np.ones((1, 3)), None))
         d = dz.build_design(3, "pairwise_different", [10] * 7, 1.0, "known_homogeneous")
         with pytest.raises(ConfigError, match="positive semidefinite"):
             pwer.build_test_model(d)
@@ -210,7 +210,7 @@ def random_model(rng, m, scheme, kind, df=None, empty=False, zero=False):
     d = dz.build_design(m, scheme, counts, variances, "known_heterogeneous")
     model = pwer.build_test_model(d, allow_empty_populations=True)
     if kind == "t":
-        model = dataclasses.replace(model, kind="t", df=df)
+        model = dataclasses.replace(model, df=df)
     return model, counts / counts.sum()
 
 
@@ -304,7 +304,7 @@ class TestEvaluateStrata:
         d = dz.build_design(5, "pairwise_different", M5_COUNTS, 1.0, "known_homogeneous")
         model = pwer.build_test_model(d)
         if kind == "t":
-            model = dataclasses.replace(model, kind="t", df=df)
+            model = dataclasses.replace(model, df=df)
         c = rng.uniform(1.0, 3.0, size=5)
         which = np.array([len(s) < 5 for s in model.strata])
         batched = pwer.evaluate_strata(c, model, 1e-5, None, which)
@@ -614,7 +614,7 @@ class TestVerifyReuse:
         d = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
         model = pwer.build_test_model(d)
         if kind == "t":
-            model = dataclasses.replace(model, kind="t", df=float(sum(counts)))
+            model = dataclasses.replace(model, df=float(sum(counts)))
         weights = np.asarray(counts, float) / sum(counts)
         return pwer.solve_critical_values(weights, model, ALPHA, rng=np.random.default_rng(2026))
 
@@ -687,7 +687,8 @@ class TestVerifyReuse:
 @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 1.0), ("t", 3.0), ("t", 5.5), ("t", 200.0)])
 def test_upper_quantile_finite_and_monotone(kind, df):
     # the secant's z scale must stay finite for every PWER in (0, 1], and for noise beyond it
-    model = dataclasses.replace(pwer.build_test_model(equal_cells_design()), kind=kind, df=df)
+    model = dataclasses.replace(pwer.build_test_model(equal_cells_design()), df=df)
+    assert model.kind == kind  # the law read off df
     ps = [-1e-9, 0.0, 1e-320, 1e-300, 1e-120, 1e-30, 1e-6, ALPHA, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9]
     qs = pwer._upper_quantiles(pwer._dfs([model] * len(ps)), np.array(ps)).tolist()
     assert all(math.isfinite(q) for q in qs)

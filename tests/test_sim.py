@@ -146,6 +146,7 @@ class TestRunScenario:
         ("A", dict(m=1)),
         ("A", dict(alpha=1e-12)),  # below the smallest alpha the calibration resolves
         ("A", dict(treatment_scheme="bogus")),
+        ("A", dict(master_seed=-1)),  # numpy's SeedSequence takes no negative entropy
     ])
     def test_levels_and_resamples_checked_at_construction(self, setting, fields):
         with pytest.raises(ConfigError):
@@ -185,6 +186,23 @@ class TestStudyDistribution:
         with pytest.raises(ConfigError, match="unknown treatment scheme"):
             sim.study_scenarios(m=2, setting="A", N=250, studies=2, runs_per_study=10,
                                 master_seed=1, treatment_scheme="bogus")
+
+    def test_negative_master_seed_checked(self):
+        with pytest.raises(ConfigError, match="master_seed must be nonnegative, got -1"):
+            sim.study_scenarios(m=2, setting="A", N=250, studies=2, runs_per_study=10, master_seed=-1)
+
+    def test_every_field_reaches_every_study(self):
+        fields = dict(N=250, setting="D_bootstrap", treatment_scheme="single", alpha=0.01, alpha_prime=0.1,
+                      B=5000, pi_min=0.05, transform="shift")
+        scenarios = sim.study_scenarios(m=2, studies=3, runs_per_study=7, master_seed=1, **fields)
+        assert len(scenarios) == 3
+        for scenario in scenarios:
+            assert {key: getattr(scenario, key) for key in fields} == fields
+            assert (scenario.m, scenario.runs, scenario.prevalence_scheme) == (2, 7, "explicit")
+
+    def test_no_keyword_but_a_scenario_field(self):
+        with pytest.raises(TypeError, match="bogus"):
+            sim.study_scenarios(m=2, setting="A", N=250, studies=2, runs_per_study=10, master_seed=1, bogus=1)
 
     def test_single_study_is_identity(self):
         dist = sim.run_study_distribution(
@@ -263,6 +281,22 @@ class TestMinPrevalenceGrid:
     def test_treatment_scheme_checked(self):
         with pytest.raises(ConfigError, match="unknown treatment scheme"):
             sim.min_prevalence_grid_cells([50], [2], treatment_scheme="bogus")
+
+    def test_negative_master_seed_checked(self):
+        with pytest.raises(ConfigError, match="master_seed must be nonnegative, got -1"):
+            sim.min_prevalence_grid_cells([250], [2], master_seed=-1)
+
+    def test_every_field_reaches_every_cell(self):
+        fields = dict(runs=7, B=5000, treatment_scheme="single", alpha=0.01, alpha_prime=0.1)
+        cells = sim.min_prevalence_grid_cells([250, 500], [2, 3], setting="D_bootstrap", **fields)
+        assert len(cells) == 2 * 2 * len(sim.GRID_TRANSFORMS) * len(sim.PI_MIN_LABELS)
+        for *_, scenario in cells:
+            assert {key: getattr(scenario, key) for key in fields} == fields
+            assert (scenario.setting, scenario.prevalence_scheme) == ("D_bootstrap", "one_small")
+
+    def test_no_keyword_but_a_scenario_field(self):
+        with pytest.raises(TypeError, match="bogus"):
+            sim.min_prevalence_grid_cells([250], [2], bogus=1)
 
     def test_every_cell_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(sim, "_run_block", lambda *a, **k: pytest.fail("a cell ran"))
