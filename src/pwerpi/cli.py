@@ -62,7 +62,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "out", MODES),
-        "write_records": (bool, True, (SIMULATE,)),
     },
 }
 # keys a mode reads that are not keywords of its sim call (_sim_kwargs)
@@ -87,7 +86,7 @@ def _validate_block(name: str, block: dict, mode: str, derived: str | None = Non
             continue
         if types is float and isinstance(value, int):
             value = float(value)
-        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"{name}.{key} has wrong type {type(value).__name__}")
         resolved[key] = value
     return resolved
@@ -146,7 +145,8 @@ def _number(value, where: str, whole: bool = False) -> float:
     return x
 
 
-def _parse_counts(dz: dict) -> dict:
+def _parse_counts(dz: dict) -> list[int]:
+    """The strata counts in the canonical strata order, a stratum left out counting 0."""
     counts = {}
     for label, n in dz["strata_counts"].items():
         stratum = parse_stratum_label(label)
@@ -157,10 +157,11 @@ def _parse_counts(dz: dict) -> dict:
     extra = set(counts) - set(strata)
     if extra:
         raise ConfigError(f"counts name strata outside the design: {sorted(map(sorted, extra))}")
-    return {s: counts.get(s, 0) for s in strata}
+    return [counts.get(s, 0) for s in strata]
 
 
-def _parse_variances(dz: dict) -> float | dict:
+def _parse_variances(dz: dict) -> float | list[float]:
+    """One variance shared by every cell, or each cell's in the layout's cell order."""
     raw = dz["variances"]
     if isinstance(raw, (int, float)):
         return float(raw)
@@ -182,12 +183,12 @@ def _parse_variances(dz: dict) -> float | dict:
     if unknown:
         labels = sorted(f"{stratum_label(stratum)}|{arm}" for stratum, arm in unknown)
         raise ConfigError(f"design.variances.cells names cells outside the design: {labels}")
-    out = {}
+    out = []
     for stratum, arm in design_cells:
         if (stratum, arm) in cells:
-            out[(stratum, arm)] = cells[(stratum, arm)]
+            out.append(cells[(stratum, arm)])
         elif raw.get("default") is not None:
-            out[(stratum, arm)] = _number(raw["default"], "design.variances.default")
+            out.append(_number(raw["default"], "design.variances.default"))
         else:
             raise ConfigError(f"missing variance for cell '{stratum_label(stratum)}|{arm}'")
     return out
@@ -269,8 +270,7 @@ def run_simulate(config: dict, out_dir: Path) -> dict:
     result = sim.run_scenario(scenario, threads=config["engine"]["threads"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sim.write_aggregate_csv([result], out_dir / "aggregate.csv")
-    if config["output"]["write_records"]:
-        sim.write_records_csv(result, out_dir / "records.csv")
+    sim.write_records_csv(result, out_dir / "records.csv")
     summary = {
         "coverage": result.coverage,
         "mean_length": result.mean_length,
@@ -351,18 +351,17 @@ def main(argv=None) -> int:
             if key not in resolved[block]:
                 raise ConfigError(f"--{flag}: mode {mode} reads no {block}.{key}")
             resolved[block][key] = getattr(args, flag)
-        if resolved["engine"].get("threads", 1) < 1:
-            raise ConfigError(f"threads must be at least 1, got {resolved['engine']['threads']}")
         if args.dry_run:
             # build what the run would run, through the run's own checks
             if mode == ANALYZE:
                 _analyze_study(resolved)
             elif mode == SIMULATE:
-                sim.resolve_true_prevalences(sim.SimScenario(**_sim_kwargs(resolved)))
+                sim.checked_truths([sim.SimScenario(**_sim_kwargs(resolved))], resolved["engine"]["threads"])
             elif mode == STUDIES:
-                sim.study_scenarios(**_sim_kwargs(resolved))
+                sim.checked_truths(sim.study_scenarios(**_sim_kwargs(resolved)), resolved["engine"]["threads"])
             else:
-                sim.min_prevalence_grid_cells(**_sim_kwargs(resolved))
+                cells = sim.min_prevalence_grid_cells(**_sim_kwargs(resolved))
+                sim.checked_truths([scenario for *_, scenario in cells], resolved["engine"]["threads"])
             print(json.dumps(resolved, indent=2))
             return 0
         out_dir = Path(resolved["output"]["directory"])

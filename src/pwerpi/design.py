@@ -21,7 +21,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,8 @@ VARIANCE_MODES = (
 TREATMENT_SCHEMES = ("single", "pairwise_different")
 
 
-def _population_count(m) -> int:
+def population_count(m) -> int:
+    """m as an int, once it is an integer in [2, 12]: the one check of a population count."""
     if not isinstance(m, (int, np.integer)) or not 2 <= m <= 12:
         raise ConfigError(f"population count m must be an integer in [2, 12], got {m!r}")
     return int(m)
@@ -58,7 +59,7 @@ def enumerate_strata(m: int) -> tuple[frozenset[int], ...]:
     Order: by subset size, then lexicographically, so vectors indexed over
     strata are stable across the package.
     """
-    m = _population_count(m)
+    m = population_count(m)
     strata = []
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(1, m + 1), size):
@@ -70,7 +71,7 @@ def stratum_members(m: int) -> np.ndarray:
     """(S, m) read-only membership of the strata of enumerate_strata(m): row j, column
     i is whether population i + 1 belongs to stratum j. Built once per m, which is
     checked before the cache lookup, as in cell_layout."""
-    return _stratum_members(_population_count(m))
+    return _stratum_members(population_count(m))
 
 
 @functools.cache
@@ -140,7 +141,7 @@ def cell_layout(m: int, treatment_scheme: str) -> CellLayout:
     hit the entry of its int) and an unknown scheme raises before anything is
     cached, so the cache holds at most 22 entries: m in [2, 12], two schemes.
     """
-    return _cell_layout(_population_count(m), treatment_scheme)
+    return _cell_layout(population_count(m), treatment_scheme)
 
 
 @functools.cache
@@ -168,14 +169,23 @@ def _cell_layout(m: int, treatment_scheme: str) -> CellLayout:
     return CellLayout(strata, treatments, tuple(cells), *arrays)
 
 
+def weight_errors(weights: np.ndarray) -> dict[int, ConfigError]:
+    """The error of every row of prevalence weights (R, S) that is not finite and
+    nonnegative: the one check of a weight vector, row by row."""
+    # one pass each: NaN fails both comparisons, and -0.0 >= 0.0
+    bad = ~((weights.min(axis=1) >= 0.0) & (weights.max(axis=1) < np.inf))
+    return {r: ConfigError("prevalence weights must be finite and nonnegative")
+            for r in np.flatnonzero(bad).tolist()}
+
+
 def prevalence_weights(pi, n_strata: int) -> np.ndarray:
     """Checked prevalence weights over the strata (arrays pass through as is)."""
     w = np.asarray(pi, dtype=float)
     if w.shape != (n_strata,):
         raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({n_strata},)")
-    # one pass each: NaN fails both comparisons, and -0.0 >= 0.0
-    if not (w.min() >= 0.0 and w.max() < np.inf):
-        raise ConfigError("prevalence weights must be finite and nonnegative")
+    failed = weight_errors(w[None])
+    if failed:
+        raise failed[0]
     return w
 
 
@@ -313,34 +323,16 @@ def _checked_counts(counts, fail) -> np.ndarray:
 
 
 def build_design(
-    m: int,
-    treatment_scheme: str,
-    counts: Sequence[int] | Mapping[frozenset[int], int],
-    variances: float | Mapping[tuple[frozenset[int], str], float],
-    variance_mode: str,
+    m: int, treatment_scheme: str, counts: Sequence[int], variances: float | Sequence[float], variance_mode: str
 ) -> Design:
-    """Assemble a Design from strata counts.
-
-    `counts` is either a sequence aligned with the canonical strata order or a
-    mapping keyed by stratum. `variances` is a scalar (shared by every cell),
-    an array aligned with the cells, or a mapping (stratum, arm) -> sigma^2.
+    """Assemble a Design from strata counts aligned with the canonical strata
+    order (enumerate_strata) and the cell variances: one scalar shared by every
+    cell, or a sequence aligned with the cells (cell_layout(m, treatment_scheme).cells).
     A block of one of build_designs.
     """
-    layout = cell_layout(m, treatment_scheme)
-    if isinstance(counts, Mapping):
-        counts = [counts.get(s, 0) for s in layout.strata]
-    if isinstance(variances, Mapping):
-        var_arr = np.empty(len(layout.cells))
-        for k, (j, arm) in enumerate(layout.cells):
-            key = (layout.strata[j], arm)
-            if key not in variances:
-                raise ConfigError(f"missing variance for cell ({stratum_label(key[0])}, {arm})")
-            var_arr[k] = float(variances[key])
-    elif np.ndim(variances):
-        var_arr = variances  # checked against the cells by Design
-    else:
-        var_arr = np.full(len(layout.cells), float(variances))
-    return Design(m, treatment_scheme, counts, var_arr, variance_mode)
+    if not np.ndim(variances):
+        variances = np.full(len(cell_layout(m, treatment_scheme).cells), float(variances))
+    return Design(m, treatment_scheme, counts, variances, variance_mode)
 
 
 def check_transform(transform: str, pi_min: float, n_strata: int) -> None:
@@ -359,40 +351,32 @@ def check_transform(transform: str, pi_min: float, n_strata: int) -> None:
         raise ConfigError(f"pi_min must be nonnegative, got {pi_min}")
 
 
-def floor_values(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
+def _floor(values: np.ndarray, pi_min: float) -> tuple[np.ndarray, float]:
     """Raise sub-threshold weights to pi_min, scale the rest proportionally.
 
     Returns the transformed weights and the proportional factor p applied to
     the unfloored weights. Note the scaling can leave an unfloored weight
     below pi_min; only the floored entries are guaranteed to sit at pi_min.
     """
-    values = np.asarray(values, dtype=float)
-    check_transform(TRANSFORM_FLOOR, pi_min, values.shape[0])
     below = values < pi_min
     if not below.any():
-        return values.copy(), 1.0
+        return values, 1.0
     p = (1.0 - below.sum() * pi_min) / (1.0 - values[below].sum())
-    out = np.where(below, pi_min, p * values)
-    return out, float(p)
-
-
-def shift_values(values: np.ndarray, pi_min: float) -> np.ndarray:
-    """Additive shift by pi_min with renormalization over all strata (the last axis)."""
-    values = np.asarray(values, dtype=float)
-    check_transform(TRANSFORM_SHIFT, pi_min, values.shape[-1])
-    return (values + pi_min) / (1.0 + values.shape[-1] * pi_min)
+    return np.where(below, pi_min, p * values), float(p)
 
 
 def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray, np.ndarray]:
     """Transformed weights and their chain-rule factors.
 
-    The one dispatch on the transform name. values is one weight vector (S,)
-    or a stack of them (..., S), transformed row by row. The floor transform
-    zeroes the factors of the components it floors and applies its scale p
-    (floor_values, one row at a time) elsewhere, also at the
-    non-differentiable point values == pi_min, by convention; the shift
-    transform contracts every component by 1/(1 + n_S * pi_min). "none" and
-    pi_min = 0 return the weights themselves and unit factors.
+    The one dispatch on the transform name, and the one place a transform is
+    applied: it checks transform and pi_min once per call (check_transform).
+    values is one weight vector (S,) or a stack of them (..., S), transformed
+    row by row. The floor transform raises the weights below pi_min to it and
+    scales the rest by p (_floor, one row at a time); its factors are 0 on the
+    floored components and p elsewhere, also at the non-differentiable point
+    values == pi_min, by convention. The shift transform adds pi_min to every
+    weight and renormalises, contracting every component by 1/(1 + n_S * pi_min).
+    "none" and pi_min = 0 return the weights themselves and unit factors.
     """
     values = np.asarray(values, dtype=float)
     n_s = values.shape[-1]
@@ -400,8 +384,8 @@ def transform_weights(values, transform: str, pi_min: float) -> tuple[np.ndarray
     if transform == TRANSFORM_NONE or pi_min == 0.0:
         return values, np.ones(values.shape)
     if transform == TRANSFORM_FLOOR:
-        floored = [floor_values(row, pi_min) for row in values.reshape(-1, n_s)]
+        floored = [_floor(row, pi_min) for row in values.reshape(-1, n_s)]
         out = np.array([row for row, _ in floored]).reshape(values.shape)
         p = np.array([p for _, p in floored]).reshape(*values.shape[:-1], 1)
         return out, np.where(values < pi_min, 0.0, p)
-    return shift_values(values, pi_min), np.full(values.shape, 1.0 / (1.0 + n_s * pi_min))
+    return (values + pi_min) / (1.0 + n_s * pi_min), np.full(values.shape, 1.0 / (1.0 + n_s * pi_min))

@@ -763,7 +763,7 @@ class OrthantGroup:
     path: _Path | None
 
     def evaluate(
-        self, limits, rows: np.ndarray | None = None, tol=1e-6
+        self, limits, rows: np.ndarray | None = None, tol: float = 1e-6
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The value, error estimate, points and settled flag of each row of
         `rows` (default: every row) at its limits (k x dim, in the variable
@@ -771,7 +771,7 @@ class OrthantGroup:
 
         settled is False where the row needs QMC: five or more dimensions,
         where the other three hold no number, or three or four and an error
-        estimate above tol (one value, or one per row), where they hold the
+        estimate above tol (one value for every row), where they hold the
         quadrature's last rung. Each row equals its own mvn_cdf/mvt_cdf call
         bit for bit.
         """
@@ -803,8 +803,8 @@ class OrthantGroup:
                 rows[quad],
                 df[quad] if t else None,
             )
-            # QMC takes the rows whose quadrature is looser than their tol
-            settled[quad] = error[quad] <= np.broadcast_to(tol, (k,))[quad] if d > 2 else True
+            # QMC takes the rows whose quadrature is looser than tol
+            settled[quad] = error[quad] <= tol if d > 2 else True
         return value, error, points, settled
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from . import mvprob
-from .design import Design, prevalence_weights, stratum_members
+from .design import Design, prevalence_weights, stratum_members, weight_errors
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
 
 DEFAULT_SOLVER_TOL = 1e-8
@@ -800,8 +800,8 @@ def solve_lockstep(
     Run r has the model models[r], the prevalence weights row r of weights
     (R, S) and the integration seed seeds[r](), drawn on first need only (see
     _Streams); alpha and the tolerances are the block's, each checked once,
-    and each row of weights is checked on its own. The block is planned once
-    (_Plan), and one array secant steps every run (_Secants, _step): each
+    and each row of weights is checked on its own (weight_errors). The block
+    is planned once (_Plan), and one array secant steps every run (_Secants, _step): each
     step evaluates the pending c of every unfinished run in one _evaluate
     call, sums their PWERs in one stacked pass (_Plan.pwer) and moves every
     run's state in masked numpy operations, so each run takes the steps of
@@ -822,14 +822,12 @@ def solve_lockstep(
     if weights.shape != shape:
         raise ConfigError(f"prevalence weights have shape {weights.shape}, expected {shape}")
     plan = _Plan(models, (cdf_tol, verify_tol), [_Streams(seed) for seed in seeds], weights)
-    invalid = ~((weights.min(axis=1) >= 0.0) & (weights.max(axis=1) < np.inf))
-    empty = ~plan.mask.any(axis=1)
-    for r in np.flatnonzero(invalid | empty).tolist():
-        out[r] = ConfigError(
-            "prevalence weights must be finite and nonnegative" if invalid[r]
-            else "prevalence vector has no positive component"
-        )
-    rows = np.flatnonzero(~(invalid | empty))
+    refused = weight_errors(weights)
+    for r in np.flatnonzero(~plan.mask.any(axis=1)).tolist():
+        refused.setdefault(r, ConfigError("prevalence vector has no positive component"))
+    for r, exc in refused.items():
+        out[r] = exc
+    rows = np.flatnonzero([cv is None for cv in out])
     if not len(rows):
         return out
     s = _Secants([models[r] for r in rows.tolist()], weights[rows], alpha, rows)
@@ -965,13 +963,10 @@ def delta_gammas(pi, gradient: np.ndarray) -> tuple[np.ndarray, dict[int, PwerEr
     if w.shape not in (g.shape, g.shape[1:]):
         raise ConfigError(f"prevalence vector has shape {w.shape}, expected ({g.shape[1]},)")
     w = np.broadcast_to(w, g.shape)
-    # one pass each: NaN fails both comparisons, and -0.0 >= 0.0 (prevalence_weights)
-    bad = ~((w.min(axis=1) >= 0.0) & (w.max(axis=1) < np.inf))
-    failed: dict[int, PwerError] = {
-        r: ConfigError("prevalence weights must be finite and nonnegative") for r in np.flatnonzero(bad).tolist()
-    }
+    failed: dict[int, PwerError] = weight_errors(w)
     if failed:
-        w = np.where(bad[:, None], 0.0, w)
+        w = w.copy()
+        w[list(failed)] = 0.0
     # zero-weight strata cannot influence the covariance; this also keeps the
     # NaN gradients of strata without a defined law out of the quadratic form
     g = np.where(w > 0.0, g, 0.0)

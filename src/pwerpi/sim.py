@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -46,6 +47,7 @@ from .design import (
     build_designs,
     cell_layout,
     check_transform,
+    population_count,
     stratum_members,
     transform_weights,
 )
@@ -79,15 +81,10 @@ PREVALENCE_SCHEMES = ("equal", "one_large", "one_small", "random_biomarker", "ex
 SETTING_E_SIGMA = 0.5
 
 
-def check_seed(master_seed: int) -> None:
-    """Refuse a negative master seed, which numpy's SeedSequence cannot take."""
-    if master_seed < 0:
-        raise ConfigError(f"master_seed must be nonnegative, got {master_seed}")
-
-
 @dataclass(frozen=True)
 class SimScenario:
-    """One simulation configuration at a fixed true prevalence vector."""
+    """One simulation configuration at a fixed true prevalence vector, checked
+    whole at construction; the builders build through it before any draw."""
 
     N: int
     m: int
@@ -112,9 +109,14 @@ class SimScenario:
         check_transform(self.transform, self.pi_min, len(cell_layout(self.m, self.treatment_scheme).strata))
         if self.setting == "E" and self.m != 2:
             raise ConfigError("setting E is defined for m = 2 only")
-        if self.runs < 1 or self.N < 1:
-            raise ConfigError("runs and N must be positive")
-        check_seed(self.master_seed)
+        for name in ("N", "runs", "B", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.runs < 1 or self.N < 1 or self.B < 1:
+            raise ConfigError("runs, N and B must be positive")
+        if self.master_seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         pwer.check_alpha(self.alpha)
         if not 0.0 < self.alpha_prime < 1.0:
             raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
@@ -148,6 +150,8 @@ def scheme_prevalences(m: int, scheme: str, explicit: Sequence[float] | None = N
     if scheme == "explicit":
         if explicit is None:
             raise ConfigError("explicit prevalence scheme needs a vector")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in explicit):
+            raise ConfigError(f"explicit prevalences must be numbers, got {explicit!r}")
         values = np.asarray(explicit, dtype=float)
         if values.shape != (n_s,):
             raise ConfigError(f"explicit prevalences must have length {n_s}")
@@ -564,6 +568,14 @@ def resolve_true_prevalences(scenario: SimScenario) -> np.ndarray:
     )
 
 
+def checked_truths(scenarios: Sequence[SimScenario], threads: int) -> list[np.ndarray]:
+    """The true prevalences of every scenario, once threads and each truth pass their
+    checks: all that _run_scenarios checks before its first run, and the CLI's dry run."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return [resolve_true_prevalences(scenario) for scenario in scenarios]
+
+
 def _chunk_size(total_runs: int, workers: int) -> int:
     """The runs per chunk of every scenario of one call, at most _BLOCK_RUNS.
 
@@ -594,9 +606,7 @@ def _run_scenarios(
     than max_failure_fraction of its runs failed raises NumericalError as soon
     as its chunks are in, and chunks not yet started are cancelled.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    truths = [resolve_true_prevalences(scenario) for scenario in scenarios]
+    truths = checked_truths(scenarios, threads)
     total_runs = sum(scenario.runs for scenario in scenarios)
     workers = min(threads, total_runs)
     size = _chunk_size(total_runs, workers)
@@ -701,21 +711,19 @@ def study_scenarios(m: int, studies: int, runs_per_study: int, master_seed: int,
     the SimScenario fields the studies share (N, setting, alpha, ...).
 
     Study streams derive only from (master_seed, study index), so different
-    settings run against identical prevalence draws and count streams.
+    settings run against identical prevalence draws and count streams. All
+    but the prevalences are checked as one SimScenario before the first draw.
     """
-    check_seed(master_seed)
+    shared = SimScenario(m=m, prevalence_scheme="explicit", runs=runs_per_study, master_seed=master_seed, **fields)
     if studies < 1:
         raise ConfigError(f"studies must be at least 1, got {studies}")
     scenarios = []
     for s in range(studies):
         rng_study = np.random.default_rng(np.random.SeedSequence((master_seed, 7001, s)))
-        scenarios.append(SimScenario(
-            m=m,
-            prevalence_scheme="explicit",
+        scenarios.append(replace(
+            shared,
             explicit_prevalences=tuple(generate_random_study(m, rng_study)),
-            runs=runs_per_study,
             master_seed=_derived_seed(master_seed, 7002, s),
-            **fields,
         ))
     return scenarios
 
@@ -756,6 +764,7 @@ GRID_TRANSFORMS = ("floor", "shift")
 def resolve_pi_min(label, m: int) -> float:
     """Map a grid label (or plain number) to the pi_min value for m populations."""
     if isinstance(label, str):
+        m = population_count(m)  # a label's denominator vanishes at m = 0
         key = label.replace(" ", "")
         if key == "0":
             return 0.0
@@ -764,6 +773,8 @@ def resolve_pi_min(label, m: int) -> float:
         if key == "1/(2^(m+1)-2)":
             return 1.0 / (2 ** (m + 1) - 2)
         raise ConfigError(f"unknown pi_min label {label!r}")
+    if isinstance(label, bool) or not isinstance(label, numbers.Real):
+        raise ConfigError(f"pi_min must be a number or a grid label, got {label!r}")
     value = float(label)
     if value < 0.0:
         raise ConfigError(f"pi_min must be nonnegative, got {value}")
@@ -784,25 +795,24 @@ def min_prevalence_grid_cells(
 
     Cell seeds depend only on (master_seed, N, m): rows of one (N, m) cell are
     paired draws, and pi_min = 0 reproduces the untransformed scenario
-    bit-identically under either transform.
+    bit-identically under either transform. Each (N, m) is checked with the
+    fields and master_seed as one SimScenario before its seed is derived.
     """
-    check_seed(master_seed)
     cells = []
     for N in N_list:
         for m in m_list:
+            shared = SimScenario(N=N, m=m, setting=setting, prevalence_scheme="one_small", pi_min=0.0,
+                                 transform=TRANSFORM_NONE, master_seed=master_seed, **fields)
             cell_seed = _derived_seed(master_seed, 7100, N, m)
             for transform in transform_list:
+                replace(shared, transform=transform)  # checks the name, which a zero pi_min leaves unread
                 for label in pi_min_list:
                     pi_min = resolve_pi_min(label, m)
-                    scenario = SimScenario(
-                        N=N,
-                        m=m,
-                        setting=setting,
-                        prevalence_scheme="one_small",
+                    scenario = replace(
+                        shared,
                         pi_min=pi_min,
                         transform=transform if pi_min > 0.0 else TRANSFORM_NONE,
                         master_seed=cell_seed,
-                        **fields,
                     )
                     cells.append((transform, label, scenario))
     return cells

@@ -162,7 +162,7 @@ def _fd_fixture(setting, m):
     if setting == "B":
         per_stratum = np.random.default_rng(SEED + m).uniform(size=n_s)
         layout = dz.cell_layout(m, "pairwise_different")
-        variances = {(layout.strata[j], arm): per_stratum[j] for j, arm in layout.cells}
+        variances = per_stratum[layout.stratum_of_cell]
         mode = "known_heterogeneous"
     else:
         variances = 1.0

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwerpi import cli, sim
 from pwerpi.design import VARIANCE_MODES, enumerate_strata, stratum_label
@@ -302,7 +307,6 @@ FULL_CONFIGS = {
                    "explicit_prevalences": [0.3, 0.3, 0.4], "treatment_scheme": "single"},
         "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": 0.05, "transform": "shift"},
         "engine": {"runs": 8, "B": 2000, "threads": 1, "master_seed": 3},
-        "output": {"write_records": True},
     },
     "study-distribution": {
         "design": {"m": 2, "N": 250, "setting": "A", "treatment_scheme": "single"},
@@ -355,7 +359,7 @@ class TestModeKeys:
                                "alpha_prime", "pi_min", "transform", "B", "master_seed", "directory"]),
             "simulate": sorted(["m", "N", "setting", "prevalence_scheme", "explicit_prevalences",
                                 "treatment_scheme", "alpha", "alpha_prime", "pi_min", "transform", "runs", "B",
-                                "threads", "master_seed", "directory", "write_records"]),
+                                "threads", "master_seed", "directory"]),
             "study-distribution": sorted(["m", "N", "setting", "treatment_scheme", "alpha", "alpha_prime",
                                           "studies", "runs_per_study", "B", "threads", "master_seed",
                                           "directory"]),
@@ -378,6 +382,15 @@ class TestModeKeys:
         assert cli.main(["--config", cfg]) == 2
         assert f"unknown keys in '{block}': ['{key}']; mode {mode} reads" in capsys.readouterr().err
         assert not (tmp_path / "unread").exists()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_dropped_write_records_exits_2(self, tmp_path, capsys, mode):
+        # simulate always writes records.csv; the key that could turn it off is gone
+        cfg = full_config(tmp_path, mode, "records", output={"write_records": True})
+        assert cli.main(["--config", cfg, "--dry-run"]) == 2
+        assert cli.main(["--config", cfg]) == 2
+        assert "unknown keys in 'output': ['write_records']" in capsys.readouterr().err
+        assert not (tmp_path / "records").exists()
 
     def test_readme_sketches_set_every_key_their_mode_reads(self):
         # one README sketch per mode, in MODES order, each setting exactly the keys the mode reads
@@ -459,7 +472,7 @@ RESOLVED_DEFAULTS = {
                    "treatment_scheme": "pairwise_different", "setting": "A", "variance_mode": "known_homogeneous"},
         "interval": {"alpha": 0.025, "alpha_prime": 0.05, "pi_min": 0.0, "transform": "none"},
         "engine": {"B": 2000, "runs": 2000, "threads": 1, "master_seed": 0},
-        "output": {"directory": "out", "write_records": True},
+        "output": {"directory": "out"},
     },
     "study-distribution": {
         "mode": "study-distribution",
@@ -646,7 +659,8 @@ class TestErrorPaths:
         ({"1,2|T9": 0.5}, 1.0),  # no such cell in the design
         ({}, True),  # a JSON boolean is no variance
         (["1|T1"], 1.0),  # cells is an object of cell keys
-    ], ids=["cells0", "cells1", "default_true", "cells_list"])
+        ({"1|T1": 0.5}, None),  # no variance for the other cells
+    ], ids=["cells0", "cells1", "default_true", "cells_list", "no_default"])
     def test_bad_variance_cells_exit_2(self, tmp_path, cells, default):
         payload = json.loads(open(analyze_config(tmp_path, out="badvar")).read())
         payload["design"]["variances"] = {"default": default, "cells": cells}
@@ -763,3 +777,94 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: master_seed must be nonnegative, got -1"] * 2
         assert not (tmp_path / "seed").exists()
+
+
+# the bad kinds of value the config property test puts in place of one key
+BAD_KINDS = ("negative", "zero", "wrong_type", "null", "empty_list", "unknown_name")
+# the (key, kind) pairs of a value the key may take: a zero seed, pi_min, count or
+# grid pi_min, and any directory name; a null or an empty list reads as absent
+VALID = {("master_seed", "zero"), ("pi_min", "zero"), ("pi_min_list", "zero"), ("strata_counts", "zero"),
+         ("directory", "unknown_name")}
+# the type of an entry of each list key, and the values of every JSON type a wrong type is drawn from
+ENTRY_TYPES = {"N_list": int, "m_list": int, "pi_min_list": (int, float, str), "transform_list": str,
+               "explicit_prevalences": float}
+JSON_VALUES = (True, "x", 2.5, 7, {"k": 1}, ["x"])
+# what the test runs each config that passes --dry-run at
+TINY = {"runs": 2, "studies": 2, "runs_per_study": 2}
+
+
+def fits(value, types) -> bool:
+    """Whether the schema's types take the value (a float key takes an int, no key a boolean)."""
+    types = types if isinstance(types, tuple) else (types,)
+    return not isinstance(value, bool) and (isinstance(value, types) or float in types and isinstance(value, int))
+
+
+def bad_values(block, key, kind):
+    """Values of one bad kind for a key: in place of the whole value or, for a list or the
+    strata counts, of one entry."""
+    if kind in ("null", "empty_list"):
+        return st.just(None if kind == "null" else [])
+    types = cli._SCHEMA[block][key][0]
+    entry_types = ENTRY_TYPES.get(key, types)
+    def kind_of(types):
+        return {
+            "negative": st.one_of(st.integers(-10**6, -1), st.floats(-1e6, -1e-3)),
+            "zero": st.sampled_from([0, 0.0]),
+            "wrong_type": st.sampled_from([v for v in JSON_VALUES if not fits(v, types)]),
+            "unknown_name": st.sampled_from(["bogus", "Z", "none "]),
+        }[kind]
+    if key in ENTRY_TYPES:
+        return st.one_of(kind_of(types), kind_of(entry_types).map(lambda v: [v]))
+    if key == "strata_counts":
+        counts = FULL_CONFIGS["analyze"]["design"]["strata_counts"]
+        entry = (lambda v: {**counts, v: 83}) if kind == "unknown_name" else (lambda v: {**counts, "1": v})
+        return st.one_of(kind_of(types), kind_of((int, float)).map(entry))
+    return kind_of(types)
+
+
+BAD_CASES = [(mode, block, key, kind) for mode in cli.MODES for block, key, modes in schema_keys()
+             if mode in modes for kind in BAD_KINDS]
+
+
+def run_cli(payload, *flags):
+    """(exit code, stderr) of the CLI on the config payload, run in the current directory."""
+    Path("config.json").write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", "config.json", *flags])
+    return code, err.getvalue()
+
+
+class TestConfigProperty:
+    """One key of a mode's full config replaced by a bad kind of value: --dry-run exits 2
+    with a config error, as the run does, or 0 where the value is valid for the key, and
+    then the run, at tiny size, exits 0 or 3 with its failed runs counted. A traceback
+    (an exception out of cli.main) fails the test."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(case=st.sampled_from(BAD_CASES).flatmap(lambda case: bad_values(*case[1:]).map(lambda v: (*case, v))))
+    # configs that ended in a traceback or in a numerical failure before their N and m were checked
+    @example(case=("minprev-grid", "engine", "N_list", "negative", [-5]))
+    @example(case=("minprev-grid", "engine", "m_list", "negative", [-2]))
+    @example(case=("minprev-grid", "engine", "N_list", "wrong_type", ["a"]))
+    @example(case=("minprev-grid", "engine", "m_list", "wrong_type", ["a"]))
+    @example(case=("study-distribution", "design", "m", "negative", -1))
+    @example(case=("study-distribution", "design", "m", "zero", 0))
+    def test_bad_value_is_a_config_error_or_runs(self, case):
+        mode, block, key, kind, value = case
+        payload = {"mode": mode, **json.loads(json.dumps(FULL_CONFIGS[mode]))}
+        payload.setdefault(block, {})[key] = value
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            code, err = run_cli(payload, "--dry-run")
+            if code == 2:
+                assert err.startswith("config error: ") and err.count("\n") == 1
+                assert run_cli(payload) == (2, err)
+                assert [path.name for path in Path(tmp).iterdir()] == ["config.json"]
+                return
+            assert code == 0, err
+            absent = kind in ("null", "empty_list") and cli._SCHEMA[block][key][1] is not cli._REQUIRED
+            assert absent or (key, kind) in VALID, f"{mode} took {block}.{key} = {value!r}"
+            payload["engine"] = {**payload.get("engine", {}),
+                                 **{k: n for k, n in TINY.items() if k in FULL_CONFIGS[mode].get("engine", {})}}
+            code, err = run_cli(payload)
+            assert code == 0 or code == 3 and re.match(r"numerical failure: \d+/\d+ runs failed", err), err

@@ -229,39 +229,50 @@ class TestCellLayout:
 
 
 class TestTransforms:
+    @staticmethod
+    def floor(values, pi_min):
+        """The floored weights and the scale p of the unfloored ones (their factor)."""
+        out, factors = dz.transform_weights(values, "floor", pi_min)
+        return out, float(factors.max())
+
+    @staticmethod
+    def shift(values, pi_min):
+        return dz.transform_weights(values, "shift", pi_min)[0]
+
     def test_floor_basic(self):
-        values, p = dz.floor_values(np.array([0.1, 0.4, 0.5]), 0.2)
+        values, p = self.floor(np.array([0.1, 0.4, 0.5]), 0.2)
         assert p == pytest.approx(8 / 9, abs=1e-15)
         assert values == pytest.approx([0.2, 0.4 * 8 / 9, 0.5 * 8 / 9], abs=1e-12)
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_floor_zero_is_identity(self):
-        values, p = dz.floor_values(np.array([0.1, 0.4, 0.5]), 0.0)
+        values, p = self.floor(np.array([0.1, 0.4, 0.5]), 0.0)
         assert p == 1.0
         assert values == pytest.approx([0.1, 0.4, 0.5], abs=0)
 
     def test_floor_inactive(self):
-        values, p = dz.floor_values(np.array([0.5, 0.5]), 0.1)
+        values, p = self.floor(np.array([0.5, 0.5]), 0.1)
         assert p == 1.0
         assert values == pytest.approx([0.5, 0.5], abs=0)
 
     def test_floor_pi_min_too_large(self):
         with pytest.raises(ConfigError):
-            dz.floor_values(np.array([0.5, 0.3, 0.2]), 1 / 3)
+            self.floor(np.array([0.5, 0.3, 0.2]), 1 / 3)
 
     def test_shift_symmetric_fixed_point(self):
-        assert dz.shift_values(np.array([0.5, 0.5]), 0.1) == pytest.approx([0.5, 0.5])
+        assert self.shift(np.array([0.5, 0.5]), 0.1) == pytest.approx([0.5, 0.5])
 
     def test_shift_basic(self):
-        assert dz.shift_values(np.array([0.2, 0.8]), 0.1) == pytest.approx([0.25, 0.75])
+        assert self.shift(np.array([0.2, 0.8]), 0.1) == pytest.approx([0.25, 0.75])
 
     def test_shift_zero_identity(self):
-        assert dz.shift_values(np.array([0.2, 0.8]), 0.0) == pytest.approx([0.2, 0.8], abs=0)
+        assert self.shift(np.array([0.2, 0.8]), 0.0) == pytest.approx([0.2, 0.8], abs=0)
 
     def test_prevalence_vector_transforms(self):
         values = np.array([0.1, 0.4, 0.5])
         floored, _ = dz.transform_weights(values, "floor", 0.2)
-        assert np.array_equal(floored, dz.floor_values(values, 0.2)[0])
+        # a stack of weight vectors is transformed row by row
+        assert np.array_equal(dz.transform_weights(np.stack([values, values[::-1]]), "floor", 0.2)[0][0], floored)
         assert floored.min() == pytest.approx(0.2)
         shifted, _ = dz.transform_weights(values, "shift", 0.1)
         assert shifted == pytest.approx((values + 0.1) / 1.3)
@@ -272,8 +283,8 @@ class TestTransforms:
             n_s = rng.integers(2, 16)
             values = rng.dirichlet(np.ones(n_s))
             pi_min = rng.uniform(0.0, 0.9 / n_s)
-            floored, _ = dz.floor_values(values, pi_min)
-            shifted = dz.shift_values(values, pi_min)
+            floored, _ = self.floor(values, pi_min)
+            shifted = self.shift(values, pi_min)
             assert abs(floored.sum() - 1.0) <= 1e-12
             assert abs(shifted.sum() - 1.0) <= 1e-12
             # floored entries sit exactly at the boundary
@@ -284,20 +295,20 @@ class TestTransforms:
     def test_floor_scaling_can_undershoot_boundary(self):
         # proportional rescaling is allowed to push an unfloored weight
         # below pi_min; only floored entries are pinned to it
-        values, p = dz.floor_values(np.array([0.05, 0.21, 0.74]), 0.2)
+        values, p = self.floor(np.array([0.05, 0.21, 0.74]), 0.2)
         assert values[0] == pytest.approx(0.2)
         assert values[1] == pytest.approx(0.21 * p) and values[1] < 0.2
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_floor_below_min_is_identity(self):
         values = np.array([0.3, 0.3, 0.4])
-        out, p = dz.floor_values(values, 0.25)
+        out, p = self.floor(values, 0.25)
         assert p == 1.0 and np.array_equal(out, values)
 
     def test_shift_order_preserving(self):
         rng = np.random.default_rng(5)
         values = rng.dirichlet(np.ones(7))
-        shifted = dz.shift_values(values, 0.05)
+        shifted = self.shift(values, 0.05)
         assert np.array_equal(np.argsort(values), np.argsort(shifted))
         i, j = np.argsort(values)[:2]
         assert (values[i] < values[j]) == (shifted[i] < shifted[j])

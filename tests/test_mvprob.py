@@ -50,7 +50,6 @@ def planned(limits, corrs, df=None, tol=1e-6):
     OrthantGroup.evaluate per group: a ProbResult per row, None where it needs QMC."""
     n = len(corrs)
     dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), (n,))
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
     dims = np.array([cm.dim for cm in corrs])
     out = [None] * n
     for d in set(dims.tolist()):
@@ -58,7 +57,7 @@ def planned(limits, corrs, df=None, tol=1e-6):
         mats = np.array([corrs[i].values for i in of_d.tolist()])
         for rows, group in mvprob.orthant_groups(mats, None if dfs is None else dfs[of_d]):
             at = of_d[rows]
-            got = group.evaluate(np.array([limits[i] for i in at.tolist()], dtype=float), None, tols[at])
+            got = group.evaluate(np.array([limits[i] for i in at.tolist()], dtype=float), None, tol)
             for i, value, error, points, settled in zip(at.tolist(), *(a.tolist() for a in got)):
                 out[i] = mvprob.ProbResult(value, error, points) if settled else None
     return out
@@ -235,9 +234,9 @@ class TestOrthants:
         planned(limits, [corr(random_correlation(d, rng)) for d in dims], df)
         assert max(pieces) <= mvprob._QUAD_BLOCK < sum(pieces)
 
-    def test_tol_is_one_value_per_row(self):
+    def test_tol_is_one_value_per_call(self):
         upper, cm = [1.0, 1.2, 0.8], equicorr(3, 0.998)  # error estimate ~2e-5
-        strict, loose = planned([upper, upper], [cm, cm], 5.0, [1e-5, 1e-3])
+        [strict], [loose] = (planned([upper], [cm], 5.0, tol) for tol in (1e-5, 1e-3))
         assert strict is None and 1e-5 < loose.error_estimate <= 1e-3
         assert loose == mvprob.mvt_cdf(upper, cm, 5.0, tol=1e-3)
 

@@ -206,7 +206,7 @@ def random_model(rng, m, scheme, kind, df=None, empty=False, zero=False):
         k = int(rng.integers(1, m + 1))
         counts[[k in s for s in layout.strata]] = 0
         counts[layout.strata.index(frozenset({k}))] = 1
-    variances = {(layout.strata[j], arm): float(rng.uniform(0.5, 2.0)) for j, arm in layout.cells}
+    variances = [float(rng.uniform(0.5, 2.0)) for _ in layout.cells]
     d = dz.build_design(m, scheme, counts, variances, "known_heterogeneous")
     model = pwer.build_test_model(d, allow_empty_populations=True)
     if kind == "t":

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -35,6 +36,8 @@ class TestSchemePrevalences:
         pytest.param([0.5, 0.5, 0.5], id="sums_above_one"),
         pytest.param([1.2, -0.1, -0.1], id="negative"),
         pytest.param([float("nan"), 0.5, 0.5], id="nan"),
+        pytest.param(["x", 0.5, 0.5], id="string"),
+        pytest.param([True, False, False], id="bool"),
     ])
     def test_explicit_checked(self, explicit):
         with pytest.raises(ConfigError):
@@ -147,6 +150,12 @@ class TestRunScenario:
         ("A", dict(alpha=1e-12)),  # below the smallest alpha the calibration resolves
         ("A", dict(treatment_scheme="bogus")),
         ("A", dict(master_seed=-1)),  # numpy's SeedSequence takes no negative entropy
+        ("A", dict(N="250")),
+        ("A", dict(N=250.0)),
+        ("A", dict(runs=True)),
+        ("A", dict(B=0)),  # unread by the exact engine, and still no number of resamples
+        ("A", dict(B=2000.5)),
+        ("A", dict(master_seed=1.5)),
     ])
     def test_levels_and_resamples_checked_at_construction(self, setting, fields):
         with pytest.raises(ConfigError):
@@ -190,6 +199,12 @@ class TestStudyDistribution:
     def test_negative_master_seed_checked(self):
         with pytest.raises(ConfigError, match="master_seed must be nonnegative, got -1"):
             sim.study_scenarios(m=2, setting="A", N=250, studies=2, runs_per_study=10, master_seed=-1)
+
+    @pytest.mark.parametrize("m", [-1, 0, 2.0])
+    def test_m_checked_before_the_first_draw(self, monkeypatch, m):
+        monkeypatch.setattr(sim, "generate_random_study", lambda *a: pytest.fail("a study was drawn"))
+        with pytest.raises(ConfigError, match="population count m must be an integer in"):
+            sim.study_scenarios(m=m, setting="A", N=250, studies=2, runs_per_study=10, master_seed=1)
 
     def test_every_field_reaches_every_study(self):
         fields = dict(N=250, setting="D_bootstrap", treatment_scheme="single", alpha=0.01, alpha_prime=0.1,
@@ -286,6 +301,28 @@ class TestMinPrevalenceGrid:
         with pytest.raises(ConfigError, match="master_seed must be nonnegative, got -1"):
             sim.min_prevalence_grid_cells([250], [2], master_seed=-1)
 
+    @pytest.mark.parametrize("N_list, m_list, message", [
+        ([-5], [2], "runs, N and B must be positive"),
+        (["a"], [2], "N must be an integer, got 'a'"),
+        ([250], [-2], "population count m must be an integer in"),
+        ([250], ["a"], "population count m must be an integer in"),
+    ])
+    def test_N_and_m_checked_before_the_cell_seed(self, monkeypatch, N_list, m_list, message):
+        monkeypatch.setattr(sim, "_derived_seed", lambda *a: pytest.fail("a cell was seeded"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sim.min_prevalence_grid_cells(N_list, m_list)
+
+    @pytest.mark.parametrize("m", [0, 10**6])
+    def test_label_checks_m(self, m):
+        # 1/(2^(m+2)-4) divides by zero at m = 0 and overflows a float at large m
+        with pytest.raises(ConfigError, match="population count m must be an integer in"):
+            sim.resolve_pi_min("1/(2^(m+2)-4)", m)
+
+    @pytest.mark.parametrize("label", [None, True, [0.1]])
+    def test_pi_min_label_is_a_number_or_a_label(self, label):
+        with pytest.raises(ConfigError, match="pi_min must be a number or a grid label"):
+            sim.resolve_pi_min(label, 2)
+
     def test_every_field_reaches_every_cell(self):
         fields = dict(runs=7, B=5000, treatment_scheme="single", alpha=0.01, alpha_prime=0.1)
         cells = sim.min_prevalence_grid_cells([250, 500], [2, 3], setting="D_bootstrap", **fields)
@@ -297,6 +334,11 @@ class TestMinPrevalenceGrid:
     def test_no_keyword_but_a_scenario_field(self):
         with pytest.raises(TypeError, match="bogus"):
             sim.min_prevalence_grid_cells([250], [2], bogus=1)
+
+    def test_transform_names_checked_at_zero_pi_min(self):
+        # the cells of a zero pi_min run untransformed, but the grid's columns carry the name
+        with pytest.raises(ConfigError, match="unknown transform 'bogus'"):
+            sim.min_prevalence_grid_cells([250], [2], ["0"], ["bogus"])
 
     def test_every_cell_checked_before_any_runs(self, monkeypatch):
         monkeypatch.setattr(sim, "_run_block", lambda *a, **k: pytest.fail("a cell ran"))
