@@ -28,17 +28,7 @@ from .design import (
     treatment_labels,
 )
 from .errors import ConfigError, InfeasibleDesignError, NumericalError, PwerError
-from .mvprob import (
-    CorrelationMatrix,
-    ProbResult,
-    bvn_cdf,
-    mvn_cdf,
-    mvt_cdf,
-    std_normal_cdf,
-    std_normal_quantile,
-    t_cdf,
-    t_quantile,
-)
+from .mvprob import CorrelationMatrix, ProbResult, mvn_cdf, mvt_cdf
 from .pwer import (
     CriticalValues,
     PredictionInterval,
@@ -48,7 +38,6 @@ from .pwer import (
     prediction_interval,
     pwer_value,
     solve_critical_values,
-    test_statistics,
 )
 from .sim import (
     SimResult,

@@ -12,8 +12,8 @@ stratum maxima, the empirical tail solve (solve_empirical_block) and the
 FWER counts (null_fwers) each run once over the stack, and every row has the
 bits of its run computed alone. A run that fails fails alone, with the
 first error its own computation raises. The one-null functions
-(bootstrap_null_D, bootstrap_null_E, solve_critical_empirical, fwer_curves,
-null_fwer) are blocks of one of them. chunks() cuts a block of runs into
+(bootstrap_null_D, bootstrap_null_E, solve_critical_empirical, fwer_curves)
+are blocks of one of them. chunks() cuts a block of runs into
 stacks that stay in cache.
 """
 
@@ -130,11 +130,6 @@ def null_fwers(statistics: np.ndarray, c) -> np.ndarray:
     return _exceeding(_maxima(statistics), np.asarray(c, dtype=float))
 
 
-def null_fwer(null: EmpiricalNull, c: float) -> np.ndarray:
-    """FWER_J(c) of every stratum, as CriticalValues.fwer stores it; a block of one of null_fwers."""
-    return null_fwers(_stack(null).statistics, [c])[0]
-
-
 def welch_df(
     variances: np.ndarray, weights: np.ndarray, cell_dfs: np.ndarray
 ) -> float | np.ndarray:
@@ -152,7 +147,8 @@ def satterthwaite_df(design: Design) -> float:
 
     Population i combines the per-cell contributions q = W^2 s^2/n to its V_i
     (W from pwer.arm_weight_matrix, s^2 the design's sample variances); every
-    contributing cell needs at least two patients.
+    contributing cell needs at least two patients, and every arm a patient
+    (else the empty-arm error of pwer.build_test_model).
     """
     sizes = design.cell_sizes.astype(float)
     pooled = (design.treatment_member | design.control_member) & (sizes > 0)
@@ -162,9 +158,13 @@ def satterthwaite_df(design: Design) -> float:
             f"population {int(np.argmax(small)) + 1} has a cell with fewer than 2 patients; "
             "sample variances are undefined"
         )
+    w = pwer.arm_weight_matrix(design)
+    empty = np.isnan(w).any(axis=1)
+    if empty.any():
+        raise pwer.empty_arm_error(design, empty)
     populated = sizes > 0
     inv_n = np.divide(1.0, sizes, out=np.zeros_like(sizes), where=populated)
-    weights = pwer.arm_weight_matrix(design) ** 2 * inv_n
+    weights = w**2 * inv_n
     dfs = welch_df(design.cell_variances[populated], weights[:, populated], sizes[populated] - 1.0)
     return max(float(dfs.min()), 1.0)
 

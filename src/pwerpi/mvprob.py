@@ -78,27 +78,6 @@ class ProbResult(NamedTuple):
     qmc: bool = False
 
 
-def std_normal_cdf(x: float) -> float:
-    return float(special.ndtr(x))
-
-
-def std_normal_quantile(q: float) -> float:
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile argument must lie in (0, 1), got {q}")
-    return float(special.ndtri(q))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """Univariate Student-t CDF, real degrees of freedom allowed."""
-    return float(special.stdtr(df, x))
-
-
-def t_quantile(q: float, df: float) -> float:
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile argument must lie in (0, 1), got {q}")
-    return float(special.stdtrit(df, q))
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """A validated correlation matrix with a cached Cholesky factor.
@@ -371,10 +350,6 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
         values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, rule, nodes)
         out[idx] = values.reshape(out[idx].shape)
     return out
-
-
-def bvn_cdf(b1: float, b2: float, rho: float) -> float:
-    return float(bvn_cdf_many(np.float64(b1), np.float64(b2), rho))
 
 
 # Plackett's identity (Plackett 1954; Genz 2004): along the straight path R(t)

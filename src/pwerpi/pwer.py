@@ -81,17 +81,6 @@ class TestModel:
     def kind(self) -> str:  # the marginal law
         return "normal" if self.df is None else "t"
 
-    @property
-    def stratum_ok(self) -> np.ndarray:
-        """Strata whose joint law is defined (all member populations populated)."""
-        return defined_strata(self.population_variances[None])[0]
-
-    def tail_quantile(self, p: float) -> float:
-        """c with P(single statistic > c) = p under the marginal law."""
-        if self.kind == "t":
-            return mvprob.t_quantile(1.0 - p, self.df)
-        return mvprob.std_normal_quantile(1.0 - p)
-
     def density(self, x: float) -> float:
         """The marginal law's density at x."""
         if self.kind == "t":
@@ -146,8 +135,9 @@ def _full_correlations(designs: Sequence[Design]) -> tuple[np.ndarray, np.ndarra
     return corr, v, w
 
 
-def _empty_arm(design: Design, v: np.ndarray) -> InfeasibleDesignError:
-    i = int(np.argmax(np.isnan(v)))
+def empty_arm_error(design: Design, empty: np.ndarray) -> InfeasibleDesignError:
+    """The error of a design whose populations empty (m,) have an empty arm, naming the first."""
+    i = int(np.argmax(empty))
     arm = "treatment" if design.treatment_member[i] @ design.cell_sizes == 0 else "control"
     return InfeasibleDesignError(f"population {i + 1} has an empty {arm} arm")
 
@@ -207,7 +197,7 @@ def build_test_models(
         full.setflags(write=False)
         for k, r in enumerate(rows):
             if empty[k].any() and not allow_empty_populations:
-                out[r] = _empty_arm(designs[r], variances[k])
+                out[r] = empty_arm_error(designs[r], empty[k])
             elif k in failed:
                 out[r] = failed[k]
             else:
@@ -225,7 +215,7 @@ def build_test_model(
     t law only by approximation: df is that approximation's reference df
     (boot.satterthwaite_df), and no other mode takes one. With
     allow_empty_populations, strata touching a population with an empty arm
-    get no joint law (stratum_ok False) instead of raising; they can
+    get no joint law (defined_strata False) instead of raising; they can
     only ever be evaluated with zero weight. A block of one of
     build_test_models.
     """
@@ -235,32 +225,21 @@ def build_test_model(
     return model
 
 
-def test_statistics(design: Design, cell_means: np.ndarray) -> np.ndarray:
-    """Standardized pooled treatment-control contrasts per population.
-
-    cell_means is aligned with design.cells; a leading batch axis is allowed
-    and preserved. Cells with no patients carry weight zero. A block of one
-    of test_statistics_block.
-    """
-    means = np.asarray(cell_means, dtype=float)
-    z, failed = test_statistics_block([design], means.reshape(1, -1, means.shape[-1]))
-    if failed:
-        raise failed[0]
-    return z[0].T.reshape(means.shape[:-1] + (design.m,))
-
-
 def test_statistics_block(
     designs: Sequence[Design], cell_means: np.ndarray
 ) -> tuple[np.ndarray, dict[int, InfeasibleDesignError]]:
-    """test_statistics of every design of one cell layout on its own cell means
-    (R, B, cells), population by population: (R, m, B), and the error of each
-    row whose design has a population with an empty arm (its row is NaN).
+    """The standardized pooled treatment-control contrasts of every design of
+    one cell layout on its own cell means (R, B, cells), population by
+    population: (R, m, B), and the error of each row whose design has a
+    population with an empty arm (its row is NaN). Cells with no patients
+    carry weight zero.
 
     W and the V_i are one _full_correlations call over the designs, and the
     contrasts one stacked matmul; each row has the bits of its own call.
     """
     _, v, w = _full_correlations(designs)
-    failed = {r: _empty_arm(designs[r], v[r]) for r in np.flatnonzero(np.isnan(v).any(axis=1)).tolist()}
+    empty = np.isnan(v)
+    failed = {r: empty_arm_error(designs[r], empty[r]) for r in np.flatnonzero(empty.any(axis=1)).tolist()}
     z = np.ascontiguousarray((cell_means @ w.transpose(0, 2, 1)).transpose(0, 2, 1))
     z /= np.sqrt(v)[:, :, None]
     return z, failed
@@ -278,7 +257,7 @@ def _c_vector(c, m: int) -> np.ndarray:
 
 
 class _Given(NamedTuple):
-    """The integration stream of evaluate_strata and pwer_value (see _Streams), with no engine store."""
+    """The integration stream of pwer_value (see _Streams), with no engine store."""
 
     rng: np.random.Generator | None
     engines = None
@@ -298,12 +277,13 @@ class _Plan:
     of one dimension, for all its runs, taken from that stack with one fancy
     index for mvprob.orthant_groups. ok marks each run's strata with a
     defined law, tols holds the block's tol of the solve pass and of the
-    verify pass, both checked here, and streams each run's _Streams. With
-    weights (one row per run), mask marks the positive ones, and the runs
-    are grouped by mask pattern for the PWER sums (pwer).
+    verify pass, both checked here, and streams each run's _Streams.
+    weights holds each run's prevalence weights (one row per run) and mask
+    the positive ones; the runs are grouped by mask pattern for the PWER
+    sums (pwer).
     """
 
-    def __init__(self, models: Sequence[TestModel], tols: tuple[float, float], streams, weights=None):
+    def __init__(self, models: Sequence[TestModel], tols: tuple[float, float], streams, weights: np.ndarray):
         if any(model.m != models[0].m for model in models):
             raise ConfigError("the models of one lockstep must share m")
         for tol in tols:
@@ -327,8 +307,6 @@ class _Plan:
                 mats = full[runs[:, None, None], idx[:, :, None], idx[:, None, :]]
                 for rows, group in mvprob.orthant_groups(mats, dfs[runs] if kind == "t" else None):
                     self.groups.append((group, runs[rows], strata[rows], idx[rows]))
-        if weights is None:
-            return
         self.weights = np.array(weights, dtype=float)
         self.mask = self.weights > 0.0
         patterns: dict[bytes, list[int]] = {}
@@ -434,30 +412,6 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
         except RUN_ERRORS as exc:
             failed[pos] = exc
     return _Evaluated(value, error, points, qmc, failed)
-
-
-def evaluate_strata(
-    c,
-    model: TestModel,
-    tol: float = DEFAULT_VERIFY_TOL,
-    rng: np.random.Generator | None = None,
-    which: np.ndarray | None = None,
-) -> list[mvprob.ProbResult | None]:
-    """F_J(c_J), the no-rejection probability, of every stratum in one batched call.
-
-    which selects the strata (default: every one with a defined joint law);
-    requesting a stratum without one raises, and unselected strata return
-    None. The limits and tol are checked once. The strata are evaluated as a
-    plan of one run (_evaluate): QMC strata read rng in stratum order.
-    Every result equals the stratum's own mvn_cdf/mvt_cdf call.
-    """
-    plan = _Plan([model], (tol, tol), [_Given(rng)])
-    select = model.stratum_ok if which is None else np.asarray(which, dtype=bool)
-    step = _evaluate(plan, np.zeros(1, dtype=int), _c_vector(c, model.m)[None], select[None])
-    if step.failed:
-        raise step.failed[0]
-    fields = (step.value[0].tolist(), step.error[0].tolist(), step.points[0].tolist(), step.qmc[0].tolist())
-    return [mvprob.ProbResult(*result) if chosen else None for chosen, *result in zip(select.tolist(), *fields)]
 
 
 def pwer_value(
@@ -578,8 +532,8 @@ def _lower_quantiles(df: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each row's marginal lower quantile at q: the t law's of df, or the normal's where df is NaN.
 
     One ndtri or stdtrit call over the rows (both for a block of both laws);
-    each entry has the bits of its scalar mvprob.std_normal_quantile or
-    mvprob.t_quantile call.
+    each entry has the bits of its scalar special.ndtri or special.stdtrit
+    call.
     """
     normal = np.isnan(df)
     if normal.all():
@@ -1029,18 +983,19 @@ def prediction_intervals(
 ) -> tuple[PredictionInterval, dict[int, ConfigError]]:
     """The intervals of every gamma of a 1-D array, as one PredictionInterval of its rows.
 
-    alpha, alpha_prime and N are checked, and z computed, once; a negative
+    alpha (check_alpha), alpha_prime and N are checked, and z computed, once; a negative
     gamma fails its own row, returned with its error. Each row has the bits of
     its own prediction_interval call.
     """
-    if not 0.0 < alpha < 1.0 or not 0.0 < alpha_prime < 1.0:
-        raise ConfigError("alpha and alpha_prime must lie in (0, 1)")
+    check_alpha(alpha)
+    if not 0.0 < alpha_prime < 1.0:
+        raise ConfigError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
     if N < 1:
         raise ConfigError(f"sample size must be >= 1, got {N}")
     gamma = np.asarray(gamma, dtype=float)
     failed = {r: ConfigError(f"gamma must be nonnegative, got {gamma[r].item()}")
               for r in np.flatnonzero(gamma < 0.0).tolist()}
-    z = mvprob.std_normal_quantile(1.0 - alpha_prime / 2.0)
+    z = float(special.ndtri(1.0 - alpha_prime / 2.0))
     iv = PredictionInterval(
         center=float(alpha),
         half_width=z * gamma / math.sqrt(N),

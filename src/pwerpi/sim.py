@@ -105,6 +105,11 @@ class SimScenario:
             raise ConfigError(f"unknown setting {self.setting!r}")
         if self.prevalence_scheme not in PREVALENCE_SCHEMES:
             raise ConfigError(f"unknown prevalence scheme {self.prevalence_scheme!r}")
+        # a field the others leave unread is refused, not dropped
+        if self.explicit_prevalences is not None and self.prevalence_scheme != "explicit":
+            raise ConfigError(f"explicit_prevalences apply to the explicit scheme, not {self.prevalence_scheme!r}")
+        if self.transform == TRANSFORM_NONE and self.pi_min != 0.0:
+            raise ConfigError(f"pi_min applies to the floor and shift transforms, not {TRANSFORM_NONE!r}")
         # cell_layout checks m and the treatment scheme
         check_transform(self.transform, self.pi_min, len(cell_layout(self.m, self.treatment_scheme).strata))
         if self.setting == "E" and self.m != 2:
@@ -594,7 +599,7 @@ def _chunks(runs: int, size: int) -> list[range]:
 
 
 def _run_scenarios(
-    scenarios: Sequence[SimScenario], threads: int, max_failure_fraction: float
+    scenarios: Sequence[SimScenario], threads: int, max_failure_fraction: float | None
 ) -> list[tuple[list[RunRecord], list[str]]]:
     """(records, failure messages), each in run order, of every scenario, from one map.
 
@@ -603,8 +608,9 @@ def _run_scenarios(
     workers, shut down before this returns; with one worker they run in this
     process through the builtin map. Records depend only on (master_seed,
     run_index), so they do not depend on the worker count. A scenario with more
-    than max_failure_fraction of its runs failed raises NumericalError as soon
-    as its chunks are in, and chunks not yet started are cancelled.
+    than max_failure_fraction of its runs failed, or none succeeded, raises
+    NumericalError as soon as its chunks are in, and chunks not yet started are
+    cancelled; max_failure_fraction None keeps every scenario.
     """
     truths = checked_truths(scenarios, threads)
     total_runs = sum(scenario.runs for scenario in scenarios)
@@ -628,7 +634,9 @@ def _run_scenarios(
                         records.append(payload)
                     else:
                         failures.append((run_index, payload))
-            if len(failures) > max_failure_fraction * scenario.runs:
+            if max_failure_fraction is not None and (
+                not records or len(failures) > max_failure_fraction * scenario.runs
+            ):
                 raise NumericalError(
                     f"{len(failures)}/{scenario.runs} runs failed; first: {failures[0]}"
                 )
@@ -653,8 +661,8 @@ def run_scenario(
     Per-run streams derive from (master_seed, run_index), so results do not
     depend on the worker count; with threads > 1 one pool of at most `runs`
     workers serves the call. Runs that fail calibration are excluded and
-    counted; more than max_failure_fraction failures (default 1%) fails the
-    whole scenario.
+    counted; more than max_failure_fraction failures (default 1%), or no
+    successful run, fails the whole scenario with the count.
     """
     [(records, failed)] = _run_scenarios([scenario], threads, max_failure_fraction)
     return SimResult(scenario, records, len(failed), failure_causes(failed))
@@ -739,7 +747,7 @@ def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistributi
     average over the runs that produced an interval.
     """
     scenarios = study_scenarios(*args, **kwargs)
-    outcomes = _run_scenarios(scenarios, threads, max_failure_fraction=1.0)
+    outcomes = _run_scenarios(scenarios, threads, max_failure_fraction=None)
     rows = []
     for s, (scenario, (records, failed)) in enumerate(zip(scenarios, outcomes)):
         if records:

@@ -257,16 +257,16 @@ def projection_null_run_by_run(design, pi_hat, observed_effects, pooled_variance
     return contrast / np.sqrt(pooled_variance * (1.0 / n_t + 1.0 / n_c)), rejected
 
 
+def lower_quantile(model, q):
+    """Lower quantile of q under the model's marginal law, one scalar scipy call."""
+    return float(special.stdtrit(model.df, q) if model.kind == "t" else special.ndtri(q))
+
+
 def upper_quantile(model, p):
     """Upper-tail quantile of p under the model's marginal law, one scalar call (the
     reference for pwer._upper_quantiles): p clamped into [1e-100, 1 - 2^-53], then
     the negated lower quantile."""
-    from pwerpi import mvprob
-
-    p = min(max(p, 1e-100), 1.0 - 2.0**-53)
-    if model.kind == "t":
-        return -mvprob.t_quantile(p, model.df)
-    return -mvprob.std_normal_quantile(p)
+    return -lower_quantile(model, min(max(p, 1e-100), 1.0 - 2.0**-53))
 
 
 def independence_root(model, weights, alpha):
@@ -288,7 +288,7 @@ def independence_root(model, weights, alpha):
         return g_over_v, slope
 
     if sum(by_size) <= alpha:
-        v, x0 = alpha, model.tail_quantile(alpha)
+        v, x0 = alpha, lower_quantile(model, 1.0 - alpha)
     else:
         v = alpha / g_over_v_and_slope(1.0)[1]
         for _ in range(50):
@@ -318,8 +318,8 @@ def secant(model, weights, alpha, solver_tol, cdf_tol):
     def z(p):
         return upper_quantile(model, p) - q_alpha
 
-    lo = model.tail_quantile(alpha)
-    hi = model.tail_quantile(alpha / 2**model.m)
+    lo = lower_quantile(model, 1.0 - alpha)
+    hi = lower_quantile(model, 1.0 - alpha / 2**model.m)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
     f_tol = min(solver_tol, 1e-3 * alpha)
     x, slope = independence_root(model, weights, alpha)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pwerpi import boot, design as dz, pwer
+from pwerpi import boot, design as dz, mvprob, pwer
 from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
 from oracles import empirical_critical_full, parametric_null_run_by_run, projection_null_run_by_run
@@ -14,6 +14,11 @@ ALPHA = 0.025
 def single_scheme_design(n_per_cell=40):
     counts = [2 * n_per_cell] * 3
     return dz.build_design(2, "single", counts, 1.0, "unknown_heterogeneous")
+
+
+def fwer_at(null, c):
+    """FWER_J(c) of every stratum of one null, a block of one of null_fwers."""
+    return boot.null_fwers(null.statistics.T[None], [c])[0]
 
 
 def setting_c_fixture(n_per_cell=40):
@@ -35,6 +40,15 @@ class TestWelch:
         d = dz.build_design(2, "pairwise_different", [80, 80, 0], 1.0, "unknown_heterogeneous")
         # each population pools two cells of 40 with equal variances
         assert boot.satterthwaite_df(d) == pytest.approx(2 * 39.0)
+
+    def test_satterthwaite_population_without_patients_is_infeasible(self):
+        # population 1 has no patients: its Welch df is nan, which max(nan, 1.0) would return
+        d = dz.build_design(2, "single", [0, 40, 0], 1.0, "unknown_heterogeneous")
+        with pytest.raises(InfeasibleDesignError) as satterthwaite:
+            boot.satterthwaite_df(d)
+        with pytest.raises(InfeasibleDesignError) as model:
+            pwer.build_test_model(d, df=10.0)
+        assert str(satterthwaite.value) == str(model.value) == "population 1 has an empty treatment arm"
 
     def test_satterthwaite_against_reimplementation(self):
         d = single_scheme_design()
@@ -207,7 +221,7 @@ class TestTailSolverMatchesFullSet:
             cv = boot.solve_critical_empirical(null, weights, alpha)
             assert np.array_equal(cv.c, np.full(m, c_star)), alpha
             assert np.array_equal(cv.fwer, fwer), alpha
-            assert np.array_equal(cv.fwer, boot.null_fwer(null, cv.value)), alpha
+            assert np.array_equal(cv.fwer, fwer_at(null, cv.value)), alpha
             assert cv.achieved == achieved and cv.verified == achieved, alpha
 
 
@@ -263,7 +277,7 @@ class TestNullFwer:
         at_maxima = [curve[k] for curve in curves for k in (0, 1000, 1950, 1999)]
         for c in at_maxima + [-10.0, 0.0, 1.96, 2.2360679, 10.0]:
             above = [float(null.B - np.searchsorted(curve, c, side="right")) / null.B for curve in curves]
-            assert np.array_equal(boot.null_fwer(null, c), np.array(above)), c
+            assert np.array_equal(fwer_at(null, c), np.array(above)), c
 
 
 class TestEmpiricalGradient:
@@ -284,7 +298,11 @@ class TestEmpiricalGradient:
         cv = boot.solve_critical_empirical(null, weights, ALPHA)
         grad = cv.gradient()
         model = pwer.build_test_model(d)
-        exact = np.array([r.value for r in pwer.evaluate_strata(cv, model, tol=1e-7)]) - 1.0
+        exact = []  # each stratum's own mvt_cdf call
+        for stratum in model.strata:
+            idx = [i - 1 for i in sorted(stratum)]
+            corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(idx, idx)])
+            exact.append(mvprob.mvt_cdf(cv.c[idx], corr, model.df, 1e-7).value - 1.0)
         assert np.max(np.abs(grad - exact)) <= 0.02
 
 
@@ -412,13 +430,13 @@ class TestFwerCurves:
         assert len(curves) == len(expected)
         assert all(np.array_equal(curve, ref) for curve, ref in zip(curves, expected))
         above = [float(np.count_nonzero(ref > 1.5)) / null.B for ref in expected]
-        assert np.array_equal(boot.null_fwer(null, 1.5), np.array(above))
+        assert np.array_equal(fwer_at(null, 1.5), np.array(above))
 
     def test_monotone_and_nested(self):
         d = setting_c_fixture()
         null = boot.bootstrap_null_D(d, 5000, np.random.default_rng(1))
         grid = np.linspace(0.5, 3.5, 13)
-        fwer = np.array([boot.null_fwer(null, c) for c in grid])
+        fwer = np.array([fwer_at(null, c) for c in grid])
         assert np.all(np.diff(fwer, axis=0) <= 0)
         # supersets reject at least as often on shared resamples
         assert np.all(fwer[:, 2] >= fwer[:, :2].max(axis=1))

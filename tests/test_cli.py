@@ -616,6 +616,7 @@ class TestErrorPaths:
                      id="too_few_resamples"),
         pytest.param(None, {"variance_mode": "unknown_heterogeneous"}, {"alpha": 0.01}, {"B": 1500},
                      id="too_few_tail_resamples"),  # B * alpha = 15 < 20
+        pytest.param(None, {}, {"pi_min": 0.05}, {}, id="pi_min_under_no_transform"),  # unread, not dropped
     ])
     def test_analyze_dry_run_rejects_what_the_run_rejects(
         self, tmp_path, capsys, counts, design, interval, engine
@@ -714,6 +715,8 @@ class TestErrorPaths:
         ("simulate", {"m": 13}, "population count m must be an integer in [2, 12], got 13"),
         ("simulate", {"prevalence_scheme": "explicit", "explicit_prevalences": [0.2, 0.2, 0.2]},
          "explicit prevalences must sum to 1"),
+        ("simulate", {"explicit_prevalences": [0.9, 0.05, 0.05]},
+         "explicit_prevalences apply to the explicit scheme, not 'equal'"),
     ])
     def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, mode, design, message):
         engine = {"runs": 5} if mode == "simulate" else {"studies": 2, "runs_per_study": 5}

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from pwerpi import mvprob
+from pwerpi import mvprob, pwer
 from pwerpi.errors import ConfigError
 
 from oracles import equicorrelated_orthant, mvn_orthant_mc, mvt_orthant_mc, random_correlation
@@ -79,28 +79,33 @@ def sov_rows_reference(chol, upper_rows, w):
 
 
 class TestUnivariate:
+    """The marginal laws: a one-dimensional mvn_cdf/mvt_cdf, and the solver's
+    marginal quantiles (pwer._lower_quantiles, pwer._upper_quantiles)."""
+
+    NORMAL = np.array([math.nan])  # the df of the normal law
+
     def test_quantile_975(self):
-        assert mvprob.std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
+        assert pwer._lower_quantiles(self.NORMAL, np.array([0.975]))[0] == pytest.approx(1.959964, abs=1e-6)
 
     def test_cdf_zero(self):
-        assert mvprob.std_normal_cdf(0.0) == 0.5
+        assert mvprob.mvn_cdf([0.0], corr([[1.0]])).value == 0.5
 
     def test_quantile_half(self):
-        assert mvprob.std_normal_quantile(0.5) == 0.0
+        assert pwer._lower_quantiles(self.NORMAL, np.array([0.5]))[0] == 0.0
 
     def test_roundtrip(self):
-        for q in (1e-6, 0.01, 0.3, 0.5, 0.9, 0.999999):
-            x = mvprob.std_normal_quantile(q)
-            assert mvprob.std_normal_cdf(x) == pytest.approx(q, abs=1e-12)
+        qs = np.array([1e-6, 0.01, 0.3, 0.5, 0.9, 0.999999])
+        for q, x in zip(qs.tolist(), pwer._lower_quantiles(np.full(len(qs), math.nan), qs).tolist()):
+            assert mvprob.mvn_cdf([x], corr([[1.0]])).value == pytest.approx(q, abs=1e-12)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
     def test_quantile_domain(self, q):
-        with pytest.raises(ConfigError):
-            mvprob.std_normal_quantile(q)
+        # the secant's z scale: a PWER outside (0, 1) still has a finite upper quantile, under either law
+        assert np.isfinite(pwer._upper_quantiles(np.array([math.nan, 5.0]), np.full(2, q))).all()
 
     def test_t_quantile(self):
-        assert mvprob.t_cdf(2.015048, 5) == pytest.approx(0.95, abs=1e-5)
-        assert mvprob.t_quantile(0.95, 5) == pytest.approx(2.015048, abs=1e-5)
+        assert mvprob.mvt_cdf([2.015048], corr([[1.0]]), df=5).value == pytest.approx(0.95, abs=1e-5)
+        assert pwer._lower_quantiles(np.array([5.0]), np.array([0.95]))[0] == pytest.approx(2.015048, abs=1e-5)
 
 
 # correlations covering every rule of bvn_cdf_many: the 6/12/20-node bands, the
@@ -243,8 +248,9 @@ class TestOrthants:
     def test_degenerate_bivariate_t_rows_take_exact_laws(self):
         upper = np.array([[1.3, 0.9], [1.3, 0.9], [0.4, -0.2]])
         many = planned(upper, [corr2(1.0), corr2(-1.0), corr2(0.2)], [7.0, 7.0, 4.0])
-        assert many[0] == (mvprob.t_cdf(0.9, 7.0), 1e-14, 1, False)
-        assert many[1] == (max(0.0, mvprob.t_cdf(1.3, 7.0) + mvprob.t_cdf(0.9, 7.0) - 1.0), 1e-14, 1, False)
+        t_law = [float(special.stdtr(7.0, x)) for x in (1.3, 0.9)]
+        assert many[0] == (t_law[1], 1e-14, 1, False)
+        assert many[1] == (max(0.0, t_law[0] + t_law[1] - 1.0), 1e-14, 1, False)
         assert many[2] == mvprob.mvt_cdf(upper[2], corr2(0.2), 4.0)
 
 
@@ -354,7 +360,7 @@ class TestMvnCdf:
         tol = 1e-7
         joint = mvprob.mvn_cdf([0.8, 1.1, -0.3], full, tol=tol).value
         pair = mvprob.mvn_cdf([0.8, 1.1], corr([[1, 0.6], [0.6, 1]]), tol=tol).value
-        single = mvprob.std_normal_cdf(-0.3)
+        single = special.ndtr(-0.3)
         assert joint == pytest.approx(pair * single, abs=3 * tol)
 
     def test_permutation_invariance(self):
@@ -427,7 +433,7 @@ class TestMvnCdf:
         mat[:2, :2] = [[1, a], [a, 1]]
         mat[2:, 2:] = [[1, b], [b, 1]]
         res = mvprob.mvn_cdf(upper, corr(mat))
-        pair = mvprob.bvn_cdf(upper[0], upper[1], a) * mvprob.bvn_cdf(upper[2], upper[3], b)
+        pair = np.prod(mvprob.bvn_cdf_many(np.array(upper[0::2]), np.array(upper[1::2]), np.array([a, b])))
         assert abs(res.value - pair) <= 1e-12
 
     @pytest.mark.parametrize("mat", [
@@ -477,7 +483,7 @@ class TestMvnCdf:
         res = mvprob.mvn_cdf([1.0, 1.1, 1.2], corr(mat), tol=1e-4,
                              rng=np.random.default_rng(2))
         # nearly comonotone: probability close to Phi(min limit)
-        assert res.value == pytest.approx(mvprob.std_normal_cdf(1.0), abs=0.01)
+        assert res.value == pytest.approx(special.ndtr(1.0), abs=0.01)
         assert res.points_used > 1000
 
 
@@ -549,7 +555,7 @@ class TestMvtCdf:
 
     def test_comonotone_reduction(self):
         res = mvprob.mvt_cdf([1.3, 0.9], corr([[1, 1], [1, 1]]), df=7)
-        assert res.value == pytest.approx(mvprob.t_cdf(0.9, 7), abs=1e-12)
+        assert res.value == pytest.approx(special.stdtr(7, 0.9), abs=1e-12)
 
     def test_chi_scale_rule_cached_read_only(self):
         rule = mvprob._chi_scale_nodes
@@ -690,7 +696,7 @@ class TestQmcCdf:
             mvprob.qmc_cdf([0.3], corr([[1.0]]))
         # the t law integrates over its chi scale
         res = mvprob.qmc_cdf([2.015048], corr([[1.0]]), df=5.0, tol=1e-6)
-        assert res.qmc and abs(res.value - mvprob.t_cdf(2.015048, 5.0)) <= res.error_estimate + 1e-7
+        assert res.qmc and abs(res.value - special.stdtr(5.0, 2.015048)) <= res.error_estimate + 1e-7
 
     @pytest.mark.parametrize("df", [None, 5.0])
     def test_inputs_checked_as_the_cdfs_check_them(self, df):

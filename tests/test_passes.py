@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pwerpi import design as dz
-from pwerpi import mvprob, pwer, sim
+from pwerpi import pwer, sim
 from pwerpi.errors import ConfigError, NumericalError, PwerError
 
 ALPHA, ALPHA_PRIME, N = 0.025, 0.05, 250
@@ -25,7 +26,7 @@ def scalar_delta_gamma(pi, gradient):
 
 def scalar_record(weights, factors, fwer, pi_true, truth, factors_true):
     gamma = scalar_delta_gamma(weights, factors * -fwer)
-    half = float(mvprob.std_normal_quantile(1.0 - ALPHA_PRIME / 2.0) * gamma) / math.sqrt(N)
+    half = float(special.ndtri(1.0 - ALPHA_PRIME / 2.0)) * gamma / math.sqrt(N)
     lower, upper = ALPHA - half, ALPHA + half
     tp = float(np.nansum(truth * fwer))
     return sim.RunRecord(

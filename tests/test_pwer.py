@@ -11,7 +11,7 @@ from pwerpi import design as dz
 from pwerpi import mvprob, pwer, sim
 from pwerpi.errors import ConfigError, InfeasibleDesignError, NumericalError
 
-from oracles import fd_gradient, independence_root, pwer_event_mc, upper_quantile
+from oracles import fd_gradient, independence_root, lower_quantile, pwer_event_mc, upper_quantile
 
 ALPHA = 0.025
 
@@ -35,6 +35,18 @@ def setting_a_solve(m, counts):
     return pwer.solve_critical_values(
         weights, pwer.build_test_model(d), ALPHA, rng=np.random.default_rng(2026)
     )
+
+
+def statistics(d, means):
+    """The test statistics of one design on cell means (B, cells): (B, m), a block of one."""
+    z, failed = pwer.test_statistics_block([d], np.asarray(means, dtype=float)[None])
+    assert not failed
+    return z[0].T
+
+
+def defined(model):
+    """Which strata of one model have a defined joint law."""
+    return pwer.defined_strata(model.population_variances[None])[0]
 
 
 def m4_solve():
@@ -66,7 +78,7 @@ class TestBuildTestModel:
         rng = np.random.default_rng(17)
         scale = np.sqrt(1.0 / d.cell_sizes)
         means = rng.standard_normal((1_000_000, len(d.cells))) * scale
-        z = pwer.test_statistics(d, means)
+        z = statistics(d, means)
         assert z.var(axis=0) == pytest.approx([1.0, 1.0], abs=0.005)
         emp = np.corrcoef(z.T)[0, 1]
         assert emp == pytest.approx(model.full_corr[0, 1], abs=0.003)
@@ -105,7 +117,7 @@ class TestBuildTestModel:
         with pytest.raises(InfeasibleDesignError):
             pwer.build_test_model(d)
         model = pwer.build_test_model(d, allow_empty_populations=True)
-        assert list(model.stratum_ok) == [True, False, False]
+        assert list(defined(model)) == [True, False, False]
 
 
     @pytest.mark.parametrize("m, counts", [
@@ -122,7 +134,7 @@ class TestBuildTestModel:
         assert np.array_equal(full, full.T, equal_nan=True)
         assert np.array_equal(np.diag(full), np.ones(m))
         populated = ~np.isnan(model.population_variances)
-        for stratum, ok in zip(model.strata, model.stratum_ok):
+        for stratum, ok in zip(model.strata, defined(model)):
             idx = [i - 1 for i in sorted(stratum)]
             assert ok == populated[idx].all()
             if ok:
@@ -141,21 +153,21 @@ class TestBuildTestModel:
 class TestTestStatistics:
     def test_zero_means(self):
         d = equal_cells_design()
-        z = pwer.test_statistics(d, np.zeros(len(d.cells)))
+        z = statistics(d, np.zeros((1, len(d.cells))))
         assert np.all(z == 0.0)
 
     def test_two_sample_z(self):
         d = dz.build_design(2, "pairwise_different", [100, 100, 0], 1.0, "known_homogeneous")
-        means = np.zeros(len(d.cells))
-        means[d.cells.index((0, "T1"))] = 0.5  # stratum {1}, treatment arm
-        z = pwer.test_statistics(d, means)
+        means = np.zeros((1, len(d.cells)))
+        means[0, d.cells.index((0, "T1"))] = 0.5  # stratum {1}, treatment arm
+        [z] = statistics(d, means)
         assert z[0] == pytest.approx(0.5 / np.sqrt(1 / 50 + 1 / 50), abs=1e-12)
         assert z[1] == 0.0
 
     def test_batch_axis(self):
         d = equal_cells_design()
         means = np.random.default_rng(0).normal(size=(8, len(d.cells)))
-        z = pwer.test_statistics(d, means)
+        z = statistics(d, means)
         assert z.shape == (8, 2)
 
 
@@ -191,7 +203,7 @@ class TestPwerValue:
         weights = np.array([0.2, 0.3, 0.5])
         c = 2.1
         value = pwer.pwer_value(c, weights, model, tol=1e-7)
-        fwer = np.array([1.0 - r.value for r in pwer.evaluate_strata(np.full(2, c), model, tol=1e-7)])
+        fwer = np.array([1.0 - r.value for r in per_stratum(np.full(2, c), model, 1e-7, defined(model))])
         assert fwer.min() - 1e-9 <= value <= fwer.max() + 1e-9
 
 
@@ -231,6 +243,20 @@ def per_stratum(c, model, tol, which):
     return out
 
 
+def evaluated(c, model, tol=pwer.DEFAULT_VERIFY_TOL, rng=None, which=None):
+    """F_J(c_J) of the selected strata of one model (default: every one with a
+    defined law) at the limits c, as a plan of one run (pwer._evaluate): a
+    ProbResult per selected stratum, None for the others."""
+    select = defined(model) if which is None else np.asarray(which, dtype=bool)
+    plan = pwer._Plan([model], (tol, tol), [pwer._Given(rng)], np.ones((1, len(model.strata))))
+    limits = np.broadcast_to(np.asarray(c, dtype=float), (model.m,))
+    step = pwer._evaluate(plan, np.zeros(1, dtype=int), limits[None], select[None])
+    if step.failed:
+        raise step.failed[0]
+    fields = (step.value[0].tolist(), step.error[0].tolist(), step.points[0].tolist(), step.qmc[0].tolist())
+    return [mvprob.ProbResult(*result) if chosen else None for chosen, *result in zip(select.tolist(), *fields)]
+
+
 def with_bivariate_rhos(model, rhos):
     # give the 2-dim strata the correlations rhos, in stratum order: for m = 4
     # the six pair strata are the six off-diagonal entries of full_corr
@@ -243,7 +269,7 @@ def with_bivariate_rhos(model, rhos):
 
 
 class TestEvaluateStrata:
-    """The batched evaluation against one mvn_cdf/mvt_cdf call per stratum."""
+    """The batched evaluation of a plan of one run against one mvn_cdf/mvt_cdf call per stratum."""
 
     CASES = [
         (m, scheme, kind, df, empty, zero)
@@ -268,12 +294,11 @@ class TestEvaluateStrata:
         rng = np.random.default_rng([m, len(scheme), int(df or 0), empty, zero])
         model, weights = random_model(rng, m, scheme, kind, df, empty, zero)
         for c in (np.full(m, rng.uniform(1.5, 3.0)), rng.uniform(0.5, 3.0, size=m)):
-            for which in (None, (weights > 0.0) & model.stratum_ok):
-                expected = model.stratum_ok if which is None else which
-                batched = pwer.evaluate_strata(c, model, 1e-6, None, which)
+            for which in (None, (weights > 0.0) & defined(model)):
+                expected = defined(model) if which is None else which
+                batched = evaluated(c, model, 1e-6, None, which)
                 self.assert_agree(batched, per_stratum(c, model, 1e-6, expected))
-            evaluated = [r is not None for r in pwer.evaluate_strata(c, model)]
-            assert evaluated == model.stratum_ok.tolist()
+            assert [r is not None for r in evaluated(c, model)] == defined(model).tolist()
 
     @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 3.0), ("t", 46.0)])
     @pytest.mark.parametrize("rhos", [
@@ -294,7 +319,7 @@ class TestEvaluateStrata:
         c = rng.uniform(0.5, 3.0, size=4)
         twos = [j for j, s in enumerate(model.strata) if len(s) == 2]
         which = np.isin(np.arange(len(model.strata)), twos)
-        batched = pwer.evaluate_strata(c, model, 1e-6, None, which)
+        batched = evaluated(c, model, 1e-6, None, which)
         self.assert_agree(batched, per_stratum(c, model, 1e-6, which))
 
     @pytest.mark.parametrize("kind, df", [("normal", None), ("t", 9.5), ("t", 160.0)])
@@ -307,25 +332,25 @@ class TestEvaluateStrata:
             model = dataclasses.replace(model, df=df)
         c = rng.uniform(1.0, 3.0, size=5)
         which = np.array([len(s) < 5 for s in model.strata])
-        batched = pwer.evaluate_strata(c, model, 1e-5, None, which)
+        batched = evaluated(c, model, 1e-5, None, which)
         assert batched == per_stratum(c, model, 1e-5, which)
         assert all(r.qmc is False for r in batched if r is not None)
         # the 5-dim stratum alone goes to QMC, on the given stream
         five = ~which
-        [qmc] = [r for r in pwer.evaluate_strata(c, model, 1e-3, np.random.default_rng(3), five) if r]
+        [qmc] = [r for r in evaluated(c, model, 1e-3, np.random.default_rng(3), five) if r]
         corr = mvprob.CorrelationMatrix(model.full_corr)
         assert qmc == mvprob.qmc_cdf(c, corr, df, 1e-3, np.random.default_rng(3)) and qmc.qmc
 
     def test_rejects_bad_limits_tol_and_undefined_strata(self):
         model = pwer.build_test_model(equal_cells_design())
         with pytest.raises(ConfigError, match="integration limits must be finite"):
-            pwer.evaluate_strata([np.inf, 2.0], model)
+            evaluated([np.inf, 2.0], model)
         with pytest.raises(ConfigError, match="tol must lie"):
-            pwer.evaluate_strata(2.0, model, tol=1e-2)
+            evaluated(2.0, model, tol=1e-2)
         d = dz.build_design(2, "pairwise_different", [100, 1, 0], 1.0, "known_homogeneous")
         model = pwer.build_test_model(d, allow_empty_populations=True)
         with pytest.raises(InfeasibleDesignError, match=r"stratum \[2\] involves"):
-            pwer.evaluate_strata(2.0, model, which=np.ones(3, bool))
+            evaluated(2.0, model, which=np.ones(3, bool))
 
 
 class TestSolveCriticalValues:
@@ -348,8 +373,8 @@ class TestSolveCriticalValues:
     def test_bracket_bounds_hold(self):
         model = pwer.build_test_model(equal_cells_design())
         rng = np.random.default_rng(5)
-        lo = mvprob.std_normal_quantile(1 - ALPHA)
-        hi = mvprob.std_normal_quantile(1 - ALPHA / 4)
+        lo = special.ndtri(1 - ALPHA)
+        hi = special.ndtri(1 - ALPHA / 4)
         for _ in range(5):
             weights = rng.dirichlet(np.ones(3))
             cv = pwer.solve_critical_values(weights, model, ALPHA, rng=rng)
@@ -418,7 +443,7 @@ def test_small_alpha_calibrated_to_relative_precision(alpha):
     cv = pwer.solve_critical_values(np.full(3, 1 / 3), model, alpha)
     assert abs(cv.achieved - alpha) <= 1e-3 * alpha
     assert abs(cv.verified - alpha) <= 1e-3 * alpha
-    assert cv.value > model.tail_quantile(alpha) + 0.01
+    assert cv.value > lower_quantile(model, 1.0 - alpha) + 0.01
     assert cv.evaluations <= 3
 
 
@@ -431,9 +456,9 @@ class TestSolverEdges:
     in the normal tail v.
     """
 
-    LO = mvprob.std_normal_quantile(1 - ALPHA)
-    HI = mvprob.std_normal_quantile(1 - ALPHA / 4)
-    X0 = pytest.approx(-mvprob.std_normal_quantile(2.0 - math.sqrt(4.0 - 3.0 * ALPHA)), abs=1e-12)
+    LO = float(special.ndtri(1 - ALPHA))
+    HI = float(special.ndtri(1 - ALPHA / 4))
+    X0 = pytest.approx(-special.ndtri(2.0 - math.sqrt(4.0 - 3.0 * ALPHA)), abs=1e-12)
 
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
@@ -450,7 +475,7 @@ class TestSolverEdges:
     @staticmethod
     def shifted_tail(shift):
         # the normal tail moved right by `shift`: its root is LO + shift
-        return lambda c: 1.0 - mvprob.std_normal_cdf(c - shift)
+        return lambda c: 1.0 - float(special.ndtr(c - shift))
 
     def test_bracket_failure_at_lo(self, monkeypatch):
         calls, solve = self.solve(monkeypatch, lambda c: 0.5 * ALPHA)
@@ -495,9 +520,9 @@ class TestSolverEdges:
 
     @pytest.mark.parametrize("pwer_of_c", [
         # a staircase: no c meets solver_tol, so the bracket must close to _SOLVER_XTOL
-        lambda c: 1.0 - mvprob.std_normal_cdf(1e-3 * math.floor(c / 1e-3) - 0.1),
+        lambda c: 1.0 - float(special.ndtr(1e-3 * math.floor(c / 1e-3) - 0.1)),
         # a smooth tail with 1e-6 jumps every 1e-4, as a frozen-seed QMC point count makes
-        lambda c: 1.0 - mvprob.std_normal_cdf(c - 0.1) - 1e-6 * math.floor(c / 1e-4) + 0.03,
+        lambda c: 1.0 - float(special.ndtr(c - 0.1)) - 1e-6 * math.floor(c / 1e-4) + 0.03,
     ], ids=["staircase", "jumps"])
     def test_terminates_on_step_discontinuous_objective(self, monkeypatch, pwer_of_c):
         calls, solve = self.solve(monkeypatch, pwer_of_c)
@@ -529,9 +554,9 @@ class TestIndependenceStart:
             [x0], [slope] = pwer._independence_root([model], weights[None], ALPHA)
             # the array root has the bits of the scalar one
             assert (x0, slope) == independence_root(model, weights, ALPHA)
-            assert model.tail_quantile(ALPHA) <= x0 <= model.tail_quantile(ALPHA / 2**m)
+            assert lower_quantile(model, 1.0 - ALPHA) <= x0 <= lower_quantile(model, 1.0 - ALPHA / 2**m)
             assert slope < 0.0
-            results = pwer.evaluate_strata(x0, model, which=weights > 0.0)
+            results = evaluated(x0, model, which=weights > 0.0)
             live = [(w, r) for w, r in zip(weights.tolist(), results) if r is not None]
             pwer_x0 = sum(w * (1.0 - r.value) for w, r in live)
             assert pwer_x0 <= ALPHA + sum(w * r.error_estimate for w, r in live)
@@ -555,7 +580,7 @@ class TestIndependenceStart:
         design = dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous")
         model = pwer.build_test_model(design)
         weights = np.full(2**m - 1, 0.5 * ALPHA / (2**m - 1))
-        lo = model.tail_quantile(ALPHA)
+        lo = lower_quantile(model, 1.0 - ALPHA)
         assert pwer._independence_root([model], weights[None], ALPHA)[0].tolist() == [lo]
         calls = []
         evaluate = pwer._evaluate
@@ -696,8 +721,8 @@ def test_upper_quantile_finite_and_monotone(kind, df):
     # one array call has the bits of each scalar call
     assert qs == [upper_quantile(model, p) for p in ps]
     for p in (1e-6, ALPHA, 0.3):
-        # tail_quantile forms 1 - p, which rounds; the two agree to that rounding
-        assert upper_quantile(model, p) == pytest.approx(model.tail_quantile(p), rel=1e-9)
+        # the lower quantile of 1 - p forms 1 - p, which rounds; the two agree to that rounding
+        assert upper_quantile(model, p) == pytest.approx(lower_quantile(model, 1.0 - p), rel=1e-9)
 
 
 @pytest.mark.parametrize("setting, m", [
@@ -793,6 +818,14 @@ class TestPredictionInterval:
         with pytest.raises(ConfigError):
             pwer.prediction_interval(ALPHA, 0.05, -0.1, 100)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1e-12])
+    def test_alpha_outside_the_calibrated_range_rejected(self, alpha):
+        # the interval takes alpha from the range every other entry point checks (check_alpha)
+        with pytest.raises(ConfigError, match=r"alpha must lie in \[1e-10, 0.5\)"):
+            pwer.prediction_interval(alpha, 0.05, 0.1, 100)
+        with pytest.raises(ConfigError, match=r"alpha must lie in \[1e-10, 0.5\)"):
+            pwer.prediction_intervals(alpha, 0.05, [0.1, 0.2], 100)
+
 
 class TestTruePwer:
     def test_calibration_identity(self):
@@ -809,7 +842,7 @@ class TestTruePwer:
         weights = np.full(31, 1 / 31)
         value = pwer.pwer_value(2.3, weights, model, tol=1e-3,
                                 rng=np.random.default_rng(0))
-        lo = 1.0 - mvprob.std_normal_cdf(2.3)
+        lo = 1.0 - float(special.ndtr(2.3))
         assert lo <= value <= 5 * lo + 1e-3
 
     def test_against_event_oracle_with_mismatched_truth(self):

@@ -156,10 +156,22 @@ class TestRunScenario:
         ("A", dict(B=0)),  # unread by the exact engine, and still no number of resamples
         ("A", dict(B=2000.5)),
         ("A", dict(master_seed=1.5)),
+        # fields the others leave unread: the run would simulate equal prevalences, or drop pi_min
+        ("A", dict(explicit_prevalences=(0.9, 0.05, 0.05))),
+        ("A", dict(pi_min=0.05)),
     ])
     def test_levels_and_resamples_checked_at_construction(self, setting, fields):
         with pytest.raises(ConfigError):
             sim.SimScenario(**{"N": 250, "m": 2, "setting": setting, "runs": 5, **fields})
+
+    def test_a_scenario_without_a_successful_run_counts_its_failures(self):
+        # at m = 3 one_small's full stratum gets about two patients: a cell of one in every run;
+        # the message is the one the 1% limit raises
+        scenario = sim.SimScenario(N=250, m=3, setting="D_satterthwaite", prevalence_scheme="one_small",
+                                   B=1000, runs=6, master_seed=5)
+        message = "6/6 runs failed; first: (0, 'InfeasibleDesignError: a populated cell has a single patient')"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            sim.run_scenario(scenario, max_failure_fraction=1.0)
 
     def test_true_pwer_centers_on_alpha(self):
         # N=500, m=2: the realized true PWER averages to alpha
