@@ -15,12 +15,15 @@ constant, so its result never depends on the caller's `tol`; three times that
 last gap is the error estimate. `orthant_groups` plans many laws of one kind
 once from a stack (n, d, d) of correlations, each row with its own
 correlation and, for t, its own df: there it computes, once, all that
-depends on the correlations alone (the path of the first two rungs, and
-the rule, asin and sine nodes of every bivariate call whose correlation
-does not depend on the limits). Each OrthantGroup it returns evaluates any
-of its rows at any limits in one stacked call on that plan, flagging the
-rows that need QMC; mvn_cdf/mvt_cdf evaluate one row of one group, and
-every row equals that call bit for bit. `correlation_matrices` validates a
+depends on the correlations and dfs alone (the path of the first two
+rungs, the rule, asin and sine nodes of every bivariate call whose
+correlation does not depend on the limits, grouped by rule, and each t
+row's chi-scale nodes on those rungs), and binds it into the pieces of an
+evaluation of every row. Each OrthantGroup it returns evaluates all of
+its rows on those bound pieces, or any subset of them by indexing the
+bound arrays, at any limits in one stacked call, flagging the rows that
+need QMC; mvn_cdf/mvt_cdf evaluate one row of one group, and every row
+equals that call bit for bit. `correlation_matrices` validates a
 stack of correlation matrices in one pass; a CorrelationMatrix is one
 validated matrix with its Cholesky factor, which mvn_cdf/mvt_cdf and QMC
 take. Higher dimensions, and the rows of three or four whose error estimate
@@ -199,7 +202,7 @@ def _bvn_upper(h, k, r, rule: int, nodes: tuple | None) -> np.ndarray:
     |r| >= 0.925; every |r| must be < 1. r is one correlation, or an array of
     them that broadcasts against h and k, all of the one rule (_bvn_rules)
     `rule`, 0-4. In a 6/12/20-node band, nodes holds asin r, the sine nodes
-    and 1 - sn^2, shaped as r with the nodes last (_Kernel.nodes). Each
+    and 1 - sn^2, shaped as r with the nodes last (_Kernel.bands). Each
     entry of h reduces its own nodes, so a stacked call returns the entries
     of separate calls bit for bit.
     """
@@ -261,35 +264,46 @@ def _bvn_lower(b1: np.ndarray, b2: np.ndarray, r, rule: int, nodes: tuple | None
 class _Kernel(NamedTuple):
     """What bvn_cdf_many computes from its correlations alone, per entry (_kernel).
 
-    rho, rule and slot share one shape, an entry's correlation, its rule
-    (_bvn_rules) and, in a 6/12/20-node band, its row in tables[rule]: asin
-    rho, the n sine nodes and n values of 1 - sn^2 of every entry of that
-    band, side by side. take selects entries (a[index] of each array) and
-    ravel lays them on one axis, broadcast first to `shape` when given;
-    both keep the tables.
+    rho and rule share one shape, an entry's correlation and its rule
+    (_bvn_rules). bands groups the entries by rule, all that bvn_cdf_many
+    reads of them: per rule, the positions of its entries in ravel order,
+    their correlations and, in a 6/12/20-node band, their nodes (_bvn_upper:
+    asin rho, the n sine nodes and n values of 1 - sn^2, one row per entry;
+    None for the other rules). take selects entries (rho[index] of each
+    array, broadcast to `shape` when given) and groups them anew; rows keeps
+    a range of the leading axis, a slice of every band.
     """
 
     rho: np.ndarray
     rule: np.ndarray
-    slot: np.ndarray
-    tables: dict
+    bands: tuple[tuple[int, np.ndarray, np.ndarray, tuple | None], ...]
 
-    def take(self, index) -> _Kernel:
-        return self._replace(rho=self.rho[index], rule=self.rule[index], slot=self.slot[index])
+    def take(self, index, shape: tuple | None = None) -> _Kernel:
+        pos = np.arange(self.rho.size).reshape(self.rho.shape)[index]
+        if shape is not None:
+            pos = np.broadcast_to(pos, shape)
+        flat = pos.ravel()
+        rule = self.rule.ravel()[flat]
+        slot = np.empty(self.rho.size, dtype=int)  # each entry's row in its band
+        for _, at, _, _ in self.bands:
+            slot[at] = np.arange(len(at))
+        bands = []
+        for band, at, r, nodes in self.bands:
+            mine = np.flatnonzero(rule == band)
+            if len(mine):
+                row = slot[flat[mine]]
+                bands.append((band, mine, r[row], None if nodes is None else tuple(a[row] for a in nodes)))
+        return _Kernel(self.rho.ravel()[flat].reshape(pos.shape), rule.reshape(pos.shape), tuple(bands))
 
-    def ravel(self, shape: tuple | None = None) -> _Kernel:
-        def flat(a):
-            return (a if shape is None else np.broadcast_to(a, shape)).ravel()
-
-        return self._replace(rho=flat(self.rho), rule=flat(self.rule), slot=flat(self.slot))
-
-    def nodes(self, rule: int, idx: np.ndarray, shape: tuple) -> tuple:
-        """The band nodes (_bvn_upper) of the entries idx of band rule, asin rho shaped
-        as their correlations `shape`, the sine nodes and 1 - sn^2 with the nodes last."""
-        table = self.tables[rule][self.slot[idx]]
-        n = table.shape[1] // 2
-        sn, cos_sq = table[:, 1:n + 1], table[:, n + 1:]
-        return table[:, 0].reshape(shape), sn.reshape(shape + (n,)), cos_sq.reshape(shape + (n,))
+    def rows(self, start: int, stop: int) -> _Kernel:
+        inner = math.prod(self.rho.shape[1:])
+        bands = []
+        for band, at, r, nodes in self.bands:
+            lo, hi = np.searchsorted(at, (start * inner, stop * inner)).tolist()
+            if lo < hi:
+                part = None if nodes is None else tuple(a[lo:hi] for a in nodes)
+                bands.append((band, at[lo:hi] - start * inner, r[lo:hi], part))
+        return _Kernel(self.rho[start:stop], self.rule[start:stop], tuple(bands))
 
 
 def _kernel(rho: np.ndarray) -> _Kernel:
@@ -298,17 +312,18 @@ def _kernel(rho: np.ndarray) -> _Kernel:
     them, however many limits the entries are later evaluated at."""
     flat = rho.ravel()
     rule = _bvn_rules(flat)
-    slot = np.zeros(flat.shape, dtype=int)
-    tables = {}
-    for band in set(rule[rule < 3].tolist()):
+    bands = []
+    for band in set(rule.tolist()):
         at = np.flatnonzero(rule == band)
-        slot[at] = np.arange(len(at))
-        x, _ = _GL_RULES[_BAND_NODES[band]]
-        # math.asin, not np.arcsin: the two differ in the last bit
-        asr = np.fromiter(map(math.asin, flat[at].tolist()), float, len(at))
-        sn = np.sin(asr[:, None] * (x + 1.0) / 2.0)
-        tables[band] = np.concatenate([asr[:, None], sn, 1.0 - sn * sn], axis=1)
-    return _Kernel(rho, rule.reshape(rho.shape), slot.reshape(rho.shape), tables)
+        nodes = None
+        if band < 3:
+            x, _ = _GL_RULES[_BAND_NODES[band]]
+            # math.asin, not np.arcsin: the two differ in the last bit
+            asr = np.fromiter(map(math.asin, flat[at].tolist()), float, len(at))
+            sn = np.sin(asr[:, None] * (x + 1.0) / 2.0)
+            nodes = (asr, sn, 1.0 - sn * sn)
+        bands.append((band, at, flat[at], nodes))
+    return _Kernel(rho, rule.reshape(rho.shape), tuple(bands))
 
 
 def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
@@ -331,24 +346,23 @@ def bvn_cdf_many(b1, b2, rho) -> np.ndarray:
         kernel = rho
     elif np.ndim(rho) == 0:
         # one correlation for every entry
-        kernel = _kernel(np.array([rho], dtype=float))
-        rule = int(kernel.rule[0])
-        return _bvn_lower(b1, b2, kernel.rho[0], rule, kernel.nodes(rule, [0], ()) if rule < 3 else None)
+        [(rule, _, r, nodes)] = _kernel(np.array([rho], dtype=float)).bands
+        return _bvn_lower(b1, b2, r[0], rule, None if nodes is None else tuple(a[0] for a in nodes))
     else:
         kernel = _kernel(np.asarray(rho, dtype=float))
     out = np.empty(b1.shape)
-    for rule in set(kernel.rule.tolist()):
-        idx = np.flatnonzero(kernel.rule == rule)
+    for rule, idx, r, nodes in kernel.bands:
         if len(idx) == 1:
-            nodes = kernel.nodes(rule, idx, ()) if rule < 3 else None
-            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], kernel.rho[idx[0]], rule, nodes)
+            one = None if nodes is None else tuple(a[0] for a in nodes)
+            out[idx[0]] = _bvn_lower(b1[idx[0]], b2[idx[0]], r[0], rule, one)
             continue
         # the entry's own trailing axes (one, at least), so its nodes reduce as in its own call
         shape = (len(idx),) + (b1.shape[1:] or (1,))
-        r = kernel.rho[idx].reshape((-1,) + (1,) * (len(shape) - 1))
-        nodes = kernel.nodes(rule, idx, r.shape) if rule < 3 else None
-        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r, rule, nodes)
-        out[idx] = values.reshape(out[idx].shape)
+        lift = (-1,) + (1,) * (len(shape) - 1)
+        if nodes is not None:
+            nodes = tuple(a.reshape(lift + a.shape[1:]) for a in nodes)
+        values = _bvn_lower(b1[idx].reshape(shape), b2[idx].reshape(shape), r.reshape(lift), rule, nodes)
+        out[idx] = values.reshape((len(idx),) + b1.shape[1:])
     return out
 
 
@@ -387,15 +401,17 @@ def _plackett_base(h: np.ndarray, pairs: _Kernel) -> np.ndarray:
     """Phi_d(h; R0) of every limit vector of h (k, *c, d), rows in block order
     (see _plackett): the bivariate rule times the univariate (d = 3) or
     bivariate (d = 4) one; for d = 2 the bivariate rule itself. pairs is the
-    _Kernel of the rows' base pairs, (1, k) entries of the pair (0, 1), or
-    (2, k) of (0, 1) and (2, 3) for d = 4, which take one bivariate call."""
+    _Kernel (k, P) of the rows' base pairs, the pair (0, 1) or, for d = 4,
+    (0, 1) and (2, 3), which take one bivariate call in its ravel order."""
     k, d = len(h), h.shape[-1]
     if d < 4:
-        value = bvn_cdf_many(h[..., 0], h[..., 1], pairs.take(0))
+        value = bvn_cdf_many(h[..., 0], h[..., 1], pairs)
         return value * special.ndtr(h[..., 2]) if d == 3 else value
-    b1, b2 = np.concatenate([h[..., 0], h[..., 2]]), np.concatenate([h[..., 1], h[..., 3]])
-    value = bvn_cdf_many(b1, b2, pairs.ravel())
-    return value[:k] * value[k:]
+    pair_rows = (2 * k,) + h.shape[1:-1]
+    b1 = np.stack([h[..., 0], h[..., 2]], axis=1).reshape(pair_rows)
+    b2 = np.stack([h[..., 1], h[..., 3]], axis=1).reshape(pair_rows)
+    value = bvn_cdf_many(b1, b2, pairs).reshape((k, 2) + h.shape[1:-1])
+    return value[:, 0] * value[:, 1]
 
 
 class _Path(NamedTuple):
@@ -407,8 +423,10 @@ class _Path(NamedTuple):
     r_ij, 2 rho, 2 det and 2 pi sqrt(det) of each pair (i, j) at R(t), then
     the regression (a, b) of each conditioned variable on X_i, X_j and its
     residual sd (p, then q for d = 4); cond is the _Kernel of the
-    conditional correlations rho_pq (d = 4). take selects rows (or rows and
-    nodes), rung one rung's nodes.
+    conditional correlations rho_pq (d = 4), in the same (rows, nodes,
+    pairs) layout, the ravel order of _plackett's bivariate call. take
+    selects rows (or rows and nodes), rows a range of rows (views of every
+    array) and rung one rung's nodes.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -425,6 +443,10 @@ class _Path(NamedTuple):
             tuple(a[index] for a in self.geometry),
             None if self.cond is None else self.cond.take(index),
         )
+
+    def rows(self, start: int, stop: int) -> _Path:
+        cond = None if self.cond is None else self.cond.rows(start, stop)
+        return _Path(self.weights, tuple(a[start:stop] for a in self.geometry), cond)
 
     def rung(self, k: int) -> _Path:
         start = sum(len(w) for w in self.weights[:k])
@@ -492,7 +514,7 @@ def _plackett(
     value = _plackett_base(h, pairs) if base is None else base
     if path is None:
         return [value]
-    d = h.shape[-1]
+    d, chunked = h.shape[-1], h.ndim > 2
     i, j, *rest = _OFF_BLOCK[d]
 
     # the path's (k, n, P) arrays as (k, *1, n, P), against h as (k, *c, 1, d)
@@ -511,7 +533,9 @@ def _plackett(
         cond = special.ndtr(z)
     else:
         z_q = limit(rest[1], *given[3:])
-        cond = bvn_cdf_many(z.ravel(), z_q.ravel(), path.cond.take(lift).ravel(z.shape)).reshape(z.shape)
+        # the path's kernel is in z's layout, or, for a t row's chunk of limit vectors, broadcast to it
+        pairs = path.cond.take(lift, z.shape) if chunked else path.cond
+        cond = bvn_cdf_many(z.ravel(), z_q.ravel(), pairs).reshape(z.shape)
     slope = (r_ij * density * cond).sum(axis=-1)
     rungs, start = [], 0
     for w in path.weights:
@@ -639,76 +663,162 @@ def _chi_scale_nodes(df: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
+def _chi_scales(df: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's n chi-scale nodes and weights (_chi_scale_nodes) for the dfs
+    df, as two arrays (rows, n), the rule of each distinct df looked up once."""
+    rules = {v: _chi_scale_nodes(v, n) for v in dict.fromkeys(df.tolist())}
+    return tuple(np.array([rules[v][i] for v in df.tolist()]).reshape(len(df), n) for i in (0, 1))
+
+
+class _Piece(NamedTuple):
+    """One stacked _plackett call of a _Pass: its limit rows start:stop, their
+    base-pair _Kernel (None on a normal pass, whose base is known) and _Path
+    (None for two dimensions)."""
+
+    start: int
+    stop: int
+    pairs: _Kernel | None
+    path: _Path | None
+
+
+class _Pass(NamedTuple):
+    """One pass of _quadrature over its rows, in pieces (_passes).
+
+    A normal pass takes every rung of its path at once, and scales is None.
+    A t pass takes one rung: scales holds each row's chi-scale nodes and
+    weights (rows x nodes), and the row's limits at those nodes are its
+    limit vectors, in limit rows of `chunk` vectors each.
+    """
+
+    scales: tuple[np.ndarray, np.ndarray] | None
+    chunk: int
+    pieces: tuple[_Piece, ...]
+
+
+def _pieces(n: int, step: int, pairs: _Kernel | None, path: _Path | None) -> tuple[_Piece, ...]:
+    """n limit rows, whose base pairs and path are pairs and path, in pieces of
+    `step` rows, each piece the rows of both it spans; one piece takes them whole."""
+    if n <= step:
+        return (_Piece(0, n, pairs, path),)
+    return tuple(
+        _Piece(i, i + step, None if pairs is None else pairs.rows(i, i + step),
+               None if path is None else path.rows(i, i + step))
+        for i in range(0, n, step)
+    )
+
+
+def _passes(d: int, pairs: _Kernel, path: _Path | None, scales: list | None) -> tuple[_Pass, ...]:
+    """The passes of rows of dimension d whose base pairs have the _Kernel
+    pairs (rows, P) and whose path, at the t nodes of one or more rungs, is
+    `path` (None for two dimensions): one normal pass over every rung of
+    the path when scales is None, else one t pass per rung, scales holding
+    each rung's chi-scale nodes and weights of every row (_chi_scales).
+
+    Each pass cuts its limit rows into pieces of at most _QUAD_BLOCK
+    integrand evaluations (_pieces). A t row's nodes come in chunks halved
+    until they fit a piece (all of them for a bivariate row); halving 8, 12
+    or 16 nodes (or a power of two) keeps every chunk whole, and a row of
+    more than one chunk repeats.
+    """
+    per_node = _OFF_BLOCK[d].shape[1]
+    if scales is None:
+        if path is None:
+            return (_Pass(None, 1, ()),)
+        step = max(1, _QUAD_BLOCK // (path.nodes * per_node))
+        return (_Pass(None, 1, _pieces(len(path.geometry[0]), step, None, path)),)
+    passes = []
+    for k, (s, w) in enumerate(scales):
+        rung = path if path is None or len(scales) == 1 else path.rung(k)
+        per_vector = 1 if rung is None else rung.nodes * per_node
+        chunk = s.shape[1]
+        while chunk > 1 and chunk * per_vector > _QUAD_BLOCK:
+            chunk //= 2
+        limit_pairs = pairs
+        if chunk < s.shape[1]:
+            each = np.repeat(np.arange(len(s)), s.shape[1] // chunk)
+            limit_pairs, rung = pairs.take(each), None if rung is None else rung.take(each)
+        step = max(1, _QUAD_BLOCK // (per_vector * chunk))
+        passes.append(_Pass((s, w), chunk, _pieces(len(limit_pairs.rho), step, limit_pairs, rung)))
+    return tuple(passes)
+
+
+class _Bound(NamedTuple):
+    """The rows of a group that its quadrature takes (all but the degenerate
+    bivariate t rows), their base-pair _Kernel (rows, P) and the passes of
+    their first two rungs (_passes): all that an evaluation of those rows
+    reads besides their limits until a row climbs to a third rung."""
+
+    rows: np.ndarray
+    pairs: _Kernel
+    passes: tuple[_Pass, ...]
+
+
 def _quadrature(
-    upper: np.ndarray, group: OrthantGroup, at: np.ndarray, df: np.ndarray | None
+    upper: np.ndarray, group: OrthantGroup, bound: _Bound, df: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The deterministic law of every row of upper (n x d, in block order),
-    the rows `at` of group: normal, or t with df[i] degrees of freedom as the
-    chi-weighted sum of normal orthants at limits upper * s, on the group's
-    chi-scale rule. Returns _ladder's value, error and points arrays.
+    the rows bound.rows of group: normal, or t with df[i] degrees of
+    freedom as the chi-weighted sum of normal orthants at limits upper * s,
+    on the group's chi-scale rule. Returns _ladder's value, error and
+    points arrays.
 
-    The rows climb the ladder of _LADDERS together, in pieces of at most
-    _QUAD_BLOCK integrand evaluations per stacked _plackett call. The first
-    two rungs take the group's planned path (orthant_groups); a third rung
-    builds the path of the rows that reach it, and only theirs. A normal
-    row's Phi_d(h; R0) does not depend on the rung and is computed once, for
+    The rows climb the ladder of _LADDERS together, on the passes of bound
+    for the first two rungs; a third rung builds the path, chi-scale nodes
+    and passes of the rows that reach it, and only theirs. A normal row's
+    Phi_d(h; R0) does not depend on the rung and is computed once, for
     every row, and its limit vectors are the same on every rung, so its
-    first two rungs are one _plackett pass over the nodes of both. A t row's
+    first two rungs are one pass over the nodes of both. A t row's
     chi-scale nodes are limit vectors of its own, which differ by rung, so
-    each of its rungs is a pass of its own, its nodes in chunks halved until
-    they fit a piece (all of them for a bivariate row). Each row reduces
-    each rung's nodes in the shapes of its own call, so it equals that call
-    bit for bit.
+    each of its rungs is a pass of its own. Each row reduces each rung's
+    nodes in the shapes of its own call, so it equals that call bit for
+    bit.
     """
     n, d = upper.shape
     rules, floor = _LADDERS[d, group.chi]
-    base = _plackett_base(upper, group.pairs.take((slice(None), at))) if df is None and d > 2 else None
+    base = _plackett_base(upper, bound.pairs) if df is None else None
 
-    def per_vector(path: _Path | None) -> int:
-        return 1 if path is None else path.nodes * _OFF_BLOCK[d].shape[1]
-
-    def evaluate(ks, active):
-        rows = at[active]
-        path, pick = group.path, rows
-        if d > 2 and ks[0] >= 2:
-            path, pick = _path(group.corr[rows], tuple(rules[k][-1] for k in ks)), np.arange(len(rows))
+    def run(passes, h, base):
         if df is None:
-            step = max(1, _QUAD_BLOCK // per_vector(path))
+            [normal] = passes
+            if not normal.pieces:
+                return [base]
             parts = [
-                _plackett(
-                    upper[active[i:i + step]],
-                    None if base is not None else group.pairs.take((slice(None), rows[i:i + step])),
-                    None if path is None else path.take(pick[i:i + step]),
-                    None if base is None else base[active[i:i + step]],
-                )
-                for i in range(0, len(active), step)
+                _plackett(h[p.start:p.stop], None, p.path, base[p.start:p.stop]) for p in normal.pieces
             ]
             return [np.concatenate(rung) for rung in zip(*parts)]
         values = []
-        for k in ks:
-            rung = None if path is None else path.rung(k - ks[0])
-            n_chi = rules[k][0]
-            scales = [_chi_scale_nodes(v, n_chi) for v in df[active].tolist()]
-            # each row's chi-scale nodes in chunks of limit vectors, as few as fit a piece;
-            # halving 8, 12 or 16 nodes (or a power of two) keeps every chunk whole
-            chunk = n_chi
-            while chunk > 1 and chunk * per_vector(rung) > _QUAD_BLOCK:
-                chunk //= 2
-            limits = (upper[active][:, None] * np.array([s for s, _ in scales])[..., None]).reshape(-1, chunk, d)
-            pieces, picks = np.repeat(rows, n_chi // chunk), np.repeat(pick, n_chi // chunk)
-            step = max(1, _QUAD_BLOCK // (per_vector(rung) * chunk))
-            rung_values = np.concatenate([
-                _plackett(
-                    limits[i:i + step],
-                    group.pairs.take((slice(None), pieces[i:i + step])),
-                    None if rung is None else rung.take(picks[i:i + step]),
-                )[0]
-                for i in range(0, len(limits), step)
-            ])
-            values.append(np.sum(np.array([w for _, w in scales]) * rung_values.reshape(len(active), -1), axis=1))
+        for one in passes:
+            s, w = one.scales
+            limits = (h[:, None] * s[..., None]).reshape(-1, one.chunk, d)
+            rung = np.concatenate([_plackett(limits[p.start:p.stop], p.pairs, p.path)[0] for p in one.pieces])
+            values.append(np.sum(w * rung.reshape(len(h), -1), axis=1))
         return values
 
+    def evaluate(ks, active):
+        if ks[0] == 0:  # the first call, on every row
+            return run(bound.passes, upper, base)
+        rows = bound.rows[active]
+        path = _path(group.corr[rows], tuple(rules[k][-1] for k in ks)) if d > 2 else None
+        if df is None:
+            return run(_passes(d, bound.pairs, path, None), upper[active], base[active])
+        scales = [_chi_scales(df[active], rules[k][0]) for k in ks]
+        return run(_passes(d, bound.pairs.take(active), path, scales), upper[active], None)
+
     return _ladder(rules, evaluate, floor, n)
+
+
+def _bind(
+    d: int, pairs: _Kernel, path: _Path | None, scales: list | None, rows: np.ndarray | None = None
+) -> _Bound:
+    """The _Bound of the rows `rows` (default: every row) of a group whose
+    base pairs, path and chi-scale nodes of the first two rungs are pairs,
+    path and scales; a subset takes its rows of each."""
+    if rows is None:
+        return _Bound(np.arange(len(pairs.rho)), pairs, _passes(d, pairs, path, scales))
+    pairs = pairs.take(rows)
+    path = None if path is None else path.take(rows)
+    scales = None if scales is None else [(s[rows], w[rows]) for s, w in scales]
+    return _Bound(rows, pairs, _passes(d, pairs, path, scales))
 
 
 @dataclass(frozen=True)
@@ -720,11 +830,14 @@ class OrthantGroup:
     degrees of freedom and chi their chi-scale rule; exact is +1 or -1 on the
     bivariate t rows whose correlation lies within 1e-13 of +1 or -1, whose
     degenerate laws are exact, and 0 elsewhere. pairs holds the _Kernel of
-    each row's base pairs (_plackett_base) and, for three or four
-    dimensions, path its _Path at the t nodes of the first two rungs: what
-    depends on the correlations alone, computed here once for every
-    evaluation, and dropped with the group. Rows of one dimension need no
-    correlation, and rows of five or more keep none: they need QMC.
+    each row's base pairs (_plackett_base), path (three or four dimensions)
+    its _Path at the t nodes of the first two rungs and scales (t) its
+    chi-scale nodes and weights on those rungs, one pair of arrays per rung
+    (_chi_scales); bound binds them, once, into the passes of an evaluation
+    of every row (_Bound). All of it depends on the correlations and dfs
+    alone: computed here once for every evaluation, and dropped with the
+    group. Rows of one dimension need no correlation, and rows of five or
+    more keep none: they need QMC.
     """
 
     size: int
@@ -736,6 +849,15 @@ class OrthantGroup:
     exact: np.ndarray | None
     pairs: _Kernel | None
     path: _Path | None
+    scales: list | None
+    bound: _Bound | None
+
+    def settles(self, error: np.ndarray, tol: float) -> np.ndarray:
+        """Which rows of an evaluation, with error estimates error, tol
+        settles: every row of one or two dimensions, whose quadrature is
+        always kept; in three or four those whose error estimate lies within
+        tol; none in five or more, whose error is NaN."""
+        return error <= tol if self.dim > 2 else np.ones(len(error), dtype=bool)
 
     def evaluate(
         self, limits, rows: np.ndarray | None = None, tol: float = 1e-6
@@ -747,13 +869,13 @@ class OrthantGroup:
         settled is False where the row needs QMC: five or more dimensions,
         where the other three hold no number, or three or four and an error
         estimate above tol (one value for every row), where they hold the
-        quadrature's last rung. Each row equals its own mvn_cdf/mvt_cdf call
-        bit for bit.
+        quadrature's last rung (settles). Every row evaluates on the
+        group's bound passes; a subset of rows takes its own of the bound
+        arrays. Each row equals its own mvn_cdf/mvt_cdf call bit for bit.
         """
         upper = np.asarray(limits, dtype=float)
         k, d, t = len(upper), self.dim, self.df is not None
-        rows = np.arange(self.size) if rows is None else rows
-        df = self.df[rows] if t else None
+        df = None if not t else self.df if rows is None else self.df[rows]
         if d == 1:
             x = upper[:, 0]
             value = special.stdtr(df, x) if t else special.ndtr(x)
@@ -762,24 +884,24 @@ class OrthantGroup:
         points, settled = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
         if self.corr is None:
             return value, error, points, settled
-        quad = np.arange(k)
-        if self.exact is not None and self.exact[rows].any():  # the degenerate bivariate t laws
-            sign = self.exact[rows]
+        quad = slice(None)
+        sign = None if self.exact is None else self.exact if rows is None else self.exact[rows]
+        if sign is not None and sign.any():  # the degenerate bivariate t laws
             at = np.flatnonzero(sign)
             cdf = special.stdtr(df[at, None], upper[at])
             value[at] = np.where(sign[at] > 0, cdf.min(axis=1), np.maximum(0.0, cdf[:, 0] + cdf[:, 1] - 1.0))
             error[at], points[at], settled[at] = 1e-14, 1, True
             quad = np.flatnonzero(sign == 0)
-        if len(quad):
-            order = self.order[rows[quad]]
+        bound = self.bound if rows is None else _bind(d, self.pairs, self.path, self.scales, rows[quad])
+        if len(bound.rows):
             value[quad], error[quad], points[quad] = _quadrature(
-                np.take_along_axis(upper[quad], order, axis=1),
+                np.take_along_axis(upper[quad], self.order[bound.rows], axis=1),
                 self,
-                rows[quad],
+                bound,
                 df[quad] if t else None,
             )
             # QMC takes the rows whose quadrature is looser than tol
-            settled[quad] = error[quad] <= tol if d > 2 else True
+            settled[quad] = self.settles(error[quad], tol)
         return value, error, points, settled
 
 
@@ -791,8 +913,9 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
     The t rows of two or more dimensions are grouped by chi-scale rule (see
     _LADDERS); every other stack is one group. Each group is planned here,
     once, however often it is evaluated: its correlations put in block
-    order, the _Kernel of its base pairs and, for three or four dimensions,
-    the _Path of its first two rungs.
+    order, the _Kernel of its base pairs, for three or four dimensions the
+    _Path of its first two rungs, for t the chi-scale nodes of each row on
+    them, and all of it bound into the passes of an evaluation of every row.
     """
     n, d = mats.shape[:2]
     t = df is not None
@@ -804,17 +927,23 @@ def orthant_groups(mats: np.ndarray, df=None) -> list[tuple[np.ndarray, OrthantG
         parts = [(np.arange(n), None)]
     groups = []
     for rows, chi in parts:
-        order = corr = exact = pairs = path = None
+        order = corr = exact = pairs = path = scales = bound = None
         if d > 1 and (d, chi) in _LADDERS:
             order = _block_order(mats[rows])
             corr = mats[rows[:, None, None], order[:, :, None], order[:, None, :]]
-            pairs = _kernel(corr[:, range(0, d - 1, 2), range(1, d, 2)].T)
+            pairs = _kernel(corr[:, range(0, d - 1, 2), range(1, d, 2)])
+            rungs = _LADDERS[d, chi][0][:2]
             if d > 2:
-                path = _path(corr, tuple(rule[-1] for rule in _LADDERS[d, chi][0][:2]))
+                path = _path(corr, tuple(rule[-1] for rule in rungs))
+            if t:
+                scales = [_chi_scales(df[rows], rule[0]) for rule in rungs]
+            quad = None
             if t and d == 2:
                 rho = corr[:, 0, 1]
                 exact = np.where(np.abs(rho) >= 1.0 - 1e-13, np.sign(rho), 0.0)
-        group = OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact, pairs, path)
+                quad = np.flatnonzero(exact == 0) if exact.any() else None
+            bound = _bind(d, pairs, path, scales, quad)
+        group = OrthantGroup(len(rows), d, chi, df[rows] if t else None, order, corr, exact, pairs, path, scales, bound)
         groups.append((rows, group))
     return groups
 

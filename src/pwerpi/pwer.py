@@ -11,15 +11,17 @@ submatrix on its members. Many calibrations run in lockstep
 (solve_lockstep), and a single solve is a lockstep of one. The block is
 planned once (_Plan): the runs' matrices stacked once, every stratum of
 every run sliced from that stack, grouped by law, dimension and chi-scale
-rule into mvprob.OrthantGroups, and every run's weights. Each step
-evaluates the strata of every unfinished run in one stacked pass
-(_evaluate: one OrthantGroup.evaluate per group; only the strata it leaves
+rule into mvprob.OrthantGroups, each bound once for every evaluation of
+all its rows, and every run's weights. Each step evaluates every stratum
+of every run in one stacked pass (_evaluate: one OrthantGroup.evaluate of
+all the rows of each group, a finished run's at its last c and dropped;
+only the positive-weight strata of the unfinished runs that it leaves
 undecided go to mvprob.qmc_cdf, per run, each with a CorrelationMatrix of
-its own) and
-sums their PWERs in one stacked pass; one array secant steps every run's
-c at once (_Secants, _step), in masked numpy operations with the bits of
-each run's scalar solve. The finished runs take one stacked verify pass
-(_verify). The interval's pieces come stacked too
+its own) and sums their PWERs in one stacked pass; one array secant steps
+every run's c at once (_Secants, _step), in masked numpy operations with
+the bits of each run's scalar solve. The finished runs take one stacked
+verify pass (_verify), which keeps the steps' quadrature and recomputes
+the rest by QMC alone. The interval's pieces come stacked too
 (delta_gammas, prediction_intervals, true_pwers), one row per run, as do
 the test statistics of a stack of bootstrap nulls (test_statistics_block);
 the one-run functions are rows of one of them.
@@ -272,15 +274,18 @@ class _Plan:
     The models share m, so their strata and members are the rows of
     design.stratum_members(m). groups holds one mvprob.OrthantGroup per
     (law, dimension, chi-scale rule), over the strata with a defined law of
-    every run, with each row's run, stratum and member populations. The
-    runs' full_corr are stacked once, and the correlations of every stratum
-    of one dimension, for all its runs, taken from that stack with one fancy
-    index for mvprob.orthant_groups. ok marks each run's strata with a
-    defined law, tols holds the block's tol of the solve pass and of the
-    verify pass, both checked here, and streams each run's _Streams.
-    weights holds each run's prevalence weights (one row per run) and mask
-    the positive ones; the runs are grouped by mask pattern for the PWER
-    sums (pwer).
+    every run, with each row's run, stratum and the positions of its limits
+    in `limits` (run * m + member). The runs' full_corr are stacked once,
+    and the correlations of every stratum of one dimension, for all its
+    runs, taken from that stack with one fancy index for
+    mvprob.orthant_groups, which binds each group's kernels, paths and
+    chi-scale nodes once for every evaluation of all its rows. limits holds
+    each run's last finite limits (zero before its first), at which
+    _evaluate evaluates its rows. ok marks each run's strata with a defined
+    law, tols holds the block's tol of the solve pass and of the verify
+    pass, both checked here, and streams each run's _Streams. weights holds
+    each run's prevalence weights (one row per run) and mask the positive
+    ones; the runs are grouped by mask pattern for the PWER sums (pwer).
     """
 
     def __init__(self, models: Sequence[TestModel], tols: tuple[float, float], streams, weights: np.ndarray):
@@ -306,7 +311,8 @@ class _Plan:
                 strata, idx = of_d[at], members_d[at]
                 mats = full[runs[:, None, None], idx[:, :, None], idx[:, None, :]]
                 for rows, group in mvprob.orthant_groups(mats, dfs[runs] if kind == "t" else None):
-                    self.groups.append((group, runs[rows], strata[rows], idx[rows]))
+                    self.groups.append((group, runs[rows], strata[rows], runs[rows, None] * self.m + idx[rows]))
+        self.limits = np.zeros((len(models), self.m))
         self.weights = np.array(weights, dtype=float)
         self.mask = self.weights > 0.0
         patterns: dict[bytes, list[int]] = {}
@@ -337,38 +343,39 @@ class _Plan:
 class _Evaluated(NamedTuple):
     """The per-stratum results of an _evaluate call, one row per run.
 
-    A stratum that was not evaluated has value NaN, error inf and points 0;
-    failed maps a row to the error that ended its run.
+    A stratum that was not evaluated has value NaN, error inf or NaN and
+    points 0; kept holds the quadrature results that the verify pass's tol
+    settles too (NaN elsewhere), and failed maps a row to the error that
+    ended its run.
     """
 
     value: np.ndarray
     error: np.ndarray
     points: np.ndarray
     qmc: np.ndarray
+    kept: np.ndarray
     failed: dict[int, Exception]
 
 
-def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, verify: bool = False) -> _Evaluated:
-    """F_J(c_J) for the strata select[k] (k x S) of each run runs[k] of the plan at its limits c[k] (k x m).
+def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray) -> _Evaluated:
+    """F_J(c_J) for every stratum of each run runs[k] of the plan at its limits c[k] (k x m).
 
-    Each run's limits and its strata are checked first; the pass (verify or
-    solve) reads its tol of the plan. Then each group of the plan takes one
-    OrthantGroup.evaluate over the selected rows of these runs. The strata
-    it leaves to QMC (five or more dimensions, an unsettled quadrature) take
-    one mvprob.qmc_cdf call each, per run in stratum order on that run's
-    stream of the pass, so its QMC
-    strata read the stream in that order; the verify pass builds fresh
-    engines. Every result equals the stratum's own mvn_cdf/mvt_cdf call.
+    Each run's limits and the strata its weights select are checked first.
+    Then every group of the plan is asked for all of its rows in one
+    OrthantGroup.evaluate, on the passes it bound when it was planned: the
+    rows of a run that is not in runs, or whose limits are not finite, are
+    evaluated at its last finite limits (plan.limits) and dropped. The
+    positive-weight strata a group leaves to QMC (five or more dimensions,
+    an unsettled quadrature) take one mvprob.qmc_cdf call each (_by_qmc),
+    per run in stratum order on its solve stream. Every result equals the
+    stratum's own mvn_cdf/mvt_cdf call at the solve pass's tol.
     """
-    k, n_strata = select.shape
-    tol = plan.tols[int(verify)]
-    value = np.full((k, n_strata), math.nan)
-    error = np.full((k, n_strata), math.inf)
-    points = np.zeros((k, n_strata), dtype=int)
-    qmc = np.zeros((k, n_strata), dtype=bool)
+    k = len(runs)
+    cdf_tol, verify_tol = plan.tols
     failed = {}
-    undefined = select & ~plan.ok[runs]
-    bad = ~np.isfinite(c).all(axis=1) | undefined.any(axis=1)
+    finite = np.isfinite(c).all(axis=1)
+    undefined = plan.mask[runs] & ~plan.ok[runs]
+    bad = ~finite | undefined.any(axis=1)
     for pos in np.flatnonzero(bad).tolist():
         try:
             mvprob.check_limits(c[pos])
@@ -378,40 +385,52 @@ def _evaluate(plan: _Plan, runs: np.ndarray, c: np.ndarray, select: np.ndarray, 
             )
         except RUN_ERRORS as exc:
             failed[pos] = exc
-    live = np.zeros(plan.ok.shape, dtype=bool)
-    live[runs] = select & ~bad[:, None]
-    at = np.empty(len(plan.models), dtype=int)
-    at[runs] = np.arange(k)
-    unsettled = []
-    for group, group_runs, strata, members in plan.groups:
-        rows = np.flatnonzero(live[group_runs, strata])
-        if not len(rows):
-            continue
-        pos, j = at[group_runs[rows]], strata[rows]
-        value[pos, j], error[pos, j], points[pos, j], settled = group.evaluate(
-            c[pos[:, None], members[rows]], rows, tol
-        )
-        if not settled.all():
-            unsettled.extend(zip(pos[~settled].tolist(), j[~settled].tolist()))
+    plan.limits[runs[finite]] = c[finite]
+    shape = plan.ok.shape
+    value, error, kept = np.full(shape, math.nan), np.full(shape, math.inf), np.full(shape, math.nan)
+    points, unsettled = np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
+    for group, group_runs, strata, at in plan.groups:
+        v, e, p, settled = group.evaluate(np.take(plan.limits, at), None, cdf_tol)
+        value[group_runs, strata], error[group_runs, strata], points[group_runs, strata] = v, e, p
+        unsettled[group_runs, strata] = ~settled
+        kept[group_runs, strata] = np.where(group.settles(e, verify_tol), v, math.nan)
+    value, error, points, kept = value[runs], error[runs], points[runs], kept[runs]
+    if bad.any():
+        value[bad], error[bad], points[bad], kept[bad] = math.nan, math.inf, 0, math.nan
+    qmc = np.zeros((k, shape[1]), dtype=bool)
+    which = unsettled[runs] & plan.mask[runs] & ~bad[:, None]
+    failed.update(_by_qmc(plan, runs, c, which, (value, error, points, qmc), verify=False))
+    return _Evaluated(value, error, points, qmc, kept, failed)
 
-    by_run: dict[int, list[int]] = {}
-    for pos, j in sorted(unsettled):
-        by_run.setdefault(pos, []).append(j)
-    for pos, strata in by_run.items():
+
+def _by_qmc(
+    plan: _Plan, runs: np.ndarray, c: np.ndarray, which: np.ndarray, out: tuple, verify: bool
+) -> dict[int, Exception]:
+    """The strata which[k] of each run runs[k] of the plan at its limits c[k]
+    by QMC: one mvprob.qmc_cdf call each, with a CorrelationMatrix of its
+    own, per run in stratum order on that run's stream of the pass (the
+    verify pass builds fresh engines) at the pass's tol, so that its QMC
+    strata read the stream in that order. Writes each result's value, error,
+    points and qmc flag into the arrays out, and returns the error of each
+    run whose QMC failed."""
+    tol = plan.tols[int(verify)]
+    table = stratum_members(plan.m)
+    failed = {}
+    for pos in np.flatnonzero(which.any(axis=1)).tolist():
         model, streams = plan.models[runs[pos]], plan.streams[runs[pos]]
         try:
             stream = streams.verify() if verify else streams.solve()
             engines = None if verify else streams.engines
-            for j in strata:
-                members = np.flatnonzero(stratum_members(plan.m)[j])
+            for j in np.flatnonzero(which[pos]).tolist():
+                members = np.flatnonzero(table[j])
                 # a principal submatrix of a validated matrix: validating it keeps its bits
                 corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(members, members)])
-                value[pos, j], error[pos, j], points[pos, j], qmc[pos, j] = mvprob.qmc_cdf(
-                    c[pos, members], corr, model.df, tol, stream, engines
-                )
+                result = mvprob.qmc_cdf(c[pos, members], corr, model.df, tol, stream, engines)
+                for array, field in zip(out, result):
+                    array[pos, j] = field
         except RUN_ERRORS as exc:
             failed[pos] = exc
-    return _Evaluated(value, error, points, qmc, failed)
+    return failed
 
 
 def pwer_value(
@@ -425,7 +444,7 @@ def pwer_value(
     weights = prevalence_weights(pi, len(model.strata))
     plan = _Plan([model], (tol, tol), [_Given(rng)], [weights])
     run = np.zeros(1, dtype=int)
-    step = _evaluate(plan, run, _c_vector(c, model.m)[None], plan.mask)
+    step = _evaluate(plan, run, _c_vector(c, model.m)[None])
     if step.failed:
         raise step.failed[0]
     return float(plan.pwer(run, step.value)[0])
@@ -542,6 +561,16 @@ def _lower_quantiles(df: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(normal, special.ndtri(q), out) if normal.any() else out
 
 
+def _quantiles_at(df: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """_lower_quantiles of every row at each of the levels, one column per
+    level: each distinct df's (NaN, the normal law, among them) computed
+    once, in one call over the levels, and indexed back. The rows of a
+    block nearly always share one df; each entry has the bits of its own
+    call."""
+    distinct, back = np.unique(df, return_inverse=True)
+    return _lower_quantiles(distinct[:, None], np.array(levels)[None, :])[back]
+
+
 def _upper_quantiles(df: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Upper-tail quantile of each p, finite for any p: the negated lower quantile, never 1 - p.
 
@@ -637,9 +666,9 @@ class _Secants:
         n = len(rows)
         self.rows = rows
         self.df = _dfs(models)
-        self.lo = _lower_quantiles(self.df, np.full(n, 1.0 - alpha))
-        self.hi = _lower_quantiles(self.df, np.full(n, 1.0 - alpha / 2 ** models[0].m))
-        self.q_alpha = _upper_quantiles(self.df, np.full(n, alpha))
+        # alpha lies within the clamp of _upper_quantiles, whose q_alpha is the negated lower quantile
+        self.lo, self.hi, lower_alpha = _quantiles_at(self.df, (1.0 - alpha, 1.0 - alpha / 2 ** models[0].m, alpha)).T
+        self.q_alpha = -lower_alpha
         x, self.slope = _independence_root(models, weights, alpha)
         self.x = np.minimum(np.maximum(x, self.lo), self.hi)
         self.phase, self.k = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -759,10 +788,13 @@ def solve_lockstep(
     step evaluates the pending c of every unfinished run in one _evaluate
     call, sums their PWERs in one stacked pass (_Plan.pwer) and moves every
     run's state in masked numpy operations, so each run takes the steps of
-    its own scalar solve, bit for bit. The finished runs drop out, so a
-    block costs about as many stacked evaluations as its slowest run. Each
-    run's per-stratum results are kept at its two bracket ends, where every
-    c* lies, and the finished runs take one stacked verify pass (_verify).
+    its own scalar solve, bit for bit. The finished runs drop out of the
+    secant, so a block costs about as many stacked evaluations as its
+    slowest run; their rows stay in every group's evaluation, at their last
+    c, and are dropped from its results. The quadrature results that the
+    verify tol settles (_Evaluated.kept) are kept at each run's two bracket
+    ends, where every c* lies, and the finished runs take one stacked
+    verify pass (_verify).
     The solve stops once |PWER - alpha| <= min(solver_tol, 1e-3 * alpha), so
     a small alpha is met to a relative precision too. An error of RUN_ERRORS
     ends only the run it belongs to.
@@ -788,17 +820,15 @@ def solve_lockstep(
     f_tol = min(solver_tol, 1e-3 * alpha)
     slack = max(10.0 * solver_tol, 3.0 * cdf_tol)
     evaluations = np.zeros(len(models), dtype=int)
-    # each run's per-stratum results at its bracket ends a (0) and b (1)
-    value, error = np.empty((2, *weights.shape)), np.empty((2, *weights.shape))
-    qmc = np.empty((2, *weights.shape), dtype=bool)
+    # each run's kept per-stratum results at its bracket ends a (0) and b (1)
+    kept = np.empty((2, *weights.shape))
     finished = []
     while len(s.rows):
-        step = _evaluate(plan, s.rows, np.broadcast_to(s.x[:, None], (len(s.rows), plan.m)), plan.mask[s.rows])
+        step = _evaluate(plan, s.rows, np.broadcast_to(s.x[:, None], (len(s.rows), plan.m)))
         evaluations[s.rows] += 1
         failed = dict(step.failed)
         side, done, c_star, p_star, end = _step(s, plan.pwer(s.rows, step.value), alpha, f_tol, slack, failed)
-        at = side.astype(int)
-        value[at, s.rows], error[at, s.rows], qmc[at, s.rows] = step.value, step.error, step.qmc
+        kept[side.astype(int), s.rows] = step.kept
         for pos, exc in failed.items():
             out[s.rows[pos]] = exc
         if done.any():
@@ -811,7 +841,7 @@ def solve_lockstep(
     if not finished:
         return out
     runs, c_star, achieved, end = (np.concatenate(parts) for parts in zip(*finished))
-    at_c = (value[end.astype(int), runs], error[end.astype(int), runs], qmc[end.astype(int), runs])
+    at_c = kept[end.astype(int), runs]
     for r, cv in zip(runs.tolist(), _verify(plan, runs, c_star, achieved, at_c, alpha, evaluations[runs])):
         out[r] = cv
     return out
@@ -822,32 +852,29 @@ def _verify(
     runs: np.ndarray,
     c: np.ndarray,
     achieved: np.ndarray,
-    at_c: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kept: np.ndarray,
     alpha: float,
     evaluations: np.ndarray,
 ) -> list[CriticalValues | Exception]:
     """The CriticalValues of every finished run, or its error, from one stacked verify pass at its c*.
 
     Run k is runs[k] of the plan, with c* c[k], the solver's PWER achieved[k]
-    and evaluations[k] evaluations; at_c holds its per-stratum values, error
-    estimates and QMC flags at c*. A deterministic result within verify_tol
-    is what the verify pass would compute, since quadrature does not depend
-    on tol or stream, and is kept. The rest are computed at verify_tol on
-    each run's verify stream with fresh engines, in one _evaluate call: the
-    QMC strata, deterministic ones whose error estimate exceeds verify_tol
-    (verify_tol sends them to QMC), and the zero-weight strata with a
-    defined law, which true_pwer weighs.
+    and evaluations[k] evaluations; kept holds its per-stratum quadrature
+    results at c* that verify_tol settles (_Evaluated.kept), NaN elsewhere.
+    Those are what the verify pass would compute, since quadrature does not
+    depend on tol or stream, and the steps already evaluated every stratum
+    of four or fewer dimensions, whatever its weight. The rest of the strata
+    with a defined law are recomputed by QMC alone (_by_qmc), at verify_tol
+    on each run's verify stream with fresh engines: the QMC strata, those
+    whose quadrature is looser than verify_tol, and the zero-weight strata
+    of five or more dimensions, which true_pwer weighs.
     """
-    value, error, qmc = at_c
     cdf_tol, verify_tol = plan.tols
-    redo = plan.ok[runs] & (qmc | (error > verify_tol))
-    again = np.flatnonzero(redo.any(axis=1))
-    failed = {}
-    if len(again):
-        limits = np.broadcast_to(c[again][:, None], (len(again), plan.m))
-        fresh = _evaluate(plan, runs[again], limits, redo[again], True)
-        value[again] = np.where(redo[again], fresh.value, value[again])
-        failed = {int(again[pos]): exc for pos, exc in fresh.failed.items()}
+    value = np.array(kept)
+    redo = plan.ok[runs] & np.isnan(kept)
+    limits = np.broadcast_to(c[:, None], (len(runs), plan.m))
+    scratch = (np.empty(redo.shape), np.empty(redo.shape, dtype=int), np.empty(redo.shape, dtype=bool))
+    failed = _by_qmc(plan, runs, limits, redo, (value, *scratch), verify=True)
     fwer = 1.0 - value
     # strata without a defined law carry NaN and only ever zero weight here
     verified = np.nansum(plan.weights[runs] * fwer, axis=1)
@@ -970,6 +997,18 @@ class PredictionInterval:
         return replace(self, half_width=self.half_width[k].item(), gamma=self.gamma[k].item())
 
 
+def check_alpha_prime(alpha_prime: float) -> None:
+    """Reject a prediction-interval level outside (0, 1)."""
+    if not 0.0 < alpha_prime < 1.0:
+        raise ConfigError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
+
+
+def check_sample_size(N: int) -> None:
+    """Reject a sample size that is not an integer >= 1; a bool is not one."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ConfigError(f"sample size must be an integer >= 1, got {N!r}")
+
+
 def prediction_interval(alpha: float, alpha_prime: float, gamma: float, N: int) -> PredictionInterval:
     """The interval of one gamma, a row of one of prediction_intervals."""
     iv, failed = prediction_intervals(alpha, alpha_prime, [gamma], N)
@@ -983,15 +1022,13 @@ def prediction_intervals(
 ) -> tuple[PredictionInterval, dict[int, ConfigError]]:
     """The intervals of every gamma of a 1-D array, as one PredictionInterval of its rows.
 
-    alpha (check_alpha), alpha_prime and N are checked, and z computed, once; a negative
-    gamma fails its own row, returned with its error. Each row has the bits of
-    its own prediction_interval call.
+    alpha (check_alpha), alpha_prime (check_alpha_prime) and N (check_sample_size) are
+    checked, and z computed, once; a negative gamma fails its own row, returned with its
+    error. Each row has the bits of its own prediction_interval call.
     """
     check_alpha(alpha)
-    if not 0.0 < alpha_prime < 1.0:
-        raise ConfigError(f"alpha_prime must lie in (0, 1), got {alpha_prime}")
-    if N < 1:
-        raise ConfigError(f"sample size must be >= 1, got {N}")
+    check_alpha_prime(alpha_prime)
+    check_sample_size(N)
     gamma = np.asarray(gamma, dtype=float)
     failed = {r: ConfigError(f"gamma must be nonnegative, got {gamma[r].item()}")
               for r in np.flatnonzero(gamma < 0.0).tolist()}

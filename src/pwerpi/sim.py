@@ -123,8 +123,7 @@ class SimScenario:
         if self.master_seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         pwer.check_alpha(self.alpha)
-        if not 0.0 < self.alpha_prime < 1.0:
-            raise ConfigError(f"alpha_prime must lie in (0, 1), got {self.alpha_prime}")
+        pwer.check_alpha_prime(self.alpha_prime)
         if SETTINGS_TABLE[self.setting].engine != "exact" and (
             self.B < boot.MIN_RESAMPLES or self.B * self.alpha < boot.MIN_TAIL_RESAMPLES
         ):

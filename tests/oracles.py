@@ -391,7 +391,7 @@ def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6
         c = next(generator)
         while True:
             evaluations += 1
-            step = pwer._evaluate(plan, run, np.full((1, model.m), c), plan.mask)
+            step = pwer._evaluate(plan, run, np.full((1, model.m), c))
             if step.failed:
                 return step.failed[0]
             solved[c] = step
@@ -401,8 +401,8 @@ def solve_one(solver, model, weights, alpha, seed, solver_tol=1e-8, cdf_tol=1e-6
     except pwer.RUN_ERRORS as exc:
         return exc
     at_c = solved[c_star]
-    [cv] = pwer._verify(plan, run, np.array([c_star]), np.array([achieved]),
-                        (at_c.value.copy(), at_c.error, at_c.qmc), alpha, np.array([evaluations]))
+    [cv] = pwer._verify(plan, run, np.array([c_star]), np.array([achieved]), at_c.kept, alpha,
+                        np.array([evaluations]))
     return cv
 
 

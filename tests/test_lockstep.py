@@ -15,6 +15,8 @@ import pytest
 import pwerpi
 from pwerpi import mvprob, pwer, sim
 
+from oracles import lockstep_calls
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the cells of the benchmark's coverage_exact workload, and its A m=4 cell
@@ -28,6 +30,11 @@ EXACT_CELLS = {
                        transform="floor", pi_min=1 / 28, runs=20),
 }
 A_M4 = dict(N=500, m=4, setting="A", runs=6)
+# the FWERs of the zero-weight strata of A at m=3, N=60, one_small (seed 4), and the QMC
+# calls of a block of A at m=5 (seed 11), as a verify pass computes them that evaluates every
+# zero-weight stratum anew: keeping the steps' quadrature must give the same bits
+ZERO_WEIGHT_FWER_SHA256 = "e3a2489b80f3d66884b631ef5360f6bc3f5a73ca65a16d9e11f1f1d9c2c1b0ed"
+QMC_CALLS, QMC_CALLS_SHA256 = 12, "6e9ddee9a8c5e9714b4f36221f81512cbee5a296b415253b1bf79e723f3147fe"
 C_M4 = dict(N=250, m=4, setting="C", runs=4)
 
 
@@ -97,8 +104,8 @@ def test_a_run_failing_inside_the_lockstep_fails_alone(monkeypatch):
     clean = sim._run_block(scenario, pi_true, range(scenario.runs))
     evaluate, steps = pwer._evaluate, []
 
-    def failing_third_run(plan, runs, c, select, verify=False):
-        out = evaluate(plan, runs, c, select, verify)
+    def failing_third_run(plan, runs, c):
+        out = evaluate(plan, runs, c)
         steps.append(len(runs))
         if len(steps) == 2:  # the second step: run 2 fails mid-solve
             out.failed[2] = pwerpi.NumericalError("QMC budget exhausted")
@@ -140,9 +147,9 @@ def test_calibration_work_is_bounded(monkeypatch, fields):
 
     evaluate = pwer._evaluate
 
-    def step(plan, runs, c, select, verify=False):
+    def step(plan, runs, c):
         groups.clear()
-        out = evaluate(plan, runs, c, select, verify)
+        out = evaluate(plan, runs, c)
         per_step.append(list(groups))
         return out
 
@@ -239,6 +246,66 @@ def test_path_geometry_is_planned_once_per_group_and_dies_with_its_block(monkeyp
     assert groups and all(ref() is None for ref in groups)
 
 
+def test_a_planned_block_binds_every_step(monkeypatch):
+    # once a block of A at m=4 is planned, its steps and verify pass read the bound kernels,
+    # paths and chi-scale nodes of its groups: no take, _kernel, _path or _chi_scale_nodes
+    # call; the plan builds the paths of its 3- and 4-dim groups and four kernels, the base
+    # pairs of its 2-, 3- and 4-dim groups and the 4-dim path's conditional pairs
+    counts, planned, solved = {}, [], []
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: counts.update({key: counts.get(key, 0) + 1}) or original(*a, **k))
+
+    for owner, name, key in [(mvprob._Kernel, "take", "_Kernel.take"), (mvprob._Path, "take", "_Path.take"),
+                             (mvprob, "_kernel", "_kernel"), (mvprob, "_path", "_path"),
+                             (mvprob, "_chi_scale_nodes", "_chi_scale_nodes")]:
+        count(owner, name, key)
+    plan, solve = pwer._Plan, pwer.solve_lockstep
+    monkeypatch.setattr(pwer, "_Plan", lambda *a: (plan(*a), planned.append(dict(counts)))[0])
+    monkeypatch.setattr(pwer, "solve_lockstep", lambda *a: (solve(*a), solved.append(dict(counts)))[0])
+    for seed in (11, 12, 13):
+        counts.clear()
+        scenario = sim.SimScenario(N=500, m=4, setting="A", runs=sim._BLOCK_RUNS, master_seed=seed)
+        assert sim.run_scenario(scenario).failures == 0
+    assert planned == solved == [{"_path": 2, "_kernel": 4}] * 3
+
+
+def zero_weight_fwer(monkeypatch, scenario):
+    """(run, stratum, FWER_J(c*)) of every zero-weight stratum of the scenario's lockstep calls."""
+    calls = lockstep_calls(monkeypatch)
+    assert sim.run_scenario(scenario, max_failure_fraction=1.0).failures == 0
+    return [(r, j, cv.fwer[j].item()) for models, weights, _, _, out in calls
+            for r, cv in enumerate(out) for j in np.flatnonzero(weights[r] == 0.0).tolist()]
+
+
+def test_zero_weight_strata_keep_their_verified_bits(monkeypatch):
+    # the steps evaluate the zero-weight strata, and the verify pass keeps their quadrature:
+    # the FWERs it reports for them are those the verify pass computed before it kept them
+    scenario = sim.SimScenario(N=60, m=3, setting="A", prevalence_scheme="one_small", runs=64, master_seed=4)
+    zero = zero_weight_fwer(monkeypatch, scenario)
+    assert len({r for r, _, _ in zero}) == 42
+    assert hashlib.sha256(repr(zero).encode()).hexdigest() == ZERO_WEIGHT_FWER_SHA256
+
+
+def test_qmc_calls_of_a_block_keep_their_count_and_order(monkeypatch):
+    # at m=5 every step takes the 5-dim strata by QMC on each run's solve stream, and the
+    # verify pass on its verify stream: the same calls in the same order, with the same results
+    calls = []
+    qmc_cdf = mvprob.qmc_cdf
+
+    def recording(upper, corr, df=None, tol=1e-6, rng=None, engines=None):
+        out = qmc_cdf(upper, corr, df, tol, rng, engines)
+        calls.append((np.asarray(upper).tolist(), corr.values.tolist(), df, tol, engines is None, tuple(out)))
+        return out
+
+    monkeypatch.setattr(mvprob, "qmc_cdf", recording)
+    scenario = sim.SimScenario(N=250, m=5, setting="A", runs=3, master_seed=11)
+    assert sim.run_scenario(scenario, max_failure_fraction=1.0).failures == 0
+    assert len(calls) == QMC_CALLS
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == QMC_CALLS_SHA256
+
+
 def test_stacked_pwer_sums_have_the_bits_of_each_runs_own_sum():
     # runs of m = 4 (15 strata, past the eight terms numpy's unrolled sum starts at),
     # each with its own zero-weight strata, sum in one pass per mask pattern
@@ -263,7 +330,7 @@ def test_stacked_pwer_sums_have_the_bits_of_each_runs_own_sum():
     assert plan.pwer(subset, values[subset]).tolist() == stacked[subset].tolist()
     # and the PWERs of a real step: the runs of one lockstep call against a run alone
     c = np.full((8, 4), 2.2)
-    step = pwer._evaluate(plan, runs, c, plan.mask)
+    step = pwer._evaluate(plan, runs, c)
     together = plan.pwer(runs, step.value)
     for r in runs:
         alone = pwer.pwer_value(2.2, weights[r], models[r])
@@ -298,8 +365,9 @@ def test_perfbench_tracer_installs_and_restores():
 
 
 def test_a_satterthwaite_block_reuses_its_chi_rules(monkeypatch):
-    # every run has its own df, on both sides of the Gamma rule's threshold; the
-    # rule cache holds a whole block, so each (df, n) rule is built once
+    # every run has its own df, on both sides of the Gamma rule's threshold; the plan
+    # binds each row's rules of the first two rungs for every step, so each (df, n) rule
+    # is looked up once, and the rule cache holds a whole block
     rule = mvprob._chi_scale_nodes
     assert rule.cache_info().maxsize >= 3 * sim._BLOCK_RUNS  # up to three rungs a run
     keys = []
@@ -308,8 +376,8 @@ def test_a_satterthwaite_block_reuses_its_chi_rules(monkeypatch):
     scenario = sim.SimScenario(N=250, m=2, setting="D_satterthwaite", runs=sim._BLOCK_RUNS, master_seed=3)
     sim.run_scenario(scenario)
     assert {mvprob._chi_rule(df) for df, _ in keys} == {"gamma", "legendre"}
-    info = rule.cache_info()
-    assert info.hits > 0 and info.misses <= len(set(keys))
+    assert keys and len(keys) == len(set(keys))
+    assert rule.cache_info().misses == len(keys)
 
 
 LAZY_QMC = """

@@ -296,6 +296,36 @@ class TestPlannedGroup:
         assert (climbed > 0) == ((d, group.chi) != (2, "gamma"))
         assert (left > 0) == (d > 2)
 
+    @pytest.mark.parametrize("d, n", [(2, 1030), (3, 120), (4, 60)])
+    @pytest.mark.parametrize("df", [None, 6.5, 150.0], ids=["normal", "t_legendre", "t_gamma"])
+    def test_bound_group_gives_the_bits_of_fresh_calls(self, d, n, df):
+        # a group whose bound passes each span two pieces or more, with rows that climb to a
+        # third rung: its evaluation of every row on them against subsets, which take their
+        # rows of the bound arrays, and against each row's own call
+        rng = np.random.default_rng(100 * d + (0 if df is None else int(df)))
+        hard = [(corr(cm.values[:d, :d]), upper[:d]) for cm, upper in self.HARD]
+        corrs = [corr(random_correlation(d, rng)) for _ in range(n)] + [cm for cm, _ in hard]
+        [(_, group)] = mvprob.orthant_groups(np.array([cm.values for cm in corrs]), df)
+        rules = mvprob._LADDERS[d, group.chi][0]
+        # a normal bivariate row is its base alone, and takes no piece
+        assert all(len(p.pieces) > 1 for p in group.bound.passes) == (d > 2 or df is not None)
+        limits = rng.normal(scale=1.5, size=(group.size, d))
+        limits[n:] = [upper for _, upper in hard]
+        whole = group.evaluate(limits, None, 1e-5)
+        if len(rules) > 2 and (d, group.chi) != (2, "gamma"):
+            assert (whole[2] == sum(math.prod(rule) for rule in rules)).any()
+        for subset in (rng.permutation(group.size), rng.permutation(group.size)[:group.size // 3]):
+            for bound, got in zip(whole, group.evaluate(limits[subset], subset, 1e-5)):
+                assert np.array_equal(bound[subset], got)
+        for r in rng.choice(n, size=8, replace=False).tolist() + list(range(n, group.size)):
+            value, error, points, settled = (a[r].item() for a in whole)
+            [want] = planned([limits[r]], [corrs[r]], df, 1e-5)
+            assert settled == (want is not None)
+            if settled:
+                own = mvprob.mvn_cdf(limits[r], corrs[r], 1e-5) if df is None else mvprob.mvt_cdf(
+                    limits[r], corrs[r], df, 1e-5)
+                assert (value, error, points, False) == want == own
+
     def test_groups_take_the_chi_rule(self, monkeypatch):
         # the df threshold between the chi-scale families is decided in _chi_rule alone
         assert mvprob._chi_rule(79.9) == "legendre" and mvprob._chi_rule(80.0) == "gamma"

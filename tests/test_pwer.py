@@ -245,12 +245,13 @@ def per_stratum(c, model, tol, which):
 
 def evaluated(c, model, tol=pwer.DEFAULT_VERIFY_TOL, rng=None, which=None):
     """F_J(c_J) of the selected strata of one model (default: every one with a
-    defined law) at the limits c, as a plan of one run (pwer._evaluate): a
-    ProbResult per selected stratum, None for the others."""
+    defined law) at the limits c, as a plan of one run whose weights select
+    them (pwer._evaluate): a ProbResult per selected stratum, None for the
+    others."""
     select = defined(model) if which is None else np.asarray(which, dtype=bool)
-    plan = pwer._Plan([model], (tol, tol), [pwer._Given(rng)], np.ones((1, len(model.strata))))
+    plan = pwer._Plan([model], (tol, tol), [pwer._Given(rng)], select[None].astype(float))
     limits = np.broadcast_to(np.asarray(c, dtype=float), (model.m,))
-    step = pwer._evaluate(plan, np.zeros(1, dtype=int), limits[None], select[None])
+    step = pwer._evaluate(plan, np.zeros(1, dtype=int), limits[None])
     if step.failed:
         raise step.failed[0]
     fields = (step.value[0].tolist(), step.error[0].tolist(), step.points[0].tolist(), step.qmc[0].tolist())
@@ -463,10 +464,11 @@ class TestSolverEdges:
     def solve(self, monkeypatch, pwer_of_c):
         calls = []
 
-        def fake_evaluate(plan, runs, c, select, verify=False):
+        def fake_evaluate(plan, runs, c):
             calls.extend(c[:, 0].tolist())
-            value = np.repeat([[1.0 - pwer_of_c(c0)] for c0 in c[:, 0].tolist()], select.shape[1], axis=1)
-            return pwer._Evaluated(value, np.zeros(value.shape), np.ones(value.shape, int), np.zeros(value.shape, bool), {})
+            value = np.repeat([[1.0 - pwer_of_c(c0)] for c0 in c[:, 0].tolist()], plan.ok.shape[1], axis=1)
+            shape = value.shape
+            return pwer._Evaluated(value, np.zeros(shape), np.ones(shape, int), np.zeros(shape, bool), value, {})
 
         monkeypatch.setattr(pwer, "_evaluate", fake_evaluate)
         model = pwer.build_test_model(equal_cells_design())
@@ -611,28 +613,54 @@ M3_COUNTS = [30, 22, 18, 25, 14, 20, 16]
 
 
 class TestVerifyReuse:
-    """The verify pass keeps the solver's deterministic strata at c* and computes the rest."""
+    """The verify pass keeps the steps' quadrature at c* that verify_tol settles and recomputes the rest by QMC."""
+
+    SEED = int(np.random.default_rng(2026).integers(0, 2**63 - 1))  # the solve's integration seed
 
     @staticmethod
-    def law_calls(monkeypatch, shift=0.0):
-        # every evaluated stratum of 3 or more dimensions as (dimension, from
-        # the verify pass); shift moves the verify pass's results for them.
+    def qmc_calls(monkeypatch, shift=0.0):
+        # the strata of every pwer._by_qmc call as (from the verify pass, strata of each
+        # run); shift moves the verify pass's QMC results
         calls = []
-        evaluate = pwer._evaluate
+        by_qmc = pwer._by_qmc
 
-        def counting(plan, runs, c, select, verify=False):
-            out = evaluate(plan, runs, c, select, verify)
-            for pos, r in enumerate(runs.tolist()):
-                strata = plan.models[r].strata
-                for j in np.flatnonzero(select[pos]).tolist():
-                    if len(strata[j]) > 2:
-                        calls.append((len(strata[j]), verify))
-                        if verify:
-                            out.value[pos, j] += shift
-            return out
+        def recording(plan, runs, c, which, out, verify):
+            failed = by_qmc(plan, runs, c, which, out, verify)
+            calls.append((verify, [np.flatnonzero(row).tolist() for row in which]))
+            if verify:
+                out[0][which] += shift
+            return failed
 
-        monkeypatch.setattr(pwer, "_evaluate", counting)
+        monkeypatch.setattr(pwer, "_by_qmc", recording)
         return calls
+
+    @staticmethod
+    def group_dims(monkeypatch):
+        # the dimension of every group evaluation of three or more dimensions
+        dims = []
+        evaluate = mvprob.OrthantGroup.evaluate
+
+        def recording(group, *args):
+            if group.dim > 2:
+                dims.append(group.dim)
+            return evaluate(group, *args)
+
+        monkeypatch.setattr(mvprob.OrthantGroup, "evaluate", recording)
+        return dims
+
+    @staticmethod
+    def loosen(monkeypatch, dim, error):
+        # every quadrature result of the groups of dimension dim gets the error estimate error
+        evaluate = mvprob.OrthantGroup.evaluate
+
+        def loosened(group, limits, rows=None, tol=1e-6):
+            value, err, points, settled = evaluate(group, limits, rows, tol)
+            if group.dim == dim:
+                err = np.full(len(err), error)
+                settled = group.settles(err, tol)
+            return value, err, points, settled
+
+        monkeypatch.setattr(mvprob.OrthantGroup, "evaluate", loosened)
 
     @staticmethod
     def solve(m, counts, kind="normal"):
@@ -647,10 +675,12 @@ class TestVerifyReuse:
         (3, M3_COUNTS, "normal"), (3, M3_COUNTS, "t"), (4, M4_COUNTS, "normal"),
     ])
     def test_no_verify_call_when_every_stratum_weighs(self, monkeypatch, m, counts, kind):
-        calls = self.law_calls(monkeypatch)
+        calls, dims = self.qmc_calls(monkeypatch), self.group_dims(monkeypatch)
         cv = self.solve(m, counts, kind)
-        dims = [len(s) for s in dz.enumerate_strata(m) if len(s) > 2]
-        assert calls == [(d, False) for _ in range(cv.evaluations) for d in dims]
+        # each step evaluates each group of three or more dimensions once; nothing takes QMC
+        groups = sorted({len(s) for s in dz.enumerate_strata(m) if len(s) > 2})
+        assert dims == [d for _ in range(cv.evaluations) for d in groups]
+        assert calls == [(False, [[]])] * cv.evaluations + [(True, [[]])]
         assert cv.verified == cv.achieved
 
     @pytest.mark.parametrize("m, counts, zeroed", [
@@ -659,52 +689,58 @@ class TestVerifyReuse:
         (4, M4_COUNTS, [10, 14]),  # a 3-dim stratum and the 4-dim one
     ])
     def test_zero_weight_strata_with_a_law_are_computed(self, monkeypatch, m, counts, zeroed):
+        # the steps evaluate every stratum whatever its weight, so the verify pass keeps
+        # the zero-weight strata's quadrature at c*, each its own mvn_cdf call's
         counts = list(counts)
         for j in zeroed:
             counts[j] = 0
-        calls = self.law_calls(monkeypatch)
+        calls = self.qmc_calls(monkeypatch)
         cv = self.solve(m, counts)
-        strata = dz.enumerate_strata(m)
-        assert [c for c in calls if c[1]] == [(len(strata[j]), True) for j in zeroed if len(strata[j]) > 2]
-        assert np.all(np.isfinite(cv.fwer))
+        assert calls[-1] == (True, [[]])
+        model = pwer.build_test_model(dz.build_design(m, "pairwise_different", counts, 1.0, "known_homogeneous"))
+        for j in zeroed:
+            idx = [i - 1 for i in sorted(model.strata[j])]
+            corr = mvprob.CorrelationMatrix(model.full_corr[np.ix_(idx, idx)])
+            assert cv.fwer[j] == 1.0 - mvprob.mvn_cdf(cv.c[idx], corr).value
 
-    @staticmethod
-    def loosen_solver_error(monkeypatch, j, error=5e-7, qmc=False):
-        # the solver's result for stratum j gets an error estimate in
-        # (verify_tol, cdf_tol], or is marked as QMC
-        evaluate = pwer._evaluate
-        verify_selections = []
-
-        def patched(plan, runs, c, select, verify=False):
-            out = evaluate(plan, runs, c, select, verify)
-            if verify:
-                verify_selections.extend(np.flatnonzero(row).tolist() for row in select)
-            else:
-                out.error[:, j], out.qmc[:, j] = error, qmc
-            return out
-
-        monkeypatch.setattr(pwer, "_evaluate", patched)
-        return verify_selections
-
-    @pytest.mark.parametrize("j", [0, 3, 6], ids=["dim1", "dim2", "dim3"])
+    @pytest.mark.parametrize("j", [6], ids=["dim3"])
     def test_loose_deterministic_stratum_recomputed(self, monkeypatch, j):
+        # an error estimate in (verify_tol, cdf_tol]: the steps keep the 3-dim quadrature,
+        # the verify pass recomputes it by QMC alone, on the run's verify stream
         reference = self.solve(3, M3_COUNTS)
-        selections = self.loosen_solver_error(monkeypatch, j)
+        calls = self.qmc_calls(monkeypatch)
+        self.loosen(monkeypatch, 3, 5e-7)
         cv = self.solve(3, M3_COUNTS)
-        assert selections == [[j]]
-        # the recomputed quadrature is the same number
+        assert calls == [(False, [[]])] * cv.evaluations + [(True, [[j]])]
+        assert (cv.value, cv.achieved) == (reference.value, reference.achieved)
+        assert cv.fwer[:j].tolist() == reference.fwer[:j].tolist()
+        model = pwer.build_test_model(dz.build_design(3, "pairwise_different", M3_COUNTS, 1.0, "known_homogeneous"))
+        stream = pwer._Streams(lambda: self.SEED).verify()
+        qmc = mvprob.qmc_cdf(cv.c, mvprob.CorrelationMatrix(model.full_corr), None, pwer.DEFAULT_VERIFY_TOL, stream)
+        assert cv.fwer[j] == 1.0 - qmc.value
+
+    @pytest.mark.parametrize("j", [0, 3], ids=["dim1", "dim2"])
+    def test_loose_one_and_two_dim_strata_are_kept(self, monkeypatch, j):
+        # the quadrature of one or two dimensions is always kept, so the verify pass keeps it too
+        reference = self.solve(3, M3_COUNTS)
+        calls = self.qmc_calls(monkeypatch)
+        self.loosen(monkeypatch, len(dz.enumerate_strata(3)[j]), 5e-7)
+        cv = self.solve(3, M3_COUNTS)
+        assert calls[-1] == (True, [[]])
         assert cv.fwer.tolist() == reference.fwer.tolist()
         assert (cv.value, cv.verified) == (reference.value, reference.verified)
 
     def test_qmc_stratum_recomputed_even_within_verify_tol(self, monkeypatch):
-        # a QMC estimate depends on its stream, however small its error estimate
-        selections = self.loosen_solver_error(monkeypatch, 6, error=1e-9, qmc=True)
-        self.solve(3, M3_COUNTS)
-        assert selections == [[6]]
+        # a QMC estimate depends on its stream, however small its error estimate: a stratum
+        # the steps took by QMC is never kept
+        calls = self.qmc_calls(monkeypatch)
+        self.loosen(monkeypatch, 3, 2e-6)
+        cv = self.solve(3, M3_COUNTS)
+        assert calls == [(False, [[6]])] * cv.evaluations + [(True, [[6]])]
 
     def test_disagreeing_recomputed_stratum_raises(self, monkeypatch):
-        self.loosen_solver_error(monkeypatch, 6)
-        self.law_calls(monkeypatch, shift=-0.05)
+        self.loosen(monkeypatch, 3, 5e-7)
+        self.qmc_calls(monkeypatch, shift=-0.05)
         with pytest.raises(NumericalError, match="verification pass disagrees"):
             self.solve(3, M3_COUNTS)
 
@@ -825,6 +861,29 @@ class TestPredictionInterval:
             pwer.prediction_interval(alpha, 0.05, 0.1, 100)
         with pytest.raises(ConfigError, match=r"alpha must lie in \[1e-10, 0.5\)"):
             pwer.prediction_intervals(alpha, 0.05, [0.1, 0.2], 100)
+
+    def test_alpha_prime_has_one_owner(self, monkeypatch):
+        # a scenario and the interval both check alpha_prime through pwer.check_alpha_prime
+        checked = []
+        check = pwer.check_alpha_prime
+        monkeypatch.setattr(pwer, "check_alpha_prime", lambda a: checked.append(a) or check(a))
+        sim.SimScenario(N=250, m=2, setting="A", alpha_prime=0.1)
+        pwer.prediction_interval(ALPHA, 0.2, 0.1, 100)
+        assert checked == [0.1, 0.2]
+        for bad in (0.0, 1.0):
+            with pytest.raises(ConfigError, match=r"alpha_prime must lie in \(0, 1\)"):
+                sim.SimScenario(N=250, m=2, setting="A", alpha_prime=bad)
+            with pytest.raises(ConfigError, match=r"alpha_prime must lie in \(0, 1\)"):
+                pwer.prediction_interval(ALPHA, bad, 0.1, 100)
+
+    @pytest.mark.parametrize("N", [250.5, np.float64(250.0), True], ids=["fraction", "float", "bool"])
+    def test_sample_size_must_be_an_integer(self, N):
+        # a fractional N would be recorded as its floor while the half-width read it whole, and True as N=1
+        with pytest.raises(ConfigError, match="sample size must be an integer >= 1"):
+            pwer.prediction_interval(ALPHA, 0.05, 0.1, N)
+        with pytest.raises(ConfigError, match="sample size must be an integer >= 1"):
+            pwer.prediction_intervals(ALPHA, 0.05, [0.1, 0.2], N)
+        assert pwer.prediction_interval(ALPHA, 0.05, 0.1, np.int64(250)) == pwer.prediction_interval(ALPHA, 0.05, 0.1, 250)
 
 
 class TestTruePwer:

@@ -73,13 +73,13 @@ def test_a_block_of_mixed_exits_gives_each_run_its_own_result(monkeypatch):
     objective = {id(model): f for model, f in zip(models, EXITS.values())}
     visits = {}
 
-    def fake_evaluate(plan, runs, c, select, verify=False):
+    def fake_evaluate(plan, runs, c):
         f = [objective[id(plan.models[r])] for r in runs.tolist()]
         for r, c0 in zip(runs.tolist(), c[:, 0].tolist()):
             visits.setdefault(id(plan.models[r]), []).append(c0)
-        value = np.repeat([[1.0 - f_k(c0)] for f_k, c0 in zip(f, c[:, 0].tolist())], select.shape[1], axis=1)
+        value = np.repeat([[1.0 - f_k(c0)] for f_k, c0 in zip(f, c[:, 0].tolist())], plan.ok.shape[1], axis=1)
         return pwer._Evaluated(value, np.zeros(value.shape), np.ones(value.shape, int),
-                               np.zeros(value.shape, bool), {})
+                               np.zeros(value.shape, bool), value, {})
 
     monkeypatch.setattr(pwer, "_evaluate", fake_evaluate)
     weights = np.full((len(models), 3), 1 / 3)
@@ -107,8 +107,8 @@ def test_a_run_whose_evaluation_fails_leaves_the_others_their_results(monkeypatc
     weights = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.1, 0.4]])
     clean = pwer.solve_lockstep(models, weights, ALPHA, [lambda: 0] * 3)
 
-    def failing_middle_run(plan, runs, c, select, verify=False):
-        out = evaluate(plan, runs, c, select, verify)
+    def failing_middle_run(plan, runs, c):
+        out = evaluate(plan, runs, c)
         steps.append(runs.tolist())
         if len(steps) == 2:
             out.failed[1] = pwer.NumericalError("QMC budget exhausted")

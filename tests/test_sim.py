@@ -269,9 +269,9 @@ class TestStudyDistribution:
                                    explicit_prevalences=(0.98, 0.02, 0.0), runs=50, master_seed=3)
         evaluate = pwer._evaluate
 
-        def failing_first_run(plan, runs, c, select, verify=False):
-            out = evaluate(plan, runs, c, select, verify)
-            if not verify and len(runs) == len(plan.models):
+        def failing_first_run(plan, runs, c):
+            out = evaluate(plan, runs, c)
+            if len(runs) == len(plan.models):
                 out.failed[0] = NumericalError("QMC budget exhausted")
             return out
 
