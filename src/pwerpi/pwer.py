@@ -873,8 +873,9 @@ def _verify(
     value = np.array(kept)
     redo = plan.ok[runs] & np.isnan(kept)
     limits = np.broadcast_to(c[:, None], (len(runs), plan.m))
-    scratch = (np.empty(redo.shape), np.empty(redo.shape, dtype=int), np.empty(redo.shape, dtype=bool))
-    failed = _by_qmc(plan, runs, limits, redo, (value, *scratch), verify=True)
+    # the verify pass reads the values alone, not the error estimates, points or flags
+    unread = (np.empty(redo.shape), np.empty(redo.shape, dtype=int), np.empty(redo.shape, dtype=bool))
+    failed = _by_qmc(plan, runs, limits, redo, (value, *unread), verify=True)
     fwer = 1.0 - value
     # strata without a defined law carry NaN and only ever zero weight here
     verified = np.nansum(plan.weights[runs] * fwer, axis=1)
