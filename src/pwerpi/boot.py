@@ -310,11 +310,17 @@ def _tail_roots(maxima: np.ndarray, weights: np.ndarray, alpha: float, T: int) -
 
 
 def project_to_null(effects: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
-    """Euclidean projection onto {theta : sum_{J containing i} w_J theta_J = 0}."""
+    """Euclidean projection onto {theta : sum_{J containing i} w_J theta_J = 0}.
+
+    effects and weights are one run's (S,), or a stack's (R, S) with a row
+    per run; a stack takes one pinv call, and each row has the bits of its
+    own call. A stacked pinv raises one LinAlgError for the whole stack.
+    """
     theta = np.asarray(effects, dtype=float)
-    # (m, S), C-ordered: pinv of the Fortran-ordered transpose differs in the last bits
-    constraint = np.ascontiguousarray(np.where(stratum_members(m).T, np.asarray(weights, dtype=float), 0.0))
-    return theta - np.linalg.pinv(constraint) @ (constraint @ theta)
+    # (m, S) per run, C-ordered: pinv of the Fortran-ordered transpose differs in the last bits
+    constraint = np.ascontiguousarray(
+        np.where(stratum_members(m).T, np.asarray(weights, dtype=float)[..., None, :], 0.0))
+    return theta - (np.linalg.pinv(constraint) @ (constraint @ theta[..., None]))[..., 0]
 
 
 def projection_nulls(
@@ -328,9 +334,10 @@ def projection_nulls(
     """bootstrap_null_E of every design of one cell layout, design r with pi_hat[r],
     observed_effects[r] and pooled_variances[r], drawing from rngs[r].
 
-    Each run checks its inputs and projects its effects alone, then draws from
-    its stream in a run's order: the strata sizes, its redraw rounds, the
-    normals. The cell sizes and totals of the stack are (R, B, cells), as the
+    Each run checks its inputs; the effects of the checked runs are projected
+    in one stacked project_to_null call (each run alone if that raises). Then
+    each run draws from its stream in a run's order: the strata sizes, its
+    redraw rounds, the normals. The cell sizes and totals of the stack are (R, B, cells), as the
     normals are drawn; the empty-arm checks go round by round over the
     stack, and the contrasts are one matmul over it: at m = 2 each arm sums
     at most two nonzero cells, so every order gives the same bits.
@@ -348,10 +355,21 @@ def projection_nulls(
             if pooled_variances[r] <= 0.0:
                 raise ConfigError(f"pooled variance must be positive, got {pooled_variances[r]}")
             weights[r] = prevalence_weights(pi_hat[r], S)
-            theta = project_to_null(observed_effects[r], weights[r], 2)
-            centers[r, 0] = np.where(is_control, 0.0, theta[layout.stratum_of_cell])
         except pwer.RUN_ERRORS as exc:
             failed[r] = exc
+    checked = [r for r in range(R) if r not in failed]
+    try:
+        thetas = dict(zip(checked, project_to_null(
+            np.reshape([observed_effects[r] for r in checked], (len(checked), S)), weights[checked], 2)))
+    except np.linalg.LinAlgError:  # the stack failed as one: each run's own call finds its error
+        thetas = {}
+        for r in checked:
+            try:
+                thetas[r] = project_to_null(observed_effects[r], weights[r], 2)
+            except pwer.RUN_ERRORS as exc:
+                failed[r] = exc
+    for r, theta in thetas.items():
+        centers[r, 0] = np.where(is_control, 0.0, theta[layout.stratum_of_cell])
     counts = np.zeros((R, B, S), dtype=np.int64)
     for r in range(R):
         if r not in failed:

@@ -328,7 +328,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--threads", type=int, default=None, help="worker count override")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="process count override: the processes that run the simulations, this one included",
+    )
     parser.add_argument(
         "--dry-run", action="store_true", help="validate, print the resolved config, write nothing"
     )

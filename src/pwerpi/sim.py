@@ -583,9 +583,9 @@ def checked_truths(scenarios: Sequence[SimScenario], threads: int) -> list[np.nd
 def _chunk_size(total_runs: int, workers: int) -> int:
     """The runs per chunk of every scenario of one call, at most _BLOCK_RUNS.
 
-    One worker takes blocks of _BLOCK_RUNS. More take about 4 chunks each of
-    the call's total_runs: small chunks let the workers of a shared pool take
-    up the next scenario's runs while a slow one finishes, and sizing them
+    One process takes blocks of _BLOCK_RUNS. More take about 4 chunks each of
+    the call's total_runs: small chunks let the processes of a call take up
+    the next scenario's runs while a slow one finishes, and sizing them
     from the whole call keeps the many small scenarios of a study in chunks
     large enough for the lockstep calibration.
     """
@@ -600,16 +600,20 @@ def _chunks(runs: int, size: int) -> list[range]:
 def _run_scenarios(
     scenarios: Sequence[SimScenario], threads: int, max_failure_fraction: float | None
 ) -> list[tuple[list[RunRecord], list[str]]]:
-    """(records, failure messages), each in run order, of every scenario, from one map.
+    """(records, failure messages), each in run order, of every scenario.
 
     Every scenario is checked before any run starts. The ordered chunks of all
-    scenarios go through one ProcessPoolExecutor with min(threads, total runs)
-    workers, shut down before this returns; with one worker they run in this
-    process through the builtin map. Records depend only on (master_seed,
-    run_index), so they do not depend on the worker count. A scenario with more
-    than max_failure_fraction of its runs failed, or none succeeded, raises
-    NumericalError as soon as its chunks are in, and chunks not yet started are
-    cancelled; max_failure_fraction None keeps every scenario.
+    scenarios run in min(threads, total runs) processes, this one included;
+    with one they run here through the builtin map. With more, every chunk is
+    submitted in order to one ProcessPoolExecutor of the others, shut down
+    before this returns, and this process runs chunks from the last back,
+    each only if it cancels the chunk's future first (no worker has taken
+    it), until the first it cannot cancel. Records depend only on
+    (master_seed, run_index), so they do not depend on the process count.
+    Chunks are collected in order: a scenario with more than
+    max_failure_fraction of its runs failed, or none succeeded, raises
+    NumericalError as soon as its chunks are in, and chunks no worker has
+    started are cancelled; max_failure_fraction None keeps every scenario.
     """
     truths = checked_truths(scenarios, threads)
     total_runs = sum(scenario.runs for scenario in scenarios)
@@ -644,9 +648,15 @@ def _run_scenarios(
 
     if workers <= 1:
         return collect(map(_run_block, *columns))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         try:
-            return collect(pool.map(_run_block, *columns))
+            futures = [pool.submit(_run_block, *args) for args in zip(*columns)]
+            own = {}  # the results of the last chunks, which this process ran because no worker took them
+            for k in reversed(range(len(futures))):
+                if not futures[k].cancel():
+                    break
+                own[k] = _run_block(*(column[k] for column in columns))
+            return collect(own[k] if k in own else future.result() for k, future in enumerate(futures))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -658,8 +668,9 @@ def run_scenario(
     """Execute all runs of a scenario; deterministic for a given master seed.
 
     Per-run streams derive from (master_seed, run_index), so results do not
-    depend on the worker count; with threads > 1 one pool of at most `runs`
-    workers serves the call. Runs that fail calibration are excluded and
+    depend on the process count; with threads > 1 the runs go in
+    min(threads, runs) processes, this one and a pool of the others
+    (_run_scenarios). Runs that fail calibration are excluded and
     counted; more than max_failure_fraction failures (default 1%), or no
     successful run, fails the whole scenario with the count.
     """
@@ -739,10 +750,11 @@ def run_study_distribution(*args, threads: int = 1, **kwargs) -> StudyDistributi
     """Coverage over the studies of study_scenarios(*args, **kwargs), whose
     keywords beyond the study counts and seed are SimScenario fields.
 
-    All studies share one pool of `threads` workers (see run_scenario). Extreme
-    draws can leave a population without both arms in most runs; a run whose
-    design cannot support the interval at all counts as not covered (the
-    prediction certainly failed), so every study yields a row. Mean lengths
+    All studies share `threads` processes, this one and one pool of the
+    others (see run_scenario). Extreme draws can leave a population without
+    both arms in most runs; a run whose design cannot support the interval
+    at all counts as not covered (the prediction certainly failed), so every
+    study yields a row. Mean lengths
     average over the runs that produced an interval.
     """
     scenarios = study_scenarios(*args, **kwargs)
@@ -830,9 +842,10 @@ def run_min_prevalence_grid(*args, threads: int = 1, **kwargs) -> list[dict]:
 
     Runs the cells of min_prevalence_grid_cells(*args, **kwargs), whose
     keywords beyond the grid's lists, seed and setting are SimScenario fields,
-    all validated before the first one runs, through one pool of `threads`
-    workers. A cell with more than 1% of its runs failed raises, as in
-    run_scenario; the first such cell in grid order names the error.
+    all validated before the first one runs, in `threads` processes: this
+    one and one pool of the others. A cell with more than 1% of its runs
+    failed raises, as in run_scenario; the first such cell in grid order
+    names the error.
     """
     cells = min_prevalence_grid_cells(*args, **kwargs)
     outcomes = _run_scenarios([sc for *_, sc in cells], threads, max_failure_fraction=0.01)

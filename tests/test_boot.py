@@ -341,6 +341,17 @@ class TestProjection:
         expected = theta - np.linalg.pinv(constraint) @ (constraint @ theta)
         assert np.array_equal(boot.project_to_null(theta, w, m), expected)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_stacked_rows_have_the_bits_of_each_run_alone(self, m):
+        rng = np.random.default_rng(m)
+        for runs in (0, 1, 4, 60):
+            w = rng.dirichlet(np.ones(2 ** m - 1), size=runs)
+            theta = rng.normal(size=w.shape)
+            stacked = boot.project_to_null(theta, w, m)
+            assert stacked.shape == theta.shape
+            for r in range(runs):
+                assert np.array_equal(stacked[r], boot.project_to_null(theta[r], w[r], m))
+
 
 class TestSettingE:
     def test_effect_solving_equal_prevalences(self):
@@ -412,6 +423,27 @@ class TestSettingE:
                                                          np.random.default_rng(k))
             assert np.array_equal(nulls.statistics[k].T, stats) and nulls.rejected[k] == rejected
         assert (nulls.rejected > 0).sum() >= 4
+
+    def test_a_row_whose_projection_fails_fails_alone(self, monkeypatch):
+        # a NaN weight makes that row's SVD fail, and a stacked pinv raises for the whole stack
+        monkeypatch.setattr(boot, "prevalence_weights", lambda pi, n_strata: np.asarray(pi, dtype=float))
+        rng = np.random.default_rng(5)
+        designs = [dz.build_design(2, "single", counts, 1.0, "unknown_homogeneous")
+                   for counts in ([30, 30, 24], [28, 30, 26], [32, 26, 26], [30, 28, 26])]
+        pis = rng.dirichlet(np.full(3, 2.0), size=4)
+        pis[2, 0] = np.nan
+        effects = list(rng.normal(size=(4, 3)))
+        pooled = [0.5, 0.8, 1.1, 0.7]
+        with pytest.raises(np.linalg.LinAlgError):
+            boot.project_to_null(np.array(effects), pis, 2)
+        nulls = boot.projection_nulls(designs, pis, effects, pooled, 1000,
+                                      [np.random.default_rng(k) for k in range(4)])
+        assert list(nulls.failed) == [2]
+        assert isinstance(nulls.failed[2], np.linalg.LinAlgError)
+        for k in (0, 1, 3):
+            stats, rejected = projection_null_run_by_run(designs[k], pis[k], effects[k], pooled[k], 1000,
+                                                         np.random.default_rng(k))
+            assert np.array_equal(nulls.statistics[k].T, stats) and nulls.rejected[k] == rejected
 
     def test_m3_rejected(self):
         d3 = dz.build_design(3, "single", [30] * 7, 1.0, "unknown_homogeneous")

@@ -1,10 +1,13 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,58 @@ import pytest
 
 from pwerpi import pwer, sim
 from pwerpi.errors import ConfigError, NumericalError
+
+
+class NeverStarted(Future):
+    """A future no worker ever takes: only a cancel ends it."""
+
+    def result(self, timeout=None):
+        raise AssertionError("waited on a chunk that no worker started")
+
+
+def fake_pool(pools, start=True):
+    """A ProcessPoolExecutor stand-in that logs each max_workers to pools and
+    forks nothing: a submitted chunk runs at once in this process, or, with
+    start=False, never starts."""
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            if not start:
+                return NeverStarted()
+            future = Future()
+            future.set_running_or_notify_cancel()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    return FakePool
+
+
+def recording_pool(events):
+    """A real ProcessPoolExecutor that logs its lifetime to events: ("open", max_workers)
+    and ("shutdown", cancel_futures) once each shutdown has returned."""
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            events.append(("open", max_workers))
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            events.append(("shutdown", kwargs.get("cancel_futures", False)))
+
+    return RecordingPool
 
 
 class TestSchemePrevalences:
@@ -84,29 +139,15 @@ class TestRunScenario:
             sim.run_scenario(scenario, threads=3).records
 
     def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
-        pools = []
-
-        class FakePool:  # runs the blocks in this process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        pools = []  # the caller is one of the min(threads, runs) processes, the pool the others
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", fake_pool(pools))
         scenario = sim.SimScenario(N=250, m=2, setting="A", runs=3, master_seed=11)
         serial = sim.run_scenario(scenario).records
         assert sim.run_scenario(scenario, threads=8).records == serial
         assert sim.run_scenario(scenario, threads=2).records == serial
         single = sim.SimScenario(N=250, m=2, setting="A", runs=1, master_seed=11)
         assert sim.run_scenario(single, threads=4).records == serial[:1]
-        assert pools == [3, 2]
+        assert pools == [2, 1]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -377,6 +418,16 @@ def study_rows(dist):
     return [repr(dataclasses.astuple(row)) for row in dist.rows]  # repr: nan == nan
 
 
+RUN_BLOCK = sim._run_block
+
+
+def run_block_failing_in(pid, *args):
+    """sim._run_block, except that it raises in process pid (module level: a pool pickles it)."""
+    if os.getpid() == pid:
+        raise RuntimeError("a chunk of the calling process failed")
+    return RUN_BLOCK(*args)
+
+
 class TestSharedPool:
     """Every public sim call runs all of its scenarios through one pool."""
 
@@ -392,21 +443,7 @@ class TestSharedPool:
 
     def test_one_executor_per_public_call(self, monkeypatch):
         pools = []
-
-        class FakePool:  # runs the chunks in this process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", fake_pool(pools))
         serial_studies = study_rows(sim.run_study_distribution(**STUDIES))
         serial_grid = sim.run_min_prevalence_grid(**GRID)
         assert pools == []
@@ -414,7 +451,48 @@ class TestSharedPool:
         assert sim.run_min_prevalence_grid(**GRID, threads=3) == serial_grid
         scenario = sim.SimScenario(N=250, m=2, setting="A", runs=12, master_seed=11)
         sim.run_scenario(scenario, threads=2)
-        assert pools == [2, 3, 2]
+        assert pools == [1, 2, 1]
+
+    def test_the_caller_runs_every_chunk_no_worker_starts(self, monkeypatch):
+        pools, ran = [], []
+
+        def run_block(scenario, pi_true, indices):
+            ran.append(indices)
+            return RUN_BLOCK(scenario, pi_true, indices)
+
+        serial_studies = study_rows(sim.run_study_distribution(**STUDIES))
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=12, master_seed=11)
+        serial = sim.run_scenario(scenario).records
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", fake_pool(pools, start=False))
+        monkeypatch.setattr(sim, "_run_block", run_block)
+        assert study_rows(sim.run_study_distribution(**STUDIES, threads=2)) == serial_studies
+        # 40 runs in 2 processes: chunks of 5, two per study, run from the last back
+        assert [(chunk.start, chunk.stop) for chunk in ran] == [(5, 10), (0, 5)] * 4
+        ran.clear()
+        assert sim.run_scenario(scenario, threads=3).records == serial
+        assert ran == [range(k, k + 1) for k in reversed(range(12))]  # 12 runs in 3 processes: chunks of 1
+        assert pools == [1, 2]
+
+    def test_no_worker_outlives_a_pooled_call(self):
+        assert multiprocessing.active_children() == []
+        sim.run_study_distribution(**STUDIES, threads=2)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(NumericalError):
+            sim.run_min_prevalence_grid(
+                N_list=[30, 10], m_list=[2], pi_min_list=["0"], transform_list=["floor"],
+                runs=20, master_seed=4, threads=3,
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_a_chunk_of_the_caller_cancels_the_pool(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(events))
+        monkeypatch.setattr(sim, "_run_block", functools.partial(run_block_failing_in, os.getpid()))
+        scenario = sim.SimScenario(N=250, m=2, setting="A", runs=40, master_seed=11)
+        with pytest.raises(RuntimeError, match="a chunk of the calling process failed"):
+            sim.run_scenario(scenario, threads=2)
+        assert events[:2] == [("open", 1), ("shutdown", True)]
+        assert multiprocessing.active_children() == []
 
     def test_chunks_cover_the_runs_in_order(self):
         for total in (1, 3, 10, 20, 160, 1001):
@@ -434,19 +512,9 @@ class TestSharedPool:
 
     def test_pool_is_shut_down_before_the_call_returns(self, monkeypatch):
         events = []
-
-        class RecordingPool(ProcessPoolExecutor):  # a real pool that logs its lifetime
-            def __init__(self, max_workers):
-                events.append(("open", max_workers))
-                super().__init__(max_workers=max_workers)
-
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                events.append(("shutdown", kwargs.get("cancel_futures", False)))
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(events))
         sim.run_study_distribution(**dict(STUDIES, runs_per_study=3), threads=2)
-        assert events == [("open", 2), ("shutdown", False)]
+        assert events == [("open", 1), ("shutdown", False)]
         events.clear()
         with pytest.raises(NumericalError):
             sim.run_min_prevalence_grid(
@@ -454,7 +522,7 @@ class TestSharedPool:
                 runs=20, master_seed=4, threads=2,
             )
         # a failed cell cancels the chunks not yet started, then the pool closes
-        assert events[:2] == [("open", 2), ("shutdown", True)]
+        assert events[:2] == [("open", 1), ("shutdown", True)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("N_list, first", [
